@@ -55,7 +55,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import ExperimentError
+from .errors import ExperimentError, WorkloadError
 from .experiments.registry import get_experiment, list_experiments
 
 __all__ = ["main", "build_parser"]
@@ -960,8 +960,6 @@ def _trace_replay(args: argparse.Namespace) -> int:
     )
     if (trace.overlay_seed is not None
             and overlay_seed != trace.overlay_seed):
-        from .errors import WorkloadError
-
         raise WorkloadError(
             f"trace {args.path} was recorded on overlay seed "
             f"{trace.overlay_seed} but --overlay-seed {overlay_seed} "
@@ -1048,6 +1046,11 @@ def _serve_run(args: argparse.Namespace) -> int:
             flush_interval=args.flush_interval,
             n_epochs=args.epochs, batch_mode=args.batch,
         )
+    except WorkloadError as error:
+        # A refused request line ends a long-lived server with one
+        # argparse-style line, not a traceback.
+        print(f"repro-swarm serve: error: {error}", file=sys.stderr)
+        return 2
     finally:
         if source is not sys.stdin:
             source.close()

@@ -4,7 +4,9 @@ NDJSON requests in (stdin or a file), NDJSON rolling aggregates out.
 Each input line is one download request in the wire format of
 :func:`~repro.workloads.streams.parse_request_line`; the daemon
 batches arrivals into micro-epochs of at most ``--max-batch`` files,
-routes each micro-epoch through a persistent
+which :class:`~repro.workloads.streams.RequestStream` decodes straight
+into kernel columns (no per-request objects), routes each micro-epoch
+through a persistent
 :class:`~repro.backends.fast.StreamSession` (tables built once,
 scenario coded patches reused across batches), and absorbs each
 micro-epoch's result into a
@@ -14,11 +16,17 @@ input — or on SIGTERM/SIGINT, which flush gracefully — it emits one
 ``final`` line.
 
 Memory is bounded independent of stream length: one micro-batch of
-decoded events, the O(n_nodes) session/aggregator state, and (for
+decoded columns, the O(n_nodes) session/aggregator state, and (for
 scenario serving) the coded patches. The ``final`` line's metrics are
 exactly what a batch run over the same requests reports — the
 ``--batch`` reference mode materializes the input and runs the
 one-shot engine to let CI ``cmp`` the two byte-for-byte.
+
+A request line that does not decode to a valid request — bad JSON, a
+non-int originator or address, an originator outside the overlay, an
+address outside the space — raises
+:class:`~repro.errors.WorkloadError` naming the line; the micro-batch
+holding it is refused whole, and batches before it stay served.
 
 Convenience: input starting with an NDJSON workload-trace header line
 (``repro-swarm trace import-requests`` output) is accepted directly —
@@ -40,6 +48,7 @@ from .analysis.streaming import StreamingAggregator
 from .backends.config import FastSimulationConfig
 from .backends.fast import FastSimulation, StreamSession
 from .errors import WorkloadError
+from .workloads.generators import FileDownload
 from .workloads.streams import RequestStream
 
 __all__ = ["run_serve"]
@@ -68,8 +77,9 @@ def _skip_trace_header(lines: Iterable[str] | IO[str],
     """Pass request lines through, consuming a leading trace header.
 
     The first line is peeked: an NDJSON workload-trace header is
-    validated against the serving overlay and dropped; anything else
-    is fed back into the stream untouched.
+    validated against the serving overlay and passed on as a blank
+    line, so request line numbers still count it; anything else is
+    fed back into the stream untouched.
     """
     iterator = iter(lines)
     first = next(iterator, None)
@@ -79,7 +89,7 @@ def _skip_trace_header(lines: Iterable[str] | IO[str],
     if first.strip():
         try:
             candidate = json.loads(first)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             candidate = None
         if isinstance(candidate, dict) and "format" in candidate:
             header = candidate
@@ -98,17 +108,31 @@ def _skip_trace_header(lines: Iterable[str] | IO[str],
             f"input trace was recorded over {n_nodes} nodes but this "
             f"server has {config.n_nodes}; serve with --nodes {n_nodes}"
         )
-    return iterator
+    return itertools.chain(["\n"], iterator)
 
 
-class _MaterializedWorkload:
-    """Workload adapter over an already-validated event list."""
+class _ColumnWorkload:
+    """Workload adapter replaying decoded request columns as events.
 
-    def __init__(self, events) -> None:
-        self._events = list(events)
+    The one-shot engine maps each event's originator address back to
+    its dense index itself, so the ``--batch`` reference also checks
+    the stream's ``searchsorted`` origin mapping.
+    """
+
+    def __init__(self, batches) -> None:
+        self._batches = batches
 
     def events(self, nodes, space):
-        return iter(self._events)
+        for batch in self._batches:
+            ends = np.cumsum(batch.sizes)
+            starts = ends - batch.sizes
+            for origin, start, end, lineno in zip(
+                    nodes[batch.origins].tolist(), starts.tolist(),
+                    ends.tolist(), batch.linenos.tolist()):
+                yield FileDownload(
+                    file_id=lineno - 1, originator=origin,
+                    chunk_addresses=batch.targets[start:end],
+                )
 
 
 def _emit(out: IO[str], kind: str, payload: dict) -> None:
@@ -145,12 +169,13 @@ def run_serve(config: FastSimulationConfig,
     batches = stream.batches(addresses, simulation.space)
 
     if batch_mode:
-        events = [event for batch in batches for event in batch]
-        if events:
-            result = simulation.run(_MaterializedWorkload(events))
-            aggregator.absorb(result)
+        decoded = list(batches)
+        if decoded:
+            aggregator.absorb(simulation.run(_ColumnWorkload(decoded)))
         _emit(out, "final", aggregator.summary())
         return aggregator
+
+    entry_dt = simulation.table.entry_dtype
 
     previous = _install_handlers()
     try:
@@ -158,12 +183,10 @@ def run_serve(config: FastSimulationConfig,
             try:
                 for batch in batches:
                     scratch = simulation.new_result()
-                    file_origins, sizes, targets = (
-                        simulation.flatten_events(batch)
-                    )
-                    scratch.files += len(sizes)
-                    session.feed(np.repeat(file_origins, sizes),
-                                 targets, into=scratch)
+                    scratch.files += len(batch)
+                    origins = batch.origins.astype(entry_dt)
+                    session.feed(np.repeat(origins, batch.sizes),
+                                 batch.targets, into=scratch)
                     aggregator.absorb(scratch)
                     if session.epochs_fed % flush_interval == 0:
                         _emit(out, "snapshot", aggregator.snapshot())

@@ -15,6 +15,7 @@ from .distributions import (
 from .generators import DownloadWorkload, FileDownload, paper_workload
 from .streams import (
     GeneratorStream,
+    RequestBatch,
     RequestStream,
     TraceStream,
     WorkloadStream,
@@ -35,6 +36,7 @@ __all__ = [
     "GeneratorStream",
     "OriginatorPool",
     "PoissonArrivals",
+    "RequestBatch",
     "RequestStream",
     "TRACE_FORMAT",
     "TRACE_NDJSON_FORMAT",

@@ -101,6 +101,23 @@ class TestRunServe:
         without = serve_lines(lines)
         assert with_header[-1] == without[-1]
 
+    def test_line_numbers_count_the_trace_header(self):
+        header = json.dumps({
+            "format": "repro-swarm-trace/ndjson-1",
+            "bits": CONFIG.bits, "n_nodes": CONFIG.n_nodes,
+        }) + "\n"
+        lines = request_lines(CONFIG, n_files=10)
+        lines[2] = "{nope\n"
+        with pytest.raises(WorkloadError, match=r"\(line 4\)$"):
+            serve_lines([header] + lines)
+
+    @pytest.mark.parametrize("first", ["[" * 100_000, "1" * 5000])
+    def test_undecodable_first_line_is_refused(self, first):
+        # The trace-header peek must not leak json's RecursionError or
+        # its int-size ValueError.
+        with pytest.raises(WorkloadError, match=r"\(line 1\)$"):
+            serve_lines([first + "\n"])
+
     def test_trace_header_mismatch_rejected(self):
         header = json.dumps({
             "format": "repro-swarm-trace/ndjson-1",
@@ -114,6 +131,34 @@ class TestRunServe:
         }) + "\n"
         with pytest.raises(WorkloadError, match="--nodes"):
             serve_lines([header])
+
+    @pytest.mark.parametrize("batch_mode", [False, True])
+    @pytest.mark.parametrize("bad", [
+        '{"chunks": [1.5]}', '{"chunks": [[1, 2]]}', '{"chunks": [true]}',
+        '{"chunks": ["12"]}',
+    ])
+    def test_bad_wire_type_is_a_named_workload_error(self, bad,
+                                                      batch_mode):
+        lines = request_lines(CONFIG, n_files=10)
+        origin = json.loads(lines[4])["originator"]
+        lines[4] = bad.replace("{", f'{{"originator": {origin}, ', 1)
+        with pytest.raises(WorkloadError, match=r"\(line 5\)$"):
+            serve_lines(lines, batch_mode=batch_mode)
+
+    def test_wire_aliases_serve_like_the_plain_form(self):
+        """``chunk`` and ``file_id`` decode like a one-item ``chunks``."""
+        plain, aliased = [], []
+        for number, line in enumerate(request_lines(CONFIG, n_files=20)):
+            origin, chunk = json.loads(line)["originator"], json.loads(
+                line)["chunks"][0]
+            plain.append(json.dumps(
+                {"originator": origin, "chunks": [chunk]}) + "\n")
+            key = "chunk" if number % 2 else "chunks"
+            aliased.append(json.dumps({
+                "originator": origin, "file_id": number,
+                key: chunk if number % 2 else [chunk],
+            }) + "\n")
+        assert serve_lines(aliased)[-1] == serve_lines(plain)[-1]
 
     def test_rejects_bad_flush_interval(self):
         with pytest.raises(WorkloadError, match="flush_interval"):
@@ -190,3 +235,23 @@ class TestServeCli:
         assert lines, "no output before SIGTERM"
         assert lines[-1]["type"] == "final"
         assert lines[-1]["files"] > 0
+
+    def test_cli_refused_line_exits_2_naming_it(self, tmp_path, capsys):
+        lines = request_lines(CONFIG, n_files=10)
+        lines[6] = lines[6].replace('"chunks": [', '"chunks": [1.5, ')
+        path = tmp_path / "requests.ndjson"
+        path.write_text("".join(lines))
+        code = main([
+            "serve", "--input", str(path), "--nodes", "60",
+            "--bits", "10", "--overlay-seed", "5", "--max-batch", "4",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        error_lines = captured.err.splitlines()
+        assert len(error_lines) == 1
+        assert error_lines[0].startswith("repro-swarm serve: error: ")
+        assert error_lines[0].endswith("(line 7)")
+        # The batch before the bad one was served; no final line.
+        kinds = [json.loads(line)["type"]
+                 for line in captured.out.splitlines()]
+        assert kinds == ["snapshot"]
