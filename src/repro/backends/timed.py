@@ -22,7 +22,13 @@ answers "*when* did each chunk arrive". It runs in two phases:
    out, data back) is folded into the chunk's release time, so the
    wheel only simulates the bandwidth-bound data hops. A positive
    ``time_quantum_ms`` batches completions into slots, bounding the
-   number of bandwidth recomputations for paper-scale runs.
+   number of bandwidth recomputations for paper-scale runs. Transfers
+   that start at one event on one (sender, receiver) pair share every
+   float operation, so the wheel holds them as one *bundle* in a
+   preallocated pool with incremental per-node degrees, and a
+   concurrency cap queues requests in one FIFO per sender; an event
+   costs O(bundles + changed transfers), and every completion time is
+   bit-identical to simulating each transfer on its own.
 
 With unbounded bandwidth and no concurrency cap the wheel collapses
 to closed form (latency = ``2 * hops * hop_latency``), which is both
@@ -141,10 +147,34 @@ class FluidWheel:
     chunk *j* is released into the wheel at ``release[j]`` (arrival
     time plus total fixed propagation) and its payload then crosses
     the recorded path in reverse, one bandwidth-bound transfer per
-    hop. All state is structure-of-arrays over the currently active
-    transfers; the :class:`EventScheduler` sequences release batches
-    and completion slots, with stale completion events invalidated by
-    a generation counter (lazy cancellation).
+    hop. The :class:`EventScheduler` sequences release batches and
+    completion slots, with stale completion events invalidated by a
+    generation counter (lazy cancellation).
+
+    Active transfers live in an **edge-bundle pool**. Transfers
+    activated at the same event on the same (sender, receiver) pair
+    start with the same bytes and always get the same rate, so every
+    float operation on them — ``remaining -= rate * dt``, the
+    ``remaining / rate`` minimum, the finish test — is the same; the
+    pool keeps one row per such bundle with a member count. Members
+    sit in a member store allocated once (one slot per transfer,
+    ``hops.sum()`` in all), sorted by pair within each activation
+    batch, so a bundle is a ``(start, count)`` range of it. Pool
+    columns grow by doubling; finished bundles are swap-removed in
+    one vectorised move. Per-node out/in degrees are kept
+    incrementally from the activated and retired members only, and a
+    bundle's rate is ``min((up / out)[sender], (down / inn)[receiver])``
+    — the same division as per transfer. An event therefore costs
+    O(bundles + changed transfers).
+
+    With a concurrency cap, requests go to a request log (one slot per
+    transfer, in request order) threaded into one FIFO list per
+    sender, and a sender with free slots pops the heads of its list,
+    so admission touches only the senders and requests that move.
+    Admitted transfers activate in request order and finished ones
+    retire in activation order (the member store keeps activation
+    sequence numbers under a cap), which is the order one global FIFO
+    queue and one active list would give.
     """
 
     def __init__(self, *, n_nodes: int, chunk_bytes: float,
@@ -168,18 +198,47 @@ class FluidWheel:
         self.release = release_s
         m = release_s.size
         self.done = np.full(m, -1.0)
-        # Active transfers (structure of arrays).
-        self._chunk = np.empty(0, dtype=np.int64)
-        self._hop = np.empty(0, dtype=np.int32)
-        self._sender = np.empty(0, dtype=np.int64)
-        self._receiver = np.empty(0, dtype=np.int64)
+        # A rate is infinite only when both ends are unbounded, and
+        # then it is infinite for every transfer of the run.
+        self._finite = not (np.isinf(self.up) and np.isinf(self.down))
+        # Data-hops each chunk has left after the one it is on.
+        self._left = hops - 1
+        # Member store: chunk ids (and, under a cap, activation
+        # sequence numbers), written once per transfer.
+        total = int(hops.sum())
+        index_dt = np.int32 if max(m, total) < 2**31 else np.int64
+        self._member = np.empty(total, dtype=index_dt)
+        self._member_seq = np.empty(total if self.cap else 0,
+                                    dtype=index_dt)
+        self._written = 0
+        self._activated = 0
+        # The bundle pool (rows [0, _size) are live).
+        self._size = 0
+        self._sender = np.empty(0, dtype=np.intp)
+        self._receiver = np.empty(0, dtype=np.intp)
+        self._start = np.empty(0, dtype=np.intp)
+        self._count = np.empty(0, dtype=np.intp)
         self._remaining = np.empty(0, dtype=np.float64)
         self._rate = np.empty(0, dtype=np.float64)
-        # FIFO admission queue (only populated when cap > 0).
-        self._q_chunk = np.empty(0, dtype=np.int64)
-        self._q_hop = np.empty(0, dtype=np.int32)
-        self._q_sender = np.empty(0, dtype=np.int64)
-        self._q_receiver = np.empty(0, dtype=np.int64)
+        self._scratch = np.empty(0, dtype=np.float64)
+        self._grow(256)
+        # Per-node active transfer counts and fair-share buffers.
+        self._out = np.zeros(n_nodes, dtype=np.int64)
+        self._inn = np.zeros(n_nodes, dtype=np.int64)
+        self._up_share = np.empty(n_nodes, dtype=np.float64)
+        self._down_share = np.empty(n_nodes, dtype=np.float64)
+        # Admission queue (cap > 0 only): a request log in request
+        # order, one slot per transfer, threaded into one FIFO list per
+        # sender (``_next`` links a request to its sender's next one).
+        log = total if self.cap else 0
+        self._log_chunk = np.empty(log, dtype=index_dt)
+        self._log_sender = np.empty(log, dtype=index_dt)
+        self._log_receiver = np.empty(log, dtype=index_dt)
+        self._next = np.empty(log, dtype=index_dt)
+        self._logged = 0
+        self._head = np.zeros(n_nodes, dtype=np.int64)
+        self._tail = np.zeros(n_nodes, dtype=np.int64)
+        self._queued = np.zeros(n_nodes, dtype=np.int64)
         self._last = 0.0
         self._gen = 0
 
@@ -191,132 +250,223 @@ class FluidWheel:
         return np.ceil(np.asarray(t) / q - 1e-12) * q
 
     def _endpoints(self, chunks: np.ndarray,
-                   hop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(sender, receiver) node indices of data-hop *hop* per chunk.
+                   left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sender, receiver) node indices of each chunk's data-hop
+        with *left* data-hops after it.
 
-        Data-hop 0 leaves the serving node (the last request hop);
-        the final data-hop delivers to the originator.
+        The first data-hop leaves the serving node (the last request
+        hop); the final one (``left == 0``) delivers to the originator.
         """
-        pos = self.offsets[chunks] + (self.hops[chunks] - 1 - hop)
+        pos = self.offsets[chunks] + left
         sender = self.nodes[pos].astype(np.int64)
-        last = hop == self.hops[chunks] - 1
         receiver = np.where(
-            last, self.origins[chunks],
+            left == 0, self.origins[chunks],
             self.nodes[np.maximum(pos - 1, 0)],
         ).astype(np.int64)
         return sender, receiver
 
-    def _enqueue(self, chunks: np.ndarray, hop: np.ndarray) -> None:
-        """Request data-hop *hop* for *chunks* (activate or queue)."""
+    def _grow(self, need: int) -> None:
+        """Make room for *need* pool rows, doubling the capacity."""
+        capacity = self._remaining.size
+        if need <= capacity:
+            return
+        capacity = max(need, 2 * capacity)
+        for name in ("_sender", "_receiver", "_start", "_count",
+                     "_remaining", "_rate", "_scratch"):
+            old = getattr(self, name)
+            new = np.empty(capacity, dtype=old.dtype)
+            new[:self._size] = old[:self._size]
+            setattr(self, name, new)
+
+    def _enqueue(self, chunks: np.ndarray, left: np.ndarray) -> None:
+        """Request each chunk's current data-hop (activate or queue)."""
         if chunks.size == 0:
             return
-        sender, receiver = self._endpoints(chunks, hop)
+        sender, receiver = self._endpoints(chunks, left)
         if self.cap == 0:
-            self._activate(chunks, hop, sender, receiver)
+            self._activate(chunks, sender, receiver)
             return
-        self._q_chunk = np.concatenate((self._q_chunk, chunks))
-        self._q_hop = np.concatenate((self._q_hop, hop.astype(np.int32)))
-        self._q_sender = np.concatenate((self._q_sender, sender))
-        self._q_receiver = np.concatenate((self._q_receiver, receiver))
+        k = chunks.size
+        p = self._logged
+        self._log_chunk[p:p + k] = chunks
+        self._log_sender[p:p + k] = sender
+        self._log_receiver[p:p + k] = receiver
+        self._logged = p + k
+        # Chain each sender's new requests in request order, behind
+        # the ones it already has queued.
+        order = sender.argsort(kind="stable")
+        grouped = sender[order]
+        slots = order + p
+        # Links across a sender boundary leave a group's tail, whose
+        # link is only followed after a later request overwrites it.
+        self._next[slots[:-1]] = slots[1:]
+        edge = np.empty(k + 1, dtype=bool)
+        edge[0] = edge[k] = True
+        np.not_equal(grouped[1:], grouped[:-1], out=edge[1:k])
+        first = edge[:k].nonzero()[0]
+        last = edge[1:].nonzero()[0]
+        senders = grouped[first]
+        waiting = self._queued[senders] > 0
+        self._next[self._tail[senders[waiting]]] = slots[first[waiting]]
+        self._head[senders[~waiting]] = slots[first[~waiting]]
+        self._tail[senders] = slots[last]
+        self._queued[senders] += last - first + 1
 
-    def _activate(self, chunks, hop, sender, receiver) -> None:
-        self._chunk = np.concatenate((self._chunk, chunks))
-        self._hop = np.concatenate((self._hop, hop.astype(np.int32)))
-        self._sender = np.concatenate((self._sender, sender))
-        self._receiver = np.concatenate((self._receiver, receiver))
-        self._remaining = np.concatenate((
-            self._remaining,
-            np.full(chunks.size, self.chunk_bytes),
-        ))
+    def _activate(self, chunks, sender, receiver) -> None:
+        """Start one transfer per chunk, one pool row per bundle."""
+        k = chunks.size
+        n = self.n_nodes
+        key = sender * n + receiver
+        # Members of one bundle are interchangeable, so any sort will do.
+        order = key.argsort()
+        key = key[order]
+        w = self._written
+        self._member[w:w + k] = chunks[order]
+        if self.cap:
+            np.add(order, self._activated, out=self._member_seq[w:w + k])
+            self._activated += k
+        self._written = w + k
+        heads = (key[1:] != key[:-1]).nonzero()[0]
+        rows = heads.size + 1
+        b = self._size
+        self._grow(b + rows)
+        start = self._start[b:b + rows]
+        start[0] = w
+        np.add(heads, w + 1, out=start[1:])
+        count = self._count[b:b + rows]
+        count[:-1] = start[1:]
+        count[-1] = w + k
+        count -= start
+        sender = self._sender[b:b + rows]
+        receiver = self._receiver[b:b + rows]
+        np.divmod(key[start - w], n, out=(sender, receiver))
+        np.add.at(self._out, sender, count)
+        np.add.at(self._inn, receiver, count)
+        self._remaining[b:b + rows] = self.chunk_bytes
+        self._size = b + rows
 
     def _admit(self) -> None:
         """Move queued requests whose sender has a free slot to active.
 
-        FIFO per sender: among the queued requests of one sender, the
-        oldest fill the free slots (queue arrays are kept in request
-        order, so rank-in-queue is rank-in-time).
+        FIFO per sender: the oldest queued requests of a sender (the
+        head of its list) fill its free slots, and admitted requests
+        activate in request order.
         """
-        if self.cap == 0 or self._q_chunk.size == 0:
+        if self.cap == 0:
             return
-        busy = np.bincount(self._sender, minlength=self.n_nodes)
-        free = self.cap - busy
-        senders = self._q_sender
-        by_sender = np.argsort(senders, kind="stable")
-        sorted_senders = senders[by_sender]
-        starts = np.concatenate(
-            ([True], sorted_senders[1:] != sorted_senders[:-1])
-        )
-        position = np.arange(senders.size)
-        group_first = position[starts]
-        group_id = np.cumsum(starts) - 1
-        rank = np.empty(senders.size, dtype=np.int64)
-        rank[by_sender] = position - group_first[group_id]
-        admit = rank < free[senders]
-        if not admit.any():
+        take = np.minimum(self.cap - self._out, self._queued)
+        senders = (take > 0).nonzero()[0]
+        if senders.size == 0:
             return
-        self._activate(self._q_chunk[admit], self._q_hop[admit],
-                       self._q_sender[admit], self._q_receiver[admit])
-        keep = ~admit
-        self._q_chunk = self._q_chunk[keep]
-        self._q_hop = self._q_hop[keep]
-        self._q_sender = self._q_sender[keep]
-        self._q_receiver = self._q_receiver[keep]
+        take = take[senders]
+        # Pop each sender's first ``take`` requests, one per round.
+        slot = self._head[senders]
+        admitted = slot
+        rounds = int(take.max())
+        if rounds > 1:
+            popped = [slot]
+            tail = slot.copy()
+            group = np.arange(senders.size)
+            for depth in range(1, rounds):
+                more = take[group] > depth
+                group = group[more]
+                slot = self._next[slot[more]]
+                popped.append(slot)
+                tail[group] = slot
+            slot = tail
+            admitted = np.concatenate(popped)
+        self._head[senders] = self._next[slot]
+        self._queued[senders] -= take
+        admitted.sort()
+        self._activate(self._log_chunk[admitted],
+                       self._log_sender[admitted].astype(np.int64),
+                       self._log_receiver[admitted].astype(np.int64))
 
     def _recompute_rates(self) -> None:
-        """Fair-share rate per active transfer at the current instant."""
-        if self._chunk.size == 0:
-            self._rate = np.empty(0, dtype=np.float64)
+        """Fair-share rate per bundle at the current instant."""
+        b = self._size
+        if b == 0 or not self._finite:
             return
-        out = np.bincount(self._sender, minlength=self.n_nodes)
-        inn = np.bincount(self._receiver, minlength=self.n_nodes)
-        self._rate = np.minimum(
-            self.up / out[self._sender], self.down / inn[self._receiver]
-        )
+        with np.errstate(divide="ignore"):
+            np.divide(self.up, self._out, out=self._up_share)
+            np.divide(self.down, self._inn, out=self._down_share)
+        rate = self._rate[:b]
+        np.take(self._up_share, self._sender[:b], out=rate)
+        np.minimum(rate, self._down_share[self._receiver[:b]], out=rate)
 
     def _advance(self, now: float) -> None:
         """Progress every active transfer to *now* at its last rate."""
         dt = now - self._last
-        if dt > 0 and self._remaining.size:
-            finite = np.isfinite(self._rate)
-            self._remaining[finite] -= self._rate[finite] * dt
+        b = self._size
+        if dt > 0 and b and self._finite:
+            step = self._scratch[:b]
+            np.multiply(self._rate[:b], dt, out=step)
+            np.subtract(self._remaining[:b], step, out=self._remaining[:b])
         self._last = now
 
     def _complete(self, now: float) -> None:
-        """Retire finished transfers; chain or finish their chunks."""
-        finished = self._remaining <= _EPS_BYTES
-        infinite = ~np.isfinite(self._rate)
-        if infinite.any():
+        """Retire finished bundles; chain or finish their chunks."""
+        b = self._size
+        if self._finite:
+            remaining = self._remaining[:b]
+            rows = (remaining <= _EPS_BYTES).nonzero()[0]
+            if rows.size == 0:
+                # The scheduled completion instant is exact up to float
+                # error; retire the nearest transfer so the wheel always
+                # makes progress.
+                nearest = remaining.min() + _EPS_BYTES
+                rows = (remaining <= nearest).nonzero()[0]
+        else:
             # Unbounded endpoints transfer instantaneously.
-            finished |= infinite
-        if not finished.any():
-            # The scheduled completion instant is exact up to float
-            # error; retire the nearest transfer so the wheel always
-            # makes progress.
-            finished = self._remaining <= self._remaining.min() + _EPS_BYTES
-        chunks = self._chunk[finished]
-        hop = self._hop[finished]
-        keep = ~finished
-        self._chunk = self._chunk[keep]
-        self._hop = self._hop[keep]
-        self._sender = self._sender[keep]
-        self._receiver = self._receiver[keep]
-        self._remaining = self._remaining[keep]
-        self._rate = self._rate[keep]
-        last_hop = hop == self.hops[chunks] - 1
+            rows = np.arange(b)
+        slots = _ranges(self._start[rows], self._count[rows])
+        if self.cap:
+            # Retire in activation order, as one active list would.
+            slots = slots[self._member_seq[slots].argsort()]
+        chunks = self._member[slots]
+        count = self._count[rows]
+        np.subtract.at(self._out, self._sender[rows], count)
+        np.subtract.at(self._inn, self._receiver[rows], count)
+        self._remove(rows)
+        left = self._left[chunks]
+        last_hop = left == 0
         self.done[chunks[last_hop]] = now
         ongoing = ~last_hop
         if ongoing.any():
-            self._enqueue(chunks[ongoing], hop[ongoing] + 1)
+            chunks = chunks[ongoing]
+            left = left[ongoing] - 1
+            self._left[chunks] = left
+            self._enqueue(chunks, left)
+
+    def _remove(self, rows: np.ndarray) -> None:
+        """Swap-remove the sorted pool *rows*: tail rows fill the holes.
+
+        Rates are not moved: every retirement is followed by a full
+        rate recomputation before they are read again.
+        """
+        b = self._size
+        size = b - rows.size
+        holes = rows[:np.searchsorted(rows, size)]
+        if holes.size:
+            alive = np.ones(b - size, dtype=bool)
+            alive[rows[holes.size:] - size] = False
+            movers = alive.nonzero()[0] + size
+            for column in (self._sender, self._receiver, self._start,
+                           self._count, self._remaining):
+                column[holes] = column[movers]
+        self._size = size
 
     def _reschedule(self, scheduler: EventScheduler) -> None:
         """Schedule the next completion slot (invalidating older ones)."""
         self._gen += 1
-        if self._chunk.size == 0:
+        b = self._size
+        if b == 0:
             return
         generation = self._gen
-        finite = np.isfinite(self._rate)
-        if finite.all():
-            dt = float((self._remaining / self._rate).min())
+        if self._finite:
+            ratio = self._scratch[:b]
+            np.divide(self._remaining[:b], self._rate[:b], out=ratio)
+            dt = float(ratio.min())
         else:
             dt = 0.0
         when = self._last + dt
@@ -356,7 +506,7 @@ class FluidWheel:
             def release(s: EventScheduler, t: float,
                         batch: np.ndarray = batch) -> None:
                 self._advance(t)
-                self._enqueue(batch, np.zeros(batch.size, dtype=np.int32))
+                self._enqueue(batch, self._left[batch])
                 self._admit()
                 self._recompute_rates()
                 self._reschedule(s)
@@ -382,6 +532,13 @@ class FluidWheel:
         return self.done
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + c)`` for each (start, count) pair."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - ends + counts, counts)
+
+
 # ----------------------------------------------------------------------
 # The backend
 
@@ -405,15 +562,7 @@ class TimedSimulation:
         fast = self._fast
         if workload is None:
             workload = config.workload()
-        n = len(self.overlay)
-        result = SimulationResult(
-            config=config,
-            node_addresses=self.overlay.address_array().astype(np.int64),
-            forwarded=np.zeros(n, dtype=np.int64),
-            first_hop=np.zeros(n, dtype=np.int64),
-            income=np.zeros(n, dtype=np.float64),
-            expenditure=np.zeros(n, dtype=np.float64),
-        )
+        result = fast.new_result()
         file_origins, sizes, targets = fast._flatten_workload(workload)
         result.files += len(sizes)
         n_chunks = int(targets.size)

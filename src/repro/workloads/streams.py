@@ -32,7 +32,6 @@ request lines (one JSON object per line,
 from __future__ import annotations
 
 import json
-import reprlib
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -50,7 +49,7 @@ import numpy as np
 
 from ..errors import WorkloadError
 from .generators import FileDownload
-from .traces import TraceReader, _chunk_dtype
+from .traces import TraceReader, _chunk_dtype, event_fields
 
 __all__ = [
     "WorkloadStream",
@@ -193,43 +192,13 @@ _CHUNKS = itemgetter("chunks")
 def _request_fields(item, where: str) -> tuple[int, list]:
     """Validate one decoded request object: ``(originator, chunks)``.
 
-    The strict wire types: the originator, every chunk address and the
-    optional ``file_id`` are JSON integers — never bools, floats,
-    strings or nested lists — and a request names at least one chunk,
-    through either ``chunks`` or its one-address alias ``chunk``.
+    The strict wire types of :func:`~repro.workloads.traces.event_fields`,
+    refused as a ``bad request line`` naming *where*.
     """
-    def bad(reason: str) -> WorkloadError:
-        return WorkloadError(f"bad request line: {reason}{where}")
-
-    if type(item) is not dict:
-        raise bad(f"expected a JSON object, got {type(item).__name__}")
-    if "originator" not in item:
-        raise bad("missing 'originator'")
-    originator = item["originator"]
-    if type(originator) is not int:
-        raise bad(f"originator must be an int address, got "
-                  f"{reprlib.repr(originator)}")
-    if "file_id" in item and type(item["file_id"]) is not int:
-        raise bad(f"file_id must be an int, got "
-                  f"{reprlib.repr(item['file_id'])}")
-    if "chunks" in item:
-        if "chunk" in item:
-            raise bad("give 'chunks' or 'chunk', not both")
-        chunks = item["chunks"]
-        if type(chunks) is not list:
-            raise bad(f"'chunks' must be a list of int addresses, got "
-                      f"{reprlib.repr(chunks)}")
-    elif "chunk" in item:
-        chunks = [item["chunk"]]
-    else:
-        raise bad("missing 'chunks'")
-    if not chunks:
-        raise bad("a request needs at least one chunk")
-    for chunk in chunks:
-        if type(chunk) is not int:
-            raise bad(f"chunk addresses must be ints, got "
-                      f"{reprlib.repr(chunk)}")
-    return originator, chunks
+    try:
+        return event_fields(item)
+    except ValueError as error:
+        raise WorkloadError(f"bad request line: {error}{where}") from None
 
 
 def parse_request_line(line: str, *, bits: int | None = None,

@@ -20,6 +20,7 @@ traces are the separate format of :mod:`repro.scenarios.trace`.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -84,15 +85,59 @@ def _check_header_fields(path, bits, n_nodes, overlay_seed) -> None:
         )
 
 
+def event_fields(item) -> tuple[int, list]:
+    """Validate one decoded event object: ``(originator, chunks)``.
+
+    The strict wire types shared by trace files and ``serve`` request
+    lines: the originator, every chunk address and the optional
+    ``file_id`` are JSON integers — never bools, floats, strings or
+    nested lists — and an event names at least one chunk, through
+    either ``chunks`` or its one-address alias ``chunk``. Raises
+    :class:`ValueError` with the reason otherwise.
+    """
+    if type(item) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(item).__name__}")
+    if "originator" not in item:
+        raise ValueError("missing 'originator'")
+    originator = item["originator"]
+    if type(originator) is not int:
+        raise ValueError(f"originator must be an int address, got "
+                         f"{reprlib.repr(originator)}")
+    if "file_id" in item and type(item["file_id"]) is not int:
+        raise ValueError(f"file_id must be an int, got "
+                         f"{reprlib.repr(item['file_id'])}")
+    if "chunks" in item:
+        if "chunk" in item:
+            raise ValueError("give 'chunks' or 'chunk', not both")
+        chunks = item["chunks"]
+        if type(chunks) is not list:
+            raise ValueError(f"'chunks' must be a list of int addresses, "
+                             f"got {reprlib.repr(chunks)}")
+    elif "chunk" in item:
+        chunks = [item["chunk"]]
+    else:
+        raise ValueError("missing 'chunks'")
+    if not chunks:
+        raise ValueError("a request needs at least one chunk")
+    for chunk in chunks:
+        if type(chunk) is not int:
+            raise ValueError(f"chunk addresses must be ints, got "
+                             f"{reprlib.repr(chunk)}")
+    return originator, chunks
+
+
 def _decode_event(item, dtype: np.dtype, path) -> FileDownload:
     """One raw event dict -> FileDownload, with a path-naming error."""
     try:
+        originator, chunks = event_fields(item)
+        if "file_id" not in item:
+            raise ValueError("missing 'file_id'")
         return FileDownload(
             file_id=item["file_id"],
-            originator=item["originator"],
-            chunk_addresses=np.asarray(item["chunks"], dtype=dtype),
+            originator=originator,
+            chunk_addresses=np.asarray(chunks, dtype=dtype),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as error:
+    except (ValueError, OverflowError) as error:
         raise WorkloadError(
             f"cannot read trace {path}: malformed event ({error})"
         ) from None

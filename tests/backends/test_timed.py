@@ -12,6 +12,7 @@ slowdowns, quantum batching, concurrency caps, and determinism.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -228,6 +229,32 @@ class TestFluidWheel:
     def test_empty_wheel(self):
         wheel = self._single_chain(n_chunks=0, releases=())
         assert wheel.run().size == 0
+
+
+class TestContendedLatencyPins:
+    """Exact contended latencies, pinned before the bundle-pool wheel.
+
+    Recorded from the per-transfer wheel (now
+    ``tests/backends/wheel_oracle.py``): any change to event order or
+    to a transfer's float arithmetic moves these digests.
+    """
+
+    @pytest.mark.parametrize("cap, samples, digest", [
+        (0, 10338, "73aecea133f42f8296eaffa0e55ece7c"
+                   "2618479a6318dcb2552488bca0aea5c4"),
+        (2, 10338, "74a197be9cd3fa14c184c20b3973f64c"
+                   "b6457687e6aec0ca5780da2780915ff7"),
+    ], ids=["uncapped", "capped"])
+    def test_latency_digest(self, cap, samples, digest):
+        from repro.perf.bench import LATENCY_PROFILE
+
+        config = FastSimulationConfig(
+            n_nodes=60, n_files=16, workload_seed=11, arrival_seed=12,
+            max_concurrent=cap, **LATENCY_PROFILE,
+        )
+        latency = TimedSimulation(config).run().latency_ms
+        assert latency.size == samples
+        assert hashlib.sha256(latency.tobytes()).hexdigest() == digest
 
 
 class TestPaths:

@@ -11,7 +11,11 @@ from repro.errors import WorkloadError
 from repro.kademlia.address import AddressSpace
 from repro.workloads.generators import DownloadWorkload
 from repro.workloads.distributions import UniformFileSize
-from repro.workloads.traces import TRACE_FORMAT, WorkloadTrace
+from repro.workloads.traces import (
+    TRACE_FORMAT,
+    TRACE_NDJSON_FORMAT,
+    WorkloadTrace,
+)
 
 
 def make_trace(**provenance) -> WorkloadTrace:
@@ -142,6 +146,37 @@ class TestTraceProvenance:
             "events": [{"file_id": 0, "chunks": [1]}],
         }))
         with pytest.raises(WorkloadError, match="malformed event"):
+            WorkloadTrace.load(path)
+
+    @pytest.mark.parametrize("ndjson", [False, True],
+                             ids=["json", "ndjson"])
+    @pytest.mark.parametrize("value", [True, 3.7, "3"],
+                             ids=["bool", "float", "string"])
+    @pytest.mark.parametrize("field", ["chunks", "originator", "file_id"])
+    def test_non_int_event_field_rejected(self, tmp_path, field, value,
+                                          ndjson):
+        # np.asarray(..., uint16) would quietly replay 3.7 as chunk 3
+        # and true as chunk 1; every id on the wire must be a JSON int.
+        event = {"file_id": 0, "originator": 3, "chunks": [1, 2]}
+        event[field] = [1, value] if field == "chunks" else value
+        header = {"bits": 10, "n_nodes": 50, "overlay_seed": 42}
+        path = tmp_path / "bad.json"
+        if ndjson:
+            path.write_text(json.dumps(
+                {"format": TRACE_NDJSON_FORMAT, **header}) + "\n"
+                + json.dumps(event) + "\n")
+        else:
+            path.write_text(json.dumps(
+                {"format": TRACE_FORMAT, **header, "events": [event]}))
+        reason = field.removesuffix("s")  # "chunk addresses must be ..."
+        with pytest.raises(WorkloadError,
+                           match=rf"bad\.json: malformed event \({reason}"):
+            WorkloadTrace.load(path)
+
+    def test_missing_file_id_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{"originator": 3, "chunks": [1]}]))
+        with pytest.raises(WorkloadError, match="missing 'file_id'"):
             WorkloadTrace.load(path)
 
     def test_missing_file_rejected(self, tmp_path):
