@@ -1,11 +1,12 @@
 """The event-per-pass fluid wheel, kept as the test oracle.
 
 This is the original :class:`repro.backends.timed.FluidWheel`, moved
-here unchanged when the production wheel was rebuilt around an
-edge-bundle pool. It recomputes every active transfer with whole-array
-passes at each event, which makes it slow but easy to check by eye;
-the differential suite (``tests/property/test_property_fluid_wheel.py``)
-holds the production wheel's completion times bit-identical to it.
+here with its code unchanged when the production wheel was rebuilt
+around an edge-bundle pool. It recomputes every active transfer with
+whole-array passes at each event, which makes it slow but easy to
+check by eye; the differential suite
+(``tests/property/test_property_fluid_wheel.py``) holds the production
+wheel's completion times bit-identical to it.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ class FluidWheel:
 
         scheduler.schedule_at(when, handler, name="complete")
 
-    # -- driver --------------------------------------------------------
+    # -- run loop ------------------------------------------------------
 
     def run(self) -> np.ndarray:
         """Simulate every transfer; returns per-chunk completion times."""
