@@ -64,11 +64,16 @@ def summarize(values: Sequence[float] | np.ndarray) -> Summary:
 
 
 def _t_quantile(confidence: float, dof: int) -> float:
-    """Two-sided t quantile; scipy when present, normal fallback."""
-    try:
-        from scipy import stats as scipy_stats
+    """Two-sided t quantile; scipy when present, normal fallback.
 
-        return float(scipy_stats.t.ppf((1 + confidence) / 2, dof))
+    ``scipy.special.stdtrit`` is the inverse t CDF that
+    ``scipy.stats.t.ppf`` calls, without the cost of importing
+    ``scipy.stats``.
+    """
+    try:
+        from scipy import special
+
+        return float(special.stdtrit(dof, (1 + confidence) / 2))
     except ImportError:  # pragma: no cover - scipy installed in dev env
         from statistics import NormalDist
 

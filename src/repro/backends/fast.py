@@ -77,7 +77,11 @@ import time
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..kademlia.address import bit_length_array, target_dtype
+from ..kademlia.address import (
+    bit_length_array,
+    target_dtype,
+    xor_nearest_fill,
+)
 from ..kademlia.overlay import Overlay, OverlayConfig
 from ..workloads.distributions import OriginatorPool, UniformFileSize
 from ..workloads.generators import DownloadWorkload, FileDownload
@@ -222,19 +226,30 @@ def _log_table_build(fingerprint: str) -> None:
 class NextHopTable:
     """Dense greedy-forwarding table for one overlay.
 
-    ``next_hop[i, t]`` is the dense index of the peer node ``i``
-    forwards a request for target address ``t`` to, or :attr:`sentinel`
-    (the entry dtype's maximum value) when no known peer is XOR-closer
-    than ``i`` itself (greedy terminal). ``storer[t]`` is the dense
-    index of the globally closest node.
+    The table is built straight into :attr:`coded_transposed`, the
+    terminal-coded ``[target, node]`` matrix the batched kernel routes
+    through (see the module docstring's coding table). Each node's
+    column comes from :func:`~repro.kademlia.xor_nearest_fill` over
+    its sorted peers plus its own address: a target whose XOR-nearest
+    key is a peer forwards there, and one nearest to the node itself
+    is a greedy terminal. Columns are filled 32 nodes at a time,
+    terminal-coded against ``storer`` and copied in, so no raw matrix
+    exists after construction.
 
-    The batched kernel routes through :attr:`coded_transposed` — the
-    ``[target, node]`` layout with terminals folded in (see the module
-    docstring's coding table) — while the raw ``next_hop`` matrix
-    serves the legacy per-file loop and exhaustive routing tests. Both
-    use :func:`table_entry_dtype`; capacity is validated (never
-    silently wrapped) at construction.
+    ``next_hop[i, t]`` — the raw ``[node, target]`` matrix the legacy
+    per-file loop and the exhaustive routing tests read — is decoded
+    from the coded matrix on first access: the index of the peer node
+    ``i`` forwards a request for target address ``t`` to, or
+    :attr:`sentinel` (the entry dtype's maximum value) when no known
+    peer is XOR-closer than ``i`` itself. ``storer[t]`` is the dense
+    index of the globally closest node. Both use
+    :func:`table_entry_dtype`; capacity is validated (never silently
+    wrapped) at construction.
     """
+
+    #: Node columns filled per ``[group, space]`` buffer before they
+    #: are terminal-coded and transposed into the coded matrix.
+    _BUILD_GROUP = 32
 
     def __init__(self, overlay: Overlay) -> None:
         bits = overlay.space.bits
@@ -244,45 +259,43 @@ class NextHopTable:
                 f"spaces, got {bits}; use the reference SwarmNetwork"
             )
         self.overlay = overlay
-        size = overlay.space.size
         n_nodes = len(overlay)
         dtype = table_entry_dtype(n_nodes)
         self.entry_dtype = dtype
         self.sentinel = int(np.iinfo(dtype).max)
         self._n_nodes = n_nodes
-        self._next_hop: np.ndarray | None = np.full(
-            (n_nodes, size), self.sentinel, dtype=dtype
-        )
+        self._next_hop: np.ndarray | None = None
         self.storer = overlay.storer_table().astype(dtype)
-        targets = np.arange(size, dtype=np.uint64)
-        addresses = overlay.address_array()
-        for index, owner in enumerate(overlay.addresses):
-            table = overlay.table(owner)
-            peers = table.peer_array()
-            if peers.size == 0:
-                continue
-            peer_indices = np.array(
-                [overlay.index_of(int(peer)) for peer in peers],
-                dtype=np.int64,
-            )
-            # Running minimum over the node's peers: O(m) full-space
-            # passes with no (size x m) intermediate.
-            best_distance = targets ^ np.uint64(owner)
-            best_index = np.full(size, -1, dtype=np.int64)
-            for peer, peer_index in zip(peers, peer_indices):
-                distance = targets ^ peer
-                closer = distance < best_distance
-                best_distance = np.where(closer, distance, best_distance)
-                best_index[closer] = peer_index
-            # -1 wraps to the dtype's maximum — exactly the sentinel.
-            self._next_hop[index] = best_index.astype(dtype)
-        self.addresses = addresses
-        self._coded: np.ndarray | None = None
+        self.addresses = overlay.address_array()
+        self._coded = self._build_coded()
         self._flat: np.ndarray | None = None
         self._storer_idx: np.ndarray | None = None
         self._addresses32: np.ndarray | None = None
         self._shm_segments: tuple = ()
         _log_table_build(overlay.fingerprint())
+
+    def _build_coded(self) -> np.ndarray:
+        """The terminal-coded ``[target, node]`` matrix, filled per group."""
+        overlay = self.overlay
+        n = self._n_nodes
+        dtype = self.entry_dtype
+        sentinel = dtype.type(self.sentinel)
+        coded = np.empty((overlay.space.size, n), dtype=dtype)
+        stalled_code = self.storer + dtype.type(2 * n)
+        group = np.empty((self._BUILD_GROUP, overlay.space.size), dtype=dtype)
+        for start in range(0, n, self._BUILD_GROUP):
+            owners = overlay.addresses[start:start + self._BUILD_GROUP]
+            rows = group[:len(owners)]
+            for row, owner in zip(rows, owners):
+                keys = sorted(overlay.table(owner).peer_array().tolist()
+                              + [owner])
+                values = [self.sentinel if key == owner
+                          else overlay.index_of(key) for key in keys]
+                xor_nearest_fill(keys, values, row)
+            np.add(rows, dtype.type(n), out=rows, where=rows == self.storer)
+            np.copyto(rows, stalled_code, where=rows == sentinel)
+            coded[:, start:start + len(owners)] = rows.T
+        return coded
 
     @classmethod
     def from_arrays(cls, overlay: Overlay, *, coded: np.ndarray,
@@ -333,7 +346,7 @@ class NextHopTable:
 
     @property
     def next_hop(self) -> np.ndarray:
-        """Raw ``[node, target]`` matrix (decoded lazily if attached)."""
+        """Raw ``[node, target]`` matrix, decoded on first read."""
         if self._next_hop is None:
             n = self._n_nodes
             raw = np.ascontiguousarray(self._coded.T)
@@ -348,28 +361,14 @@ class NextHopTable:
 
     @property
     def coded_transposed(self) -> np.ndarray:
-        """Terminal-coded ``[target, node]`` matrix (built lazily).
+        """Terminal-coded ``[target, node]`` matrix.
 
         The batched engine sorts in-flight chunks by target, so this
         layout turns every hop wave's table gather into a near
         sequential walk over compact rows; the terminal coding (see
         the module docstring) lets one bincount classify every hop.
+        Set at construction, by the build or by :meth:`from_arrays`.
         """
-        if self._coded is None:
-            n = self._n_nodes
-            dtype = self.entry_dtype
-            coded = np.ascontiguousarray(self._next_hop.T)
-            # Chunked over target rows to bound the mask temporaries.
-            rows = max(1, (1 << 22) // max(1, n))
-            for start in range(0, coded.shape[0], rows):
-                block = coded[start:start + rows]
-                storer_col = self.storer[start:start + rows, None]
-                arrived = block == storer_col
-                stalled = block == dtype.type(self.sentinel)
-                np.add(block, dtype.type(n), out=block, where=arrived)
-                np.copyto(block, storer_col + dtype.type(2 * n),
-                          where=stalled)
-            self._coded = coded
         return self._coded
 
     @property

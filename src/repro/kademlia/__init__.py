@@ -14,6 +14,7 @@ from .address import (
     proximity,
     proximity_array,
     xor_distance,
+    xor_nearest_fill,
 )
 from .buckets import (
     BucketLimits,
@@ -47,4 +48,5 @@ __all__ = [
     "proximity",
     "proximity_array",
     "xor_distance",
+    "xor_nearest_fill",
 ]

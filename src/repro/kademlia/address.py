@@ -22,6 +22,7 @@ Key notions (paper §III-A):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -37,6 +38,7 @@ __all__ = [
     "bit_length_array",
     "proximity_array",
     "target_dtype",
+    "xor_nearest_fill",
 ]
 
 #: Maximum supported address width in bits. 64 keeps every address a
@@ -270,3 +272,51 @@ class AddressSpace:
         """Render an address as a zero-padded binary string."""
         self.validate(address)
         return format(address, f"0{self.bits}b")
+
+
+def xor_nearest_fill(keys: Sequence[int], values: Sequence,
+                     out: np.ndarray) -> None:
+    """Fill ``out[t]`` with ``values[j]`` of the XOR-nearest ``keys[j]``.
+
+    *keys* are distinct addresses in ascending order, *values* the
+    entries they stand for, and *out* is a contiguous 1-D array indexed
+    by every address of a ``2**bits`` space. Distinct keys sit at distinct XOR distances from
+    any ``t``, so the nearest key is unique and the fill is exact.
+
+    The fill walks the binary trie of the keys over dyadic blocks of
+    the space. A block holding one key is a constant fill. Otherwise
+    the block splits at the highest bit where its first and last keys
+    differ, and both halves of that split hold keys, so each is filled
+    recursively. Every level above the split has one empty half, and
+    for a ``t`` there each key differs from ``t`` at that level's bit:
+    its nearest key is the one at the same offset inside the filled
+    half. So the filled sub-block is tiled over the rest of the block.
+    Every entry is written once or twice, with about ``2 * len(keys)``
+    Python steps, against one full-space pass per key for a running
+    minimum.
+    """
+    if len(keys) == 0:
+        raise AddressError("xor_nearest_fill() requires at least one key")
+    if out.ndim != 1 or not out.flags.c_contiguous or out.size & (out.size - 1):
+        raise ConfigurationError(
+            "xor_nearest_fill() needs a contiguous 1-D output covering a "
+            f"2**bits address space, got shape {out.shape}"
+        )
+    _fill_block(keys, values, out, 0, out.size, 0, len(keys))
+
+
+def _fill_block(keys: Sequence[int], values: Sequence, out: np.ndarray,
+                start: int, size: int, lo: int, hi: int) -> None:
+    """Fill ``out[start:start + size]`` from ``keys[lo:hi]`` (all inside)."""
+    if hi - lo == 1:
+        out[start:start + size] = values[lo]
+        return
+    first = keys[lo]
+    span = 1 << (first ^ keys[hi - 1]).bit_length()
+    base = first & -span
+    half = span >> 1
+    mid = bisect_left(keys, base + half, lo, hi)
+    _fill_block(keys, values, out, base, half, lo, mid)
+    _fill_block(keys, values, out, base + half, half, mid, hi)
+    if span < size:
+        out[start:start + size].reshape(-1, span)[:] = out[base:base + span]

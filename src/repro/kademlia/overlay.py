@@ -35,7 +35,7 @@ import numpy as np
 
 from .._validation import require_int
 from ..errors import ConfigurationError, OverlayError
-from .address import AddressSpace, proximity_array
+from .address import AddressSpace, proximity_array, xor_nearest_fill
 from .buckets import BucketLimits, NEIGHBORHOOD_MIN, SWARM_BUCKET_SIZE
 from .table import RoutingTable
 
@@ -291,20 +291,16 @@ class Overlay:
         """Precomputed storer (dense node index) for every address.
 
         A ``uint32`` array of length ``2**bits`` mapping each chunk
-        address to the dense index of its closest node. Computed once
-        and cached; at the paper's scale (65536 addresses x 1000
-        nodes) this takes well under a second.
+        address to the dense index of its closest node: one
+        :func:`~repro.kademlia.address.xor_nearest_fill` with every
+        node address as a key and its dense index as the value.
+        Computed once and cached.
         """
         if self._storer_cache is None:
-            size = self.space.size
-            targets = np.arange(size, dtype=np.uint64)
-            storers = np.empty(size, dtype=np.uint32)
-            # Chunked to bound peak memory at ~ chunk * n_nodes * 8B.
-            chunk = max(1, (1 << 22) // max(1, len(self.addresses)))
-            for start in range(0, size, chunk):
-                block = targets[start:start + chunk]
-                distances = block[:, None] ^ self._address_array[None, :]
-                storers[start:start + chunk] = np.argmin(distances, axis=1)
+            order = np.argsort(self._address_array)
+            storers = np.empty(self.space.size, dtype=np.uint32)
+            xor_nearest_fill(self._address_array[order].tolist(),
+                             order.tolist(), storers)
             self._storer_cache = storers
         return self._storer_cache
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.stats import (
+    _t_quantile,
     mean_confidence_interval,
     summarize,
 )
@@ -54,3 +55,11 @@ class TestConfidenceInterval:
     def test_bad_confidence_rejected(self):
         with pytest.raises(ConfigurationError):
             mean_confidence_interval([1.0, 2.0], confidence=1.5)
+
+
+@pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99])
+def test_t_quantile_matches_scipy_stats(confidence):
+    scipy_stats = pytest.importorskip("scipy.stats")
+    for dof in range(1, 200):
+        expected = float(scipy_stats.t.ppf((1 + confidence) / 2, dof))
+        assert _t_quantile(confidence, dof) == expected
