@@ -99,6 +99,7 @@ __all__ = [
     "PerFileFastBackend",
     "clear_caches",
     "cached_overlay",
+    "install_overlay",
     "cached_next_hop_table",
     "overlay_key",
     "paper_result",
@@ -196,6 +197,16 @@ def cached_overlay(config: OverlayConfig) -> Overlay:
         overlay = Overlay.build(config)
         _OVERLAY_CACHE[key] = overlay
     return overlay
+
+
+def install_overlay(overlay: Overlay) -> None:
+    """Serve *overlay* from :func:`cached_overlay` for its config.
+
+    Sweep workers install the overlay the parent published with its
+    table, so they never rebuild it. An overlay already cached for
+    the config is kept.
+    """
+    _OVERLAY_CACHE.setdefault(overlay_key(overlay.config), overlay)
 
 
 def cached_next_hop_table(overlay: Overlay) -> "NextHopTable":

@@ -55,7 +55,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import ExperimentError, WorkloadError
+from .errors import ExperimentError, OverlayError, WorkloadError
 from .experiments.registry import get_experiment, list_experiments
 
 __all__ = ["main", "build_parser"]
@@ -1127,13 +1127,21 @@ def _overlay_inspect(args: argparse.Namespace) -> int:
     from .kademlia.overlay import Overlay
     from .kademlia.topology import degree_stats
 
-    overlay = Overlay.load(args.path)
+    try:
+        overlay = Overlay.load(args.path)
+        node = args.node if args.node is not None else overlay.addresses[0]
+        table = overlay.table(node)
+    except (OSError, OverlayError) as error:
+        # A malformed overlay file is refused with one argparse-style
+        # line, not a traceback.
+        print(f"repro-swarm overlay inspect: error: {error}",
+              file=sys.stderr)
+        return 2
     print(degree_stats(overlay))
-    node = args.node if args.node is not None else overlay.addresses[0]
     print()
-    print(render_routing_table(overlay.table(node)))
+    print(render_routing_table(table))
     print()
-    print(render_bucket_occupancy(overlay.table(node)))
+    print(render_bucket_occupancy(table))
     return 0
 
 

@@ -140,6 +140,14 @@ class KBucket:
         self._members.add(address)
         return True
 
+    def add_uncapped(self, address: int) -> bool:
+        """Add *address* ignoring the capacity; ``False`` if present."""
+        if address in self._members:
+            return False
+        self._order.append(address)
+        self._members.add(address)
+        return True
+
     def remove(self, address: int) -> None:
         """Remove *address*; raise :class:`OverlayError` if absent."""
         if address not in self._members:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -336,32 +337,75 @@ class Overlay:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Overlay":
-        """Rebuild an overlay serialized with :meth:`to_dict`."""
-        raw_config = data["config"]
-        limits = BucketLimits(
-            default=raw_config["limits"]["default"],
-            overrides={
-                int(k): v
-                for k, v in raw_config["limits"]["overrides"].items()
-            },
-        )
-        config = OverlayConfig(
-            n_nodes=raw_config["n_nodes"],
-            bits=raw_config["bits"],
-            limits=limits,
-            seed=raw_config["seed"],
-            neighborhood_min=raw_config["neighborhood_min"],
-            symmetric_neighborhood=raw_config["symmetric_neighborhood"],
-        )
+        """Rebuild an overlay serialized with :meth:`to_dict`.
+
+        Strict: addresses and peers must be JSON ints (never bools,
+        floats or strings), each table is keyed by the decimal string
+        of a node's address, and every peer must be another node of
+        the overlay, listed once. Anything else raises
+        :class:`~repro.errors.OverlayError` naming the offending key.
+        Peers are re-added in their serialized order, so every bucket
+        keeps its insertion order.
+        """
+        if not isinstance(data, Mapping):
+            raise OverlayError(
+                f"overlay data must be an object, got "
+                f"{reprlib.repr(data)}"
+            )
+        config = _config_from_dict(_field(data, "config", Mapping))
         space = config.space
+
+        addresses = _field(data, "addresses", list)
+        nodes: set[int] = set()
+        for index, address in enumerate(addresses):
+            key = f"addresses[{index}]"
+            _address(address, key, space)
+            if address in nodes:
+                raise OverlayError(f"overlay {key!r} repeats {address}")
+            nodes.add(address)
+        if len(addresses) != config.n_nodes:
+            raise OverlayError(
+                f"overlay 'addresses' lists {len(addresses)} nodes but "
+                f"'config.n_nodes' is {config.n_nodes}"
+            )
+
+        raw_tables = _field(data, "tables", Mapping)
         tables: dict[int, RoutingTable] = {}
-        for raw_owner, peers in data["tables"].items():
-            owner = int(raw_owner)
-            table = RoutingTable(owner, space, config.limits)
-            for peer in peers:
-                table.add_unbounded(int(peer))
-            tables[owner] = table
-        return cls(config, [int(a) for a in data["addresses"]], tables)
+        for raw_owner, peers in raw_tables.items():
+            owner = _owner(raw_owner, nodes)
+            key = f"tables[{raw_owner!r}]"
+            if type(peers) is not list:
+                raise OverlayError(
+                    f"overlay {key!r} must be a list of int addresses, "
+                    f"got {reprlib.repr(peers)}"
+                )
+            for index, peer in enumerate(peers):
+                if (type(peer) is not int or peer not in nodes
+                        or peer == owner):
+                    peer_key = f"{key}[{index}]"
+                    _address(peer, peer_key, space)
+                    raise OverlayError(
+                        f"overlay {peer_key!r}: {peer} is not another "
+                        f"node of the overlay"
+                    )
+            if len(set(peers)) != len(peers):
+                seen: set[int] = set()
+                index = next(i for i, peer in enumerate(peers)
+                             if peer in seen or seen.add(peer))
+                peer_key = f"{key}[{index}]"
+                raise OverlayError(
+                    f"overlay {peer_key!r} repeats peer {peers[index]}"
+                )
+            tables[owner] = RoutingTable.from_peers(
+                owner, space, config.limits, peers
+            )
+        for address in addresses:
+            if address not in tables:
+                raise OverlayError(
+                    f"overlay 'tables' has no routing table for node "
+                    f"{address}"
+                )
+        return cls(config, addresses, tables)
 
     def save(self, path: str | Path) -> None:
         """Write the overlay to a JSON file."""
@@ -369,5 +413,99 @@ class Overlay:
 
     @classmethod
     def load(cls, path: str | Path) -> "Overlay":
-        """Read an overlay from a JSON file written by :meth:`save`."""
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Read an overlay from a JSON file written by :meth:`save`.
+
+        A file that is not JSON raises :class:`~repro.errors.
+        OverlayError` naming the path; a missing file raises
+        :class:`OSError`.
+        """
+        try:
+            data = json.loads(Path(path).read_text())
+        except ValueError as error:
+            raise OverlayError(f"{path}: not an overlay JSON file "
+                               f"({error})") from None
+        return cls.from_dict(data)
+
+
+def _field(data: Mapping, key: str, kind: type, where: str = ""):
+    """``data[key]`` if present and a *kind*; ints must be true ints."""
+    name = f"{where}{key}"
+    if key not in data:
+        raise OverlayError(f"overlay data is missing {name!r}")
+    value = data[key]
+    valid = (type(value) is int if kind is int
+             else type(value) is bool if kind is bool
+             else isinstance(value, kind))
+    if not valid:
+        raise OverlayError(
+            f"overlay {name!r} must be a {kind.__name__}, got "
+            f"{reprlib.repr(value)}"
+        )
+    return value
+
+
+def _config_from_dict(raw: Mapping) -> OverlayConfig:
+    """The :class:`OverlayConfig` of :meth:`Overlay.to_dict` data."""
+    raw_limits = _field(raw, "limits", Mapping, "config.")
+    raw_overrides = _field(raw_limits, "overrides", Mapping,
+                           "config.limits.")
+    overrides = {}
+    for raw_index, capacity in raw_overrides.items():
+        index = _decimal_key(raw_index)
+        if index is None or type(capacity) is not int:
+            raise OverlayError(
+                f"overlay 'config.limits.overrides[{raw_index!r}]' must "
+                f"map a bucket index to an int capacity, got "
+                f"{reprlib.repr(capacity)}"
+            )
+        overrides[index] = capacity
+    try:
+        return OverlayConfig(
+            n_nodes=_field(raw, "n_nodes", int, "config."),
+            bits=_field(raw, "bits", int, "config."),
+            limits=BucketLimits(
+                default=_field(raw_limits, "default", int,
+                               "config.limits."),
+                overrides=overrides,
+            ),
+            seed=_field(raw, "seed", int, "config."),
+            neighborhood_min=_field(raw, "neighborhood_min", int,
+                                    "config."),
+            symmetric_neighborhood=_field(raw, "symmetric_neighborhood",
+                                          bool, "config."),
+        )
+    except ConfigurationError as error:
+        raise OverlayError(f"overlay 'config' is invalid: {error}") from None
+
+
+def _address(value, key: str, space: AddressSpace) -> None:
+    """Refuse anything but an int address inside *space*."""
+    if type(value) is not int:
+        raise OverlayError(
+            f"overlay {key!r} must be an int address, got "
+            f"{reprlib.repr(value)}"
+        )
+    if not 0 <= value < space.size:
+        raise OverlayError(
+            f"overlay {key!r}: {value} is outside the {space.bits}-bit "
+            f"address space"
+        )
+
+
+def _decimal_key(raw) -> int | None:
+    """The int a canonical decimal-string JSON key names, else None."""
+    if (type(raw) is str and raw.isascii() and raw.isdigit()
+            and str(int(raw)) == raw):
+        return int(raw)
+    return None
+
+
+def _owner(raw_owner, nodes: set[int]) -> int:
+    """The node address a ``tables`` key names (its decimal string)."""
+    owner = _decimal_key(raw_owner)
+    if owner is None or owner not in nodes:
+        raise OverlayError(
+            f"overlay 'tables[{raw_owner!r}]': the key is not a node's "
+            f"decimal address"
+        )
+    return owner

@@ -381,6 +381,25 @@ class RoutingTable:
             )
         return self._peer_cache
 
+    @classmethod
+    def from_peers(cls, owner: int, space: AddressSpace,
+                   limits: BucketLimits | None,
+                   peers: Iterable[int]) -> "RoutingTable":
+        """A table holding *peers*, each appended to its bucket in order.
+
+        Restores a serialized table with its exact bucket order.
+        Capacities are not enforced (neighborhood peers are uncapped)
+        and the peers are trusted: the caller has checked that each
+        is a distinct address of *space* other than *owner*.
+        """
+        table = cls(owner, space, limits)
+        buckets = table._buckets
+        for peer in peers:
+            buckets[space.bits - (owner ^ peer).bit_length()].add_uncapped(
+                peer
+            )
+        return table
+
     # ------------------------------------------------------------------
     # Mutation
 
@@ -406,16 +425,7 @@ class RoutingTable:
         nodes" beyond the depth).
         """
         self.space.validate(address)
-        bucket = self.bucket_of(address)
-        if address in bucket:
-            return False
-        # Bypass the capacity check while preserving bucket invariants.
-        saved_capacity = bucket.capacity
-        bucket.capacity = None
-        try:
-            added = bucket.add(address)
-        finally:
-            bucket.capacity = saved_capacity
+        added = self.bucket_of(address).add_uncapped(address)
         if added:
             self._peer_cache = None
         return added

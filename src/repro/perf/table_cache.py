@@ -128,6 +128,10 @@ class TableCache:
         """
         self._handles[handle.fingerprint] = handle
 
+    def is_registered(self, handle: "SharedTableHandle") -> bool:
+        """Whether exactly *handle* is already registered."""
+        return self._handles.get(handle.fingerprint) == handle
+
     def install(self, fingerprint: str, table: "NextHopTable") -> None:
         """Memoize an externally built table under *fingerprint*."""
         self._tables[fingerprint] = table

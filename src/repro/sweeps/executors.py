@@ -27,19 +27,29 @@ in its outcome — recovered sweeps stay byte-identical to fault-free
 ones, the property :mod:`repro.sweeps.chaos` fault plans pin in CI.
 
 Spawned workers share built routing tables instead of rebuilding
-them: before fanning out, the parent resolves each unique topology's
+them: the parent resolves each unique topology's
 :class:`~repro.backends.fast.NextHopTable` once through the global
 :class:`~repro.perf.table_cache.TableCache`, publishes it to shared
 memory via the :class:`~repro.perf.shared.SharedTableRegistry`
 (refcounted; unlinked when the run ends), and ships the handles with
 every work item — the fix for PR 2's finding that ``--jobs 4`` lost
-to serial because each worker rebuilt every table. Scenario points
+to serial because each worker rebuilt every table. The overlay rides
+with its table (as JSON bytes in one more segment), so a worker
+decodes each topology once instead of rebuilding it. Scenario points
 get the same treatment one level up: the parent replays each unique
 schedule once (:func:`~repro.scenarios.plan.precompute_epoch_tables`)
 and publishes the per-epoch storer tables and sparse coded-matrix
 patches alongside the dense tables, so replicas install shared views
 instead of re-deriving the epoch chain per worker. ``share_tables=
-False`` restores the rebuild-per-worker behavior for comparison.
+False`` restores the rebuild-per-worker behavior (tables and
+overlays) for comparison.
+
+A :class:`ProcessExecutor` run keeps its workers busy from the
+start: it launches the pool *before* publishing, so the workers spawn
+and import while the parent copies tables into shared memory, and
+after each completed point it submits the next one *before* handing
+the outcome to ``on_result`` (the store save), so no worker idles
+through a save.
 
 Requesting more workers than the machine has CPUs is allowed but
 warned about (PR 2 also measured oversubscribed sweeps running
@@ -68,7 +78,7 @@ from ..errors import ConfigurationError, SweepExecutionError
 from ..kademlia.overlay import OverlayConfig
 from .resilience import FailureTracker, PointFailure, RetryPolicy
 from .spec import SweepPoint, SweepSpec
-from .worker import PointOutcome, execute_point, point_payload
+from .worker import PointOutcome, execute_point, point_payload, warm_up
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .distributed import DistributedExecutor  # noqa: F401
@@ -441,6 +451,27 @@ class ProcessExecutor(SweepExecutor):
             max_workers=workers, mp_context=get_context("spawn")
         )
 
+    def _launch_pool(self, workers: int) -> ProcessPoolExecutor:
+        """A new pool whose *workers* are already starting.
+
+        A ``spawn`` pool starts one worker per ``submit``. One no-op
+        :func:`~repro.sweeps.worker.warm_up` per worker makes every
+        worker spawn and import :mod:`repro.sweeps.worker` now, while
+        the parent publishes tables, instead of after. Nothing large
+        rides on the spawn itself (no initializer arguments): a child
+        reads its spawn data only as it imports, so a large blob would
+        hold the parent's next spawn until the previous child had
+        imported.
+        """
+        pool = self._new_pool(workers)
+        try:
+            for _ in range(workers):
+                pool.submit(warm_up)
+        except BaseException:
+            self._terminate_pool(pool)
+            raise
+        return pool
+
     @staticmethod
     def _terminate_pool(pool: ProcessPoolExecutor) -> None:
         """Kill every worker and shut the pool down without blocking.
@@ -493,8 +524,6 @@ class ProcessExecutor(SweepExecutor):
         workers = min(self.jobs, len(points))
         handles: dict[str, dict] = {}
         acquired: list[str] = []
-        if self.share_tables:
-            handles, acquired = self._publish_tables(base, points)
         tracker = FailureTracker(self.retry_policy,
                                  attempts=dict(attempts or {}))
         outcomes: list[PointOutcome] = []
@@ -505,12 +534,13 @@ class ProcessExecutor(SweepExecutor):
         sequence = itertools.count()
         inflight: dict = {}
         restarts = 0
-        pool = self._new_pool(workers)
+        # Workers spawn and import while the tables are published.
+        pool = self._launch_pool(workers)
         try:
+            if self.share_tables:
+                handles, acquired = self._publish_tables(base, points)
             while ready or retries or inflight:
-                now = time.monotonic()
-                while retries and retries[0][0] <= now:
-                    ready.append(heapq.heappop(retries)[2])
+                self._promote_retries(ready, retries)
                 broken = self._top_up(pool, base_payload, handles, ready,
                                       inflight, tracker, workers)
                 if not broken:
@@ -524,9 +554,24 @@ class ProcessExecutor(SweepExecutor):
                         timeout=self._wait_timeout(inflight, retries),
                         return_when=FIRST_COMPLETED,
                     )
-                    broken = self._collect(done, inflight, outcomes,
-                                           tracker, retries, sequence,
-                                           on_result, on_failure)
+                    completed: list[PointOutcome] = []
+                    try:
+                        broken = self._collect(done, inflight, completed,
+                                               tracker, retries, sequence,
+                                               on_failure)
+                        if not broken:
+                            # Refill the pool before the (slow) store
+                            # save, so no worker idles through it.
+                            self._promote_retries(ready, retries)
+                            broken = self._top_up(
+                                pool, base_payload, handles, ready,
+                                inflight, tracker, workers,
+                            )
+                    finally:
+                        for outcome in completed:
+                            if on_result is not None:
+                                on_result(outcome)
+                            outcomes.append(outcome)
                 if broken:
                     restarts = self._count_restart(
                         restarts, "lost a worker process"
@@ -559,6 +604,13 @@ class ProcessExecutor(SweepExecutor):
                 self._release_handles(acquired)
         outcomes.sort(key=lambda o: o.index)
         return outcomes
+
+    @staticmethod
+    def _promote_retries(ready: deque, retries: list) -> None:
+        """Move retries whose backoff has elapsed onto *ready*."""
+        now = time.monotonic()
+        while retries and retries[0][0] <= now:
+            ready.append(heapq.heappop(retries)[2])
 
     def _top_up(self, pool: ProcessPoolExecutor, base_payload: dict,
                 handles: dict, ready: deque, inflight: dict,
@@ -602,15 +654,16 @@ class ProcessExecutor(SweepExecutor):
             return None
         return max(0.05, min(candidates))
 
-    def _collect(self, done, inflight: dict, outcomes: list,
+    def _collect(self, done, inflight: dict, completed: list,
                  tracker: FailureTracker, retries: list, sequence,
-                 on_result: OnResult | None,
                  on_failure: OnFailure | None) -> bool:
         """Drain completed futures; ``True`` when the pool broke.
 
-        On a broken pool the triggering future is pushed back into
-        *inflight* so the caller's crash recovery charges it together
-        with every other lost point.
+        Outcomes are appended to *completed*; the caller hands them to
+        ``on_result`` after it has refilled the pool. On a broken pool
+        the triggering future is pushed back into *inflight* so the
+        caller's crash recovery charges it together with every other
+        lost point.
         """
         for future in done:
             running = inflight.pop(future)
@@ -628,9 +681,7 @@ class ProcessExecutor(SweepExecutor):
                         next(sequence), running.point,
                     ))
             else:
-                if on_result is not None:
-                    on_result(outcome)
-                outcomes.append(outcome)
+                completed.append(outcome)
         return False
 
     def _reap_hung(self, pool: ProcessPoolExecutor, workers: int,

@@ -9,15 +9,16 @@ byte-identical to serial ones: every point runs the same arithmetic on
 the same derived seed regardless of process layout.
 
 Each worker process keeps the :mod:`repro.backends.fast` overlay
-cache and the :mod:`repro.perf.table_cache` of its own interpreter,
-so a worker that runs many points of the same cell pays the overlay
-build once — the same amortization the single-process runners enjoy.
-On top of that, :func:`execute_point` accepts the shared-memory table
-handles published by :class:`~repro.sweeps.executors.ProcessExecutor`
-and registers them with the worker's table cache *before* running, so
-the expensive dense next-hop table is attached from the parent's
-segments instead of being rebuilt — the cross-process half of the
-"build each topology exactly once" guarantee.
+cache and the :mod:`repro.perf.table_cache` of its own interpreter.
+:func:`execute_point` accepts the shared-memory table handles
+published by :class:`~repro.sweeps.executors.ProcessExecutor` and
+registers them *before* running: each handle's overlay is decoded
+from its segment once per worker and installed in the overlay cache,
+and the dense next-hop table is attached from the parent's segments
+when first needed. A worker given handles therefore builds neither
+overlays nor tables — the cross-process half of the "build each
+topology exactly once" guarantee. Without handles (``share_tables=
+False``) a worker builds each overlay and table it touches once.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "register_table_handles",
     "result_metrics",
     "execute_point",
+    "warm_up",
     "METRIC_NAMES",
     "LATENCY_METRIC_NAMES",
 ]
@@ -192,17 +194,22 @@ def register_table_handles(table_handles: Mapping | None) -> None:
     (``"kind": "epoch-tables"``) carrying precomputed scenario epoch
     artifacts, which are attached eagerly and installed into this
     process's epoch cache so its plans resolve every epoch as a hit.
-    Dense handles are registered lazily — nothing attaches until a
-    backend actually prepares that topology — and both kinds
-    idempotently, so re-sending the same handles with every work item
-    is free.
+    A dense handle's overlay is decoded from its segment the first
+    time the handle is seen (:func:`~repro.perf.shared.attach_overlay`
+    checks the fingerprint) and installed where
+    :func:`~repro.backends.fast.cached_overlay` finds it; its table
+    attaches lazily, when a backend first prepares that topology.
+    Both kinds register idempotently, so re-sending the same handles
+    with every work item is free.
     """
     if not table_handles:
         return
+    from ..backends.fast import install_overlay
     from ..perf.shared import (
         SharedEpochTablesHandle,
         SharedTableHandle,
         attach_epoch_tables,
+        attach_overlay,
     )
     from ..perf.table_cache import (
         global_epoch_table_cache,
@@ -222,9 +229,22 @@ def register_table_handles(table_handles: Mapping | None) -> None:
                 epoch_cache.install(key, artifact)
             epoch_cache.adopt_segments(segments)
         else:
-            cache.register_handle(
-                SharedTableHandle.from_payload(handle_payload)
-            )
+            handle = SharedTableHandle.from_payload(handle_payload)
+            if cache.is_registered(handle):
+                continue
+            install_overlay(attach_overlay(handle))
+            cache.register_handle(handle)
+
+
+def warm_up() -> None:
+    """Import what a point needs; the executor's first task per worker.
+
+    Unpickling this task imports this module, and so the backends and
+    numpy; the lazily imported helpers of :func:`execute_point` are
+    imported here too.
+    """
+    from ..perf import shared, table_cache  # noqa: F401
+    from . import chaos  # noqa: F401
 
 
 def execute_point(base: Mapping, payload: Mapping,
