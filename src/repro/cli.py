@@ -55,7 +55,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import ExperimentError, OverlayError, WorkloadError
+from .errors import ConfigurationError, ExperimentError, OverlayError, WorkloadError
 from .experiments.registry import get_experiment, list_experiments
 
 __all__ = ["main", "build_parser"]
@@ -642,7 +642,6 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
         kwargs["n_nodes"] = args.nodes
     if args.backend is not None:
         from .backends import get_backend
-        from .errors import ConfigurationError
 
         try:
             backend = get_backend(args.backend)
@@ -1127,16 +1126,9 @@ def _overlay_inspect(args: argparse.Namespace) -> int:
     from .kademlia.overlay import Overlay
     from .kademlia.topology import degree_stats
 
-    try:
-        overlay = Overlay.load(args.path)
-        node = args.node if args.node is not None else overlay.addresses[0]
-        table = overlay.table(node)
-    except (OSError, OverlayError) as error:
-        # A malformed overlay file is refused with one argparse-style
-        # line, not a traceback.
-        print(f"repro-swarm overlay inspect: error: {error}",
-              file=sys.stderr)
-        return 2
+    overlay = Overlay.load(args.path)
+    node = args.node if args.node is not None else overlay.addresses[0]
+    table = overlay.table(node)
     print(degree_stats(overlay))
     print()
     print(render_routing_table(table))
@@ -1192,9 +1184,16 @@ def main(argv: list[str] | None = None) -> int:
         return _trace_replay(args)
 
     if args.command == "overlay":
-        if args.overlay_command == "build":
-            return _overlay_build(args)
-        return _overlay_inspect(args)
+        command = (_overlay_build if args.overlay_command == "build"
+                   else _overlay_inspect)
+        try:
+            return command(args)
+        except (OSError, ConfigurationError, OverlayError) as error:
+            # A bad configuration or overlay file is refused with one
+            # argparse-style line, not a traceback.
+            print(f"repro-swarm overlay {args.overlay_command}: error: "
+                  f"{error}", file=sys.stderr)
+            return 2
 
     names = (
         [spec.name for spec in list_experiments()]

@@ -12,7 +12,6 @@ from .address import (
     bit_length_array,
     common_prefix_length,
     proximity,
-    proximity_array,
     xor_distance,
     xor_nearest_fill,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "bit_length_array",
     "common_prefix_length",
     "proximity",
-    "proximity_array",
     "xor_distance",
     "xor_nearest_fill",
 ]

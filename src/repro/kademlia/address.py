@@ -36,7 +36,6 @@ __all__ = [
     "proximity",
     "common_prefix_length",
     "bit_length_array",
-    "proximity_array",
     "target_dtype",
     "xor_nearest_fill",
 ]
@@ -69,19 +68,14 @@ proximity = common_prefix_length
 def bit_length_array(values: np.ndarray) -> np.ndarray:
     """Exact ``int.bit_length`` of every element of an unsigned array.
 
-    Implemented with integer shifts (a binary search over the bit
-    positions) rather than ``log2``/``frexp``, which round and give
-    off-by-one answers for integers above 2**53.
+    ``np.frexp``'s exponent is the bit length, but float64 rounds
+    above 2**53 (possibly up a power of two), so it measures each
+    32-bit half, which converts exactly.
     """
     values = np.asarray(values, dtype=np.uint64)
-    result = np.zeros(values.shape, dtype=np.int64)
-    work = values.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        mask = work >= (np.uint64(1) << np.uint64(shift))
-        result[mask] += shift
-        work[mask] >>= np.uint64(shift)
-    result[values != 0] += 1
-    return result
+    high = np.frexp((values >> np.uint64(32)).astype(np.float64))[1]
+    low = np.frexp((values & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+    return np.where(high > 0, high + 32, low).astype(np.int64)
 
 
 def target_dtype(bits: int) -> np.dtype:
@@ -101,16 +95,6 @@ def target_dtype(bits: int) -> np.dtype:
         f"a {bits}-bit address space exceeds the 32-bit capacity of the "
         f"widest supported target dtype"
     )
-
-
-def proximity_array(owner: int, others: np.ndarray, bits: int) -> np.ndarray:
-    """Proximity order of *owner* to every address in *others*.
-
-    Vectorized counterpart of :func:`common_prefix_length`; entries
-    equal to *owner* get proximity *bits*.
-    """
-    others = np.asarray(others, dtype=np.uint64)
-    return bits - bit_length_array(others ^ np.uint64(owner))
 
 
 @dataclass(frozen=True)

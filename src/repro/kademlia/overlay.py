@@ -21,6 +21,14 @@ Construction follows the paper:
   neighborhood edges are symmetrized. This is Swarm's connectivity
   rule and is what lets greedy routing terminate at the true closest
   node (see DESIGN.md §2 for the convergence argument).
+
+:meth:`Overlay.build` works in whole-array passes: one exact ``[n, n]``
+proximity matrix gives every bucket population and neighborhood depth,
+and one stable sort puts all edges in the order of the per-node loop
+in ``tests/kademlia/overlay_oracle.py``. The RNG contract is the address
+draw, then one ``rng.choice(candidates, size=k_i, replace=False)`` per
+bucket over capacity, node by node, bucket by bucket, candidates in
+node-index order (a draw depends only on how many there are).
 """
 
 from __future__ import annotations
@@ -34,13 +42,16 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .._validation import require_int
+from .._validation import require, require_int, require_non_negative
 from ..errors import ConfigurationError, OverlayError
-from .address import AddressSpace, proximity_array, xor_nearest_fill
+from .address import AddressSpace, bit_length_array, xor_nearest_fill
 from .buckets import BucketLimits, NEIGHBORHOOD_MIN, SWARM_BUCKET_SIZE
 from .table import RoutingTable
 
 __all__ = ["OverlayConfig", "Overlay"]
+
+#: Elements per row block of :meth:`Overlay.build`'s pairwise pass.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -63,11 +74,15 @@ class OverlayConfig:
         require_int(self.n_nodes, "n_nodes")
         require_int(self.seed, "seed")
         require_int(self.neighborhood_min, "neighborhood_min")
+        require_non_negative(self.seed, "seed")
         if self.n_nodes < 2:
             raise ConfigurationError(
                 f"an overlay needs at least 2 nodes, got {self.n_nodes}"
             )
         space = AddressSpace(self.bits)  # validates bits
+        require(space.size <= np.iinfo(np.int64).max,
+                f"a {self.bits}-bit address space is too wide to draw "
+                f"node addresses from; use at most 62 bits")
         if self.n_nodes > space.size:
             raise ConfigurationError(
                 f"{self.n_nodes} nodes cannot fit in a {self.bits}-bit "
@@ -129,76 +144,79 @@ class Overlay:
     @classmethod
     def build(cls, config: OverlayConfig) -> "Overlay":
         """Build the overlay deterministically from *config*."""
-        space = config.space
+        space, n = config.space, config.n_nodes
+        bits = space.bits
         rng = np.random.default_rng(config.seed)
-        addresses = space.random_addresses(config.n_nodes, rng, unique=True)
+        addresses = space.random_addresses(n, rng, unique=True)
         address_array = np.asarray(addresses, dtype=np.uint64)
 
-        tables: dict[int, RoutingTable] = {}
-        for address in addresses:
-            tables[address] = cls._build_table(
-                address, address_array, space, config, rng
-            )
+        # Every pair's proximity (the diagonal is `bits`), each row's
+        # peers ranked by it (index order within a proximity) and each
+        # row's population per proximity, in row blocks: freeing
+        # megabytes of temporaries would raise glibc's mmap threshold
+        # and with it the peak RSS of the rest of the run.
+        proximity = np.empty((n, n), dtype=np.uint8)
+        ranked = np.empty((n, n), dtype=np.int32)
+        counts = np.empty((n, bits + 1), dtype=np.int64)
+        step = max(1, _BLOCK_ELEMENTS // n)
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            block = proximity[rows]
+            block[:] = bits - bit_length_array(
+                address_array[rows, None] ^ address_array)
+            ranked[rows] = np.argsort(block, axis=1, kind="stable")
+            keys = block + np.arange(len(block))[:, None] * (bits + 1)
+            counts[rows] = np.bincount(
+                keys.ravel(), minlength=counts[rows].size).reshape(-1, bits + 1)
+        reached = counts[:, -2::-1].cumsum(axis=1) >= config.neighborhood_min
+        depth = np.where(reached.any(axis=1),
+                         bits - 1 - reached.argmax(axis=1), 0)
 
-        cls._connect_neighborhoods(addresses, tables, config)
+        # Edges as (table, peer, key) columns, listed so that a stable
+        # sort by table and key gives the per-node loop's order. First
+        # the bucket picks, keyed by bucket: a bucket over capacity in
+        # rng.choice order, the others whole. The diagonal's capacity
+        # of 0 keeps a node out of its own table.
+        capacity = np.array(
+            [config.limits.capacity(b) for b in range(bits)] + [0])
+        capped = counts > capacity
+        owner, bucket = np.nonzero(capped[:, :bits])
+        sizes = capacity[bucket]
+        ends = counts.cumsum(axis=1)[owner, bucket]
+        starts = ends - counts[owner, bucket]
+        # One draw per bucket over capacity: the module's RNG contract.
+        chosen = [np.empty(0, dtype=ranked.dtype)]
+        for row, lo, hi, size in zip(owner.tolist(), starts.tolist(),
+                                     ends.tolist(), sizes.tolist()):
+            chosen.append(rng.choice(ranked[row, lo:hi], size=size,
+                                     replace=False))
+        free_owner, free_peer = np.nonzero(
+            ~np.take_along_axis(capped, proximity, axis=1))
+        edges = [
+            (np.repeat(owner, sizes), np.concatenate(chosen),
+             np.repeat(bucket, sizes)),
+            (free_owner, free_peer, proximity[free_owner, free_peer]),
+        ]
+        # Then the neighbourhood edges, keyed after every bucket by the
+        # node whose neighbourhood holds them.
+        near = proximity >= depth[:, None]
+        np.fill_diagonal(near, False)
+        near_owner, near_peer = np.nonzero(near)
+        edges.append((near_owner, near_peer, bits + near_owner))
+        if config.symmetric_neighborhood:
+            edges.append((near_peer, near_owner, bits + near_owner))
+        del proximity, ranked, near
+
+        owner, peer, key = (np.concatenate(column) for column in zip(*edges))
+        order = np.lexsort((key, owner))
+        _, first = np.unique(owner[order] * n + peer[order], return_index=True)
+        kept = order[np.sort(first)]
+        bounds = np.searchsorted(owner[kept], np.arange(n + 1)).tolist()
+        peers = address_array[peer[kept]].tolist()
+        tables = {address: RoutingTable.from_peers(
+            address, space, config.limits, peers[lo:hi])
+            for address, lo, hi in zip(addresses, bounds, bounds[1:])}
         return cls(config, addresses, tables)
-
-    @staticmethod
-    def _build_table(owner: int, address_array: np.ndarray,
-                     space: AddressSpace, config: OverlayConfig,
-                     rng: np.random.Generator) -> RoutingTable:
-        """Fill one node's buckets with randomly chosen candidates."""
-        table = RoutingTable(owner, space, config.limits)
-        others = address_array[address_array != np.uint64(owner)]
-        proximities = proximity_array(owner, others, space.bits)
-        for bucket_index in range(space.bits):
-            candidates = others[proximities == bucket_index]
-            if candidates.size == 0:
-                continue
-            capacity = config.limits.capacity(bucket_index)
-            if candidates.size > capacity:
-                chosen = rng.choice(candidates, size=capacity, replace=False)
-            else:
-                chosen = candidates
-            for peer in chosen:
-                table.add(int(peer))
-        return table
-
-    @staticmethod
-    def _connect_neighborhoods(addresses: Sequence[int],
-                               tables: dict[int, RoutingTable],
-                               config: OverlayConfig) -> None:
-        """Give every node its full, symmetric neighborhood.
-
-        For each node, every other node at proximity order >= the
-        node's (population-wide) neighborhood depth is added uncapped.
-        With ``symmetric_neighborhood`` the edge is mirrored, modelling
-        Swarm's mutual nearest-neighbor connectivity.
-        """
-        space = config.space
-        address_array = np.asarray(addresses, dtype=np.uint64)
-        for owner in addresses:
-            others = address_array[address_array != np.uint64(owner)]
-            proximities = proximity_array(owner, others, space.bits)
-            depth = Overlay._population_depth(
-                proximities, space.bits, config.neighborhood_min
-            )
-            neighbors = others[proximities >= depth]
-            for neighbor in neighbors:
-                tables[owner].add_unbounded(int(neighbor))
-                if config.symmetric_neighborhood:
-                    tables[int(neighbor)].add_unbounded(owner)
-
-    @staticmethod
-    def _population_depth(proximities: np.ndarray, bits: int,
-                          minimum: int) -> int:
-        """Neighborhood depth derived from the true node population."""
-        cumulative = 0
-        for depth in range(bits - 1, -1, -1):
-            cumulative += int(np.count_nonzero(proximities == depth))
-            if cumulative >= minimum:
-                return depth
-        return 0
 
     @classmethod
     def from_tables(cls, config: OverlayConfig,

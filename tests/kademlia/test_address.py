@@ -10,9 +10,10 @@ from repro.kademlia.address import (
     AddressSpace,
     bit_length_array,
     common_prefix_length,
-    proximity_array,
     xor_distance,
 )
+
+from .overlay_oracle import proximity_array
 
 
 class TestXorDistance:

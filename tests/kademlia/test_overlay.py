@@ -35,6 +35,19 @@ class TestOverlayConfig:
         with pytest.raises(ConfigurationError):
             OverlayConfig(n_nodes=10, bits=8, neighborhood_min=0)
 
+    @pytest.mark.parametrize("bits", [63, 64])
+    def test_address_space_too_wide_to_draw_rejected(self, bits):
+        with pytest.raises(ConfigurationError, match="at most 62 bits"):
+            OverlayConfig(n_nodes=10, bits=bits)
+
+    def test_widest_drawable_space_builds(self):
+        overlay = Overlay.build(OverlayConfig(n_nodes=10, bits=62))
+        assert max(overlay.addresses) < 1 << 62
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            OverlayConfig(n_nodes=10, bits=8, seed=-1)
+
     def test_value_equality(self):
         assert OverlayConfig(n_nodes=10, bits=8) == OverlayConfig(
             n_nodes=10, bits=8
@@ -187,3 +200,36 @@ class TestValidationOnConstruction:
         tables = {a: small_overlay.table(a) for a in addresses[:-1]}
         with pytest.raises(OverlayError, match="missing routing table"):
             Overlay(small_overlay.config, addresses, tables)
+
+
+class TestFingerprintPins:
+    """Fingerprints of the benchmark topologies (16 bits, seed 42).
+
+    Recorded from the per-node builder the whole-array build replaced;
+    any change to the RNG call sequence or to which edges a table gets
+    moves them.
+    """
+
+    @pytest.mark.parametrize("n_nodes, bucket_size, digest", [
+        (1000, 4, "25ffffe57fb091da93c5bf481eacaeaf"
+                  "4a0b952ff4ed00e1cc8340209fb4ccc0"),
+        (300, 2, "f6e386bf525efddbfd00eb77eb54b763"
+                 "1e76b0fa5176811b3db4086140b1edae"),
+        (300, 4, "3166a7a789b25cc599d6c95a1806dca7"
+                 "77c28a50ab3165501d11f7f94f5fcdc5"),
+        (300, 8, "a6ac7b979e1f505e92cc4dcad1cad057"
+                 "136d693c5dc8b4b606e5e3bb1dde8974"),
+        (300, 16, "2a44330063bbec88c6be12919de36e3b"
+                  "f49d7ddd40ffd4af9ab5c3f13c8b7d83"),
+        (60, 4, "30e85221de60e12af41f7afbf1ddb633"
+                "e62c9aecb964b142a41ce728efe6897f"),
+        (60, 2, "bde2da2bd91d95c955aa641a7cb15fe9"
+                "6c3ee2802a7e7855b84af99df8d2b9fd"),
+    ])
+    def test_benchmark_topology_fingerprint(self, n_nodes, bucket_size,
+                                            digest):
+        overlay = Overlay.build(OverlayConfig(
+            n_nodes=n_nodes, bits=16,
+            limits=BucketLimits.uniform(bucket_size), seed=42,
+        ))
+        assert overlay.fingerprint() == digest

@@ -3,7 +3,8 @@
 Every malformed field is refused with an :class:`OverlayError` naming
 its key — never truncated, coerced, or raised as a bare ``KeyError`` —
 and ``repro-swarm overlay inspect`` turns the refusal into one error
-line with exit status 2.
+line with exit status 2. ``repro-swarm overlay build`` refuses a bad
+configuration the same way.
 """
 
 from __future__ import annotations
@@ -246,3 +247,25 @@ class TestInspectCli:
         assert main(["overlay", "inspect", str(path),
                      "--node", str(stranger)]) == 2
         assert f"no node at address {stranger}" in capsys.readouterr().err
+
+
+class TestBuildCli:
+    @pytest.mark.parametrize("flags, match", [
+        (["--bits", "63"], "at most 62 bits"),
+        (["--bits", "64"], "at most 62 bits"),
+        (["--bits", "0"], "bits must be in"),
+        (["--nodes", "1"], "at least 2 nodes"),
+        (["--bucket-size", "0"], "bucket size must be >= 1"),
+        (["--seed", "-1"], "seed must be non-negative"),
+    ], ids=["bits 63", "bits 64", "bits 0", "nodes 1", "bucket size 0",
+            "seed -1"])
+    def test_bad_config_exits_2(self, tmp_path, capsys, flags, match):
+        path = tmp_path / "overlay.json"
+        assert main(["overlay", "build", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("repro-swarm overlay build: error: ")
+        assert match in lines[0]
+        assert not path.exists()

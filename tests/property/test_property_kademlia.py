@@ -45,13 +45,28 @@ class TestXorMetricProperties:
         assert po_ac >= min(po_ab, po_bc)
 
 
+#: Where a float64 conversion would round: every power of two and its
+#: predecessor over the full uint64 range, and 2**53's neighbours.
+BIT_LENGTH_BOUNDARIES = sorted(
+    {2**k - 1 for k in range(65)} | {2**k for k in range(64)}
+    | {2**53 - 1, 2**53 + 1}
+)
+
+
 class TestBitLengthProperties:
-    @given(st.lists(st.integers(min_value=0, max_value=2**63 - 1),
+    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1)
+                    | st.sampled_from(BIT_LENGTH_BOUNDARIES),
                     min_size=1, max_size=50))
     def test_matches_python(self, values):
         array = np.array(values, dtype=np.uint64)
         assert bit_length_array(array).tolist() == [
             v.bit_length() for v in values
+        ]
+
+    def test_boundaries_match_python(self):
+        array = np.array(BIT_LENGTH_BOUNDARIES, dtype=np.uint64)
+        assert bit_length_array(array).tolist() == [
+            v.bit_length() for v in BIT_LENGTH_BOUNDARIES
         ]
 
 
