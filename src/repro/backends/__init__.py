@@ -25,8 +25,14 @@ filecoin    storage-power block rewards + retrieval payments
 freerider   SWAP pricing with never-paying originators (§V)
 tit_for_tat standalone BitTorrent choke-algorithm swarm
 ========== ========================================================
+
+The protocol, registry, config and result types are imported with the
+package; the implementation modules load on first use — when one of
+their names is accessed or a backend they define is looked up by name
+(:func:`~repro.backends.base.get_backend_class`).
 """
 
+from .._lazy import lazy_exports
 from .base import (
     SimulationBackend,
     available_backends,
@@ -39,54 +45,17 @@ from .base import (
 from .config import FastSimulationConfig
 from .result import SimulationResult
 
-# Importing the implementation modules registers their backends.
-from .fast import (  # noqa: E402
-    FastBackend,
-    FastSimulation,
-    NextHopTable,
-    PerFileFastBackend,
-    cached_next_hop_table,
-    cached_overlay,
-    clear_caches,
-    paper_result,
-)
-from .timed import (  # noqa: E402
-    FluidWheel,
-    TimeBackend,
-    TimedSimulation,
-)
-from .reference import ReferenceBackend  # noqa: E402
-from .baselines import (  # noqa: E402
-    FilecoinBackend,
-    FlatRewardBackend,
-    FreeRiderBackend,
-    TitForTatBackend,
-)
-
-__all__ = [
-    "SimulationBackend",
-    "available_backends",
-    "backend_specs",
-    "get_backend",
-    "get_backend_class",
-    "register_backend",
-    "run_simulation",
-    "FastSimulationConfig",
-    "SimulationResult",
-    "FastBackend",
-    "FastSimulation",
-    "NextHopTable",
-    "PerFileFastBackend",
-    "cached_next_hop_table",
-    "cached_overlay",
-    "clear_caches",
-    "paper_result",
-    "FluidWheel",
-    "TimeBackend",
-    "TimedSimulation",
-    "ReferenceBackend",
-    "FilecoinBackend",
-    "FlatRewardBackend",
-    "FreeRiderBackend",
-    "TitForTatBackend",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": ["SimulationBackend", "available_backends", "backend_specs",
+             "get_backend", "get_backend_class", "register_backend",
+             "run_simulation"],
+    "config": ["FastSimulationConfig"],
+    "result": ["SimulationResult"],
+    "fast": ["FastBackend", "FastSimulation", "NextHopTable",
+             "PerFileFastBackend", "cached_next_hop_table", "cached_overlay",
+             "clear_caches", "paper_result"],
+    "timed": ["FluidWheel", "TimeBackend", "TimedSimulation"],
+    "reference": ["ReferenceBackend"],
+    "baselines": ["FilecoinBackend", "FlatRewardBackend", "FreeRiderBackend",
+                  "TitForTatBackend"],
+})

@@ -24,6 +24,7 @@ processes through this same interface.
 from __future__ import annotations
 
 import abc
+import importlib
 from typing import TYPE_CHECKING, ClassVar
 
 from ..errors import ConfigurationError
@@ -87,6 +88,19 @@ class SimulationBackend(abc.ABC):
 
 _BACKENDS: dict[str, type[SimulationBackend]] = {}
 
+#: The module of this package that registers each built-in backend,
+#: imported the first time one of its names is looked up.
+_BACKEND_MODULES = {
+    "fast": "fast",
+    "fast-perfile": "fast",
+    "time": "timed",
+    "reference": "reference",
+    "flat": "baselines",
+    "filecoin": "baselines",
+    "freerider": "baselines",
+    "tit_for_tat": "baselines",
+}
+
 
 def register_backend(cls: type[SimulationBackend]) -> type[SimulationBackend]:
     """Class decorator adding a backend to the registry by its name."""
@@ -101,6 +115,8 @@ def register_backend(cls: type[SimulationBackend]) -> type[SimulationBackend]:
 
 def get_backend_class(name: str) -> type[SimulationBackend]:
     """The registered backend class for *name* (no instantiation)."""
+    if name not in _BACKENDS and name in _BACKEND_MODULES:
+        importlib.import_module(f"{__package__}.{_BACKEND_MODULES[name]}")
     try:
         return _BACKENDS[name]
     except KeyError:
@@ -119,7 +135,9 @@ def get_backend(name: str, **kwargs) -> SimulationBackend:
 
 
 def available_backends() -> list[str]:
-    """Registered backend names, sorted."""
+    """Registered backend names, sorted (imports every built-in one)."""
+    for module in sorted(set(_BACKEND_MODULES.values())):
+        importlib.import_module(f"{__package__}.{module}")
     return sorted(_BACKENDS)
 
 

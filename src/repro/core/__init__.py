@@ -5,80 +5,27 @@ pricing, cheque settlement, time-based amortization, payment policies,
 the assembled :class:`~repro.core.incentives.SwapIncentives`
 mechanism, and the F1/F2 fairness metrics built on the Gini
 coefficient.
+
+The public names load on first use, so reading the fairness metrics
+does not import the SWAP accounting, pricing or settlement modules.
 """
 
-from .amortization import (
-    AmortizationSchedule,
-    ExponentialAmortization,
-    LinearAmortization,
-    NoAmortization,
-    make_amortization,
-)
-from .fairness import (
-    FairnessReport,
-    LorenzCurve,
-    evaluate_fairness,
-    f1_values,
-    f2_values,
-    gini,
-    gini_pairwise,
-    lorenz_curve,
-)
-from .incentives import IncentiveMechanism, SwapIncentives
-from .overhead import OverheadModel, OverheadReport, overhead_report
-from .policies import (
-    AllHopsPolicy,
-    NoPaymentPolicy,
-    Payment,
-    PaymentPolicy,
-    ZeroProximityPolicy,
-    make_policy,
-)
-from .pricing import (
-    FlatPricing,
-    PricingStrategy,
-    ProximityStepPricing,
-    XorDistancePricing,
-    make_pricing,
-)
-from .settlement import Cheque, Chequebook, SettlementService, SettlementStats
-from .swap import SwapChannel, SwapLedger, SwapThresholds
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AllHopsPolicy",
-    "AmortizationSchedule",
-    "Cheque",
-    "Chequebook",
-    "ExponentialAmortization",
-    "FairnessReport",
-    "FlatPricing",
-    "IncentiveMechanism",
-    "LinearAmortization",
-    "LorenzCurve",
-    "NoAmortization",
-    "NoPaymentPolicy",
-    "OverheadModel",
-    "OverheadReport",
-    "Payment",
-    "PaymentPolicy",
-    "PricingStrategy",
-    "ProximityStepPricing",
-    "SettlementService",
-    "SettlementStats",
-    "SwapChannel",
-    "SwapIncentives",
-    "SwapLedger",
-    "SwapThresholds",
-    "XorDistancePricing",
-    "ZeroProximityPolicy",
-    "evaluate_fairness",
-    "f1_values",
-    "f2_values",
-    "gini",
-    "gini_pairwise",
-    "lorenz_curve",
-    "make_amortization",
-    "make_policy",
-    "make_pricing",
-    "overhead_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "amortization": ["AmortizationSchedule", "ExponentialAmortization",
+                     "LinearAmortization", "NoAmortization",
+                     "make_amortization"],
+    "fairness": ["FairnessReport", "LorenzCurve", "evaluate_fairness",
+                 "f1_values", "f2_values", "gini", "gini_pairwise",
+                 "lorenz_curve"],
+    "incentives": ["IncentiveMechanism", "SwapIncentives"],
+    "overhead": ["OverheadModel", "OverheadReport", "overhead_report"],
+    "policies": ["AllHopsPolicy", "NoPaymentPolicy", "Payment",
+                 "PaymentPolicy", "ZeroProximityPolicy", "make_policy"],
+    "pricing": ["FlatPricing", "PricingStrategy", "ProximityStepPricing",
+                "XorDistancePricing", "make_pricing"],
+    "settlement": ["Cheque", "Chequebook", "SettlementService",
+                   "SettlementStats"],
+    "swap": ["SwapChannel", "SwapLedger", "SwapThresholds"],
+})

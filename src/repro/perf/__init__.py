@@ -28,40 +28,19 @@ incremental patches of the parent epoch's table (see
 :mod:`repro.kademlia.table` and :mod:`repro.scenarios.plan`), so
 replayed scenario schedules — sweep seed replicas in particular —
 never recompute an epoch's table twice in one process.
+
+The public names load on first use: importing this package imports
+none of its submodules, so a process that only needs the table cache
+never loads the benchmark (and, through it, the sweep engine).
 """
 
-from .bench import BENCH_FORMAT, check_regression, headline_bench
-from .shared import (
-    SharedArraySpec,
-    SharedTableHandle,
-    SharedTableRegistry,
-    attach_table,
-    shared_table_registry,
-)
-from .table_cache import (
-    EPOCH_TABLE_LOG_ENV,
-    CacheStats,
-    EpochCacheStats,
-    EpochTableCache,
-    TableCache,
-    global_epoch_table_cache,
-    global_table_cache,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BENCH_FORMAT",
-    "CacheStats",
-    "EPOCH_TABLE_LOG_ENV",
-    "EpochCacheStats",
-    "EpochTableCache",
-    "SharedArraySpec",
-    "SharedTableHandle",
-    "SharedTableRegistry",
-    "TableCache",
-    "attach_table",
-    "check_regression",
-    "global_epoch_table_cache",
-    "global_table_cache",
-    "headline_bench",
-    "shared_table_registry",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bench": ["BENCH_FORMAT", "check_regression", "headline_bench"],
+    "shared": ["SharedArraySpec", "SharedTableHandle", "SharedTableRegistry",
+               "attach_table", "shared_table_registry"],
+    "table_cache": ["EPOCH_TABLE_LOG_ENV", "CacheStats", "EpochCacheStats",
+                    "EpochTableCache", "TableCache",
+                    "global_epoch_table_cache", "global_table_cache"],
+})

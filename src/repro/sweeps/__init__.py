@@ -33,83 +33,30 @@ replicated, parallelizable sweep:
 * :mod:`~repro.sweeps.progress` — the rate-limited
   ``completed/total · points/s · ETA`` stderr reporter shared by
   every executor.
+
+The public names load on first use: importing this package imports
+none of its submodules, so a sweep worker that imports
+:mod:`~repro.sweeps.worker` never loads the HTTP queue, the
+distributed executor or the aggregation layer.
 """
 
-from .aggregate import CellSummary, MetricSummary, aggregate_records
-from .chaos import Fault, FaultPlan, InjectedFault
-from .distributed import DistributedExecutor, sweep_serve, sweep_work
-from .engine import SweepResult, outcome_record, run_sweep, sweep_status
-from .executors import (
-    ProcessExecutor,
-    SerialExecutor,
-    SweepExecutor,
-    make_executor,
-    resolve_jobs,
-    table_topologies,
-)
-from .progress import ProgressReporter
-from .queue_daemon import QueueState, SweepQueueDaemon
-from .resilience import (
-    PointFailure,
-    PointResult,
-    RetryPolicy,
-    failure_digest,
-)
-from .spec import (
-    SweepPoint,
-    SweepSpec,
-    parse_grid_arguments,
-    parse_grid_value,
-    replica_seed,
-    replica_seeds,
-    sweepable_fields,
-)
-from .store import SweepStore, merge_provenance
-from .worker import (
-    PointOutcome,
-    execute_point,
-    point_from_payload,
-    result_metrics,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SweepSpec",
-    "SweepPoint",
-    "SweepResult",
-    "SweepStore",
-    "SweepExecutor",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "DistributedExecutor",
-    "PointOutcome",
-    "PointFailure",
-    "PointResult",
-    "ProgressReporter",
-    "QueueState",
-    "RetryPolicy",
-    "SweepQueueDaemon",
-    "Fault",
-    "FaultPlan",
-    "InjectedFault",
-    "CellSummary",
-    "MetricSummary",
-    "aggregate_records",
-    "execute_point",
-    "failure_digest",
-    "make_executor",
-    "merge_provenance",
-    "outcome_record",
-    "parse_grid_arguments",
-    "parse_grid_value",
-    "point_from_payload",
-    "replica_seed",
-    "replica_seeds",
-    "resolve_jobs",
-    "result_metrics",
-    "run_sweep",
-    "sweep_serve",
-    "sweep_status",
-    "sweep_work",
-    "sweepable_fields",
-    "table_topologies",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "aggregate": ["CellSummary", "MetricSummary", "aggregate_records"],
+    "chaos": ["Fault", "FaultPlan", "InjectedFault"],
+    "distributed": ["DistributedExecutor", "sweep_serve", "sweep_work"],
+    "engine": ["SweepResult", "outcome_record", "run_sweep", "sweep_status"],
+    "executors": ["ProcessExecutor", "SerialExecutor", "SweepExecutor",
+                  "make_executor", "resolve_jobs", "table_topologies"],
+    "progress": ["ProgressReporter"],
+    "queue_daemon": ["QueueState", "SweepQueueDaemon"],
+    "resilience": ["PointFailure", "PointResult", "RetryPolicy",
+                   "failure_digest"],
+    "spec": ["SweepPoint", "SweepSpec", "parse_grid_arguments",
+             "parse_grid_value", "replica_seed", "replica_seeds",
+             "sweepable_fields"],
+    "store": ["SweepStore", "merge_provenance"],
+    "worker": ["PointOutcome", "execute_point", "point_from_payload",
+               "result_metrics"],
+})

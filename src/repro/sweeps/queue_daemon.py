@@ -359,6 +359,9 @@ class _QueueHandler(BaseHTTPRequestHandler):
 
     def _body(self) -> dict:
         length = int(self.headers.get("Content-Length", "0"))
+        if length < 0:
+            # rfile.read(-1) would block until the client hangs up.
+            raise ValueError(f"negative Content-Length {length}")
         raw = self.rfile.read(length) if length else b"{}"
         payload = json.loads(raw)
         if not isinstance(payload, dict):
@@ -398,8 +401,7 @@ class _QueueHandler(BaseHTTPRequestHandler):
                 self._reply(self.state.heartbeat(str(body["worker"])))
             else:
                 self._reply({"error": f"unknown path {self.path}"}, 404)
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError
-                ) as error:
+        except (KeyError, TypeError, ValueError, RecursionError) as error:
             self._reply({"error": f"bad request: {error!r}"}, 400)
 
 

@@ -43,7 +43,8 @@ import numpy as np
 from ..errors import ConfigurationError, StoreMergeError
 from .spec import SweepSpec
 
-__all__ = ["SweepStore", "git_provenance", "merge_provenance"]
+__all__ = ["SweepStore", "git_provenance", "merge_provenance",
+           "render_document"]
 
 FORMAT = "repro-swarm-sweep/1"
 
@@ -112,6 +113,8 @@ class SweepStore:
         self.points: dict[str, dict] = dict(points or {})
         self.failures: dict[str, dict] = dict(failures or {})
         self._provenance = provenance
+        # Encoded records from the last save (see render_document).
+        self._fragments: dict[tuple[str, str], tuple[dict, str]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -391,12 +394,10 @@ class SweepStore:
         point — and a crash *during* save leaves the previous blessed
         file untouched (the stale ``.tmp`` is swept by :meth:`open`).
         """
-        document = self.to_json()
+        text = render_document(self.to_json(), self._fragments)
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         with open(tmp, "w") as handle:
-            handle.write(
-                json.dumps(document, indent=2, sort_keys=True) + "\n"
-            )
+            handle.write(text + "\n")
             handle.flush()
             os.fsync(handle.fileno())
         tmp.replace(self.path)
@@ -464,6 +465,44 @@ class SweepStore:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def render_document(document: Mapping,
+                    fragments: dict[tuple[str, str], tuple[dict, str]]
+                    ) -> str:
+    """``json.dumps(document, indent=2, sort_keys=True)``, built per record.
+
+    ``indent`` forces the pure-Python encoder, so re-encoding every
+    record on every per-point save costs O(points^2). Each record of
+    the ``points`` and ``failures`` sections is encoded once instead:
+    *fragments* maps ``(section, point_id)`` to ``(record, text)``, and
+    a text is reused while that very record object is stored (records
+    are replaced, never mutated in place). On return *fragments* holds
+    exactly the records of *document*.
+    """
+    fresh = {}
+    parts = []
+    for key in sorted(document):
+        value = document[key]
+        if key in ("points", "failures") and value:
+            entries = []
+            for point_id in sorted(value):
+                record = value[point_id]
+                cached = fragments.get((key, point_id))
+                if cached is None or cached[0] is not record:
+                    cached = (record, json.dumps(
+                        record, indent=2, sort_keys=True
+                    ).replace("\n", "\n    "))
+                fresh[key, point_id] = cached
+                entries.append(f"    {json.dumps(point_id)}: {cached[1]}")
+            text = "{\n" + ",\n".join(entries) + "\n  }"
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True)
+            text = text.replace("\n", "\n  ")
+        parts.append(f"  {json.dumps(key)}: {text}")
+    fragments.clear()
+    fragments.update(fresh)
+    return "{\n" + ",\n".join(parts) + "\n}"
 
 
 # ----------------------------------------------------------------------

@@ -239,10 +239,13 @@ def register_table_handles(table_handles: Mapping | None) -> None:
 def warm_up() -> None:
     """Import what a point needs; the executor's first task per worker.
 
-    Unpickling this task imports this module, and so the backends and
-    numpy; the lazily imported helpers of :func:`execute_point` are
-    imported here too.
+    Unpickling this task imports this module, and so numpy and the
+    backend registry; the fast backend, which every table-sharing
+    point needs, and the lazily imported helpers of
+    :func:`execute_point` are imported here too. Other backends load
+    when a point first names them.
     """
+    from ..backends import fast  # noqa: F401
     from ..perf import shared, table_cache  # noqa: F401
     from . import chaos  # noqa: F401
 

@@ -13,6 +13,7 @@ from repro.backends import (
     register_backend,
     run_simulation,
 )
+from repro.backends import base
 from repro.backends.base import backend_specs
 from repro.errors import ConfigurationError
 
@@ -31,8 +32,16 @@ class TestRegistry:
             assert expected in names
 
     def test_unknown_backend_lists_available(self):
-        with pytest.raises(ConfigurationError, match="fast"):
+        with pytest.raises(ConfigurationError, match="fast") as unknown:
             get_backend("bogus")
+        for name in base._BACKEND_MODULES:
+            assert repr(name) in str(unknown.value)
+
+    def test_module_table_names_every_registered_backend(self):
+        assert set(base._BACKEND_MODULES) == set(available_backends())
+        for name, module in base._BACKEND_MODULES.items():
+            assert (base.get_backend_class(name).__module__
+                    == f"repro.backends.{module}")
 
     def test_instances_are_fresh(self):
         assert get_backend("fast") is not get_backend("fast")

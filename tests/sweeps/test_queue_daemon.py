@@ -10,6 +10,7 @@ the daemon's JSON protocol end to end over loopback.
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -323,4 +324,33 @@ class TestDaemonHTTP:
                 http_json(f"{daemon.url}/lease", {"count": 1})
             assert bad.value.code == 400
         finally:
+            daemon.close()
+
+    def test_deeply_nested_body_is_a_bad_request(self):
+        state, _ = make_state()
+        daemon = SweepQueueDaemon(state).start()
+        try:
+            with pytest.raises(urllib.error.HTTPError) as bad:
+                urllib.request.urlopen(urllib.request.Request(
+                    f"{daemon.url}/lease", data=b"[" * 100_000,
+                ), timeout=10.0)
+            assert bad.value.code == 400
+            bad.value.close()
+        finally:
+            daemon.close()
+
+    @pytest.mark.parametrize("length", ["-1", "ten"])
+    def test_invalid_content_length_is_refused_unread(self, length):
+        state, _ = make_state()
+        daemon = SweepQueueDaemon(state).start()
+        host, port = daemon.url.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port),
+                                                timeout=5.0)
+        try:
+            connection.putrequest("POST", "/lease")
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            assert connection.getresponse().status == 400
+        finally:
+            connection.close()
             daemon.close()
