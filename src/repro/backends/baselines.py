@@ -118,7 +118,7 @@ class FilecoinBackend(_RoutedBaselineBackend):
         n = simulation.table.n_nodes
         file_origins, sizes, targets = simulation._flatten_workload(workload)
         origins = np.repeat(file_origins, sizes).astype(np.intp)
-        storers = simulation.table.storer_idx[targets]
+        storers = simulation.table.storer[targets]
         served = np.bincount(storers[storers != origins], minlength=n)
 
         income = served.astype(np.float64) * self.retrieval_price

@@ -55,10 +55,15 @@ storers' forward entries promoted into the arrive band, reverted on
 epoch exit via the recorded undo log), and the banded wave loop adds
 only a per-hop gather of a 3n-entry dead-value LUT: coded values that
 point at dead nodes are sparsely rewritten to the fallback band of
-the epoch's (live) storer, exactly the greedy-stall semantics the
-decoded mode produced. The decoded three-column reference mode is
-kept behind :data:`DECODED_DYNAMICS_ENV` for the bit-equivalence
-tests; the static headline path pays for none of it either way.
+the epoch's (live) storer, exactly the greedy-stall semantics of the
+decoded three-column mode kept as the test oracle
+``tests/backends/decoded_oracle.py``.
+
+The ``time`` backend records its per-chunk paths through this same
+kernel: a :class:`StreamSession` built with a ``recorder`` threads a
+chunk-id column through the waves and reports each wave's receivers
+to it. Without a recorder the headline path pays one ``is None``
+check per wave.
 
 Equivalence with the reference implementation is asserted by
 ``tests/integration/test_fast_vs_reference.py`` and
@@ -107,7 +112,6 @@ __all__ = [
     "target_dtype",
     "MAX_FAST_BITS",
     "TABLE_BUILD_LOG_ENV",
-    "DECODED_DYNAMICS_ENV",
 ]
 
 #: Maximum address width the vectorized backend supports; wider
@@ -119,13 +123,6 @@ MAX_FAST_BITS = 22
 #: sweep tests use this to prove a multi-worker sweep builds each
 #: topology's table exactly once, independent of machine speed.
 TABLE_BUILD_LOG_ENV = "REPRO_TABLE_BUILD_LOG"
-
-#: When set (to anything non-empty), dynamic epochs route through the
-#: decoded three-column reference mode instead of the patched-static
-#: kernel. The two are bit-identical (asserted by the equivalence
-#: tests, which flip this flag); the decoded mode is kept only as the
-#: independent oracle.
-DECODED_DYNAMICS_ENV = "REPRO_DECODED_DYNAMICS"
 
 _OVERLAY_CACHE: dict[tuple, Overlay] = {}
 
@@ -280,7 +277,6 @@ class NextHopTable:
         self.addresses = overlay.address_array()
         self._coded = self._build_coded()
         self._flat: np.ndarray | None = None
-        self._storer_idx: np.ndarray | None = None
         self._addresses32: np.ndarray | None = None
         self._shm_segments: tuple = ()
         _log_table_build(overlay.fingerprint())
@@ -345,7 +341,6 @@ class NextHopTable:
         table.addresses = overlay.address_array()
         table._coded = coded
         table._flat = None
-        table._storer_idx = None
         table._addresses32 = None
         table._shm_segments = tuple(segments)
         return table
@@ -394,14 +389,6 @@ class NextHopTable:
         if self._flat is None:
             self._flat = self.coded_transposed.reshape(-1)
         return self._flat
-
-    @property
-    def storer_idx(self) -> np.ndarray:
-        """``storer`` in the compact entry dtype (kept for callers
-        that predate the dtype rework; now an alias, not a copy)."""
-        if self._storer_idx is None:
-            self._storer_idx = self.storer
-        return self._storer_idx
 
     @property
     def addresses32(self) -> np.ndarray:
@@ -455,7 +442,10 @@ class FastSimulation:
             workload = self.config.workload()
         result = self.new_result()
         if batched:
-            self._run_batched(workload, result, unpaid_origins)
+            file_origins, sizes, targets = self._flatten_workload(workload)
+            result.files += len(sizes)
+            self._route_slabs(np.repeat(file_origins, sizes), sizes,
+                              targets, result, unpaid_origins=unpaid_origins)
         else:
             if self.config.has_scenarios:
                 raise ConfigurationError(
@@ -552,37 +542,38 @@ class FastSimulation:
     # ------------------------------------------------------------------
     # Batched hot path
 
-    def _run_batched(self, workload, result: SimulationResult,
-                     unpaid_origins: np.ndarray | None = None) -> None:
-        """Flatten the whole workload and route it through a session.
+    def _route_slabs(self, origins: np.ndarray, sizes: np.ndarray,
+                     targets: np.ndarray, result: SimulationResult, *,
+                     unpaid_origins: np.ndarray | None = None,
+                     recorder=None) -> None:
+        """Route flattened chunk columns through one stream session.
 
         The one-shot run is the streaming core fed from one flatten:
         static configs feed a single micro-epoch holding the entire
-        workload (one kernel invocation, exactly the pre-streaming
-        behavior), scenario configs feed one ``batch_files``-file slab
-        per epoch — the same loop a live stream drives incrementally.
+        workload (one kernel invocation), scenario configs feed one
+        ``batch_files``-file slab per epoch — the same loop a live
+        stream drives incrementally. *sizes* are the per-file chunk
+        counts the slabs are cut on. With a *recorder* (the time
+        backend's path recorder), a chunk's position in *targets* is
+        the id its path is recorded under.
         """
-        config = self.config
-        file_origins, sizes, targets = self._flatten_workload(workload)
-        result.files += len(sizes)
-        if targets.size == 0 and len(sizes) == 0:
+        if not len(sizes):
             return
-        origins = np.repeat(file_origins, sizes)
-
-        if config.scenario_stack() is None:
-            with StreamSession(self, result=result,
-                               unpaid_origins=unpaid_origins) as session:
-                session.feed(origins, targets)
-            return
-
-        starts = range(0, len(sizes), config.batch_files)
+        scenario = self.config.scenario_stack() is not None
+        step = self.config.batch_files if scenario else len(sizes)
+        starts = range(0, len(sizes), step)
         offsets = np.concatenate(([0], np.cumsum(sizes)))
-        with StreamSession(self, result=result, n_epochs=len(starts),
-                           unpaid_origins=unpaid_origins) as session:
+        ids = (None if recorder is None
+               else np.arange(targets.size, dtype=np.int64))
+        with StreamSession(self, result=result,
+                           n_epochs=len(starts) if scenario else None,
+                           unpaid_origins=unpaid_origins,
+                           recorder=recorder) as session:
             for start in starts:
-                stop = min(start + config.batch_files, len(sizes))
+                stop = min(start + step, len(sizes))
                 lo, hi = int(offsets[start]), int(offsets[stop])
-                session.feed(origins[lo:hi], targets[lo:hi])
+                session.feed(origins[lo:hi], targets[lo:hi],
+                             ids=None if ids is None else ids[lo:hi])
 
     def _flatten_workload(self, workload):
         """(per-file origin indices, file sizes, flat targets) columns.
@@ -648,8 +639,8 @@ class FastSimulation:
 
     def _route_batch(self, origins: np.ndarray, targets: np.ndarray,
                      result: SimulationResult, *,
-                     storers: np.ndarray | None = None,
-                     alive: np.ndarray | None = None,
+                     ids: np.ndarray | None = None,
+                     recorder=None,
                      cached: np.ndarray | None = None,
                      unpaid_origins: np.ndarray | None = None,
                      dead_lut: np.ndarray | None = None,
@@ -664,14 +655,16 @@ class FastSimulation:
         ``flat_coded`` selects the patched-static dynamics mode: the
         caller's epoch plan holds the coded matrix behind it patched to
         this epoch's storer set, ``dead_lut`` flags coded values that
-        point at dead nodes, and ``storer_table`` (full address space)
-        re-homes those to the fallback band — so every wave runs the
-        same banded kernel as the static headline, storer column and
-        per-gather decode gone. Local hits are detected in-band (the
-        wave-1 coded value is the origin's own fallback entry exactly
-        when the origin is the epoch's storer), so no prefilter is
-        needed unless a cache mask requires the storer comparison
-        anyway.
+        point at dead nodes, and ``storer_table`` (full address space,
+        the epoch's storers) re-homes those to the fallback band — so
+        every wave runs the same banded kernel as the static headline.
+        Local hits are detected in-band (the wave-1 coded value is the
+        origin's own fallback entry exactly when the origin is the
+        epoch's storer), so no prefilter is needed unless a ``cached``
+        mask requires the storer comparison anyway: cached chunks are
+        then served by their first hop. ``recorder``, when given,
+        observes every wave (see :meth:`_route_waves`) and ``ids`` is
+        the per-chunk id column it records paths under.
         """
         if origins.size == 0:
             return
@@ -689,86 +682,49 @@ class FastSimulation:
         # (dtype=intp forces the multiply loop out of the compact
         # dtype, which would silently wrap).
         row = np.multiply(tg, n, dtype=np.intp)
-        patched = flat_coded is not None
-
-        if cached is None and (
-                patched or (alive is None and storers is None)):
+        if ids is not None:
+            ids = np.take(ids, order)
+        waves = dict(recorder=recorder, dead_lut=dead_lut,
+                     fallback_storers=storer_table, flat_table=flat_coded)
+        if cached is None:
             # Headline path (and patched-static dynamics): no storer
             # column, no local-hit prefilter — wave 1 detects local
             # hits in-band (see _route_waves).
             self._route_waves(cur, tg, row, result, unpaid_origins,
-                              dead_lut=dead_lut,
-                              fallback_storers=storer_table,
-                              flat_table=flat_coded)
+                              ids=ids, **waves)
             return
 
-        if storers is None:
-            st = np.take(table.storer, tg)
-        else:
-            st = np.take(storers, order)
-            if st.dtype != dtype:
-                st = st.astype(dtype)
-
-        keep_mask = st != cur
-        local_count = int(tg.size - np.count_nonzero(keep_mask))
+        # Locals are prefiltered here (the cache split needs the
+        # storer comparison anyway), so the in-band check finds none.
+        local = cur == np.take(
+            table.storer if storer_table is None else storer_table, tg
+        )
+        local_count = int(np.count_nonzero(local))
         if local_count:
             result.local_hits += local_count
             result.hop_histogram[0] = (
                 result.hop_histogram.get(0, 0) + local_count
             )
-
-        if cached is not None:
-            hits = keep_mask & cached[tg]
-            if hits.any():
-                # Cache hits are the same kernel asked to stop after
-                # the (serving) first hop.
-                hit_index = np.flatnonzero(hits)
-                if patched:
-                    self._route_waves(
-                        np.take(cur, hit_index), np.take(tg, hit_index),
-                        np.take(row, hit_index), result, unpaid_origins,
-                        first_hop_serves=True, dead_lut=dead_lut,
-                        fallback_storers=storer_table,
-                        flat_table=flat_coded,
-                    )
-                else:
-                    self._route_waves(
-                        np.take(cur, hit_index), np.take(tg, hit_index),
-                        np.take(row, hit_index), result, unpaid_origins,
-                        st=np.take(st, hit_index), alive=alive,
-                        first_hop_serves=True,
-                    )
-                keep_mask &= ~hits
-
-        n_start = int(np.count_nonzero(keep_mask))
-        if not n_start:
-            return
-        index = np.flatnonzero(keep_mask)
-        cur = np.take(cur, index)
-        tg = np.take(tg, index)
-        row = np.take(row, index)
-        if patched:
-            # Locals are prefiltered here (the cache mask needed the
-            # storer comparison anyway), so the in-band wave-1 check
-            # simply finds none.
-            self._route_waves(cur, tg, row, result, unpaid_origins,
-                              dead_lut=dead_lut,
-                              fallback_storers=storer_table,
-                              flat_table=flat_coded)
-        elif alive is None and storers is None:
-            # Caching only: locals are already filtered, so the banded
-            # wave loop simply finds none.
-            self._route_waves(cur, tg, row, result, unpaid_origins)
-        else:
-            st = np.take(st, index)
-            self._route_waves(cur, tg, row, result, unpaid_origins,
-                              st=st, alive=alive)
+            if recorder is not None:
+                recorder.record_zero_hop(ids[local])
+        hits = ~local & cached[tg]
+        # Cache hits are the same kernel asked to stop after the
+        # (serving) first hop; the rest route in full.
+        for mask, serves in ((hits, True), (~local & ~hits, False)):
+            index = np.flatnonzero(mask)
+            if index.size:
+                self._route_waves(
+                    np.take(cur, index), np.take(tg, index),
+                    np.take(row, index), result, unpaid_origins,
+                    ids=None if ids is None else np.take(ids, index),
+                    first_hop_serves=serves, **waves,
+                )
 
     def _route_waves(self, cur: np.ndarray, tg: np.ndarray,
                      row: np.ndarray, result: SimulationResult,
                      unpaid_origins: np.ndarray | None, *,
-                     st: np.ndarray | None = None,
-                     alive: np.ndarray | None = None,
+                     ids: np.ndarray | None = None,
+                     recorder=None,
                      first_hop_serves: bool = False,
                      dead_lut: np.ndarray | None = None,
                      fallback_storers: np.ndarray | None = None,
@@ -776,47 +732,41 @@ class FastSimulation:
         """The one epoch-segmented terminal-coded wave kernel.
 
         Every scenario — static, churn, caching, free-riding, and any
-        composition — routes through this single loop; what used to be
-        three forked kernels is now the three optional inputs:
+        composition — and both the ``fast`` and ``time`` backends
+        route through this single loop:
 
-        * ``st is None`` (the headline path): all wave state lives in
-          the table's compact entry dtype and ping-pongs between two
-          buffer sets, seeded by taking ownership of the freshly built
-          *cur*/*row* columns (no copy-in); each wave is one vector
-          add, one ``np.take`` into a reused buffer, and one banded
-          bincount that fuses the forwarded counts, the arrival count,
-          and the fallback counter — with no int64 widening and no
-          storer column anywhere. Local hits (the origin already
-          stores the chunk) are detected *in-band* at wave 1 instead
-          of being prefiltered: the origin is the storer iff the coded
-          wave-1 value is exactly ``2n + origin`` (storers always
-          greedy-stall onto themselves), and such chunks are shunted
-          into a transient fourth band (``3n..4n``) so the same
-          bincount also counts them — that is why
+        * The headline path: all wave state lives in the table's
+          compact entry dtype and ping-pongs between two buffer sets,
+          seeded by taking ownership of the freshly built *cur*/*row*
+          columns (no copy-in); each wave is one vector add, one
+          ``np.take`` into a reused buffer, and one banded bincount
+          that fuses the forwarded counts, the arrival count, and the
+          fallback counter. Local hits (the origin already stores the
+          chunk) are detected *in-band* at wave 1: the origin is the
+          storer iff the coded wave-1 value is exactly ``2n + origin``
+          (storers always greedy-stall onto themselves), and such
+          chunks are shunted into a transient fourth band (``3n..4n``)
+          so the same bincount also counts them — that is why
           :func:`table_entry_dtype` reserves headroom up to ``4n``.
         * ``dead_lut``/``fallback_storers``/``flat_table`` (patched-
-          static dynamics): the banded static loop runs verbatim
-          against the epoch-patched coded matrix behind *flat_table*;
-          the only addition is one gather per wave into the 3n-entry
-          boolean *dead_lut* (L1-resident), and the sparse set of
-          gathers that landed on a coded value pointing at a dead node
-          is rewritten to ``2n + fallback_storers[target]`` — the same
-          greedy-stall-to-live-storer semantics the decoded mode
-          computes per chunk, at static-kernel cost. The wave-1
-          in-band local check still works because the fixup maps an
-          origin that *is* the epoch's storer onto its own fallback
-          entry.
-        * ``st``/``alive`` (the decoded reference mode, kept behind
-          :data:`DECODED_DYNAMICS_ENV`): a per-chunk storer column is
-          carried because the epoch's alive mask may re-home chunks
-          to the closest *live* node, which the statically coded table
-          cannot know; each coded gather is decoded back to raw
-          next-hop semantics, dead next hops fall back to the storer,
-          and termination is ``next == storer``. Locals arrive
-          prefiltered by :meth:`_route_batch` on this path.
+          static dynamics): the same loop over the epoch-patched coded
+          matrix behind *flat_table*, plus one gather per wave into
+          the 3n-entry boolean *dead_lut*; the sparse set of gathers
+          that landed on a coded value pointing at a dead node is
+          rewritten to ``2n + fallback_storers[target]`` (greedy stall
+          to the live storer). An origin that *is* the epoch's storer
+          maps onto its own fallback entry, so the wave-1 local check
+          still holds.
         * ``first_hop_serves`` (cache hits): wave 1 runs with full
           payment/accounting, then every chunk terminates — the
           cached copy on the originator's first hop served it.
+        * ``recorder`` (the time backend's path recorder): the *ids*
+          column (owned by the kernel, like *cur*/*row*) is compacted
+          with the survivors through the same ping-pong buffers, and
+          each wave reports ``recorder.record_wave(hop, ids,
+          servers)`` with its decoded servers, local hits
+          ``recorder.record_zero_hop(ids)``. The arrays may be views
+          into the reused buffers: a recorder must copy what it keeps.
         """
         table = self.table
         dtype = table.entry_dtype
@@ -824,19 +774,14 @@ class FastSimulation:
         if flat_table is None:
             flat_table = table.flat_coded
         n_start = int(cur.size)
-        dynamic = st is not None
-        if dynamic:
-            src = (cur, st, row)
-            dst = (np.empty(n_start, dtype), np.empty(n_start, dtype),
-                   np.empty(n_start, np.intp))
-            nxt_buf = keep_buf = dead_buf = None
-        else:
-            src = (cur, row)
-            dst = (np.empty(n_start, dtype), np.empty(n_start, np.intp))
-            nxt_buf = np.empty(n_start, dtype)
-            keep_buf = np.empty(n_start, bool)
-            dead_buf = (np.empty(n_start, bool) if dead_lut is not None
-                        else None)
+        # The wave columns: in-flight node and table row offset, plus
+        # the chunk ids when a recorder observes the waves.
+        src = (cur, row) if recorder is None else (cur, row, ids)
+        dst = tuple(np.empty(n_start, column.dtype) for column in src)
+        nxt_buf = np.empty(n_start, dtype)
+        keep_buf = np.empty(n_start, bool)
+        dead_buf = (np.empty(n_start, bool) if dead_lut is not None
+                    else None)
         first_tg = tg
         flat_buf = np.empty(n_start, np.intp)
         size = n_start
@@ -844,91 +789,70 @@ class FastSimulation:
         while size:
             hop += 1
             cur_w = src[0][:size]
-            row_w = src[-1][:size]
-            st_w = src[1][:size] if dynamic else None
+            row_w = src[1][:size]
             flat = flat_buf[:size]
             np.add(row_w, cur_w, out=flat)
+            nxt = nxt_buf[:size]
+            # mode="clip" skips the bounds check; row + cur is in
+            # range by construction (row <= (space-1)*n, cur < n).
+            np.take(flat_table, flat, out=nxt, mode="clip")
+            if dead_lut is not None:
+                # Patched-static dynamics: coded values pointing at
+                # dead nodes (forward, arrive, or stale stall entries
+                # alike — the LUT tiles ~alive over all three bands)
+                # greedy-stall to the epoch's live storer, sparsely.
+                dead = dead_buf[:size]
+                np.take(dead_lut, nxt, out=dead, mode="clip")
+                dead_idx = np.flatnonzero(dead)
+                if dead_idx.size:
+                    nxt[dead_idx] = dtype.type(2 * n) + (
+                        fallback_storers[row_w[dead_idx] // n]
+                    )
             local_count = 0
             local_mask = None
-            if dynamic:
-                coded = np.take(flat_table, flat, mode="clip")
-                stalled = coded >= dtype.type(2 * n)
-                nxt = coded
-                arrived_band = (nxt >= dtype.type(n)) & ~stalled
-                np.subtract(nxt, dtype.type(n), out=nxt,
-                            where=arrived_band)
-                if alive is not None:
-                    # A dead next hop behaves like a greedy terminal:
-                    # the request jumps straight to the (live) storer.
-                    valid = ~stalled
-                    dead = np.zeros_like(stalled)
-                    dead[valid] = ~alive[nxt[valid]]
-                    stalled |= dead
-                n_stalled = int(np.count_nonzero(stalled))
-                if n_stalled:
-                    result.fallbacks += n_stalled
-                    nxt[stalled] = st_w[stalled]
-                np.copyto(flat, nxt)
-                wave_counts = np.bincount(flat, minlength=n)
-            else:
-                nxt = nxt_buf[:size]
-                # mode="clip" skips the bounds check; row + cur is in
-                # range by construction (row <= (space-1)*n, cur < n).
-                np.take(flat_table, flat, out=nxt, mode="clip")
-                if dead_lut is not None:
-                    # Patched-static dynamics: coded values pointing
-                    # at dead nodes (forward, arrive, or stale stall
-                    # entries alike — the LUT tiles ~alive over all
-                    # three bands) greedy-stall to the epoch's live
-                    # storer, sparsely.
-                    dead = dead_buf[:size]
-                    np.take(dead_lut, nxt, out=dead, mode="clip")
-                    dead_idx = np.flatnonzero(dead)
-                    if dead_idx.size:
-                        nxt[dead_idx] = dtype.type(2 * n) + (
-                            fallback_storers[row_w[dead_idx] // n]
-                        )
-                if hop == 1:
-                    local_mask = nxt == cur_w + dtype.type(2 * n)
-                    local_count = int(np.count_nonzero(local_mask))
-                    if local_count:
-                        nxt[local_mask] += dtype.type(n)
-                        result.local_hits += local_count
-                        result.hop_histogram[0] = (
-                            result.hop_histogram.get(0, 0) + local_count
-                        )
-                    else:
-                        local_mask = None
-                # The gather indices are spent: recycle the intp
-                # buffer as bincount input so bincount sees contiguous
-                # intp and skips an internal widening copy of a fresh
-                # allocation.
-                np.copyto(flat, nxt)
-                bands = np.bincount(flat, minlength=4 * n)
-                wave_counts = (bands[:n] + bands[n:2 * n]
-                               + bands[2 * n:3 * n])
-                fallbacks = int(bands[2 * n:3 * n].sum())
-                if fallbacks:
-                    # Neighborhood hand-off: jump straight to the
-                    # storer (see Router); counted so the effect is
-                    # visible.
-                    result.fallbacks += fallbacks
-            result.forwarded += wave_counts
-            result.total_hops += size - local_count
             if hop == 1:
-                result.first_hop += wave_counts
-                if dynamic:
-                    self._pay_first_hop(
-                        result, nxt, first_tg, cur_w, unpaid_origins,
-                        servers_intp=flat,
+                local_mask = nxt == cur_w + dtype.type(2 * n)
+                local_count = int(np.count_nonzero(local_mask))
+                if local_count:
+                    nxt[local_mask] += dtype.type(n)
+                    result.local_hits += local_count
+                    result.hop_histogram[0] = (
+                        result.hop_histogram.get(0, 0) + local_count
                     )
                 else:
-                    servers = self._decode_servers(nxt, n)
-                    np.copyto(flat, servers)
-                    self._pay_first_hop(
-                        result, servers, first_tg, cur_w, unpaid_origins,
-                        servers_intp=flat, suppressed=local_mask,
-                    )
+                    local_mask = None
+            # The gather indices are spent: recycle the intp buffer as
+            # bincount input so bincount sees contiguous intp and skips
+            # an internal widening copy of a fresh allocation.
+            np.copyto(flat, nxt)
+            bands = np.bincount(flat, minlength=4 * n)
+            wave_counts = (bands[:n] + bands[n:2 * n]
+                           + bands[2 * n:3 * n])
+            fallbacks = int(bands[2 * n:3 * n].sum())
+            if fallbacks:
+                # Neighborhood hand-off: jump straight to the storer
+                # (see Router); counted so the effect is visible.
+                result.fallbacks += fallbacks
+            result.forwarded += wave_counts
+            result.total_hops += size - local_count
+            if hop == 1 or recorder is not None:
+                servers = self._decode_servers(nxt, n)
+                if recorder is not None:
+                    ids_w = src[2][:size]
+                    if local_mask is None:
+                        recorder.record_wave(hop, ids_w, servers)
+                    else:
+                        recorder.record_zero_hop(ids_w[local_mask])
+                        live = ~local_mask
+                        recorder.record_wave(hop, ids_w[live],
+                                             servers[live])
+            if hop == 1:
+                result.first_hop += wave_counts
+                np.copyto(flat, servers)
+                self._pay_first_hop(
+                    result, servers, first_tg, cur_w, unpaid_origins,
+                    servers_intp=flat, suppressed=local_mask,
+                )
                 if first_hop_serves:
                     served = size - local_count
                     result.cache_hits += served
@@ -936,11 +860,8 @@ class FastSimulation:
                         result.hop_histogram.get(1, 0) + served
                     )
                     return
-            if dynamic:
-                keep = nxt != st_w
-            else:
-                keep = keep_buf[:size]
-                np.less(nxt, dtype.type(n), out=keep)
+            keep = keep_buf[:size]
+            np.less(nxt, dtype.type(n), out=keep)
             survivors = int(np.count_nonzero(keep))
             arrived = size - survivors - local_count
             if arrived:
@@ -950,9 +871,8 @@ class FastSimulation:
             if survivors:
                 index = np.flatnonzero(keep)
                 np.take(nxt, index, out=dst[0][:survivors])
-                if dynamic:
-                    np.take(st_w, index, out=dst[1][:survivors])
-                np.take(row_w, index, out=dst[-1][:survivors])
+                for column, spare in zip(src[1:], dst[1:]):
+                    np.take(column[:size], index, out=spare[:survivors])
             src, dst = dst, src
             size = survivors
 
@@ -1085,6 +1005,11 @@ class StreamSession:
     session state is O(n_nodes) + the coded patches, independent of
     how many batches flow through.
 
+    A *recorder* (the time backend's path recorder) observes every
+    wave the session routes; :meth:`feed` then takes the per-chunk
+    ``ids`` it records paths under (see
+    :meth:`FastSimulation._route_waves`).
+
     Always :meth:`close` the session (or use it as a context manager)
     — the working coded matrix is shared across runs and must be
     restored to its pristine state.
@@ -1094,23 +1019,15 @@ class StreamSession:
                  result: SimulationResult | None = None,
                  n_epochs: int | None = None,
                  unpaid_origins: np.ndarray | None = None,
-                 timestamps: np.ndarray | None = None,
-                 router=None) -> None:
+                 recorder=None) -> None:
         self.simulation = simulation
         config = simulation.config
         self.result = (simulation.new_result() if result is None
                        else result)
         self.n_epochs = None if n_epochs is None else int(n_epochs)
         self._unpaid = unpaid_origins
+        self._recorder = recorder
         self._entry_dt = simulation.table.entry_dtype
-        # router lets the time backend ride the same session: it is
-        # called like _route_batch plus an ids= column for path
-        # attribution. Router sessions always take the patched-static
-        # path (the recording kernel has no decoded mode).
-        self._router = router
-        self._decoded_reference = router is None and bool(
-            os.environ.get(DECODED_DYNAMICS_ENV)
-        )
         self._epoch = 0
         self._closed = False
         self.plan = None
@@ -1124,17 +1041,14 @@ class StreamSession:
                     "n_epochs — for a bounded workload that is "
                     "ceil(n_files / batch_files)"
                 )
+            from ..perf.table_cache import global_table_cache
             from ..scenarios.base import ScenarioContext
             from ..scenarios.plan import EpochPlan
 
-            coded_working = None
-            if not self._decoded_reference:
-                from ..perf.table_cache import global_table_cache
-
-                coded_working = global_table_cache().writable_coded(
-                    simulation.table
-                )
-                self._flat_working = coded_working.reshape(-1)
+            coded_working = global_table_cache().writable_coded(
+                simulation.table
+            )
+            self._flat_working = coded_working.reshape(-1)
             self.plan = EpochPlan(
                 scenario,
                 ScenarioContext(
@@ -1147,7 +1061,6 @@ class StreamSession:
                 base_storers=simulation.table.storer,
                 addresses=simulation.overlay.address_array(),
                 coded=coded_working,
-                timestamps=timestamps,
             )
 
     @property
@@ -1162,17 +1075,6 @@ class StreamSession:
         self.close()
         return False
 
-    def _route(self, origins, targets, result, ids, **kwargs) -> None:
-        """Dispatch one routing call to the kernel or the router."""
-        if self._router is None:
-            self.simulation._route_batch(origins, targets, result,
-                                         **kwargs)
-        else:
-            # Router sessions never take the decoded path, so an
-            # `alive` kwarg only ever arrives here as None.
-            kwargs.pop("alive", None)
-            self._router(origins, targets, result, ids=ids, **kwargs)
-
     def feed(self, origins: np.ndarray, targets: np.ndarray, *,
              into: SimulationResult | None = None,
              ids: np.ndarray | None = None) -> SimulationResult:
@@ -1184,88 +1086,76 @@ class StreamSession:
         result, or into *into* when given (the serve daemon routes
         each micro-epoch into a fresh scratch result and absorbs it
         into a mergeable aggregator). *ids* is the per-chunk id
-        column router sessions thread through to the path recorder.
+        column a recorder session reports paths under.
         """
         if self._closed:
             raise ConfigurationError(
                 "this stream session is closed; open a new one"
             )
-        result = self.result if into is None else into
-        simulation = self.simulation
-        if self.plan is None:
-            result.chunks += int(origins.size)
-            self._route(origins, targets, result, ids,
-                        unpaid_origins=self._unpaid)
-            self._epoch += 1
-            return result
-        if self._epoch >= self.n_epochs:
+        if self.plan is not None and self._epoch >= self.n_epochs:
             raise ConfigurationError(
                 f"this stream session was sized for {self.n_epochs} "
                 f"epoch(s) and they are all consumed; size n_epochs "
                 f"to the stream's full length"
             )
-        state = self.plan.epoch(self._epoch)
-        slab_origins = origins
-        slab_targets = targets
-        slab_ids = ids
-        result.chunks += int(slab_origins.size)
-        if state.origin_map is not None:
-            slab_origins = state.origin_map[slab_origins].astype(
-                self._entry_dt
+        result = self.result if into is None else into
+        result.chunks += int(origins.size)
+        if self.plan is None:
+            self.simulation._route_batch(
+                origins, targets, result, ids=ids,
+                recorder=self._recorder, unpaid_origins=self._unpaid,
             )
+        else:
+            self._route_epoch(self.plan.epoch(self._epoch), origins,
+                              targets, ids, result)
+        self._epoch += 1
+        return result
+
+    def _route_epoch(self, state, origins: np.ndarray,
+                     targets: np.ndarray, ids: np.ndarray | None,
+                     result: SimulationResult) -> None:
+        """Route one scenario epoch's slab under its plan state."""
+        simulation = self.simulation
+        if state.origin_map is not None:
+            origins = state.origin_map[origins].astype(self._entry_dt)
         unpaid = self._unpaid
         if state.unpaid is not None:
             unpaid = (state.unpaid if unpaid is None
                       else state.unpaid | unpaid)
         alive = state.alive
-        storers = None
         storer_table = None
         if alive is not None:
             if not alive.any():
-                result.unavailable += int(slab_origins.size)
-                self._epoch += 1
-                return result
+                result.unavailable += int(origins.size)
+                return
             storer_table = (state.storers if state.storers is not None
                             else simulation.table.storer)
-            storers = storer_table[slab_targets]
             # Under re-homing every epoch storer is alive, so the
             # second clause only bites for static placement.
-            dead = ~alive[slab_origins] | ~alive[storers]
+            dead = ~alive[origins] | ~alive[storer_table[targets]]
             if dead.any():
                 result.unavailable += int(np.count_nonzero(dead))
                 keep = ~dead
-                slab_origins = slab_origins[keep]
-                slab_targets = slab_targets[keep]
-                storers = storers[keep]
-                if slab_ids is not None:
-                    slab_ids = slab_ids[keep]
+                origins = origins[keep]
+                targets = targets[keep]
+                if ids is not None:
+                    ids = ids[keep]
         cache = state.cache
-        if alive is not None and not self._decoded_reference:
-            # Patched-static dynamics: the plan has already patched
-            # the working matrix to this epoch's storers, so the
-            # banded kernel runs as-is plus the dead-value LUT.
-            self._route(
-                slab_origins, slab_targets, result, slab_ids,
-                storers=storers,
-                cached=None if cache is None else cache.mask,
-                unpaid_origins=unpaid,
-                dead_lut=state.dead_lut,
-                storer_table=storer_table,
-                flat_coded=self._flat_working,
-            )
-        else:
-            self._route(
-                slab_origins, slab_targets, result, slab_ids,
-                storers=storers, alive=alive,
-                cached=None if cache is None else cache.mask,
-                unpaid_origins=unpaid,
-            )
+        # The plan keeps the working matrix patched to this epoch's
+        # storers (pristine until the first topology event), so the
+        # banded kernel runs as-is plus the dead-value LUT.
+        simulation._route_batch(
+            origins, targets, result, ids=ids, recorder=self._recorder,
+            cached=None if cache is None else cache.mask,
+            unpaid_origins=unpaid,
+            dead_lut=state.dead_lut,
+            storer_table=storer_table,
+            flat_coded=self._flat_working,
+        )
         if cache is not None:
             # Every chunk retrieved this epoch is now cached on its
             # delivery path (mask model of path caching).
-            cache.insert(slab_targets)
-        self._epoch += 1
-        return result
+            cache.insert(targets)
 
     def close(self) -> None:
         """Restore the shared coded matrix; the session is done."""

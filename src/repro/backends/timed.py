@@ -3,15 +3,16 @@
 The hop kernel answers "how many hops and who forwarded"; this module
 answers "*when* did each chunk arrive". It runs in two phases:
 
-1. **Path recording** — the same terminal-coded routing matrices, the
-   same target-sorted hop waves, the same epoch-patched scenario
-   plumbing as :class:`~repro.backends.fast.FastSimulation`, with one
-   addition: each wave also records ``(chunk id, receiver)`` so every
-   retrieval leaves a concrete node path behind. Every counter
-   (forwarded, first-hop, hop histogram, income, fallbacks, cache
-   hits) is computed with the same arithmetic in the same order, so
-   the hop-count projection of a time run is **bit-identical** to the
-   fast backend — the golden-fixture equivalence suite pins this.
+1. **Path recording** — the workload routes through the fast
+   backend's own kernel and epoch loop
+   (:class:`~repro.backends.fast.StreamSession` over
+   ``FastSimulation._route_waves``), with a path recorder observing
+   it: each wave reports ``(chunk id, receiver)``, so every retrieval
+   leaves a concrete node path behind. Every counter (forwarded,
+   first-hop, hop histogram, income, fallbacks, cache hits) therefore
+   comes from the very code the fast backend runs, so the hop-count
+   projection of a time run is **bit-identical** to the fast backend
+   — the golden-fixture equivalence suite pins this.
 2. **Fluid timeline** — a vectorized event wheel over the recorded
    paths, driven by the :class:`~repro.engine.des.EventScheduler`.
    Each in-flight chunk carries ``(remaining_bytes, path, hop_index)``;
@@ -35,10 +36,7 @@ to closed form (latency = ``2 * hops * hop_latency``), which is both
 the equivalence mode against the static kernel and the pure
 propagation-delay model.
 
-Not supported here: the decoded three-column reference mode
-(:data:`~repro.backends.fast.DECODED_DYNAMICS_ENV` is ignored —
-dynamic epochs always route through the patched-static kernel) and
-the legacy per-file loop.
+Not supported here: the legacy per-file loop.
 """
 
 from __future__ import annotations
@@ -96,7 +94,12 @@ class ChunkPaths:
 
 
 class _PathRecorder:
-    """Accumulates per-wave receivers into flat per-chunk paths."""
+    """Accumulates per-wave receivers into flat per-chunk paths.
+
+    The observer :class:`~repro.backends.fast.StreamSession` hands the
+    fast kernel: every wave reports which chunk ids reached which
+    nodes.
+    """
 
     def __init__(self, n_chunks: int) -> None:
         self.n_chunks = n_chunks
@@ -106,15 +109,16 @@ class _PathRecorder:
     def record_wave(self, depth: int, ids: np.ndarray,
                     receivers: np.ndarray) -> None:
         """Chunks *ids* were forwarded to *receivers* at wave *depth*."""
+        # The kernel reuses its wave buffers: keep copies, not views.
         if ids.size:
             self._waves.setdefault(depth, []).append(
-                (ids, receivers.astype(np.int32))
+                (ids.copy(), receivers.astype(np.int32))
             )
 
     def record_zero_hop(self, ids: np.ndarray) -> None:
         """Chunks *ids* were local hits (no network path)."""
         if ids.size:
-            self._zero.append(ids)
+            self._zero.append(ids.copy())
 
     def assemble(self) -> ChunkPaths:
         """Flatten the recorded waves into contiguous per-chunk paths."""
@@ -553,7 +557,7 @@ class TimedSimulation:
         self.table = self._fast.table
         self.space = self._fast.space
 
-    # -- phase 1: recording routing mirror -----------------------------
+    # -- phase 1: path recording through the fast kernel ---------------
 
     def run(self, workload=None) -> SimulationResult:
         """Route, record paths, and simulate the transfer timeline."""
@@ -565,25 +569,16 @@ class TimedSimulation:
         result = fast.new_result()
         file_origins, sizes, targets = fast._flatten_workload(workload)
         result.files += len(sizes)
-        n_chunks = int(targets.size)
-        recorder = _PathRecorder(n_chunks)
-        arrivals = PoissonArrivals(config.arrival_rate).sample(
-            len(sizes), np.random.default_rng(config.arrival_seed)
-        )
         origins = np.repeat(file_origins, sizes)
-        if n_chunks:
-            release = np.repeat(arrivals, sizes)
-            ids = np.arange(n_chunks, dtype=np.int64)
-            scenario = config.scenario_stack()
-            if scenario is None:
-                result.chunks += n_chunks
-                self._record_route_batch(origins, targets, ids, result,
-                                         recorder=recorder)
-            else:
-                self._run_epochs(scenario, arrivals, sizes, origins,
-                                 targets, ids, result, recorder)
+        recorder = _PathRecorder(int(targets.size))
+        fast._route_slabs(origins, sizes, targets, result,
+                          recorder=recorder)
+        if targets.size:
+            arrivals = PoissonArrivals(config.arrival_rate).sample(
+                len(sizes), np.random.default_rng(config.arrival_seed)
+            )
             result.latency_ms = self._timeline(
-                recorder.assemble(), release, origins
+                recorder.assemble(), np.repeat(arrivals, sizes), origins
             )
         else:
             result.latency_ms = np.empty(0, dtype=np.float64)
@@ -595,17 +590,17 @@ class TimedSimulation:
         """Consume an iterator of micro-batches of download events.
 
         The time-domain sibling of ``FastSimulation.run_stream``: the
-        recording kernel rides the same persistent
+        path recorder rides the same persistent
         :class:`~repro.backends.fast.StreamSession` (one plan, coded
-        patches reused across batches) via the session's router hook,
-        and Poisson arrivals continue the *same* RNG stream across
-        batches — per-batch exponential draws consume the generator
-        exactly as the one-shot run's single draw does, and the
-        arrival cumsum is continued sequentially from the previous
-        batch's last arrival, so the streamed arrival times are
-        bit-identical to the batch run's. Routing state is bounded;
-        the fluid timeline is the one whole-stream piece (latency is
-        a per-chunk output), assembled once after the stream ends.
+        patches reused across batches), and Poisson arrivals continue
+        the *same* RNG stream across batches — per-batch exponential
+        draws consume the generator exactly as the one-shot run's
+        single draw does, and the arrival cumsum is continued
+        sequentially from the previous batch's last arrival, so the
+        streamed arrival times are bit-identical to the batch run's.
+        Routing state is bounded; the fluid timeline is the one
+        whole-stream piece (latency is a per-chunk output), assembled
+        once after the stream ends.
         """
         from .fast import StreamSession
 
@@ -621,13 +616,8 @@ class TimedSimulation:
         origin_parts: list[np.ndarray] = []
         chunk_base = 0
 
-        def router(origins, targets, result, *, ids=None,
-                   **kwargs) -> None:
-            self._record_route_batch(origins, targets, ids, result,
-                                     recorder=recorder, **kwargs)
-
         with StreamSession(fast, result=result, n_epochs=n_epochs,
-                           router=router) as session:
+                           recorder=recorder) as session:
             for batch in batches:
                 file_origins, sizes, targets = fast.flatten_events(batch)
                 if sizes.size == 0:
@@ -665,254 +655,6 @@ class TimedSimulation:
             result.latency_ms = np.empty(0, dtype=np.float64)
         result.elapsed_seconds = time.perf_counter() - started
         return result
-
-    def _run_epochs(self, scenario, arrivals, sizes, origins, targets,
-                    ids, result, recorder) -> None:
-        """Mirror of the fast engine's epoch slab loop, with timestamps."""
-        from ..perf.table_cache import global_table_cache
-        from ..scenarios.base import ScenarioContext
-        from ..scenarios.plan import EpochPlan
-
-        config = self.config
-        fast = self._fast
-        coded_working = global_table_cache().writable_coded(self.table)
-        flat_working = coded_working.reshape(-1)
-        entry_dt = self.table.entry_dtype
-        starts = range(0, len(sizes), config.batch_files)
-        plan = EpochPlan(
-            scenario,
-            ScenarioContext(
-                n_nodes=self.table.n_nodes,
-                n_epochs=len(starts),
-                space_size=self.space.size,
-                overlay_seed=config.overlay_seed,
-            ),
-            table_fingerprint=self.overlay.fingerprint(),
-            base_storers=self.table.storer,
-            addresses=self.overlay.address_array(),
-            coded=coded_working,
-            timestamps=arrivals[np.asarray(starts)],
-        )
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        try:
-            for epoch, start in enumerate(starts):
-                stop = min(start + config.batch_files, len(sizes))
-                lo, hi = int(offsets[start]), int(offsets[stop])
-                state = plan.epoch(epoch)
-                slab_origins = origins[lo:hi]
-                slab_targets = targets[lo:hi]
-                slab_ids = ids[lo:hi]
-                result.chunks += int(slab_origins.size)
-                if state.origin_map is not None:
-                    slab_origins = state.origin_map[slab_origins].astype(
-                        entry_dt
-                    )
-                unpaid = state.unpaid
-                alive = state.alive
-                storers = None
-                storer_table = None
-                if alive is not None:
-                    if not alive.any():
-                        result.unavailable += int(slab_origins.size)
-                        continue
-                    storer_table = (
-                        state.storers if state.storers is not None
-                        else self.table.storer
-                    )
-                    storers = storer_table[slab_targets]
-                    dead = ~alive[slab_origins] | ~alive[storers]
-                    if dead.any():
-                        result.unavailable += int(np.count_nonzero(dead))
-                        keep = ~dead
-                        slab_origins = slab_origins[keep]
-                        slab_targets = slab_targets[keep]
-                        storers = storers[keep]
-                        slab_ids = slab_ids[keep]
-                cache = state.cache
-                if alive is not None:
-                    self._record_route_batch(
-                        slab_origins, slab_targets, slab_ids, result,
-                        storers=storers,
-                        cached=None if cache is None else cache.mask,
-                        unpaid_origins=unpaid,
-                        dead_lut=state.dead_lut,
-                        storer_table=storer_table,
-                        flat_coded=flat_working,
-                        recorder=recorder,
-                    )
-                else:
-                    self._record_route_batch(
-                        slab_origins, slab_targets, slab_ids, result,
-                        storers=storers,
-                        cached=None if cache is None else cache.mask,
-                        unpaid_origins=unpaid,
-                        recorder=recorder,
-                    )
-                if cache is not None:
-                    cache.insert(slab_targets)
-        finally:
-            plan.restore_coded()
-
-    def _record_route_batch(self, origins, targets, ids, result, *,
-                            storers=None, cached=None,
-                            unpaid_origins=None, dead_lut=None,
-                            storer_table=None, flat_coded=None,
-                            recorder) -> None:
-        """Mirror of ``FastSimulation._route_batch`` that keeps ids.
-
-        Same target-stable sort, same local-hit prefilter and cache-hit
-        split, so every chunk takes the same wave sequence — only the
-        id column rides along for path attribution.
-        """
-        if origins.size == 0:
-            return
-        table = self.table
-        dtype = table.entry_dtype
-        n = table.n_nodes
-        order = np.argsort(targets, kind="stable")
-        tg = np.take(targets, order)
-        cur = np.take(origins, order)
-        ids = np.take(ids, order)
-        if cur.dtype != dtype:
-            cur = cur.astype(dtype)
-        row = np.multiply(tg, n, dtype=np.intp)
-        patched = flat_coded is not None
-
-        if cached is None and (patched or storers is None):
-            self._record_waves(cur, tg, row, ids, result, unpaid_origins,
-                               dead_lut=dead_lut,
-                               fallback_storers=storer_table,
-                               flat_table=flat_coded, recorder=recorder)
-            return
-
-        if storers is None:
-            st = np.take(table.storer, tg)
-        else:
-            st = np.take(storers, order)
-            if st.dtype != dtype:
-                st = st.astype(dtype)
-
-        keep_mask = st != cur
-        local_count = int(tg.size - np.count_nonzero(keep_mask))
-        if local_count:
-            result.local_hits += local_count
-            result.hop_histogram[0] = (
-                result.hop_histogram.get(0, 0) + local_count
-            )
-            recorder.record_zero_hop(ids[~keep_mask])
-
-        if cached is not None:
-            hits = keep_mask & cached[tg]
-            if hits.any():
-                hit_index = np.flatnonzero(hits)
-                self._record_waves(
-                    np.take(cur, hit_index), np.take(tg, hit_index),
-                    np.take(row, hit_index), np.take(ids, hit_index),
-                    result, unpaid_origins, first_hop_serves=True,
-                    dead_lut=dead_lut if patched else None,
-                    fallback_storers=storer_table if patched else None,
-                    flat_table=flat_coded, recorder=recorder,
-                )
-                keep_mask &= ~hits
-
-        if not np.count_nonzero(keep_mask):
-            return
-        index = np.flatnonzero(keep_mask)
-        self._record_waves(
-            np.take(cur, index), np.take(tg, index), np.take(row, index),
-            np.take(ids, index), result, unpaid_origins,
-            dead_lut=dead_lut if patched else None,
-            fallback_storers=storer_table if patched else None,
-            flat_table=flat_coded, recorder=recorder,
-        )
-
-    def _record_waves(self, cur, tg, row, ids, result, unpaid_origins, *,
-                      first_hop_serves=False, dead_lut=None,
-                      fallback_storers=None, flat_table=None,
-                      recorder) -> None:
-        """Path-recording twin of the static banded wave kernel.
-
-        Counter arithmetic (band sums, local in-band detection at wave
-        1, fallback counting, first-hop payment with the decoded
-        server column) matches ``FastSimulation._route_waves`` update
-        for update — the equivalence suite holds the two bit-identical
-        — with per-wave ``(ids, receivers)`` recording layered on top.
-        """
-        fast = self._fast
-        table = self.table
-        dtype = table.entry_dtype
-        n = table.n_nodes
-        if flat_table is None:
-            flat_table = table.flat_coded
-        first_tg = tg
-        size = int(cur.size)
-        hop = 0
-        while size:
-            hop += 1
-            flat = row + cur
-            nxt = flat_table[flat]
-            if dead_lut is not None:
-                dead_idx = np.flatnonzero(dead_lut[nxt])
-                if dead_idx.size:
-                    nxt[dead_idx] = dtype.type(2 * n) + (
-                        fallback_storers[row[dead_idx] // n]
-                    )
-            local_mask = None
-            local_count = 0
-            if hop == 1:
-                local_mask = nxt == cur + dtype.type(2 * n)
-                local_count = int(np.count_nonzero(local_mask))
-                if local_count:
-                    nxt[local_mask] += dtype.type(n)
-                    result.local_hits += local_count
-                    result.hop_histogram[0] = (
-                        result.hop_histogram.get(0, 0) + local_count
-                    )
-                    recorder.record_zero_hop(ids[local_mask])
-                else:
-                    local_mask = None
-            bands = np.bincount(nxt.astype(np.intp), minlength=4 * n)
-            wave_counts = (bands[:n] + bands[n:2 * n]
-                           + bands[2 * n:3 * n])
-            fallbacks = int(bands[2 * n:3 * n].sum())
-            if fallbacks:
-                result.fallbacks += fallbacks
-            result.forwarded += wave_counts
-            result.total_hops += size - local_count
-            servers = FastSimulation._decode_servers(nxt, n)
-            servers_intp = servers.astype(np.intp)
-            if hop == 1:
-                result.first_hop += wave_counts
-                fast._pay_first_hop(
-                    result, servers, first_tg, cur, unpaid_origins,
-                    servers_intp=servers_intp, suppressed=local_mask,
-                )
-            if local_mask is not None:
-                live = ~local_mask
-                recorder.record_wave(hop, ids[live], servers[live])
-            else:
-                recorder.record_wave(hop, ids, servers)
-            if hop == 1 and first_hop_serves:
-                served = size - local_count
-                result.cache_hits += served
-                result.hop_histogram[1] = (
-                    result.hop_histogram.get(1, 0) + served
-                )
-                return
-            keep = nxt < dtype.type(n)
-            survivors = int(np.count_nonzero(keep))
-            arrived = size - survivors - local_count
-            if arrived:
-                result.hop_histogram[hop] = (
-                    result.hop_histogram.get(hop, 0) + arrived
-                )
-            if not survivors:
-                return
-            index = np.flatnonzero(keep)
-            cur = nxt[index]
-            row = row[index]
-            ids = ids[index]
-            size = survivors
 
     # -- phase 2: the timeline -----------------------------------------
 

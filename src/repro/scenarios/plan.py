@@ -139,11 +139,6 @@ class EpochState:
     (:func:`~repro.kademlia.table.dead_value_lut`) when any node is
     offline, else ``None`` — the patched-static kernel gathers it per
     hop to spot coded values that point at dead nodes.
-    ``timestamp`` is when this epoch begins on the simulation clock
-    (seconds): the timeless engines leave it at 0.0, the time-domain
-    backend sets it to the arrival time of the epoch's first file, so
-    scenario events (churn draws, cache flips) land at a wall-clock
-    instant instead of an abstract slab index.
     """
 
     index: int
@@ -153,7 +148,6 @@ class EpochState:
     unpaid: np.ndarray | None
     origin_map: np.ndarray | None
     dead_lut: np.ndarray | None = None
-    timestamp: float = 0.0
 
 
 class EpochPlan:
@@ -189,24 +183,18 @@ class EpochPlan:
         A *writable* terminal-coded routing matrix
         (``coded_transposed``, shape ``(space_size, n_nodes)``) for
         in-place epoch patching, or ``None`` to skip coded patching
-        (the decoded reference mode). When given, the plan keeps an
-        absolute sparse :class:`~repro.kademlia.table.CodedPatch` per
+        (the decoded test oracle routes without it). When given, the
+        plan keeps an absolute sparse
+        :class:`~repro.kademlia.table.CodedPatch` per
         storer-recomputing epoch applied to it, reverting on every
         epoch transition and on :meth:`restore_coded`, so the matrix
         is bit-exact pristine again when the run finishes.
-    timestamps:
-        Per-epoch start times on the simulation clock (seconds,
-        ``n_epochs`` entries), or ``None`` for the timeless engines
-        (every :attr:`EpochState.timestamp` stays 0.0). The time
-        backend passes each slab's first file-arrival time, turning
-        epoch boundaries into wall-clock instants.
     """
 
     def __init__(self, scenario: Scenario, ctx: ScenarioContext, *,
                  table_fingerprint: str, base_storers: np.ndarray,
                  addresses: np.ndarray, epoch_tables=None,
-                 coded: np.ndarray | None = None,
-                 timestamps: np.ndarray | None = None) -> None:
+                 coded: np.ndarray | None = None) -> None:
         if epoch_tables is None:
             from ..perf.table_cache import global_epoch_table_cache
 
@@ -250,14 +238,6 @@ class EpochPlan:
                 "for in-place patching; pass "
                 "TableCache.writable_coded(table)"
             )
-        if timestamps is not None:
-            timestamps = np.asarray(timestamps, dtype=np.float64)
-            if timestamps.shape != (ctx.n_epochs,):
-                raise ConfigurationError(
-                    f"timestamps must carry one start time per epoch "
-                    f"({ctx.n_epochs}), got shape {timestamps.shape}"
-                )
-        self._timestamps = timestamps
         self._coded = coded
         self._flat_coded = None if coded is None else coded.reshape(-1)
         self._coded_patch = None
@@ -335,8 +315,6 @@ class EpochPlan:
             unpaid=self._unpaid,
             origin_map=self._origin_map,
             dead_lut=self._dead_lut,
-            timestamp=(0.0 if self._timestamps is None
-                       else float(self._timestamps[index])),
         )
 
     # ------------------------------------------------------------------

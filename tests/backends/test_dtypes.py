@@ -125,10 +125,6 @@ class TestTableRepresentation:
             coded[stalled] - 2 * n, storer_grid[stalled]
         )
 
-    def test_storer_idx_is_an_alias_not_a_copy(self, small_overlay):
-        table = NextHopTable(small_overlay)
-        assert table.storer_idx is table.storer
-
 
 class TestWorkloadDtypes:
     def test_flattened_workload_is_compact(self):

@@ -1,11 +1,11 @@
-"""Patched-static dynamics routing == the decoded reference, bit for bit.
+"""Patched-static dynamics routing == the decoded oracle, bit for bit.
 
-The tentpole claim of the sparse epoch-patching work: churn epochs run
-through the *static* banded kernel — over an in-place patched coded
-matrix plus a dead-value LUT — and produce exactly the numbers the
-decoded dynamic mode (kept behind ``REPRO_DECODED_DYNAMICS``) does.
-Not statistically equivalent: every counter, every per-node vector,
-every histogram bucket identical.
+The claim of the sparse epoch-patching work: churn epochs run through
+the *static* banded kernel — over an in-place patched coded matrix
+plus a dead-value LUT — and produce exactly the numbers the decoded
+dynamic mode (kept as the oracle in ``decoded_oracle.py``) does. Not
+statistically equivalent: every counter, every per-node vector, every
+histogram bucket identical.
 """
 
 from __future__ import annotations
@@ -16,12 +16,15 @@ import pytest
 from repro.backends import run_simulation
 from repro.backends.config import FastSimulationConfig
 from repro.backends.fast import (
-    DECODED_DYNAMICS_ENV,
     NextHopTable,
     cached_overlay,
     clear_caches,
 )
 from repro.perf.table_cache import EPOCH_TABLE_LOG_ENV, global_table_cache
+
+from .decoded_oracle import run_decoded
+from .test_golden import GOLDEN_CONFIG
+from .test_golden_scenarios import SCENARIO_GOLDEN_CONFIGS
 
 BASE = dict(
     n_nodes=120, bits=12, bucket_size=4, n_files=48,
@@ -50,19 +53,11 @@ def _isolated_caches():
     clear_caches()
 
 
-def run_config(monkeypatch, scenario: str, *, decoded: bool):
-    if decoded:
-        monkeypatch.setenv(DECODED_DYNAMICS_ENV, "1")
-    else:
-        monkeypatch.delenv(DECODED_DYNAMICS_ENV, raising=False)
+def assert_matches_oracle(config: FastSimulationConfig) -> None:
     clear_caches()
-    return run_simulation(FastSimulationConfig(**BASE, scenario=scenario))
-
-
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_patched_matches_decoded_exactly(monkeypatch, scenario):
-    patched = run_config(monkeypatch, scenario, decoded=False)
-    decoded = run_config(monkeypatch, scenario, decoded=True)
+    patched = run_simulation(config)
+    clear_caches()
+    decoded = run_decoded(config)
     for name in ("files", "chunks", "total_hops", "fallbacks",
                  "local_hits", "cache_hits", "unavailable"):
         assert getattr(patched, name) == getattr(decoded, name), name
@@ -73,9 +68,24 @@ def test_patched_matches_decoded_exactly(monkeypatch, scenario):
         ), name
 
 
-def test_coded_matrix_is_pristine_after_patched_run(monkeypatch):
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_patched_matches_decoded_exactly(scenario):
+    assert_matches_oracle(FastSimulationConfig(**BASE, scenario=scenario))
+
+
+@pytest.mark.parametrize(
+    "name", ["static", *sorted(SCENARIO_GOLDEN_CONFIGS)]
+)
+def test_golden_configs_match_decoded_exactly(name):
+    """Static epochs and cache hits agree with the decoded mode too."""
+    assert_matches_oracle(
+        GOLDEN_CONFIG if name == "static"
+        else SCENARIO_GOLDEN_CONFIGS[name]
+    )
+
+
+def test_coded_matrix_is_pristine_after_patched_run():
     """The working copy reverts bit-exactly when a run finishes."""
-    monkeypatch.delenv(DECODED_DYNAMICS_ENV, raising=False)
     config = FastSimulationConfig(
         **BASE, scenario="churn:rate=0.2,recompute=true"
     )
@@ -95,7 +105,6 @@ def test_epoch_log_records_coded_patch_lifecycle(monkeypatch, tmp_path):
     chained fingerprint; a second run in the same process serves every
     patch from cache.
     """
-    monkeypatch.delenv(DECODED_DYNAMICS_ENV, raising=False)
     log = tmp_path / "epoch-tables.log"
     monkeypatch.setenv(EPOCH_TABLE_LOG_ENV, str(log))
     config = FastSimulationConfig(
@@ -117,14 +126,13 @@ def test_epoch_log_records_coded_patch_lifecycle(monkeypatch, tmp_path):
     assert [e for _, e in coded].count("revert") == 2 * n_epochs
 
 
-def test_clear_caches_drops_working_copies(monkeypatch):
+def test_clear_caches_drops_working_copies():
     """clear_caches covers the coded working copies.
 
     Built tables are patched in place (no copy), so the working-copy
     path only engages for read-only tables — the shape shared-memory
     attachments have. Freeze one to stand in for an attachment.
     """
-    monkeypatch.delenv(DECODED_DYNAMICS_ENV, raising=False)
     config = FastSimulationConfig(
         **BASE, scenario="churn:rate=0.2,recompute=true"
     )

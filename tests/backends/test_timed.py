@@ -258,29 +258,30 @@ class TestContendedLatencyPins:
 
 
 class TestPaths:
-    def test_recorded_paths_are_consistent(self):
-        simulation = TimedSimulation(GOLDEN_CONFIG)
-        fast = simulation._fast
-        workload = GOLDEN_CONFIG.workload()
-        file_origins, sizes, targets = fast._flatten_workload(workload)
-        result = get_backend("time").prepare(GOLDEN_CONFIG).run()
-        # Total recorded path length equals total network hops.
+    @staticmethod
+    def _record(config: FastSimulationConfig):
+        """Route *config*'s workload through a recording session."""
+        from repro.backends.fast import StreamSession
         from repro.backends.timed import _PathRecorder
 
-        recorder = _PathRecorder(int(targets.size))
-        origins = np.repeat(file_origins, sizes)
-        ids = np.arange(targets.size, dtype=np.int64)
-        scratch = type(result)(
-            config=GOLDEN_CONFIG,
-            node_addresses=result.node_addresses,
-            forwarded=np.zeros(result.n_nodes, dtype=np.int64),
-            first_hop=np.zeros(result.n_nodes, dtype=np.int64),
-            income=np.zeros(result.n_nodes),
-            expenditure=np.zeros(result.n_nodes),
+        fast = TimedSimulation(config)._fast
+        file_origins, sizes, targets = fast._flatten_workload(
+            config.workload()
         )
-        simulation._record_route_batch(origins, targets, ids, scratch,
-                                       recorder=recorder)
-        paths = recorder.assemble()
+        origins = np.repeat(file_origins, sizes)
+        recorder = _PathRecorder(int(targets.size))
+        with StreamSession(fast, recorder=recorder) as session:
+            result = session.feed(
+                origins, targets,
+                ids=np.arange(targets.size, dtype=np.int64),
+            )
+        return fast.table, origins, targets, result, recorder.assemble()
+
+    def test_recorded_paths_are_consistent(self):
+        _, _, _, result, paths = self._record(GOLDEN_CONFIG)
+        timed = get_backend("time").prepare(GOLDEN_CONFIG).run()
+        assert result.total_hops == timed.total_hops
+        # Total recorded path length equals total network hops.
         assert int(paths.hops.sum()) == result.total_hops
         assert paths.zero_ids.size == result.local_hits
         # Every recorded node index is a valid dense node.
@@ -289,3 +290,31 @@ class TestPaths:
         # Routed + local = retrieved.
         assert (paths.routed_ids.size + paths.zero_ids.size
                 == result.chunks - result.unavailable)
+
+    def test_recorded_paths_are_walks_the_table_allows(self):
+        """Each path starts at the origin, follows the table, ends at
+        the storer.
+
+        Every node is ``next_hop[prev, target]``, or ``storer[target]``
+        where that entry is the sentinel (greedy stall), and the walk
+        stops exactly when it reaches ``storer[target]``.
+        """
+        table, origins, targets, _, paths = self._record(GOLDEN_CONFIG)
+        routed = paths.routed_ids
+        assert routed.size
+        next_hop = table.next_hop.astype(np.int64)
+        storer = table.storer.astype(np.int64)[targets[routed]]
+        target = targets[routed].astype(np.int64)
+        prev = origins[routed].astype(np.int64)
+        hops = paths.hops[routed]
+        offsets = paths.offsets[routed]
+        for depth in range(int(hops.max())):
+            walking = np.flatnonzero(hops > depth)
+            node = paths.nodes[offsets[walking] + depth]
+            step = next_hop[prev[walking], target[walking]]
+            expected = np.where(step == table.sentinel, storer[walking],
+                                step)
+            assert np.array_equal(node, expected), depth
+            assert np.array_equal(node == storer[walking],
+                                  hops[walking] == depth + 1), depth
+            prev[walking] = node
