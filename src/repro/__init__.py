@@ -10,8 +10,8 @@ provides:
   metrics (Gini, Lorenz, the paper's F1/F2 properties);
 * :mod:`repro.swarm` — reference Swarm network model (chunks, storage,
   retrieval, caching);
-* :mod:`repro.engine` — a cadCAD-style simulation engine plus a
-  discrete-event scheduler;
+* :mod:`repro.engine` — the discrete-event scheduler behind the time
+  backend and churn;
 * :mod:`repro.backends` — interchangeable simulation backends behind
   one protocol (batched numpy, reference network, baselines) with a
   name registry;

@@ -8,8 +8,6 @@ public API.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .errors import ConfigurationError
 
 
@@ -53,13 +51,3 @@ def require_in_range(value: float, low: float, high: float, name: str) -> None:
 def require_fraction(value: float, name: str) -> None:
     """Validate that *value* is a fraction in ``[0, 1]``."""
     require_in_range(value, 0.0, 1.0, name)
-
-
-def require_non_empty(items: Iterable[object], name: str) -> None:
-    """Validate that *items* contains at least one element."""
-    try:
-        length = len(items)  # type: ignore[arg-type]
-    except TypeError:
-        length = sum(1 for _ in items)
-    if length == 0:
-        raise ConfigurationError(f"{name} must not be empty")

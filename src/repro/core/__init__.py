@@ -1,8 +1,8 @@
 """Core contribution of the paper: incentive accounting and fairness.
 
-This subpackage contains the SWAP accounting protocol, request
-pricing, cheque settlement, time-based amortization, payment policies,
-the assembled :class:`~repro.core.incentives.SwapIncentives`
+This subpackage contains the SWAP accounting protocol (with its
+time-based amortization), request pricing, cheque settlement, payment
+policies, the assembled :class:`~repro.core.incentives.SwapIncentives`
 mechanism, and the F1/F2 fairness metrics built on the Gini
 coefficient.
 
@@ -13,9 +13,6 @@ does not import the SWAP accounting, pricing or settlement modules.
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "amortization": ["AmortizationSchedule", "ExponentialAmortization",
-                     "LinearAmortization", "NoAmortization",
-                     "make_amortization"],
     "fairness": ["FairnessReport", "LorenzCurve", "evaluate_fairness",
                  "f1_values", "f2_values", "gini", "gini_pairwise",
                  "lorenz_curve"],

@@ -1,38 +1,10 @@
-"""Simulation engine: cadCAD-style state-update executor plus a
-discrete-event kernel.
+"""Discrete-event scheduler for the simulation's time-based behaviour.
 
-The paper built its simulator on the cadCAD engine; this subpackage is
-the from-scratch equivalent (see DESIGN.md substitutions): models are
-state dictionaries evolved through ordered blocks of policy and update
-functions, executed deterministically across timesteps, Monte-Carlo
-runs and parameter sweeps. :mod:`repro.engine.des` adds an event
-queue for time-based behaviour (amortization, churn).
+:class:`~repro.engine.des.EventScheduler` drives the ``time``
+backend's event wheel and the churn model's session and downtime
+timers.
 """
 
 from .des import Event, EventScheduler, PeriodicEvent
-from .experiment import ExperimentRunner, ParameterSweep, SweepPoint
-from .results import Record, ResultSet
-from .rng import derive_seed, run_seed, substream
-from .simulation import SimulationConfig, Simulator
-from .state import Block, Model, Policy, StepContext, Updater
 
-__all__ = [
-    "Block",
-    "Event",
-    "EventScheduler",
-    "ExperimentRunner",
-    "Model",
-    "ParameterSweep",
-    "PeriodicEvent",
-    "Policy",
-    "Record",
-    "ResultSet",
-    "SimulationConfig",
-    "Simulator",
-    "StepContext",
-    "SweepPoint",
-    "Updater",
-    "derive_seed",
-    "run_seed",
-    "substream",
-]
+__all__ = ["Event", "EventScheduler", "PeriodicEvent"]

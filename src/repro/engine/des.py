@@ -1,11 +1,12 @@
 """Discrete-event scheduler.
 
-The paper's time-based behaviours — SWAP amortization, threshold
-settlement, and the churn experiments sketched in §V — need wall-clock
-time, not just cadCAD's lockstep timesteps. :class:`EventScheduler` is
-a classic priority-queue DES kernel: events fire in timestamp order
+The paper's time-based behaviours need wall-clock time: the ``time``
+backend's transfers, the churn model's sessions and downtimes (§V),
+and periodic SWAP amortization ticks (:meth:`SwarmNetwork.amortize
+<repro.swarm.network.SwarmNetwork.amortize>`). :class:`EventScheduler`
+is a classic priority-queue DES kernel: events fire in timestamp order
 (FIFO among equal timestamps), handlers may schedule further events,
-and periodic events (amortization ticks) are first-class.
+and periodic events are first-class.
 """
 
 from __future__ import annotations

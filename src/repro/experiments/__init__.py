@@ -44,7 +44,6 @@ from .paper import (
     run_headline,
     run_table1,
 )
-from .cadcad import build_paper_model, run_paper_model
 from .registry import (
     REGISTRY,
     ExperimentSpec,
@@ -64,7 +63,6 @@ __all__ = [
     "NextHopTable",
     "REGISTRY",
     "SimulationResult",
-    "build_paper_model",
     "cached_next_hop_table",
     "cached_overlay",
     "clear_caches",
@@ -84,7 +82,6 @@ __all__ = [
     "run_k_sweep",
     "run_latency",
     "run_overhead",
-    "run_paper_model",
     "run_popularity",
     "run_pricing",
     "run_privacy",

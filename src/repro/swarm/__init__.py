@@ -9,7 +9,6 @@ overlay substrate with the SWAP incentive mechanism.
 from .caching import CachePolicy, LFUCache, LRUCache, NoCache, make_cache
 from .chunk import CHUNK_SIZE, Chunk, FileManifest, random_file, split_content
 from .churn import ChurnModel, ChurnStats, depart, rejoin
-from .garbage import GarbageReport, StampIndex, collect_garbage
 from .postage import PostageBatch, PostageError, PostageOffice, PostageStamp
 from .redistribution import RedistributionGame, RoundOutcome, StakeRegistry
 from .network import DownloadReceipt, SwarmNetwork, SwarmNetworkConfig
@@ -21,7 +20,6 @@ from .storage import (
     NeighborhoodPlacement,
     PlacementPolicy,
 )
-from .sync import SyncPlan, plan_sync, pull_sync
 
 __all__ = [
     "CHUNK_SIZE",
@@ -33,9 +31,6 @@ __all__ = [
     "ClosestNodePlacement",
     "DownloadReceipt",
     "FileManifest",
-    "GarbageReport",
-    "StampIndex",
-    "collect_garbage",
     "LFUCache",
     "LRUCache",
     "NeighborhoodPlacement",
@@ -54,11 +49,8 @@ __all__ = [
     "SwarmNetwork",
     "SwarmNetworkConfig",
     "SwarmNode",
-    "SyncPlan",
     "depart",
     "make_cache",
-    "plan_sync",
-    "pull_sync",
     "random_file",
     "rejoin",
     "split_content",

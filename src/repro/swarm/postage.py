@@ -12,7 +12,7 @@ of Swarm's storage incentives, postage stamps:
   batch; storers only keep stamped chunks;
 * batches pay **rent**: each accounting round drains
   ``rent_per_chunk_round`` per issued stamp from the batch balance;
-  an empty batch *expires* and its chunks become garbage-collectable.
+  an empty batch *expires* and its stamps no longer validate.
 
 The drained rent accumulates in a pot that the redistribution game
 (:mod:`repro.swarm.redistribution`) pays back out to storage

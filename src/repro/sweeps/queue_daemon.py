@@ -53,6 +53,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import math
 import queue
 import threading
 import time
@@ -204,6 +205,9 @@ class QueueState:
         final point learns immediately — without racing a /lease poll
         against the coordinator tearing the daemon down.
         """
+        elapsed = float(elapsed)
+        if not math.isfinite(elapsed):
+            raise ValueError(f"elapsed must be finite, got {elapsed!r}")
         record = dict(record)
         point_id = record["point_id"]
         with self._lock:
@@ -215,7 +219,7 @@ class QueueState:
                 self.completed[point_id] = record
                 self.terminal.pop(point_id, None)
                 self.events.put(
-                    ("result", record, int(index), float(elapsed))
+                    ("result", record, int(index), elapsed)
                 )
             return {
                 "ok": True,
@@ -401,7 +405,8 @@ class _QueueHandler(BaseHTTPRequestHandler):
                 self._reply(self.state.heartbeat(str(body["worker"])))
             else:
                 self._reply({"error": f"unknown path {self.path}"}, 404)
-        except (KeyError, TypeError, ValueError, RecursionError) as error:
+        except (KeyError, TypeError, ValueError, OverflowError,
+                RecursionError) as error:
             self._reply({"error": f"bad request: {error!r}"}, 400)
 
 

@@ -10,7 +10,6 @@ from repro._validation import (
     require_fraction,
     require_in_range,
     require_int,
-    require_non_empty,
     require_non_negative,
     require_positive,
 )
@@ -81,12 +80,3 @@ class TestValidationHelpers:
         require_fraction(1.0, "x")
         with pytest.raises(ConfigurationError):
             require_fraction(1.01, "x")
-
-    def test_require_non_empty(self):
-        require_non_empty([1], "items")
-        with pytest.raises(ConfigurationError, match="empty"):
-            require_non_empty([], "items")
-        # Works on plain iterables without len().
-        require_non_empty(iter([1]), "items")
-        with pytest.raises(ConfigurationError):
-            require_non_empty(iter([]), "items")

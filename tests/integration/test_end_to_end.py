@@ -6,18 +6,10 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import gini
-from repro.engine import (
-    Block,
-    Model,
-    SimulationConfig,
-    Simulator,
-)
 from repro.backends.fast import FastSimulation, FastSimulationConfig
 from repro.kademlia.overlay import OverlayConfig
 from repro.swarm.chunk import split_content
 from repro.swarm.network import SwarmNetwork, SwarmNetworkConfig
-from repro.workloads import paper_workload
 
 
 class TestQuickSimulation:
@@ -52,51 +44,6 @@ class TestContentRoundTrip:
         ):
             server = network.node(retrieval.served_by)
             assert server.has_chunk(address) or retrieval.source == "local"
-
-
-class TestEngineDrivesSwarm:
-    def test_cadcad_style_swarm_model(self):
-        """A cadCAD-style model whose timestep is one file download."""
-        network = SwarmNetwork(SwarmNetworkConfig(
-            overlay=OverlayConfig(n_nodes=60, bits=12, seed=4),
-        ))
-        workload = paper_workload(n_files=20, originator_share=1.0, seed=2)
-        events = workload.materialize(
-            network.overlay.address_array(), network.overlay.space
-        )
-
-        def download_policy(context):
-            event = events[context.timestep - 1]
-            from repro.swarm.chunk import FileManifest
-
-            manifest = FileManifest(
-                file_id=event.file_id,
-                chunk_addresses=tuple(
-                    int(a) for a in event.chunk_addresses[:20]
-                ),
-            )
-            network.download_file(int(event.originator), manifest)
-            return {"downloaded": manifest.chunk_addresses}
-
-        model = Model(
-            initial_state={"f2_gini": 0.0},
-            blocks=(
-                Block(
-                    name="download",
-                    policies=(download_policy,),
-                    updates={
-                        "f2_gini": lambda c, s: gini(
-                            network.income_per_node()
-                        ),
-                    },
-                ),
-            ),
-        )
-        results = Simulator(model).run(SimulationConfig(timesteps=20))
-        series = results.series("f2_gini", run=0)
-        assert len(series) == 21
-        assert 0.0 <= series[-1] <= 1.0
-        assert network.files_downloaded == 20
 
 
 class TestMultiMachineStory:

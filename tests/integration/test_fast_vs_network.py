@@ -1,10 +1,10 @@
-"""Integration: all three execution styles agree on the same workload.
+"""Integration: the fast backend agrees with the reference network.
 
-The library offers three ways to run the paper's simulation:
-the vectorized backend (FastSimulation), the reference network driven
-directly (SwarmNetwork.download_file), and the cadCAD-style model
-(one timestep = one download). On a shared overlay and workload all
-three must report identical traffic and fairness.
+The library runs the paper's simulation two ways: the vectorized
+backend (FastSimulation) and the reference network driven directly,
+one ``SwarmNetwork.download_file`` call per download (what the
+``reference`` backend does for each event). On a shared overlay and
+workload both must report identical traffic and fairness.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.cadcad import run_paper_model
 from repro.backends.fast import FastSimulation, FastSimulationConfig
+from repro.swarm.chunk import FileManifest
 from repro.swarm.network import SwarmNetwork, SwarmNetworkConfig
 
 
@@ -34,40 +34,46 @@ def outcomes():
     events = CONFIG.workload().materialize(
         network.overlay.address_array(), network.overlay.space
     )
-    results = run_paper_model(network, events)
-    return fast, network, results
+    receipts = [
+        network.download_file(int(event.originator), FileManifest(
+            file_id=event.file_id,
+            chunk_addresses=tuple(int(a) for a in event.chunk_addresses),
+        ))
+        for event in events
+    ]
+    return fast, network, receipts
 
 
-class TestThreeBackendsAgree:
+class TestFastAgreesWithNetwork:
     def test_total_traffic_identical(self, outcomes):
-        fast, network, results = outcomes
+        fast, network, receipts = outcomes
         assert int(fast.forwarded.sum()) == int(
             network.forwarded_per_node().sum()
         )
-        assert results.final_state(0)["total_hops"] == int(
+        assert sum(r.total_hops for r in receipts) == int(
             fast.forwarded.sum()
         )
 
     def test_per_node_traffic_identical(self, outcomes):
-        fast, network, _results = outcomes
+        fast, network, _receipts = outcomes
         assert np.array_equal(fast.forwarded, network.forwarded_per_node())
         assert np.array_equal(fast.first_hop, network.first_hop_per_node())
 
     def test_chunk_counts_identical(self, outcomes):
-        fast, _network, results = outcomes
-        assert results.final_state(0)["chunks_transferred"] == fast.chunks
+        fast, _network, receipts = outcomes
+        assert sum(r.chunks for r in receipts) == fast.chunks
 
     def test_fairness_identical(self, outcomes):
-        fast, network, results = outcomes
-        final = results.final_state(0)
-        assert final["f2_gini"] == pytest.approx(fast.f2_gini(), abs=1e-9)
-        assert final["f1_gini"] == pytest.approx(fast.f1_gini(), abs=1e-9)
+        fast, network, _receipts = outcomes
+        assert network.paper_f1().f1_gini == pytest.approx(
+            fast.f1_gini(), abs=1e-9
+        )
         assert network.fairness().f2_gini == pytest.approx(
             fast.f2_gini(), abs=1e-9
         )
 
     def test_files_counted(self, outcomes):
-        fast, network, results = outcomes
+        fast, network, receipts = outcomes
         assert fast.files == CONFIG.n_files
         assert network.files_downloaded == CONFIG.n_files
-        assert results.final_state(0)["files_downloaded"] == CONFIG.n_files
+        assert len(receipts) == CONFIG.n_files

@@ -78,6 +78,27 @@ class TestOrdering:
             for index, tick in enumerate(ticks)
         )
 
+    @given(st.lists(times, min_size=1, max_size=50))
+    def test_events_fire_in_nondecreasing_time(self, values):
+        scheduler = EventScheduler()
+        fired: list[float] = []
+        for value in values:
+            scheduler.schedule_at(value, lambda s, t: fired.append(t))
+        scheduler.run_all()
+        assert fired == sorted(fired)
+        assert len(fired) == len(values)
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=100.0),
+                    min_size=1, max_size=30),
+           st.floats(min_value=0.0, max_value=100.0))
+    def test_run_until_partitions_events(self, values, horizon):
+        scheduler = EventScheduler()
+        for value in values:
+            scheduler.schedule_at(value, lambda s, t: None)
+        fired = scheduler.run_until(horizon)
+        assert fired == sum(1 for t in values if t <= horizon)
+        assert len(scheduler) == len(values) - fired
+
 
 class TestGuards:
     @given(st.integers(min_value=1, max_value=200))

@@ -339,6 +339,36 @@ class TestDaemonHTTP:
         finally:
             daemon.close()
 
+    @pytest.mark.parametrize("path, field, literal", [
+        ("/lease", "count", "Infinity"),
+        ("/lease", "count", "1e400"),
+        ("/complete", "index", "-Infinity"),
+        ("/complete", "elapsed", "NaN"),
+    ])
+    def test_non_finite_number_is_a_bad_request(self, path, field,
+                                                literal):
+        # json.loads accepts these literals (1e400 overflows to inf);
+        # int(inf) raises OverflowError and a NaN elapsed would reach
+        # the coordinator's outcome as it is.
+        state, _ = make_state()
+        daemon = SweepQueueDaemon(state).start()
+        try:
+            leased = http_json(f"{daemon.url}/lease", {"worker": "w"})
+            point_id = leased["points"][0]["point"]["point_id"]
+            body = {"worker": "w", "count": 1, "index": 0,
+                    "record": fake_record(point_id), "elapsed": 0.1,
+                    field: "@"}
+            raw = json.dumps(body).replace('"@"', literal).encode()
+            with pytest.raises(urllib.error.HTTPError) as bad:
+                urllib.request.urlopen(urllib.request.Request(
+                    f"{daemon.url}{path}", data=raw,
+                ), timeout=10.0)
+            assert bad.value.code == 400
+            bad.value.close()
+            assert http_json(f"{daemon.url}/status")["completed"] == 0
+        finally:
+            daemon.close()
+
     @pytest.mark.parametrize("length", ["-1", "ten"])
     def test_invalid_content_length_is_refused_unread(self, length):
         state, _ = make_state()
