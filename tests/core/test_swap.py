@@ -175,6 +175,101 @@ class TestAmortizeAll:
         with pytest.raises(ConfigurationError):
             SwapLedger().amortize_all(-1.0)
 
+    def test_zero_units_forgive_nothing(self):
+        ledger = SwapLedger()
+        ledger.record_service(1, 2, 4.0)
+        assert ledger.amortize_all(0.0) == 0.0
+        assert ledger.balance(1, 2) == 4.0
+        assert ledger.total_amortized == 0.0
+
+    def test_empty_ledger_forgives_nothing(self):
+        ledger = SwapLedger()
+        assert ledger.amortize_all(5.0) == 0.0
+        assert ledger.channels() == []
+
+    def test_total_accumulates_across_ticks(self):
+        ledger = SwapLedger()
+        ledger.record_service(1, 2, 10.0)
+        for _ in range(3):
+            ledger.amortize_all(2.0)
+        assert ledger.balance(1, 2) == pytest.approx(4.0)
+        assert ledger.total_amortized == pytest.approx(6.0)
+
+    def test_drained_channels_stop_forgiving(self):
+        ledger = SwapLedger()
+        ledger.record_service(1, 2, 3.0)
+        assert ledger.amortize_all(2.0) == pytest.approx(2.0)
+        assert ledger.amortize_all(2.0) == pytest.approx(1.0)
+        assert ledger.amortize_all(2.0) == 0.0
+        assert ledger.total_amortized == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("provider,consumer", [(1, 2), (2, 1)])
+    @pytest.mark.parametrize("units", [1.0, 5.0, 50.0])
+    def test_never_flips_who_owes_whom(self, provider, consumer, units):
+        ledger = SwapLedger()
+        ledger.record_service(provider, consumer, 5.0)
+        forgiven = ledger.amortize_all(units)
+        assert forgiven == pytest.approx(min(units, 5.0))
+        assert ledger.balance(provider, consumer) == pytest.approx(
+            max(5.0 - units, 0.0))
+        assert ledger.balance(consumer, provider) <= 0.0
+
+    def test_forgives_the_sum_of_debts_when_units_cover_them(self):
+        ledger = SwapLedger()
+        ledger.record_service(1, 2, 4.0)
+        ledger.record_service(3, 1, 2.5)
+        ledger.record_service(4, 5, 1.0)
+        assert ledger.amortize_all(100.0) == pytest.approx(7.5)
+        assert all(channel.balance == 0.0 for channel in ledger.channels())
+
+    def test_aggregates_untouched(self):
+        ledger = SwapLedger()
+        ledger.record_service(1, 2, 8.0)
+        ledger.pay(2, 1, 3.0)
+        ledger.amortize_all(100.0)
+        assert ledger.service_provided[1] == 8.0
+        assert ledger.service_consumed[2] == 8.0
+        assert ledger.income[1] == 3.0
+        assert ledger.expenditure[2] == 3.0
+        assert ledger.channel(1, 2).transferred_units == 8.0
+
+    def test_clears_a_due_settlement(self):
+        ledger = SwapLedger(SwapThresholds(payment=10.0, disconnect=20.0))
+        ledger.record_service(1, 2, 12.0)
+        assert ledger.settlement_due(1, 2) == pytest.approx(12.0)
+        ledger.amortize_all(3.0)
+        assert ledger.settlement_due(1, 2) == 0.0
+
+    def test_restores_headroom_below_disconnect(self):
+        ledger = SwapLedger(SwapThresholds(payment=10.0, disconnect=20.0))
+        ledger.record_service(1, 2, 18.0)
+        assert ledger.would_disconnect(1, 2, 5.0)
+        ledger.amortize_all(4.0)
+        assert not ledger.would_disconnect(1, 2, 5.0)
+
+    def test_forgiven_debt_cannot_be_settled(self):
+        ledger = SwapLedger()
+        ledger.record_service(1, 2, 5.0)
+        ledger.amortize_all(4.0)
+        with pytest.raises(AccountingError, match="only"):
+            ledger.pay(2, 1, 2.0)
+        ledger.pay(2, 1, 1.0)
+        assert ledger.balance(1, 2) == pytest.approx(0.0)
+
+    def test_channel_with_zero_balance_forgives_nothing(self):
+        channel = SwapChannel(low=1, high=2)
+        channel.provide(1, 3.0)
+        channel.provide(2, 3.0)
+        assert channel.amortize(10.0) == 0.0
+        assert channel.balance == 0.0
+
+    def test_channel_negative_units_rejected(self):
+        channel = SwapChannel(low=1, high=2)
+        channel.provide(1, 3.0)
+        with pytest.raises(ConfigurationError):
+            channel.amortize(-0.5)
+        assert channel.balance == 3.0
+
 
 class TestVectors:
     def test_aligned_with_node_list(self):

@@ -150,6 +150,105 @@ def test_every_module_is_reached_from_an_entry_point():
     assert unreached == [], f"no entry point reaches {unreached}"
 
 
+def write_tree(root: Path, files: dict[str, str]) -> ImportGraph:
+    """Write *files* under *root* and return the graph of ``pkg``."""
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return ImportGraph(root, "pkg")
+
+
+def test_relative_imports_resolve_against_the_package(tmp_path):
+    graph = write_tree(tmp_path, {
+        "pkg/__init__.py": "",
+        "pkg/a/__init__.py": "",
+        "pkg/a/main.py": "from ..b import helper\nfrom . import sib\n",
+        "pkg/a/sib.py": "",
+        "pkg/b.py": "def helper(): ...\n",
+        "pkg/c.py": "",
+    })
+    assert graph.edges("pkg.a.main") == {"pkg.b", "pkg.a.sib"}
+    assert graph.unreached(["pkg.a.main"]) == ["pkg.c"]
+
+
+def test_plain_import_of_a_dotted_module(tmp_path):
+    graph = write_tree(tmp_path, {
+        "pkg/__init__.py": "",
+        "pkg/main.py": "import pkg.tools.fmt\nimport json\n",
+        "pkg/tools/__init__.py": "",
+        "pkg/tools/fmt.py": "",
+        "pkg/tools/other.py": "",
+    })
+    # Modules outside the walked package (json) are not edges.
+    assert graph.edges("pkg.main") == {"pkg.tools.fmt"}
+    assert graph.unreached(["pkg.main"]) == ["pkg.tools.other"]
+
+
+def test_from_package_import_name_reaches_only_its_definer(tmp_path):
+    graph = write_tree(tmp_path, {
+        "pkg/__init__.py": "from .left import Left\n"
+                           "from .right import Right\n",
+        "pkg/left.py": "class Left: ...\n",
+        "pkg/right.py": "class Right: ...\n",
+        "pkg/main.py": "from pkg import Left\n",
+    })
+    assert graph.edges("pkg.main") == {"pkg.left"}
+    assert graph.unreached(["pkg.main"]) == ["pkg.right"]
+
+
+def test_lazy_exports_map_names_to_submodules(tmp_path):
+    graph = write_tree(tmp_path, {
+        "pkg/__init__.py": "",
+        "pkg/_lazy.py": "def lazy_exports(name, table): ...\n",
+        "pkg/lazy/__init__.py": "from .._lazy import lazy_exports\n"
+                                "__getattr__, __dir__, __all__ = "
+                                "lazy_exports(__name__, {'fast': ['Fast'], "
+                                "'slow': ['Slow']})\n",
+        "pkg/lazy/fast.py": "class Fast: ...\n",
+        "pkg/lazy/slow.py": "class Slow: ...\n",
+        "pkg/main.py": "from .lazy import Slow\n",
+    })
+    assert graph.exports("pkg.lazy") == {
+        "lazy_exports": "pkg._lazy",
+        "Fast": "pkg.lazy.fast", "Slow": "pkg.lazy.slow"}
+    assert graph.edges("pkg.main") == {"pkg.lazy.slow"}
+    # pkg._lazy is reached because pkg.lazy runs it.
+    assert graph.unreached(["pkg.main"]) == ["pkg.lazy.fast"]
+
+
+def test_import_module_string_literals_are_edges(tmp_path):
+    graph = write_tree(tmp_path, {
+        "pkg/__init__.py": "",
+        "pkg/main.py": "import importlib\n"
+                       "from importlib import import_module\n"
+                       "def load(name):\n"
+                       "    importlib.import_module('pkg.one')\n"
+                       "    import_module('pkg.two')\n"
+                       "    import_module(name)\n",
+        "pkg/one.py": "",
+        "pkg/two.py": "",
+        "pkg/three.py": "",
+    })
+    assert graph.edges("pkg.main") == {"pkg.one", "pkg.two"}
+    assert graph.unreached(["pkg.main"]) == ["pkg.three"]
+
+
+def test_reached_package_runs_its_outside_imports(tmp_path):
+    graph = write_tree(tmp_path, {
+        "pkg/__init__.py": "",
+        "pkg/sub/__init__.py": "from ..config import Config\n"
+                               "from .extra import Extra\n",
+        "pkg/sub/leaf.py": "",
+        "pkg/sub/extra.py": "class Extra: ...\n",
+        "pkg/config.py": "class Config: ...\n",
+        "pkg/main.py": "from .sub import leaf\n",
+    })
+    # Importing pkg.sub.leaf runs pkg/sub/__init__.py, so its import
+    # of pkg.config counts; its re-export of pkg.sub.extra does not.
+    assert graph.unreached(["pkg.main"]) == ["pkg.sub.extra"]
+
+
 def test_walk_sees_past_package_re_exports(tmp_path):
     files = {
         "pkg/__init__.py": "from .eager import Eager\n"

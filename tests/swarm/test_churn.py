@@ -123,3 +123,112 @@ class TestChurnModel:
             return (model.stats.departures, model.stats.rejoins,
                     sorted(model.live))
         assert run() == run()
+
+
+class TestMembershipSurgery:
+    def test_eviction_count_matches_tables_that_held_the_node(self, overlay):
+        victim = overlay.addresses[3]
+        holders = [owner for owner in overlay.addresses
+                   if owner != victim and victim in overlay.table(owner)]
+        assert depart(overlay, victim) == len(holders)
+
+    def test_second_departure_evicts_nothing(self, overlay):
+        victim = overlay.addresses[3]
+        depart(overlay, victim)
+        assert depart(overlay, victim) == 0
+
+    def test_rejoin_unknown_node_rejected(self, overlay):
+        missing = next(
+            a for a in range(overlay.space.size) if a not in overlay
+        )
+        with pytest.raises(OverlayError):
+            rejoin(overlay, missing, set(overlay.addresses))
+
+    def test_rejoin_skips_offline_owners(self, overlay):
+        victim = overlay.addresses[0]
+        depart(overlay, victim)
+        offline = set(overlay.addresses[1:20])
+        live = set(overlay.addresses) - offline
+        rejoin(overlay, victim, live)
+        assert not any(victim in overlay.table(owner) for owner in offline)
+
+    def test_second_rejoin_accepts_nothing(self, overlay):
+        victim = overlay.addresses[0]
+        depart(overlay, victim)
+        live = set(overlay.addresses)
+        assert rejoin(overlay, victim, live) > 0
+        assert rejoin(overlay, victim, live) == 0
+
+    def test_rejoin_keeps_live_peers_in_own_table(self, overlay):
+        victim = overlay.addresses[0]
+        peers = overlay.table(victim).peers()
+        dead = set(peers[:2])
+        rejoin(overlay, victim, set(overlay.addresses) - dead)
+        assert set(overlay.table(victim).peers()) == set(peers) - dead
+
+
+class TestChurnModelConfig:
+    @pytest.mark.parametrize("field", ["mean_session", "mean_downtime"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_means_rejected(self, overlay, field, value):
+        with pytest.raises(ConfigurationError):
+            ChurnModel(overlay, **{field: value})
+
+    @pytest.mark.parametrize("fraction,expected", [
+        (0.0, 0), (0.25, 15), (1.0, 60),
+    ])
+    def test_protected_set_size(self, overlay, fraction, expected):
+        model = ChurnModel(overlay, protected_fraction=fraction, seed=4)
+        assert len(model.protected) == expected
+        assert model.protected <= set(overlay.addresses)
+
+    def test_everyone_starts_live(self, overlay):
+        model = ChurnModel(overlay, seed=4)
+        assert model.live_fraction == 1.0
+        assert all(model.is_live(node) for node in overlay.addresses)
+
+    def test_install_schedules_one_departure_per_churning_node(
+            self, overlay):
+        model = ChurnModel(overlay, protected_fraction=0.25, seed=4)
+        scheduler = EventScheduler()
+        model.install(scheduler)
+        assert len(scheduler) == len(overlay) - len(model.protected)
+
+    def test_stats_render(self):
+        from repro.swarm.churn import ChurnStats
+
+        stats = ChurnStats(departures=3, rejoins=2, evictions=40,
+                           acceptances=25)
+        assert str(stats) == ("3 departures, 2 rejoins, 40 table "
+                              "evictions, 25 table acceptances")
+
+
+class TestChurnInvariants:
+    @pytest.fixture()
+    def churned(self, overlay):
+        model = ChurnModel(overlay, mean_session=8.0, mean_downtime=4.0,
+                           protected_fraction=0.2, seed=7)
+        scheduler = EventScheduler()
+        model.install(scheduler)
+        return model, scheduler
+
+    def test_offline_count_is_departures_minus_rejoins(self, churned):
+        model, scheduler = churned
+        for horizon in (10.0, 25.0, 60.0):
+            scheduler.run_until(horizon)
+            offline = len(model.overlay) - len(model.live)
+            assert offline == model.stats.departures - model.stats.rejoins
+
+    def test_protected_nodes_stay_live_throughout(self, churned):
+        model, scheduler = churned
+        for horizon in (10.0, 25.0, 60.0):
+            scheduler.run_until(horizon)
+            assert model.protected <= model.live
+
+    def test_offline_nodes_are_in_no_live_table(self, churned):
+        model, scheduler = churned
+        scheduler.run_until(40.0)
+        offline = set(model.overlay.addresses) - model.live
+        assert offline
+        for owner in model.live:
+            assert not offline & set(model.overlay.table(owner).peers())

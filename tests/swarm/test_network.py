@@ -27,6 +27,15 @@ class TestConfig:
         assert config.implicit_storage is True
         assert config.cache == "none"
 
+    def test_negative_transaction_fee_rejected(self):
+        with pytest.raises(ConfigurationError):
+            SwarmNetworkConfig(transaction_fee=-0.1)
+
+    @pytest.mark.parametrize("base", [0.0, -1.0])
+    def test_non_positive_pricing_base_rejected(self, base):
+        with pytest.raises(ConfigurationError):
+            SwarmNetworkConfig(pricing_base=base)
+
     def test_bad_placement_rejected(self):
         with pytest.raises(ConfigurationError):
             SwarmNetworkConfig(placement="everywhere")
@@ -154,3 +163,79 @@ class TestAmortize:
         network.download_file(originator, manifest)
         forgiven = network.amortize(0.001)
         assert forgiven > 0
+
+    def test_fresh_network_forgives_nothing(self):
+        network = SwarmNetwork(SwarmNetworkConfig(
+            overlay=OverlayConfig(n_nodes=40, bits=10, seed=3),
+        ))
+        assert network.amortize(10.0) == 0.0
+
+    def test_negative_units_rejected(self, network):
+        with pytest.raises(ConfigurationError):
+            network.amortize(-1.0)
+
+    def test_amortize_forgives_debt_not_traffic(self, rng):
+        network = SwarmNetwork(SwarmNetworkConfig(
+            overlay=OverlayConfig(n_nodes=40, bits=10, seed=3),
+        ))
+        originator = int(rng.choice(network.overlay.address_array()))
+        manifest = FileManifest(
+            file_id=1,
+            chunk_addresses=tuple(
+                int(a) for a in rng.integers(0, 1024, size=30)
+            ),
+        )
+        network.download_file(originator, manifest)
+        forwarded = network.forwarded_per_node().copy()
+        income = network.income_per_node().copy()
+        ledger = network.incentives.ledger
+        debt = sum(abs(channel.balance) for channel in ledger.channels())
+        assert network.amortize(1e9) == pytest.approx(debt)
+        assert all(channel.balance == 0.0 for channel in ledger.channels())
+        np.testing.assert_array_equal(network.forwarded_per_node(),
+                                      forwarded)
+        np.testing.assert_array_equal(network.income_per_node(), income)
+
+
+class TestLookupsAndReceipts:
+    def test_unknown_node_lookup_raises(self, network):
+        missing = next(
+            a for a in range(network.overlay.space.size)
+            if a not in network.overlay
+        )
+        with pytest.raises(OverlayError, match="no node"):
+            network.node(missing)
+
+    def test_addresses_follow_the_overlay(self, network):
+        assert network.addresses == network.overlay.addresses
+        assert set(network.nodes) == set(network.addresses)
+
+    def test_average_forwarded_is_the_mean_counter(self, network):
+        assert network.average_forwarded_chunks() == pytest.approx(
+            network.forwarded_per_node().mean())
+
+    def test_receipt_totals_sum_its_routes(self, rng):
+        network = SwarmNetwork(SwarmNetworkConfig(
+            overlay=OverlayConfig(n_nodes=40, bits=10, seed=3),
+        ))
+        originator = int(rng.choice(network.overlay.address_array()))
+        manifest = FileManifest(file_id=7, chunk_addresses=(3, 500, 1000))
+        receipt = network.download_file(originator, manifest)
+        assert receipt.file_id == 7
+        assert receipt.total_hops == sum(
+            r.route.hops for r in receipt.retrievals)
+        assert receipt.cache_hits == 0
+
+    def test_neighborhood_placement_seeds_every_replica(self):
+        network = SwarmNetwork(SwarmNetworkConfig(
+            overlay=OverlayConfig(n_nodes=40, bits=10, seed=3),
+            placement="neighborhood", replicas=3, implicit_storage=False,
+        ))
+        manifest = FileManifest(file_id=1, chunk_addresses=(5, 900))
+        network.seed_manifest(manifest)
+        for address in manifest.chunk_addresses:
+            holders = [a for a in network.addresses
+                       if address in network.node(a).store]
+            storers = network.overlay.space.sort_by_distance(
+                address, network.addresses)[:3]
+            assert sorted(holders) == sorted(storers)

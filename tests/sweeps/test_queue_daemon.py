@@ -344,6 +344,10 @@ class TestDaemonHTTP:
         ("/lease", "count", "1e400"),
         ("/complete", "index", "-Infinity"),
         ("/complete", "elapsed", "NaN"),
+        ("/complete", "elapsed", "Infinity"),
+        ("/complete", "elapsed", "-1e400"),
+        ("/complete", "index", "1e400"),
+        ("/lease", "count", "NaN"),
     ])
     def test_non_finite_number_is_a_bad_request(self, path, field,
                                                 literal):
