@@ -42,6 +42,17 @@ row offset) ping-pongs between two preallocated buffer sets, so
 steady-state waves allocate almost nothing; compared to the original
 int64-state kernel this roughly halves the bytes moved per hop.
 
+The waves only count integers, so a large slab runs them on every
+CPU: its target-sorted columns split into contiguous blocks, one per
+kernel thread (:func:`kernel_threads`, the process's CPU affinity by
+default) and none under :data:`MIN_BLOCK_CHUNKS` chunks. Block 0 runs
+on the calling thread, the rest on a module-level thread pool (numpy
+releases the GIL inside each gather and pass). Each block keeps
+private counters, merged after the join, and prices its own wave-1
+hops (element-wise); the only floating-point sums, income and
+expenditure, are booked once over the whole slab in slab order, so
+every output is bit-identical to the one-block loop.
+
 Network dynamics run through the same kernel, epoch by epoch: the
 workload is segmented into ``batch_files`` slabs, and a composed
 :mod:`repro.scenarios` plan supplies each epoch's alive mask, storer
@@ -103,6 +114,10 @@ __all__ = [
     "FastBackend",
     "PerFileFastBackend",
     "clear_caches",
+    "configure_kernel_threads",
+    "kernel_threads",
+    "cpu_budget",
+    "MIN_BLOCK_CHUNKS",
     "cached_overlay",
     "install_overlay",
     "cached_next_hop_table",
@@ -125,6 +140,154 @@ MAX_FAST_BITS = 22
 TABLE_BUILD_LOG_ENV = "REPRO_TABLE_BUILD_LOG"
 
 _OVERLAY_CACHE: dict[tuple, Overlay] = {}
+
+#: The fewest chunks one routing block takes. A slab splits into at
+#: most one block per kernel thread and never into blocks smaller than
+#: this, so ``serve``'s ~1k-chunk micro-batches stay one block and a
+#: thread hand-off is only paid where a block's waves dwarf it.
+MIN_BLOCK_CHUNKS = 1 << 15
+
+#: Kernel threads per slab; ``None`` means every CPU this process may
+#: use (see :func:`configure_kernel_threads`).
+_KERNEL_THREADS: int | None = None
+
+#: Runs blocks 1.. of a split slab (block 0 runs on the calling
+#: thread); created on first use, forgotten in forked children.
+_BLOCK_POOL = None
+_BLOCK_POOL_WORKERS = 0
+
+
+def cpu_budget() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API
+        return os.cpu_count() or 1
+
+
+def configure_kernel_threads(threads: int | None = None) -> None:
+    """Bound the threads one slab's hop waves run on.
+
+    ``None`` restores the default: every CPU of :func:`cpu_budget`.
+    Sweep pool workers call this per point with their share of the
+    CPUs (the workers already fill them); idempotent, and it never
+    changes a result — only how many blocks a slab splits into.
+    """
+    global _KERNEL_THREADS
+    if threads is not None and threads < 1:
+        raise ConfigurationError(
+            f"kernel threads must be >= 1, got {threads}"
+        )
+    _KERNEL_THREADS = threads
+
+
+def kernel_threads() -> int:
+    """The thread budget one slab's hop waves may split across."""
+    return cpu_budget() if _KERNEL_THREADS is None else _KERNEL_THREADS
+
+
+def _block_spans(size: int) -> list[tuple[int, int]]:
+    """Contiguous ``(lo, hi)`` blocks of a *size*-chunk slab."""
+    blocks = min(size // MIN_BLOCK_CHUNKS, kernel_threads())
+    if blocks < 2:
+        return [(0, size)]
+    edges = [size * k // blocks for k in range(blocks + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _block_pool(workers: int):
+    """The thread pool for split slabs, with at least *workers* threads.
+
+    A pool that is too small is dropped, not shut down: a caller that
+    still holds it can finish its submissions, and its idle threads
+    exit once it is collected.
+    """
+    global _BLOCK_POOL, _BLOCK_POOL_WORKERS
+    if _BLOCK_POOL is None or _BLOCK_POOL_WORKERS < workers:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _BLOCK_POOL = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="repro-waves"
+        )
+        _BLOCK_POOL_WORKERS = workers
+    return _BLOCK_POOL
+
+
+def _forget_block_pool() -> None:
+    """A forked child has none of its parent's pool threads."""
+    global _BLOCK_POOL, _BLOCK_POOL_WORKERS
+    _BLOCK_POOL = None
+    _BLOCK_POOL_WORKERS = 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_block_pool)
+
+
+def _run_blocks(route, spans: list[tuple[int, int]]) -> list:
+    """``route(lo, hi)`` for every span; block 0 on the calling thread.
+
+    Every submitted block has finished before this returns *or*
+    raises: blocks write into the caller's slab arrays and read the
+    epoch's patched matrix, so none may outlive the call. The first
+    error in block order is re-raised.
+    """
+    futures = []
+    try:
+        if len(spans) > 1:
+            pool = _block_pool(len(spans) - 1)
+            for lo, hi in spans[1:]:
+                futures.append(pool.submit(route, lo, hi))
+        head = route(*spans[0])
+    finally:
+        if futures:
+            from concurrent.futures import wait
+
+            wait(futures)
+    return [head] + [future.result() for future in futures]
+
+
+class _BlockCounts:
+    """One block's private integer counters, merged after the join."""
+
+    __slots__ = ("forwarded", "first_hop", "fallbacks", "total_hops",
+                 "local_hits", "cache_hits", "hops")
+
+    def __init__(self) -> None:
+        self.forwarded = None
+        self.first_hop = None
+        self.fallbacks = 0
+        self.total_hops = 0
+        self.local_hits = 0
+        self.cache_hits = 0
+        self.hops: dict[int, int] = {}
+
+
+def _merge_counts(result: SimulationResult,
+                  blocks: list[_BlockCounts]) -> None:
+    """Add every block's counters into *result*.
+
+    Integer sums are order-free. New hop-histogram keys go in in
+    increasing hop order — the order one unsplit wave loop inserts
+    them in, and so the order of each block's own histogram — so the
+    histogram's key order is split-invariant too.
+    """
+    for counts in blocks:
+        if counts.forwarded is not None:
+            result.forwarded += counts.forwarded
+            result.first_hop += counts.first_hop
+        result.fallbacks += counts.fallbacks
+        result.total_hops += counts.total_hops
+        result.local_hits += counts.local_hits
+        result.cache_hits += counts.cache_hits
+    hops = blocks[0].hops
+    if len(blocks) > 1:
+        hops = {hop: sum(counts.hops.get(hop, 0) for counts in blocks)
+                for hop in sorted({hop for counts in blocks
+                                   for hop in counts.hops})}
+    histogram = result.hop_histogram
+    for hop, count in hops.items():
+        histogram[hop] = histogram.get(hop, 0) + count
 
 
 def table_entry_dtype(n_nodes: int) -> np.dtype:
@@ -733,20 +896,74 @@ class FastSimulation:
 
         Every scenario — static, churn, caching, free-riding, and any
         composition — and both the ``fast`` and ``time`` backends
-        route through this single loop:
+        route through this single loop.
 
-        * The headline path: all wave state lives in the table's
-          compact entry dtype and ping-pongs between two buffer sets,
-          seeded by taking ownership of the freshly built *cur*/*row*
-          columns (no copy-in); each wave is one vector add, one
-          ``np.take`` into a reused buffer, and one banded bincount
-          that fuses the forwarded counts, the arrival count, and the
-          fallback counter. Local hits (the origin already stores the
-          chunk) are detected *in-band* at wave 1: the origin is the
-          storer iff the coded wave-1 value is exactly ``2n + origin``
-          (storers always greedy-stall onto themselves), and such
-          chunks are shunted into a transient fourth band (``3n..4n``)
-          so the same bincount also counts them — that is why
+        The target-sorted columns split into contiguous blocks
+        (:func:`_block_spans`: one per kernel thread, none under
+        :data:`MIN_BLOCK_CHUNKS` chunks). Block 0 runs its waves
+        (:meth:`_route_block`) on this thread and the rest on the
+        block pool; each counts into private integer counters and
+        writes its wave-1 servers and their prices (element-wise, see
+        :meth:`_first_hop_prices`) into slab-sized arrays. After the
+        join the counters merge (:func:`_merge_counts`) and
+        :meth:`_pay_first_hop` books the prices once over the whole
+        slab in slab order, so income and expenditure — the only
+        floating-point sums — are bit-identical however the slab
+        split. A budget of one thread, or a slab under two blocks, is
+        the same loop with one block.
+
+        The origins are copied first: from wave 2 on, a block's
+        ping-pong buffers overwrite its part of *cur*.
+        """
+        if flat_table is None:
+            flat_table = self.table.flat_coded
+        n_start = int(cur.size)
+        origins = cur.copy()
+        paid = np.empty(n_start, np.intp)
+        prices = np.empty(n_start, np.float64)
+        waves = dict(unpaid_origins=unpaid_origins, recorder=recorder,
+                     first_hop_serves=first_hop_serves, dead_lut=dead_lut,
+                     fallback_storers=fallback_storers,
+                     flat_table=flat_table)
+
+        def route(lo: int, hi: int) -> _BlockCounts:
+            return self._route_block(
+                cur[lo:hi], row[lo:hi], tg[lo:hi],
+                None if ids is None else ids[lo:hi],
+                paid[lo:hi], prices[lo:hi], **waves,
+            )
+
+        blocks = _run_blocks(route, _block_spans(n_start))
+        _merge_counts(result, blocks)
+        self._pay_first_hop(result, paid, origins, prices)
+
+    def _route_block(self, cur: np.ndarray, row: np.ndarray,
+                     tg: np.ndarray, ids: np.ndarray | None,
+                     paid: np.ndarray, prices: np.ndarray, *,
+                     unpaid_origins: np.ndarray | None, recorder,
+                     first_hop_serves: bool,
+                     dead_lut: np.ndarray | None,
+                     fallback_storers: np.ndarray | None,
+                     flat_table: np.ndarray) -> _BlockCounts:
+        """Route one contiguous block of a slab in hop waves.
+
+        Writes the block's wave-1 servers into *paid* and their
+        prices into *prices* (the block's slices of the slab arrays;
+        *tg* is its slice of the targets) and returns its counters; it
+        touches nothing else shared, so blocks run concurrently.
+
+        * All wave state lives in the table's compact entry dtype and
+          ping-pongs between two buffer sets, seeded by taking
+          ownership of the block's *cur*/*row* columns (no copy-in);
+          each wave is one vector add, one ``np.take`` into a reused
+          buffer, and one banded bincount that fuses the forwarded
+          counts, the arrival count, and the fallback counter. Local
+          hits (the origin already stores the chunk) are detected
+          *in-band* at wave 1: the origin is the storer iff the coded
+          wave-1 value is exactly ``2n + origin`` (storers always
+          greedy-stall onto themselves), and such chunks are shunted
+          into a transient fourth band (``3n..4n``) so the same
+          bincount also counts them — that is why
           :func:`table_entry_dtype` reserves headroom up to ``4n``.
         * ``dead_lut``/``fallback_storers``/``flat_table`` (patched-
           static dynamics): the same loop over the epoch-patched coded
@@ -757,9 +974,9 @@ class FastSimulation:
           to the live storer). An origin that *is* the epoch's storer
           maps onto its own fallback entry, so the wave-1 local check
           still holds.
-        * ``first_hop_serves`` (cache hits): wave 1 runs with full
-          payment/accounting, then every chunk terminates — the
-          cached copy on the originator's first hop served it.
+        * ``first_hop_serves`` (cache hits): wave 1 is counted in
+          full, then every chunk terminates — the cached copy on the
+          originator's first hop served it.
         * ``recorder`` (the time backend's path recorder): the *ids*
           column (owned by the kernel, like *cur*/*row*) is compacted
           with the survivors through the same ping-pong buffers, and
@@ -767,12 +984,13 @@ class FastSimulation:
           servers)`` with its decoded servers, local hits
           ``recorder.record_zero_hop(ids)``. The arrays may be views
           into the reused buffers: a recorder must copy what it keeps.
+          Blocks report from their own threads, so a recorder must
+          not depend on the order of its calls.
         """
         table = self.table
         dtype = table.entry_dtype
         n = table.n_nodes
-        if flat_table is None:
-            flat_table = table.flat_coded
+        counts = _BlockCounts()
         n_start = int(cur.size)
         # The wave columns: in-flight node and table row offset, plus
         # the chunk ids when a recorder observes the waves.
@@ -782,15 +1000,18 @@ class FastSimulation:
         keep_buf = np.empty(n_start, bool)
         dead_buf = (np.empty(n_start, bool) if dead_lut is not None
                     else None)
-        first_tg = tg
-        flat_buf = np.empty(n_start, np.intp)
+        # Every wave's four bands, summed: forwarded counts and the
+        # fallback counter are read off it once, after the last wave.
+        band_total = None
         size = n_start
         hop = 0
         while size:
             hop += 1
             cur_w = src[0][:size]
             row_w = src[1][:size]
-            flat = flat_buf[:size]
+            # The gather indices live in the row column's spare buffer:
+            # they are spent before this wave's survivors land there.
+            flat = dst[1][:size]
             np.add(row_w, cur_w, out=flat)
             nxt = nxt_buf[:size]
             # mode="clip" skips the bounds check; row + cur is in
@@ -815,10 +1036,8 @@ class FastSimulation:
                 local_count = int(np.count_nonzero(local_mask))
                 if local_count:
                     nxt[local_mask] += dtype.type(n)
-                    result.local_hits += local_count
-                    result.hop_histogram[0] = (
-                        result.hop_histogram.get(0, 0) + local_count
-                    )
+                    counts.local_hits = local_count
+                    counts.hops[0] = local_count
                 else:
                     local_mask = None
             # The gather indices are spent: recycle the intp buffer as
@@ -826,15 +1045,13 @@ class FastSimulation:
             # an internal widening copy of a fresh allocation.
             np.copyto(flat, nxt)
             bands = np.bincount(flat, minlength=4 * n)
-            wave_counts = (bands[:n] + bands[n:2 * n]
-                           + bands[2 * n:3 * n])
-            fallbacks = int(bands[2 * n:3 * n].sum())
-            if fallbacks:
-                # Neighborhood hand-off: jump straight to the storer
-                # (see Router); counted so the effect is visible.
-                result.fallbacks += fallbacks
-            result.forwarded += wave_counts
-            result.total_hops += size - local_count
+            if band_total is None:
+                counts.first_hop = (bands[:n] + bands[n:2 * n]
+                                    + bands[2 * n:3 * n])
+                band_total = bands
+            else:
+                band_total += bands
+            counts.total_hops += size - local_count
             if hop == 1 or recorder is not None:
                 servers = self._decode_servers(nxt, n)
                 if recorder is not None:
@@ -847,27 +1064,20 @@ class FastSimulation:
                         recorder.record_wave(hop, ids_w[live],
                                              servers[live])
             if hop == 1:
-                result.first_hop += wave_counts
-                np.copyto(flat, servers)
-                self._pay_first_hop(
-                    result, servers, first_tg, cur_w, unpaid_origins,
-                    servers_intp=flat, suppressed=local_mask,
-                )
+                np.copyto(paid, servers)
+                self._first_hop_prices(paid, tg, cur_w, unpaid_origins,
+                                       suppressed=local_mask, out=prices)
                 if first_hop_serves:
                     served = size - local_count
-                    result.cache_hits += served
-                    result.hop_histogram[1] = (
-                        result.hop_histogram.get(1, 0) + served
-                    )
-                    return
+                    counts.cache_hits = served
+                    counts.hops[1] = served
+                    break
             keep = keep_buf[:size]
             np.less(nxt, dtype.type(n), out=keep)
             survivors = int(np.count_nonzero(keep))
             arrived = size - survivors - local_count
             if arrived:
-                result.hop_histogram[hop] = (
-                    result.hop_histogram.get(hop, 0) + arrived
-                )
+                counts.hops[hop] = arrived
             if survivors:
                 index = np.flatnonzero(keep)
                 np.take(nxt, index, out=dst[0][:survivors])
@@ -875,6 +1085,13 @@ class FastSimulation:
                     np.take(column[:size], index, out=spare[:survivors])
             src, dst = dst, src
             size = survivors
+        if band_total is not None:
+            counts.forwarded = (band_total[:n] + band_total[n:2 * n]
+                                + band_total[2 * n:3 * n])
+            # Neighborhood hand-offs jump straight to the storer (see
+            # Router); counted so the effect is visible.
+            counts.fallbacks = int(band_total[2 * n:3 * n].sum())
+        return counts
 
     @staticmethod
     def _decode_servers(coded: np.ndarray, n: int) -> np.ndarray:
@@ -887,40 +1104,51 @@ class FastSimulation:
         np.subtract(servers, dtype.type(n), out=servers, where=mid)
         return servers
 
-    def _pay_first_hop(self, result: SimulationResult, servers: np.ndarray,
-                       targets: np.ndarray, origins: np.ndarray,
-                       unpaid_origins: np.ndarray | None,
-                       servers_intp: np.ndarray | None = None,
-                       suppressed: np.ndarray | None = None) -> None:
-        """First-hop pricing and income/expenditure accounting.
+    def _first_hop_prices(self, servers: np.ndarray, targets: np.ndarray,
+                          origins: np.ndarray,
+                          unpaid_origins: np.ndarray | None, *,
+                          suppressed: np.ndarray | None = None,
+                          out: np.ndarray | None = None) -> np.ndarray:
+        """Each chunk's first-hop price (into *out* when given).
 
-        ``servers_intp``, when given, is the same index vector as
-        *servers* already widened to contiguous intp (the hop kernel
-        has one lying around), letting the weighted bincount skip an
-        internal conversion copy. ``suppressed`` marks chunks that
-        must not be paid at all (in-band local hits: nothing was
-        served over the network).
+        Element-wise, so a slab priced block by block gets the same
+        bits as priced whole. ``suppressed`` marks chunks that must
+        not be paid at all (in-band local hits: nothing was served
+        over the network).
         """
-        n = len(result.node_addresses)
-        index = servers if servers_intp is None else servers_intp
+        if out is None:
+            out = np.empty(len(servers), np.float64)
         if self.config.pricing == "xor":
             # Inlined _prices on int32: addresses fit in 22 bits.
-            distances = np.take(self.table.addresses32, index)
+            distances = np.take(self.table.addresses32, servers)
             np.bitwise_xor(distances, targets, out=distances,
                            casting="unsafe")
             np.maximum(distances, 1, out=distances)
-            prices = distances.astype(np.float64)
-            prices *= self.config.pricing_base / self.space.size
+            np.copyto(out, distances)
+            out *= self.config.pricing_base / self.space.size
         else:
-            prices = self._prices(
+            out[...] = self._prices(
                 self.table.addresses[servers].astype(np.uint64),
                 targets.astype(np.uint64),
             )
         if unpaid_origins is not None:
-            prices[unpaid_origins[origins]] = 0.0
+            out[unpaid_origins[origins]] = 0.0
         if suppressed is not None:
-            prices[suppressed] = 0.0
-        result.income += np.bincount(index, weights=prices, minlength=n)
+            out[suppressed] = 0.0
+        return out
+
+    def _pay_first_hop(self, result: SimulationResult, servers: np.ndarray,
+                       origins: np.ndarray, prices: np.ndarray) -> None:
+        """Book first-hop *prices* as income and expenditure.
+
+        The two weighted sums are the kernel's only floating-point
+        reductions, so they run once per call over the whole slab in
+        slab order. *servers* are the first hops' node indices;
+        contiguous intp (what the hop kernel hands in) lets the
+        weighted bincount skip an internal conversion copy.
+        """
+        n = len(result.node_addresses)
+        result.income += np.bincount(servers, weights=prices, minlength=n)
         result.expenditure += np.bincount(origins, weights=prices,
                                           minlength=n)
 

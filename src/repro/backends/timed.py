@@ -98,7 +98,9 @@ class _PathRecorder:
 
     The observer :class:`~repro.backends.fast.StreamSession` hands the
     fast kernel: every wave reports which chunk ids reached which
-    nodes.
+    nodes. The blocks of a split slab report from their own threads;
+    :meth:`assemble` scatters by chunk id, so the order of the calls
+    does not matter.
     """
 
     def __init__(self, n_chunks: int) -> None:

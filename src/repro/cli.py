@@ -56,7 +56,6 @@ import time
 from pathlib import Path
 
 from .errors import ConfigurationError, ExperimentError, OverlayError, WorkloadError
-from .experiments.registry import get_experiment, list_experiments
 
 __all__ = ["main", "build_parser"]
 
@@ -634,6 +633,8 @@ def _render(report, markdown: bool) -> str:
 
 
 def _run_one(name: str, args: argparse.Namespace) -> str:
+    from .experiments.registry import get_experiment
+
     spec = get_experiment(name)
     kwargs = {}
     if args.files is not None:
@@ -1143,6 +1144,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list":
+        from .experiments.registry import list_experiments
+
         for spec in list_experiments():
             artifact = f" [{spec.paper_artifact}]" if spec.paper_artifact else ""
             print(f"{spec.name:<12} {spec.description}{artifact}")
@@ -1194,6 +1197,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"repro-swarm overlay {args.overlay_command}: error: "
                   f"{error}", file=sys.stderr)
             return 2
+
+    from .experiments.registry import list_experiments
 
     names = (
         [spec.name for spec in list_experiments()]

@@ -160,11 +160,13 @@ class QueueState:
         an idle host to exit, ``retry_after`` when to poll again while
         retries back off or other hosts' leases are still out.
         """
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
         with self._lock:
             now = self._clock()
             self._expire_overdue_locked(now)
             leased: list[dict] = []
-            while self._ready and len(leased) < max(1, count):
+            while self._ready and len(leased) < count:
                 ready_at, _, point_id = self._ready[0]
                 if ready_at > now:
                     break
@@ -341,6 +343,25 @@ class QueueState:
             }
 
 
+def _json_int(body: Mapping, key: str, default: int | None = None) -> int:
+    """*key* of a request body, which must be a JSON integer.
+
+    Nothing is coerced: ``true``, ``2.7`` and ``"3"`` are refused.
+    """
+    value = body[key] if default is None else body.get(key, default)
+    if type(value) is not int:
+        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_number(body: Mapping, key: str) -> float:
+    """*key* of a request body, which must be a JSON number (not bool)."""
+    value = body[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 class _QueueHandler(BaseHTTPRequestHandler):
     """JSON-over-HTTP adapter for a :class:`QueueState`."""
 
@@ -388,12 +409,12 @@ class _QueueHandler(BaseHTTPRequestHandler):
             body = self._body()
             if self.path == "/lease":
                 self._reply(self.state.lease(
-                    str(body["worker"]), int(body.get("count", 1))
+                    str(body["worker"]), _json_int(body, "count", 1)
                 ))
             elif self.path == "/complete":
                 self._reply(self.state.complete(
                     str(body["worker"]), body["record"],
-                    int(body["index"]), float(body["elapsed"]),
+                    _json_int(body, "index"), _json_number(body, "elapsed"),
                 ))
             elif self.path == "/fail":
                 self._reply(self.state.fail(

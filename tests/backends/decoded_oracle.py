@@ -163,8 +163,9 @@ def _route_waves(simulation: FastSimulation, cur: np.ndarray,
         result.total_hops += int(cur.size)
         if hop == 1:
             result.first_hop += wave_counts
-            simulation._pay_first_hop(result, nxt, first_tg, cur,
-                                      unpaid_origins, servers_intp=servers)
+            prices = simulation._first_hop_prices(servers, first_tg, cur,
+                                                  unpaid_origins)
+            simulation._pay_first_hop(result, servers, cur, prices)
             if first_hop_serves:
                 result.cache_hits += int(cur.size)
                 result.hop_histogram[1] = (

@@ -54,6 +54,13 @@ class TestImportGraph:
                 "FastSimulation(FastSimulationConfig(n_nodes=60))")
         assert loaded_after(code, watched) == []
 
+    def test_cli_loads_no_experiments_or_sweep_engine(self):
+        # A spawned sweep worker re-runs the console script's
+        # ``from repro.cli import main`` before its first task.
+        watched = ["repro.experiments", "repro.experiments.registry",
+                   "repro.sweeps.engine", "repro.swarm", "repro.analysis"]
+        assert loaded_after("import repro.cli", watched) == []
+
     def test_serve_loads_no_plots(self):
         assert loaded_after("import repro.serve",
                             ["repro.analysis.plots"]) == []

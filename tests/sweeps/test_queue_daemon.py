@@ -373,6 +373,52 @@ class TestDaemonHTTP:
         finally:
             daemon.close()
 
+    @pytest.mark.parametrize("path, field, literal", [
+        ("/lease", "count", "true"),
+        ("/lease", "count", "2.7"),
+        ("/lease", "count", '"3"'),
+        ("/lease", "count", "0"),
+        ("/lease", "count", "-2"),
+        ("/complete", "index", '"4"'),
+        ("/complete", "index", "true"),
+        ("/complete", "index", "2.0"),
+        ("/complete", "elapsed", '"1.5"'),
+        ("/complete", "elapsed", "false"),
+    ])
+    def test_coerced_number_is_a_bad_request(self, path, field, literal):
+        # Ints only for count (>= 1) and index, numbers only for
+        # elapsed; the daemon refuses the request and keeps serving.
+        state, _ = make_state()
+        daemon = SweepQueueDaemon(state).start()
+        try:
+            leased = http_json(f"{daemon.url}/lease", {"worker": "w"})
+            point_id = leased["points"][0]["point"]["point_id"]
+            body = {"worker": "w", "count": 1, "index": 0,
+                    "record": fake_record(point_id), "elapsed": 0.1,
+                    field: "@"}
+            raw = json.dumps(body).replace('"@"', literal).encode()
+            with pytest.raises(urllib.error.HTTPError) as bad:
+                urllib.request.urlopen(urllib.request.Request(
+                    f"{daemon.url}{path}", data=raw,
+                ), timeout=10.0)
+            assert bad.value.code == 400
+            bad.value.close()
+            status = http_json(f"{daemon.url}/status")
+            assert (status["completed"], status["leased"]) == (0, 1)
+            done = http_json(f"{daemon.url}/complete", {
+                "worker": "w", "record": fake_record(point_id),
+                "index": 0, "elapsed": 0.1,
+            })
+            assert done["ok"] is True
+        finally:
+            daemon.close()
+
+    def test_lease_count_below_one_is_refused(self):
+        state, _ = make_state()
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            state.lease("w", 0)
+        assert state.status()["leased"] == 0
+
     @pytest.mark.parametrize("length", ["-1", "ten"])
     def test_invalid_content_length_is_refused_unread(self, length):
         state, _ = make_state()
