@@ -44,14 +44,14 @@ int64-state kernel this roughly halves the bytes moved per hop.
 
 The waves only count integers, so a large slab runs them on every
 CPU: its target-sorted columns split into contiguous blocks, one per
-kernel thread (:func:`kernel_threads`, the process's CPU affinity by
-default) and none under :data:`MIN_BLOCK_CHUNKS` chunks. Block 0 runs
-on the calling thread, the rest on a module-level thread pool (numpy
-releases the GIL inside each gather and pass). Each block keeps
-private counters, merged after the join, and prices its own wave-1
-hops (element-wise); the only floating-point sums, income and
-expenditure, are booked once over the whole slab in slab order, so
-every output is bit-identical to the one-block loop.
+CPU of the process's affinity (:func:`_cpu_budget`) and none under
+:data:`_MIN_BLOCK_CHUNKS` chunks. Block 0 runs on the calling thread,
+the rest on a module-level thread pool (numpy releases the GIL inside
+each gather and pass). Each block keeps private counters, merged
+after the join, and prices its own wave-1 hops (element-wise); the
+only floating-point sums, income and expenditure, are booked once
+per call over the whole slab in slab order, so every output is
+bit-identical to the one-block loop.
 
 Network dynamics run through the same kernel, epoch by epoch: the
 workload is segmented into ``batch_files`` slabs, and a composed
@@ -87,6 +87,7 @@ sweep-worker path).
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
@@ -114,10 +115,6 @@ __all__ = [
     "FastBackend",
     "PerFileFastBackend",
     "clear_caches",
-    "configure_kernel_threads",
-    "kernel_threads",
-    "cpu_budget",
-    "MIN_BLOCK_CHUNKS",
     "cached_overlay",
     "install_overlay",
     "cached_next_hop_table",
@@ -142,14 +139,10 @@ TABLE_BUILD_LOG_ENV = "REPRO_TABLE_BUILD_LOG"
 _OVERLAY_CACHE: dict[tuple, Overlay] = {}
 
 #: The fewest chunks one routing block takes. A slab splits into at
-#: most one block per kernel thread and never into blocks smaller than
-#: this, so ``serve``'s ~1k-chunk micro-batches stay one block and a
-#: thread hand-off is only paid where a block's waves dwarf it.
-MIN_BLOCK_CHUNKS = 1 << 15
-
-#: Kernel threads per slab; ``None`` means every CPU this process may
-#: use (see :func:`configure_kernel_threads`).
-_KERNEL_THREADS: int | None = None
+#: most one block per CPU and never into blocks smaller than this, so
+#: ``serve``'s ~1k-chunk micro-batches stay one block and a thread
+#: hand-off is only paid where a block's waves dwarf it.
+_MIN_BLOCK_CHUNKS = 1 << 15
 
 #: Runs blocks 1.. of a split slab (block 0 runs on the calling
 #: thread); created on first use, forgotten in forked children.
@@ -157,7 +150,7 @@ _BLOCK_POOL = None
 _BLOCK_POOL_WORKERS = 0
 
 
-def cpu_budget() -> int:
+def _cpu_budget() -> int:
     """How many CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
@@ -165,30 +158,11 @@ def cpu_budget() -> int:
         return os.cpu_count() or 1
 
 
-def configure_kernel_threads(threads: int | None = None) -> None:
-    """Bound the threads one slab's hop waves run on.
-
-    ``None`` restores the default: every CPU of :func:`cpu_budget`.
-    Sweep pool workers call this per point with their share of the
-    CPUs (the workers already fill them); idempotent, and it never
-    changes a result — only how many blocks a slab splits into.
-    """
-    global _KERNEL_THREADS
-    if threads is not None and threads < 1:
-        raise ConfigurationError(
-            f"kernel threads must be >= 1, got {threads}"
-        )
-    _KERNEL_THREADS = threads
-
-
-def kernel_threads() -> int:
-    """The thread budget one slab's hop waves may split across."""
-    return cpu_budget() if _KERNEL_THREADS is None else _KERNEL_THREADS
-
-
 def _block_spans(size: int) -> list[tuple[int, int]]:
     """Contiguous ``(lo, hi)`` blocks of a *size*-chunk slab."""
-    blocks = min(size // MIN_BLOCK_CHUNKS, kernel_threads())
+    if size < 2 * _MIN_BLOCK_CHUNKS:
+        return [(0, size)]
+    blocks = min(size // _MIN_BLOCK_CHUNKS, _cpu_budget())
     if blocks < 2:
         return [(0, size)]
     edges = [size * k // blocks for k in range(blocks + 1)]
@@ -899,28 +873,40 @@ class FastSimulation:
         route through this single loop.
 
         The target-sorted columns split into contiguous blocks
-        (:func:`_block_spans`: one per kernel thread, none under
-        :data:`MIN_BLOCK_CHUNKS` chunks). Block 0 runs its waves
+        (:func:`_block_spans`: one per CPU, none under
+        :data:`_MIN_BLOCK_CHUNKS` chunks). Block 0 runs its waves
         (:meth:`_route_block`) on this thread and the rest on the
-        block pool; each counts into private integer counters and
-        writes its wave-1 servers and their prices (element-wise, see
-        :meth:`_first_hop_prices`) into slab-sized arrays. After the
-        join the counters merge (:func:`_merge_counts`) and
-        :meth:`_pay_first_hop` books the prices once over the whole
-        slab in slab order, so income and expenditure — the only
-        floating-point sums — are bit-identical however the slab
-        split. A budget of one thread, or a slab under two blocks, is
-        the same loop with one block.
-
-        The origins are copied first: from wave 2 on, a block's
-        ping-pong buffers overwrite its part of *cur*.
+        block pool; each counts into private integer counters, merged
+        after the join (:func:`_merge_counts`), and prices its wave-1
+        hops element-wise (:meth:`_first_hop_prices`). Income and
+        expenditure — the only floating-point sums — are booked by
+        :meth:`_pay_first_hop` once per call over the whole slab in
+        slab order, so they are bit-identical however the slab split:
+        one block books its first hops at wave 1, split blocks copy
+        their servers, origins and prices into slab arrays that are
+        booked after the join. A single CPU, or a slab under two
+        blocks, is the same loop with one block.
         """
         if flat_table is None:
             flat_table = self.table.flat_coded
         n_start = int(cur.size)
-        origins = cur.copy()
-        paid = np.empty(n_start, np.intp)
-        prices = np.empty(n_start, np.float64)
+        spans = _block_spans(n_start)
+        if len(spans) == 1:
+            # One block books its first hops where it prices them.
+            def book(lo, servers, origins, prices):
+                self._pay_first_hop(result, servers, origins, prices)
+        else:
+            # Blocks stash theirs in slab order; booked after the join.
+            paid = np.empty(n_start, np.intp)
+            paid_origins = np.empty(n_start, cur.dtype)
+            paid_prices = np.empty(n_start, np.float64)
+
+            def book(lo, servers, origins, prices):
+                hi = lo + servers.size
+                paid[lo:hi] = servers
+                paid_origins[lo:hi] = origins
+                paid_prices[lo:hi] = prices
+
         waves = dict(unpaid_origins=unpaid_origins, recorder=recorder,
                      first_hop_serves=first_hop_serves, dead_lut=dead_lut,
                      fallback_storers=fallback_storers,
@@ -930,16 +916,15 @@ class FastSimulation:
             return self._route_block(
                 cur[lo:hi], row[lo:hi], tg[lo:hi],
                 None if ids is None else ids[lo:hi],
-                paid[lo:hi], prices[lo:hi], **waves,
+                functools.partial(book, lo), **waves,
             )
 
-        blocks = _run_blocks(route, _block_spans(n_start))
-        _merge_counts(result, blocks)
-        self._pay_first_hop(result, paid, origins, prices)
+        _merge_counts(result, _run_blocks(route, spans))
+        if len(spans) > 1:
+            self._pay_first_hop(result, paid, paid_origins, paid_prices)
 
     def _route_block(self, cur: np.ndarray, row: np.ndarray,
-                     tg: np.ndarray, ids: np.ndarray | None,
-                     paid: np.ndarray, prices: np.ndarray, *,
+                     tg: np.ndarray, ids: np.ndarray | None, book, *,
                      unpaid_origins: np.ndarray | None, recorder,
                      first_hop_serves: bool,
                      dead_lut: np.ndarray | None,
@@ -947,10 +932,10 @@ class FastSimulation:
                      flat_table: np.ndarray) -> _BlockCounts:
         """Route one contiguous block of a slab in hop waves.
 
-        Writes the block's wave-1 servers into *paid* and their
-        prices into *prices* (the block's slices of the slab arrays;
-        *tg* is its slice of the targets) and returns its counters; it
-        touches nothing else shared, so blocks run concurrently.
+        Hands its wave-1 hops to ``book(servers, origins, prices)``
+        (*tg* is the block's slice of the targets) and returns its
+        counters; it touches nothing else shared, so blocks run
+        concurrently.
 
         * All wave state lives in the table's compact entry dtype and
           ping-pongs between two buffer sets, seeded by taking
@@ -1064,9 +1049,13 @@ class FastSimulation:
                         recorder.record_wave(hop, ids_w[live],
                                              servers[live])
             if hop == 1:
-                np.copyto(paid, servers)
-                self._first_hop_prices(paid, tg, cur_w, unpaid_origins,
-                                       suppressed=local_mask, out=prices)
+                # The bincount input is spent too: the servers, widened
+                # to intp there, let the weighted bincounts skip an
+                # internal conversion copy.
+                np.copyto(flat, servers)
+                book(flat, cur_w,
+                     self._first_hop_prices(flat, tg, cur_w, unpaid_origins,
+                                            suppressed=local_mask))
                 if first_hop_serves:
                     served = size - local_count
                     counts.cache_hits = served
@@ -1107,35 +1096,33 @@ class FastSimulation:
     def _first_hop_prices(self, servers: np.ndarray, targets: np.ndarray,
                           origins: np.ndarray,
                           unpaid_origins: np.ndarray | None, *,
-                          suppressed: np.ndarray | None = None,
-                          out: np.ndarray | None = None) -> np.ndarray:
-        """Each chunk's first-hop price (into *out* when given).
+                          suppressed: np.ndarray | None = None
+                          ) -> np.ndarray:
+        """Each chunk's first-hop price.
 
         Element-wise, so a slab priced block by block gets the same
         bits as priced whole. ``suppressed`` marks chunks that must
         not be paid at all (in-band local hits: nothing was served
         over the network).
         """
-        if out is None:
-            out = np.empty(len(servers), np.float64)
         if self.config.pricing == "xor":
             # Inlined _prices on int32: addresses fit in 22 bits.
             distances = np.take(self.table.addresses32, servers)
             np.bitwise_xor(distances, targets, out=distances,
                            casting="unsafe")
             np.maximum(distances, 1, out=distances)
-            np.copyto(out, distances)
-            out *= self.config.pricing_base / self.space.size
+            prices = distances.astype(np.float64)
+            prices *= self.config.pricing_base / self.space.size
         else:
-            out[...] = self._prices(
+            prices = self._prices(
                 self.table.addresses[servers].astype(np.uint64),
                 targets.astype(np.uint64),
             )
         if unpaid_origins is not None:
-            out[unpaid_origins[origins]] = 0.0
+            prices[unpaid_origins[origins]] = 0.0
         if suppressed is not None:
-            out[suppressed] = 0.0
-        return out
+            prices[suppressed] = 0.0
+        return prices
 
     def _pay_first_hop(self, result: SimulationResult, servers: np.ndarray,
                        origins: np.ndarray, prices: np.ndarray) -> None:

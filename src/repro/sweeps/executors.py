@@ -51,13 +51,12 @@ after each completed point it submits the next one *before* handing
 the outcome to ``on_result`` (the store save), so no worker idles
 through a save.
 
-A point's hop waves split across threads
-(:meth:`~repro.backends.fast.FastSimulation._route_waves`). The
-serial executor keeps every CPU for them; a pool worker routes on
-``max(1, cpus // workers)`` threads, because the workers already fill
-the CPUs (one thread each for ``--jobs 2`` on two CPUs). The share is
-an :func:`~repro.sweeps.worker.execute_point` argument, applied per
-point; stores are byte-identical whatever it is.
+Every executor's points split their large slabs' hop waves across
+every CPU (:meth:`~repro.backends.fast.FastSimulation._route_waves`),
+pool workers included: with the workers already filling the CPUs
+that oversubscribes threads, but a one-thread share per worker read
+no faster on the sweep benchmark, and stores are byte-identical
+either way.
 
 Requesting more workers than the machine has CPUs is allowed but
 warned about (PR 2 also measured oversubscribed sweeps running
@@ -629,10 +628,6 @@ class ProcessExecutor(SweepExecutor):
         unsubmitted point goes back to the queue head and the caller
         runs crash recovery.
         """
-        from ..backends.fast import cpu_budget
-
-        # The workers already fill the CPUs: each routes on its share.
-        kernel_threads = max(1, cpu_budget() // workers)
         while ready and len(inflight) < workers:
             point = ready.popleft()
             attempt = tracker.failed_attempts(point)
@@ -640,7 +635,6 @@ class ProcessExecutor(SweepExecutor):
                 future = pool.submit(
                     execute_point, base_payload, point_payload(point),
                     handles or None, self.epoch_cache_tables, attempt,
-                    kernel_threads,
                 )
             except BrokenProcessPool:
                 ready.appendleft(point)

@@ -253,8 +253,7 @@ def warm_up() -> None:
 def execute_point(base: Mapping, payload: Mapping,
                   table_handles: Mapping | None = None,
                   epoch_cache_tables: int | None = None,
-                  attempt: int = 0,
-                  kernel_threads: int | None = None) -> PointOutcome:
+                  attempt: int = 0) -> PointOutcome:
     """Run one sweep point and summarize it (the executor work unit).
 
     ``epoch_cache_tables`` re-bounds this process's epoch storer-table
@@ -264,25 +263,17 @@ def execute_point(base: Mapping, payload: Mapping,
     idempotently, so per-point calls never flush the cache's
     cross-replica amortization.
 
-    ``kernel_threads`` bounds the threads one slab's hop waves split
-    across (:func:`~repro.backends.fast.configure_kernel_threads`):
-    a pool worker gets its share of the CPUs, ``None`` (the serial
-    executor) every CPU. Applied per call the same way; results never
-    depend on it.
-
     ``attempt`` is the 0-based retry attempt the executor is running;
     it never influences the simulation (results are attempt-invariant
     by construction) and exists only so the :mod:`~repro.sweeps.chaos`
     fault-injection hook below can key faults by
     ``(point_id, attempt)`` — "fail the first try, pass the retry".
     """
-    from ..backends.fast import configure_kernel_threads
     from ..perf.table_cache import configure_epoch_table_cache
     from .chaos import maybe_inject
 
     maybe_inject(payload["point_id"], attempt)
     configure_epoch_table_cache(max_tables=epoch_cache_tables)
-    configure_kernel_threads(kernel_threads)
     register_table_handles(table_handles)
     config = config_from_payload(base, payload)
     backend = get_backend(payload["backend"])

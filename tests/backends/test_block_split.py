@@ -4,8 +4,8 @@
 target-sorted columns on the block pool, merges their integer
 counters after the join and pays the first hop once over the whole
 slab. These tests force many blocks on small configurations (a tiny
-block minimum and a thread budget above the CPU count) and compare
-every output, byte for byte, with the one-block run.
+block minimum and a CPU budget above the real one) and compare every
+output, byte for byte, with the one-block run.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import os
 import threading
 import time
 import warnings
-from collections import deque
 
 import numpy as np
 import pytest
@@ -25,12 +24,7 @@ from repro.backends import fast
 from repro.backends.config import FastSimulationConfig
 from repro.backends.fast import FastSimulation
 from repro.backends.timed import TimedSimulation, _PathRecorder
-from repro.errors import ConfigurationError
 from repro.perf.bench import LATENCY_PROFILE
-from repro.sweeps.executors import ProcessExecutor
-from repro.sweeps.resilience import FailureTracker, RetryPolicy
-from repro.sweeps.spec import SweepSpec
-from repro.sweeps.worker import execute_point, point_payload
 
 from .decoded_oracle import run_decoded
 
@@ -61,6 +55,7 @@ CONFIGS = {
         scenario="churn:rate=0.2,seed=5+freeriding:fraction=0.3"),
 }
 
+
 @pytest.fixture
 def split(monkeypatch):
     """Route with blocks of >= 8 chunks on up to *threads* threads.
@@ -79,8 +74,8 @@ def split(monkeypatch):
     monkeypatch.setattr(fast, "_block_spans", recording)
 
     def use(threads: int, min_block: int = 8) -> list[int]:
-        monkeypatch.setattr(fast, "MIN_BLOCK_CHUNKS", min_block)
-        monkeypatch.setattr(fast, "_KERNEL_THREADS", threads)
+        monkeypatch.setattr(fast, "_MIN_BLOCK_CHUNKS", min_block)
+        monkeypatch.setattr(fast, "_cpu_budget", lambda: threads)
         most.clear()
         return most
 
@@ -109,13 +104,16 @@ def digest(result) -> str:
 
 class TestSpans:
     def test_small_slab_is_one_block(self, monkeypatch):
-        monkeypatch.setattr(fast, "_KERNEL_THREADS", 8)
-        size = 2 * fast.MIN_BLOCK_CHUNKS - 1
+        def no_budget():
+            raise AssertionError("a small slab looked up the CPUs")
+
+        monkeypatch.setattr(fast, "_cpu_budget", no_budget)
+        size = 2 * fast._MIN_BLOCK_CHUNKS - 1
         assert fast._block_spans(size) == [(0, size)]
 
-    def test_budget_of_one_is_one_block(self, monkeypatch):
-        monkeypatch.setattr(fast, "_KERNEL_THREADS", 1)
-        size = 10 * fast.MIN_BLOCK_CHUNKS
+    def test_one_cpu_is_one_block(self, monkeypatch):
+        monkeypatch.setattr(fast, "_cpu_budget", lambda: 1)
+        size = 10 * fast._MIN_BLOCK_CHUNKS
         assert fast._block_spans(size) == [(0, size)]
 
     @pytest.mark.parametrize("threads, size, blocks", [
@@ -123,21 +121,19 @@ class TestSpans:
     ])
     def test_contiguous_blocks_cover_the_slab(self, monkeypatch, threads,
                                               size, blocks):
-        monkeypatch.setattr(fast, "MIN_BLOCK_CHUNKS", 8)
-        monkeypatch.setattr(fast, "_KERNEL_THREADS", threads)
+        monkeypatch.setattr(fast, "_MIN_BLOCK_CHUNKS", 8)
+        monkeypatch.setattr(fast, "_cpu_budget", lambda: threads)
         spans = fast._block_spans(size)
         assert len(spans) == blocks
         assert spans[0][0] == 0 and spans[-1][1] == size
         assert all(hi == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
         assert min(hi - lo for lo, hi in spans) >= 8
 
-    def test_budget_defaults_to_the_cpus(self, monkeypatch):
-        monkeypatch.setattr(fast, "_KERNEL_THREADS", None)
-        assert fast.kernel_threads() == fast.cpu_budget() >= 1
-
-    def test_configure_rejects_zero_threads(self):
-        with pytest.raises(ConfigurationError):
-            fast.configure_kernel_threads(0)
+    def test_one_block_per_cpu(self):
+        cpus = fast._cpu_budget()
+        assert cpus >= 1
+        size = 64 * fast._MIN_BLOCK_CHUNKS
+        assert len(fast._block_spans(size)) == min(64, cpus)
 
 
 class TestBitIdentity:
@@ -161,6 +157,16 @@ class TestBitIdentity:
         split(4)
         assert_same_result(run_decoded(config),
                            FastSimulation(config).run())
+
+    def test_default_split_matches_one_block(self, monkeypatch):
+        # Real block minimum and CPU budget: slabs of ~80k chunks split
+        # on every multi-CPU host.
+        config = dataclasses.replace(
+            BASE, n_files=150, batch_files=150,
+            scenario="churn:rate=0.1,seed=8+freeriding:fraction=0.3")
+        actual = FastSimulation(config).run()
+        monkeypatch.setattr(fast, "_cpu_budget", lambda: 1)
+        assert_same_result(FastSimulation(config).run(), actual)
 
     def test_unpaid_origins_match(self, split):
         simulation = FastSimulation(BASE)
@@ -264,44 +270,3 @@ class TestJoin:
                 pytest.fail("forked child hung routing a split slab")
             time.sleep(0.05)
         assert os.waitstatus_to_exitcode(status) == 0
-
-
-class TestSweepShare:
-    """Pool workers route on their share of the CPUs, serial on all."""
-
-    SPEC = SweepSpec(base=FastSimulationConfig(n_nodes=40, n_files=10),
-                     grid={"bucket_size": (4, 8)}, backends=("fast",),
-                     seeds=2)
-
-    def test_execute_point_applies_the_share_per_call(self, monkeypatch):
-        monkeypatch.setattr(fast, "_KERNEL_THREADS", None)
-        base = dataclasses.asdict(self.SPEC.base)
-        payload = point_payload(self.SPEC.points()[0])
-        shared = execute_point(base, payload, kernel_threads=3)
-        assert fast.kernel_threads() == 3
-        full = execute_point(base, payload)
-        assert fast.kernel_threads() == fast.cpu_budget()
-        for name, vector in full.vectors.items():
-            assert vector.tobytes() == shared.vectors[name].tobytes()
-
-    @pytest.mark.parametrize("cpus, workers, share", [
-        (8, 3, 2), (8, 2, 4), (2, 2, 1), (2, 16, 1),
-    ])
-    def test_pool_submits_each_worker_its_share(self, monkeypatch, cpus,
-                                                workers, share):
-        class FakePool:
-            def __init__(self):
-                self.shares = []
-
-            def submit(self, function, *args):
-                self.shares.append(args[-1])
-                return object()
-
-        monkeypatch.setattr(fast, "cpu_budget", lambda: cpus)
-        pool = FakePool()
-        points = self.SPEC.points()
-        executor = ProcessExecutor(1)
-        executor._top_up(pool, dataclasses.asdict(self.SPEC.base), {},
-                         deque(points), {}, FailureTracker(RetryPolicy()),
-                         workers)
-        assert pool.shares == [share] * min(workers, len(points))
