@@ -42,16 +42,19 @@ row offset) ping-pongs between two preallocated buffer sets, so
 steady-state waves allocate almost nothing; compared to the original
 int64-state kernel this roughly halves the bytes moved per hop.
 
-The waves only count integers, so a large slab runs them on every
-CPU: its target-sorted columns split into contiguous blocks, one per
-CPU of the process's affinity (:func:`_cpu_budget`) and none under
-:data:`_MIN_BLOCK_CHUNKS` chunks. Block 0 runs on the calling thread,
-the rest on a module-level thread pool (numpy releases the GIL inside
-each gather and pass). Each block keeps private counters, merged
-after the join, and prices its own wave-1 hops (element-wise); the
-only floating-point sums, income and expenditure, are booked once
-per call over the whole slab in slab order, so every output is
-bit-identical to the one-block loop.
+The waves only count integers, so a large slab routes on every CPU:
+before anything is sorted it is cut into target ranges of about equal
+chunk counts (:func:`_target_spans`), one per CPU of the process's
+affinity (:func:`_cpu_budget`) and none under
+:data:`_MIN_BLOCK_CHUNKS` chunks. Each block selects its chunks in
+input order, drops the dead ones, stable-sorts its targets and runs
+its waves — so the blocks laid end to end are the slab's stable sort.
+Block 0 runs on the calling thread, the rest on a module-level thread
+pool (numpy releases the GIL inside each gather, sort and pass). Each
+block keeps private counters, merged after the join, and prices its
+own wave-1 hops (element-wise); the only floating-point sums, income
+and expenditure, are booked once per slab in sorted slab order, so
+every output is bit-identical to the one-block loop.
 
 Network dynamics run through the same kernel, epoch by epoch: the
 workload is segmented into ``batch_files`` slabs, and a composed
@@ -87,7 +90,6 @@ sweep-worker path).
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 
@@ -158,14 +160,35 @@ def _cpu_budget() -> int:
         return os.cpu_count() or 1
 
 
-def _block_spans(size: int) -> list[tuple[int, int]]:
-    """Contiguous ``(lo, hi)`` blocks of a *size*-chunk slab."""
+#: log2 of the bins of the target histogram that places block edges.
+_EDGE_BITS = 10
+
+
+def _target_spans(targets: np.ndarray, bits: int) -> list[tuple[int, int]]:
+    """Target ranges ``[lo, hi)`` cutting a slab into routing blocks.
+
+    Each inner edge is the first bin edge, in a histogram of the
+    targets' top :data:`_EDGE_BITS` bits, with at least its equal share
+    of the chunks below it; a block may be empty when the targets
+    cluster. Any edges give the same outputs: they only set the load
+    balance.
+    """
+    space = 1 << bits
+    size = targets.size
     if size < 2 * _MIN_BLOCK_CHUNKS:
-        return [(0, size)]
+        return [(0, space)]
     blocks = min(size // _MIN_BLOCK_CHUNKS, _cpu_budget())
     if blocks < 2:
-        return [(0, size)]
-    edges = [size * k // blocks for k in range(blocks + 1)]
+        return [(0, space)]
+    shift = max(bits - _EDGE_BITS, 0)
+    # 2**15 to 2**16 evenly strided targets place the edges about as
+    # evenly as all of them, at a fraction of the pass.
+    sample = targets[::max(size >> 15, 1)]
+    below = np.cumsum(np.bincount(sample >> shift,
+                                  minlength=space >> shift))
+    quotas = [sample.size * k // blocks for k in range(1, blocks)]
+    edges = [0, *((np.searchsorted(below, quotas) + 1) << shift).tolist(),
+             space]
     return list(zip(edges[:-1], edges[1:]))
 
 
@@ -225,7 +248,7 @@ class _BlockCounts:
     """One block's private integer counters, merged after the join."""
 
     __slots__ = ("forwarded", "first_hop", "fallbacks", "total_hops",
-                 "local_hits", "cache_hits", "hops")
+                 "local_hits", "cache_hits", "unavailable", "hops", "paid")
 
     def __init__(self) -> None:
         self.forwarded = None
@@ -234,7 +257,10 @@ class _BlockCounts:
         self.total_hops = 0
         self.local_hits = 0
         self.cache_hits = 0
+        self.unavailable = 0
         self.hops: dict[int, int] = {}
+        #: A split block's wave-1 ``(servers, origins, prices)``.
+        self.paid = None
 
 
 def _merge_counts(result: SimulationResult,
@@ -254,6 +280,7 @@ def _merge_counts(result: SimulationResult,
         result.total_hops += counts.total_hops
         result.local_hits += counts.local_hits
         result.cache_hits += counts.cache_hits
+        result.unavailable += counts.unavailable
     hops = blocks[0].hops
     if len(blocks) > 1:
         hops = {hop: sum(counts.hops.get(hop, 0) for counts in blocks)
@@ -543,6 +570,11 @@ class FastSimulation:
         self.overlay = cached_overlay(config.overlay_config())
         self.table = cached_next_hop_table(self.overlay)
         self.space = self.overlay.space
+        n = self.table.n_nodes
+        #: Coded hop value -> the node it names, over all four bands
+        #: (``v mod n``): one gather decodes a wave's servers.
+        self._servers_of = (np.arange(4 * n) % n).astype(
+            self.table.entry_dtype)
 
     # ------------------------------------------------------------------
     # Pricing (vectorized mirror of repro.core.pricing)
@@ -746,9 +778,12 @@ class FastSimulation:
             sizes = workload.file_size.sample(
                 workload.n_files, rng
             ).astype(np.int64)
+            # For ranges up to 2**32 numpy draws the same values in
+            # uint32 as in the per-event generator's uint64, into a
+            # temporary half the size.
             targets = rng.integers(
-                0, self.space.size, size=int(sizes.sum()), dtype=np.uint64
-            ).astype(target_dt)
+                0, self.space.size, size=int(sizes.sum()), dtype=np.uint32
+            ).astype(target_dt, copy=False)
             index_of = self.overlay.index_of
             file_origins = np.fromiter(
                 (index_of(int(address)) for address in chosen),
@@ -780,162 +815,175 @@ class FastSimulation:
                      recorder=None,
                      cached: np.ndarray | None = None,
                      unpaid_origins: np.ndarray | None = None,
+                     alive: np.ndarray | None = None,
                      dead_lut: np.ndarray | None = None,
                      storer_table: np.ndarray | None = None,
-                     flat_coded: np.ndarray | None = None) -> None:
+                     flat_coded: np.ndarray | None = None
+                     ) -> np.ndarray | None:
         """Route one flattened batch of chunk retrievals in hop waves.
 
-        Chunks are sorted by target first: the in-flight columns stay
-        target-ordered through every compaction, so the per-wave flat-
-        index gathers walk the table near sequentially.
+        Every scenario — static, churn, caching, free-riding, and any
+        composition — and both the ``fast`` and ``time`` backends route
+        through this one path and its one wave loop
+        (:meth:`_route_block`).
 
-        ``flat_coded`` selects the patched-static dynamics mode: the
-        caller's epoch plan holds the coded matrix behind it patched to
-        this epoch's storer set, ``dead_lut`` flags coded values that
-        point at dead nodes, and ``storer_table`` (full address space,
-        the epoch's storers) re-homes those to the fallback band — so
-        every wave runs the same banded kernel as the static headline.
-        Local hits are detected in-band (the wave-1 coded value is the
-        origin's own fallback entry exactly when the origin is the
-        epoch's storer), so no prefilter is needed unless a ``cached``
-        mask requires the storer comparison anyway: cached chunks are
-        then served by their first hop. ``recorder``, when given,
-        observes every wave (see :meth:`_route_waves`) and ``ids`` is
-        the per-chunk id column it records paths under.
+        A large slab is cut in *target space* before anything is
+        sorted (:func:`_target_spans`: one block per CPU, none under
+        :data:`_MIN_BLOCK_CHUNKS` chunks). Block 0 runs on this thread
+        and the rest on the block pool; each selects its chunks from
+        the unsorted columns (in input order), drops its dead ones,
+        stable-sorts its targets — so the blocks laid end to end are
+        the slab's stable target sort — and routes them in waves over
+        near-sequential table rows. Blocks count into private integer
+        counters, merged after the join (:func:`_merge_counts`), and
+        price their wave-1 hops element-wise. Income and expenditure,
+        the only floating-point sums, are booked once per slab (once
+        for cache hits, then once for the rest) in sorted slab order:
+        a lone block books at wave 1, split blocks hand their wave-1
+        servers, origins and prices back to be booked after the join.
+        So every output is bit-identical however the slab split. A
+        single CPU, or a slab under two blocks, runs the same code as
+        one block with no histogram and no selection pass.
+
+        ``alive`` (churn) makes each block drop the chunks whose origin
+        or storer (in ``storer_table``) is offline, counted as
+        ``unavailable``; with a ``cached`` mask too, the slab's dead
+        flags are returned, so the caller can cache the kept targets
+        in slab order. ``flat_coded`` selects the patched-static
+        dynamics mode: the caller's epoch plan holds the coded matrix
+        behind it patched to this epoch's storer set, ``dead_lut``
+        flags coded values that point at dead nodes, and
+        ``storer_table`` (full address space, the epoch's storers)
+        re-homes those to the fallback band. Local hits are detected
+        in-band at wave 1, so no prefilter is needed unless a
+        ``cached`` mask requires the storer comparison anyway: cached
+        chunks are then served by their first hop. ``recorder``, when
+        given, observes every wave (see :meth:`_route_block`) and
+        ``ids`` is the per-chunk id column it records paths under.
         """
         if origins.size == 0:
-            return
+            return None
         table = self.table
         dtype = table.entry_dtype
         n = table.n_nodes
-        # Stable integer argsort on a compact unsigned key is a
-        # radix/counting sort: O(n) for the paper's 16-bit space.
-        order = np.argsort(targets, kind="stable")
-        tg = np.take(targets, order)
-        cur = np.take(origins, order)
-        if cur.dtype != dtype:
-            cur = cur.astype(dtype)
-        # Per-chunk table row offset, widened to intp exactly once
-        # (dtype=intp forces the multiply loop out of the compact
-        # dtype, which would silently wrap).
-        row = np.multiply(tg, n, dtype=np.intp)
-        if ids is not None:
-            ids = np.take(ids, order)
-        waves = dict(recorder=recorder, dead_lut=dead_lut,
-                     fallback_storers=storer_table, flat_table=flat_coded)
-        if cached is None:
-            # Headline path (and patched-static dynamics): no storer
-            # column, no local-hit prefilter — wave 1 detects local
-            # hits in-band (see _route_waves).
-            self._route_waves(cur, tg, row, result, unpaid_origins,
-                              ids=ids, **waves)
-            return
-
-        # Locals are prefiltered here (the cache split needs the
-        # storer comparison anyway), so the in-band check finds none.
-        local = cur == np.take(
-            table.storer if storer_table is None else storer_table, tg
+        storers = table.storer if storer_table is None else storer_table
+        spans = _target_spans(targets, self.space.bits)
+        split = len(spans) > 1
+        offline = None if alive is None else ~alive
+        dead = (np.zeros(origins.size, bool)
+                if alive is not None and cached is not None else None)
+        waves = dict(
+            book_into=None if split else result,
+            unpaid_origins=unpaid_origins, recorder=recorder,
+            dead_lut=dead_lut, fallback_storers=storer_table,
+            flat_table=table.flat_coded if flat_coded is None
+            else flat_coded,
         )
-        local_count = int(np.count_nonzero(local))
-        if local_count:
-            result.local_hits += local_count
-            result.hop_histogram[0] = (
-                result.hop_histogram.get(0, 0) + local_count
-            )
-            if recorder is not None:
-                recorder.record_zero_hop(ids[local])
-        hits = ~local & cached[tg]
-        # Cache hits are the same kernel asked to stop after the
-        # (serving) first hop; the rest route in full.
-        for mask, serves in ((hits, True), (~local & ~hits, False)):
-            index = np.flatnonzero(mask)
-            if index.size:
-                self._route_waves(
-                    np.take(cur, index), np.take(tg, index),
-                    np.take(row, index), result, unpaid_origins,
-                    ids=None if ids is None else np.take(ids, index),
+
+        def sorted_columns(lo: int, hi: int) -> tuple:
+            """Block ``[lo, hi)``'s live chunks, target-sorted.
+
+            Returns ``(tg, cur, row, ids, unavailable)``; the selection
+            and sort temporaries are freed before the waves allocate.
+            """
+            at, org, tgt, chunk_ids = slice(None), origins, targets, ids
+            if split:
+                inside = targets < hi
+                if lo:
+                    inside &= targets >= lo
+                at = np.flatnonzero(inside)
+                org, tgt = np.take(origins, at), np.take(targets, at)
+                if ids is not None:
+                    chunk_ids = np.take(ids, at)
+            unavailable = 0
+            if offline is not None:
+                # Under re-homing every epoch storer is alive, so the
+                # second clause only bites for static placement.
+                gone = np.take(offline, org)
+                gone |= np.take(offline, np.take(storers, tgt))
+                unavailable = int(np.count_nonzero(gone))
+                if unavailable:
+                    if dead is not None:
+                        dead[at] = gone
+                    kept = np.flatnonzero(~gone)
+                    org, tgt = np.take(org, kept), np.take(tgt, kept)
+                    if chunk_ids is not None:
+                        chunk_ids = np.take(chunk_ids, kept)
+            # Stable integer argsort on a compact unsigned key is a
+            # radix/counting sort: O(n) for the paper's 16-bit space.
+            order = np.argsort(tgt, kind="stable")
+            tg = np.take(tgt, order)
+            cur = np.take(org, order)
+            if cur.dtype != dtype:
+                cur = cur.astype(dtype)
+            # Per-chunk table row offset, widened to intp exactly once
+            # (dtype=intp forces the multiply loop out of the compact
+            # dtype, which would silently wrap).
+            row = np.multiply(tg, n, dtype=np.intp)
+            if chunk_ids is not None:
+                chunk_ids = np.take(chunk_ids, order)
+            return tg, cur, row, chunk_ids, unavailable
+
+        def route(lo: int, hi: int) -> list[_BlockCounts]:
+            tg, cur, row, chunk_ids, unavailable = sorted_columns(lo, hi)
+            if cached is None:
+                # Headline path (and patched-static dynamics): no
+                # storer column, no local-hit prefilter — wave 1
+                # detects local hits in-band.
+                counts = self._route_block(cur, row, tg, chunk_ids, **waves)
+                counts.unavailable = unavailable
+                return [counts]
+            # Locals are prefiltered here (the cache split needs the
+            # storer comparison anyway), so the in-band check finds
+            # none.
+            head = _BlockCounts()
+            head.unavailable = unavailable
+            local = cur == np.take(storers, tg)
+            head.local_hits = int(np.count_nonzero(local))
+            if head.local_hits:
+                head.hops[0] = head.local_hits
+                if recorder is not None:
+                    recorder.record_zero_hop(chunk_ids[local])
+            hits = np.take(cached, tg) & ~local
+            # Cache hits are the same kernel asked to stop after the
+            # (serving) first hop; the rest route in full.
+            phases = [head]
+            for mask, serves in ((hits, True), (~local & ~hits, False)):
+                index = np.flatnonzero(mask)
+                phases.append(self._route_block(
+                    np.take(cur, index), np.take(row, index),
+                    np.take(tg, index),
+                    None if chunk_ids is None
+                    else np.take(chunk_ids, index),
                     first_hop_serves=serves, **waves,
-                )
+                ))
+            return phases
 
-    def _route_waves(self, cur: np.ndarray, tg: np.ndarray,
-                     row: np.ndarray, result: SimulationResult,
-                     unpaid_origins: np.ndarray | None, *,
-                     ids: np.ndarray | None = None,
-                     recorder=None,
-                     first_hop_serves: bool = False,
-                     dead_lut: np.ndarray | None = None,
-                     fallback_storers: np.ndarray | None = None,
-                     flat_table: np.ndarray | None = None) -> None:
-        """The one epoch-segmented terminal-coded wave kernel.
-
-        Every scenario — static, churn, caching, free-riding, and any
-        composition — and both the ``fast`` and ``time`` backends
-        route through this single loop.
-
-        The target-sorted columns split into contiguous blocks
-        (:func:`_block_spans`: one per CPU, none under
-        :data:`_MIN_BLOCK_CHUNKS` chunks). Block 0 runs its waves
-        (:meth:`_route_block`) on this thread and the rest on the
-        block pool; each counts into private integer counters, merged
-        after the join (:func:`_merge_counts`), and prices its wave-1
-        hops element-wise (:meth:`_first_hop_prices`). Income and
-        expenditure — the only floating-point sums — are booked by
-        :meth:`_pay_first_hop` once per call over the whole slab in
-        slab order, so they are bit-identical however the slab split:
-        one block books its first hops at wave 1, split blocks copy
-        their servers, origins and prices into slab arrays that are
-        booked after the join. A single CPU, or a slab under two
-        blocks, is the same loop with one block.
-        """
-        if flat_table is None:
-            flat_table = self.table.flat_coded
-        n_start = int(cur.size)
-        spans = _block_spans(n_start)
-        if len(spans) == 1:
-            # One block books its first hops where it prices them.
-            def book(lo, servers, origins, prices):
-                self._pay_first_hop(result, servers, origins, prices)
-        else:
-            # Blocks stash theirs in slab order; booked after the join.
-            paid = np.empty(n_start, np.intp)
-            paid_origins = np.empty(n_start, cur.dtype)
-            paid_prices = np.empty(n_start, np.float64)
-
-            def book(lo, servers, origins, prices):
-                hi = lo + servers.size
-                paid[lo:hi] = servers
-                paid_origins[lo:hi] = origins
-                paid_prices[lo:hi] = prices
-
-        waves = dict(unpaid_origins=unpaid_origins, recorder=recorder,
-                     first_hop_serves=first_hop_serves, dead_lut=dead_lut,
-                     fallback_storers=fallback_storers,
-                     flat_table=flat_table)
-
-        def route(lo: int, hi: int) -> _BlockCounts:
-            return self._route_block(
-                cur[lo:hi], row[lo:hi], tg[lo:hi],
-                None if ids is None else ids[lo:hi],
-                functools.partial(book, lo), **waves,
-            )
-
-        _merge_counts(result, _run_blocks(route, spans))
-        if len(spans) > 1:
-            self._pay_first_hop(result, paid, paid_origins, paid_prices)
+        # Phase by phase (with a cache: locals, hits, the rest), in
+        # block order, as one unsplit block would count and book them.
+        for phase in zip(*_run_blocks(route, spans)):
+            _merge_counts(result, phase)
+            paid = [counts.paid for counts in phase
+                    if counts.paid is not None]
+            if paid:
+                self._pay_first_hop(result,
+                                    *map(np.concatenate, zip(*paid)))
+        return dead
 
     def _route_block(self, cur: np.ndarray, row: np.ndarray,
-                     tg: np.ndarray, ids: np.ndarray | None, book, *,
+                     tg: np.ndarray, ids: np.ndarray | None, *,
+                     book_into: SimulationResult | None,
                      unpaid_origins: np.ndarray | None, recorder,
-                     first_hop_serves: bool,
                      dead_lut: np.ndarray | None,
                      fallback_storers: np.ndarray | None,
-                     flat_table: np.ndarray) -> _BlockCounts:
-        """Route one contiguous block of a slab in hop waves.
+                     flat_table: np.ndarray,
+                     first_hop_serves: bool = False) -> _BlockCounts:
+        """Route one block's target-sorted columns in hop waves.
 
-        Hands its wave-1 hops to ``book(servers, origins, prices)``
-        (*tg* is the block's slice of the targets) and returns its
-        counters; it touches nothing else shared, so blocks run
-        concurrently.
+        Books its wave-1 hops into *book_into* (a lone block) or keeps
+        them in the returned counters' ``paid`` (a split block's, booked
+        after the join) and returns its counters; it touches nothing
+        else shared, so blocks run concurrently.
 
         * All wave state lives in the table's compact entry dtype and
           ping-pongs between two buffer sets, seeded by taking
@@ -1038,7 +1086,7 @@ class FastSimulation:
                 band_total += bands
             counts.total_hops += size - local_count
             if hop == 1 or recorder is not None:
-                servers = self._decode_servers(nxt, n)
+                servers = np.take(self._servers_of, nxt, mode="clip")
                 if recorder is not None:
                     ids_w = src[2][:size]
                     if local_mask is None:
@@ -1053,9 +1101,16 @@ class FastSimulation:
                 # to intp there, let the weighted bincounts skip an
                 # internal conversion copy.
                 np.copyto(flat, servers)
-                book(flat, cur_w,
-                     self._first_hop_prices(flat, tg, cur_w, unpaid_origins,
-                                            suppressed=local_mask))
+                prices = self._first_hop_prices(flat, tg, cur_w,
+                                                unpaid_origins,
+                                                suppressed=local_mask)
+                if book_into is None:
+                    counts.paid = (flat.copy(), cur_w.copy(), prices)
+                else:
+                    self._pay_first_hop(book_into, flat, cur_w, prices)
+                # Held through the later waves, a slab-sized array makes
+                # the allocator fault in fresh pages for their buffers.
+                del prices
                 if first_hop_serves:
                     served = size - local_count
                     counts.cache_hits = served
@@ -1081,17 +1136,6 @@ class FastSimulation:
             # Router); counted so the effect is visible.
             counts.fallbacks = int(band_total[2 * n:3 * n].sum())
         return counts
-
-    @staticmethod
-    def _decode_servers(coded: np.ndarray, n: int) -> np.ndarray:
-        """Coded hop values -> actual next-hop node indices (a copy)."""
-        servers = coded.copy()
-        dtype = servers.dtype
-        high = servers >= dtype.type(2 * n)
-        np.subtract(servers, dtype.type(2 * n), out=servers, where=high)
-        mid = servers >= dtype.type(n)
-        np.subtract(servers, dtype.type(n), out=servers, where=mid)
-        return servers
 
     def _first_hop_prices(self, servers: np.ndarray, targets: np.ndarray,
                           origins: np.ndarray,
@@ -1223,7 +1267,7 @@ class StreamSession:
     A *recorder* (the time backend's path recorder) observes every
     wave the session routes; :meth:`feed` then takes the per-chunk
     ``ids`` it records paths under (see
-    :meth:`FastSimulation._route_waves`).
+    :meth:`FastSimulation._route_block`).
 
     Always :meth:`close` the session (or use it as a context manager)
     — the working coded matrix is shared across runs and must be
@@ -1345,32 +1389,24 @@ class StreamSession:
                 return
             storer_table = (state.storers if state.storers is not None
                             else simulation.table.storer)
-            # Under re-homing every epoch storer is alive, so the
-            # second clause only bites for static placement.
-            dead = ~alive[origins] | ~alive[storer_table[targets]]
-            if dead.any():
-                result.unavailable += int(np.count_nonzero(dead))
-                keep = ~dead
-                origins = origins[keep]
-                targets = targets[keep]
-                if ids is not None:
-                    ids = ids[keep]
         cache = state.cache
         # The plan keeps the working matrix patched to this epoch's
         # storers (pristine until the first topology event), so the
-        # banded kernel runs as-is plus the dead-value LUT.
-        simulation._route_batch(
+        # banded kernel runs as-is plus the dead-value LUT; the blocks
+        # drop the chunks whose origin or storer is offline.
+        dead = simulation._route_batch(
             origins, targets, result, ids=ids, recorder=self._recorder,
             cached=None if cache is None else cache.mask,
             unpaid_origins=unpaid,
+            alive=alive,
             dead_lut=state.dead_lut,
             storer_table=storer_table,
             flat_coded=self._flat_working,
         )
         if cache is not None:
             # Every chunk retrieved this epoch is now cached on its
-            # delivery path (mask model of path caching).
-            cache.insert(targets)
+            # delivery path (mask model of path caching), in slab order.
+            cache.insert(targets if dead is None else targets[~dead])
 
     def close(self) -> None:
         """Restore the shared coded matrix; the session is done."""

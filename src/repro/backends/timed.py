@@ -6,7 +6,7 @@ answers "*when* did each chunk arrive". It runs in two phases:
 1. **Path recording** — the workload routes through the fast
    backend's own kernel and epoch loop
    (:class:`~repro.backends.fast.StreamSession` over
-   ``FastSimulation._route_waves``), with a path recorder observing
+   ``FastSimulation._route_batch``), with a path recorder observing
    it: each wave reports ``(chunk id, receiver)``, so every retrieval
    leaves a concrete node path behind. Every counter (forwarded,
    first-hop, hop histogram, income, fallbacks, cache hits) therefore

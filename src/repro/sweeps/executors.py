@@ -51,8 +51,8 @@ after each completed point it submits the next one *before* handing
 the outcome to ``on_result`` (the store save), so no worker idles
 through a save.
 
-Every executor's points split their large slabs' hop waves across
-every CPU (:meth:`~repro.backends.fast.FastSimulation._route_waves`),
+Every executor's points split their large slabs across every CPU
+(:meth:`~repro.backends.fast.FastSimulation._route_batch`),
 pool workers included: with the workers already filling the CPUs
 that oversubscribes threads, but a one-thread share per worker read
 no faster on the sweep benchmark, and stores are byte-identical

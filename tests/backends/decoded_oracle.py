@@ -5,7 +5,7 @@ each coded gather is decoded back to a raw next hop, a dead next hop
 falls back to the (live) storer, and a chunk terminates when its next
 hop is its storer. Production routes the same epochs through the
 static banded loop over an epoch-patched coded matrix plus a
-dead-value LUT (``FastSimulation._route_waves``). This module keeps
+dead-value LUT (``FastSimulation._route_block``). This module keeps
 the decoded mode, with its own slab loop over an
 :class:`~repro.scenarios.plan.EpochPlan` that patches nothing
 (``coded=None``), so ``test_patched_dynamics.py`` can hold the two

@@ -1,10 +1,11 @@
-"""Splitting a slab's hop waves into thread blocks changes no output.
+"""Splitting a slab into thread blocks changes no output.
 
-``FastSimulation._route_waves`` routes contiguous blocks of a slab's
-target-sorted columns on the block pool, merges their integer
-counters after the join and pays the first hop once over the whole
-slab. These tests force many blocks on small configurations (a tiny
-block minimum and a CPU budget above the real one) and compare every
+``FastSimulation._route_batch`` cuts a large slab into target ranges
+(``fast._target_spans``); each block selects, filters, sorts and
+routes its own chunks on the block pool, the integer counters merge
+after the join and the first hop is paid once over the whole slab.
+These tests force many blocks on small configurations (a tiny block
+minimum and a CPU budget above the real one) and compare every
 output, byte for byte, with the one-block run.
 """
 
@@ -22,7 +23,7 @@ import pytest
 
 from repro.backends import fast
 from repro.backends.config import FastSimulationConfig
-from repro.backends.fast import FastSimulation
+from repro.backends.fast import FastSimulation, StreamSession
 from repro.backends.timed import TimedSimulation, _PathRecorder
 from repro.perf.bench import LATENCY_PROFILE
 
@@ -53,6 +54,13 @@ CONFIGS = {
     "inexact_prices_churn_freeriding": dataclasses.replace(
         BASE, pricing_base=0.3,
         scenario="churn:rate=0.2,seed=5+freeriding:fraction=0.3"),
+    # A bounded cache evicts in insertion order, so it only matches if
+    # the kept targets are cached in slab order.
+    "bounded_cache_churn": dataclasses.replace(
+        BASE, scenario="caching:size=64+churn:rate=0.2,seed=5"),
+    # Hits and misses are booked in two separate slab-order sums.
+    "inexact_prices_caching": dataclasses.replace(
+        BASE, pricing_base=0.3, scenario="caching"),
 }
 
 
@@ -60,18 +68,18 @@ CONFIGS = {
 def split(monkeypatch):
     """Route with blocks of >= 8 chunks on up to *threads* threads.
 
-    Returns a setter; every call records the most blocks one slab
+    Returns a setter; every call records how many blocks each slab
     split into, so a test can check that the split really happened.
     """
     most = []
-    spans = fast._block_spans
+    spans = fast._target_spans
 
-    def recording(size):
-        result = spans(size)
+    def recording(targets, bits):
+        result = spans(targets, bits)
         most.append(len(result))
         return result
 
-    monkeypatch.setattr(fast, "_block_spans", recording)
+    monkeypatch.setattr(fast, "_target_spans", recording)
 
     def use(threads: int, min_block: int = 8) -> list[int]:
         monkeypatch.setattr(fast, "_MIN_BLOCK_CHUNKS", min_block)
@@ -102,6 +110,11 @@ def digest(result) -> str:
     return hasher.hexdigest()
 
 
+def uniform_targets(size: int, bits: int = 16) -> np.ndarray:
+    return np.random.default_rng(size).integers(
+        0, 1 << bits, size=size).astype(np.uint16)
+
+
 class TestSpans:
     def test_small_slab_is_one_block(self, monkeypatch):
         def no_budget():
@@ -109,12 +122,12 @@ class TestSpans:
 
         monkeypatch.setattr(fast, "_cpu_budget", no_budget)
         size = 2 * fast._MIN_BLOCK_CHUNKS - 1
-        assert fast._block_spans(size) == [(0, size)]
+        assert fast._target_spans(uniform_targets(size), 16) == [(0, 1 << 16)]
 
     def test_one_cpu_is_one_block(self, monkeypatch):
         monkeypatch.setattr(fast, "_cpu_budget", lambda: 1)
         size = 10 * fast._MIN_BLOCK_CHUNKS
-        assert fast._block_spans(size) == [(0, size)]
+        assert fast._target_spans(uniform_targets(size), 16) == [(0, 1 << 16)]
 
     @pytest.mark.parametrize("threads, size, blocks", [
         (4, 100, 4), (4, 35, 4), (4, 31, 3), (3, 1000, 3), (2, 17, 2),
@@ -123,17 +136,34 @@ class TestSpans:
                                               size, blocks):
         monkeypatch.setattr(fast, "_MIN_BLOCK_CHUNKS", 8)
         monkeypatch.setattr(fast, "_cpu_budget", lambda: threads)
-        spans = fast._block_spans(size)
+        targets = uniform_targets(size, bits=12)
+        spans = fast._target_spans(targets, 12)
         assert len(spans) == blocks
-        assert spans[0][0] == 0 and spans[-1][1] == size
+        assert spans[0][0] == 0 and spans[-1][1] == 1 << 12
         assert all(hi == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
-        assert min(hi - lo for lo, hi in spans) >= 8
+        # Each inner edge closes the histogram bin (4 addresses wide at
+        # 12 bits) that reaches the block's equal share of the chunks.
+        for k, (_, edge) in enumerate(spans[:-1], start=1):
+            quota = size * k // blocks
+            assert np.count_nonzero(targets < edge) >= quota
+            assert np.count_nonzero(targets < edge - 4) < quota
 
     def test_one_block_per_cpu(self):
         cpus = fast._cpu_budget()
         assert cpus >= 1
         size = 64 * fast._MIN_BLOCK_CHUNKS
-        assert len(fast._block_spans(size)) == min(64, cpus)
+        assert len(fast._target_spans(uniform_targets(size), 16)) == min(
+            64, cpus)
+
+    def test_clustered_targets_leave_blocks_empty(self, monkeypatch):
+        monkeypatch.setattr(fast, "_MIN_BLOCK_CHUNKS", 8)
+        monkeypatch.setattr(fast, "_cpu_budget", lambda: 4)
+        # Every target in one 64-address histogram bin of a 16-bit
+        # space: the first block takes them all.
+        targets = (4608 + uniform_targets(500) % 64).astype(np.uint16)
+        spans = fast._target_spans(targets, 16)
+        assert spans == [(0, 4672), (4672, 4672), (4672, 4672),
+                         (4672, 1 << 16)]
 
 
 class TestBitIdentity:
@@ -167,6 +197,49 @@ class TestBitIdentity:
         actual = FastSimulation(config).run()
         monkeypatch.setattr(fast, "_cpu_budget", lambda: 1)
         assert_same_result(FastSimulation(config).run(), actual)
+
+    @pytest.mark.parametrize("name", ["static", "churn_freeriding_caching"])
+    def test_clustered_slab_matches_one_block(self, split, monkeypatch,
+                                              name):
+        # Every target in one histogram bin: one block routes the whole
+        # slab and the other three select nothing.
+        config = CONFIGS[name]
+        simulation = FastSimulation(config)
+        rng = np.random.default_rng(3)
+        origins = rng.integers(0, config.n_nodes, 5000).astype(np.uint16)
+        targets = (4608 + rng.integers(0, 64, 5000)).astype(np.uint16)
+        outputs = []
+        run_blocks = fast._run_blocks
+
+        def recording(route, spans):
+            blocks = run_blocks(route, spans)
+            outputs.append((spans, blocks))
+            return blocks
+
+        monkeypatch.setattr(fast, "_run_blocks", recording)
+
+        def route_slab():
+            result = simulation.new_result()
+            with StreamSession(simulation, result=result,
+                               n_epochs=1) as session:
+                session.feed(origins, targets)
+            return result
+
+        split(1)
+        expected = route_slab()
+        most = split(4)
+        actual = route_slab()
+        assert most == [4]
+        assert_same_result(expected, actual)
+        spans, blocks = outputs[-1]
+        empty = [phases for (lo, hi), phases in zip(spans, blocks)
+                 if not np.any((targets >= lo) & (targets < hi))]
+        assert len(empty) == 3
+        for counts in (counts for phases in empty for counts in phases):
+            assert counts.forwarded is None and counts.paid is None
+            assert not counts.hops
+            assert (counts.total_hops, counts.fallbacks, counts.local_hits,
+                    counts.cache_hits, counts.unavailable) == (0,) * 5
 
     def test_unpaid_origins_match(self, split):
         simulation = FastSimulation(BASE)

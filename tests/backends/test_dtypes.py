@@ -141,6 +141,25 @@ class TestWorkloadDtypes:
         assert sizes.dtype == np.dtype(np.int64)
         assert int(targets.max()) < simulation.space.size
 
+    @pytest.mark.parametrize("bits", [4, 16, 22])
+    def test_flattened_targets_match_the_event_stream(self, bits):
+        # The flatten path draws uint32, the per-event generator
+        # uint64: numpy yields the same values for either dtype.
+        config = FastSimulationConfig(
+            n_nodes=12, bits=bits, n_files=30, file_min=4, file_max=40,
+            overlay_seed=3, workload_seed=9,
+        )
+        simulation = FastSimulation(config)
+        workload = config.workload()
+        _, sizes, targets = simulation._flatten_workload(workload)
+        events = list(workload.events(simulation.overlay.address_array(),
+                                      simulation.space))
+        expected = np.concatenate([event.chunk_addresses
+                                   for event in events])
+        assert expected.dtype == np.dtype(np.uint64)
+        assert sizes.tolist() == [event.n_chunks for event in events]
+        assert np.array_equal(targets.astype(np.uint64), expected)
+
     def test_result_vectors_keep_their_public_dtypes(self):
         config = FastSimulationConfig(
             n_nodes=80, bits=10, n_files=20, file_min=4, file_max=8,
