@@ -14,18 +14,19 @@ replicated, parallelizable sweep:
 * :mod:`~repro.sweeps.store` — deterministic, resumable, diffable
   JSON result store with git/seed provenance, durable (fsync'd)
   atomic saves, and best-effort salvage of corrupt files;
-* :mod:`~repro.sweeps.resilience` — failure envelopes, deterministic
-  retry policy, and the quarantine bookkeeping behind
-  ``--max-retries`` / ``--keep-going``;
+* :mod:`~repro.sweeps.resilience` — failure records, deterministic
+  retry policy, and :class:`QueueState`, the one scheduler every
+  executor leases points from (backoff, lease deadlines, attempt
+  charging and the quarantine behind ``--max-retries`` /
+  ``--keep-going``);
 * :mod:`~repro.sweeps.chaos` — deterministic fault injection
   (exception / crash / kill / hang per ``(point_id, attempt)``) used
   to exercise every recovery path in tests and CI;
 * :mod:`~repro.sweeps.engine` — :func:`run_sweep`, the entry point
   behind ``repro-swarm sweep`` and the replicated registry
   experiments in :mod:`repro.experiments.sweeps`;
-* :mod:`~repro.sweeps.queue_daemon` — the stdlib HTTP work queue
-  behind ``repro-swarm sweep-serve`` (leases, global retry budget,
-  lease-expiry crash accounting);
+* :mod:`~repro.sweeps.queue_daemon` — the stdlib HTTP front of that
+  scheduler behind ``repro-swarm sweep-serve``;
 * :mod:`~repro.sweeps.distributed` — :func:`sweep_work` pull-based
   hosts, the in-process :class:`DistributedExecutor` behind
   ``sweep --workers N``, and byte-identical shard-store merging via
@@ -50,8 +51,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "executors": ["ProcessExecutor", "SerialExecutor", "SweepExecutor",
                   "make_executor", "resolve_jobs", "table_topologies"],
     "progress": ["ProgressReporter"],
-    "queue_daemon": ["QueueState", "SweepQueueDaemon"],
-    "resilience": ["PointFailure", "PointResult", "RetryPolicy",
+    "queue_daemon": ["SweepQueueDaemon"],
+    "resilience": ["PointFailure", "QueueState", "RetryPolicy",
                    "failure_digest"],
     "spec": ["SweepPoint", "SweepSpec", "parse_grid_arguments",
              "parse_grid_value", "replica_seed", "replica_seeds",

@@ -3,10 +3,12 @@
 Three cooperating pieces, all reusing the existing sweep machinery:
 
 * :class:`DistributedExecutor` — a drop-in
-  :class:`~repro.sweeps.executors.SweepExecutor`: it starts an
-  in-process :class:`~repro.sweeps.queue_daemon.SweepQueueDaemon`,
-  launches ``repro-swarm sweep-work`` host subprocesses pointed at it,
-  and drains settlement events back into the ordinary
+  :class:`~repro.sweeps.executors.SweepExecutor`: it serves the
+  :class:`~repro.sweeps.resilience.QueueState` every executor leases
+  from through an in-process
+  :class:`~repro.sweeps.queue_daemon.SweepQueueDaemon`, launches
+  ``repro-swarm sweep-work`` host subprocesses pointed at it, and
+  settles what they report through the ordinary
   ``on_result``/``on_failure`` callbacks — so ``run_sweep(spec,
   workers=2)`` writes the exact same store as ``jobs=4`` or serial.
 * :func:`sweep_work` — the host loop behind ``repro-swarm
@@ -21,17 +23,19 @@ Three cooperating pieces, all reusing the existing sweep machinery:
   sweep-serve`` for multi-machine runs where no single coordinator
   process wraps the workers.
 
-Retry authority lives in the queue (see
-:mod:`repro.sweeps.queue_daemon`): hosts run a **zero-retry** local
-policy seeded with each lease's global failed-attempt count, so any
-local failure — exception, pool-worker crash, watchdog timeout —
-quarantines locally with the globally-correct attempt number and is
-reported for the daemon to arbitrate: requeue (possibly to another
-host) while budget remains, else terminal. The daemon's authoritative
-terminal record comes back in the ``/fail`` response and is what the
-host writes to its shard, which is why merging the shards
+Retry authority lives in the coordinator's scheduler — the same
+object that charges attempts in a serial or process-pool run: hosts
+run a **zero-retry** local policy seeded with each lease's global
+failed-attempt count, so any local failure — exception, pool-worker
+crash, watchdog timeout — quarantines locally with the
+globally-correct attempt number and is reported for the coordinator
+to arbitrate: requeue (possibly to another host) while budget
+remains, else terminal. The authoritative terminal record comes back
+in the ``/fail`` response and is what the host writes to its shard,
+which is why merging the shards
 (:meth:`~repro.sweeps.store.SweepStore.merge`) reproduces the
-coordinator's store byte-for-byte.
+coordinator's store byte-for-byte. The coordinator and
+:func:`sweep_serve` share one settle loop.
 
 Crash ordering invariant: a host saves its shard **before** POSTing
 ``/complete``. If it dies between the two, the daemon re-leases the
@@ -42,9 +46,9 @@ tolerates the overlap (identical records union cleanly).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-import queue
 import subprocess
 import sys
 import tempfile
@@ -55,14 +59,14 @@ import urllib.request
 import warnings
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..backends.config import FastSimulationConfig
 from ..errors import ConfigurationError, SweepExecutionError
 from .chaos import HOST_PID_ENV
-from .executors import OnFailure, OnResult, SweepExecutor, make_executor
-from .queue_daemon import QueueState, SweepQueueDaemon
-from .resilience import PointFailure, RetryPolicy
+from .executors import SweepExecutor, make_executor
+from .queue_daemon import SweepQueueDaemon
+from .resilience import PointFailure, QueueState, RetryPolicy
 from .spec import SweepPoint, SweepSpec
 from .store import SweepStore
 from .worker import PointOutcome, point_from_payload
@@ -278,35 +282,19 @@ def sweep_work(queue_url: str, *, store_path: Path,
 # Coordinator side
 
 
-def _settle_event(event: tuple, outcomes: list,
-                  on_result: OnResult | None,
-                  on_failure: OnFailure | None, keep_going: bool) -> None:
-    """Dispatch one daemon settlement event to the engine callbacks."""
-    kind = event[0]
-    if kind == "result":
-        _, record, index, elapsed = event
-        outcome = PointOutcome(
-            point_id=record["point_id"],
-            index=int(index),
-            backend=record["backend"],
-            overrides=dict(record["overrides"]),
-            replica=int(record["replica"]),
-            workload_seed=int(record["workload_seed"]),
-            metrics=dict(record["metrics"]),
-            vectors={},  # per-node arrays stay on the executing host
-            elapsed=float(elapsed),
-        )
-        outcomes.append(outcome)
-        if on_result is not None:
-            on_result(outcome)
-    elif kind == "failure":
-        failure = event[1]
-        if on_failure is not None:
-            on_failure(failure)
-        if not keep_going:
-            raise SweepExecutionError(
-                f"sweep aborted (fail-fast): {failure.describe()}"
-            )
+def _settle_until_done(state: QueueState,
+                       settle: Callable[..., bool],
+                       idle: Callable[[], None]) -> None:
+    """Settle *state*'s points as the hosts report them, until all have.
+
+    Whenever nothing settles for a quarter second, the leases of
+    hosts that stopped heartbeating are expired and *idle* runs.
+    """
+    while not state.finished:
+        if not settle(0.25):
+            state.expire_overdue()
+            idle()
+    settle()  # emitted as the last point settled
 
 
 class DistributedExecutor(SweepExecutor):
@@ -432,28 +420,17 @@ class DistributedExecutor(SweepExecutor):
     # ------------------------------------------------------------------
     # Execution
 
-    def run(self, base: FastSimulationConfig,
-            points: Sequence[SweepPoint],
-            on_result: OnResult | None = None,
-            on_failure: OnFailure | None = None,
-            attempts: Mapping[str, int] | None = None
-            ) -> list[PointOutcome]:
-        if not points:
-            return []
+    def _drive(self, base: FastSimulationConfig,
+               points: Sequence[SweepPoint], state: QueueState,
+               settle: Callable[..., bool]) -> None:
         if base != self.spec.base:
             raise ConfigurationError(
                 "the distributed executor serves its spec to worker "
                 "hosts; run() must be called with that spec's base "
                 "config"
             )
-        state = QueueState(
-            self.spec, points,
-            retry_policy=self.retry_policy,
-            lease_timeout=self.lease_timeout,
-            attempts=attempts,
-        )
-        daemon = SweepQueueDaemon(state, host=self.host, port=self.port)
-        daemon.start()
+        daemon = SweepQueueDaemon(state, host=self.host,
+                                  port=self.port).start()
 
         temp_dir: tempfile.TemporaryDirectory | None = None
         if self.shard_dir is None:
@@ -465,8 +442,23 @@ class DistributedExecutor(SweepExecutor):
 
         environment = self._host_environment()
         hosts: list[dict] = []
-        outcomes: list[PointOutcome] = []
         restarts = 0
+
+        def idle() -> None:
+            nonlocal restarts
+            restarts = self._reap_hosts(hosts, state, restarts)
+            if (not state.finished
+                    and all(entry["process"].poll() is not None
+                            for entry in hosts)
+                    and all(entry["exhausted"] or
+                            entry["process"].returncode == 0
+                            for entry in hosts)):
+                raise SweepExecutionError(
+                    "every sweep-work host exited with work still "
+                    "pending; see the hosts' stderr above (their "
+                    "shard stores hold all completed points)"
+                )
+
         try:
             for index in range(min(self.workers, len(points))):
                 worker_id = f"host-{index:02d}"
@@ -478,36 +470,7 @@ class DistributedExecutor(SweepExecutor):
                     "process": subprocess.Popen(command, env=environment),
                     "exhausted": False,
                 })
-            while not state.finished:
-                try:
-                    event = state.events.get(timeout=0.25)
-                except queue.Empty:
-                    event = None
-                if event is not None:
-                    _settle_event(event, outcomes, on_result,
-                                  on_failure, self.keep_going)
-                    continue
-                state.expire_overdue()
-                restarts = self._reap_hosts(hosts, state, restarts)
-                if (not state.finished
-                        and all(entry["process"].poll() is not None
-                                for entry in hosts)
-                        and all(entry["exhausted"] or
-                                entry["process"].returncode == 0
-                                for entry in hosts)):
-                    raise SweepExecutionError(
-                        "every sweep-work host exited with work still "
-                        "pending; see the hosts' stderr above (their "
-                        "shard stores hold all completed points)"
-                    )
-            # The queue settled; drain stragglers already emitted.
-            while True:
-                try:
-                    event = state.events.get_nowait()
-                except queue.Empty:
-                    break
-                _settle_event(event, outcomes, on_result,
-                              on_failure, self.keep_going)
+            _settle_until_done(state, settle, idle)
             # Hosts exit by themselves on their next (done) lease poll.
             for entry in hosts:
                 try:
@@ -519,8 +482,6 @@ class DistributedExecutor(SweepExecutor):
             daemon.close()
             if temp_dir is not None:
                 temp_dir.cleanup()
-        outcomes.sort(key=lambda outcome: outcome.index)
-        return outcomes
 
     def _reap_hosts(self, hosts: list[dict], state: QueueState,
                     restarts: int) -> int:
@@ -597,6 +558,8 @@ def sweep_serve(spec: SweepSpec, *, host: str = "127.0.0.1",
 
     Returns the number of terminally quarantined points (0 = clean).
     """
+    from .engine import outcome_record
+
     points = spec.points()
     store = None
     completed: set[str] = set()
@@ -617,58 +580,44 @@ def sweep_serve(spec: SweepSpec, *, host: str = "127.0.0.1",
                                  backoff_base=retry_backoff),
         lease_timeout=lease_timeout,
     )
-    daemon = SweepQueueDaemon(state, host=host, port=port)
-    daemon.start()
+    daemon = SweepQueueDaemon(state, host=host, port=port).start()
     print(f"sweep queue serving {len(pending)} pending point(s) "
           f"(of {len(points)}) at {daemon.url}")
     quarantined = 0
     next_status = time.monotonic() + status_interval
 
-    def persist(event: tuple) -> None:
+    def persist(outcome: PointOutcome) -> None:
+        if store is not None:
+            store.add(outcome_record(outcome))
+            store.save()
+
+    def quarantine(failure: PointFailure) -> None:
         nonlocal quarantined
-        if event[0] == "result":
-            _, record, _, _ = event
-            if store is not None:
-                store.add(dict(record))
-                store.save()
-        elif event[0] == "failure":
-            quarantined += 1
-            failure = event[1]
-            print(f"quarantined: {failure.describe()}",
-                  file=sys.stderr)
-            if store is not None:
-                store.add_failure(failure.record())
-                store.save()
+        quarantined += 1
+        print(f"quarantined: {failure.describe()}", file=sys.stderr)
+        if store is not None:
+            store.add_failure(failure.record())
+            store.save()
+
+    def report() -> None:
+        nonlocal next_status
+        now = time.monotonic()
+        if now >= next_status:
+            counts = state.status()
+            print(
+                f"status: {counts['completed']}/{counts['total']} "
+                f"completed, {counts['leased']} leased, "
+                f"{counts['pending']} pending, "
+                f"{counts['quarantined']} quarantined",
+                file=sys.stderr,
+            )
+            next_status = now + status_interval
 
     try:
-        while not state.finished:
-            try:
-                event = state.events.get(timeout=0.25)
-            except queue.Empty:
-                event = None
-            if event is not None:
-                persist(event)
-                continue
-            state.expire_overdue()
-            now = time.monotonic()
-            if now >= next_status:
-                counts = state.status()
-                print(
-                    f"status: {counts['completed']}/{counts['total']} "
-                    f"completed, {counts['leased']} leased, "
-                    f"{counts['pending']} pending, "
-                    f"{counts['quarantined']} quarantined",
-                    file=sys.stderr,
-                )
-                next_status = now + status_interval
-        # The queue settled; drain settlements emitted after the loop's
-        # last get() but before finished flipped.
-        while True:
-            try:
-                event = state.events.get_nowait()
-            except queue.Empty:
-                break
-            persist(event)
+        _settle_until_done(
+            state, functools.partial(state.settle, persist, quarantine),
+            report,
+        )
         time.sleep(max(0.0, linger))
     except KeyboardInterrupt:
         print("sweep-serve interrupted; completed points are persisted",
@@ -676,8 +625,6 @@ def sweep_serve(spec: SweepSpec, *, host: str = "127.0.0.1",
         return 130
     finally:
         daemon.close()
-    if store is not None and not state.points:
-        store.save()
     print(f"sweep queue drained: {len(state.completed)} completed, "
           f"{quarantined} quarantined")
     return quarantined

@@ -14,17 +14,16 @@ start method: workers import :mod:`repro` fresh instead of inheriting
 forked state, which keeps results independent of whatever the parent
 process cached and behaves identically on Linux, macOS, and Windows.
 
-Execution is **fault-tolerant** (see :mod:`repro.sweeps.resilience`):
-a point that raises is retried under a deterministic
-:class:`~repro.sweeps.resilience.RetryPolicy` and quarantined (not
-fatal) when it exhausts the budget; a dead worker process
-(``BrokenProcessPool`` — segfault, OOM-kill, ``os._exit``) triggers a
-bounded pool rebuild with every lost in-flight point resubmitted; a
-wall-clock ``point_timeout`` watchdog recycles the pool out from
-under a hung point and counts the hang as a retryable failure. A
-point that fails and then succeeds within the budget leaves no trace
-in its outcome — recovered sweeps stay byte-identical to fault-free
-ones, the property :mod:`repro.sweeps.chaos` fault plans pin in CI.
+Every executor leases its points from one scheduler, a
+:class:`~repro.sweeps.resilience.QueueState`: the serial executor one
+point at a time, the process pool one per idle worker (its recovery
+paths are listed on :class:`ProcessExecutor`), and the distributed
+executor serves the same object to worker hosts. A point that
+exhausts its retry budget is therefore quarantined, not fatal, with
+the same record however the sweep ran, and a point that fails and
+then succeeds within the budget leaves no trace in its outcome —
+recovered sweeps stay byte-identical to fault-free ones, the property
+:mod:`repro.sweeps.chaos` fault plans pin in CI.
 
 Spawned workers share built routing tables instead of rebuilding
 them: the parent resolves each unique topology's
@@ -68,13 +67,13 @@ instead.
 from __future__ import annotations
 
 import dataclasses
-import heapq
-import itertools
+import functools
+import math
 import os
 import time
 import warnings
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (FIRST_COMPLETED, Future,
+                                ProcessPoolExecutor, wait)
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
@@ -83,9 +82,9 @@ from ..backends.base import get_backend_class
 from ..backends.config import FastSimulationConfig
 from ..errors import ConfigurationError, SweepExecutionError
 from ..kademlia.overlay import OverlayConfig
-from .resilience import FailureTracker, PointFailure, RetryPolicy
+from .resilience import PointFailure, QueueState, RetryPolicy
 from .spec import SweepPoint, SweepSpec
-from .worker import PointOutcome, execute_point, point_payload, warm_up
+from .worker import PointOutcome, execute_point, warm_up
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .distributed import DistributedExecutor  # noqa: F401
@@ -100,6 +99,9 @@ OnResult = Callable[[PointOutcome], None]
 #: Callback invoked when a point exhausts its retry budget and is
 #: quarantined (store failure-section hook).
 OnFailure = Callable[[PointFailure], None]
+
+#: The lease holder name of an in-process executor.
+_LOCAL = "local"
 
 
 class WorkerCrash(RuntimeError):
@@ -168,7 +170,16 @@ def table_topologies(base: FastSimulationConfig,
 
 
 class SweepExecutor:
-    """Runs sweep points; subclasses choose the execution strategy."""
+    """Runs sweep points; subclasses choose the execution strategy.
+
+    :meth:`run` leases the points from a fresh
+    :class:`~repro.sweeps.resilience.QueueState` through ``_drive``.
+    """
+
+    #: The sweep spec the scheduler serves to worker hosts.
+    spec: SweepSpec | None = None
+    #: Seconds a lease may run before it is expired and charged.
+    lease_timeout: float = math.inf
 
     def run(self, base: FastSimulationConfig,
             points: Sequence[SweepPoint],
@@ -190,26 +201,47 @@ class SweepExecutor:
         lease carries, so quarantine records stay identical to a
         single-machine run's.
         """
-        raise NotImplementedError
+        outcomes: list[PointOutcome] = []
+        if not points:
+            return outcomes
+        state = QueueState(self.spec, points,
+                           retry_policy=self.retry_policy,
+                           lease_timeout=self.lease_timeout,
+                           attempts=attempts)
 
-    def _point_failed(self, point: SweepPoint, kind: str,
-                      error: BaseException, tracker: FailureTracker,
-                      on_failure: OnFailure | None) -> bool:
-        """Charge one failed attempt; ``True`` if the point may retry.
+        def result(outcome: PointOutcome) -> None:
+            outcomes.append(outcome)
+            if on_result is not None:
+                on_result(outcome)
 
-        On exhaustion the terminal failure is reported to *on_failure*
-        (quarantine) or raised (``keep_going=False``).
+        def failure(failure: PointFailure) -> None:
+            if on_failure is not None:
+                on_failure(failure)
+            if not self.keep_going:
+                raise SweepExecutionError(
+                    f"sweep aborted (fail-fast): {failure.describe()}"
+                )
+
+        settle = functools.partial(state.settle, result, failure)
+        try:
+            self._drive(base, points, state, settle)
+        except BaseException:
+            # What settled before the abort still reaches the store.
+            state.settle(result, on_failure)
+            raise
+        settle()
+        outcomes.sort(key=lambda outcome: outcome.index)
+        return outcomes
+
+    def _drive(self, base: FastSimulationConfig,
+               points: Sequence[SweepPoint], state: QueueState,
+               settle: Callable[..., bool]) -> None:
+        """Lease and execute *state*'s points until all have settled.
+
+        ``settle(timeout=0.0)`` hands what settled so far to the
+        callbacks; call it whenever the run can spare the time.
         """
-        failure = tracker.record(point, kind, error)
-        if failure is None:
-            return True
-        if on_failure is not None:
-            on_failure(failure)
-        if not self.keep_going:
-            raise SweepExecutionError(
-                f"sweep aborted (fail-fast): {failure.describe()}"
-            ) from error
-        return False
+        raise NotImplementedError
 
 
 class SerialExecutor(SweepExecutor):
@@ -218,9 +250,10 @@ class SerialExecutor(SweepExecutor):
     The process-global table cache already deduplicates builds within
     one process, so the serial path needs no shared memory: a K-seed x
     M-parameter sweep over one topology builds its table once here
-    too. Failures retry in place (with the policy's backoff) — crash
-    and hang recovery are inherently process-pool features, so the
-    serial path only ever sees the ``exception`` kind.
+    too. A failed point goes back to the scheduler, which hands it out
+    again once its backoff has elapsed. Crash and hang recovery are
+    inherently process-pool features, so the serial path only ever
+    sees the ``exception`` kind.
     """
 
     def __init__(self, *, epoch_cache_tables: int | None = None,
@@ -230,48 +263,26 @@ class SerialExecutor(SweepExecutor):
         self.retry_policy = retry_policy or RetryPolicy()
         self.keep_going = keep_going
 
-    def run(self, base: FastSimulationConfig,
-            points: Sequence[SweepPoint],
-            on_result: OnResult | None = None,
-            on_failure: OnFailure | None = None,
-            attempts: Mapping[str, int] | None = None
-            ) -> list[PointOutcome]:
+    def _drive(self, base: FastSimulationConfig,
+               points: Sequence[SweepPoint], state: QueueState,
+               settle: Callable[..., bool]) -> None:
         base_payload = dataclasses.asdict(base)
-        tracker = FailureTracker(self.retry_policy,
-                                 attempts=dict(attempts or {}))
-        outcomes = []
-        for point in points:
-            while True:
-                attempt = tracker.failed_attempts(point)
+        while not state.finished:
+            lease = state.lease(_LOCAL, 1)
+            time.sleep(lease["retry_after"] or 0.0)  # a retry backs off
+            for entry in lease["points"]:
                 try:
                     outcome = execute_point(
-                        base_payload, point_payload(point),
+                        base_payload, entry["point"],
                         epoch_cache_tables=self.epoch_cache_tables,
-                        attempt=attempt,
+                        attempt=entry["attempt"],
                     )
                 except Exception as error:
-                    if self._point_failed(point, "exception", error,
-                                          tracker, on_failure):
-                        delay = self.retry_policy.delay(attempt)
-                        if delay > 0:
-                            time.sleep(delay)
-                        continue
-                    break
-                if on_result is not None:
-                    on_result(outcome)
-                outcomes.append(outcome)
-                break
-        outcomes.sort(key=lambda o: o.index)
-        return outcomes
-
-
-@dataclasses.dataclass
-class _InFlight:
-    """One submitted point: its attempt number and watchdog deadline."""
-
-    point: SweepPoint
-    attempt: int
-    deadline: float | None
+                    state.fail(_LOCAL, entry["point"]["point_id"],
+                               "exception", error)
+                else:
+                    state.record_outcome(_LOCAL, outcome)
+            settle()
 
 
 class ProcessExecutor(SweepExecutor):
@@ -281,24 +292,24 @@ class ProcessExecutor(SweepExecutor):
     incrementally) and re-sorted into canonical point order before
     returning; scheduling order never leaks into the output.
 
-    At most ``jobs`` points are in flight at a time (the rest wait in
-    a parent-side queue), so a submitted future is running almost
-    immediately — which is what lets ``point_timeout`` deadlines be
-    measured from submission. Three recovery paths:
+    The pool leases one point per idle worker, so a submitted future
+    is running almost immediately — which is what lets the
+    ``point_timeout`` lease deadline be measured from the lease. Three
+    recovery paths, each a charge on the scheduler:
 
-    * a worker **exception** charges the point one attempt and
-      reschedules it after the policy's backoff;
+    * a worker **exception** charges the point one ``exception``
+      attempt; the scheduler hands it out again after the policy's
+      backoff;
     * a **dead worker** breaks the whole pool; the executor kills and
       rebuilds it (at most ``max_pool_restarts`` times per run) and
-      charges every lost in-flight point one ``crash`` attempt —
-      attribution is impossible, and the charge makes a
-      deterministically crashing point exhaust its budget instead of
-      looping forever;
+      charges every lost lease one ``crash`` attempt — attribution is
+      impossible, and the charge makes a deterministically crashing
+      point exhaust its budget instead of looping forever;
     * a point running past ``point_timeout`` is **hung**: pool
-      workers cannot be cancelled individually, so the pool is killed
-      and rebuilt, the hung point is charged a ``timeout`` attempt,
-      and innocent in-flight points are resubmitted *without* losing
-      budget.
+      workers cannot be cancelled individually, so its expired lease
+      is charged a ``timeout`` attempt, the pool is killed and
+      rebuilt, and the innocent leases in flight go back to the
+      queue *without* losing budget.
     """
 
     def __init__(self, jobs: int, *, share_tables: bool = True,
@@ -318,6 +329,7 @@ class ProcessExecutor(SweepExecutor):
                 f"point_timeout must be > 0, got {point_timeout}"
             )
         self.point_timeout = point_timeout
+        self.lease_timeout = point_timeout or math.inf
         if max_pool_restarts < 0:
             raise ConfigurationError(
                 f"max_pool_restarts must be >= 0, got {max_pool_restarts}"
@@ -519,222 +531,98 @@ class ProcessExecutor(SweepExecutor):
     # ------------------------------------------------------------------
     # Execution
 
-    def run(self, base: FastSimulationConfig,
-            points: Sequence[SweepPoint],
-            on_result: OnResult | None = None,
-            on_failure: OnFailure | None = None,
-            attempts: Mapping[str, int] | None = None
-            ) -> list[PointOutcome]:
-        if not points:
-            return []
+    def _drive(self, base: FastSimulationConfig,
+               points: Sequence[SweepPoint], state: QueueState,
+               settle: Callable[..., bool]) -> None:
         base_payload = dataclasses.asdict(base)
         workers = min(self.jobs, len(points))
         handles: dict[str, dict] = {}
         acquired: list[str] = []
-        tracker = FailureTracker(self.retry_policy,
-                                 attempts=dict(attempts or {}))
-        outcomes: list[PointOutcome] = []
-        #: Points eligible to run now (initial order = canonical).
-        ready: deque[SweepPoint] = deque(points)
-        #: Backoff-delayed retries: (ready_at, tiebreak, point).
-        retries: list[tuple[float, int, SweepPoint]] = []
-        sequence = itertools.count()
-        inflight: dict = {}
+        inflight: dict[Future, str] = {}
         restarts = 0
         # Workers spawn and import while the tables are published.
         pool = self._launch_pool(workers)
         try:
             if self.share_tables:
                 handles, acquired = self._publish_tables(base, points)
-            while ready or retries or inflight:
-                self._promote_retries(ready, retries)
-                broken = self._top_up(pool, base_payload, handles, ready,
-                                      inflight, tracker, workers)
-                if not broken:
+            while not state.finished:
+                why = None
+                try:
+                    retry_after = self._submit(pool, state, inflight,
+                                               workers, base_payload,
+                                               handles)
+                    # The pool is full again before the (slow) store
+                    # saves, so no worker idles through them.
+                    settle()
                     if not inflight:
-                        # Only backoff-delayed retries remain.
-                        pause = max(0.0, retries[0][0] - time.monotonic())
-                        time.sleep(min(pause, 0.25))
+                        time.sleep(retry_after or 0.0)  # retries back off
                         continue
+                    wake = min(retry_after or math.inf,
+                               state.until_deadline())
                     done, _ = wait(
-                        set(inflight),
-                        timeout=self._wait_timeout(inflight, retries),
-                        return_when=FIRST_COMPLETED,
+                        inflight, return_when=FIRST_COMPLETED,
+                        timeout=None if wake == math.inf
+                        else max(0.05, wake),
                     )
-                    completed: list[PointOutcome] = []
-                    try:
-                        broken = self._collect(done, inflight, completed,
-                                               tracker, retries, sequence,
-                                               on_failure)
-                        if not broken:
-                            # Refill the pool before the (slow) store
-                            # save, so no worker idles through it.
-                            self._promote_retries(ready, retries)
-                            broken = self._top_up(
-                                pool, base_payload, handles, ready,
-                                inflight, tracker, workers,
-                            )
-                    finally:
-                        for outcome in completed:
-                            if on_result is not None:
-                                on_result(outcome)
-                            outcomes.append(outcome)
-                if broken:
-                    restarts = self._count_restart(
-                        restarts, "lost a worker process"
-                    )
-                    self._terminate_pool(pool)
-                    lost = list(inflight.values())
-                    inflight.clear()
-                    pool = self._new_pool(workers)
-                    for running in lost:
-                        crash = WorkerCrash(
+                    for future in done:
+                        point_id = inflight.pop(future)
+                        try:
+                            outcome = future.result()
+                        except BrokenProcessPool:
+                            inflight[future] = point_id  # lost with the pool
+                            why = "lost a worker process"
+                        except Exception as error:
+                            state.fail(_LOCAL, point_id, "exception", error)
+                        else:
+                            state.record_outcome(_LOCAL, outcome)
+                except BrokenProcessPool:
+                    why = "lost a worker process"
+                if why is not None:
+                    for point_id in inflight.values():
+                        state.fail(_LOCAL, point_id, "crash", WorkerCrash(
                             "worker process died while this point was "
                             "in flight"
-                        )
-                        if self._point_failed(running.point, "crash",
-                                              crash, tracker, on_failure):
-                            heapq.heappush(retries, (
-                                time.monotonic()
-                                + self.retry_policy.delay(running.attempt),
-                                next(sequence), running.point,
-                            ))
-                    continue
-                restarts, pool = self._reap_hung(
-                    pool, workers, restarts, ready, retries, sequence,
-                    inflight, tracker, on_failure,
-                )
+                        ))
+                elif self.point_timeout is not None:
+                    hung = state.expire_overdue("timeout", PointTimeout(
+                        f"point exceeded point-timeout "
+                        f"{self.point_timeout:g}s"
+                    ))
+                    if hung:
+                        why = (f"had {len(hung)} point(s) exceed "
+                               f"point_timeout={self.point_timeout:g}s")
+                if why is not None:
+                    restarts = self._count_restart(restarts, why)
+                    self._terminate_pool(pool)
+                    pool = self._new_pool(workers)
+                    # Bystanders and unsubmitted leases: no charge.
+                    state.release(_LOCAL)
+                    inflight.clear()
         finally:
             try:
                 self._terminate_pool(pool)
             finally:
                 self._release_handles(acquired)
-        outcomes.sort(key=lambda o: o.index)
-        return outcomes
 
-    @staticmethod
-    def _promote_retries(ready: deque, retries: list) -> None:
-        """Move retries whose backoff has elapsed onto *ready*."""
-        now = time.monotonic()
-        while retries and retries[0][0] <= now:
-            ready.append(heapq.heappop(retries)[2])
+    def _submit(self, pool: ProcessPoolExecutor, state: QueueState,
+                inflight: dict, workers: int, base_payload: dict,
+                handles: dict) -> float | None:
+        """Lease a point for every idle worker and submit it.
 
-    def _top_up(self, pool: ProcessPoolExecutor, base_payload: dict,
-                handles: dict, ready: deque, inflight: dict,
-                tracker: FailureTracker, workers: int) -> bool:
-        """Submit ready points up to the worker count.
-
-        Returns ``True`` when the pool turned out to be broken — the
-        unsubmitted point goes back to the queue head and the caller
-        runs crash recovery.
+        Returns the scheduler's ``retry_after``. A broken pool raises
+        with the unsubmitted points still leased; the caller releases
+        them.
         """
-        while ready and len(inflight) < workers:
-            point = ready.popleft()
-            attempt = tracker.failed_attempts(point)
-            try:
-                future = pool.submit(
-                    execute_point, base_payload, point_payload(point),
-                    handles or None, self.epoch_cache_tables, attempt,
-                )
-            except BrokenProcessPool:
-                ready.appendleft(point)
-                return True
-            deadline = (
-                None if self.point_timeout is None
-                else time.monotonic() + self.point_timeout
-            )
-            inflight[future] = _InFlight(point, attempt, deadline)
-        return False
-
-    def _wait_timeout(self, inflight: dict,
-                      retries: list) -> float | None:
-        """How long :func:`wait` may block before bookkeeping is due."""
-        now = time.monotonic()
-        candidates = []
-        if retries:
-            candidates.append(retries[0][0] - now)
-        deadlines = [running.deadline for running in inflight.values()
-                     if running.deadline is not None]
-        if deadlines:
-            candidates.append(min(deadlines) - now)
-        if not candidates:
+        if len(inflight) >= workers:
             return None
-        return max(0.05, min(candidates))
-
-    def _collect(self, done, inflight: dict, completed: list,
-                 tracker: FailureTracker, retries: list, sequence,
-                 on_failure: OnFailure | None) -> bool:
-        """Drain completed futures; ``True`` when the pool broke.
-
-        Outcomes are appended to *completed*; the caller hands them to
-        ``on_result`` after it has refilled the pool. On a broken pool
-        the triggering future is pushed back into *inflight* so the
-        caller's crash recovery charges it together with every other
-        lost point.
-        """
-        for future in done:
-            running = inflight.pop(future)
-            try:
-                outcome = future.result()
-            except BrokenProcessPool:
-                inflight[future] = running
-                return True
-            except Exception as error:
-                if self._point_failed(running.point, "exception", error,
-                                      tracker, on_failure):
-                    heapq.heappush(retries, (
-                        time.monotonic()
-                        + self.retry_policy.delay(running.attempt),
-                        next(sequence), running.point,
-                    ))
-            else:
-                completed.append(outcome)
-        return False
-
-    def _reap_hung(self, pool: ProcessPoolExecutor, workers: int,
-                   restarts: int, ready: deque, retries: list, sequence,
-                   inflight: dict, tracker: FailureTracker,
-                   on_failure: OnFailure | None
-                   ) -> tuple[int, ProcessPoolExecutor]:
-        """Recycle the pool when any in-flight point is past deadline.
-
-        The hung point is charged a ``timeout`` attempt; other
-        in-flight points are innocent bystanders of the pool kill and
-        requeue with their budget intact.
-        """
-        if self.point_timeout is None or not inflight:
-            return restarts, pool
-        now = time.monotonic()
-        hung = [future for future, running in inflight.items()
-                if running.deadline is not None
-                and running.deadline <= now and not future.done()]
-        if not hung:
-            return restarts, pool
-        hung_running = [inflight.pop(future) for future in hung]
-        survivors = list(inflight.values())
-        inflight.clear()
-        restarts = self._count_restart(
-            restarts,
-            f"had {len(hung_running)} point(s) exceed "
-            f"point_timeout={self.point_timeout:g}s",
-        )
-        self._terminate_pool(pool)
-        pool = self._new_pool(workers)
-        for running in survivors:
-            ready.append(running.point)
-        for running in hung_running:
-            timeout_error = PointTimeout(
-                f"point exceeded point-timeout "
-                f"{self.point_timeout:g}s"
+        lease = state.lease(_LOCAL, workers - len(inflight))
+        for entry in lease["points"]:
+            future = pool.submit(
+                execute_point, base_payload, entry["point"],
+                handles or None, self.epoch_cache_tables, entry["attempt"],
             )
-            if self._point_failed(running.point, "timeout", timeout_error,
-                                  tracker, on_failure):
-                heapq.heappush(retries, (
-                    time.monotonic()
-                    + self.retry_policy.delay(running.attempt),
-                    next(sequence), running.point,
-                ))
-        return restarts, pool
+            inflight[future] = entry["point"]["point_id"]
+        return lease["retry_after"]
 
 
 def make_executor(jobs: int, *, share_tables: bool = True,

@@ -1,25 +1,23 @@
 """HTTP work queue for distributed sweeps.
 
 The distributed executor (see :mod:`repro.sweeps.distributed`) shards
-a sweep's points across *hosts* by pulling, not pushing: a tiny
-stdlib-only HTTP daemon owns the set of pending ``point_id``'s and
-**leases** batches to whichever ``repro-swarm sweep-work`` host asks
-first, so fast hosts naturally take more points and a dead host's
-work flows to the survivors. The daemon is the single authority on
-retry budgets: every lease carries the point's global failed-attempt
-count, every failure report charges exactly one attempt against the
-same deterministic :class:`~repro.sweeps.resilience.RetryPolicy` the
-local executors use, and a lease that expires — its host vanished or
-stopped heartbeating — is charged exactly one ``crash`` attempt with
-a fixed message and digest, mirroring how the process executor
-charges points lost to a dead pool worker. Quarantine records are
-therefore byte-identical whether a sweep ran serially, in one
-process pool, or across hosts.
+a sweep's points across *hosts* by pulling, not pushing: this tiny
+stdlib-only HTTP daemon serves a
+:class:`~repro.sweeps.resilience.QueueState` — the same scheduler the
+serial and process-pool executors lease from — and **leases** batches
+to whichever ``repro-swarm sweep-work`` host asks first, so fast hosts
+naturally take more points and a dead host's work flows to the
+survivors. The scheduler is the single authority on retry budgets:
+every lease carries the point's global failed-attempt count, every
+failure report charges exactly one attempt, and a lease that expires
+— its host vanished or stopped heartbeating — is charged exactly one
+``crash`` attempt with a fixed message and digest. One object charges
+every attempt, so quarantine records are byte-identical whether a
+sweep ran serially, in one process pool, or across hosts.
 
-:class:`QueueState` is the pure, lock-guarded state machine (directly
-unit-testable, no sockets); :class:`SweepQueueDaemon` wraps it in a
+:class:`SweepQueueDaemon` wraps the state in a
 :class:`~http.server.ThreadingHTTPServer` speaking a small JSON
-protocol:
+protocol (each ``/lease`` first expires overdue leases):
 
 ====================  ====================================================
 ``GET /spec``         the full :class:`~repro.sweeps.spec.SweepSpec`
@@ -50,297 +48,14 @@ who can reach the port can take work and submit results.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import json
-import math
-import queue
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping
 
-from ..errors import ConfigurationError
-from .resilience import FailureTracker, PointFailure, RetryPolicy, \
-    failure_digest
-from .spec import SweepPoint, SweepSpec
-from .worker import point_payload
+from .resilience import QueueState
 
-__all__ = [
-    "LEASE_CRASH_ERROR",
-    "LEASE_CRASH_DIGEST",
-    "QueueState",
-    "SweepQueueDaemon",
-]
-
-
-class _HostVanished(RuntimeError):
-    """Fixed-message stand-in exception for an expired lease.
-
-    Never raised — it exists so the expiry charge has a deterministic
-    ``Type: message`` rendering and :func:`failure_digest`, exactly
-    like :class:`~repro.sweeps.executors.WorkerCrash` gives in-flight
-    points lost to a dead pool worker.
-    """
-
-
-_LEASE_CRASH = _HostVanished(
-    "worker host vanished while this point was leased"
-)
-
-#: The error string charged to a point whose lease expired.
-LEASE_CRASH_ERROR = f"{type(_LEASE_CRASH).__name__}: {_LEASE_CRASH}"
-
-#: Its deterministic digest (type + message only, machine-independent).
-LEASE_CRASH_DIGEST = failure_digest(_LEASE_CRASH)
-
-
-class QueueState:
-    """The work queue's state machine: pending / leased / settled.
-
-    All public methods are lock-guarded (the HTTP server is threaded)
-    and side-effect-free beyond this object: settlements are emitted
-    into :attr:`events` — ``("result", record, index, elapsed)`` and
-    ``("failure", PointFailure)`` tuples the coordinator drains to
-    feed its store callbacks.
-
-    The queue, not any host, owns retry accounting: ``attempts`` may
-    seed prior failed-attempt counts (protocol parity with the local
-    executors' ``run(..., attempts=...)``), each lease carries the
-    point's current count, and failure reports / lease expiries charge
-    attempts here. Hosts run their local executor with a zero-retry
-    policy seeded from the leased count, so a local quarantine is one
-    globally-numbered attempt — and terminal records come back *from*
-    the daemon (see :meth:`fail`), keeping shard stores byte-identical
-    to the coordinator's.
-    """
-
-    def __init__(self, spec: SweepSpec, points: Sequence[SweepPoint], *,
-                 retry_policy: RetryPolicy | None = None,
-                 lease_timeout: float = 300.0,
-                 attempts: Mapping[str, int] | None = None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        if lease_timeout <= 0:
-            raise ConfigurationError(
-                f"lease_timeout must be > 0, got {lease_timeout}"
-            )
-        self.spec = spec
-        self.lease_timeout = float(lease_timeout)
-        self._clock = clock
-        self._lock = threading.Lock()
-        self.points: dict[str, SweepPoint] = {
-            point.point_id: point for point in points
-        }
-        self.tracker = FailureTracker(
-            retry_policy or RetryPolicy(),
-            attempts=dict(attempts or {}),
-        )
-        self._sequence = itertools.count()
-        #: Min-heap of (ready_at, seq, point_id) — seq keeps the
-        #: initial canonical order among equally-ready points.
-        self._ready: list[tuple[float, int, str]] = [
-            (0.0, next(self._sequence), point.point_id)
-            for point in points
-        ]
-        heapq.heapify(self._ready)
-        #: point_id -> {"worker", "deadline"} while leased out.
-        self.leases: dict[str, dict[str, Any]] = {}
-        self.completed: dict[str, dict] = {}
-        self.terminal: dict[str, dict] = {}
-        self.events: queue.Queue = queue.Queue()
-
-    # ------------------------------------------------------------------
-    # Protocol operations
-
-    def lease(self, worker: str, count: int) -> dict:
-        """Hand *worker* up to *count* ready points.
-
-        Returns ``{"points": [{"point": payload, "attempt": n}, ...],
-        "done": bool, "retry_after": seconds|None}`` — ``done`` tells
-        an idle host to exit, ``retry_after`` when to poll again while
-        retries back off or other hosts' leases are still out.
-        """
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        with self._lock:
-            now = self._clock()
-            self._expire_overdue_locked(now)
-            leased: list[dict] = []
-            while self._ready and len(leased) < count:
-                ready_at, _, point_id = self._ready[0]
-                if ready_at > now:
-                    break
-                heapq.heappop(self._ready)
-                if point_id in self.completed or point_id in self.terminal:
-                    continue  # settled while queued (stale entry)
-                self.leases[point_id] = {
-                    "worker": worker,
-                    "deadline": now + self.lease_timeout,
-                }
-                leased.append({
-                    "point": point_payload(self.points[point_id]),
-                    "attempt": self.tracker.attempts.get(point_id, 0),
-                })
-            retry_after = None
-            if not leased and not self._finished_locked():
-                if self._ready:
-                    retry_after = max(0.05, self._ready[0][0] - now)
-                else:
-                    retry_after = 0.5  # other hosts' leases are out
-            return {
-                "points": leased,
-                "done": self._finished_locked(),
-                "retry_after": retry_after,
-            }
-
-    def complete(self, worker: str, record: Mapping, index: int,
-                 elapsed: float) -> dict:
-        """Settle one successfully executed point.
-
-        Idempotent: a point re-leased after a false-positive expiry is
-        eventually completed twice with byte-identical records (the
-        sweep is deterministic); only the first settles and emits. A
-        success also supersedes a quarantine recorded meanwhile —
-        matching :meth:`SweepStore.add`, which drops the failure entry.
-
-        The response carries ``done`` so the host that settles the
-        final point learns immediately — without racing a /lease poll
-        against the coordinator tearing the daemon down.
-        """
-        elapsed = float(elapsed)
-        if not math.isfinite(elapsed):
-            raise ValueError(f"elapsed must be finite, got {elapsed!r}")
-        record = dict(record)
-        point_id = record["point_id"]
-        with self._lock:
-            if point_id not in self.points:
-                raise KeyError(f"unknown point {point_id!r}")
-            self.leases.pop(point_id, None)
-            duplicate = point_id in self.completed
-            if not duplicate:
-                self.completed[point_id] = record
-                self.terminal.pop(point_id, None)
-                self.events.put(
-                    ("result", record, int(index), elapsed)
-                )
-            return {
-                "ok": True,
-                "duplicate": duplicate,
-                "done": self._finished_locked(),
-            }
-
-    def fail(self, worker: str, point_id: str, kind: str, error: str,
-             digest: str) -> dict:
-        """Charge one reported failed attempt; decide retry or terminal.
-
-        Only the current lease holder's report counts — a stale report
-        from a host whose lease already expired (and was charged a
-        crash attempt) is ignored rather than double-charged. Returns
-        ``{"retry": bool, "failure": record|None}``; a non-``None``
-        failure record is the daemon's authoritative terminal record,
-        which the reporting host writes into its shard store.
-        """
-        with self._lock:
-            lease = self.leases.get(point_id)
-            if lease is None or lease["worker"] != worker:
-                return {"retry": False, "failure": None, "stale": True,
-                        "done": self._finished_locked()}
-            del self.leases[point_id]
-            verdict = self._charge_locked(point_id, kind, error, digest)
-            verdict["done"] = self._finished_locked()
-            return verdict
-
-    def heartbeat(self, worker: str) -> dict:
-        """Renew every lease *worker* holds."""
-        with self._lock:
-            deadline = self._clock() + self.lease_timeout
-            renewed = 0
-            for lease in self.leases.values():
-                if lease["worker"] == worker:
-                    lease["deadline"] = deadline
-                    renewed += 1
-            return {"renewed": renewed}
-
-    # ------------------------------------------------------------------
-    # Expiry
-
-    def expire_overdue(self) -> list[str]:
-        """Expire every lease past its deadline (heartbeats stopped)."""
-        with self._lock:
-            return self._expire_overdue_locked(self._clock())
-
-    def expire_worker(self, worker: str) -> list[str]:
-        """Expire *worker*'s leases now (its process is known dead)."""
-        with self._lock:
-            overdue = [point_id
-                       for point_id, lease in self.leases.items()
-                       if lease["worker"] == worker]
-            for point_id in overdue:
-                self._expire_locked(point_id)
-            return overdue
-
-    def _expire_overdue_locked(self, now: float) -> list[str]:
-        overdue = [point_id
-                   for point_id, lease in self.leases.items()
-                   if lease["deadline"] <= now]
-        for point_id in overdue:
-            self._expire_locked(point_id)
-        return overdue
-
-    def _expire_locked(self, point_id: str) -> None:
-        """Charge one ``crash`` attempt for a vanished host's lease."""
-        self.leases.pop(point_id, None)
-        if point_id in self.completed:
-            return  # settled by a duplicate completion meanwhile
-        self._charge_locked(
-            point_id, "crash", LEASE_CRASH_ERROR, LEASE_CRASH_DIGEST
-        )
-
-    def _charge_locked(self, point_id: str, kind: str, error: str,
-                       digest: str) -> dict:
-        point = self.points[point_id]
-        failure = self.tracker.record_reported(
-            point, kind, error=error, digest=digest
-        )
-        if failure is None:
-            # Budget remains: requeue after the policy's backoff (the
-            # failed-attempt index is the count *before* this charge).
-            attempt = self.tracker.attempts[point_id] - 1
-            delay = self.tracker.policy.delay(attempt)
-            heapq.heappush(self._ready, (
-                self._clock() + delay, next(self._sequence), point_id,
-            ))
-            return {"retry": True, "failure": None}
-        record = failure.record()
-        self.terminal[point_id] = record
-        self.events.put(("failure", failure))
-        return {"retry": False, "failure": record}
-
-    # ------------------------------------------------------------------
-    # Introspection
-
-    def _finished_locked(self) -> bool:
-        return (len(self.completed) + len(self.terminal)
-                >= len(self.points))
-
-    @property
-    def finished(self) -> bool:
-        """Every point settled (completed or terminally quarantined)."""
-        with self._lock:
-            return self._finished_locked()
-
-    def status(self) -> dict:
-        """Progress counters for ``GET /status`` and ``--dry-run``."""
-        with self._lock:
-            settled = len(self.completed) + len(self.terminal)
-            return {
-                "total": len(self.points),
-                "pending": len(self.points) - settled - len(self.leases),
-                "leased": len(self.leases),
-                "completed": len(self.completed),
-                "quarantined": len(self.terminal),
-                "done": self._finished_locked(),
-            }
+__all__ = ["SweepQueueDaemon"]
 
 
 def _json_int(body: Mapping, key: str, default: int | None = None) -> int:
@@ -408,6 +123,7 @@ class _QueueHandler(BaseHTTPRequestHandler):
         try:
             body = self._body()
             if self.path == "/lease":
+                self.state.expire_overdue()
                 self._reply(self.state.lease(
                     str(body["worker"]), _json_int(body, "count", 1)
                 ))
@@ -438,9 +154,8 @@ class SweepQueueDaemon:
     the OS-assigned port when ``port=0``), serves from a background
     thread after :meth:`start`, and tears the socket down in
     :meth:`close`. The state machine stays directly accessible via
-    :attr:`state` — the coordinating process drains
-    ``state.events`` in its own loop rather than talking HTTP to
-    itself.
+    :attr:`state` — the coordinating process settles its events in
+    its own loop rather than talking HTTP to itself.
     """
 
     def __init__(self, state: QueueState, *, host: str = "127.0.0.1",

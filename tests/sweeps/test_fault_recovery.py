@@ -172,6 +172,27 @@ class TestProcessRecovery:
         assert result.failures == []
         assert clean.read_bytes() == faulted.read_bytes()
 
+    def test_quarantined_store_matches_serial_byte_for_byte(
+            self, tmp_path):
+        # A poisoned point fails on every attempt: its quarantine
+        # record — digest included — must not depend on whether the
+        # exception was raised in-process or pickled back from a pool
+        # worker with the remote traceback attached.
+        spec = tiny_spec()
+        plan = write_plan(tmp_path, [
+            {"point_id": spec.points()[0].point_id, "attempt": a,
+             "kind": "exception", "message": "poison"} for a in range(3)
+        ])
+        stores = []
+        for jobs in (1, 2):
+            store_path = tmp_path / f"jobs-{jobs}.json"
+            result = run_quiet(spec, jobs=jobs, store_path=store_path,
+                               fault_plan=plan, max_retries=2,
+                               retry_backoff=0.0)
+            assert [f.attempts for f in result.failures] == [3]
+            stores.append(store_path.read_bytes())
+        assert stores[0] == stores[1]
+
     def test_hung_point_exhausts_budget_and_quarantines(self, tmp_path):
         # A point that hangs on *every* attempt trips the watchdog
         # each time and ends up quarantined as a timeout; the healthy

@@ -4,8 +4,10 @@
 lease ordering and attempt numbers, completion idempotence, the
 retry-then-quarantine ladder, lease expiry charging exactly one
 ``crash`` attempt, and the stale-report guard that keeps a
-double-charge from ever happening. A short HTTP section smoke-tests
-the daemon's JSON protocol end to end over loopback.
+double-charge from ever happening. A Hypothesis state machine drives
+random interleavings of every operation against a model. A short
+HTTP section smoke-tests the daemon's JSON protocol end to end over
+loopback.
 """
 
 from __future__ import annotations
@@ -16,15 +18,23 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.backends.config import FastSimulationConfig
 from repro.errors import ConfigurationError
-from repro.sweeps import RetryPolicy, SweepSpec
-from repro.sweeps.queue_daemon import (
+from repro.sweeps import RetryPolicy, SweepSpec, failure_digest
+from repro.sweeps.queue_daemon import SweepQueueDaemon
+from repro.sweeps.resilience import (
     LEASE_CRASH_DIGEST,
     LEASE_CRASH_ERROR,
     QueueState,
-    SweepQueueDaemon,
 )
 
 TINY = FastSimulationConfig(
@@ -115,8 +125,8 @@ class TestComplete:
         point_id = leased["point"]["point_id"]
         response = state.complete("w", fake_record(point_id), 0, 0.1)
         assert response["ok"] and not response["duplicate"]
-        kind, record, index, elapsed = state.events.get_nowait()
-        assert kind == "result" and record["point_id"] == point_id
+        kind, outcome = state.events.get_nowait()
+        assert kind == "result" and outcome.point_id == point_id
 
     def test_duplicate_completion_dedups(self):
         state, _ = make_state()
@@ -434,3 +444,149 @@ class TestDaemonHTTP:
         finally:
             connection.close()
             daemon.close()
+
+
+MAX_RETRIES = 2
+LEASE_TIMEOUT = 10.0
+WORKERS = st.sampled_from(["a", "b"])
+
+
+class SchedulerMachine(RuleBasedStateMachine):
+    """Random interleavings of every scheduler operation.
+
+    The model tracks only which leases are out and the charges each
+    point has taken; after every step the scheduler must agree with
+    it, and each point's terminal record must be what the point's
+    own charges give when replayed alone.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.clock = FakeClock()
+        spec = tiny_spec()
+        self.state = QueueState(
+            spec, spec.points(), clock=self.clock,
+            retry_policy=RetryPolicy(max_retries=MAX_RETRIES,
+                                     backoff_base=1.0),
+            lease_timeout=LEASE_TIMEOUT,
+        )
+        #: point_id -> [worker, deadline] of the leases out.
+        self.held: dict[str, list] = {}
+        #: point_id -> the (kind, error, digest) charges it took.
+        self.charges = {point_id: [] for point_id in self.state.points}
+        self.settled: list[str] = []
+        self.failures: dict[str, dict] = {}
+
+    def _pick_held(self, data) -> tuple[str, str]:
+        point_id = data.draw(st.sampled_from(sorted(self.held)))
+        worker, _ = self.held.pop(point_id)
+        return point_id, worker
+
+    @rule(worker=WORKERS, count=st.integers(1, 3))
+    def lease(self, worker, count):
+        for entry in self.state.lease(worker, count)["points"]:
+            point_id = entry["point"]["point_id"]
+            assert point_id not in self.held
+            assert point_id not in self.settled
+            assert entry["attempt"] == len(self.charges[point_id])
+            self.held[point_id] = [worker, self.clock.now + LEASE_TIMEOUT]
+
+    @precondition(lambda self: self.held)
+    @rule(data=st.data())
+    def complete(self, data):
+        point_id, worker = self._pick_held(data)
+        self.state.complete(worker, fake_record(point_id), 0, 0.1)
+
+    @precondition(lambda self: self.held)
+    @rule(data=st.data(), reported=st.booleans())
+    def fail(self, data, reported):
+        point_id, worker = self._pick_held(data)
+        error = ValueError(
+            f"{point_id} attempt {len(self.charges[point_id])}"
+        )
+        charge = ("exception", f"ValueError: {error}",
+                  failure_digest(error))
+        if reported:  # rendered by a host, as over HTTP
+            self.state.fail(worker, point_id, *charge)
+        else:
+            self.state.fail(worker, point_id, "exception", error)
+        self.charges[point_id].append(charge)
+
+    @rule(data=st.data())
+    def report_from_a_stranger(self, data):
+        point_id = data.draw(st.sampled_from(sorted(self.charges)))
+        verdict = self.state.fail("stranger", point_id, "exception",
+                                  "E: late", "0" * 16)
+        assert verdict["stale"] is True
+
+    @rule()
+    def expire(self):
+        overdue = {point_id for point_id, (_, deadline)
+                   in self.held.items() if deadline <= self.clock.now}
+        assert set(self.state.expire_overdue()) == overdue
+        for point_id in overdue:
+            del self.held[point_id]
+            self.charges[point_id].append(
+                ("crash", LEASE_CRASH_ERROR, LEASE_CRASH_DIGEST)
+            )
+
+    @rule(worker=WORKERS)
+    def release_uncharged(self, worker):
+        mine = {point_id for point_id, (holder, _) in self.held.items()
+                if holder == worker}
+        assert set(self.state.release(worker)) == mine
+        for point_id in mine:
+            del self.held[point_id]
+
+    @rule(worker=WORKERS)
+    def heartbeat(self, worker):
+        self.state.heartbeat(worker)
+        for lease in self.held.values():
+            if lease[0] == worker:
+                lease[1] = self.clock.now + LEASE_TIMEOUT
+
+    @rule(seconds=st.floats(0.0, 2 * LEASE_TIMEOUT))
+    def advance_clock(self, seconds):
+        self.clock.tick(seconds)
+
+    @invariant()
+    def agrees_with_the_model(self):
+        self.state.settle(self._settled, self._quarantined)
+        assert len(self.settled) == len(set(self.settled))
+        assert self.state.terminal == self.failures
+        assert set(self.state.leases) == set(self.held)
+        for point_id, charges in self.charges.items():
+            assert len(charges) <= MAX_RETRIES + 1
+            assert self.state.tracker.attempts.get(point_id, 0) == len(
+                charges)
+            assert (point_id in self.failures) == (
+                len(charges) == MAX_RETRIES + 1)
+        assert self.state.finished == (
+            len(self.settled) == len(self.state.points))
+
+    @invariant()
+    def terminal_records_ignore_the_interleaving(self):
+        for point_id, charges in self.charges.items():
+            alone = QueueState(
+                None, [self.state.points[point_id]],
+                retry_policy=RetryPolicy(max_retries=MAX_RETRIES,
+                                         backoff_base=0.0),
+            )
+            for charge in charges:
+                alone.lease("solo", 1)
+                alone.fail("solo", point_id, *charge)
+            assert alone.terminal.get(point_id) == \
+                self.failures.get(point_id)
+
+    def _settled(self, outcome) -> None:
+        self.settled.append(outcome.point_id)
+
+    def _quarantined(self, failure) -> None:
+        self.settled.append(failure.point_id)
+        self.failures[failure.point_id] = failure.record()
+
+
+TestSchedulerMachine = SchedulerMachine.TestCase
+TestSchedulerMachine.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None,
+)

@@ -1,4 +1,4 @@
-"""Unit tests for the failure-envelope / retry-policy layer."""
+"""Unit tests for failure records, the retry policy and digests."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.sweeps import SweepSpec, failure_digest
 from repro.sweeps.resilience import (
     FailureTracker,
     PointFailure,
-    PointResult,
     RetryPolicy,
 )
 from tests.sweeps.test_store import TINY
@@ -65,23 +64,24 @@ class TestFailureDigest:
             with_cause = failure_digest(chained)
         assert with_cause != failure_digest(ValueError("outer"))
 
+    def test_digest_skips_a_pool_workers_remote_traceback(self):
+        # A pool worker's exception arrives with the remote traceback
+        # (file paths, line numbers) attached as its cause.
+        from concurrent.futures.process import _RemoteTraceback
+
+        error = ValueError("boom")
+        error.__cause__ = _RemoteTraceback(
+            '\n"""\n  File "/any/checkout/worker.py", line 7\n"""'
+        )
+        assert failure_digest(error) == failure_digest(ValueError("boom"))
+
     def test_digest_is_short_stable_hex(self):
         digest = failure_digest(RuntimeError("x"))
         assert len(digest) == 16
         int(digest, 16)  # hex or raises
 
 
-class TestPointResult:
-    def test_envelope_holds_exactly_one_side(self):
-        point = one_point()
-        failure = PointFailure(point=point, kind="exception",
-                               error="ValueError: boom",
-                               digest="0" * 16, attempts=3)
-        result = PointResult(outcome=None, failure=failure, attempts=3)
-        assert not result.ok
-        with pytest.raises(ConfigurationError):
-            PointResult(outcome=None, failure=None, attempts=1)
-
+class TestPointFailure:
     def test_failure_record_is_plain_sorted_data(self):
         point = one_point()
         failure = PointFailure(point=point, kind="timeout",
@@ -113,12 +113,11 @@ class TestFailureTracker:
         tracker = FailureTracker(RetryPolicy(max_retries=2))
         error = ValueError("boom")
         assert tracker.record(point, "exception", error) is None
-        assert tracker.failed_attempts(point) == 1
+        assert tracker.attempts[point.point_id] == 1
         assert tracker.record(point, "exception", error) is None
         final = tracker.record(point, "exception", error)
         assert final is not None
         assert final.attempts == 3
-        assert tracker.quarantined == [final]
 
     def test_unknown_kind_refused(self):
         # Validation lives in PointFailure, built once the budget is

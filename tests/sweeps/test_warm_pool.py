@@ -194,14 +194,12 @@ class RecordingExecutor(ProcessExecutor):
         self.most_inflight = 0
         self.submitted_at_result: list[int] = []
 
-    def _top_up(self, pool, base_payload, handles, ready, inflight,
-                tracker, workers):
+    def _submit(self, pool, state, inflight, *args):
         before = len(inflight)
-        broken = super()._top_up(pool, base_payload, handles, ready,
-                                 inflight, tracker, workers)
+        retry_after = super()._submit(pool, state, inflight, *args)
         self.submitted += len(inflight) - before
         self.most_inflight = max(self.most_inflight, len(inflight))
-        return broken
+        return retry_after
 
     def on_result(self, outcome) -> None:
         self.submitted_at_result.append(self.submitted)
