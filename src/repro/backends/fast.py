@@ -15,8 +15,8 @@ the production backend:
   lockstep hop waves, accumulating exactly the per-node quantities
   the paper's figures need (chunks forwarded, chunks served as paid
   first hop, income in accounting units). The legacy per-file loop is
-  kept behind ``run(batched=False)`` for cross-validation and
-  benchmarking.
+  kept behind ``run(batched=False)`` as a cross-check of the batched
+  engine.
 
 The hop-wave loop is memory-bandwidth-bound (tens of millions of
 random table gathers), so the kernel is built around a compact
@@ -1184,7 +1184,7 @@ class FastSimulation:
                                           minlength=n)
 
     # ------------------------------------------------------------------
-    # Legacy per-file loop (kept for cross-validation and benchmarks)
+    # Legacy per-file loop (kept as a cross-check of the batched engine)
 
     def _run_file(self, event: FileDownload,
                   result: SimulationResult) -> None:
@@ -1453,8 +1453,9 @@ class FastBackend(SimulationBoundBackend):
 class PerFileFastBackend(SimulationBoundBackend):
     """The pre-batching vectorized loop: one python iteration per file.
 
-    Kept as a registered backend so equivalence tests and the
-    before/after benchmark can compare it against the batched engine.
+    Kept as a registered backend so the equivalence tests and the
+    ``fast_perfile`` golden fixture can compare it against the batched
+    engine.
     """
 
     name = "fast-perfile"

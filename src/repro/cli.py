@@ -34,7 +34,10 @@ experiments and the ablations from the terminal::
         --jobs 4 --store shard-a.json
     repro-swarm sweep --merge-stores shard-*.json --store sweep.json
 
-    repro-swarm bench --quick --baseline benchmarks/BENCH_quick.json
+    # gate saved perfbench logs against the committed record
+    python3 perfbench/run.py --workload all --seed 9001 --seconds 8 \
+        --trace 0 | tee perf.log
+    repro-swarm bench perf.log --record BENCH_perfbench.json
 
 The ``sweep`` subcommand expands a parameter grid over the simulation
 configuration, replicates every cell across derived workload seeds,
@@ -389,38 +392,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bench = subparsers.add_parser(
-        "bench", help="headline perf benchmark -> BENCH_headline.json"
+        "bench",
+        help="gate perfbench logs against the committed benchmark record",
     )
     bench.add_argument(
-        "--quick", action="store_true",
-        help="CI scale (300 nodes / 2000 files) instead of paper scale",
+        "logs", nargs="+", type=Path, metavar="LOG",
+        help="saved output of perfbench/run.py --trace 0",
     )
     bench.add_argument(
-        "--repeats", type=int, default=3,
-        help="simulation repetitions; the best time is reported",
-    )
-    bench.add_argument(
-        "--out", type=Path, default=Path("BENCH_headline.json"),
-        help="where to write the JSON record",
-    )
-    bench.add_argument(
-        "--baseline", type=Path, default=None,
-        help="committed baseline record to compare against",
-    )
-    bench.add_argument(
-        "--max-regression", type=float, default=2.0,
+        "--record", type=Path, default=Path("BENCH_perfbench.json"),
         help=(
-            "fail (exit 1) when chunks/s drops more than this factor "
-            "below the baseline (default: 2.0 — loose, for noisy "
-            "shared runners)"
+            "the committed record; BENCHMARK.json beside it says which "
+            "way each metric is better (default: BENCH_perfbench.json)"
         ),
     )
     bench.add_argument(
-        "--strict-provenance", action="store_true",
+        "--append", action="store_true",
         help=(
-            "refuse to write a benchmark record from a dirty git tree "
-            "(without this flag a dirty tree only warns loudly); use "
-            "when regenerating a committed baseline"
+            "append the logged runs to the record instead of gating "
+            "them (clean git tree and passed output checks only)"
         ),
     )
 
@@ -837,79 +827,47 @@ def _sweep_work_run(args: argparse.Namespace) -> int:
 def _bench_run(args: argparse.Namespace) -> int:
     import json
 
-    from .perf.bench import check_regression, headline_bench
+    from .perf.bench import MAX_REGRESSION, compare, read_runs
 
-    label = "quick" if args.quick else "paper"
-    print(f"bench: {label} scale, best of {args.repeats} run(s)")
-    record = headline_bench(quick=args.quick, repeats=args.repeats)
-    if record["provenance"].get("git_dirty"):
-        # A baseline that says "git_dirty": true cannot be reproduced
-        # from its recorded commit — it measured code nobody can check
-        # out again.
-        if args.strict_provenance:
-            print(
-                "REFUSING to write a benchmark record from a dirty git "
-                "tree (--strict-provenance): commit or stash your "
-                "changes so the record's git_commit actually describes "
-                "the measured code.",
-                file=sys.stderr,
-            )
+    try:
+        runs = read_runs(args.logs)
+    except ConfigurationError as error:
+        print(f"repro-swarm bench: {error}", file=sys.stderr)
+        return 1
+    if not runs:
+        print("repro-swarm bench: the logs hold no perfbench run",
+              file=sys.stderr)
+        return 1
+    records = (json.loads(args.record.read_text())
+               if args.record.exists() else [])
+    if args.append:
+        # A record must describe code that can be checked out again.
+        refused = [
+            f"{run['workload']}: git_dirty: "
+            f"{run['provenance'].get('git_dirty')}, correct: "
+            f"{run['correct']}" for run in runs
+            if run["provenance"].get("git_dirty") is not False
+            or not run["correct"]
+        ]
+        for problem in refused:
+            print(f"repro-swarm bench: refusing to append {problem}",
+                  file=sys.stderr)
+        if refused:
             return 1
-        print(
-            "WARNING: recording a benchmark from a DIRTY git tree — the "
-            "record's git_commit does not describe the measured code. "
-            "Do not commit this as a baseline; rerun from a clean tree "
-            "(or pass --strict-provenance to make this an error).",
-            file=sys.stderr,
-        )
-    args.out.write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n"
-    )
-    metrics = record["metrics"]
-    print(
-        f"table build {metrics['table_build_seconds']:.2f}s | publish "
-        f"{metrics['table_publish_seconds']:.2f}s | attach "
-        f"{metrics['table_attach_seconds']:.4f}s "
-        f"({metrics['attach_vs_build_speedup']:,.0f}x faster than build)"
-    )
-    print(
-        f"simulation {metrics['run_seconds']:.2f}s: "
-        f"{metrics['files_per_second']:,.0f} files/s, "
-        f"{metrics['chunks_per_second']:,.0f} chunks/s"
-    )
-    dynamics = record["dynamics"]
-    dynamics_metrics = dynamics["metrics"]
-    print(
-        f"dynamics ({dynamics['scenario']}) "
-        f"{dynamics_metrics['run_seconds']:.2f}s: "
-        f"{dynamics_metrics['chunks_per_second']:,.0f} chunks/s "
-        f"({dynamics_metrics['slowdown_vs_static']:.2f}x static)"
-    )
-    latency = record["latency"]
-    latency_metrics = latency["metrics"]
-    print(
-        f"time-domain {latency_metrics['run_seconds']:.2f}s: "
-        f"{latency_metrics['chunks_per_second']:,.0f} chunks/s "
-        f"({latency_metrics['slowdown_vs_static']:.2f}x static), "
-        f"latency p50/p95/p99 = {latency_metrics['latency_p50_ms']:.0f}/"
-        f"{latency_metrics['latency_p95_ms']:.0f}/"
-        f"{latency_metrics['latency_p99_ms']:.0f} ms"
-    )
-    print(f"record written to {args.out}")
-    if args.baseline is not None:
-        baseline = json.loads(args.baseline.read_text())
-        problems = check_regression(
-            record, baseline, args.max_regression
-        )
-        if problems:
-            for problem in problems:
-                print(f"PERF REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print(
-            f"within {args.max_regression:.1f}x of baseline "
-            f"{args.baseline} "
-            f"({baseline['metrics']['chunks_per_second']:,.0f} chunks/s)"
-        )
+        args.record.write_text(
+            json.dumps(records + runs, indent=2, sort_keys=True) + "\n")
+        print(f"appended {len(runs)} run(s) to {args.record}")
+        return 0
+    spec = json.loads(
+        (args.record.resolve().parent / "BENCHMARK.json").read_text())
+    better = {metric["name"]: metric["better"]
+              for metric in spec["end_to_end"]}
+    problems = compare(runs, records, better)
+    for problem in problems:
+        print(f"repro-swarm bench: {problem}", file=sys.stderr)
+    if problems:
+        return 1
+    print(f"{len(runs)} run(s) within {MAX_REGRESSION:g}x of {args.record}")
     return 0
 
 

@@ -16,10 +16,10 @@ redundancy and tracks the repository's performance trajectory:
   last sweep releases them) and attaches them read-only in worker
   processes, so a K-seed x M-parameter sweep over one topology builds
   its table exactly once machine-wide;
-* :mod:`~repro.perf.bench` — the ``repro-swarm bench`` headline
-  benchmark, which emits ``BENCH_headline.json`` with git/seed
-  provenance and compares against a committed baseline (the CI perf
-  smoke gate).
+* :mod:`~repro.perf.bench` — the ``repro-swarm bench`` gate, which
+  holds saved ``perfbench/run.py`` logs against the committed
+  ``BENCH_perfbench.json`` record (the CI perf smoke gate), and the
+  time-domain :data:`LATENCY_PROFILE`.
 
 The epoch-driven scenario layer adds :class:`EpochTableCache` beside
 the dense-table cache: per-epoch storer tables under topology change
@@ -31,13 +31,13 @@ never recompute an epoch's table twice in one process.
 
 The public names load on first use: importing this package imports
 none of its submodules, so a process that only needs the table cache
-never loads the benchmark (and, through it, the sweep engine).
+never loads the benchmark gate.
 """
 
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "bench": ["BENCH_FORMAT", "check_regression", "headline_bench"],
+    "bench": ["LATENCY_PROFILE"],
     "shared": ["SharedArraySpec", "SharedTableHandle", "SharedTableRegistry",
                "attach_table", "shared_table_registry"],
     "table_cache": ["EPOCH_TABLE_LOG_ENV", "CacheStats", "EpochCacheStats",

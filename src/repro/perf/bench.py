@@ -1,91 +1,34 @@
-"""The ``repro-swarm bench`` headline benchmark and its JSON format.
+"""The ``repro-swarm bench`` gate over the benchmark of record.
 
-One benchmark record captures the three numbers this repository's
-performance story is built on:
+``perfbench/run.py`` measures each workload and prints, among other
+lines, ``workload NAME seed N: ...``, ``provenance: {...}`` and one
+final JSON line with the checks' verdict and the end-to-end metrics.
+:func:`read_runs` reads those lines back from saved logs;
+:func:`compare` holds each run against the newest committed record
+for its workload and seed (``BENCH_perfbench.json``) and reports
+every end-to-end metric more than :data:`MAX_REGRESSION` times worse.
+Which way is worse comes from ``end_to_end[].better`` in the
+``BENCHMARK.json`` beside the record file. The factor is loose on
+purpose: shared hosts are noisy, and the gate is there to catch a
+lost kernel speed-up, not percent-level drift.
 
-* ``table_build_seconds`` — cold :class:`NextHopTable` construction
-  (what every sweep worker used to pay per topology);
-* ``table_publish_seconds`` / ``table_attach_seconds`` — the shared-
-  memory path that replaces those rebuilds;
-* ``run_seconds`` / ``chunks_per_second`` — the batched hop-wave
-  kernel's end-to-end throughput (best of ``repeats``);
-* the ``dynamics`` section — the same workload under the paper's
-  churn headline (:data:`DYNAMICS_SCENARIO`), routed by the static
-  kernel over the sparsely epoch-patched coded matrix, with its
-  slowdown ratio against the static run;
-* the ``latency`` section — the same workload through the
-  time-domain event wheel under :data:`LATENCY_PROFILE` (finite
-  fair-share bandwidth, Poisson arrivals, slotted completions), with
-  measured latency percentiles and its slowdown against the static
-  run;
-* the ``sweep`` section — a small fixed grid through the *whole*
-  sweep engine (:data:`SWEEP_GRID`), serial vs ``jobs=2``, in
-  points/s. The serial figure is regression-gated; the parallel
-  speedup is recorded but not gated (shared 1-core runners routinely
-  invert it);
-* the ``serve`` section — the same workload re-fed through the
-  streaming session in :data:`SERVE_MAX_BATCH`-file micro-epochs
-  (the ``repro-swarm serve`` execution path: persistent
-  :class:`StreamSession`, per-epoch scratch results absorbed into a
-  :class:`StreamingAggregator`), in streamed chunks/s plus the
-  process RSS before/after as the bounded-memory record. Throughput
-  is regression-gated; RSS is machine commentary.
-
-Records carry git/seed/config provenance and are written to
-``BENCH_headline.json``; committing one per machine-visible change
-builds the perf trajectory, and :func:`check_regression` is the CI
-smoke gate — it fails when throughput (static *or* dynamics) drops by
-more than the given factor against the committed baseline (loose by
-design: shared CI runners are noisy; the gate exists to catch
-order-of-magnitude regressions, not percent-level drift).
+A perf change appends its own runs to the record
+(``repro-swarm bench LOG... --append``), from a clean tree only.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import platform
-import time
-from typing import Mapping
+import json
+import re
+from pathlib import Path
 
-import numpy as np
-
-from ..backends.config import FastSimulationConfig
-from ..backends.fast import (
-    FastSimulation,
-    NextHopTable,
-    StreamSession,
-    cached_overlay,
-)
 from ..errors import ConfigurationError
-from ..sweeps.store import git_provenance
-from .shared import attach_table, shared_table_registry
-from .table_cache import global_table_cache
 
-__all__ = ["BENCH_FORMAT", "QUICK_SCALE", "PAPER_SCALE",
-           "DYNAMICS_SCENARIO", "LATENCY_PROFILE", "SWEEP_GRID",
-           "SWEEP_SCALE", "SERVE_MAX_BATCH", "headline_bench",
-           "check_regression"]
+__all__ = ["LATENCY_PROFILE", "MAX_REGRESSION", "read_runs", "compare"]
 
-BENCH_FORMAT = "repro-swarm-bench/1"
-
-#: The dynamics headline: the paper's §VI churn rate, routed in the
-#: patched-static mode (dead-value LUT + sparse coded patches, no
-#: per-epoch matrix copy). The acceptance bar for the epoch-patching
-#: work is this scenario staying within 1.2x of the static headline.
-DYNAMICS_SCENARIO = "churn:rate=0.1"
-
-#: CI-friendly scale: the benchmark harness's 300-node overlay, with
-#: enough files (~1.1M chunks) that the timed region is not noise.
-QUICK_SCALE = {"n_nodes": 300, "n_files": 2000}
-
-#: The paper's §VI headline scale: ~5.5M chunk retrievals.
-PAPER_SCALE = {"n_nodes": 1000, "n_files": 10_000}
-
-#: The time-domain headline: contended fair-share bandwidth with
+#: The time-domain workload: contended fair-share bandwidth with
 #: Poisson arrivals and 10 ms completion slots — dense enough that
 #: the event wheel (not the analytic fast path) is what's measured.
-#: The acceptance bar is the paper-scale record staying under a
-#: minute on one core.
 LATENCY_PROFILE = {
     "hop_latency_ms": 30.0,
     "node_up_mbps": 50.0,
@@ -94,22 +37,10 @@ LATENCY_PROFILE = {
     "time_quantum_ms": 10.0,
 }
 
-#: The sweep-engine headline: two topologies x two seeds through
-#: run_sweep — spec expansion, executor, retry bookkeeping, store
-#: callbacks — measured end to end in points/s.
-SWEEP_GRID = {"bucket_size": (4, 8)}
-SWEEP_SEEDS = 2
+#: How many times worse than its record an end-to-end metric may be.
+MAX_REGRESSION = 2.0
 
-#: Per-point scale for the sweep section. Smaller than the static
-#: headline: the sweep runs 2 x #grid-cells x seeds full simulations
-#: and must not dominate the benchmark's wall clock.
-SWEEP_SCALE = {
-    "quick": {"n_nodes": 150, "n_files": 200},
-    "paper": {"n_nodes": 300, "n_files": 500},
-}
-
-#: Micro-epoch size for the serve section — the serve CLI default.
-SERVE_MAX_BATCH = 256
+_WORKLOAD_LINE = re.compile(r"workload (\S+) seed (-?\d+):")
 
 
 def _rss_kib() -> int:
@@ -126,399 +57,77 @@ def _rss_kib() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def headline_bench(*, quick: bool = False, repeats: int = 3) -> dict:
-    """Measure build/attach/run at one scale; returns the JSON record."""
-    if repeats < 1:
-        raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-    scale = QUICK_SCALE if quick else PAPER_SCALE
-    config = FastSimulationConfig(**scale)
-    overlay = cached_overlay(config.overlay_config())
-
-    started = time.perf_counter()
-    table = NextHopTable(overlay)
-    build_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    _ = table.flat_coded
-    encode_seconds = time.perf_counter() - started
-
-    registry = shared_table_registry()
-    fingerprint = overlay.fingerprint()
-    started = time.perf_counter()
-    handle = registry.acquire(table)
-    publish_seconds = time.perf_counter() - started
-    try:
-        started = time.perf_counter()
-        attached = attach_table(handle, overlay)
-        attach_seconds = time.perf_counter() - started
-        # Run the workload against the attached table — the exact
-        # object sweep workers use — so the throughput number covers
-        # the shared path, not a privileged local one.
-        global_table_cache().install(fingerprint, attached)
-        simulation = FastSimulation(config)
-        run_times = []
-        result = None
-        for _ in range(repeats):
-            run_started = time.perf_counter()
-            result = simulation.run()
-            run_times.append(time.perf_counter() - run_started)
-        run_seconds = min(run_times)
-        # The dynamics headline runs against the same attached table:
-        # the first repeat pays the one-off working-copy + epoch-patch
-        # derivation, the later repeats (and the best-of min) measure
-        # the steady state sweeps actually run in.
-        dynamics_config = dataclasses.replace(
-            config, scenario=DYNAMICS_SCENARIO
-        )
-        dynamics_simulation = FastSimulation(dynamics_config)
-        dynamics_times = []
-        dynamics_result = None
-        for _ in range(repeats):
-            run_started = time.perf_counter()
-            dynamics_result = dynamics_simulation.run()
-            dynamics_times.append(time.perf_counter() - run_started)
-        dynamics_seconds = min(dynamics_times)
-        # The time-domain headline reuses the same attached table
-        # through the wrapped FastSimulation; routing is identical,
-        # the extra cost is path recording plus the fluid wheel.
-        from ..backends.timed import TimedSimulation
-
-        latency_config = dataclasses.replace(config, **LATENCY_PROFILE)
-        latency_simulation = TimedSimulation(latency_config)
-        latency_times = []
-        latency_result = None
-        for _ in range(repeats):
-            run_started = time.perf_counter()
-            latency_result = latency_simulation.run()
-            latency_times.append(time.perf_counter() - run_started)
-        latency_seconds = min(latency_times)
-    finally:
-        global_table_cache().discard(fingerprint)
-        registry.release(fingerprint)
-
-    assert result is not None
-    assert dynamics_result is not None
-    assert latency_result is not None
-
-    # Sweep-engine throughput: the same small grid serially and with
-    # a 2-process pool. Oversubscription warnings are expected (CI
-    # runners are often 1-core) and suppressed — the speedup figure
-    # itself records what the hardware did.
-    import warnings
-
-    from ..sweeps import SweepSpec, run_sweep, table_topologies
-
-    label = "quick" if quick else "paper"
-    sweep_spec = SweepSpec(
-        base=FastSimulationConfig(**SWEEP_SCALE[label]),
-        grid=SWEEP_GRID,
-        backends=("fast",),
-        seeds=SWEEP_SEEDS,
-    )
-    # Pre-build both topologies' tables so serial and jobs=2 measure
-    # the same steady state (neither charged the one-off cold builds).
-    for topology in table_topologies(sweep_spec.base,
-                                     sweep_spec.points()):
-        global_table_cache().get(cached_overlay(topology))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        sweep_serial = run_sweep(sweep_spec, jobs=1)
-        sweep_jobs2 = run_sweep(sweep_spec, jobs=2)
-
-    # Serve-path throughput: the exact loop ``repro-swarm serve``
-    # runs — persistent session, micro-epoch scratch results, online
-    # aggregation — minus the JSON I/O. RSS is sampled around the
-    # best-of repeats as the bounded-memory record.
-    from ..analysis.streaming import StreamingAggregator
-    from ..workloads.streams import GeneratorStream
-
-    addresses = simulation.overlay.address_array().astype(np.int64)
-    serve_times = []
-    serve_aggregator = None
-    serve_rss_before = _rss_kib()
-    for _ in range(repeats):
-        stream = GeneratorStream(
-            config.workload(), max_batch=SERVE_MAX_BATCH
-        )
-        aggregator = StreamingAggregator(addresses)
-        run_started = time.perf_counter()
-        with StreamSession(simulation) as session:
-            for batch in stream.batches(
-                simulation.overlay.address_array(), simulation.space
-            ):
-                scratch = simulation.new_result()
-                file_origins, sizes, targets = (
-                    simulation.flatten_events(batch)
-                )
-                scratch.files += len(sizes)
-                session.feed(np.repeat(file_origins, sizes), targets,
-                             into=scratch)
-                aggregator.absorb(scratch)
-        serve_times.append(time.perf_counter() - run_started)
-        serve_aggregator = aggregator
-    serve_seconds = min(serve_times)
-    serve_rss_after = _rss_kib()
-    assert serve_aggregator is not None
-
-    static_rate = result.chunks / run_seconds
-    dynamics_rate = dynamics_result.chunks / dynamics_seconds
-    latency_rate = latency_result.chunks / latency_seconds
-    latency_stats = latency_result.latency_stats()
-    return {
-        "format": BENCH_FORMAT,
-        "label": "quick" if quick else "paper",
-        "config": {
-            "n_nodes": config.n_nodes,
-            "n_files": config.n_files,
-            "bits": config.bits,
-            "bucket_size": config.bucket_size,
-            "overlay_seed": config.overlay_seed,
-            "workload_seed": config.workload_seed,
-        },
-        "provenance": {
-            **git_provenance(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-        "workload": {
-            "files": int(result.files),
-            "chunks": int(result.chunks),
-            "total_hops": int(result.total_hops),
-        },
-        "metrics": {
-            "table_build_seconds": round(build_seconds, 4),
-            "table_encode_seconds": round(encode_seconds, 4),
-            "table_publish_seconds": round(publish_seconds, 4),
-            "table_attach_seconds": round(attach_seconds, 4),
-            "run_seconds": round(run_seconds, 4),
-            "files_per_second": round(result.files / run_seconds, 1),
-            "chunks_per_second": round(static_rate, 1),
-            "attach_vs_build_speedup": round(
-                build_seconds / max(attach_seconds, 1e-9), 1
-            ),
-        },
-        "dynamics": {
-            "scenario": DYNAMICS_SCENARIO,
-            "workload": {
-                "files": int(dynamics_result.files),
-                "chunks": int(dynamics_result.chunks),
-                "total_hops": int(dynamics_result.total_hops),
-            },
-            "metrics": {
-                "run_seconds": round(dynamics_seconds, 4),
-                "chunks_per_second": round(dynamics_rate, 1),
-                "slowdown_vs_static": round(
-                    static_rate / max(dynamics_rate, 1e-9), 3
-                ),
-            },
-        },
-        "latency": {
-            "profile": dict(LATENCY_PROFILE),
-            "workload": {
-                "files": int(latency_result.files),
-                "chunks": int(latency_result.chunks),
-                "total_hops": int(latency_result.total_hops),
-            },
-            "metrics": {
-                "run_seconds": round(latency_seconds, 4),
-                "chunks_per_second": round(latency_rate, 1),
-                "slowdown_vs_static": round(
-                    static_rate / max(latency_rate, 1e-9), 3
-                ),
-                "latency_p50_ms": round(latency_stats.p50_ms, 2),
-                "latency_p95_ms": round(latency_stats.p95_ms, 2),
-                "latency_p99_ms": round(latency_stats.p99_ms, 2),
-            },
-        },
-        "sweep": {
-            "spec": {
-                **SWEEP_SCALE[label],
-                "grid": {name: list(values)
-                         for name, values in SWEEP_GRID.items()},
-                "backends": ["fast"],
-                "seeds": SWEEP_SEEDS,
-                "points": len(sweep_spec),
-            },
-            "metrics": {
-                "serial_seconds": round(sweep_serial.elapsed, 4),
-                "serial_points_per_second": round(
-                    sweep_serial.points_per_second, 3
-                ),
-                "jobs2_seconds": round(sweep_jobs2.elapsed, 4),
-                "jobs2_points_per_second": round(
-                    sweep_jobs2.points_per_second, 3
-                ),
-                "parallel_speedup": round(
-                    sweep_jobs2.points_per_second
-                    / max(sweep_serial.points_per_second, 1e-9), 3
-                ),
-            },
-        },
-        "serve": {
-            "max_batch": SERVE_MAX_BATCH,
-            "workload": {
-                "files": int(serve_aggregator.files),
-                "chunks": int(serve_aggregator.chunks),
-                "total_hops": int(serve_aggregator.total_hops),
-            },
-            "metrics": {
-                "run_seconds": round(serve_seconds, 4),
-                "chunks_per_second": round(
-                    serve_aggregator.chunks / serve_seconds, 1
-                ),
-                "slowdown_vs_static": round(
-                    static_rate
-                    / max(serve_aggregator.chunks / serve_seconds,
-                          1e-9), 3
-                ),
-                "rss_kib": serve_rss_after,
-                "rss_growth_kib": serve_rss_after - serve_rss_before,
-            },
-        },
-    }
+def read_runs(paths) -> list[dict]:
+    """One record per ``workload`` line in the perfbench logs *paths*."""
+    runs = []
+    for path in paths:
+        run = None
+        for line in Path(path).read_text(encoding="utf-8").splitlines():
+            head = _WORKLOAD_LINE.match(line)
+            if head:
+                if run is not None:
+                    break  # the open run has no result line: refused below
+                run = {"workload": head[1], "seed": int(head[2]),
+                       "provenance": {}}
+            elif run is None:
+                continue
+            elif line.startswith("provenance: "):
+                run["provenance"] = json.loads(line[len("provenance: "):])
+            elif line.startswith('{"correct"'):
+                result = json.loads(line)
+                runs.append({**run, "correct": result["correct"],
+                             "attempted": result["attempted"],
+                             "failed": result["failed"],
+                             "metrics": {name: metric["value"] for name, metric
+                                         in result["metrics"].items()}})
+                run = None
+        if run is not None:
+            raise ConfigurationError(
+                f"{path}: workload {run['workload']} has no JSON result "
+                f"line after its workload line")
+    return runs
 
 
-def check_regression(current: Mapping, baseline: Mapping,
-                     max_regression: float = 2.0) -> list[str]:
-    """Compare a fresh record against a committed baseline.
+def compare(runs, records, better) -> list[str]:
+    """Problems of *runs* against *records* (empty when the gate passes).
 
-    Returns a list of human-readable problems (empty = pass). Records
-    must describe the same benchmark (format, label, simulated
-    workload); throughput may not drop by more than *max_regression*.
-    Absolute times are not compared — they are machine properties —
-    only the ratio gate on throughput, which a >2x kernel regression
-    trips even on a slower shared runner.
+    *better* maps each end-to-end metric to ``"higher"`` or ``"lower"``.
     """
-    if max_regression < 1.0:
-        raise ConfigurationError(
-            f"max_regression must be >= 1.0, got {max_regression}"
-        )
-    problems: list[str] = []
-    for record, who in ((current, "current"), (baseline, "baseline")):
-        if record.get("format") != BENCH_FORMAT:
+    problems = []
+    for run in runs:
+        name = run["workload"]
+        if not run["correct"]:
+            problems.append(f"{name}: correct: false (an output check "
+                            f"failed)")
+        same = [r for r in records if r["workload"] == name]
+        if not same:
+            problems.append(f"{name}: the record has no run of this "
+                            f"workload")
+            continue
+        record = next((r for r in reversed(same)
+                       if r["seed"] == run["seed"]), None)
+        if record is None:
             problems.append(
-                f"{who} record is not a {BENCH_FORMAT} benchmark record"
-            )
-    if problems:
-        return problems
-    if current.get("label") != baseline.get("label"):
-        problems.append(
-            f"benchmark scales differ: current={current.get('label')!r} "
-            f"vs baseline={baseline.get('label')!r}"
-        )
-    if current.get("workload") != baseline.get("workload"):
-        problems.append(
-            "simulated workloads differ; the throughput comparison "
-            "would be meaningless (did the config or seeds change?)"
-        )
-    if problems:
-        return problems
-    current_rate = float(current["metrics"]["chunks_per_second"])
-    baseline_rate = float(baseline["metrics"]["chunks_per_second"])
-    if current_rate * max_regression < baseline_rate:
-        problems.append(
-            f"throughput regression: {current_rate:,.0f} chunks/s is more "
-            f"than {max_regression:.1f}x below the baseline "
-            f"{baseline_rate:,.0f} chunks/s"
-        )
-    current_dynamics = current.get("dynamics")
-    baseline_dynamics = baseline.get("dynamics")
-    if current_dynamics is None or baseline_dynamics is None:
-        # Pre-dynamics baselines gate only the static kernel; the
-        # dynamics gate arms itself once a baseline carrying the
-        # section is committed.
-        return problems
-    if (current_dynamics.get("scenario") != baseline_dynamics.get("scenario")
-            or current_dynamics.get("workload")
-            != baseline_dynamics.get("workload")):
-        problems.append(
-            "dynamics scenarios/workloads differ; the dynamics "
-            "throughput comparison would be meaningless"
-        )
-        return problems
-    current_rate = float(current_dynamics["metrics"]["chunks_per_second"])
-    baseline_rate = float(baseline_dynamics["metrics"]["chunks_per_second"])
-    if current_rate * max_regression < baseline_rate:
-        problems.append(
-            f"dynamics throughput regression "
-            f"({current_dynamics['scenario']}): {current_rate:,.0f} "
-            f"chunks/s is more than {max_regression:.1f}x below the "
-            f"baseline {baseline_rate:,.0f} chunks/s"
-        )
-    current_latency = current.get("latency")
-    baseline_latency = baseline.get("latency")
-    if current_latency is None or baseline_latency is None:
-        # Pre-latency baselines gate static + dynamics only; the
-        # latency gate arms itself once a baseline carrying the
-        # section is committed.
-        return problems
-    if (current_latency.get("profile") != baseline_latency.get("profile")
-            or current_latency.get("workload")
-            != baseline_latency.get("workload")):
-        problems.append(
-            "latency profiles/workloads differ; the time-domain "
-            "throughput comparison would be meaningless"
-        )
-        return problems
-    current_rate = float(current_latency["metrics"]["chunks_per_second"])
-    baseline_rate = float(baseline_latency["metrics"]["chunks_per_second"])
-    if current_rate * max_regression < baseline_rate:
-        problems.append(
-            f"time-domain throughput regression: {current_rate:,.0f} "
-            f"chunks/s is more than {max_regression:.1f}x below the "
-            f"baseline {baseline_rate:,.0f} chunks/s"
-        )
-    current_sweep = current.get("sweep")
-    baseline_sweep = baseline.get("sweep")
-    if current_sweep is None or baseline_sweep is None:
-        # Pre-sweep-section baselines gate the kernels only; this gate
-        # arms itself once a baseline carrying the section is
-        # committed.
-        return problems
-    if current_sweep.get("spec") != baseline_sweep.get("spec"):
-        problems.append(
-            "sweep-section specs differ; the sweep throughput "
-            "comparison would be meaningless"
-        )
-        return problems
-    # Only the serial figure is gated: it measures the engine's
-    # per-point overhead. The parallel speedup is hardware commentary
-    # (1-core CI runners legitimately invert it).
-    current_rate = float(
-        current_sweep["metrics"]["serial_points_per_second"]
-    )
-    baseline_rate = float(
-        baseline_sweep["metrics"]["serial_points_per_second"]
-    )
-    if current_rate * max_regression < baseline_rate:
-        problems.append(
-            f"sweep-engine regression: {current_rate:,.2f} points/s "
-            f"(serial) is more than {max_regression:.1f}x below the "
-            f"baseline {baseline_rate:,.2f} points/s"
-        )
-    current_serve = current.get("serve")
-    baseline_serve = baseline.get("serve")
-    if current_serve is None or baseline_serve is None:
-        # Pre-serve-section baselines gate everything above only; the
-        # streaming gate arms itself once a baseline carrying the
-        # section is committed.
-        return problems
-    if (current_serve.get("max_batch") != baseline_serve.get("max_batch")
-            or current_serve.get("workload")
-            != baseline_serve.get("workload")):
-        problems.append(
-            "serve-section batching/workloads differ; the streaming "
-            "throughput comparison would be meaningless"
-        )
-        return problems
-    # Only streamed throughput is gated; the RSS figures are machine
-    # properties recorded for the bounded-memory story.
-    current_rate = float(current_serve["metrics"]["chunks_per_second"])
-    baseline_rate = float(baseline_serve["metrics"]["chunks_per_second"])
-    if current_rate * max_regression < baseline_rate:
-        problems.append(
-            f"serve streaming regression: {current_rate:,.0f} chunks/s "
-            f"is more than {max_regression:.1f}x below the baseline "
-            f"{baseline_rate:,.0f} chunks/s"
-        )
+                f"{name}: seed {run['seed']} is not in the record (seeds "
+                f"{sorted({r['seed'] for r in same})})")
+            continue
+        if run["failed"] * record["attempted"] > (record["failed"]
+                                                  * run["attempted"]):
+            problems.append(
+                f"{name}: failed/attempted {run['failed']}/"
+                f"{run['attempted']} is above the record's "
+                f"{record['failed']}/{record['attempted']}")
+        for metric, direction in better.items():
+            value = run["metrics"].get(metric)
+            base = record["metrics"].get(metric)
+            if value is None or base is None:
+                problems.append(f"{name} {metric}: not in both the log "
+                                f"and the record")
+            elif (value * MAX_REGRESSION < base if direction == "higher"
+                    else value > base * MAX_REGRESSION):
+                problems.append(
+                    f"{name} {metric}: {value:.6g} is more than "
+                    f"{MAX_REGRESSION:g}x worse than the record's "
+                    f"{base:.6g} (commit "
+                    f"{record['provenance'].get('git_commit')})")
     return problems

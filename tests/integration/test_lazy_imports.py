@@ -5,7 +5,8 @@ has long since imported everything) and pin which modules a cold
 start must *not* load: a sweep worker never loads the HTTP queue, the
 distributed executor, the aggregation layer or the backends it does
 not run; building a fast simulation never loads the sweep engine; the
-serve daemon never loads the plotting module.
+benchmark gate never loads the sweep store or the kernel; the serve
+daemon never loads the plotting module.
 """
 
 from __future__ import annotations
@@ -60,6 +61,13 @@ class TestImportGraph:
         watched = ["repro.experiments", "repro.experiments.registry",
                    "repro.sweeps.engine", "repro.swarm", "repro.analysis"]
         assert loaded_after("import repro.cli", watched) == []
+
+    def test_bench_gate_loads_no_sweep_store_or_kernel(self):
+        # perfbench's latency-contended set-up imports LATENCY_PROFILE
+        # from here; the gate itself only reads logs and JSON.
+        watched = ["repro.sweeps", "repro.perf.shared",
+                   "repro.perf.table_cache", "repro.backends.fast"]
+        assert loaded_after("import repro.perf.bench", watched) == []
 
     def test_serve_loads_no_plots(self):
         assert loaded_after("import repro.serve",

@@ -191,304 +191,3 @@ class TestCliFlags:
         ])
         assert args.table_cache is False
         assert args.cap_jobs is True
-
-    def test_bench_parser(self, tmp_path):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args([
-            "bench", "--quick", "--out", str(tmp_path / "b.json"),
-            "--baseline", "benchmarks/BENCH_quick.json",
-            "--max-regression", "3.0",
-        ])
-        assert args.quick is True
-        assert args.max_regression == 3.0
-        assert args.strict_provenance is False
-
-
-def fake_bench_record(dirty: bool) -> dict:
-    return {
-        "format": "repro-swarm-bench/1",
-        "label": "quick",
-        "config": {},
-        "provenance": {"git_commit": "abc", "git_dirty": dirty},
-        "workload": {"files": 1, "chunks": 1, "total_hops": 1},
-        "metrics": {
-            "table_build_seconds": 1.0,
-            "table_encode_seconds": 0.1,
-            "table_publish_seconds": 0.1,
-            "table_attach_seconds": 0.001,
-            "run_seconds": 0.5,
-            "files_per_second": 2.0,
-            "chunks_per_second": 2.0,
-            "attach_vs_build_speedup": 1000.0,
-        },
-        "dynamics": {
-            "scenario": "churn:rate=0.1",
-            "workload": {"files": 1, "chunks": 1, "total_hops": 1},
-            "metrics": {
-                "run_seconds": 0.6,
-                "chunks_per_second": 1.7,
-                "slowdown_vs_static": 1.18,
-            },
-        },
-        "latency": {
-            "profile": {"hop_latency_ms": 30.0},
-            "workload": {"files": 1, "chunks": 1, "total_hops": 1},
-            "metrics": {
-                "run_seconds": 0.8,
-                "chunks_per_second": 1.2,
-                "slowdown_vs_static": 1.6,
-                "latency_p50_ms": 180.0,
-                "latency_p95_ms": 320.0,
-                "latency_p99_ms": 400.0,
-            },
-        },
-        "sweep": {
-            "spec": {
-                "n_nodes": 150, "n_files": 200,
-                "grid": {"bucket_size": [4, 8]},
-                "backends": ["fast"], "seeds": 2, "points": 4,
-            },
-            "metrics": {
-                "serial_seconds": 2.0,
-                "serial_points_per_second": 2.0,
-                "jobs2_seconds": 1.3,
-                "jobs2_points_per_second": 3.1,
-                "parallel_speedup": 1.55,
-            },
-        },
-        "serve": {
-            "max_batch": 256,
-            "workload": {"files": 1, "chunks": 1, "total_hops": 1},
-            "metrics": {
-                "run_seconds": 0.55,
-                "chunks_per_second": 1.9,
-                "slowdown_vs_static": 1.05,
-                "rss_kib": 100_000,
-                "rss_growth_kib": 50,
-            },
-        },
-    }
-
-
-class TestDynamicsRegressionGate:
-    """check_regression covers the dynamics headline too."""
-
-    def test_dynamics_drop_fails_gate(self):
-        from repro.perf.bench import check_regression
-
-        current = fake_bench_record(False)
-        baseline = fake_bench_record(False)
-        current["dynamics"]["metrics"]["chunks_per_second"] = 0.5
-        problems = check_regression(current, baseline, 2.0)
-        assert len(problems) == 1
-        assert "dynamics throughput regression" in problems[0]
-
-    def test_pre_dynamics_baseline_gates_static_only(self):
-        from repro.perf.bench import check_regression
-
-        current = fake_bench_record(False)
-        baseline = fake_bench_record(False)
-        del baseline["dynamics"]
-        current["dynamics"]["metrics"]["chunks_per_second"] = 1e-6
-        assert check_regression(current, baseline, 2.0) == []
-
-    def test_mismatched_dynamics_workload_refuses_to_compare(self):
-        from repro.perf.bench import check_regression
-
-        current = fake_bench_record(False)
-        baseline = fake_bench_record(False)
-        baseline["dynamics"]["workload"]["chunks"] = 2
-        problems = check_regression(current, baseline, 2.0)
-        assert len(problems) == 1
-        assert "meaningless" in problems[0]
-
-    def test_matching_records_pass(self):
-        from repro.perf.bench import check_regression
-
-        assert check_regression(
-            fake_bench_record(False), fake_bench_record(False), 2.0
-        ) == []
-
-
-class TestLatencyRegressionGate:
-    """check_regression covers the time-domain headline too."""
-
-    def test_latency_drop_fails_gate(self):
-        from repro.perf.bench import check_regression
-
-        current = fake_bench_record(False)
-        baseline = fake_bench_record(False)
-        current["latency"]["metrics"]["chunks_per_second"] = 0.1
-        problems = check_regression(current, baseline, 2.0)
-        assert len(problems) == 1
-        assert "time-domain throughput regression" in problems[0]
-
-    def test_pre_latency_baseline_gates_without_it(self):
-        from repro.perf.bench import check_regression
-
-        current = fake_bench_record(False)
-        baseline = fake_bench_record(False)
-        del baseline["latency"]
-        current["latency"]["metrics"]["chunks_per_second"] = 1e-6
-        assert check_regression(current, baseline, 2.0) == []
-
-    def test_mismatched_latency_profile_refuses_to_compare(self):
-        from repro.perf.bench import check_regression
-
-        current = fake_bench_record(False)
-        baseline = fake_bench_record(False)
-        baseline["latency"]["profile"]["hop_latency_ms"] = 5.0
-        problems = check_regression(current, baseline, 2.0)
-        assert len(problems) == 1
-        assert "meaningless" in problems[0]
-
-
-class TestSweepRegressionGate:
-    """check_regression covers the sweep-engine headline too."""
-
-    def test_serial_drop_fails_gate(self):
-        from repro.perf.bench import check_regression
-
-        current = fake_bench_record(False)
-        baseline = fake_bench_record(False)
-        current["sweep"]["metrics"]["serial_points_per_second"] = 0.5
-        problems = check_regression(current, baseline, 2.0)
-        assert len(problems) == 1
-        assert "sweep-engine regression" in problems[0]
-
-    def test_parallel_speedup_is_not_gated(self):
-        from repro.perf.bench import check_regression
-
-        current = fake_bench_record(False)
-        baseline = fake_bench_record(False)
-        # 1-core runners legitimately invert the speedup; only the
-        # serial per-point overhead is a code property.
-        current["sweep"]["metrics"]["jobs2_points_per_second"] = 0.1
-        current["sweep"]["metrics"]["parallel_speedup"] = 0.05
-        assert check_regression(current, baseline, 2.0) == []
-
-    def test_pre_sweep_baseline_gates_without_it(self):
-        from repro.perf.bench import check_regression
-
-        current = fake_bench_record(False)
-        baseline = fake_bench_record(False)
-        del baseline["sweep"]
-        current["sweep"]["metrics"]["serial_points_per_second"] = 1e-6
-        assert check_regression(current, baseline, 2.0) == []
-
-    def test_mismatched_sweep_spec_refuses_to_compare(self):
-        from repro.perf.bench import check_regression
-
-        current = fake_bench_record(False)
-        baseline = fake_bench_record(False)
-        baseline["sweep"]["spec"]["seeds"] = 5
-        problems = check_regression(current, baseline, 2.0)
-        assert len(problems) == 1
-        assert "meaningless" in problems[0]
-
-
-class TestServeRegressionGate:
-    """check_regression covers the streaming (serve) headline too."""
-
-    def test_streamed_throughput_drop_fails_gate(self):
-        from repro.perf.bench import check_regression
-
-        current = fake_bench_record(False)
-        baseline = fake_bench_record(False)
-        current["serve"]["metrics"]["chunks_per_second"] = 0.5
-        problems = check_regression(current, baseline, 2.0)
-        assert len(problems) == 1
-        assert "serve streaming regression" in problems[0]
-
-    def test_rss_is_not_gated(self):
-        from repro.perf.bench import check_regression
-
-        current = fake_bench_record(False)
-        baseline = fake_bench_record(False)
-        # RSS is a machine property, recorded but never gated.
-        current["serve"]["metrics"]["rss_kib"] = 10_000_000
-        current["serve"]["metrics"]["rss_growth_kib"] = 500_000
-        assert check_regression(current, baseline, 2.0) == []
-
-    def test_pre_serve_baseline_gates_without_it(self):
-        from repro.perf.bench import check_regression
-
-        current = fake_bench_record(False)
-        baseline = fake_bench_record(False)
-        del baseline["serve"]
-        current["serve"]["metrics"]["chunks_per_second"] = 1e-6
-        assert check_regression(current, baseline, 2.0) == []
-
-    def test_mismatched_serve_batching_refuses_to_compare(self):
-        from repro.perf.bench import check_regression
-
-        current = fake_bench_record(False)
-        baseline = fake_bench_record(False)
-        baseline["serve"]["max_batch"] = 64
-        problems = check_regression(current, baseline, 2.0)
-        assert len(problems) == 1
-        assert "meaningless" in problems[0]
-
-
-class TestBenchProvenance:
-    """Baseline-writing hygiene: dirty trees warn; --strict refuses."""
-
-    @pytest.fixture()
-    def patched_bench(self, monkeypatch):
-        import repro.perf.bench as bench
-
-        state = {"dirty": True}
-        monkeypatch.setattr(
-            bench, "headline_bench",
-            lambda *, quick, repeats: fake_bench_record(state["dirty"]),
-        )
-        return state
-
-    def test_dirty_tree_warns_but_writes(self, patched_bench, tmp_path,
-                                         capsys):
-        from repro.cli import main
-
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--quick", "--out", str(out)]) == 0
-        assert out.exists()
-        err = capsys.readouterr().err
-        assert "DIRTY git tree" in err
-        assert "Do not commit this as a baseline" in err
-
-    def test_strict_provenance_refuses_dirty_tree(self, patched_bench,
-                                                  tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "bench.json"
-        code = main([
-            "bench", "--quick", "--strict-provenance", "--out", str(out),
-        ])
-        assert code == 1
-        assert not out.exists()
-        assert "REFUSING" in capsys.readouterr().err
-
-    def test_clean_tree_is_silent(self, patched_bench, tmp_path, capsys):
-        from repro.cli import main
-
-        patched_bench["dirty"] = False
-        out = tmp_path / "bench.json"
-        code = main([
-            "bench", "--quick", "--strict-provenance", "--out", str(out),
-        ])
-        assert code == 0
-        assert out.exists()
-        assert capsys.readouterr().err == ""
-
-    def test_committed_baselines_are_clean(self):
-        """The repo's own baselines must carry clean provenance."""
-        import json
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parents[2]
-        for name in ("BENCH_headline.json", "benchmarks/BENCH_quick.json"):
-            record = json.loads((repo / name).read_text())
-            assert record["provenance"]["git_dirty"] is False, (
-                f"{name} was recorded from a dirty tree; regenerate it "
-                f"with repro-swarm bench --strict-provenance"
-            )
