@@ -15,7 +15,6 @@ name        engine
 ========== ========================================================
 fast        batched numpy: whole-workload lockstep hop waves, with
             native path-caching and churn scenarios
-fast-perfile legacy vectorized loop (one python iteration per file)
 time        time-domain event wheel over the same routing matrices:
             finite up/down bandwidth, concurrency caps, per-chunk
             latency samples (hop counters bit-identical to fast)
@@ -52,8 +51,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "config": ["FastSimulationConfig"],
     "result": ["SimulationResult"],
     "fast": ["FastBackend", "FastSimulation", "NextHopTable",
-             "PerFileFastBackend", "cached_next_hop_table", "cached_overlay",
-             "clear_caches", "paper_result"],
+             "cached_next_hop_table", "cached_overlay", "clear_caches",
+             "paper_result"],
     "timed": ["FluidWheel", "TimeBackend", "TimedSimulation"],
     "reference": ["ReferenceBackend"],
     "baselines": ["FilecoinBackend", "FlatRewardBackend", "FreeRiderBackend",

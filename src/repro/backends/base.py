@@ -1,9 +1,8 @@
 """The :class:`SimulationBackend` protocol and backend registry.
 
 Every way of executing the paper's download simulation — the batched
-numpy engine, the per-file legacy loop, the object-oriented reference
-network, and the comparison baselines — implements one small
-interface::
+numpy engine, the object-oriented reference network, and the
+comparison baselines — implements one small interface::
 
     backend = get_backend("fast")
     result = backend.prepare(config).run(workload)
@@ -92,7 +91,6 @@ _BACKENDS: dict[str, type[SimulationBackend]] = {}
 #: imported the first time one of its names is looked up.
 _BACKEND_MODULES = {
     "fast": "fast",
-    "fast-perfile": "fast",
     "time": "timed",
     "reference": "reference",
     "flat": "baselines",

@@ -14,9 +14,7 @@ the production backend:
   origin/target/storer columns and routes every in-flight chunk in
   lockstep hop waves, accumulating exactly the per-node quantities
   the paper's figures need (chunks forwarded, chunks served as paid
-  first hop, income in accounting units). The legacy per-file loop is
-  kept behind ``run(batched=False)`` as a cross-check of the batched
-  engine.
+  first hop, income in accounting units).
 
 The hop-wave loop is memory-bandwidth-bound (tens of millions of
 random table gathers), so the kernel is built around a compact
@@ -103,7 +101,7 @@ from ..kademlia.address import (
 )
 from ..kademlia.overlay import Overlay, OverlayConfig
 from ..workloads.distributions import OriginatorPool, UniformFileSize
-from ..workloads.generators import DownloadWorkload, FileDownload
+from ..workloads.generators import DownloadWorkload
 from .base import SimulationBackend, register_backend
 from .config import FastSimulationConfig
 from .result import SimulationResult
@@ -115,7 +113,6 @@ __all__ = [
     "FastSimulation",
     "StreamSession",
     "FastBackend",
-    "PerFileFastBackend",
     "clear_caches",
     "cached_overlay",
     "install_overlay",
@@ -405,18 +402,12 @@ class NextHopTable:
     its sorted peers plus its own address: a target whose XOR-nearest
     key is a peer forwards there, and one nearest to the node itself
     is a greedy terminal. Columns are filled 32 nodes at a time,
-    terminal-coded against ``storer`` and copied in, so no raw matrix
-    exists after construction.
-
-    ``next_hop[i, t]`` — the raw ``[node, target]`` matrix the legacy
-    per-file loop and the exhaustive routing tests read — is decoded
-    from the coded matrix on first access: the index of the peer node
-    ``i`` forwards a request for target address ``t`` to, or
-    :attr:`sentinel` (the entry dtype's maximum value) when no known
-    peer is XOR-closer than ``i`` itself. ``storer[t]`` is the dense
-    index of the globally closest node. Both use
-    :func:`table_entry_dtype`; capacity is validated (never silently
-    wrapped) at construction.
+    terminal-coded against ``storer`` and copied in, so the coded
+    matrix is the table's only representation. ``storer[t]`` is the
+    dense index of the globally closest node. Both use
+    :func:`table_entry_dtype`, whose maximum value, :attr:`sentinel`,
+    marks a greedy terminal during the build; capacity is validated
+    (never silently wrapped) at construction.
     """
 
     #: Node columns filled per ``[group, space]`` buffer before they
@@ -436,7 +427,6 @@ class NextHopTable:
         self.entry_dtype = dtype
         self.sentinel = int(np.iinfo(dtype).max)
         self._n_nodes = n_nodes
-        self._next_hop: np.ndarray | None = None
         self.storer = overlay.storer_table().astype(dtype)
         self.addresses = overlay.address_array()
         self._coded = self._build_coded()
@@ -476,12 +466,10 @@ class NextHopTable:
 
         *coded* is the C-contiguous terminal-coded ``[target, node]``
         matrix and *storer* the per-address storer index, both in the
-        table's compact entry dtype; the raw ``next_hop`` matrix is
-        decoded lazily if anything (the per-file loop, tests) asks for
-        it. *segments* keeps whatever owns the backing buffers
-        (shared-memory attachments) alive for the table's lifetime.
-        Used by :mod:`repro.perf.shared` to attach published tables in
-        sweep workers.
+        table's compact entry dtype. *segments* keeps whatever owns
+        the backing buffers (shared-memory attachments) alive for the
+        table's lifetime. Used by :mod:`repro.perf.shared` to attach
+        published tables in sweep workers.
         """
         n_nodes = len(overlay)
         expected = table_entry_dtype(n_nodes)
@@ -500,7 +488,6 @@ class NextHopTable:
         table.entry_dtype = expected
         table.sentinel = int(np.iinfo(expected).max)
         table._n_nodes = n_nodes
-        table._next_hop = None
         table.storer = storer
         table.addresses = overlay.address_array()
         table._coded = coded
@@ -513,21 +500,6 @@ class NextHopTable:
     def n_nodes(self) -> int:
         """Number of nodes in the underlying overlay."""
         return self._n_nodes
-
-    @property
-    def next_hop(self) -> np.ndarray:
-        """Raw ``[node, target]`` matrix, decoded on first read."""
-        if self._next_hop is None:
-            n = self._n_nodes
-            raw = np.ascontiguousarray(self._coded.T)
-            stalled = raw >= n * 2
-            arrived = (raw >= n) & ~stalled
-            np.subtract(raw, self.entry_dtype.type(n), out=raw,
-                        where=arrived)
-            np.copyto(raw, self.entry_dtype.type(self.sentinel),
-                      where=stalled)
-            self._next_hop = raw
-        return self._next_hop
 
     @property
     def coded_transposed(self) -> np.ndarray:
@@ -596,39 +568,22 @@ class FastSimulation:
     # Execution
 
     def run(self, workload: DownloadWorkload | None = None, *,
-            batched: bool = True,
             unpaid_origins: np.ndarray | None = None) -> SimulationResult:
         """Run the configured (or given) workload; returns the result.
 
-        ``batched=False`` selects the legacy per-file loop (no scenario
-        support) for cross-validation. ``unpaid_origins`` is a boolean
-        mask over dense node indices whose downloads are never paid
-        for (the free-rider model): traffic is routed and counted, but
-        the first hop earns nothing and the originator spends nothing.
+        ``unpaid_origins`` is a boolean mask over dense node indices
+        whose downloads are never paid for (the free-rider model):
+        traffic is routed and counted, but the first hop earns nothing
+        and the originator spends nothing.
         """
         started = time.perf_counter()
         if workload is None:
             workload = self.config.workload()
         result = self.new_result()
-        if batched:
-            file_origins, sizes, targets = self._flatten_workload(workload)
-            result.files += len(sizes)
-            self._route_slabs(np.repeat(file_origins, sizes), sizes,
-                              targets, result, unpaid_origins=unpaid_origins)
-        else:
-            if self.config.has_scenarios:
-                raise ConfigurationError(
-                    "caching/churn scenarios require the batched engine; "
-                    "run with batched=True"
-                )
-            if unpaid_origins is not None:
-                raise ConfigurationError(
-                    "unpaid_origins requires the batched engine"
-                )
-            nodes = self.overlay.address_array()
-            for event in workload.events(nodes, self.space):
-                self._run_file(event, result)
-                result.files += 1
+        file_origins, sizes, targets = self._flatten_workload(workload)
+        result.files += len(sizes)
+        self._route_slabs(np.repeat(file_origins, sizes), sizes,
+                          targets, result, unpaid_origins=unpaid_origins)
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -1183,66 +1138,6 @@ class FastSimulation:
         result.expenditure += np.bincount(origins, weights=prices,
                                           minlength=n)
 
-    # ------------------------------------------------------------------
-    # Legacy per-file loop (kept as a cross-check of the batched engine)
-
-    def _run_file(self, event: FileDownload,
-                  result: SimulationResult) -> None:
-        """Route every chunk of one file and accumulate the counters."""
-        chunks = event.chunk_addresses.astype(np.int64)
-        n = self.table.n_nodes
-        sentinel = self.table.sentinel
-        origin_index = self.overlay.index_of(event.originator)
-        storer_index = self.table.storer[chunks].astype(np.int64)
-        result.chunks += len(chunks)
-
-        local = storer_index == origin_index
-        local_count = int(np.count_nonzero(local))
-        if local_count:
-            result.local_hits += local_count
-            result.hop_histogram[0] = (
-                result.hop_histogram.get(0, 0) + local_count
-            )
-        alive = ~local
-        current = np.full(int(np.count_nonzero(alive)), origin_index,
-                          dtype=np.int64)
-        targets = chunks[alive]
-        storers = storer_index[alive]
-        addresses = result.node_addresses
-        hop = 0
-        while current.size:
-            hop += 1
-            nxt = self.table.next_hop[current, targets].astype(np.int64)
-            stalled = nxt == sentinel
-            if stalled.any():
-                # Neighborhood hand-off: jump straight to the storer
-                # (see Router); counted so the effect is visible.
-                result.fallbacks += int(np.count_nonzero(stalled))
-                nxt = np.where(stalled, storers, nxt)
-            wave_counts = np.bincount(nxt, minlength=n)
-            result.forwarded += wave_counts
-            result.total_hops += int(nxt.size)
-            if hop == 1:
-                result.first_hop += wave_counts
-                prices = self._prices(
-                    addresses[nxt].astype(np.uint64),
-                    targets.astype(np.uint64),
-                )
-                result.income += np.bincount(
-                    nxt, weights=prices, minlength=n
-                )
-                result.expenditure[origin_index] += float(prices.sum())
-            arrived = nxt == storers
-            arrived_count = int(np.count_nonzero(arrived))
-            if arrived_count:
-                result.hop_histogram[hop] = (
-                    result.hop_histogram.get(hop, 0) + arrived_count
-                )
-            keep = ~arrived
-            current = nxt[keep]
-            targets = targets[keep]
-            storers = storers[keep]
-
 
 # ----------------------------------------------------------------------
 # The streaming micro-epoch session
@@ -1447,23 +1342,6 @@ class FastBackend(SimulationBoundBackend):
     def run(self, workload=None) -> SimulationResult:
         self._require_prepared()
         return self.simulation.run(workload)
-
-
-@register_backend
-class PerFileFastBackend(SimulationBoundBackend):
-    """The pre-batching vectorized loop: one python iteration per file.
-
-    Kept as a registered backend so the equivalence tests and the
-    ``fast_perfile`` golden fixture can compare it against the batched
-    engine.
-    """
-
-    name = "fast-perfile"
-    description = "legacy vectorized engine, one python iteration per file"
-
-    def run(self, workload=None) -> SimulationResult:
-        self._require_prepared()
-        return self.simulation.run(workload, batched=False)
 
 
 def paper_result(bucket_size: int, originator_share: float,

@@ -35,8 +35,6 @@ With unbounded bandwidth and no concurrency cap the wheel collapses
 to closed form (latency = ``2 * hops * hop_latency``), which is both
 the equivalence mode against the static kernel and the pure
 propagation-delay model.
-
-Not supported here: the legacy per-file loop.
 """
 
 from __future__ import annotations

@@ -213,15 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sweep.add_argument(
-        "--table-cache", action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "build each unique topology's next-hop table once and share "
-            "it with workers via shared memory (--no-table-cache: every "
-            "worker rebuilds, the pre-PR-3 behavior)"
-        ),
-    )
-    sweep.add_argument(
         "--epoch-cache-tables", type=int, default=None, metavar="N",
         help=(
             "bound the per-process epoch storer-table cache to N tables "
@@ -365,14 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     work.add_argument(
         "--cap-jobs", action="store_true",
         help="clamp --jobs to this host's os.cpu_count()",
-    )
-    work.add_argument(
-        "--table-cache", action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "share built next-hop tables with local workers via "
-            "shared memory (--no-table-cache: rebuild per process)"
-        ),
     )
     work.add_argument(
         "--epoch-cache-tables", type=int, default=None, metavar="N",
@@ -735,8 +718,7 @@ def _sweep_run(args: argparse.Namespace) -> int:
     )
     sweep = run_sweep(
         spec, jobs=args.jobs, store_path=args.store,
-        resume=not args.no_resume, table_cache=args.table_cache,
-        cap_jobs=args.cap_jobs,
+        resume=not args.no_resume, cap_jobs=args.cap_jobs,
         epoch_cache_tables=args.epoch_cache_tables,
         max_retries=args.max_retries,
         point_timeout=args.point_timeout,
@@ -815,7 +797,6 @@ def _sweep_work_run(args: argparse.Namespace) -> int:
         store_path=args.store,
         worker_id=args.worker_id,
         jobs=args.jobs,
-        share_tables=args.table_cache,
         cap_jobs=args.cap_jobs,
         epoch_cache_tables=args.epoch_cache_tables,
         point_timeout=args.point_timeout,
@@ -1165,7 +1146,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     outputs = []
     for name in names:
-        output = _run_one(name, args)
+        try:
+            output = _run_one(name, args)
+        except ExperimentError as error:
+            # An unknown experiment or backend is refused with one
+            # argparse-style line, not a traceback.
+            print(f"repro-swarm run: error: {error}", file=sys.stderr)
+            return 2
         print(output)
         print()
         outputs.append(output)

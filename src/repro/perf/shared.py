@@ -598,10 +598,10 @@ def pinned_tables(base, points):
     from ..sweeps.executors import table_topologies
     from .table_cache import global_table_cache
 
-    registry = shared_table_registry()
     pinned: list[str] = []
     try:
         try:
+            registry = shared_table_registry()
             for config in table_topologies(base, points):
                 table = global_table_cache().get(cached_overlay(config))
                 pinned.append(registry.acquire(table).fingerprint)

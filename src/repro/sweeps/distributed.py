@@ -146,7 +146,7 @@ class _Heartbeat(threading.Thread):
 
 def sweep_work(queue_url: str, *, store_path: Path,
                worker_id: str | None = None, jobs: int = 1,
-               share_tables: bool = True, cap_jobs: bool = False,
+               cap_jobs: bool = False,
                epoch_cache_tables: int | None = None,
                point_timeout: float | None = None,
                max_pool_restarts: int = 8,
@@ -179,7 +179,6 @@ def sweep_work(queue_url: str, *, store_path: Path,
 
     executor = make_executor(
         jobs,
-        share_tables=share_tables,
         cap_jobs=cap_jobs,
         epoch_cache_tables=epoch_cache_tables,
         # Zero local retries: the daemon owns the budget. Any local
@@ -241,7 +240,7 @@ def sweep_work(queue_url: str, *, store_path: Path,
 
     try:
         with ExitStack() as stack:
-            if share_tables and jobs > 1:
+            if jobs > 1:
                 from ..perf.shared import pinned_tables
 
                 # One eager build + publication per topology for the
@@ -324,7 +323,7 @@ class DistributedExecutor(SweepExecutor):
     """
 
     def __init__(self, workers: int, *, spec: SweepSpec, jobs: int = 1,
-                 share_tables: bool = True, cap_jobs: bool = False,
+                 cap_jobs: bool = False,
                  epoch_cache_tables: int | None = None,
                  retry_policy: RetryPolicy | None = None,
                  keep_going: bool = True,
@@ -342,7 +341,6 @@ class DistributedExecutor(SweepExecutor):
         self.workers = workers
         self.spec = spec
         self.jobs = jobs
-        self.share_tables = share_tables
         self.cap_jobs = cap_jobs
         self.epoch_cache_tables = epoch_cache_tables
         self.retry_policy = retry_policy or RetryPolicy()
@@ -367,8 +365,6 @@ class DistributedExecutor(SweepExecutor):
             "--jobs", str(self.jobs),
             "--max-pool-restarts", str(self.max_pool_restarts),
         ]
-        if not self.share_tables:
-            command.append("--no-table-cache")
         if self.cap_jobs:
             command.append("--cap-jobs")
         if self.epoch_cache_tables is not None:

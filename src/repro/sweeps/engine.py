@@ -179,7 +179,6 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1,
               store_path: Path | None = None,
               resume: bool = True,
               confidence: float = 0.95,
-              table_cache: bool = True,
               cap_jobs: bool = False,
               epoch_cache_tables: int | None = None,
               max_retries: int = 2,
@@ -199,9 +198,9 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1,
     out over a spawn process pool. Results are identical either way
     (see :mod:`repro.sweeps.executors`). With ``store_path``, points
     already recorded there are skipped and the store is re-saved as
-    each new point completes. ``table_cache`` (default on) has the
-    parent publish each unique topology's next-hop table to shared
-    memory so workers attach instead of rebuilding; ``cap_jobs``
+    each new point completes. A process pool has the parent publish
+    each unique topology's next-hop table to shared memory so workers
+    attach instead of rebuilding; ``cap_jobs``
     clamps ``jobs`` to ``os.cpu_count()`` instead of merely warning
     about oversubscription. ``epoch_cache_tables`` bounds every
     executing process's epoch storer-table cache to an explicit table
@@ -275,8 +274,7 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1,
 
     policy = RetryPolicy(max_retries=max_retries,
                          backoff_base=retry_backoff)
-    executor = make_executor(jobs, share_tables=table_cache,
-                             cap_jobs=cap_jobs,
+    executor = make_executor(jobs, cap_jobs=cap_jobs,
                              epoch_cache_tables=epoch_cache_tables,
                              retry_policy=policy,
                              keep_going=keep_going,

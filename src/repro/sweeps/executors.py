@@ -39,9 +39,9 @@ get the same treatment one level up: the parent replays each unique
 schedule once (:func:`~repro.scenarios.plan.precompute_epoch_tables`)
 and publishes the per-epoch storer tables and sparse coded-matrix
 patches alongside the dense tables, so replicas install shared views
-instead of re-deriving the epoch chain per worker. ``share_tables=
-False`` restores the rebuild-per-worker behavior (tables and
-overlays) for comparison.
+instead of re-deriving the epoch chain per worker. Where shared
+memory is unavailable the parent warns and each worker rebuilds the
+tables and overlays it touches.
 
 A :class:`ProcessExecutor` run keeps its workers busy from the
 start: it launches the pool *before* publishing, so the workers spawn
@@ -312,15 +312,13 @@ class ProcessExecutor(SweepExecutor):
       queue *without* losing budget.
     """
 
-    def __init__(self, jobs: int, *, share_tables: bool = True,
-                 cap_jobs: bool = False,
+    def __init__(self, jobs: int, *, cap_jobs: bool = False,
                  epoch_cache_tables: int | None = None,
                  retry_policy: RetryPolicy | None = None,
                  keep_going: bool = True,
                  point_timeout: float | None = None,
                  max_pool_restarts: int = 8) -> None:
         self.jobs = resolve_jobs(jobs, cap_jobs=cap_jobs)
-        self.share_tables = share_tables
         self.epoch_cache_tables = epoch_cache_tables
         self.retry_policy = retry_policy or RetryPolicy()
         self.keep_going = keep_going
@@ -351,12 +349,11 @@ class ProcessExecutor(SweepExecutor):
         patches — precomputed here and published too, so replicas
         replaying one schedule install them instead of re-deriving the
         chain in every worker (the patch scan happens once per
-        machine). Falls back to unshared execution — workers rebuild,
-        exactly the pre-cache behavior — when shared memory is
-        unavailable on this platform. Any failure mid-publication
-        (including inside the epoch loop) releases exactly the handles
-        acquired so far before falling back or re-raising: a partial
-        publish must never leak segments.
+        machine). Falls back to unshared execution — workers rebuild —
+        when shared memory is unavailable on this platform. Any
+        failure mid-publication (including inside the epoch loop)
+        releases exactly the handles acquired so far before falling
+        back or re-raising: a partial publish must never leak segments.
         """
         from ..backends.fast import cached_overlay
         from ..perf.shared import shared_table_registry
@@ -364,8 +361,8 @@ class ProcessExecutor(SweepExecutor):
 
         payloads: dict[str, dict] = {}
         acquired: list[str] = []
-        registry = shared_table_registry()
         try:
+            registry = shared_table_registry()
             for overlay_config in table_topologies(base, points):
                 table = global_table_cache().get(
                     cached_overlay(overlay_config)
@@ -543,8 +540,7 @@ class ProcessExecutor(SweepExecutor):
         # Workers spawn and import while the tables are published.
         pool = self._launch_pool(workers)
         try:
-            if self.share_tables:
-                handles, acquired = self._publish_tables(base, points)
+            handles, acquired = self._publish_tables(base, points)
             while not state.finished:
                 why = None
                 try:
@@ -625,8 +621,7 @@ class ProcessExecutor(SweepExecutor):
         return lease["retry_after"]
 
 
-def make_executor(jobs: int, *, share_tables: bool = True,
-                  cap_jobs: bool = False,
+def make_executor(jobs: int, *, cap_jobs: bool = False,
                   epoch_cache_tables: int | None = None,
                   retry_policy: RetryPolicy | None = None,
                   keep_going: bool = True,
@@ -659,8 +654,8 @@ def make_executor(jobs: int, *, share_tables: bool = True,
         from .distributed import DistributedExecutor
 
         return DistributedExecutor(
-            workers, spec=spec, jobs=jobs, share_tables=share_tables,
-            cap_jobs=cap_jobs, epoch_cache_tables=epoch_cache_tables,
+            workers, spec=spec, jobs=jobs, cap_jobs=cap_jobs,
+            epoch_cache_tables=epoch_cache_tables,
             retry_policy=retry_policy, keep_going=keep_going,
             point_timeout=point_timeout,
             max_pool_restarts=max_pool_restarts,
@@ -678,8 +673,7 @@ def make_executor(jobs: int, *, share_tables: bool = True,
         return SerialExecutor(epoch_cache_tables=epoch_cache_tables,
                               retry_policy=retry_policy,
                               keep_going=keep_going)
-    return ProcessExecutor(jobs, share_tables=share_tables,
-                           cap_jobs=cap_jobs,
+    return ProcessExecutor(jobs, cap_jobs=cap_jobs,
                            epoch_cache_tables=epoch_cache_tables,
                            retry_policy=retry_policy,
                            keep_going=keep_going,

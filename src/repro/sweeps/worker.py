@@ -17,8 +17,9 @@ from its segment once per worker and installed in the overlay cache,
 and the dense next-hop table is attached from the parent's segments
 when first needed. A worker given handles therefore builds neither
 overlays nor tables — the cross-process half of the "build each
-topology exactly once" guarantee. Without handles (``share_tables=
-False``) a worker builds each overlay and table it touches once.
+topology exactly once" guarantee. Without handles (the serial
+executor, or a platform without shared memory) a worker builds each
+overlay and table it touches once.
 """
 
 from __future__ import annotations

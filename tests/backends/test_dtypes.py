@@ -22,6 +22,8 @@ from repro.backends.fast import (
 )
 from repro.errors import ConfigurationError
 
+from . import table_oracle
+
 
 @pytest.fixture(autouse=True)
 def _isolated_caches():
@@ -76,7 +78,7 @@ class TestTargetDtypeSelection:
 class TestTableRepresentation:
     def test_table_arrays_are_compact(self, small_overlay):
         table = NextHopTable(small_overlay)
-        assert table.next_hop.dtype == np.dtype(np.uint16)
+        assert table.coded_transposed.dtype == np.dtype(np.uint16)
         assert table.storer.dtype == np.dtype(np.uint16)
         assert table.entry_dtype == np.dtype(np.uint16)
         assert table.sentinel == np.iinfo(np.uint16).max
@@ -84,14 +86,18 @@ class TestTableRepresentation:
     def test_entries_are_valid_indices_or_sentinel(self, small_overlay):
         table = NextHopTable(small_overlay)
         n = len(small_overlay)
-        entries = table.next_hop
-        valid = entries < n
-        sentinel = entries == table.sentinel
-        assert bool(np.all(valid | sentinel))
-        # Greedy must terminate somewhere: sentinels exist (each node
-        # is its own terminal for targets it is closest to among its
-        # view), but cannot be everything.
-        assert 0 < int(sentinel.sum()) < entries.size
+        coded = table.coded_transposed
+        # Every coded value names a node in one of the three bands.
+        assert int(coded.max()) < 3 * n
+        # The stall band sits exactly where the independently built
+        # raw matrix holds the sentinel. Greedy must terminate
+        # somewhere: sentinels exist (each node is its own terminal
+        # for targets it is closest to among its view), but cannot be
+        # everything.
+        stalled = coded >= 2 * n
+        raw = table_oracle.NextHopTable(small_overlay).next_hop.T
+        assert np.array_equal(stalled, raw == table.sentinel)
+        assert 0 < int(stalled.sum()) < coded.size
 
     def test_flat_coded_is_a_view(self, small_overlay):
         table = NextHopTable(small_overlay)
@@ -105,7 +111,7 @@ class TestTableRepresentation:
         table = NextHopTable(small_overlay)
         n = len(small_overlay)
         coded = table.coded_transposed
-        raw = table.next_hop.T
+        raw = table_oracle.NextHopTable(small_overlay).next_hop.T
         forwarding = coded < n
         arrived = (coded >= n) & (coded < 2 * n)
         stalled = coded >= 2 * n

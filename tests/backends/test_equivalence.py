@@ -1,12 +1,11 @@
-"""Three-way backend equivalence and merge/split properties.
+"""Two-way backend equivalence and merge/split properties.
 
-The central tentpole guarantee: the batched fast engine, the legacy
-per-file fast loop, and the object-oriented reference network report
-identical traffic counters (and incomes up to float summation order)
-on a shared overlay and workload. On top of that, a property test
-checks that ``SimulationResult.merge`` commutes with splitting the
-workload — the paper's multi-machine protocol — under the batched
-path.
+The central tentpole guarantee: the batched fast engine and the
+object-oriented reference network report identical traffic counters
+(and incomes up to float summation order) on a shared overlay and
+workload. On top of that, a property test checks that
+``SimulationResult.merge`` commutes with splitting the workload — the
+paper's multi-machine protocol — under the batched path.
 """
 
 from __future__ import annotations
@@ -27,49 +26,42 @@ CONFIG = FastSimulationConfig(
 
 
 @pytest.fixture(scope="module")
-def three_way():
+def two_way():
     batched = get_backend("fast").prepare(CONFIG).run()
-    perfile = get_backend("fast-perfile").prepare(CONFIG).run()
     reference = get_backend("reference").prepare(CONFIG).run()
-    return batched, perfile, reference
+    return batched, reference
 
 
-class TestThreeWayEquivalence:
-    def test_forwarded_identical(self, three_way):
-        batched, perfile, reference = three_way
-        assert np.array_equal(batched.forwarded, perfile.forwarded)
+class TestTwoWayEquivalence:
+    def test_forwarded_identical(self, two_way):
+        batched, reference = two_way
         assert np.array_equal(batched.forwarded, reference.forwarded)
 
-    def test_first_hop_identical(self, three_way):
-        batched, perfile, reference = three_way
-        assert np.array_equal(batched.first_hop, perfile.first_hop)
+    def test_first_hop_identical(self, two_way):
+        batched, reference = two_way
         assert np.array_equal(batched.first_hop, reference.first_hop)
 
-    def test_income_matches(self, three_way):
-        batched, perfile, reference = three_way
-        assert np.allclose(batched.income, perfile.income)
+    def test_income_matches(self, two_way):
+        batched, reference = two_way
         assert np.allclose(batched.income, reference.income)
 
-    def test_expenditure_matches(self, three_way):
-        batched, perfile, reference = three_way
-        assert np.allclose(batched.expenditure, perfile.expenditure)
+    def test_expenditure_matches(self, two_way):
+        batched, reference = two_way
         assert np.allclose(batched.expenditure, reference.expenditure)
 
-    def test_hop_histogram_identical(self, three_way):
-        batched, perfile, reference = three_way
-        assert batched.hop_histogram == perfile.hop_histogram
+    def test_hop_histogram_identical(self, two_way):
+        batched, reference = two_way
         assert batched.hop_histogram == reference.hop_histogram
 
-    def test_scalar_counters_identical(self, three_way):
-        batched, perfile, reference = three_way
-        for result in (perfile, reference):
-            assert batched.files == result.files
-            assert batched.chunks == result.chunks
-            assert batched.total_hops == result.total_hops
-            assert batched.local_hits == result.local_hits
+    def test_scalar_counters_identical(self, two_way):
+        batched, reference = two_way
+        assert batched.files == reference.files
+        assert batched.chunks == reference.chunks
+        assert batched.total_hops == reference.total_hops
+        assert batched.local_hits == reference.local_hits
 
-    def test_fairness_metrics_match(self, three_way):
-        batched, _perfile, reference = three_way
+    def test_fairness_metrics_match(self, two_way):
+        batched, reference = two_way
         assert batched.f2_gini() == pytest.approx(
             reference.f2_gini(), abs=1e-9
         )

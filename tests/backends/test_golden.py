@@ -2,11 +2,11 @@
 
 Freezes small-scale canonical simulation results — per-node forwarded
 and first-hop counters, income/expenditure vectors, and the paper's
-fairness metrics — for the ``fast``, ``fast-perfile``, and
-``reference`` backends at fixed seeds under ``tests/golden/``. Any
-refactor that changes simulation *semantics* (routing decisions,
-pricing, accounting) breaks these exact comparisons; a deliberate
-semantic change refreshes them with::
+fairness metrics — for the ``fast`` and ``reference`` backends at
+fixed seeds under ``tests/golden/``. Any refactor that changes
+simulation *semantics* (routing decisions, pricing, accounting)
+breaks these exact comparisons; a deliberate semantic change
+refreshes them with::
 
     pytest tests/backends/test_golden.py --update-golden
 
@@ -42,7 +42,7 @@ GOLDEN_CONFIG = FastSimulationConfig(
     workload_seed=7,
 )
 
-GOLDEN_BACKENDS = ("fast", "fast-perfile", "reference")
+GOLDEN_BACKENDS = ("fast", "reference")
 
 
 def golden_payload(result: SimulationResult) -> dict:
@@ -87,7 +87,7 @@ def golden_payload(result: SimulationResult) -> dict:
 def test_backend_matches_golden(backend: str, update_golden: bool):
     result = run_simulation(GOLDEN_CONFIG, backend=backend)
     payload = golden_payload(result)
-    path = GOLDEN_DIR / f"{backend.replace('-', '_')}.json"
+    path = GOLDEN_DIR / f"{backend}.json"
 
     if update_golden:
         path.write_text(
@@ -124,10 +124,10 @@ def test_backend_matches_golden(backend: str, update_golden: bool):
 
 
 def test_goldens_agree_across_backends():
-    """The three engines pin the *same* semantics, not three semantics."""
+    """The two engines pin the *same* semantics, not two semantics."""
     fixtures = []
     for backend in GOLDEN_BACKENDS:
-        path = GOLDEN_DIR / f"{backend.replace('-', '_')}.json"
+        path = GOLDEN_DIR / f"{backend}.json"
         fixtures.append(json.loads(path.read_text()))
     first = fixtures[0]
     for other in fixtures[1:]:

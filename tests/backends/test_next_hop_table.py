@@ -1,4 +1,4 @@
-"""Pinned bytes and lazy decode of the built next-hop table."""
+"""Pinned bytes of the built next-hop table, and the fill's input checks."""
 
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from repro.backends.fast import NextHopTable
 from repro.errors import AddressError, ConfigurationError
 from repro.kademlia import xor_nearest_fill
 from repro.kademlia.overlay import Overlay, OverlayConfig
-
-from . import table_oracle
 
 #: ``sha256(coded_transposed.tobytes())``, recorded from the
 #: running-minimum builder the XOR-nearest fill replaced.
@@ -38,17 +36,6 @@ def test_coded_table_bytes_pinned(name):
     coded = table.coded_transposed
     assert coded.flags.c_contiguous
     assert hashlib.sha256(coded.tobytes()).hexdigest() == digest
-
-
-def test_raw_matrix_decoded_only_on_read():
-    overlay = Overlay.build(OverlayConfig(n_nodes=60, bits=8))
-    table = NextHopTable(overlay)
-    assert table._next_hop is None
-    table.flat_coded
-    assert table._next_hop is None
-    raw = table.next_hop
-    assert table._next_hop is raw
-    assert np.array_equal(raw, table_oracle.NextHopTable(overlay).next_hop)
 
 
 def test_fill_needs_a_key():

@@ -26,14 +26,15 @@ SMALL = FastSimulationConfig(
 
 class TestRegistry:
     def test_core_backends_registered(self):
-        names = available_backends()
-        for expected in ("fast", "fast-perfile", "reference", "flat",
-                         "filecoin", "freerider", "tit_for_tat"):
-            assert expected in names
+        assert sorted(available_backends()) == [
+            "fast", "filecoin", "flat", "freerider", "reference", "time",
+            "tit_for_tat",
+        ]
 
-    def test_unknown_backend_lists_available(self):
+    @pytest.mark.parametrize("name", ["bogus", "fast-perfile"])
+    def test_unknown_backend_lists_available(self, name):
         with pytest.raises(ConfigurationError, match="fast") as unknown:
-            get_backend("bogus")
+            get_backend(name)
         for name in base._BACKEND_MODULES:
             assert repr(name) in str(unknown.value)
 
@@ -67,13 +68,13 @@ class TestRegistry:
 
 
 class TestProtocol:
-    @pytest.mark.parametrize("name", ["fast", "fast-perfile", "reference"])
+    @pytest.mark.parametrize("name", ["fast", "reference"])
     def test_run_before_prepare_rejected(self, name):
         with pytest.raises(ConfigurationError, match="prepare"):
             get_backend(name).run()
 
-    @pytest.mark.parametrize("name", ["fast", "fast-perfile", "reference",
-                                      "flat", "filecoin", "freerider"])
+    @pytest.mark.parametrize("name", ["fast", "reference", "flat",
+                                      "filecoin", "freerider"])
     def test_prepare_chains_and_exposes_overlay(self, name):
         backend = get_backend(name)
         assert backend.prepare(SMALL) is backend

@@ -48,12 +48,6 @@ class TestCachingScenario:
         ))
         assert uniform.cache_hits < catalog.cache_hits
 
-    def test_caching_requires_batched_engine(self):
-        config = FastSimulationConfig(**BASE, caching=True)
-        backend = get_backend("fast-perfile").prepare(config)
-        with pytest.raises(ConfigurationError, match="batched"):
-            backend.run()
-
 
 class TestChurnScenario:
     def test_offline_storers_cost_availability(self):
@@ -214,12 +208,6 @@ class TestScenarioStrings:
     def test_invalid_scenario_rejected_at_config_time(self):
         with pytest.raises(ConfigurationError, match="unknown scenario"):
             FastSimulationConfig(**BASE, scenario="warp:factor=9")
-
-    def test_scenario_string_requires_batched_engine(self):
-        config = FastSimulationConfig(**BASE, scenario="churn:rate=0.1")
-        backend = get_backend("fast-perfile").prepare(config)
-        with pytest.raises(ConfigurationError, match="batched"):
-            backend.run()
 
 
 class TestScenarioGuards:

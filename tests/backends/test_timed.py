@@ -23,6 +23,7 @@ from repro.backends.config import FastSimulationConfig
 from repro.backends.timed import FluidWheel, TimedSimulation
 from repro.errors import ConfigurationError
 
+from . import table_oracle
 from .test_golden import GOLDEN_CONFIG, GOLDEN_DIR, golden_payload
 from .test_golden_scenarios import (
     SCENARIO_GOLDEN_CONFIGS,
@@ -302,7 +303,10 @@ class TestPaths:
         table, origins, targets, _, paths = self._record(GOLDEN_CONFIG)
         routed = paths.routed_ids
         assert routed.size
-        next_hop = table.next_hop.astype(np.int64)
+        # The raw matrix of the independent builder, not a decode of
+        # the coded matrix the kernel routed through.
+        next_hop = table_oracle.NextHopTable(
+            table.overlay).next_hop.astype(np.int64)
         storer = table.storer.astype(np.int64)[targets[routed]]
         target = targets[routed].astype(np.int64)
         prev = origins[routed].astype(np.int64)

@@ -50,17 +50,21 @@ class TestNextHopTable:
         table = NextHopTable(small_overlay)
         router = Router(small_overlay)
         addresses = small_overlay.addresses
+        n = len(small_overlay)
         for origin in addresses[:20]:
             origin_index = small_overlay.index_of(origin)
             for target in range(0, small_overlay.space.size, 5):
-                hop = int(table.next_hop[origin_index, target])
+                # Coded bands: v < n forwards to v, n <= v < 2n
+                # arrives at storer v - n, v >= 2n is a greedy stall.
+                coded = int(table.coded_transposed[target, origin_index])
                 closest = small_overlay.table(origin).closest_peer(target)
                 if (closest ^ target) < (origin ^ target):
-                    assert addresses[hop] == closest
+                    assert coded < 2 * n
+                    assert addresses[coded % n] == closest
+                    assert (coded >= n) == (
+                        closest == small_overlay.closest_node(target))
                 else:
-                    # Greedy terminal: the compact unsigned table
-                    # stores its dtype's max value, not -1.
-                    assert hop == table.sentinel
+                    assert coded - 2 * n == table.storer[target]
 
     def test_storer_matches_overlay(self, small_overlay):
         table = NextHopTable(small_overlay)

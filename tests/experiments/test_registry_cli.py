@@ -13,6 +13,16 @@ from repro.experiments.registry import (
 )
 
 
+def assert_refused(capsys, argv, message):
+    """*argv* exits 2 with one ``error:`` line on stderr, no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro-swarm run: error: ")
+    assert message in err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 class TestRegistry:
     def test_paper_artifacts_registered(self):
         for name in ("table1", "fig4", "fig5", "fig6", "headline"):
@@ -74,9 +84,8 @@ class TestCli:
         assert out.exists()
         assert "Average forwarded chunks" in out.read_text()
 
-    def test_unknown_experiment_raises(self):
-        with pytest.raises(ExperimentError):
-            main(["run", "bogus"])
+    def test_unknown_experiment_refused(self, capsys):
+        assert_refused(capsys, ["run", "bogus"], "unknown experiment")
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
@@ -138,17 +147,18 @@ class TestBackendOption:
         assert code == 0
         assert "ignored" in capsys.readouterr().out
 
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ExperimentError, match="unknown backend"):
-            main(["run", "table1", "--files", "40", "--nodes", "90",
-                  "--backend", "bogus"])
+    @pytest.mark.parametrize("name", ["bogus", "fast-perfile"])
+    def test_unknown_backend_refused(self, capsys, name):
+        assert_refused(capsys, ["run", "table1", "--files", "40",
+                                "--nodes", "90", "--backend", name],
+                       "unknown backend")
 
     def test_backend_flags_marked_in_registry(self):
         assert get_experiment("table1").supports_backend
         assert get_experiment("k_sweep").supports_backend
         assert not get_experiment("fig3").supports_backend
 
-    def test_non_replaying_backend_rejected(self):
-        with pytest.raises(ExperimentError, match="does not replay"):
-            main(["run", "k_sweep", "--files", "40", "--nodes", "90",
-                  "--backend", "tit_for_tat"])
+    def test_non_replaying_backend_rejected(self, capsys):
+        assert_refused(capsys, ["run", "k_sweep", "--files", "40",
+                                "--nodes", "90", "--backend", "tit_for_tat"],
+                       "does not replay")

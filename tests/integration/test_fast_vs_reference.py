@@ -2,9 +2,11 @@
 
 This is the central cross-validation promised in DESIGN.md §4, now
 expressed through the backend protocol: on a shared overlay and
-workload, each fast engine (batched and legacy per-file) and the
-object-oriented SwarmNetwork adapter must produce identical forwarded
-counts, first-hop counts, and (up to float summation order) incomes.
+workload, the batched fast engine, the time-domain event wheel (run
+with unbounded bandwidth) and the object-oriented SwarmNetwork adapter
+must produce identical forwarded counts, first-hop counts, and (up to
+float summation order) incomes. The ``time`` backend is otherwise
+checked only against ``fast``; here it meets the reference directly.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ CONFIGS = [
 
 CONFIG_IDS = ["k4-skew", "k20-uniform", "bucket0-proximity"]
 
-FAST_BACKENDS = ["fast", "fast-perfile"]
+FAST_BACKENDS = ["fast", "time"]
 
 
 @pytest.fixture(scope="module")

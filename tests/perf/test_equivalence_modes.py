@@ -28,8 +28,7 @@ from tests.backends.test_golden import (
 ALL_BACKENDS = tuple(available_backends())
 
 #: Backends that resolve a NextHopTable during prepare().
-TABLE_BACKENDS = ("fast", "fast-perfile", "flat", "filecoin", "freerider",
-                  "time")
+TABLE_BACKENDS = ("fast", "flat", "filecoin", "freerider", "time")
 
 
 @pytest.fixture(autouse=True)
@@ -90,10 +89,10 @@ def assert_identical(a, b, context: str) -> None:
     assert a.hop_histogram == b.hop_histogram, context
 
 
-def test_registry_is_the_expected_eight():
+def test_registry_is_the_expected_seven():
     assert ALL_BACKENDS == (
-        "fast", "fast-perfile", "filecoin", "flat", "freerider",
-        "reference", "time", "tit_for_tat",
+        "fast", "filecoin", "flat", "freerider", "reference", "time",
+        "tit_for_tat",
     )
 
 
@@ -106,13 +105,11 @@ def test_fresh_cached_attached_identical(backend: str):
     assert_identical(fresh, attached, f"{backend}: fresh vs attached")
 
 
-@pytest.mark.parametrize("backend", ("fast", "fast-perfile", "reference"))
+@pytest.mark.parametrize("backend", ("fast", "reference"))
 def test_attached_tables_reproduce_golden_fixtures(backend: str):
     """The shm path pins the *same* semantics the goldens froze."""
     payload = golden_payload(run_attached(backend))
-    golden = json.loads(
-        (GOLDEN_DIR / f"{backend.replace('-', '_')}.json").read_text()
-    )
+    golden = json.loads((GOLDEN_DIR / f"{backend}.json").read_text())
     assert payload["counters"] == golden["counters"]
     assert payload["forwarded"] == golden["forwarded"]
     assert payload["first_hop"] == golden["first_hop"]

@@ -50,7 +50,6 @@ class TestPublishAttach:
             assert np.array_equal(
                 attached.coded_transposed, built.coded_transposed
             )
-            assert np.array_equal(attached.next_hop, built.next_hop)
             assert np.array_equal(attached.storer, built.storer)
             assert attached.sentinel == built.sentinel
             assert attached.entry_dtype == built.entry_dtype

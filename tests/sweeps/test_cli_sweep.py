@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -168,6 +169,47 @@ class TestSweepCommand:
         assert code == 0
         assert "| backend |" in out.read_text()
         assert f"report written to {out}" in capsys.readouterr().out
+
+
+CROSS_CHECK_CELLS = [
+    f"bucket_size={k},originator_share={share}|r{replica}"
+    for k, share, replica in itertools.product((4, 8), (0.2, 1.0), (0, 1))
+]
+
+
+@pytest.fixture(scope="module")
+def fast_reference_sweep(tmp_path_factory):
+    """One ``--backend fast,reference`` sweep, stored to JSON."""
+    store = tmp_path_factory.mktemp("cross-check") / "sweep.json"
+    code = main([
+        "sweep", "--grid", "bucket_size=4,8",
+        "--grid", "originator_share=0.2,1.0",
+        "--backend", "fast,reference", *SMALL, "--store", str(store),
+    ])
+    assert code == 0
+    return SweepStore.load(store).points
+
+
+class TestReferenceMatchesFast:
+    """End to end through the sweep engine: each ``reference`` point's
+    stored metrics equal its ``fast`` twin's on every shared key."""
+
+    def test_every_point_has_a_twin(self, fast_reference_sweep):
+        assert sorted(fast_reference_sweep) == sorted(
+            f"{backend}|{cell}" for backend in ("fast", "reference")
+            for cell in CROSS_CHECK_CELLS
+        )
+
+    @pytest.mark.parametrize("cell", CROSS_CHECK_CELLS)
+    def test_reference_point_equals_fast_twin(self, fast_reference_sweep,
+                                              cell):
+        reference = fast_reference_sweep[f"reference|{cell}"]["metrics"]
+        fast = fast_reference_sweep[f"fast|{cell}"]["metrics"]
+        shared = sorted(set(reference) & set(fast))
+        assert "f2_gini" in shared and "total_hops" in shared
+        assert {key: reference[key] for key in shared} == {
+            key: fast[key] for key in shared
+        }
 
 
 class TestRegistrySmoke:

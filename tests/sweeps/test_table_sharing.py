@@ -46,6 +46,15 @@ def _isolated_caches():
     clear_caches()
 
 
+def without_shared_memory(monkeypatch, error=OSError):
+    """Make table publication hit the no-shared-memory fallback."""
+    def unavailable():
+        raise error("shared memory unavailable")
+
+    monkeypatch.setattr("repro.perf.shared.shared_table_registry",
+                        unavailable)
+
+
 def quiet_run(spec, **executor_kwargs):
     """Run suppressing the (expected on CI) oversubscription warning."""
     with warnings.catch_warnings():
@@ -81,15 +90,18 @@ class TestBuildOnce:
         run_sweep(SPEC, jobs=1)
         assert len(log.read_text().splitlines()) == 1
 
-    def test_without_table_cache_workers_rebuild(self, tmp_path,
-                                                 monkeypatch):
-        """--no-table-cache restores the rebuild-per-worker behavior."""
+    # No ``_posixshmem`` module (ImportError) and a refused segment
+    # (OSError) are the two ways shared memory can be unavailable.
+    @pytest.mark.parametrize("error", [OSError, ImportError])
+    def test_without_shared_memory_workers_rebuild(self, tmp_path,
+                                                   monkeypatch, error):
+        """Where shared memory is unavailable, each worker rebuilds."""
         log = tmp_path / "builds.log"
         monkeypatch.setenv(TABLE_BUILD_LOG_ENV, str(log))
+        without_shared_memory(monkeypatch, error)
         clear_caches()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            run_sweep(SPEC, jobs=2, table_cache=False)
+        with pytest.warns(RuntimeWarning, match="publication unavailable"):
+            run_sweep(SPEC, jobs=2)
         pids = {line.split()[1] for line in log.read_text().splitlines()}
         assert str(os.getpid()) not in pids, (
             "without sharing, the parent should not build at all"
@@ -98,10 +110,11 @@ class TestBuildOnce:
 
 
 class TestSharedResultsIdentical:
-    def test_shared_and_unshared_match_serial_exactly(self):
+    def test_shared_and_unshared_match_serial_exactly(self, monkeypatch):
         serial = SerialExecutor().run(SPEC.base, SPEC.points())
-        shared = quiet_run(SPEC, jobs=2, share_tables=True)
-        unshared = quiet_run(SPEC, jobs=2, share_tables=False)
+        shared = quiet_run(SPEC, jobs=2)
+        without_shared_memory(monkeypatch)
+        unshared = quiet_run(SPEC, jobs=2)
         for label, parallel in (("shared", shared), ("unshared", unshared)):
             assert [o.point_id for o in parallel] == [
                 o.point_id for o in serial
@@ -119,7 +132,7 @@ class TestTableTopologies:
         spec = SweepSpec(
             base=BASE,
             grid={"bucket_size": (4, 8), "originator_share": (0.5, 1.0)},
-            backends=("fast", "fast-perfile"),
+            backends=("fast", "flat"),
             seeds=2,
         )
         configs = table_topologies(spec.base, spec.points())
@@ -179,15 +192,12 @@ class TestCliFlags:
 
         args = build_parser().parse_args(["sweep", "--grid",
                                           "bucket_size=4"])
-        assert args.table_cache is True
         assert args.cap_jobs is False
 
-    def test_parser_accepts_no_table_cache_and_cap_jobs(self):
+    def test_parser_accepts_cap_jobs(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args([
-            "sweep", "--grid", "bucket_size=4", "--no-table-cache",
-            "--cap-jobs",
+            "sweep", "--grid", "bucket_size=4", "--cap-jobs",
         ])
-        assert args.table_cache is False
         assert args.cap_jobs is True
