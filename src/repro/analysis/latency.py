@@ -17,7 +17,7 @@ Two complementary tools live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,12 +119,7 @@ def latency_distribution(hop_histogram: dict[int, int],
 
 @dataclass(frozen=True)
 class LatencySummary:
-    """Percentile statistics over measured per-chunk latency samples.
-
-    ``samples`` retains the raw sorted milliseconds for CDF plotting;
-    it is excluded from equality so summaries compare by their
-    statistics.
-    """
+    """Percentile statistics over measured per-chunk latency samples."""
 
     count: int
     mean_ms: float
@@ -132,8 +127,6 @@ class LatencySummary:
     p95_ms: float
     p99_ms: float
     max_ms: float
-    samples: np.ndarray = field(repr=False, compare=False,
-                                default_factory=lambda: np.empty(0))
 
     def __str__(self) -> str:
         return (
@@ -141,20 +134,6 @@ class LatencySummary:
             f"p50 {self.p50_ms:.1f}ms, p95 {self.p95_ms:.1f}ms, "
             f"p99 {self.p99_ms:.1f}ms, max {self.max_ms:.1f}ms"
         )
-
-    def cdf(self, points: int = 100) -> tuple[np.ndarray, np.ndarray]:
-        """(latency_ms, cumulative fraction) pairs for plotting.
-
-        Evaluates the empirical CDF at *points* evenly spaced
-        quantiles — a fixed-size summary regardless of sample count.
-        """
-        require_positive(points, "points")
-        if self.samples.size == 0:
-            raise ConfigurationError(
-                "this summary was built without retained samples"
-            )
-        qs = np.linspace(0.0, 1.0, points + 1)
-        return np.quantile(self.samples, qs), qs
 
 
 def summarize_latencies(samples_ms: np.ndarray) -> LatencySummary:
@@ -179,5 +158,4 @@ def summarize_latencies(samples_ms: np.ndarray) -> LatencySummary:
         p95_ms=float(p95),
         p99_ms=float(p99),
         max_ms=float(samples[-1]),
-        samples=samples,
     )

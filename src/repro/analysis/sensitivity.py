@@ -43,11 +43,6 @@ class MetricEstimate:
     high: float
     samples: tuple[float, ...]
 
-    @property
-    def half_width(self) -> float:
-        """Half-width of the confidence interval."""
-        return (self.high - self.low) / 2.0
-
     def __str__(self) -> str:
         return (
             f"{self.name} = {self.mean:.4f} "

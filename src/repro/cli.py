@@ -58,7 +58,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import ConfigurationError, ExperimentError, OverlayError, WorkloadError
+from .errors import ConfigurationError, ExperimentError, ReproError, WorkloadError
 
 __all__ = ["main", "build_parser"]
 
@@ -213,14 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sweep.add_argument(
-        "--epoch-cache-tables", type=int, default=None, metavar="N",
-        help=(
-            "bound the per-process epoch storer-table cache to N tables "
-            "(default: a bytes budget sized by address width; see "
-            "repro.perf.table_cache.EpochTableCache)"
-        ),
-    )
-    sweep.add_argument(
         "--store", type=Path, default=None,
         help="JSON result store (resumable and diffable)",
     )
@@ -356,10 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     work.add_argument(
         "--cap-jobs", action="store_true",
         help="clamp --jobs to this host's os.cpu_count()",
-    )
-    work.add_argument(
-        "--epoch-cache-tables", type=int, default=None, metavar="N",
-        help="bound the per-process epoch storer-table cache",
     )
     work.add_argument(
         "--point-timeout", type=float, default=None, metavar="SECONDS",
@@ -617,10 +605,7 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
     if args.backend is not None:
         from .backends import get_backend
 
-        try:
-            backend = get_backend(args.backend)
-        except ConfigurationError as error:
-            raise ExperimentError(str(error)) from None
+        backend = get_backend(args.backend)
         if not spec.supports_backend:
             print(
                 f"[{name} runs on its own engine; --backend "
@@ -719,7 +704,6 @@ def _sweep_run(args: argparse.Namespace) -> int:
     sweep = run_sweep(
         spec, jobs=args.jobs, store_path=args.store,
         resume=not args.no_resume, cap_jobs=args.cap_jobs,
-        epoch_cache_tables=args.epoch_cache_tables,
         max_retries=args.max_retries,
         point_timeout=args.point_timeout,
         keep_going=args.keep_going,
@@ -798,7 +782,6 @@ def _sweep_work_run(args: argparse.Namespace) -> int:
         worker_id=args.worker_id,
         jobs=args.jobs,
         cap_jobs=args.cap_jobs,
-        epoch_cache_tables=args.epoch_cache_tables,
         point_timeout=args.point_timeout,
         max_pool_restarts=args.max_pool_restarts,
         poll_interval=args.poll_interval,
@@ -985,11 +968,6 @@ def _serve_run(args: argparse.Namespace) -> int:
             flush_interval=args.flush_interval,
             n_epochs=args.epochs, batch_mode=args.batch,
         )
-    except WorkloadError as error:
-        # A refused request line ends a long-lived server with one
-        # argparse-style line, not a traceback.
-        print(f"repro-swarm serve: error: {error}", file=sys.stderr)
-        return 2
     finally:
         if source is not sys.stdin:
             source.close()
@@ -1078,10 +1056,28 @@ def _overlay_inspect(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """CLI entry point; returns the process exit code.
 
+    Any :class:`~repro.errors.ReproError` — a refused option value,
+    input file or request line — ends the command with one
+    argparse-style ``repro-swarm <command>: error: <message>`` line on
+    stderr and exit status 2, not a traceback.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ReproError as error:
+        command = " ".join(filter(None, (
+            args.command,
+            getattr(args, "trace_command", None),
+            getattr(args, "overlay_command", None),
+        )))
+        print(f"repro-swarm {command}: error: {error}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed command; returns its exit code."""
     if args.command == "list":
         from .experiments.registry import list_experiments
 
@@ -1130,9 +1126,9 @@ def main(argv: list[str] | None = None) -> int:
                    else _overlay_inspect)
         try:
             return command(args)
-        except (OSError, ConfigurationError, OverlayError) as error:
-            # A bad configuration or overlay file is refused with one
-            # argparse-style line, not a traceback.
+        except OSError as error:
+            # An unreadable or unwritable overlay file is refused like
+            # any other bad input.
             print(f"repro-swarm overlay {args.overlay_command}: error: "
                   f"{error}", file=sys.stderr)
             return 2
@@ -1146,13 +1142,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     outputs = []
     for name in names:
-        try:
-            output = _run_one(name, args)
-        except ExperimentError as error:
-            # An unknown experiment or backend is refused with one
-            # argparse-style line, not a traceback.
-            print(f"repro-swarm run: error: {error}", file=sys.stderr)
-            return 2
+        output = _run_one(name, args)
         print(output)
         print()
         outputs.append(output)

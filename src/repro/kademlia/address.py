@@ -128,11 +128,6 @@ class AddressSpace:
         """Number of distinct addresses, ``2**bits``."""
         return 1 << self.bits
 
-    @property
-    def max_address(self) -> int:
-        """Largest valid address, ``2**bits - 1``."""
-        return self.size - 1
-
     def __contains__(self, address: object) -> bool:
         return (
             isinstance(address, int)

@@ -21,6 +21,13 @@ A worker decodes it once (:func:`attach_overlay`: 23–46 ms for a
 structure and refuses a mismatch, so no worker rebuilds an overlay
 the parent already built.
 
+Only these dense, per-topology arrays are published. A scenario's
+per-epoch storer tables and coded-matrix patches are derived in the
+process that routes them, through its own
+:class:`~repro.perf.table_cache.EpochTableCache`: a worker computes
+each epoch once, on its first replica of a schedule, and serves its
+later replicas from the cache.
+
 Cleanup is refcounted in the publishing process: each sweep run
 acquires the handles it needs from the :class:`SharedTableRegistry`
 and releases them when done; a segment is closed and unlinked when its
@@ -54,11 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "SharedArraySpec",
     "SharedTableHandle",
-    "SharedEpochTablesHandle",
     "SharedTableRegistry",
     "attach_table",
     "attach_overlay",
-    "attach_epoch_tables",
     "pinned_tables",
     "shared_table_registry",
     "sweep_stale_segments",
@@ -189,74 +194,6 @@ class SharedTableHandle:
             coded=SharedArraySpec.from_payload(payload["coded"]),
             storer=SharedArraySpec.from_payload(payload["storer"]),
             overlay=SharedArraySpec.from_payload(payload["overlay"]),
-        )
-
-
-@dataclass(frozen=True)
-class SharedEpochTablesHandle:
-    """One scenario schedule's published epoch artifacts.
-
-    The publishing sweep parent replays the scenario schedule once
-    (:func:`~repro.scenarios.plan.precompute_epoch_tables`) and packs
-    the results into at most three segments: every epoch storer table
-    stacked into one ``(k, space)`` matrix, and every sparse
-    :class:`~repro.kademlia.table.CodedPatch` concatenated into one
-    indices and one prior array, sliced back apart by ``patch_offsets``
-    on attach. ``storer_keys``/``patch_keys`` carry the chained
-    fingerprints the attaching worker installs the artifacts under in
-    its :class:`~repro.perf.table_cache.EpochTableCache` — which is
-    what turns per-worker epoch patching into once-per-machine.
-    """
-
-    key: str
-    n_nodes: int
-    storer_keys: tuple[str, ...]
-    storers: SharedArraySpec | None
-    patch_keys: tuple[str, ...]
-    patch_offsets: tuple[int, ...]
-    patch_indices: SharedArraySpec | None
-    patch_prior: SharedArraySpec | None
-
-    def to_payload(self) -> dict:
-        """Plain-data form safe to pickle into spawn workers.
-
-        Carries ``kind`` so :func:`repro.sweeps.worker.
-        register_table_handles` can dispatch it alongside the dense
-        :class:`SharedTableHandle` payloads in one mapping.
-        """
-        return {
-            "kind": "epoch-tables",
-            "key": self.key,
-            "n_nodes": self.n_nodes,
-            "storer_keys": list(self.storer_keys),
-            "storers": (None if self.storers is None
-                        else self.storers.to_payload()),
-            "patch_keys": list(self.patch_keys),
-            "patch_offsets": list(self.patch_offsets),
-            "patch_indices": (None if self.patch_indices is None
-                              else self.patch_indices.to_payload()),
-            "patch_prior": (None if self.patch_prior is None
-                            else self.patch_prior.to_payload()),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "SharedEpochTablesHandle":
-        """Inverse of :meth:`to_payload`."""
-
-        def spec(key: str) -> SharedArraySpec | None:
-            value = payload[key]
-            return (None if value is None
-                    else SharedArraySpec.from_payload(value))
-
-        return cls(
-            key=str(payload["key"]),
-            n_nodes=int(payload["n_nodes"]),
-            storer_keys=tuple(str(k) for k in payload["storer_keys"]),
-            storers=spec("storers"),
-            patch_keys=tuple(str(k) for k in payload["patch_keys"]),
-            patch_offsets=tuple(int(v) for v in payload["patch_offsets"]),
-            patch_indices=spec("patch_indices"),
-            patch_prior=spec("patch_prior"),
         )
 
 
@@ -393,47 +330,6 @@ def attach_overlay(handle: SharedTableHandle) -> "Overlay":
     return overlay
 
 
-def attach_epoch_tables(handle: SharedEpochTablesHandle
-                        ) -> tuple[dict, tuple]:
-    """Map one published epoch-table block read-only (zero-copy).
-
-    Returns ``(artifacts, segments)``: *artifacts* maps each chained
-    fingerprint to its storer-table row view or reconstructed
-    :class:`~repro.kademlia.table.CodedPatch` (views into the shared
-    buffers), and *segments* must be kept alive as long as any of the
-    views are — the attaching cache adopts them.
-    """
-    from ..kademlia.table import CodedPatch
-
-    artifacts: dict = {}
-    segments: list[shared_memory.SharedMemory] = []
-    try:
-        if handle.storers is not None:
-            segment, stacked = _attach_array(handle.storers)
-            segments.append(segment)
-            for index, key in enumerate(handle.storer_keys):
-                artifacts[key] = stacked[index]
-        if handle.patch_indices is not None:
-            index_segment, indices = _attach_array(handle.patch_indices)
-            segments.append(index_segment)
-            prior_segment, prior = _attach_array(handle.patch_prior)
-            segments.append(prior_segment)
-            offsets = handle.patch_offsets
-            for index, key in enumerate(handle.patch_keys):
-                lo, hi = offsets[index], offsets[index + 1]
-                artifacts[key] = CodedPatch(
-                    indices[lo:hi], prior[lo:hi], handle.n_nodes
-                )
-    except BaseException:
-        for segment in segments:
-            try:
-                segment.close()
-            except OSError:  # pragma: no cover - close best effort
-                pass
-        raise
-    return artifacts, tuple(segments)
-
-
 class SharedTableRegistry:
     """Publisher-side refcounted registry of shared table segments.
 
@@ -484,69 +380,6 @@ class SharedTableRegistry:
                 "references": 0,
             }
             self._entries[fingerprint] = entry
-        entry["references"] += 1
-        return entry["handle"]
-
-    def acquire_epochs(self, key: str, storer_tables: Mapping,
-                       patches: Mapping, n_nodes: int
-                       ) -> SharedEpochTablesHandle:
-        """Publish one schedule's epoch artifacts (idempotent by *key*).
-
-        *storer_tables* maps chained fingerprints to per-address storer
-        arrays (all one shape/dtype), *patches* maps ``"coded:"`` keys
-        to :class:`~repro.kademlia.table.CodedPatch` objects. Entries
-        are packed into one stacked segment plus one concatenated
-        indices/prior pair, refcounted under *key* exactly like dense
-        tables (release with :meth:`release`).
-        """
-        entry = self._entries.get(key)
-        if entry is None:
-            segments: list[shared_memory.SharedMemory] = []
-            storer_keys = tuple(storer_tables)
-            patch_keys = tuple(patches)
-            try:
-                storer_spec = None
-                if storer_keys:
-                    segment, storer_spec = _create_segment(np.stack(
-                        [storer_tables[k] for k in storer_keys]
-                    ))
-                    segments.append(segment)
-                index_spec = prior_spec = None
-                offsets = [0]
-                if patch_keys:
-                    for patch in patches.values():
-                        offsets.append(offsets[-1] + len(patch))
-                    segment, index_spec = _create_segment(np.concatenate(
-                        [patches[k].indices for k in patch_keys]
-                    ))
-                    segments.append(segment)
-                    segment, prior_spec = _create_segment(np.concatenate(
-                        [patches[k].prior for k in patch_keys]
-                    ))
-                    segments.append(segment)
-            except BaseException:
-                for segment in segments:
-                    try:
-                        segment.close()
-                        segment.unlink()
-                    except OSError:  # pragma: no cover
-                        pass
-                raise
-            entry = {
-                "handle": SharedEpochTablesHandle(
-                    key=key,
-                    n_nodes=int(n_nodes),
-                    storer_keys=storer_keys,
-                    storers=storer_spec,
-                    patch_keys=patch_keys,
-                    patch_offsets=tuple(offsets),
-                    patch_indices=index_spec,
-                    patch_prior=prior_spec,
-                ),
-                "segments": tuple(segments),
-                "references": 0,
-            }
-            self._entries[key] = entry
         entry["references"] += 1
         return entry["handle"]
 

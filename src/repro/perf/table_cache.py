@@ -58,7 +58,6 @@ __all__ = [
     "EpochCacheStats",
     "EpochTableCache",
     "global_epoch_table_cache",
-    "configure_epoch_table_cache",
     "log_epoch_event",
     "EPOCH_TABLE_LOG_ENV",
 ]
@@ -178,16 +177,11 @@ class TableCache:
 
 @dataclass
 class EpochCacheStats:
-    """How many epoch tables were patched, rebuilt, and re-served.
-
-    ``shared`` counts artifacts installed from another process's
-    shared-memory publication — work this process did *not* do.
-    """
+    """How many epoch tables were patched, rebuilt, and re-served."""
 
     patches: int = 0
     rebuilds: int = 0
     hits: int = 0
-    shared: int = 0
 
     @property
     def resolutions(self) -> int:
@@ -200,14 +194,13 @@ class EpochCacheStats:
             "patches": self.patches,
             "rebuilds": self.rebuilds,
             "hits": self.hits,
-            "shared": self.shared,
         }
 
 
 def log_epoch_event(fingerprint: str, event: str) -> None:
     """Append one epoch-table event line to the instrumentation log.
 
-    Used by the cache itself (``hit``/``patch``/``rebuild``/``shared``
+    Used by the cache itself (``hit``/``patch``/``rebuild``
     resolutions) and by the epoch plans' coded-matrix patching
     (``coded-patch``/``coded-revert``), so the instrumented tests can
     reconstruct exactly which process did which table work.
@@ -232,45 +225,34 @@ class EpochTableCache:
     (anything exposing ``nbytes`` participates in the bytes budget). Unlike the dense
     :class:`TableCache`, every churn epoch has a distinct alive set —
     a long run inserts one table per epoch forever — so this cache is
-    **LRU-bounded**. The default bound is a *bytes* budget
-    (:data:`DEFAULT_MAX_BYTES`), measured against each table's actual
-    ``nbytes``, so the resident-memory ceiling is the same whether the
-    address space is 12 bits (tiny tables, thousands cached) or 22
-    bits (8 MB tables, a handful cached) — bounding a table *count*
-    instead would scale memory 64x across that range. ``max_tables``
-    overrides the budget with an explicit count (exposed as
-    ``repro-swarm sweep --epoch-cache-tables``). Eviction is always
-    safe: a live :class:`~repro.scenarios.plan.EpochPlan` patches
-    from its own chain-tip reference, never from the cache, so
-    dropping an old epoch only costs a replayed schedule a recompute.
+    **LRU-bounded** by a *bytes* budget (:data:`DEFAULT_MAX_BYTES`),
+    measured against each table's actual ``nbytes``, so the
+    resident-memory ceiling is the same whether the address space is
+    12 bits (tiny tables, thousands cached) or 22 bits (8 MB tables, a
+    handful cached) — bounding a table *count* instead would scale
+    memory 64x across that range. Eviction is always safe: a live
+    :class:`~repro.scenarios.plan.EpochPlan` patches from its own
+    chain-tip reference, never from the cache, so dropping an old
+    epoch only costs a replayed schedule a recompute.
+
+    Epoch artifacts are only ever derived in the process that routes
+    them: every sweep worker (and the serial executor) fills its own
+    cache from its first replica of a schedule and serves later
+    replicas as hits, and nothing crosses a process boundary.
     Process-global and not thread-safe, like :class:`TableCache`.
     """
 
-    #: Default bytes budget, equivalent to the historical 256-table
-    #: bound at the paper's 16-bit space (131 KB per uint16 table,
-    #: ~34 MB resident).
+    #: Default bytes budget: 256 tables at the paper's 16-bit space
+    #: (131 KB per uint16 table, ~34 MB resident).
     DEFAULT_MAX_BYTES = 256 * (1 << 16) * 2
 
-    #: The historical count bound the bytes budget replaced; kept as
-    #: the reference point for sizing and the CLI help text.
-    DEFAULT_MAX_TABLES = 256
-
-    def __init__(self, max_tables: int | None = None,
-                 max_bytes: int | None = None) -> None:
-        if max_tables is not None and max_tables < 1:
-            raise ValueError(f"max_tables must be >= 1, got {max_tables}")
-        if max_bytes is not None and max_bytes < 1:
+    def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES) -> None:
+        if max_bytes < 1:
             raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        if max_tables is None and max_bytes is None:
-            max_bytes = self.DEFAULT_MAX_BYTES
         self._tables: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        self.max_tables = max_tables
         self.max_bytes = max_bytes
         self._bytes = 0
         self.stats = EpochCacheStats()
-        # Shared-memory segments whose lifetime is tied to installed
-        # epoch artifacts (see adopt_segments); closed on clear().
-        self._segments: list = []
 
     @property
     def nbytes(self) -> int:
@@ -301,58 +283,17 @@ class EpochTableCache:
             log_epoch_event(fingerprint, "rebuild")
         self._tables[fingerprint] = table
         self._bytes += int(table.nbytes)
-        self._evict()
-        return table
-
-    def install(self, fingerprint: str, table) -> bool:
-        """Adopt a pre-resolved epoch artifact published by another process.
-
-        Sweeps precompute each schedule's storer tables and coded
-        patches once in the parent and ship them over shared memory;
-        workers install the attached views here so their epoch plans
-        resolve every request as a hit without redoing the patch work.
-        Returns ``False`` (and counts nothing) when *fingerprint* is
-        already resident.
-        """
-        if fingerprint in self._tables:
-            return False
-        self._tables[fingerprint] = table
-        self._bytes += int(table.nbytes)
-        self.stats.shared += 1
-        log_epoch_event(fingerprint, "shared")
-        self._evict()
-        return True
-
-    def adopt_segments(self, segments) -> None:
-        """Keep *segments* (shared-memory handles) open until clear().
-
-        Installed views alias these segments' buffers, so they must
-        outlive the cached entries.
-        """
-        self._segments.extend(segments)
-
-    def _evict(self) -> None:
-        """Drop LRU entries until within bounds (keeping the newest)."""
-        while len(self._tables) > 1 and (
-            (self.max_tables is not None
-             and len(self._tables) > self.max_tables)
-            or (self.max_bytes is not None
-                and self._bytes > self.max_bytes)
-        ):
+        # Drop LRU entries until within budget, keeping the newest.
+        while len(self._tables) > 1 and self._bytes > self.max_bytes:
             _, evicted = self._tables.popitem(last=False)
             self._bytes -= int(evicted.nbytes)
+        return table
 
     def clear(self) -> None:
         """Drop every epoch table and counter (for tests)."""
         self._tables.clear()
         self._bytes = 0
         self.stats = EpochCacheStats()
-        for segment in self._segments:
-            try:
-                segment.close()
-            except (OSError, ValueError):  # pragma: no cover - teardown
-                pass
-        self._segments.clear()
 
     def __len__(self) -> int:
         return len(self._tables)
@@ -379,26 +320,3 @@ def global_epoch_table_cache() -> EpochTableCache:
     if _GLOBAL_EPOCH_CACHE is None:
         _GLOBAL_EPOCH_CACHE = EpochTableCache()
     return _GLOBAL_EPOCH_CACHE
-
-
-def configure_epoch_table_cache(max_tables: int | None = None,
-                                max_bytes: int | None = None
-                                ) -> EpochTableCache:
-    """Re-bound the process-global epoch cache, keeping its contents.
-
-    Called by sweep workers with the ``--epoch-cache-tables`` value
-    before executing a point. Idempotent — re-applying the same bounds
-    is free, and contents survive a bound change (only the overflow,
-    if any, is evicted), so per-point calls never flush the
-    cross-replica amortization the cache exists for.
-    """
-    if max_tables is not None and max_tables < 1:
-        raise ValueError(f"max_tables must be >= 1, got {max_tables}")
-    if max_tables is None and max_bytes is None:
-        max_bytes = EpochTableCache.DEFAULT_MAX_BYTES
-    cache = global_epoch_table_cache()
-    if cache.max_tables != max_tables or cache.max_bytes != max_bytes:
-        cache.max_tables = max_tables
-        cache.max_bytes = max_bytes
-        cache._evict()
-    return cache

@@ -47,7 +47,6 @@ __all__ = [
     "CacheRuntime",
     "EpochState",
     "EpochPlan",
-    "precompute_epoch_tables",
 ]
 
 
@@ -429,48 +428,3 @@ class EpochPlan:
             log_epoch_event(self._coded_key, "revert")
         self._coded_patch = None
         self._coded_key = None
-
-
-def precompute_epoch_tables(
-    scenario: Scenario, ctx: ScenarioContext, *,
-    table_fingerprint: str, base_storers: np.ndarray,
-    addresses: np.ndarray, coded: np.ndarray | None = None,
-) -> tuple[dict[str, np.ndarray], dict[str, object]]:
-    """Resolve every epoch artifact of *scenario*'s schedule up front.
-
-    Sweeps call this once in the parent process before fanning out
-    replicas: the returned storer tables and coded patches (both
-    keyed by chained fingerprint, patches under their ``"coded:"``
-    keys) are published over shared memory, and each worker installs
-    the attached views into its epoch cache instead of re-deriving
-    the whole chain — one patch scan per *machine* instead of one per
-    process. Runs through a private, schedule-sized
-    :class:`~repro.perf.table_cache.EpochTableCache` so the caller's
-    process-global cache (and its stats) stay untouched. Schedules
-    are deterministic per ``(scenario spec, ctx)``, so the artifacts
-    workers replay are bit-identical to what they would derive
-    themselves.
-    """
-    from ..perf.table_cache import EpochTableCache
-
-    cache = EpochTableCache(max_tables=max(1, 2 * ctx.n_epochs))
-    plan = EpochPlan(
-        scenario, ctx,
-        table_fingerprint=table_fingerprint,
-        base_storers=base_storers,
-        addresses=addresses,
-        epoch_tables=cache,
-        coded=coded,
-    )
-    storer_tables: dict[str, np.ndarray] = {}
-    patches: dict[str, object] = {}
-    try:
-        for index in range(plan.n_epochs):
-            state = plan.epoch(index)
-            if state.storers is not None:
-                storer_tables.setdefault(plan._fingerprint, state.storers)
-            if plan._coded_patch is not None and plan._coded_key is not None:
-                patches.setdefault(plan._coded_key, plan._coded_patch)
-    finally:
-        plan.restore_coded()
-    return storer_tables, patches

@@ -147,7 +147,6 @@ class _Heartbeat(threading.Thread):
 def sweep_work(queue_url: str, *, store_path: Path,
                worker_id: str | None = None, jobs: int = 1,
                cap_jobs: bool = False,
-               epoch_cache_tables: int | None = None,
                point_timeout: float | None = None,
                max_pool_restarts: int = 8,
                poll_interval: float = 0.5) -> int:
@@ -180,7 +179,6 @@ def sweep_work(queue_url: str, *, store_path: Path,
     executor = make_executor(
         jobs,
         cap_jobs=cap_jobs,
-        epoch_cache_tables=epoch_cache_tables,
         # Zero local retries: the daemon owns the budget. Any local
         # failure quarantines at the leased (global) attempt number
         # and is reported for the daemon to arbitrate.
@@ -324,7 +322,6 @@ class DistributedExecutor(SweepExecutor):
 
     def __init__(self, workers: int, *, spec: SweepSpec, jobs: int = 1,
                  cap_jobs: bool = False,
-                 epoch_cache_tables: int | None = None,
                  retry_policy: RetryPolicy | None = None,
                  keep_going: bool = True,
                  point_timeout: float | None = None,
@@ -342,7 +339,6 @@ class DistributedExecutor(SweepExecutor):
         self.spec = spec
         self.jobs = jobs
         self.cap_jobs = cap_jobs
-        self.epoch_cache_tables = epoch_cache_tables
         self.retry_policy = retry_policy or RetryPolicy()
         self.keep_going = keep_going
         self.point_timeout = point_timeout
@@ -367,9 +363,6 @@ class DistributedExecutor(SweepExecutor):
         ]
         if self.cap_jobs:
             command.append("--cap-jobs")
-        if self.epoch_cache_tables is not None:
-            command += ["--epoch-cache-tables",
-                        str(self.epoch_cache_tables)]
         if self.point_timeout is not None:
             command += ["--point-timeout", str(self.point_timeout)]
         return command

@@ -180,7 +180,6 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1,
               resume: bool = True,
               confidence: float = 0.95,
               cap_jobs: bool = False,
-              epoch_cache_tables: int | None = None,
               max_retries: int = 2,
               retry_backoff: float = 0.05,
               point_timeout: float | None = None,
@@ -202,9 +201,7 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1,
     each unique topology's next-hop table to shared memory so workers
     attach instead of rebuilding; ``cap_jobs``
     clamps ``jobs`` to ``os.cpu_count()`` instead of merely warning
-    about oversubscription. ``epoch_cache_tables`` bounds every
-    executing process's epoch storer-table cache to an explicit table
-    count (``None``: the default per-address-width bytes budget).
+    about oversubscription.
 
     Fault tolerance: every point gets ``max_retries`` extra attempts
     (deterministic capped-exponential backoff from
@@ -275,7 +272,6 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1,
     policy = RetryPolicy(max_retries=max_retries,
                          backoff_base=retry_backoff)
     executor = make_executor(jobs, cap_jobs=cap_jobs,
-                             epoch_cache_tables=epoch_cache_tables,
                              retry_policy=policy,
                              keep_going=keep_going,
                              point_timeout=point_timeout,

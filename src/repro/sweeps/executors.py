@@ -34,14 +34,14 @@ memory via the :class:`~repro.perf.shared.SharedTableRegistry`
 every work item — the fix for PR 2's finding that ``--jobs 4`` lost
 to serial because each worker rebuilt every table. The overlay rides
 with its table (as JSON bytes in one more segment), so a worker
-decodes each topology once instead of rebuilding it. Scenario points
-get the same treatment one level up: the parent replays each unique
-schedule once (:func:`~repro.scenarios.plan.precompute_epoch_tables`)
-and publishes the per-epoch storer tables and sparse coded-matrix
-patches alongside the dense tables, so replicas install shared views
-instead of re-deriving the epoch chain per worker. Where shared
+decodes each topology once instead of rebuilding it. Where shared
 memory is unavailable the parent warns and each worker rebuilds the
-tables and overlays it touches.
+tables and overlays it touches. A scenario point's per-epoch storer
+tables and coded-matrix patches are not published: each worker
+derives them through its own
+:class:`~repro.perf.table_cache.EpochTableCache` on its first replica
+of a schedule and serves its later replicas from that cache, exactly
+as the serial executor does in-process.
 
 A :class:`ProcessExecutor` run keeps its workers busy from the
 start: it launches the pool *before* publishing, so the workers spawn
@@ -256,10 +256,8 @@ class SerialExecutor(SweepExecutor):
     sees the ``exception`` kind.
     """
 
-    def __init__(self, *, epoch_cache_tables: int | None = None,
-                 retry_policy: RetryPolicy | None = None,
+    def __init__(self, *, retry_policy: RetryPolicy | None = None,
                  keep_going: bool = True) -> None:
-        self.epoch_cache_tables = epoch_cache_tables
         self.retry_policy = retry_policy or RetryPolicy()
         self.keep_going = keep_going
 
@@ -274,7 +272,6 @@ class SerialExecutor(SweepExecutor):
                 try:
                     outcome = execute_point(
                         base_payload, entry["point"],
-                        epoch_cache_tables=self.epoch_cache_tables,
                         attempt=entry["attempt"],
                     )
                 except Exception as error:
@@ -313,13 +310,11 @@ class ProcessExecutor(SweepExecutor):
     """
 
     def __init__(self, jobs: int, *, cap_jobs: bool = False,
-                 epoch_cache_tables: int | None = None,
                  retry_policy: RetryPolicy | None = None,
                  keep_going: bool = True,
                  point_timeout: float | None = None,
                  max_pool_restarts: int = 8) -> None:
         self.jobs = resolve_jobs(jobs, cap_jobs=cap_jobs)
-        self.epoch_cache_tables = epoch_cache_tables
         self.retry_policy = retry_policy or RetryPolicy()
         self.keep_going = keep_going
         if point_timeout is not None and point_timeout <= 0:
@@ -343,17 +338,11 @@ class ProcessExecutor(SweepExecutor):
         """Build each unique topology once and publish it to workers.
 
         Returns (handle payloads keyed by fingerprint, acquired
-        fingerprints to release). Alongside the dense tables, every
-        unique ``(topology, scenario schedule)`` among the points gets
-        its epoch artifacts — per-epoch storer tables and sparse coded
-        patches — precomputed here and published too, so replicas
-        replaying one schedule install them instead of re-deriving the
-        chain in every worker (the patch scan happens once per
-        machine). Falls back to unshared execution — workers rebuild —
-        when shared memory is unavailable on this platform. Any
-        failure mid-publication (including inside the epoch loop)
-        releases exactly the handles acquired so far before falling
-        back or re-raising: a partial publish must never leak segments.
+        fingerprints to release). Falls back to unshared execution —
+        workers rebuild — when shared memory is unavailable on this
+        platform. Any failure mid-publication releases exactly the
+        handles acquired so far before falling back or re-raising: a
+        partial publish must never leak segments.
         """
         from ..backends.fast import cached_overlay
         from ..perf.shared import shared_table_registry
@@ -370,9 +359,6 @@ class ProcessExecutor(SweepExecutor):
                 handle = registry.acquire(table)
                 acquired.append(handle.fingerprint)
                 payloads[handle.fingerprint] = handle.to_payload()
-            self._publish_epoch_tables(
-                base, points, registry, payloads, acquired
-            )
         except BaseException as error:
             self._release_handles(acquired)
             if isinstance(error, (ImportError, OSError)):
@@ -385,56 +371,6 @@ class ProcessExecutor(SweepExecutor):
                 return {}, []
             raise
         return payloads, acquired
-
-    def _publish_epoch_tables(self, base: FastSimulationConfig,
-                              points: Sequence[SweepPoint],
-                              registry, payloads: dict[str, dict],
-                              acquired: list[str]) -> None:
-        """Precompute and publish epoch artifacts per unique schedule.
-
-        A schedule is identified by its topology fingerprint plus the
-        composed scenario spec and epoch count — everything the
-        chained fingerprints derive from — so seed replicas of one
-        dynamics point share a single publication.
-        """
-        from ..backends.fast import cached_overlay
-        from ..perf.table_cache import global_table_cache
-        from ..scenarios.plan import precompute_epoch_tables
-
-        seen: set[str] = set()
-        for point in points:
-            if not get_backend_class(point.backend).uses_next_hop_table:
-                continue
-            config = point.config(base)
-            if not config.has_scenarios:
-                continue
-            scenario = config.scenario_stack()
-            if scenario is None:
-                continue
-            ctx = config.scenario_context()
-            table = global_table_cache().get(
-                cached_overlay(config.overlay_config())
-            )
-            fingerprint = table.overlay.fingerprint()
-            key = (f"epochs:{fingerprint}:"
-                   f"{scenario.spec()}:{ctx.n_epochs}")
-            if key in seen:
-                continue
-            seen.add(key)
-            storer_tables, patches = precompute_epoch_tables(
-                scenario, ctx,
-                table_fingerprint=fingerprint,
-                base_storers=table.storer,
-                addresses=table.overlay.address_array(),
-                coded=global_table_cache().writable_coded(table),
-            )
-            if not storer_tables and not patches:
-                continue
-            handle = registry.acquire_epochs(
-                key, storer_tables, patches, table.n_nodes
-            )
-            acquired.append(key)
-            payloads[key] = handle.to_payload()
 
     @staticmethod
     def _release_handles(acquired: Sequence[str]) -> None:
@@ -615,14 +551,13 @@ class ProcessExecutor(SweepExecutor):
         for entry in lease["points"]:
             future = pool.submit(
                 execute_point, base_payload, entry["point"],
-                handles or None, self.epoch_cache_tables, entry["attempt"],
+                handles or None, entry["attempt"],
             )
             inflight[future] = entry["point"]["point_id"]
         return lease["retry_after"]
 
 
 def make_executor(jobs: int, *, cap_jobs: bool = False,
-                  epoch_cache_tables: int | None = None,
                   retry_policy: RetryPolicy | None = None,
                   keep_going: bool = True,
                   point_timeout: float | None = None,
@@ -655,7 +590,6 @@ def make_executor(jobs: int, *, cap_jobs: bool = False,
 
         return DistributedExecutor(
             workers, spec=spec, jobs=jobs, cap_jobs=cap_jobs,
-            epoch_cache_tables=epoch_cache_tables,
             retry_policy=retry_policy, keep_going=keep_going,
             point_timeout=point_timeout,
             max_pool_restarts=max_pool_restarts,
@@ -670,11 +604,9 @@ def make_executor(jobs: int, *, cap_jobs: bool = False,
                 "--jobs 1",
                 RuntimeWarning,
             )
-        return SerialExecutor(epoch_cache_tables=epoch_cache_tables,
-                              retry_policy=retry_policy,
+        return SerialExecutor(retry_policy=retry_policy,
                               keep_going=keep_going)
     return ProcessExecutor(jobs, cap_jobs=cap_jobs,
-                           epoch_cache_tables=epoch_cache_tables,
                            retry_policy=retry_policy,
                            keep_going=keep_going,
                            point_timeout=point_timeout,

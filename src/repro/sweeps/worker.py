@@ -189,52 +189,29 @@ def register_table_handles(table_handles: Mapping | None) -> None:
     """Make published shared-memory tables visible to this process.
 
     *table_handles* maps overlay fingerprints to
-    :class:`~repro.perf.shared.SharedTableHandle` payloads — plus,
-    under ``"epochs:..."`` keys, the
-    :class:`~repro.perf.shared.SharedEpochTablesHandle` payloads
-    (``"kind": "epoch-tables"``) carrying precomputed scenario epoch
-    artifacts, which are attached eagerly and installed into this
-    process's epoch cache so its plans resolve every epoch as a hit.
-    A dense handle's overlay is decoded from its segment the first
-    time the handle is seen (:func:`~repro.perf.shared.attach_overlay`
-    checks the fingerprint) and installed where
+    :class:`~repro.perf.shared.SharedTableHandle` payloads. A handle's
+    overlay is decoded from its segment the first time the handle is
+    seen (:func:`~repro.perf.shared.attach_overlay` checks the
+    fingerprint) and installed where
     :func:`~repro.backends.fast.cached_overlay` finds it; its table
     attaches lazily, when a backend first prepares that topology.
-    Both kinds register idempotently, so re-sending the same handles
-    with every work item is free.
+    Registration is idempotent, so re-sending the same handles with
+    every work item is free. Scenario epoch artifacts never arrive
+    here: this process derives them itself (see :func:`execute_point`).
     """
     if not table_handles:
         return
     from ..backends.fast import install_overlay
-    from ..perf.shared import (
-        SharedEpochTablesHandle,
-        SharedTableHandle,
-        attach_epoch_tables,
-        attach_overlay,
-    )
-    from ..perf.table_cache import (
-        global_epoch_table_cache,
-        global_table_cache,
-    )
+    from ..perf.shared import SharedTableHandle, attach_overlay
+    from ..perf.table_cache import global_table_cache
 
     cache = global_table_cache()
     for handle_payload in table_handles.values():
-        if handle_payload.get("kind") == "epoch-tables":
-            handle = SharedEpochTablesHandle.from_payload(handle_payload)
-            epoch_cache = global_epoch_table_cache()
-            wanted = (*handle.storer_keys, *handle.patch_keys)
-            if all(key in epoch_cache for key in wanted):
-                continue
-            artifacts, segments = attach_epoch_tables(handle)
-            for key, artifact in artifacts.items():
-                epoch_cache.install(key, artifact)
-            epoch_cache.adopt_segments(segments)
-        else:
-            handle = SharedTableHandle.from_payload(handle_payload)
-            if cache.is_registered(handle):
-                continue
-            install_overlay(attach_overlay(handle))
-            cache.register_handle(handle)
+        handle = SharedTableHandle.from_payload(handle_payload)
+        if cache.is_registered(handle):
+            continue
+        install_overlay(attach_overlay(handle))
+        cache.register_handle(handle)
 
 
 def warm_up() -> None:
@@ -253,16 +230,14 @@ def warm_up() -> None:
 
 def execute_point(base: Mapping, payload: Mapping,
                   table_handles: Mapping | None = None,
-                  epoch_cache_tables: int | None = None,
                   attempt: int = 0) -> PointOutcome:
     """Run one sweep point and summarize it (the executor work unit).
 
-    ``epoch_cache_tables`` re-bounds this process's epoch storer-table
-    cache (the ``--epoch-cache-tables`` sweep flag); ``None`` restores
-    the default byte-budget bound, so a bound set by an earlier sweep
-    in the same process never leaks into the next. Applied
-    idempotently, so per-point calls never flush the cache's
-    cross-replica amortization.
+    A scenario point's per-epoch storer tables and coded-matrix
+    patches resolve through this process's
+    :class:`~repro.perf.table_cache.EpochTableCache`: the first
+    replica of a schedule that this process runs derives them, and
+    every later replica here is served from the cache.
 
     ``attempt`` is the 0-based retry attempt the executor is running;
     it never influences the simulation (results are attempt-invariant
@@ -270,11 +245,9 @@ def execute_point(base: Mapping, payload: Mapping,
     fault-injection hook below can key faults by
     ``(point_id, attempt)`` — "fail the first try, pass the retry".
     """
-    from ..perf.table_cache import configure_epoch_table_cache
     from .chaos import maybe_inject
 
     maybe_inject(payload["point_id"], attempt)
-    configure_epoch_table_cache(max_tables=epoch_cache_tables)
     register_table_handles(table_handles)
     config = config_from_payload(base, payload)
     backend = get_backend(payload["backend"])

@@ -12,12 +12,15 @@ from repro.experiments.registry import (
     list_experiments,
 )
 
+#: Sizes that keep a sweep which got past its refusal small.
+TINY = ["--files", "10", "--nodes", "20"]
 
-def assert_refused(capsys, argv, message):
+
+def assert_refused(capsys, argv, message, command="run"):
     """*argv* exits 2 with one ``error:`` line on stderr, no traceback."""
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("repro-swarm run: error: ")
+    assert err.startswith(f"repro-swarm {command}: error: ")
     assert message in err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
@@ -86,6 +89,16 @@ class TestCli:
 
     def test_unknown_experiment_refused(self, capsys):
         assert_refused(capsys, ["run", "bogus"], "unknown experiment")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--backend", "bogus", *TINY], "unknown backend 'bogus'"),
+        (["sweep", "--jobs", "0", *TINY], "jobs must be >= 1"),
+        (["sweep", "--seeds", "0", *TINY], "seeds must be >= 1"),
+        (["serve", "--max-batch", "0", "--input", "-"],
+         "batch_files must be >= 1"),
+    ])
+    def test_refused_option_values_exit_2(self, capsys, argv, message):
+        assert_refused(capsys, argv, message, command=argv[0])
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

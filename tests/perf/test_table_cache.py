@@ -208,7 +208,7 @@ class TestEpochTableCache:
         assert cache.get("fp-1", lambda: 1 / 0) is table
         cache.get("fp-2", lambda: table.copy(), patched=False)
         assert cache.stats.snapshot() == {
-            "patches": 1, "rebuilds": 1, "hits": 1, "shared": 0,
+            "patches": 1, "rebuilds": 1, "hits": 1,
         }
         assert cache.stats.resolutions == 3
         events = [line.split()[2] for line in log.read_text().splitlines()]
@@ -244,32 +244,15 @@ class TestEpochTableCache:
         assert len(global_epoch_table_cache()) == 0
         assert global_epoch_table_cache().stats.resolutions == 0
 
-    def test_lru_bound_evicts_oldest(self):
-        from repro.perf.table_cache import EpochTableCache
-
-        cache = EpochTableCache(max_tables=2)
-        cache.get("a", lambda: np.zeros(2, dtype=np.uint16))
-        cache.get("b", lambda: np.ones(2, dtype=np.uint16))
-        cache.get("a", lambda: 1 / 0)  # hit refreshes recency
-        cache.get("c", lambda: np.full(2, 2, dtype=np.uint16))
-        assert "b" not in cache  # least recently used
-        assert "a" in cache and "c" in cache
-        assert len(cache) == 2
-        with pytest.raises(ValueError):
-            EpochTableCache(max_tables=0)
-
     def test_default_bound_is_a_bytes_budget(self):
         from repro.perf.table_cache import EpochTableCache
 
         cache = EpochTableCache()
-        assert cache.max_tables is None
         assert cache.max_bytes == EpochTableCache.DEFAULT_MAX_BYTES
-        # The budget equals the historical 256-table bound at the
-        # paper's 16-bit / uint16 shape...
+        # The budget holds 256 tables at the paper's 16-bit / uint16
+        # shape...
         table_bytes = (1 << 16) * 2
-        assert cache.max_bytes // table_bytes == (
-            EpochTableCache.DEFAULT_MAX_TABLES
-        )
+        assert cache.max_bytes // table_bytes == 256
         # ...so wider spaces keep the same resident memory by holding
         # proportionally fewer tables, instead of 64x the bytes.
         wide_table_bytes = (1 << 22) * 2
@@ -285,8 +268,10 @@ class TestEpochTableCache:
         assert len(cache) == 3 and cache.nbytes == 96
         cache.get("a", lambda: 1 / 0)  # refresh recency
         cache.get("d", lambda: table(2))
-        assert "b" not in cache
+        assert "b" not in cache  # least recently used
         assert len(cache) == 3 and cache.nbytes == 96
+        with pytest.raises(ValueError):
+            EpochTableCache(max_bytes=0)
 
     def test_oversized_table_still_cached(self):
         # A single table above the budget must not evict itself: the
@@ -297,60 +282,3 @@ class TestEpochTableCache:
         big = np.zeros(64, dtype=np.uint16)
         assert cache.get("big", lambda: big) is big
         assert "big" in cache and len(cache) == 1
-
-    def test_configure_rebounds_in_place_keeping_contents(self):
-        from repro.perf.table_cache import (
-            configure_epoch_table_cache,
-            global_epoch_table_cache,
-        )
-
-        clear_caches()
-        cache = global_epoch_table_cache()
-        for name in "abcd":
-            cache.get(name, lambda: np.zeros(4, dtype=np.uint16))
-        configured = configure_epoch_table_cache(max_tables=2)
-        assert configured is cache
-        assert cache.max_tables == 2 and cache.max_bytes is None
-        assert len(cache) == 2 and "d" in cache  # newest survive
-        hits_before = cache.stats.hits
-        cache.get("d", lambda: 1 / 0)
-        assert cache.stats.hits == hits_before + 1
-        # Idempotent re-application neither evicts nor resets.
-        assert configure_epoch_table_cache(max_tables=2) is cache
-        assert len(cache) == 2
-        # Back to the default bytes budget.
-        configure_epoch_table_cache()
-        assert cache.max_tables is None
-        assert cache.max_bytes == cache.DEFAULT_MAX_BYTES
-        with pytest.raises(ValueError):
-            configure_epoch_table_cache(max_tables=0)
-        clear_caches()
-
-    def test_sweep_epoch_cache_tables_reaches_workers(self, monkeypatch):
-        """--epoch-cache-tables re-bounds the executing process's cache
-        (serial path; the process pool ships the same value)."""
-        from repro.backends.config import FastSimulationConfig
-        from repro.perf.table_cache import global_epoch_table_cache
-        from repro.sweeps import SweepSpec, run_sweep
-
-        clear_caches()
-        spec = SweepSpec(
-            base=FastSimulationConfig(
-                n_nodes=60, bits=10, n_files=16, batch_files=4,
-            ),
-            scenarios=("churn:rate=0.2,recompute=true",),
-            backends=("fast",), seeds=2,
-        )
-        result = run_sweep(spec, jobs=1, epoch_cache_tables=8)
-        assert result.executed == 2
-        cache = global_epoch_table_cache()
-        assert cache.max_tables == 8
-        assert len(cache) <= 8
-        # The second replica amortized through the (re-bounded) cache
-        # rather than recomputing every epoch.
-        assert cache.stats.hits > 0
-        # Restore the default bound for the rest of the suite.
-        from repro.perf.table_cache import configure_epoch_table_cache
-
-        configure_epoch_table_cache()
-        clear_caches()

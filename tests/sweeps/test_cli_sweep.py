@@ -8,7 +8,6 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.errors import ConfigurationError
 from repro.sweeps import SweepStore
 
 SMALL = ["--files", "40", "--nodes", "60", "--seeds", "2"]
@@ -22,13 +21,6 @@ class TestSweepParser:
         assert args.backend == "fast"
         assert args.jobs == 1
         assert args.store is None
-        assert args.epoch_cache_tables is None
-
-    def test_epoch_cache_tables_flag(self):
-        args = build_parser().parse_args(
-            ["sweep", "--epoch-cache-tables", "64"]
-        )
-        assert args.epoch_cache_tables == 64
 
     def test_grid_repeatable_and_jobs(self):
         args = build_parser().parse_args([
@@ -57,16 +49,20 @@ class TestSweepCommand:
         assert "bucket_size=8" in output
         assert "points/s" in output
 
-    def test_bad_grid_field_raises_with_fields(self):
-        with pytest.raises(ConfigurationError, match="sweepable fields"):
-            main(["sweep", "--grid", "bogus=1", *SMALL])
+    def test_bad_grid_field_raises_with_fields(self, capsys):
+        assert main(["sweep", "--grid", "bogus=1", *SMALL]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-swarm sweep: error: ")
+        assert "sweepable fields" in err
 
-    def test_bad_backend_raises_with_known_names(self):
-        with pytest.raises(ConfigurationError, match="available"):
-            main([
-                "sweep", "--grid", "bucket_size=4",
-                "--backend", "bogus", *SMALL,
-            ])
+    def test_bad_backend_raises_with_known_names(self, capsys):
+        assert main([
+            "sweep", "--grid", "bucket_size=4",
+            "--backend", "bogus", *SMALL,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-swarm sweep: error: ")
+        assert "available" in err
 
     def test_store_round_trip_and_resume(self, tmp_path, capsys):
         store = tmp_path / "sweep.json"
@@ -153,8 +149,8 @@ class TestSweepCommand:
         clean = store.read_bytes()
         store.write_bytes(clean[: len(clean) // 3])
 
-        with pytest.raises(ConfigurationError, match="cannot read"):
-            main(argv)
+        assert main(argv) == 2
+        assert "cannot read" in capsys.readouterr().err
         with pytest.warns(RuntimeWarning, match="salvaged"):
             code = main(argv + ["--salvage-store"])
         assert code == 0

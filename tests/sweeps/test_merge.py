@@ -215,11 +215,11 @@ class TestMergeCLI:
         assert (tmp_path / "merged.json").read_bytes() \
             == serial.read_bytes()
 
-    def test_merge_stores_requires_output_store(self, tmp_path):
-        from repro.errors import ExperimentError
-
-        with pytest.raises(ExperimentError, match="--store"):
-            main(["sweep", "--merge-stores", str(tmp_path / "a.json")])
+    def test_merge_stores_requires_output_store(self, tmp_path, capsys):
+        assert main(
+            ["sweep", "--merge-stores", str(tmp_path / "a.json")]
+        ) == 2
+        assert "--store" in capsys.readouterr().err
 
 
 class TestDryRunCLI:

@@ -33,6 +33,7 @@ from repro.sweeps import (
     ProcessExecutor,
     SerialExecutor,
     SweepSpec,
+    executors,
     table_topologies,
 )
 from repro.sweeps.worker import (
@@ -245,13 +246,14 @@ class TestNothingOutlivesARun:
         segments, children = _segments(), _children()
         seen = {}
 
-        def fail(self, base, points, registry, payloads, acquired):
-            # The dense tables and overlays are published by now.
+        def fail_after_last(base, points):
+            yield from table_topologies(base, points)
+            # Every table and overlay is published by now.
             seen["workers"] = _children() - children
             seen["segments"] = _segments() - segments
             raise RuntimeError("publication failed")
 
-        monkeypatch.setattr(ProcessExecutor, "_publish_epoch_tables", fail)
+        monkeypatch.setattr(executors, "table_topologies", fail_after_last)
         with pytest.raises(RuntimeError, match="publication failed"):
             _quiet(ProcessExecutor(2), SPEC.base, SPEC.points())
         # The pool was launched before publication started...
