@@ -51,7 +51,7 @@ def main() -> None:
         base.overlay.address_array(), base.space
     )
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "trace.json"
+        path = Path(tmp) / "trace.ndjson"
         # Provenance in the header lets any later replay verify it
         # runs on the overlay the trace was captured for.
         WorkloadTrace(

@@ -11,8 +11,8 @@ experiments and the ablations from the terminal::
     repro-swarm run table1 --out out.txt # also write the report
     repro-swarm run table1 --files 200 --backend reference
 
-    repro-swarm trace generate t.json --files 100    # freeze a workload
-    repro-swarm trace replay t.json --bucket-size 20 # replay it
+    repro-swarm trace generate t.ndjson --files 100    # freeze a workload
+    repro-swarm trace replay t.ndjson --bucket-size 20 # replay it
 
     # record a scenario's dynamics (join/leave logs, cache shifts)...
     repro-swarm trace record-dynamics d.json \
@@ -58,7 +58,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import ConfigurationError, ExperimentError, ReproError, WorkloadError
+from .errors import ConfigurationError, ExperimentError, ReproError
 
 __all__ = ["main", "build_parser"]
 
@@ -394,8 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--input", default="-", metavar="PATH",
-        help="NDJSON request source ('-' = stdin, the default); an "
-             "NDJSON workload-trace file is accepted directly",
+        help="NDJSON request source ('-' = stdin, the default); a "
+             "request-trace file is accepted once its header matches "
+             "--bits, --nodes and --overlay-seed",
     )
     serve.add_argument("--nodes", type=int, default=1000)
     serve.add_argument("--bits", type=int, default=16)
@@ -432,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
 
     generate = trace_sub.add_parser(
-        "generate", help="freeze a workload into a JSON trace"
+        "generate", help="freeze a workload into an NDJSON trace"
     )
     generate.add_argument("path", type=Path, help="output trace file")
     generate.add_argument("--files", type=int, default=100)
@@ -446,20 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
     replay = trace_sub.add_parser(
         "replay", help="replay a trace against a configuration"
     )
-    replay.add_argument("path", type=Path, help="trace file to replay")
     replay.add_argument(
-        "--nodes", type=int, default=None,
-        help="overlay nodes (default: the trace header's, else 1000)",
-    )
-    replay.add_argument(
-        "--bits", type=int, default=None,
-        help="address bits (default: the trace header's, else 16)",
+        "path", type=Path,
+        help="trace file to replay (on the overlay its header names)",
     )
     replay.add_argument("--bucket-size", type=int, default=4)
-    replay.add_argument(
-        "--overlay-seed", type=int, default=None,
-        help="overlay seed (default: the trace header's, else 42)",
-    )
 
     record_dynamics = trace_sub.add_parser(
         "record-dynamics",
@@ -687,6 +679,10 @@ def _sweep_run(args: argparse.Namespace) -> int:
             for point_id in status[heading]:
                 print(f"  {heading}: {point_id}")
         return 0
+    # Refuse before the plan line, so a refused sweep prints nothing.
+    for flag, value in (("jobs", args.jobs), ("workers", args.workers)):
+        if value is not None and value < 1:
+            raise ConfigurationError(f"{flag} must be >= 1, got {value}")
     backends = spec.backends
     # cells() already crosses in the scenario axis; print the grid
     # factor separately so the breakdown multiplies to the point count.
@@ -867,30 +863,10 @@ def _trace_replay(args: argparse.Namespace) -> int:
     from .workloads.traces import TraceWorkload, WorkloadTrace
 
     trace = WorkloadTrace.load(args.path)
-    # The versioned header carries the overlay the trace was captured
-    # for; flags default to it (legacy headerless traces fall back to
-    # the historical defaults) and explicit mismatching flags are
-    # rejected inside TraceWorkload/overlay validation below.
-    nodes = args.nodes if args.nodes is not None else (
-        trace.n_nodes if trace.n_nodes is not None else 1000
-    )
-    bits = args.bits if args.bits is not None else (
-        trace.bits if trace.bits is not None else 16
-    )
-    overlay_seed = args.overlay_seed if args.overlay_seed is not None else (
-        trace.overlay_seed if trace.overlay_seed is not None else 42
-    )
-    if (trace.overlay_seed is not None
-            and overlay_seed != trace.overlay_seed):
-        raise WorkloadError(
-            f"trace {args.path} was recorded on overlay seed "
-            f"{trace.overlay_seed} but --overlay-seed {overlay_seed} "
-            f"was given; replay traces against the overlay they were "
-            f"generated for"
-        )
+    header = trace.header
     config = FastSimulationConfig(
-        n_nodes=nodes, bits=bits,
-        bucket_size=args.bucket_size, overlay_seed=overlay_seed,
+        n_nodes=header.n_nodes, bits=header.bits,
+        bucket_size=args.bucket_size, overlay_seed=header.overlay_seed,
         n_files=len(trace),
     )
     result = FastSimulation(config).run(TraceWorkload(trace))

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from ..errors import ConfigurationError
+from ..workloads.traces import DYNAMICS_TRACE_FORMAT, TraceHeader
 from .base import Schedule, ScenarioContext
 from .events import event_from_json, event_to_json
 
@@ -47,10 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .base import Scenario
 
 __all__ = ["DYNAMICS_TRACE_FORMAT", "DynamicsTrace", "record_dynamics"]
-
-#: Format tag written into every dynamics-trace file; bumped on any
-#: incompatible layout change so old readers fail loudly, not subtly.
-DYNAMICS_TRACE_FORMAT = "repro-swarm-dynamics/1"
 
 
 def _bad_trace(path: str | Path, why: str) -> ConfigurationError:
@@ -91,6 +88,12 @@ class DynamicsTrace:
                 )
 
     @property
+    def header(self) -> TraceHeader:
+        """The provenance this trace replays on."""
+        return TraceHeader(self.bits, self.n_nodes, self.overlay_seed,
+                           DYNAMICS_TRACE_FORMAT)
+
+    @property
     def n_events(self) -> int:
         """Total recorded events across every stream and epoch."""
         return sum(
@@ -112,10 +115,7 @@ class DynamicsTrace:
     def to_json(self) -> dict:
         """The full versioned document (deterministic key order)."""
         return {
-            "format": DYNAMICS_TRACE_FORMAT,
-            "bits": self.bits,
-            "n_nodes": self.n_nodes,
-            "overlay_seed": self.overlay_seed,
+            **self.header.to_json(),
             "source": self.source,
             "recompute_storers": self.recompute_storers,
             "n_epochs": self.n_epochs,
@@ -137,35 +137,21 @@ class DynamicsTrace:
         the problem, so a truncated or hand-edited file never replays
         a silently different scenario.
         """
-        if not isinstance(document, Mapping):
-            raise _bad_trace(
-                path, f"expected a JSON object, got "
-                f"{type(document).__name__}"
-            )
-        fmt = document.get("format")
-        if fmt != DYNAMICS_TRACE_FORMAT:
-            raise _bad_trace(
-                path,
-                f"format tag {fmt!r} is not {DYNAMICS_TRACE_FORMAT!r} "
-                f"(is this a request trace or an older file?)"
-            )
-        try:
-            bits = int(document["bits"])
-            n_nodes = int(document["n_nodes"])
-            overlay_seed = int(document["overlay_seed"])
-            source = str(document["source"])
-            recompute = bool(document["recompute_storers"])
-            n_epochs = int(document["n_epochs"])
-            raw_streams = document["streams"]
-        except (KeyError, TypeError, ValueError) as error:
-            raise _bad_trace(path, f"bad or missing header field "
-                             f"({error})") from None
-        if not 1 <= bits <= 64:
-            raise _bad_trace(path, f"bits must be in [1, 64], got {bits}")
-        if n_nodes < 1:
-            raise _bad_trace(path, f"n_nodes must be >= 1, got {n_nodes}")
-        if n_epochs < 0:
-            raise _bad_trace(path, f"n_epochs must be >= 0, got {n_epochs}")
+        header = TraceHeader.from_json(document, path=path,
+                                       tag=DYNAMICS_TRACE_FORMAT)
+        source = document.get("source")
+        recompute = document.get("recompute_storers")
+        n_epochs = document.get("n_epochs")
+        raw_streams = document.get("streams")
+        if type(source) is not str:
+            raise _bad_trace(path, f"header field 'source' must be a "
+                             f"string, got {source!r}")
+        if type(recompute) is not bool:
+            raise _bad_trace(path, f"header field 'recompute_storers' "
+                             f"must be true or false, got {recompute!r}")
+        if type(n_epochs) is not int or n_epochs < 0:
+            raise _bad_trace(path, f"header field 'n_epochs' must be an "
+                             f"integer >= 0, got {n_epochs!r}")
         if not isinstance(raw_streams, list):
             raise _bad_trace(path, "streams must be a list")
         streams = []
@@ -188,7 +174,8 @@ class DynamicsTrace:
             streams.append(tuple(stream))
         try:
             return cls(
-                bits=bits, n_nodes=n_nodes, overlay_seed=overlay_seed,
+                bits=header.bits, n_nodes=header.n_nodes,
+                overlay_seed=header.overlay_seed,
                 source=source, recompute_storers=recompute,
                 n_epochs=n_epochs, streams=tuple(streams),
             )
@@ -208,13 +195,21 @@ class DynamicsTrace:
             text = Path(path).read_text()
         except OSError as error:
             raise _bad_trace(path, str(error)) from None
+        text = text.strip()
         try:
-            document = json.loads(text)
-        except json.JSONDecodeError as error:
+            document, end = json.JSONDecoder().raw_decode(text)
+        except (ValueError, RecursionError) as error:
             raise _bad_trace(
                 path, f"not valid JSON ({error}); the file may be "
                 f"truncated or corrupt"
             ) from None
+        if end < len(text):
+            # More than one JSON value: a headed NDJSON request trace
+            # is refused by its header's tag, anything else as corrupt.
+            TraceHeader.from_json(document, path=path,
+                                  tag=DYNAMICS_TRACE_FORMAT)
+            raise _bad_trace(path, "data after the JSON document; the "
+                             "file may be corrupt")
         return cls.from_json(document, path=path)
 
     # ------------------------------------------------------------------
@@ -231,28 +226,8 @@ class DynamicsTrace:
         were recorded is refused too (the trace simply does not know
         what happened next); fewer is fine, the tail is unused.
         """
-        if ctx.space_size != (1 << self.bits):
-            raise ConfigurationError(
-                f"dynamics trace {path} was recorded for a "
-                f"{self.bits}-bit space but this run uses "
-                f"{ctx.space_size} addresses; replay traces at the "
-                f"bits they were recorded for"
-            )
-        if ctx.n_nodes != self.n_nodes:
-            raise ConfigurationError(
-                f"dynamics trace {path} was recorded over "
-                f"{self.n_nodes} nodes but this run has "
-                f"{ctx.n_nodes}; the recorded dense node indices do "
-                f"not transfer between populations"
-            )
-        if (ctx.overlay_seed is not None
-                and ctx.overlay_seed != self.overlay_seed):
-            raise ConfigurationError(
-                f"dynamics trace {path} was recorded on overlay seed "
-                f"{self.overlay_seed} but this run uses overlay seed "
-                f"{ctx.overlay_seed}; replay traces against the "
-                f"overlay they were captured for"
-            )
+        self.header.check(ctx.space_size.bit_length() - 1, ctx.n_nodes,
+                          ctx.overlay_seed, path=path)
         if ctx.n_epochs > self.n_epochs:
             raise ConfigurationError(
                 f"dynamics trace {path} records {self.n_epochs} "

@@ -28,10 +28,12 @@ address outside the space — raises
 :class:`~repro.errors.WorkloadError` naming the line; the micro-batch
 holding it is refused whole, and batches before it stay served.
 
-Convenience: input starting with an NDJSON workload-trace header line
-(``repro-swarm trace import-requests`` output) is accepted directly —
-the header is validated against the serving overlay and skipped, so
-``repro-swarm serve < trace.ndjson`` just works.
+Convenience: a request trace (``repro-swarm trace generate`` or
+``trace import-requests`` output) is accepted directly. Its header
+line is parsed as a :class:`~repro.workloads.traces.TraceHeader`,
+checked against the serving overlay's bits, node count and overlay
+seed, and skipped, so ``repro-swarm serve < trace.ndjson`` just works;
+a header with another format tag or another overlay is refused.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .backends.fast import FastSimulation, StreamSession
 from .errors import WorkloadError
 from .workloads.generators import FileDownload
 from .workloads.streams import RequestStream
+from .workloads.traces import TraceHeader
 
 __all__ = ["run_serve"]
 
@@ -76,38 +79,27 @@ def _skip_trace_header(lines: Iterable[str] | IO[str],
                        config: FastSimulationConfig) -> Iterator[str]:
     """Pass request lines through, consuming a leading trace header.
 
-    The first line is peeked: an NDJSON workload-trace header is
-    validated against the serving overlay and passed on as a blank
-    line, so request line numbers still count it; anything else is
-    fed back into the stream untouched.
+    A first line that decodes to an object with a ``format`` key is a
+    trace header: it must be a valid
+    :class:`~repro.workloads.traces.TraceHeader` naming the serving
+    overlay's bits, size and seed, and is passed on as a blank line so
+    request line numbers still count it. Any other first line is fed
+    back into the stream untouched.
     """
     iterator = iter(lines)
     first = next(iterator, None)
     if first is None:
         return iter(())
-    header = None
-    if first.strip():
-        try:
-            candidate = json.loads(first)
-        except (ValueError, RecursionError):
-            candidate = None
-        if isinstance(candidate, dict) and "format" in candidate:
-            header = candidate
-    if header is None:
+    try:
+        candidate = json.loads(first) if first.strip() else None
+    except (ValueError, RecursionError):
+        candidate = None
+    if not (isinstance(candidate, dict) and "format" in candidate):
         return itertools.chain([first], iterator)
-    bits = header.get("bits")
-    n_nodes = header.get("n_nodes")
-    if bits is not None and bits != config.bits:
-        raise WorkloadError(
-            f"input trace was recorded in a {bits}-bit space but this "
-            f"server runs in {config.bits} bits; serve with --bits "
-            f"{bits}"
-        )
-    if n_nodes is not None and n_nodes != config.n_nodes:
-        raise WorkloadError(
-            f"input trace was recorded over {n_nodes} nodes but this "
-            f"server has {config.n_nodes}; serve with --nodes {n_nodes}"
-        )
+    path = getattr(lines, "name", "<input>")
+    TraceHeader.from_json(candidate, path=path).check(
+        config.bits, config.n_nodes, config.overlay_seed, path=path
+    )
     return itertools.chain(["\n"], iterator)
 
 

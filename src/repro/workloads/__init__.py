@@ -16,6 +16,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "generators": ["DownloadWorkload", "FileDownload", "paper_workload"],
     "streams": ["GeneratorStream", "RequestBatch", "RequestStream",
                 "TraceStream", "WorkloadStream", "parse_request_line"],
-    "traces": ["TRACE_FORMAT", "TRACE_NDJSON_FORMAT", "TraceReader",
+    "traces": ["TRACE_NDJSON_FORMAT", "TraceHeader", "TraceReader",
                "TraceSummary", "TraceWorkload", "WorkloadTrace"],
 })

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from ..errors import WorkloadError
-from .traces import TRACE_NDJSON_FORMAT
+from .traces import TraceHeader
 
 __all__ = ["RequestImportSummary", "import_requests"]
 
@@ -112,12 +112,8 @@ def import_requests(lines: Iterable[str] | IO[str],
         return stable_hash(str(value)) % space.size
 
     with Path(out_path).open("w", encoding="utf-8") as out:
-        out.write(json.dumps({
-            "format": TRACE_NDJSON_FORMAT,
-            "bits": space.bits,
-            "n_nodes": n_nodes,
-            "overlay_seed": overlay.config.seed,
-        }) + "\n")
+        header = TraceHeader(space.bits, n_nodes, overlay.config.seed)
+        out.write(json.dumps(header.to_json()) + "\n")
         for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

@@ -17,9 +17,8 @@ Two adapters cover the generated and recorded sources:
   to the materialized path, and streaming results match batch
   results exactly.
 - :class:`TraceStream` replays a recorded
-  :class:`~repro.workloads.traces.WorkloadTrace` file. NDJSON traces
-  stream line-by-line (one decoded batch in memory at a time);
-  single-document traces fall back to a one-shot parse.
+  :class:`~repro.workloads.traces.WorkloadTrace` file line by line
+  (one decoded batch in memory at a time).
 
 :class:`RequestStream` is the odd one out: it decodes live NDJSON
 request lines (one JSON object per line,
@@ -49,7 +48,12 @@ import numpy as np
 
 from ..errors import WorkloadError
 from .generators import FileDownload
-from .traces import TraceReader, _chunk_dtype, event_fields
+from .traces import (
+    TraceReader,
+    _chunk_dtype,
+    event_fields,
+    replay_events,
+)
 
 __all__ = [
     "WorkloadStream",
@@ -134,11 +138,11 @@ class TraceStream:
     """Replay a recorded trace file in micro-batches.
 
     Validation matches :class:`~repro.workloads.traces.TraceWorkload`
-    replay: the provenance header (when present) is checked against
-    the target overlay, every originator must be a population member,
-    and chunk addresses must fit the space. NDJSON traces decode
-    lazily, so a day-long imported trace streams in memory bounded by
-    the batch size.
+    replay (:func:`~repro.workloads.traces.replay_events`): the
+    provenance header is checked against the target overlay, every
+    originator must be a population member, and chunk addresses must
+    fit the space. Events decode one line at a time, so a day-long
+    imported trace streams in memory bounded by the batch size.
     """
 
     def __init__(self, path: str | Path, *,
@@ -148,38 +152,11 @@ class TraceStream:
         self.reader = TraceReader(path)
 
     def batches(self, nodes, space) -> Iterator[list[FileDownload]]:
-        reader = self.reader
-        if reader.bits is not None and reader.bits != space.bits:
-            raise WorkloadError(
-                f"trace was recorded in a {reader.bits}-bit space but "
-                f"this replay runs in {space.bits} bits; replay traces "
-                f"at the bits they were generated for"
-            )
-        if reader.n_nodes is not None and reader.n_nodes != len(nodes):
-            raise WorkloadError(
-                f"trace was recorded over {reader.n_nodes} nodes but "
-                f"this overlay has {len(nodes)}; replay traces against "
-                f"the overlay they were generated for"
-            )
-        population = set(int(n) for n in nodes)
-
-        def validated() -> Iterator[FileDownload]:
-            for event in reader.events():
-                if event.originator not in population:
-                    raise WorkloadError(
-                        f"trace originator {event.originator} is not a "
-                        "node of this overlay; replay traces against "
-                        "the overlay seed they were generated for"
-                    )
-                if int(event.chunk_addresses.max()) >= space.size:
-                    raise WorkloadError(
-                        f"trace chunk address "
-                        f"{int(event.chunk_addresses.max())} outside "
-                        f"the {space.bits}-bit space"
-                    )
-                yield event
-
-        yield from _chunk_iterator(validated(), self.max_batch)
+        yield from _chunk_iterator(
+            replay_events(self.reader.events(), self.reader.header,
+                          nodes, space),
+            self.max_batch,
+        )
 
 
 #: The keys a request object may carry on the wire.

@@ -6,15 +6,17 @@ different mechanisms or topologies, and (b) workloads can be shipped
 between machines alongside a shared overlay (the paper's multi-machine
 protocol).
 
-Trace files are versioned JSON: a header records the provenance the
-replay is only valid for — the address width (``bits``), overlay size
-(``n_nodes``) and seed (``overlay_seed``) the trace was captured on —
-so a replay against the wrong overlay fails on the *header*, with an
-actionable message, instead of depending on the incidental
-originator-membership check (which an originator-set coincidence
-slips past silently). The pre-header format (a bare JSON event list)
-still loads, with ``None`` provenance; dynamics (join/leave/policy)
-traces are the separate format of :mod:`repro.scenarios.trace`.
+A trace file is headed NDJSON (:data:`TRACE_NDJSON_FORMAT`): a header
+line, then one event per line, written and read one line at a time so
+a day-long imported trace never needs the whole file in memory. The
+header (a :class:`TraceHeader`) records the address width, overlay
+size and seed the trace was captured on, so a replay against the
+wrong overlay fails on the *header*, with an actionable message,
+instead of depending on the incidental originator-membership check
+(which an originator-set coincidence slips past silently). A file
+whose first line is not such a header is refused. Dynamics traces
+(:mod:`repro.scenarios.trace`) carry the same header fields under
+:data:`DYNAMICS_TRACE_FORMAT`.
 """
 
 from __future__ import annotations
@@ -32,57 +34,144 @@ from ..kademlia.address import target_dtype
 from .generators import FileDownload
 
 __all__ = [
-    "TRACE_FORMAT",
+    "DYNAMICS_TRACE_FORMAT",
     "TRACE_NDJSON_FORMAT",
+    "TraceHeader",
     "TraceSummary",
     "TraceReader",
     "WorkloadTrace",
     "TraceWorkload",
 ]
 
-#: Format tag written into every request-trace file; bumped on any
-#: incompatible layout change so old readers fail loudly, not subtly.
-TRACE_FORMAT = "repro-swarm-trace/1"
-
-#: Format tag on the first line of an NDJSON trace (header line, then
-#: one event per line). NDJSON is the streaming sibling of
-#: :data:`TRACE_FORMAT`: importers write it line-by-line and readers
-#: decode it line-by-line, so day-long measured traces never need the
-#: whole file's parse tree in memory at once.
+#: Format tag on the first line of a request trace (header line, then
+#: one event per line); bumped on any incompatible layout change so
+#: old readers fail loudly, not subtly.
 TRACE_NDJSON_FORMAT = "repro-swarm-trace/ndjson-1"
+
+#: Format tag of a dynamics-trace document
+#: (:class:`~repro.scenarios.trace.DynamicsTrace`).
+DYNAMICS_TRACE_FORMAT = "repro-swarm-dynamics/1"
+
+#: What each format tag names, for error messages.
+_KINDS = {TRACE_NDJSON_FORMAT: "request trace",
+          DYNAMICS_TRACE_FORMAT: "dynamics trace"}
 
 
 def _chunk_dtype(bits: int | None) -> np.dtype:
-    """Decoded chunk-address dtype for a recorded address width.
+    """Decoded chunk-address dtype for an address width.
 
-    With provenance present, addresses decode straight into the
-    compact dtype the fast kernel's flatten path expects
-    (:func:`~repro.kademlia.address.target_dtype`); legacy headerless
-    traces (and the >32-bit spaces the vectorized backend refuses
-    anyway) keep the historical ``uint64``.
+    Addresses decode straight into the compact dtype the fast
+    kernel's flatten path expects
+    (:func:`~repro.kademlia.address.target_dtype`); an unknown width
+    and the >32-bit spaces the vectorized backend refuses anyway keep
+    ``uint64``.
     """
     if bits is not None and bits <= 32:
         return target_dtype(bits)
     return np.dtype(np.uint64)
 
 
-def _check_header_fields(path, bits, n_nodes, overlay_seed) -> None:
-    """Validate a trace header's provenance field types and ranges."""
-    for name, value in (("bits", bits), ("n_nodes", n_nodes),
-                        ("overlay_seed", overlay_seed)):
-        if value is not None and (
-            isinstance(value, bool) or not isinstance(value, int)
-        ):
+@dataclass(frozen=True)
+class TraceHeader:
+    """The provenance a trace replays on: one strict type for every
+    trace file.
+
+    ``bits`` must be in [1, 64], ``n_nodes`` at least 1 and
+    ``overlay_seed`` at least 0, each a plain int (never a bool, float,
+    string or ``None``); ``tag`` is the file's format tag. Anything
+    else raises :class:`~repro.errors.WorkloadError`.
+    """
+
+    bits: int
+    n_nodes: int
+    overlay_seed: int
+    tag: str = TRACE_NDJSON_FORMAT
+
+    def __post_init__(self) -> None:
+        if self.tag not in _KINDS:
+            raise WorkloadError(f"unknown trace format tag {self.tag!r}")
+        for name, low, high in (("bits", 1, 64), ("n_nodes", 1, None),
+                                ("overlay_seed", 0, None)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low or (
+                    high is not None and value > high):
+                bound = f"in [{low}, {high}]" if high else f">= {low}"
+                raise WorkloadError(
+                    f"header field {name!r} must be an integer {bound}, "
+                    f"got {reprlib.repr(value)}"
+                )
+
+    def to_json(self) -> dict:
+        """The header fields of a trace document."""
+        return {"format": self.tag, "bits": self.bits,
+                "n_nodes": self.n_nodes, "overlay_seed": self.overlay_seed}
+
+    @classmethod
+    def from_json(cls, document, *, path: str | Path = "<memory>",
+                  tag: str = TRACE_NDJSON_FORMAT) -> "TraceHeader":
+        """Validate a decoded header; other keys are ignored.
+
+        Raises :class:`~repro.errors.WorkloadError` naming *path* when
+        *document* is not an object carrying *tag* and valid
+        ``bits``/``n_nodes``/``overlay_seed`` fields.
+        """
+        where = f"cannot read {_KINDS[tag]} {path}"
+        if not isinstance(document, dict):
             raise WorkloadError(
-                f"cannot read trace {path}: header field "
-                f"{name!r} must be an integer or null, got "
-                f"{value!r}"
+                f"{where}: expected a {tag} header object, got "
+                f"{type(document).__name__}"
             )
-    if bits is not None and not 1 <= bits <= 64:
-        raise WorkloadError(
-            f"cannot read trace {path}: header field 'bits' "
-            f"must be in [1, 64], got {bits}"
-        )
+        found = document.get("format")
+        if found != tag:
+            hint = (f" (this is a {_KINDS[found]})"
+                    if isinstance(found, str) and found in _KINDS else "")
+            raise WorkloadError(
+                f"{where}: format tag {reprlib.repr(found)} is not "
+                f"{tag!r}{hint}"
+            )
+        missing = [name for name in ("bits", "n_nodes", "overlay_seed")
+                   if name not in document]
+        if missing:
+            raise WorkloadError(f"{where}: missing header field "
+                                f"{missing[0]!r}")
+        try:
+            return cls(document["bits"], document["n_nodes"],
+                       document["overlay_seed"], tag)
+        except WorkloadError as error:
+            raise WorkloadError(f"{where}: {error}") from None
+
+    @classmethod
+    def parse(cls, line: str, *, path: str | Path = "<memory>",
+              tag: str = TRACE_NDJSON_FORMAT) -> "TraceHeader":
+        """Decode a header line (see :meth:`from_json`)."""
+        try:
+            document = json.loads(line)
+        except (ValueError, RecursionError):
+            raise WorkloadError(
+                f"cannot read {_KINDS[tag]} {path}: the first line is "
+                f"not a JSON {tag} header"
+            ) from None
+        return cls.from_json(document, path=path, tag=tag)
+
+    def check(self, bits: int, n_nodes: int, overlay_seed: int | None,
+              *, path: str | Path | None = None) -> None:
+        """Refuse a replay on another overlay than the recorded one.
+
+        A ``None`` argument means the caller does not know that
+        field, which skips its comparison.
+        """
+        kind = _KINDS[self.tag]
+        what = kind if path is None else f"{kind} {path}"
+        for recorded, given, label in (
+                (self.bits, bits, "a {}-bit space"),
+                (self.n_nodes, n_nodes, "{} nodes"),
+                (self.overlay_seed, overlay_seed, "overlay seed {}")):
+            if given is not None and given != recorded:
+                raise WorkloadError(
+                    f"{what} was recorded on {label.format(recorded)} but "
+                    f"this run uses {label.format(given)}; replay traces "
+                    f"against the overlay they were recorded for"
+                )
 
 
 def event_fields(item) -> tuple[int, list]:
@@ -139,7 +228,7 @@ def _decode_event(item, dtype: np.dtype, path) -> FileDownload:
         )
     except (ValueError, OverflowError) as error:
         raise WorkloadError(
-            f"cannot read trace {path}: malformed event ({error})"
+            f"cannot read request trace {path}: malformed event ({error})"
         ) from None
 
 
@@ -167,10 +256,9 @@ class WorkloadTrace:
     """An explicit, immutable list of download events.
 
     ``bits``, ``n_nodes`` and ``overlay_seed`` are the provenance the
-    trace was captured on; they are ``None`` for traces built in
-    memory without an overlay at hand (and for files in the legacy
-    headerless format), in which case replay-side validation can only
-    fall back to the membership checks.
+    trace was captured on, kept as its :attr:`header`. A trace built
+    in memory without an overlay at hand has ``header`` ``None``; it
+    replays with the membership checks alone and cannot be saved.
     """
 
     def __init__(self, events: Sequence[FileDownload], *,
@@ -180,10 +268,9 @@ class WorkloadTrace:
         if len(events) == 0:
             raise WorkloadError("a trace needs at least one event")
         self._events = tuple(events)
-        self.bits = None if bits is None else int(bits)
-        self.n_nodes = None if n_nodes is None else int(n_nodes)
-        self.overlay_seed = (
-            None if overlay_seed is None else int(overlay_seed)
+        self.header = (
+            None if bits is n_nodes is overlay_seed is None
+            else TraceHeader(bits, n_nodes, overlay_seed)
         )
 
     def __len__(self) -> int:
@@ -225,34 +312,18 @@ class WorkloadTrace:
     # Persistence
 
     def save(self, path: str | Path) -> None:
-        """Write the trace as versioned JSON (header + event list)."""
-        payload = {
-            "format": TRACE_FORMAT,
-            "bits": self.bits,
-            "n_nodes": self.n_nodes,
-            "overlay_seed": self.overlay_seed,
-            "events": [
-                {
-                    "file_id": event.file_id,
-                    "originator": event.originator,
-                    "chunks": [int(a) for a in event.chunk_addresses],
-                }
-                for event in self._events
-            ],
-        }
-        Path(path).write_text(json.dumps(payload))
+        """Write the trace as headed NDJSON, one event per line.
 
-    def save_ndjson(self, path: str | Path) -> None:
-        """Write the trace as NDJSON: a header line, then one event
-        per line. Events are serialized one at a time, so writing is
-        as bounded-memory as :class:`TraceReader`'s reading."""
+        A trace without provenance is refused: the file's header is
+        what lets every later replay check its overlay.
+        """
+        if self.header is None:
+            raise WorkloadError(
+                f"cannot save trace {path}: it has no provenance; build "
+                f"it with bits=, n_nodes= and overlay_seed="
+            )
         with Path(path).open("w", encoding="utf-8") as handle:
-            handle.write(json.dumps({
-                "format": TRACE_NDJSON_FORMAT,
-                "bits": self.bits,
-                "n_nodes": self.n_nodes,
-                "overlay_seed": self.overlay_seed,
-            }) + "\n")
+            handle.write(json.dumps(self.header.to_json()) + "\n")
             for event in self._events:
                 handle.write(json.dumps({
                     "file_id": event.file_id,
@@ -262,130 +333,42 @@ class WorkloadTrace:
 
     @classmethod
     def load(cls, path: str | Path) -> "WorkloadTrace":
-        """Read a trace written by :meth:`save` or :meth:`save_ndjson`.
+        """Read a trace written by :meth:`save` (see :class:`TraceReader`).
 
-        Accepts the legacy bare-list payload (no header, ``None``
-        provenance); any other shape — a dict without the
-        :data:`TRACE_FORMAT` tag, a mismatched format version, a
-        missing event list, invalid JSON — raises
-        :class:`~repro.errors.WorkloadError` naming the problem.
-
-        NDJSON traces decode one line at a time: each raw event's
-        parse tree is dropped as soon as its compact
+        Each raw event's parse tree is dropped as soon as its compact
         :class:`FileDownload` exists, so peak memory is the decoded
-        trace plus one line — not the whole file's JSON tree. That is
-        what lets imported day-long gateway traces load at all.
+        trace plus one line.
         """
         reader = TraceReader(path)
-        return cls(
-            list(reader.events()),
-            bits=reader.bits, n_nodes=reader.n_nodes,
-            overlay_seed=reader.overlay_seed,
-        )
+        header = reader.header
+        return cls(list(reader.events()), bits=header.bits,
+                   n_nodes=header.n_nodes, overlay_seed=header.overlay_seed)
 
 
 class TraceReader:
     """Lazy access to a trace file on disk.
 
-    The constructor parses only enough to learn the format and the
-    provenance header (``bits``, ``n_nodes``, ``overlay_seed``);
-    :meth:`events` then decodes events on demand. For NDJSON traces
-    that is true streaming — one line's parse tree in memory at a
-    time, which is how ``repro-swarm serve`` replays day-long
-    imported traces in bounded memory. Single-document and legacy
-    traces cannot stream (one JSON value holds every event), so the
-    constructor parses the document once and :meth:`events` decodes
-    from the retained tree.
+    The constructor reads only the header line; :meth:`events` then
+    decodes one line at a time, which is how ``repro-swarm serve``
+    replays day-long imported traces in bounded memory. A file whose
+    first line is not a :data:`TRACE_NDJSON_FORMAT` header raises
+    :class:`~repro.errors.WorkloadError` naming the path.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.bits: int | None = None
-        self.n_nodes: int | None = None
-        self.overlay_seed: int | None = None
-        self.ndjson = False
-        self._raw_events: list | None = None
         try:
             with self.path.open("r", encoding="utf-8") as handle:
                 first = handle.readline()
-        except OSError as error:
+        except (OSError, UnicodeDecodeError) as error:
             raise WorkloadError(
-                f"cannot read trace {path}: {error}"
+                f"cannot read request trace {path}: {error}"
             ) from None
-        # save() emits one-line documents, so the first line usually
-        # parses whole; a multi-line (pretty-printed) document fails
-        # here and is re-parsed in full below.
-        try:
-            payload = json.loads(first) if first.strip() else None
-        except json.JSONDecodeError:
-            payload = None
-        if (isinstance(payload, dict)
-                and payload.get("format") == TRACE_NDJSON_FORMAT):
-            self.ndjson = True
-            self.bits = payload.get("bits")
-            self.n_nodes = payload.get("n_nodes")
-            self.overlay_seed = payload.get("overlay_seed")
-            _check_header_fields(self.path, self.bits, self.n_nodes,
-                                 self.overlay_seed)
-            return
-        if payload is None:
-            try:
-                payload = json.loads(self.path.read_text())
-            except OSError as error:
-                raise WorkloadError(
-                    f"cannot read trace {path}: {error}"
-                ) from None
-            except json.JSONDecodeError as error:
-                raise WorkloadError(
-                    f"cannot read trace {path}: not valid JSON "
-                    f"({error}); the file may be truncated or corrupt"
-                ) from None
-        self._parse_document(payload)
-
-    def _parse_document(self, payload) -> None:
-        """Adopt a single-document (or legacy bare-list) payload."""
-        path = self.path
-        if isinstance(payload, list):
-            self._raw_events = payload  # legacy headerless format
-            return
-        if not isinstance(payload, dict):
-            raise WorkloadError(
-                f"cannot read trace {path}: expected an event list or "
-                f"a {TRACE_FORMAT} document, got "
-                f"{type(payload).__name__}"
-            )
-        fmt = payload.get("format")
-        if fmt != TRACE_FORMAT:
-            raise WorkloadError(
-                f"cannot read trace {path}: format tag {fmt!r} is "
-                f"not {TRACE_FORMAT!r} (is this a dynamics trace "
-                f"or a file from a newer version?)"
-            )
-        raw_events = payload.get("events")
-        if not isinstance(raw_events, list):
-            raise WorkloadError(
-                f"cannot read trace {path}: missing or non-list "
-                f"'events'"
-            )
-        self.bits = payload.get("bits")
-        self.n_nodes = payload.get("n_nodes")
-        self.overlay_seed = payload.get("overlay_seed")
-        _check_header_fields(path, self.bits, self.n_nodes,
-                             self.overlay_seed)
-        self._raw_events = raw_events
+        self.header = TraceHeader.parse(first, path=self.path)
 
     def events(self) -> Iterator[FileDownload]:
-        """Decode the trace's events in order.
-
-        NDJSON traces stream straight off the file handle; each
-        yielded event is the only decoded state held.
-        """
-        dtype = _chunk_dtype(self.bits)
-        if not self.ndjson:
-            assert self._raw_events is not None
-            for item in self._raw_events:
-                yield _decode_event(item, dtype, self.path)
-            return
+        """Decode the trace's events in order, straight off the file."""
+        dtype = _chunk_dtype(self.header.bits)
         with self.path.open("r", encoding="utf-8") as handle:
             handle.readline()  # the header line, already parsed
             for lineno, line in enumerate(handle, start=2):
@@ -393,25 +376,51 @@ class TraceReader:
                     continue
                 try:
                     item = json.loads(line)
-                except json.JSONDecodeError as error:
+                except (ValueError, RecursionError) as error:
                     raise WorkloadError(
-                        f"cannot read trace {self.path}: line "
+                        f"cannot read request trace {self.path}: line "
                         f"{lineno} is not valid JSON ({error}); the "
                         f"file may be truncated or corrupt"
                     ) from None
                 yield _decode_event(item, dtype, self.path)
 
 
+def replay_events(events: Iterator[FileDownload],
+                  header: TraceHeader | None, nodes,
+                  space) -> Iterator[FileDownload]:
+    """Pass *events* through after checking they fit the overlay.
+
+    The header (when there is one) must name this overlay's bits and
+    size, every originator must be a node of *nodes*, and every chunk
+    address must fit *space*; a :class:`~repro.errors.WorkloadError`
+    is raised otherwise.
+    """
+    if header is not None:
+        header.check(space.bits, len(nodes), None)
+    population = set(int(n) for n in nodes)
+    for event in events:
+        if event.originator not in population:
+            raise WorkloadError(
+                f"trace originator {event.originator} is not a node "
+                "of this overlay; replay traces against the overlay "
+                "seed they were generated for"
+            )
+        # A FileDownload always has at least one chunk (enforced at
+        # construction), so the max is well-defined.
+        if int(event.chunk_addresses.max()) >= space.size:
+            raise WorkloadError(
+                f"trace chunk address {int(event.chunk_addresses.max())} "
+                f"outside the {space.bits}-bit space"
+            )
+        yield event
+
+
 class TraceWorkload:
     """Adapter replaying a frozen trace through the workload interface.
 
     Simulators consume workloads via ``events(nodes, space)``; this
-    wrapper satisfies that interface from a :class:`WorkloadTrace`.
-    Replays against a different overlay than the trace was captured
-    for are a user error worth failing loudly on: the trace's
-    provenance header (when present) is checked against the target
-    population and space first, and every recorded originator must
-    exist in the population either way.
+    wrapper satisfies that interface from a :class:`WorkloadTrace`,
+    validating each event through :func:`replay_events`.
     """
 
     def __init__(self, trace: WorkloadTrace) -> None:
@@ -420,35 +429,8 @@ class TraceWorkload:
 
     def events(self, nodes, space) -> Iterator[FileDownload]:
         """Yield the trace's events after validating the population."""
-        trace = self.trace
-        if trace.bits is not None and trace.bits != space.bits:
-            raise WorkloadError(
-                f"trace was recorded in a {trace.bits}-bit space but "
-                f"this replay runs in {space.bits} bits; replay traces "
-                f"at the bits they were generated for"
-            )
-        if trace.n_nodes is not None and trace.n_nodes != len(nodes):
-            raise WorkloadError(
-                f"trace was recorded over {trace.n_nodes} nodes but "
-                f"this overlay has {len(nodes)}; replay traces against "
-                f"the overlay they were generated for"
-            )
-        population = set(int(n) for n in nodes)
-        for event in self.trace:
-            if event.originator not in population:
-                raise WorkloadError(
-                    f"trace originator {event.originator} is not a node "
-                    "of this overlay; replay traces against the overlay "
-                    "seed they were generated for"
-                )
-            # A FileDownload always has at least one chunk (enforced
-            # at construction), so the max is well-defined.
-            if int(event.chunk_addresses.max()) >= space.size:
-                raise WorkloadError(
-                    f"trace chunk address {int(event.chunk_addresses.max())} "
-                    f"outside the {space.bits}-bit space"
-                )
-            yield event
+        return replay_events(iter(self.trace), self.trace.header, nodes,
+                             space)
 
     def materialize(self, nodes, space) -> list[FileDownload]:
         """The validated event list."""

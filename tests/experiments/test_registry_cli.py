@@ -17,9 +17,11 @@ TINY = ["--files", "10", "--nodes", "20"]
 
 
 def assert_refused(capsys, argv, message, command="run"):
-    """*argv* exits 2 with one ``error:`` line on stderr, no traceback."""
+    """*argv* exits 2 with one ``error:`` line on stderr, no traceback,
+    and prints nothing on stdout before refusing."""
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith(f"repro-swarm {command}: error: ")
     assert message in err
     assert len(err.splitlines()) == 1
@@ -96,6 +98,7 @@ class TestCli:
         (["sweep", "--seeds", "0", *TINY], "seeds must be >= 1"),
         (["serve", "--max-batch", "0", "--input", "-"],
          "batch_files must be >= 1"),
+        (["sweep", "--workers", "0", *TINY], "workers must be >= 1"),
     ])
     def test_refused_option_values_exit_2(self, capsys, argv, message):
         assert_refused(capsys, argv, message, command=argv[0])

@@ -43,6 +43,13 @@ def request_lines(config, n_files=40, seed=3):
     return lines
 
 
+#: The request-trace header naming CONFIG's overlay.
+HEADER = json.dumps({
+    "format": "repro-swarm-trace/ndjson-1", "bits": CONFIG.bits,
+    "n_nodes": CONFIG.n_nodes, "overlay_seed": CONFIG.overlay_seed,
+}) + "\n"
+
+
 def serve_lines(lines, **kwargs):
     out = io.StringIO()
     run_serve(CONFIG, iter(lines), out, **kwargs)
@@ -92,24 +99,16 @@ class TestRunServe:
         assert output[0]["chunks"] == 0
 
     def test_accepts_ndjson_trace_header(self):
-        header = json.dumps({
-            "format": "repro-swarm-trace/ndjson-1",
-            "bits": CONFIG.bits, "n_nodes": CONFIG.n_nodes,
-        }) + "\n"
         lines = request_lines(CONFIG, n_files=10)
-        with_header = serve_lines([header] + lines)
+        with_header = serve_lines([HEADER] + lines)
         without = serve_lines(lines)
         assert with_header[-1] == without[-1]
 
     def test_line_numbers_count_the_trace_header(self):
-        header = json.dumps({
-            "format": "repro-swarm-trace/ndjson-1",
-            "bits": CONFIG.bits, "n_nodes": CONFIG.n_nodes,
-        }) + "\n"
         lines = request_lines(CONFIG, n_files=10)
         lines[2] = "{nope\n"
         with pytest.raises(WorkloadError, match=r"\(line 4\)$"):
-            serve_lines([header] + lines)
+            serve_lines([HEADER] + lines)
 
     @pytest.mark.parametrize("first", ["[" * 100_000, "1" * 5000])
     def test_undecodable_first_line_is_refused(self, first):
@@ -118,19 +117,27 @@ class TestRunServe:
         with pytest.raises(WorkloadError, match=r"\(line 1\)$"):
             serve_lines([first + "\n"])
 
-    def test_trace_header_mismatch_rejected(self):
-        header = json.dumps({
-            "format": "repro-swarm-trace/ndjson-1",
-            "bits": 16, "n_nodes": CONFIG.n_nodes,
-        }) + "\n"
-        with pytest.raises(WorkloadError, match="--bits"):
+    @pytest.mark.parametrize("field, value, message", [
+        ("bits", 16, "16-bit space"),
+        ("n_nodes", 1000, "on 1000 nodes"),
+        ("overlay_seed", 6, "overlay seed 6"),
+    ])
+    def test_trace_header_mismatch_rejected(self, field, value, message):
+        header = json.dumps({**json.loads(HEADER), field: value}) + "\n"
+        with pytest.raises(WorkloadError, match=message):
             serve_lines([header])
-        header = json.dumps({
-            "format": "repro-swarm-trace/ndjson-1",
-            "bits": CONFIG.bits, "n_nodes": 1000,
-        }) + "\n"
-        with pytest.raises(WorkloadError, match="--nodes"):
-            serve_lines([header])
+
+    @pytest.mark.parametrize("field, value", [
+        ("format", "repro-swarm-dynamics/1"), ("format", None),
+        ("format", ["repro-swarm-trace/ndjson-1"]),
+        ("bits", "10"), ("bits", 10.0), ("bits", True), ("bits", None),
+        ("n_nodes", "60"), ("overlay_seed", 5.0), ("overlay_seed", None),
+    ])
+    def test_malformed_trace_header_refused(self, field, value):
+        header = json.dumps({**json.loads(HEADER), field: value}) + "\n"
+        with pytest.raises(WorkloadError,
+                           match=r"^cannot read request trace <input>: "):
+            serve_lines([header] + request_lines(CONFIG, n_files=2))
 
     @pytest.mark.parametrize("batch_mode", [False, True])
     @pytest.mark.parametrize("bad", [
@@ -196,6 +203,41 @@ class TestServeCli:
                  for line in capsys.readouterr().out.splitlines()]
         assert lines[-1]["type"] == "final"
         assert lines[-1]["files"] == 10
+
+    def test_cli_serves_a_generated_trace(self, tmp_path, capsys):
+        path = tmp_path / "t.ndjson"
+        assert main(["trace", "generate", str(path), "--files", "6",
+                     "--nodes", "60", "--bits", "10",
+                     "--overlay-seed", "5"]) == 0
+        capsys.readouterr()
+        argv = ["serve", "--input", str(path), "--nodes", "60",
+                "--bits", "10", "--overlay-seed", "5"]
+        assert main(argv) == 0
+        streamed = capsys.readouterr().out.splitlines()[-1]
+        assert json.loads(streamed)["files"] == 6
+        assert main(argv + ["--batch"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == streamed
+
+    @pytest.mark.parametrize("header, message", [
+        ({"overlay_seed": 43}, "overlay seed 43"),
+        ({"format": "repro-swarm-dynamics/1"}, "this is a dynamics trace"),
+        ({"bits": None}, "header field 'bits' must be an integer"),
+    ])
+    def test_cli_refuses_a_foreign_trace_header(self, tmp_path, capsys,
+                                                header, message):
+        path = tmp_path / "t.ndjson"
+        path.write_text(json.dumps({**json.loads(HEADER), **header})
+                        + "\n" + request_lines(CONFIG, n_files=1)[0])
+        code = main(["serve", "--input", str(path), "--nodes", "60",
+                     "--bits", "10", "--overlay-seed", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        error_lines = captured.err.splitlines()
+        assert len(error_lines) == 1
+        assert error_lines[0].startswith("repro-swarm serve: error: ")
+        assert f"request trace {path}" in error_lines[0]
+        assert message in error_lines[0]
 
     def test_cli_scenario_without_epochs_rejected(self, capsys):
         assert main([

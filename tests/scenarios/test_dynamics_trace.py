@@ -125,12 +125,23 @@ class TestDynamicsTraceContainer:
 
     def test_request_trace_file_rejected(self, tmp_path):
         # The sibling format must not be confused for this one.
-        path = tmp_path / "requests.json"
+        path = tmp_path / "requests.ndjson"
         path.write_text(json.dumps({
-            "format": "repro-swarm-trace/1", "bits": 8, "n_nodes": 4,
-            "overlay_seed": 1, "events": [],
-        }))
-        with pytest.raises(ConfigurationError, match="request trace"):
+            "format": "repro-swarm-trace/ndjson-1", "bits": 8,
+            "n_nodes": 4, "overlay_seed": 1,
+        }) + "\n" + json.dumps(
+            {"file_id": 0, "originator": 1, "chunks": [2]}) + "\n")
+        with pytest.raises(ConfigurationError,
+                           match="this is a request trace"):
+            DynamicsTrace.load(path)
+
+    def test_data_after_the_document_rejected(self, tmp_path):
+        path = tmp_path / "doubled.json"
+        document = json.dumps(record_dynamics(Churn(rate=0.2),
+                                              CTX).to_json())
+        path.write_text(document + "\n" + document + "\n")
+        with pytest.raises(ConfigurationError,
+                           match="data after the JSON document"):
             DynamicsTrace.load(path)
 
     def test_missing_header_field_rejected(self, tmp_path):
@@ -148,6 +159,25 @@ class TestDynamicsTraceContainer:
         path = tmp_path / "badevent.json"
         path.write_text(json.dumps(document))
         with pytest.raises(ConfigurationError, match="unknown trace event"):
+            DynamicsTrace.load(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("recompute_storers", "false"), ("recompute_storers", 0),
+        ("recompute_storers", None), ("bits", 12.9), ("bits", "8"),
+        ("n_nodes", "40"), ("n_nodes", 40.0), ("overlay_seed", True),
+        ("overlay_seed", None), ("n_epochs", "6"), ("n_epochs", 6.0),
+        ("n_epochs", False), ("source", 5), ("source", None),
+    ])
+    def test_header_values_are_never_coerced(self, tmp_path, field,
+                                              value):
+        # "false" must not replay as recompute_storers=True, nor 12.9
+        # as a 12-bit space.
+        document = record_dynamics(Churn(rate=0.2), CTX).to_json()
+        document[field] = value
+        path = tmp_path / "coerced.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ConfigurationError,
+                           match=rf"coerced\.json: header field '{field}'"):
             DynamicsTrace.load(path)
 
     @pytest.mark.parametrize("field, value", [
@@ -190,7 +220,7 @@ class TestCheckContext:
 
     @pytest.mark.parametrize("override, message", [
         ({"space_size": 512}, "8-bit space"),
-        ({"n_nodes": 39}, "dense node indices"),
+        ({"n_nodes": 39}, "on 40 nodes"),
         ({"overlay_seed": 7}, "overlay seed"),
         ({"n_epochs": 7}, "record the trace with at least"),
     ])

@@ -70,21 +70,16 @@ class TestGeneratorStream:
 
 
 class TestTraceStream:
-    def make_trace_file(self, tmp_path, *, ndjson=True):
+    def make_trace_file(self, tmp_path):
         events = make_workload().materialize(NODES, SPACE)
-        trace = WorkloadTrace(
-            events, bits=SPACE.bits, n_nodes=len(NODES), overlay_seed=9
-        )
         path = tmp_path / "trace.ndjson"
-        if ndjson:
-            trace.save_ndjson(path)
-        else:
-            trace.save(path)
+        WorkloadTrace(
+            events, bits=SPACE.bits, n_nodes=len(NODES), overlay_seed=9
+        ).save(path)
         return path, events
 
-    @pytest.mark.parametrize("ndjson", [True, False])
-    def test_replays_trace_exactly(self, tmp_path, ndjson):
-        path, events = self.make_trace_file(tmp_path, ndjson=ndjson)
+    def test_replays_trace_exactly(self, tmp_path):
+        path, events = self.make_trace_file(tmp_path)
         stream = TraceStream(path, max_batch=6)
         assert_same_events(flatten(stream), events)
 

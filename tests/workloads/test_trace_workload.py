@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -98,7 +100,7 @@ class TestTraceWorkload:
         events = config.workload().materialize(
             simulation.overlay.address_array(), simulation.space
         )
-        path = tmp_path / "trace.json"
+        path = tmp_path / "trace.ndjson"
         WorkloadTrace(
             events, bits=config.bits, n_nodes=config.n_nodes,
             overlay_seed=config.overlay_seed,
@@ -118,7 +120,7 @@ class TestTraceWorkload:
 
 class TestTraceCli:
     def test_generate_and_replay_roundtrip(self, tmp_path, capsys):
-        trace_path = tmp_path / "trace.json"
+        trace_path = tmp_path / "trace.ndjson"
         code = main([
             "trace", "generate", str(trace_path),
             "--files", "5", "--nodes", "100", "--bits", "12",
@@ -128,34 +130,17 @@ class TestTraceCli:
         assert "trace written" in capsys.readouterr().out
 
         code = main([
-            "trace", "replay", str(trace_path),
-            "--nodes", "100", "--bits", "12", "--bucket-size", "4",
+            "trace", "replay", str(trace_path), "--bucket-size", "4",
         ])
         assert code == 0
         output = capsys.readouterr().out
         assert "replayed" in output
         assert "F2 Gini" in output
 
-    def test_replay_against_wrong_overlay_fails(self, tmp_path, capsys):
-        trace_path = tmp_path / "trace.json"
-        main([
-            "trace", "generate", str(trace_path),
-            "--files", "5", "--nodes", "100", "--bits", "12",
-        ])
-        capsys.readouterr()
-        assert main([
-            "trace", "replay", str(trace_path),
-            "--nodes", "100", "--bits", "12",
-            "--overlay-seed", "999",
-        ]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro-swarm trace replay: error: ")
-        assert "overlay seed" in err
-
     def test_replay_defaults_come_from_the_header(self, tmp_path, capsys):
-        # No --nodes/--bits/--overlay-seed needed on replay: the
-        # header knows what the trace was generated for.
-        trace_path = tmp_path / "trace.json"
+        # No --nodes/--bits/--overlay-seed on replay: the header knows
+        # what the trace was generated for.
+        trace_path = tmp_path / "trace.ndjson"
         main([
             "trace", "generate", str(trace_path),
             "--files", "5", "--nodes", "90", "--bits", "12",
@@ -164,6 +149,29 @@ class TestTraceCli:
         capsys.readouterr()
         assert main(["trace", "replay", str(trace_path)]) == 0
         assert "replayed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--nodes", "--bits",
+                                      "--overlay-seed"])
+    def test_replay_has_no_overlay_flags(self, tmp_path, flag):
+        with pytest.raises(SystemExit):
+            main(["trace", "replay", str(tmp_path / "t.ndjson"), flag,
+                  "12"])
+
+    def test_replay_refuses_a_single_document_trace(self, tmp_path,
+                                                    capsys):
+        trace_path = tmp_path / "old.json"
+        trace_path.write_text(json.dumps({
+            "format": "repro-swarm-trace/1", "bits": 12, "n_nodes": 90,
+            "overlay_seed": 3,
+            "events": [{"file_id": 0, "originator": 1, "chunks": [2]}],
+        }))
+        assert main(["trace", "replay", str(trace_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"repro-swarm trace replay: error: cannot read request "
+            f"trace {trace_path}: format tag 'repro-swarm-trace/1'"
+        )
 
 
 class TestDynamicsCli:
@@ -217,11 +225,11 @@ class TestDynamicsCli:
 
     def test_request_and_dynamics_formats_do_not_mix(self, tmp_path,
                                                      capsys):
-        trace_path = tmp_path / "requests.json"
+        trace_path = tmp_path / "requests.ndjson"
         main([
             "trace", "generate", str(trace_path),
             "--files", "5", "--nodes", "100", "--bits", "12",
         ])
         capsys.readouterr()
         assert main(["trace", "replay-dynamics", str(trace_path)]) == 2
-        assert "format tag" in capsys.readouterr().err
+        assert "this is a request trace" in capsys.readouterr().err

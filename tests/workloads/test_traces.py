@@ -12,10 +12,18 @@ from repro.kademlia.address import AddressSpace
 from repro.workloads.generators import DownloadWorkload
 from repro.workloads.distributions import UniformFileSize
 from repro.workloads.traces import (
-    TRACE_FORMAT,
     TRACE_NDJSON_FORMAT,
+    TraceHeader,
     WorkloadTrace,
 )
+
+HEADER = {"format": TRACE_NDJSON_FORMAT, "bits": 10, "n_nodes": 50,
+          "overlay_seed": 42}
+
+
+def write_lines(path, *documents):
+    """A file holding one JSON document per line."""
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in documents))
 
 
 def make_trace(**provenance) -> WorkloadTrace:
@@ -54,8 +62,8 @@ class TestWorkloadTrace:
         assert sum(counts.values()) == 12
 
     def test_roundtrip(self, tmp_path):
-        trace = make_trace()
-        path = tmp_path / "trace.json"
+        trace = make_trace(bits=10, n_nodes=50, overlay_seed=42)
+        path = tmp_path / "trace.ndjson"
         trace.save(path)
         loaded = WorkloadTrace.load(path)
         assert len(loaded) == len(trace)
@@ -66,58 +74,66 @@ class TestWorkloadTrace:
                 original.chunk_addresses, restored.chunk_addresses
             )
 
+    def test_save_without_provenance_refused(self, tmp_path):
+        # A header's provenance is never null on disk.
+        path = tmp_path / "trace.ndjson"
+        with pytest.raises(WorkloadError, match="no provenance"):
+            make_trace().save(path)
+        assert not path.exists()
+
+    def test_partial_provenance_refused(self):
+        with pytest.raises(WorkloadError, match="'n_nodes'"):
+            make_trace(bits=10, overlay_seed=42)
+
 
 class TestTraceProvenance:
     def test_header_round_trips(self, tmp_path):
         trace = make_trace(bits=10, n_nodes=50, overlay_seed=42)
-        path = tmp_path / "trace.json"
+        path = tmp_path / "trace.ndjson"
         trace.save(path)
-        document = json.loads(path.read_text())
-        assert document["format"] == TRACE_FORMAT
+        lines = path.read_text().splitlines()
+        assert json.loads(lines[0]) == HEADER
+        assert len(lines) == 1 + len(trace)
         loaded = WorkloadTrace.load(path)
-        assert (loaded.bits, loaded.n_nodes, loaded.overlay_seed) == (
-            10, 50, 42
-        )
+        assert loaded.header == TraceHeader(10, 50, 42)
 
-    def test_provenance_free_trace_round_trips_none(self, tmp_path):
-        path = tmp_path / "trace.json"
-        make_trace().save(path)
-        loaded = WorkloadTrace.load(path)
-        assert loaded.bits is loaded.n_nodes is loaded.overlay_seed is None
+    @pytest.mark.parametrize("document", [
+        [{"file_id": 0, "originator": 3, "chunks": [1, 2, 900]}],
+        {"format": "repro-swarm-trace/1", "bits": 10, "n_nodes": 50,
+         "overlay_seed": 42,
+         "events": [{"file_id": 0, "originator": 3, "chunks": [1]}]},
+    ], ids=["bare-list", "single-document"])
+    def test_pre_ndjson_layouts_refused(self, tmp_path, document):
+        path = tmp_path / "old.json"
+        write_lines(path, document)
+        with pytest.raises(WorkloadError,
+                           match=r"cannot read request trace .*old\.json"):
+            WorkloadTrace.load(path)
 
-    def test_legacy_bare_list_still_loads(self, tmp_path):
-        # The pre-header format: a bare JSON array of events.
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps([
-            {"file_id": 0, "originator": 3, "chunks": [1, 2, 900]},
-            {"file_id": 1, "originator": 7, "chunks": [4]},
-        ]))
-        loaded = WorkloadTrace.load(path)
-        assert len(loaded) == 2
-        assert loaded.bits is None
-        # Legacy decoding keeps the historical uint64.
-        assert loaded[0].chunk_addresses.dtype == np.uint64
+    def test_pretty_printed_document_refused(self, tmp_path):
+        path = tmp_path / "pretty.json"
+        path.write_text(json.dumps({**HEADER, "events": []}, indent=2))
+        with pytest.raises(WorkloadError, match="first line is not"):
+            WorkloadTrace.load(path)
 
     def test_header_decodes_to_compact_dtype(self, tmp_path):
-        path = tmp_path / "trace.json"
+        path = tmp_path / "trace.ndjson"
         make_trace(bits=10, n_nodes=50, overlay_seed=42).save(path)
         loaded = WorkloadTrace.load(path)
         assert loaded[0].chunk_addresses.dtype == np.uint16
-        wide = tmp_path / "wide.json"
+        wide = tmp_path / "wide.ndjson"
         make_trace(bits=20, n_nodes=50, overlay_seed=42).save(wide)
         assert WorkloadTrace.load(wide)[0].chunk_addresses.dtype == np.uint32
 
     def test_unknown_format_tag_rejected(self, tmp_path):
-        path = tmp_path / "future.json"
-        path.write_text(json.dumps(
-            {"format": "repro-swarm-trace/99", "events": []}
-        ))
+        path = tmp_path / "future.ndjson"
+        write_lines(path, {**HEADER, "format": "repro-swarm-trace/99"})
         with pytest.raises(WorkloadError, match="format tag"):
             WorkloadTrace.load(path)
 
     def test_headerless_dict_rejected(self, tmp_path):
-        path = tmp_path / "noheader.json"
-        path.write_text(json.dumps({"events": []}))
+        path = tmp_path / "noheader.ndjson"
+        write_lines(path, {"events": []})
         with pytest.raises(WorkloadError, match="format tag"):
             WorkloadTrace.load(path)
 
@@ -125,82 +141,85 @@ class TestTraceProvenance:
         # The sibling dynamics format must fail with a pointer, not
         # decode as zero requests.
         path = tmp_path / "dynamics.json"
-        path.write_text(json.dumps(
-            {"format": "repro-swarm-dynamics/1", "streams": []}
-        ))
+        write_lines(path, {"format": "repro-swarm-dynamics/1",
+                           "streams": []})
         with pytest.raises(WorkloadError, match="dynamics trace"):
             WorkloadTrace.load(path)
 
     def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "trace.json"
+        path = tmp_path / "trace.ndjson"
         make_trace(bits=10, n_nodes=50, overlay_seed=42).save(path)
         path.write_text(path.read_text()[:-30])
         with pytest.raises(WorkloadError, match="truncated or corrupt"):
             WorkloadTrace.load(path)
 
     def test_malformed_event_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "format": TRACE_FORMAT, "bits": 10, "n_nodes": 50,
-            "overlay_seed": 42,
-            "events": [{"file_id": 0, "chunks": [1]}],
-        }))
+        path = tmp_path / "bad.ndjson"
+        write_lines(path, HEADER, {"file_id": 0, "chunks": [1]})
         with pytest.raises(WorkloadError, match="malformed event"):
             WorkloadTrace.load(path)
 
-    @pytest.mark.parametrize("ndjson", [False, True],
-                             ids=["json", "ndjson"])
     @pytest.mark.parametrize("value", [True, 3.7, "3"],
                              ids=["bool", "float", "string"])
     @pytest.mark.parametrize("field", ["chunks", "originator", "file_id"])
-    def test_non_int_event_field_rejected(self, tmp_path, field, value,
-                                          ndjson):
+    def test_non_int_event_field_rejected(self, tmp_path, field, value):
         # np.asarray(..., uint16) would quietly replay 3.7 as chunk 3
         # and true as chunk 1; every id on the wire must be a JSON int.
         event = {"file_id": 0, "originator": 3, "chunks": [1, 2]}
         event[field] = [1, value] if field == "chunks" else value
-        header = {"bits": 10, "n_nodes": 50, "overlay_seed": 42}
         path = tmp_path / "bad.json"
-        if ndjson:
-            path.write_text(json.dumps(
-                {"format": TRACE_NDJSON_FORMAT, **header}) + "\n"
-                + json.dumps(event) + "\n")
-        else:
-            path.write_text(json.dumps(
-                {"format": TRACE_FORMAT, **header, "events": [event]}))
+        write_lines(path, HEADER, event)
         reason = field.removesuffix("s")  # "chunk addresses must be ..."
         with pytest.raises(WorkloadError,
                            match=rf"bad\.json: malformed event \({reason}"):
             WorkloadTrace.load(path)
 
     def test_missing_file_id_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps([{"originator": 3, "chunks": [1]}]))
+        path = tmp_path / "bad.ndjson"
+        write_lines(path, HEADER, {"originator": 3, "chunks": [1]})
         with pytest.raises(WorkloadError, match="missing 'file_id'"):
             WorkloadTrace.load(path)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(WorkloadError, match="cannot read"):
-            WorkloadTrace.load(tmp_path / "gone.json")
+            WorkloadTrace.load(tmp_path / "gone.ndjson")
 
     @pytest.mark.parametrize("bits", [0, -3, 65, "12"])
     def test_out_of_range_bits_rejected(self, tmp_path, bits):
-        path = tmp_path / "badbits.json"
-        path.write_text(json.dumps({
-            "format": TRACE_FORMAT, "bits": bits, "n_nodes": 50,
-            "overlay_seed": 42,
-            "events": [{"file_id": 0, "originator": 1, "chunks": [2]}],
-        }))
+        path = tmp_path / "badbits.ndjson"
+        write_lines(path, {**HEADER, "bits": bits},
+                    {"file_id": 0, "originator": 1, "chunks": [2]})
         with pytest.raises(WorkloadError, match="cannot read"):
+            WorkloadTrace.load(path)
+
+    @pytest.mark.parametrize("value", [None, True, 12.0, "12"],
+                             ids=["null", "bool", "float", "string"])
+    @pytest.mark.parametrize("field", ["bits", "n_nodes", "overlay_seed"])
+    def test_non_int_header_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "badheader.ndjson"
+        write_lines(path, {**HEADER, field: value},
+                    {"file_id": 0, "originator": 1, "chunks": [2]})
+        with pytest.raises(WorkloadError,
+                           match=rf"badheader\.ndjson: header field "
+                                 rf"'{field}' must be an integer"):
+            WorkloadTrace.load(path)
+
+    @pytest.mark.parametrize("field", ["bits", "n_nodes", "overlay_seed"])
+    def test_missing_header_field_rejected(self, tmp_path, field):
+        path = tmp_path / "short.ndjson"
+        header = dict(HEADER)
+        del header[field]
+        write_lines(path, header)
+        with pytest.raises(WorkloadError,
+                           match=f"missing header field '{field}'"):
             WorkloadTrace.load(path)
 
     def test_empty_chunk_event_rejected_at_load(self, tmp_path):
         # FileDownload enforces >= 1 chunk at construction, which is
         # why TraceWorkload.events needs no empty-event guard: a trace
         # with an empty file cannot even be loaded.
-        path = tmp_path / "empty-file.json"
-        path.write_text(json.dumps([
-            {"file_id": 0, "originator": 3, "chunks": []},
-        ]))
+        path = tmp_path / "empty-file.ndjson"
+        write_lines(path, HEADER,
+                    {"file_id": 0, "originator": 3, "chunks": []})
         with pytest.raises(WorkloadError, match="at least one chunk"):
             WorkloadTrace.load(path)
