@@ -45,6 +45,11 @@ and reports each quantity as mean [95% CI] (see :mod:`repro.sweeps`;
 ``--jobs`` fans points out over worker processes with results
 identical to a serial run).
 
+Every overlay/workload option (``--nodes``, ``--bits``, ...) is a
+``FastSimulationConfig`` field with the dataclass's default (the
+paper's setup) unless :data:`COMMAND_DEFAULTS` lists the command;
+:func:`config_from_args` turns parsed options into the config.
+
 Reports render as plain text; ``--markdown`` switches the tables to
 Markdown for pasting into documents. Traces freeze a workload into a
 file so the exact same requests can be replayed against different
@@ -58,13 +63,91 @@ import sys
 import time
 from pathlib import Path
 
+from ._files import TextLines, open_output
 from .errors import ConfigurationError, ExperimentError, ReproError
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "config_from_args", "COMMAND_DEFAULTS"]
 
 
-def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
-    """Flags that define a sweep spec (shared by sweep / sweep-serve)."""
+#: The overlay/workload options: FastSimulationConfig field -> (flag,
+#: type, help). Their defaults are the dataclass's own.
+_CONFIG_OPTIONS = {
+    "n_nodes": ("--nodes", int, "overlay nodes"),
+    "bits": ("--bits", int, "address-space bits"),
+    "bucket_size": ("--bucket-size", int, "Kademlia bucket size k"),
+    "overlay_seed": ("--overlay-seed", int, "overlay seed"),
+    "n_files": ("--files", int, "file downloads"),
+    "batch_files": ("--batch-files", int, "files per epoch"),
+    "originator_share": ("--share", float,
+                         "originator share (paper: 0.2 or 1.0)"),
+    "workload_seed": ("--workload-seed", int, "workload seed"),
+    "scenario": ("--scenario", str, "scenario composition, e.g. "
+                 "'churn:rate=0.1,recompute=true+caching:size=64'"),
+}
+
+#: Where a subcommand's default differs from FastSimulationConfig's.
+COMMAND_DEFAULTS = {
+    "sweep": {"n_files": 1000},
+    "sweep-serve": {"n_files": 1000},
+    "serve": {"batch_files": 256},
+    "trace generate": {"n_files": 100},
+    "trace record-dynamics": {"n_files": 1000},
+    "trace replay-dynamics": {"n_files": 1000},
+}
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Quotes each config option's default (imports it only for help)."""
+
+    def _get_help_string(self, action):
+        if action.dest not in _CONFIG_OPTIONS or action.required:
+            return action.help
+        default = action.default
+        if default is argparse.SUPPRESS:
+            from .backends.config import FastSimulationConfig
+
+            default = FastSimulationConfig.__dataclass_fields__[
+                action.dest].default
+        return f"{action.help} (default: {default or 'none'})"
+
+
+def _add_config_options(parser: argparse.ArgumentParser, command: str,
+                        *fields: str, required: tuple = (),
+                        **flags: str) -> None:
+    """Declare FastSimulationConfig *fields* as options of *command*.
+
+    *flags* respells a field's option (``overlay_seed="--seed"``). An
+    option left out is absent from the parsed args (so it keeps the
+    dataclass default) unless :data:`COMMAND_DEFAULTS` lists it.
+    """
+    defaults = COMMAND_DEFAULTS.get(command, {})
+    for field in fields:
+        flag, kind, text = _CONFIG_OPTIONS[field]
+        flag = flags.get(field, flag)
+        parser.add_argument(
+            flag, dest=field, type=kind, help=text,
+            metavar=flag[2:].replace("-", "_").upper(),
+            default=defaults.get(field, argparse.SUPPRESS),
+            required=field in required,
+        )
+
+
+def config_from_args(args: argparse.Namespace, **fixed):
+    """The FastSimulationConfig a parsed command line names.
+
+    Options present in *args* and *fixed* fields (taken from a trace
+    header) set their fields; the rest keep the dataclass defaults.
+    """
+    from .backends.config import FastSimulationConfig
+
+    given = {field: value for field, value in vars(args).items()
+             if field in _CONFIG_OPTIONS}
+    return FastSimulationConfig(**{**given, **fixed})
+
+
+def _add_spec_options(parser: argparse.ArgumentParser,
+                      command: str) -> None:
+    """Options that define a sweep spec (sweep, sweep-serve)."""
     parser.add_argument(
         "--grid", action="append", default=[], metavar="FIELD=V1,V2",
         help=(
@@ -73,7 +156,8 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--scenario", action="append", default=[], metavar="SPEC",
+        "--scenario", dest="scenarios", action="append", default=[],
+        metavar="SPEC",
         help=(
             "scenario axis crossed with the grid (repeatable): a "
             "composition like 'churn:rate=0.1,recompute=true+"
@@ -90,18 +174,122 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         "--backend", default="fast",
         help="comma-separated backend names (see 'backends')",
     )
-    parser.add_argument(
-        "--files", type=int, default=1000,
-        help="downloads per point (default: 1000)",
-    )
-    parser.add_argument(
-        "--nodes", type=int, default=1000,
-        help="overlay nodes (default: 1000)",
-    )
+    _add_config_options(parser, command, "n_files", "n_nodes")
     parser.add_argument(
         "--entropy", type=int, default=2022,
         help="root entropy for replica seed derivation",
     )
+
+
+def _add_store_options(parser: argparse.ArgumentParser) -> None:
+    """The result-store and retry options (sweep, sweep-serve)."""
+    parser.add_argument(
+        "--store", type=Path, default=None,
+        help=(
+            "JSON result store (resumable and diffable); sweep-serve "
+            "maintains the merged main store here incrementally"
+        ),
+    )
+    parser.add_argument(
+        "--no-resume", action="store_true",
+        help="overwrite an existing store instead of resuming it",
+    )
+    parser.add_argument(
+        "--salvage-store", action="store_true",
+        help=(
+            "if --store points at a truncated/corrupt file, recover "
+            "every parseable point record and re-run the rest instead "
+            "of refusing"
+        ),
+    )
+    parser.add_argument(
+        "--lease-timeout", type=float, default=300.0, metavar="SECONDS",
+        help=(
+            "distributed runs: a host silent this long forfeits its "
+            "leased points (each charged one crash attempt and "
+            "re-queued; default: 300)"
+        ),
+    )
+    parser.add_argument(
+        "--max-retries", type=int, default=2, metavar="N",
+        help=(
+            "extra attempts per failed point before it is quarantined "
+            "into the store's failures section (default: 2; "
+            "deterministic capped exponential backoff, no jitter)"
+        ),
+    )
+
+
+def _store_options(args: argparse.Namespace) -> dict:
+    """The store and retry options as run_sweep/sweep_serve keywords."""
+    return {"store_path": args.store, "resume": not args.no_resume,
+            "salvage": args.salvage_store,
+            "lease_timeout": args.lease_timeout,
+            "max_retries": args.max_retries}
+
+
+def _add_executor_options(parser: argparse.ArgumentParser) -> None:
+    """The local executor options (sweep, sweep-work)."""
+    parser.add_argument(
+        "--jobs", type=int, default=1,
+        help="local worker processes (1 = serial; results are identical)",
+    )
+    parser.add_argument(
+        "--cap-jobs", action="store_true",
+        help=(
+            "clamp --jobs to os.cpu_count(); points are CPU-bound, so "
+            "oversubscribing inverts the parallel speedup (without this "
+            "flag an excessive --jobs only warns)"
+        ),
+    )
+    parser.add_argument(
+        "--point-timeout", type=float, default=None, metavar="SECONDS",
+        help=(
+            "wall-clock budget per point attempt; a point still "
+            "running past it has its worker recycled and counts as a "
+            "retryable timeout failure (requires --jobs >= 2; the "
+            "serial executor has no watchdog)"
+        ),
+    )
+
+
+def _executor_options(args: argparse.Namespace) -> dict:
+    """The executor options as run_sweep/sweep_work keywords; a worker
+    count below 1 is refused before anything prints or connects."""
+    for flag in ("jobs", "workers"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise ConfigurationError(f"{flag} must be >= 1, got {value}")
+    return {"jobs": args.jobs, "cap_jobs": args.cap_jobs,
+            "point_timeout": args.point_timeout}
+
+
+def _add_report_options(parser: argparse.ArgumentParser) -> None:
+    """Where and how a report renders (run, sweep)."""
+    parser.add_argument(
+        "--out", type=Path, default=None,
+        help="also write the rendered report to this file",
+    )
+    parser.add_argument(
+        "--markdown", action="store_true",
+        help="render tables as Markdown",
+    )
+
+
+def _write_report(args: argparse.Namespace, text: str) -> None:
+    """Write a rendered report to ``--out``, when given (run, sweep)."""
+    if args.out is not None:
+        with open_output(args.out, "report") as handle:
+            handle.write(text + "\n")
+        print(f"report written to {args.out}")
+
+
+def _command(subparsers, name: str, handler, help: str):
+    """A subcommand whose parsed args run *handler*."""
+    parser = subparsers.add_parser(name, help=help,
+                                   formatter_class=_HelpFormatter)
+    parser.set_defaults(handler=handler, prog=parser.prog)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,10 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("list", help="list available experiments")
-    subparsers.add_parser("backends", help="list simulation backends")
+    _command(subparsers, "list", _list_run, "list available experiments")
+    _command(subparsers, "backends", _backends_run,
+             "list simulation backends")
 
-    run = subparsers.add_parser("run", help="run an experiment")
+    run = _command(subparsers, "run", _experiments_run, "run an experiment")
     run.add_argument(
         "experiment",
         help="experiment name from 'list', or 'all'",
@@ -138,23 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
             "(see 'backends'; default: fast)"
         ),
     )
-    run.add_argument(
-        "--out", type=Path, default=None,
-        help="also write the rendered report to this file",
-    )
-    run.add_argument(
-        "--markdown", action="store_true",
-        help="render tables as Markdown",
-    )
+    _add_report_options(run)
 
-    sweep = subparsers.add_parser(
-        "sweep", help="run a parameter-grid x seed-replica sweep"
-    )
-    _add_spec_arguments(sweep)
-    sweep.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (1 = serial; results are identical)",
-    )
+    sweep = _command(subparsers, "sweep", _sweep_run,
+                     "run a parameter-grid x seed-replica sweep")
+    _add_spec_options(sweep, "sweep")
+    _add_executor_options(sweep)
+    _add_store_options(sweep)
     sweep.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help=(
@@ -162,14 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
             "pulling from an HTTP work queue, each running --jobs "
             "local processes; results (and the --store file) are "
             "byte-identical to a local run"
-        ),
-    )
-    sweep.add_argument(
-        "--lease-timeout", type=float, default=300.0, metavar="SECONDS",
-        help=(
-            "distributed only: a host silent this long forfeits its "
-            "leased points (each charged one crash attempt and "
-            "re-queued; default: 300)"
         ),
     )
     sweep.add_argument(
@@ -204,47 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: only when stderr is a tty)"
         ),
     )
-    sweep.add_argument(
-        "--cap-jobs", action="store_true",
-        help=(
-            "clamp --jobs to os.cpu_count(); points are CPU-bound, so "
-            "oversubscribing inverts the parallel speedup (without this "
-            "flag an excessive --jobs only warns)"
-        ),
-    )
-    sweep.add_argument(
-        "--store", type=Path, default=None,
-        help="JSON result store (resumable and diffable)",
-    )
-    sweep.add_argument(
-        "--no-resume", action="store_true",
-        help="overwrite an existing store instead of resuming it",
-    )
-    sweep.add_argument(
-        "--salvage-store", action="store_true",
-        help=(
-            "if --store points at a truncated/corrupt file, recover "
-            "every parseable point record and re-run the rest instead "
-            "of refusing"
-        ),
-    )
-    sweep.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help=(
-            "extra attempts per failed point before it is quarantined "
-            "into the store's failures section (default: 2; "
-            "deterministic capped exponential backoff, no jitter)"
-        ),
-    )
-    sweep.add_argument(
-        "--point-timeout", type=float, default=None, metavar="SECONDS",
-        help=(
-            "wall-clock budget per point attempt; a point still "
-            "running past it has its worker recycled and counts as a "
-            "retryable timeout failure (requires --jobs >= 2; the "
-            "serial executor has no watchdog)"
-        ),
-    )
     fail_mode = sweep.add_mutually_exclusive_group()
     fail_mode.add_argument(
         "--keep-going", dest="keep_going", action="store_true",
@@ -267,21 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
             "the recovery paths, not for production sweeps"
         ),
     )
-    sweep.add_argument(
-        "--out", type=Path, default=None,
-        help="also write the rendered report to this file",
-    )
-    sweep.add_argument(
-        "--markdown", action="store_true",
-        help="render tables as Markdown",
-    )
+    _add_report_options(sweep)
 
-    serve = subparsers.add_parser(
-        "sweep-serve",
-        help="serve a sweep's points as an HTTP work queue for "
-             "sweep-work hosts",
-    )
-    _add_spec_arguments(serve)
+    serve = _command(subparsers, "sweep-serve", _sweep_serve_run,
+                     "serve a sweep's points as an HTTP work queue for "
+                     "sweep-work hosts")
+    _add_spec_options(serve, "sweep-serve")
     serve.add_argument(
         "--host", default="127.0.0.1",
         help=(
@@ -294,41 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=0,
         help="bind port (default: 0 = OS-assigned, printed at start)",
     )
-    serve.add_argument(
-        "--lease-timeout", type=float, default=300.0, metavar="SECONDS",
-        help=(
-            "a host silent this long forfeits its leased points "
-            "(default: 300)"
-        ),
-    )
-    serve.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="global per-point retry budget (default: 2)",
-    )
-    serve.add_argument(
-        "--store", type=Path, default=None,
-        help=(
-            "maintain the merged main store here incrementally "
-            "(resumable; equivalently, merge the hosts' shards "
-            "afterwards with sweep --merge-stores)"
-        ),
-    )
-    serve.add_argument(
-        "--no-resume", action="store_true",
-        help="overwrite an existing --store instead of resuming it",
-    )
-    serve.add_argument(
-        "--salvage-store", action="store_true",
-        help=(
-            "recover a corrupt/truncated --store (keep parseable "
-            "records, re-serve the rest) instead of refusing it"
-        ),
-    )
+    _add_store_options(serve)
 
-    work = subparsers.add_parser(
-        "sweep-work",
-        help="pull and execute sweep points from a sweep-serve queue",
-    )
+    work = _command(subparsers, "sweep-work", _sweep_work_run,
+                    "pull and execute sweep points from a sweep-serve "
+                    "queue")
     work.add_argument(
         "--queue", required=True, metavar="URL",
         help="the work queue, e.g. http://coordinator:8750",
@@ -341,18 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--worker-id", default=None,
         help="stable host name for leases/logs (default: host-<pid>)",
     )
-    work.add_argument(
-        "--jobs", type=int, default=1,
-        help="local worker processes on this host (1 = serial)",
-    )
-    work.add_argument(
-        "--cap-jobs", action="store_true",
-        help="clamp --jobs to this host's os.cpu_count()",
-    )
-    work.add_argument(
-        "--point-timeout", type=float, default=None, metavar="SECONDS",
-        help="local hang watchdog per point attempt (needs --jobs >= 2)",
-    )
+    _add_executor_options(work)
     work.add_argument(
         "--max-pool-restarts", type=int, default=8,
         help="local pool crash/hang rebuild budget (default: 8)",
@@ -362,10 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="idle re-poll interval while other hosts hold leases",
     )
 
-    bench = subparsers.add_parser(
-        "bench",
-        help="gate perfbench logs against the committed benchmark record",
-    )
+    bench = _command(subparsers, "bench", _bench_run,
+                     "gate perfbench logs against the committed "
+                     "benchmark record")
     bench.add_argument(
         "logs", nargs="+", type=Path, metavar="LOG",
         help="saved output of perfbench/run.py --trace 0",
@@ -385,40 +464,26 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    serve = subparsers.add_parser(
-        "serve",
-        help=(
-            "live service mode: NDJSON requests in, NDJSON rolling "
-            "aggregates out"
-        ),
-    )
+    serve = _command(subparsers, "serve", _serve_run,
+                     "live service mode: NDJSON requests in, NDJSON "
+                     "rolling aggregates out")
     serve.add_argument(
         "--input", default="-", metavar="PATH",
         help="NDJSON request source ('-' = stdin, the default); a "
              "request-trace file is accepted once its header matches "
              "--bits, --nodes and --overlay-seed",
     )
-    serve.add_argument("--nodes", type=int, default=1000)
-    serve.add_argument("--bits", type=int, default=16)
-    serve.add_argument("--bucket-size", type=int, default=4)
-    serve.add_argument("--overlay-seed", type=int, default=42)
-    serve.add_argument(
-        "--max-batch", type=int, default=256,
-        help="files per micro-epoch (default: 256)",
-    )
+    _add_config_options(serve, "serve", "n_nodes", "bits", "bucket_size",
+                        "overlay_seed", "batch_files", "scenario",
+                        batch_files="--max-batch")
     serve.add_argument(
         "--flush-interval", type=int, default=1,
         help="emit a snapshot line every N micro-epochs (default: 1)",
     )
     serve.add_argument(
-        "--scenario", default=None, metavar="SPEC",
-        help="serve under dynamics, e.g. 'churn:rate=0.1'; requires "
-             "--epochs",
-    )
-    serve.add_argument(
         "--epochs", type=int, default=None,
-        help="epoch count for --scenario serving (schedules are "
-             "sized up front)",
+        help="epoch count for --scenario serving, which needs it "
+             "(schedules are sized up front)",
     )
     serve.add_argument(
         "--batch", action="store_true",
@@ -432,50 +497,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
 
-    generate = trace_sub.add_parser(
-        "generate", help="freeze a workload into an NDJSON trace"
-    )
+    generate = _command(trace_sub, "generate", _trace_generate,
+                        "freeze a workload into an NDJSON trace")
     generate.add_argument("path", type=Path, help="output trace file")
-    generate.add_argument("--files", type=int, default=100)
-    generate.add_argument("--nodes", type=int, default=1000)
-    generate.add_argument("--bits", type=int, default=16)
-    generate.add_argument("--share", type=float, default=1.0,
-                          help="originator share (paper: 0.2 or 1.0)")
-    generate.add_argument("--seed", type=int, default=7)
-    generate.add_argument("--overlay-seed", type=int, default=42)
+    _add_config_options(generate, "trace generate", "n_files", "n_nodes",
+                        "bits", "originator_share", "workload_seed",
+                        "overlay_seed", workload_seed="--seed")
 
-    replay = trace_sub.add_parser(
-        "replay", help="replay a trace against a configuration"
-    )
+    replay = _command(trace_sub, "replay", _trace_replay,
+                      "replay a trace against a configuration")
     replay.add_argument(
         "path", type=Path,
         help="trace file to replay (on the overlay its header names)",
     )
-    replay.add_argument("--bucket-size", type=int, default=4)
+    _add_config_options(replay, "trace replay", "bucket_size")
 
-    record_dynamics = trace_sub.add_parser(
-        "record-dynamics",
-        help="record a scenario's epoch schedule as a dynamics trace",
+    record_dynamics = _command(
+        trace_sub, "record-dynamics", _trace_record_dynamics,
+        "record a scenario's epoch schedule as a dynamics trace",
     )
     record_dynamics.add_argument(
         "path", type=Path, help="output dynamics-trace file"
     )
-    record_dynamics.add_argument(
-        "--scenario", required=True, metavar="SPEC",
-        help=(
-            "scenario composition to record, e.g. "
-            "'churn:rate=0.1,recompute=true+caching:size=64'"
-        ),
-    )
-    record_dynamics.add_argument("--files", type=int, default=1000)
-    record_dynamics.add_argument("--nodes", type=int, default=1000)
-    record_dynamics.add_argument("--bits", type=int, default=16)
-    record_dynamics.add_argument("--batch-files", type=int, default=512)
-    record_dynamics.add_argument("--overlay-seed", type=int, default=42)
+    _add_config_options(record_dynamics, "trace record-dynamics",
+                        "scenario", "n_files", "n_nodes", "bits",
+                        "batch_files", "overlay_seed",
+                        required=("scenario",))
 
-    replay_dynamics = trace_sub.add_parser(
-        "replay-dynamics",
-        help="replay a recorded dynamics trace through the engine",
+    replay_dynamics = _command(
+        trace_sub, "replay-dynamics", _trace_replay_dynamics,
+        "replay a recorded dynamics trace through the engine",
     )
     replay_dynamics.add_argument(
         "path", type=Path, help="dynamics-trace file to replay"
@@ -487,17 +538,14 @@ def build_parser() -> argparse.ArgumentParser:
             "(appended with '+'), e.g. 'caching:size=64'"
         ),
     )
-    replay_dynamics.add_argument("--files", type=int, default=1000)
-    replay_dynamics.add_argument("--batch-files", type=int, default=512)
-    replay_dynamics.add_argument("--bucket-size", type=int, default=4)
-    replay_dynamics.add_argument("--workload-seed", type=int, default=7)
+    _add_config_options(replay_dynamics, "trace replay-dynamics",
+                        "n_files", "batch_files", "bucket_size",
+                        "workload_seed")
 
-    import_requests = trace_sub.add_parser(
-        "import-requests",
-        help=(
-            "convert a measured gateway request log (NDJSON) into an "
-            "NDJSON workload trace"
-        ),
+    import_requests = _command(
+        trace_sub, "import-requests", _trace_import_requests,
+        "convert a measured gateway request log (NDJSON) into an "
+        "NDJSON workload trace",
     )
     import_requests.add_argument(
         "log", help="request log to import ('-' = stdin)"
@@ -505,16 +553,13 @@ def build_parser() -> argparse.ArgumentParser:
     import_requests.add_argument(
         "out", type=Path, help="output NDJSON trace file"
     )
-    import_requests.add_argument("--nodes", type=int, default=1000)
-    import_requests.add_argument("--bits", type=int, default=16)
-    import_requests.add_argument("--overlay-seed", type=int, default=42)
+    _add_config_options(import_requests, "trace import-requests",
+                        "n_nodes", "bits", "overlay_seed")
 
-    import_dynamics = trace_sub.add_parser(
-        "import-dynamics",
-        help=(
-            "convert a measured join/leave log (NDJSON) into a "
-            "dynamics trace"
-        ),
+    import_dynamics = _command(
+        trace_sub, "import-dynamics", _trace_import_dynamics,
+        "convert a measured join/leave log (NDJSON) into a dynamics "
+        "trace",
     )
     import_dynamics.add_argument(
         "log", help="membership log to import ('-' = stdin)"
@@ -522,9 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
     import_dynamics.add_argument(
         "out", type=Path, help="output dynamics-trace file"
     )
-    import_dynamics.add_argument("--nodes", type=int, default=1000)
-    import_dynamics.add_argument("--bits", type=int, default=16)
-    import_dynamics.add_argument("--overlay-seed", type=int, default=42)
+    _add_config_options(import_dynamics, "trace import-dynamics",
+                        "n_nodes", "bits", "overlay_seed")
     grid = import_dynamics.add_mutually_exclusive_group(required=True)
     grid.add_argument(
         "--epochs", type=int, default=None,
@@ -546,18 +590,15 @@ def build_parser() -> argparse.ArgumentParser:
     overlay_sub = overlay.add_subparsers(dest="overlay_command",
                                          required=True)
 
-    build = overlay_sub.add_parser(
-        "build", help="build an overlay and save it as JSON"
-    )
+    build = _command(overlay_sub, "build", _overlay_build,
+                     "build an overlay and save it as JSON")
     build.add_argument("path", type=Path, help="output overlay file")
-    build.add_argument("--nodes", type=int, default=1000)
-    build.add_argument("--bits", type=int, default=16)
-    build.add_argument("--bucket-size", type=int, default=4)
-    build.add_argument("--seed", type=int, default=42)
+    _add_config_options(build, "overlay build", "n_nodes", "bits",
+                        "bucket_size", "overlay_seed",
+                        overlay_seed="--seed")
 
-    inspect = overlay_sub.add_parser(
-        "inspect", help="degree stats and a Fig.3-style routing table"
-    )
+    inspect = _command(overlay_sub, "inspect", _overlay_inspect,
+                       "degree stats and a Fig.3-style routing table")
     inspect.add_argument("path", type=Path, help="overlay file to inspect")
     inspect.add_argument(
         "--node", type=int, default=None,
@@ -622,22 +663,17 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
 def _spec_from_args(args: argparse.Namespace):
     """Build the SweepSpec shared by sweep / sweep-serve / --dry-run."""
     from .backends import get_backend
-    from .backends.config import FastSimulationConfig
     from .sweeps import SweepSpec, parse_grid_arguments
 
-    grid = parse_grid_arguments(args.grid)
     backends = tuple(
         name.strip() for name in args.backend.split(",") if name.strip()
     )
     for name in backends:
         get_backend(name)  # fail early with the known-backend list
     return SweepSpec(
-        base=FastSimulationConfig(n_nodes=args.nodes, n_files=args.files),
-        grid=grid,
-        backends=backends,
-        seeds=args.seeds,
-        seed_entropy=args.entropy,
-        scenarios=tuple(args.scenario),
+        base=config_from_args(args), grid=parse_grid_arguments(args.grid),
+        backends=backends, seeds=args.seeds, seed_entropy=args.entropy,
+        scenarios=tuple(args.scenarios),
     )
 
 
@@ -666,6 +702,7 @@ def _sweep_run(args: argparse.Namespace) -> int:
     if args.merge_stores is not None:
         return _merge_stores_run(args)
     spec = _spec_from_args(args)
+    executor = _executor_options(args)
     if args.dry_run:
         status = sweep_status(spec, args.store,
                               salvage=args.salvage_store)
@@ -679,11 +716,6 @@ def _sweep_run(args: argparse.Namespace) -> int:
             for point_id in status[heading]:
                 print(f"  {heading}: {point_id}")
         return 0
-    # Refuse before the plan line, so a refused sweep prints nothing.
-    for flag, value in (("jobs", args.jobs), ("workers", args.workers)):
-        if value is not None and value < 1:
-            raise ConfigurationError(f"{flag} must be >= 1, got {value}")
-    backends = spec.backends
     # cells() already crosses in the scenario axis; print the grid
     # factor separately so the breakdown multiplies to the point count.
     n_grid_cells = len(spec.cells()) // (len(spec.scenarios) or 1)
@@ -694,20 +726,13 @@ def _sweep_run(args: argparse.Namespace) -> int:
     if args.workers is not None:
         layout = f"workers={args.workers} x {layout}"
     print(
-        f"sweep: {len(spec)} points ({breakdown} x {len(backends)} "
+        f"sweep: {len(spec)} points ({breakdown} x {len(spec.backends)} "
         f"backend(s) x {args.seeds} seed(s)), {layout}"
     )
     sweep = run_sweep(
-        spec, jobs=args.jobs, store_path=args.store,
-        resume=not args.no_resume, cap_jobs=args.cap_jobs,
-        max_retries=args.max_retries,
-        point_timeout=args.point_timeout,
-        keep_going=args.keep_going,
-        fault_plan=args.fault_plan,
-        salvage=args.salvage_store,
-        workers=args.workers,
-        lease_timeout=args.lease_timeout,
-        shard_dir=args.shard_dir,
+        spec, **executor, **_store_options(args),
+        keep_going=args.keep_going, fault_plan=args.fault_plan,
+        workers=args.workers, shard_dir=args.shard_dir,
         progress=args.progress,
     )
     report = sweep_report(
@@ -718,9 +743,7 @@ def _sweep_run(args: argparse.Namespace) -> int:
     print(rendered)
     if args.store is not None:
         print(f"results stored in {args.store}")
-    if args.out is not None:
-        args.out.write_text(rendered + "\n")
-        print(f"report written to {args.out}")
+    _write_report(args, rendered)
     if sweep.failures:
         print(
             f"WARNING: {len(sweep.failures)} point(s) quarantined "
@@ -754,16 +777,8 @@ def _sweep_serve_run(args: argparse.Namespace) -> int:
 
     spec = _spec_from_args(args)
     try:
-        quarantined = sweep_serve(
-            spec,
-            host=args.host,
-            port=args.port,
-            lease_timeout=args.lease_timeout,
-            max_retries=args.max_retries,
-            store_path=args.store,
-            resume=not args.no_resume,
-            salvage=args.salvage_store,
-        )
+        quarantined = sweep_serve(spec, host=args.host, port=args.port,
+                                  **_store_options(args))
     except KeyboardInterrupt:
         return 130
     return 1 if quarantined else 0
@@ -772,15 +787,11 @@ def _sweep_serve_run(args: argparse.Namespace) -> int:
 def _sweep_work_run(args: argparse.Namespace) -> int:
     from .sweeps import sweep_work
 
+    executor = _executor_options(args)
     return sweep_work(
-        args.queue,
-        store_path=args.store,
-        worker_id=args.worker_id,
-        jobs=args.jobs,
-        cap_jobs=args.cap_jobs,
-        point_timeout=args.point_timeout,
+        args.queue, store_path=args.store, worker_id=args.worker_id,
         max_pool_restarts=args.max_pool_restarts,
-        poll_interval=args.poll_interval,
+        poll_interval=args.poll_interval, **executor,
     )
 
 
@@ -833,25 +844,15 @@ def _bench_run(args: argparse.Namespace) -> int:
 
 def _trace_generate(args: argparse.Namespace) -> int:
     from .backends.fast import cached_overlay
-    from .kademlia.buckets import BucketLimits
-    from .kademlia.overlay import OverlayConfig
-    from .workloads.distributions import OriginatorPool
-    from .workloads.generators import DownloadWorkload
     from .workloads.traces import WorkloadTrace
 
-    overlay = cached_overlay(OverlayConfig(
-        n_nodes=args.nodes, bits=args.bits,
-        limits=BucketLimits.uniform(4), seed=args.overlay_seed,
-    ))
-    workload = DownloadWorkload(
-        n_files=args.files,
-        originators=OriginatorPool(share=args.share),
-        seed=args.seed,
-    )
-    events = workload.materialize(overlay.address_array(), overlay.space)
+    config = config_from_args(args)
+    overlay = cached_overlay(config.overlay_config())
+    events = config.workload().materialize(overlay.address_array(),
+                                           overlay.space)
     trace = WorkloadTrace(
-        events, bits=args.bits, n_nodes=args.nodes,
-        overlay_seed=args.overlay_seed,
+        events, bits=config.bits, n_nodes=config.n_nodes,
+        overlay_seed=config.overlay_seed,
     )
     trace.save(args.path)
     print(f"trace written to {args.path}: {trace.summary()}")
@@ -859,15 +860,14 @@ def _trace_generate(args: argparse.Namespace) -> int:
 
 
 def _trace_replay(args: argparse.Namespace) -> int:
-    from .backends.fast import FastSimulation, FastSimulationConfig
+    from .backends.fast import FastSimulation
     from .workloads.traces import TraceWorkload, WorkloadTrace
 
     trace = WorkloadTrace.load(args.path)
     header = trace.header
-    config = FastSimulationConfig(
-        n_nodes=header.n_nodes, bits=header.bits,
-        bucket_size=args.bucket_size, overlay_seed=header.overlay_seed,
-        n_files=len(trace),
+    config = config_from_args(
+        args, n_nodes=header.n_nodes, bits=header.bits,
+        overlay_seed=header.overlay_seed, n_files=len(trace),
     )
     result = FastSimulation(config).run(TraceWorkload(trace))
     print(f"replayed {args.path}: {trace.summary()}")
@@ -876,14 +876,9 @@ def _trace_replay(args: argparse.Namespace) -> int:
 
 
 def _trace_record_dynamics(args: argparse.Namespace) -> int:
-    from .backends.config import FastSimulationConfig
     from .scenarios.trace import record_dynamics
 
-    config = FastSimulationConfig(
-        n_nodes=args.nodes, bits=args.bits, n_files=args.files,
-        batch_files=args.batch_files, overlay_seed=args.overlay_seed,
-        scenario=args.scenario,
-    )
+    config = config_from_args(args)
     stack = config.scenario_stack()
     assert stack is not None  # --scenario is required
     trace = record_dynamics(stack, config.scenario_context())
@@ -893,7 +888,7 @@ def _trace_record_dynamics(args: argparse.Namespace) -> int:
 
 
 def _trace_replay_dynamics(args: argparse.Namespace) -> int:
-    from .backends.fast import FastSimulation, FastSimulationConfig
+    from .backends.fast import FastSimulation
     from .scenarios.trace import DynamicsTrace
 
     path = str(args.path)
@@ -909,11 +904,9 @@ def _trace_replay_dynamics(args: argparse.Namespace) -> int:
     spec = f"trace:path={path}"
     if args.compose:
         spec = f"{spec}+{args.compose}"
-    config = FastSimulationConfig(
-        n_nodes=header.n_nodes, bits=header.bits,
-        overlay_seed=header.overlay_seed, n_files=args.files,
-        batch_files=args.batch_files, bucket_size=args.bucket_size,
-        workload_seed=args.workload_seed, scenario=spec,
+    config = config_from_args(
+        args, n_nodes=header.n_nodes, bits=header.bits,
+        overlay_seed=header.overlay_seed, scenario=spec,
     )
     result = FastSimulation(config).run()
     print(f"replaying dynamics from {args.path}: {header.describe()}")
@@ -922,91 +915,61 @@ def _trace_replay_dynamics(args: argparse.Namespace) -> int:
 
 
 def _serve_run(args: argparse.Namespace) -> int:
-    from .backends.config import FastSimulationConfig
-    from .serve import open_input, run_serve
+    from .serve import run_serve
 
-    if args.scenario is not None and args.epochs is None:
+    config = config_from_args(args)
+    if config.scenario and args.epochs is None:
         raise ExperimentError(
             "--scenario serving needs --epochs: epoch schedules are "
             "sized up front (use the expected stream length in "
             "micro-epochs)"
         )
-    config = FastSimulationConfig(
-        n_nodes=args.nodes, bits=args.bits,
-        bucket_size=args.bucket_size, overlay_seed=args.overlay_seed,
-        batch_files=args.max_batch, scenario=args.scenario or "",
-    )
-    source = open_input(args.input)
-    try:
+    with TextLines(args.input, "request stream") as source:
         run_serve(
             config, source, sys.stdout,
-            max_batch=args.max_batch,
+            max_batch=config.batch_files,
             flush_interval=args.flush_interval,
             n_epochs=args.epochs, batch_mode=args.batch,
         )
-    finally:
-        if source is not sys.stdin:
-            source.close()
     return 0
 
 
 def _trace_import_requests(args: argparse.Namespace) -> int:
     from .backends.fast import cached_overlay
-    from .kademlia.buckets import BucketLimits
-    from .kademlia.overlay import OverlayConfig
     from .workloads.ingest import import_requests
 
-    overlay = cached_overlay(OverlayConfig(
-        n_nodes=args.nodes, bits=args.bits,
-        limits=BucketLimits.uniform(4), seed=args.overlay_seed,
-    ))
-    if args.log == "-":
-        summary = import_requests(sys.stdin, args.out, overlay=overlay)
-    else:
-        with open(args.log, "r", encoding="utf-8") as handle:
-            summary = import_requests(handle, args.out, overlay=overlay)
+    overlay = cached_overlay(config_from_args(args).overlay_config())
+    with TextLines(args.log, "request log") as lines:
+        summary = import_requests(lines, args.out, overlay=overlay)
     print(f"trace written to {args.out}: {summary}")
     return 0
 
 
 def _trace_import_dynamics(args: argparse.Namespace) -> int:
     from .backends.fast import cached_overlay
-    from .kademlia.buckets import BucketLimits
-    from .kademlia.overlay import OverlayConfig
     from .scenarios.ingest import import_dynamics
 
-    overlay = cached_overlay(OverlayConfig(
-        n_nodes=args.nodes, bits=args.bits,
-        limits=BucketLimits.uniform(4), seed=args.overlay_seed,
-    ))
+    overlay = cached_overlay(config_from_args(args).overlay_config())
     source_label = (
         "import:stdin" if args.log == "-"
         else f"import:{Path(args.log).name}"
     )
-    kwargs = dict(
-        overlay=overlay, n_epochs=args.epochs,
-        epoch_seconds=args.epoch_seconds,
-        recompute_storers=args.recompute, source=source_label,
-    )
-    if args.log == "-":
-        trace, summary = import_dynamics(sys.stdin, **kwargs)
-    else:
-        with open(args.log, "r", encoding="utf-8") as handle:
-            trace, summary = import_dynamics(handle, **kwargs)
+    with TextLines(args.log, "membership log") as lines:
+        trace, summary = import_dynamics(
+            lines, overlay=overlay, n_epochs=args.epochs,
+            epoch_seconds=args.epoch_seconds,
+            recompute_storers=args.recompute, source=source_label,
+        )
     trace.save(args.out)
     print(f"dynamics trace written to {args.out}: {summary}")
     return 0
 
 
 def _overlay_build(args: argparse.Namespace) -> int:
-    from .kademlia.buckets import BucketLimits
-    from .kademlia.overlay import Overlay, OverlayConfig
+    from .kademlia.overlay import Overlay
     from .kademlia.topology import degree_stats
 
-    overlay = Overlay.build(OverlayConfig(
-        n_nodes=args.nodes, bits=args.bits,
-        limits=BucketLimits.uniform(args.bucket_size), seed=args.seed,
-    ))
+    overlay = Overlay.build(config_from_args(args).overlay_config())
     overlay.save(args.path)
     print(f"overlay written to {args.path}: {degree_stats(overlay)}")
     return 0
@@ -1031,84 +994,24 @@ def _overlay_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code.
+def _list_run(args: argparse.Namespace) -> int:
+    from .experiments.registry import list_experiments
 
-    Any :class:`~repro.errors.ReproError` — a refused option value,
-    input file or request line — ends the command with one
-    argparse-style ``repro-swarm <command>: error: <message>`` line on
-    stderr and exit status 2, not a traceback.
-    """
-    args = build_parser().parse_args(argv)
-    try:
-        return _dispatch(args)
-    except ReproError as error:
-        command = " ".join(filter(None, (
-            args.command,
-            getattr(args, "trace_command", None),
-            getattr(args, "overlay_command", None),
-        )))
-        print(f"repro-swarm {command}: error: {error}", file=sys.stderr)
-        return 2
+    for spec in list_experiments():
+        artifact = f" [{spec.paper_artifact}]" if spec.paper_artifact else ""
+        print(f"{spec.name:<12} {spec.description}{artifact}")
+    return 0
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    """Run the parsed command; returns its exit code."""
-    if args.command == "list":
-        from .experiments.registry import list_experiments
+def _backends_run(args: argparse.Namespace) -> int:
+    from .backends import backend_specs
 
-        for spec in list_experiments():
-            artifact = f" [{spec.paper_artifact}]" if spec.paper_artifact else ""
-            print(f"{spec.name:<12} {spec.description}{artifact}")
-        return 0
+    for name, description in backend_specs():
+        print(f"{name:<12} {description}")
+    return 0
 
-    if args.command == "backends":
-        from .backends import backend_specs
 
-        for name, description in backend_specs():
-            print(f"{name:<12} {description}")
-        return 0
-
-    if args.command == "sweep":
-        return _sweep_run(args)
-
-    if args.command == "sweep-serve":
-        return _sweep_serve_run(args)
-
-    if args.command == "sweep-work":
-        return _sweep_work_run(args)
-
-    if args.command == "bench":
-        return _bench_run(args)
-
-    if args.command == "serve":
-        return _serve_run(args)
-
-    if args.command == "trace":
-        if args.trace_command == "generate":
-            return _trace_generate(args)
-        if args.trace_command == "record-dynamics":
-            return _trace_record_dynamics(args)
-        if args.trace_command == "replay-dynamics":
-            return _trace_replay_dynamics(args)
-        if args.trace_command == "import-requests":
-            return _trace_import_requests(args)
-        if args.trace_command == "import-dynamics":
-            return _trace_import_dynamics(args)
-        return _trace_replay(args)
-
-    if args.command == "overlay":
-        command = (_overlay_build if args.overlay_command == "build"
-                   else _overlay_inspect)
-        try:
-            return command(args)
-        except OSError as error:
-            # An unreadable or unwritable overlay file is refused like
-            # any other bad input.
-            print(f"repro-swarm overlay {args.overlay_command}: error: "
-                  f"{error}", file=sys.stderr)
-            return 2
-
+def _experiments_run(args: argparse.Namespace) -> int:
     from .experiments.registry import list_experiments
 
     names = (
@@ -1122,10 +1025,24 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(output)
         print()
         outputs.append(output)
-    if args.out is not None:
-        args.out.write_text("\n\n".join(outputs) + "\n")
-        print(f"report written to {args.out}")
+    _write_report(args, "\n\n".join(outputs))
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns the process exit code.
+
+    Any :class:`~repro.errors.ReproError` — a refused option value,
+    input file or request line — ends the command with one
+    argparse-style ``repro-swarm <command>: error: <message>`` line on
+    stderr and exit status 2, not a traceback.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except ReproError as error:
+        print(f"{args.prog}: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

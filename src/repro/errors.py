@@ -92,3 +92,7 @@ class SweepInterrupted(BaseException):
 
 class WorkloadError(ConfigurationError):
     """A workload description is invalid (empty ranges, bad shares...)."""
+
+
+class InputError(WorkloadError):
+    """A file cannot be opened, or a line of it is not UTF-8 text."""

@@ -42,6 +42,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .._files import TextLines, open_output
 from .._validation import require, require_int, require_non_negative
 from ..errors import ConfigurationError, OverlayError
 from .address import AddressSpace, bit_length_array, xor_nearest_fill
@@ -427,18 +428,21 @@ class Overlay:
 
     def save(self, path: str | Path) -> None:
         """Write the overlay to a JSON file."""
-        Path(path).write_text(json.dumps(self.to_dict()))
+        with open_output(path, "overlay") as handle:
+            handle.write(json.dumps(self.to_dict()))
 
     @classmethod
     def load(cls, path: str | Path) -> "Overlay":
         """Read an overlay from a JSON file written by :meth:`save`.
 
         A file that is not JSON raises :class:`~repro.errors.
-        OverlayError` naming the path; a missing file raises
-        :class:`OSError`.
+        OverlayError` naming the path; a missing or non-UTF-8 file
+        raises :class:`~repro.errors.InputError`.
         """
+        with TextLines(path, "overlay") as lines:
+            text = "".join(lines)
         try:
-            data = json.loads(Path(path).read_text())
+            data = json.loads(text)
         except ValueError as error:
             raise OverlayError(f"{path}: not an overlay JSON file "
                                f"({error})") from None

@@ -132,7 +132,8 @@ class TableCache:
         return self._handles.get(handle.fingerprint) == handle
 
     def install(self, fingerprint: str, table: "NextHopTable") -> None:
-        """Memoize an externally built table under *fingerprint*."""
+        """Memoize an externally built table under *fingerprint*: the
+        seam tests use to plant one (a read-only table, say)."""
         self._tables[fingerprint] = table
 
     def writable_coded(self, table: "NextHopTable") -> np.ndarray:
@@ -154,12 +155,6 @@ class TableCache:
             working = np.array(coded)
             self._working[fingerprint] = working
         return working
-
-    def discard(self, fingerprint: str) -> None:
-        """Drop one memoized table and any registered handle for it."""
-        self._tables.pop(fingerprint, None)
-        self._handles.pop(fingerprint, None)
-        self._working.pop(fingerprint, None)
 
     def clear(self) -> None:
         """Drop every table, handle, working copy, and counter."""

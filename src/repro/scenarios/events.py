@@ -31,6 +31,7 @@ bit-identical to running the source scenario directly.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -157,11 +158,39 @@ def event_to_json(event: Event) -> dict:
     raise ConfigurationError(f"unknown scenario event {event!r}")
 
 
+#: Each event kind's class and the JSON type of each of its keys.
+_KINDS = {
+    "topology": (TopologyDelta, {"leaves": "list of ints",
+                                 "joins": "list of ints"}),
+    "cache": (CacheState, {"enabled": "bool", "capacity": "int"}),
+    "policy": (PolicyOverride, {"unpaid_origins": "list of ints or null",
+                                "origin_focus": "list of ints or null"}),
+}
+
+
+def _field(payload: Mapping, name: str, want: str):
+    """``payload[name]`` as the event field it encodes, never coerced."""
+    value = payload[name]
+    if value is None and want.endswith("or null"):
+        return None
+    if (type(value) is bool if want == "bool"
+            else type(value) is int if want == "int"
+            else type(value) is list
+            and all(type(v) is int for v in value)):
+        return tuple(value) if type(value) is list else value
+    raise ValueError(f"{name!r} must be a JSON {want}, got "
+                     f"{reprlib.repr(value)}")
+
+
 def event_from_json(payload: Mapping) -> Event:
     """Inverse of :func:`event_to_json`; exact tuple round-trip.
 
-    Unknown or missing ``kind`` tags fail loudly — a trace written by
-    a newer format must not silently replay a subset of its dynamics.
+    Strict, like :class:`~repro.workloads.traces.TraceHeader`: a
+    payload holds a known ``kind`` tag and exactly that kind's keys,
+    each a JSON value of its type (never coerced), or
+    :class:`~repro.errors.ConfigurationError` is raised. A trace
+    written by a newer format must not silently replay a subset, or a
+    coerced version, of its dynamics.
     """
     if not isinstance(payload, Mapping):
         raise ConfigurationError(
@@ -169,29 +198,22 @@ def event_from_json(payload: Mapping) -> Event:
             f"{type(payload).__name__}"
         )
     kind = payload.get("kind")
-    try:
-        if kind == "topology":
-            return TopologyDelta(
-                leaves=tuple(payload["leaves"]),
-                joins=tuple(payload["joins"]),
-            )
-        if kind == "cache":
-            return CacheState(
-                enabled=bool(payload["enabled"]),
-                capacity=int(payload["capacity"]),
-            )
-        if kind == "policy":
-            unpaid = payload["unpaid_origins"]
-            focus = payload["origin_focus"]
-            return PolicyOverride(
-                unpaid_origins=None if unpaid is None else tuple(unpaid),
-                origin_focus=None if focus is None else tuple(focus),
-            )
-    except (KeyError, TypeError, ValueError) as error:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigurationError(
-            f"malformed {kind!r} trace event {payload!r}: {error}"
+            f"unknown trace event kind {reprlib.repr(kind)}; this file "
+            f"needs a newer reader (known kinds: topology, cache, policy)"
+        )
+    cls, fields = _KINDS[kind]
+    extra = sorted(map(str, set(payload) - {"kind", *fields}))
+    missing = [name for name in fields if name not in payload]
+    try:
+        if extra or missing:
+            raise ValueError(f"unknown key {extra[0]!r}" if extra
+                             else f"missing key {missing[0]!r}")
+        return cls(**{name: _field(payload, name, want)
+                      for name, want in fields.items()})
+    except ValueError as error:
+        raise ConfigurationError(
+            f"malformed {kind!r} trace event {reprlib.repr(payload)}: "
+            f"{error}"
         ) from None
-    raise ConfigurationError(
-        f"unknown trace event kind {kind!r}; this file needs a newer "
-        f"reader (known kinds: topology, cache, policy)"
-    )

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
+from .._files import TextLines, open_output
 from ..errors import ConfigurationError
 from ..workloads.traces import DYNAMICS_TRACE_FORMAT, TraceHeader
 from .base import Schedule, ScenarioContext
@@ -184,18 +185,15 @@ class DynamicsTrace:
 
     def save(self, path: str | Path) -> None:
         """Write the trace as versioned JSON."""
-        Path(path).write_text(
-            json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
-        )
+        with open_output(path, "dynamics trace") as handle:
+            json.dump(self.to_json(), handle, indent=2, sort_keys=True)
+            handle.write("\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "DynamicsTrace":
         """Read a trace written by :meth:`save` (validating everything)."""
-        try:
-            text = Path(path).read_text()
-        except OSError as error:
-            raise _bad_trace(path, str(error)) from None
-        text = text.strip()
+        with TextLines(path, "dynamics trace") as lines:
+            text = "".join(lines).strip()
         try:
             document, end = json.JSONDecoder().raw_decode(text)
         except (ValueError, RecursionError) as error:

@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 import json
 import signal
-import sys
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -61,10 +60,15 @@ class _Shutdown(Exception):
     """Raised by the signal handler to unwind into the final flush."""
 
 
-def _install_handlers() -> list:
-    """Route SIGTERM/SIGINT into a clean final flush; return originals."""
+def _install_handlers(feeding: list[bool]) -> list:
+    """Route SIGTERM/SIGINT into a clean final flush; return originals.
+
+    A signal unwinds the feed loop only while ``feeding[0]`` holds; one
+    handled after the input ran out is absorbed by the final flush.
+    """
     def handler(signum, frame):
-        raise _Shutdown()
+        if feeding[0]:
+            raise _Shutdown()
 
     previous = []
     for signum in (signal.SIGTERM, signal.SIGINT):
@@ -169,7 +173,8 @@ def run_serve(config: FastSimulationConfig,
 
     entry_dt = simulation.table.entry_dtype
 
-    previous = _install_handlers()
+    feeding = [True]
+    previous = _install_handlers(feeding)
     try:
         with StreamSession(simulation, n_epochs=n_epochs) as session:
             try:
@@ -184,15 +189,10 @@ def run_serve(config: FastSimulationConfig,
                         _emit(out, "snapshot", aggregator.snapshot())
             except _Shutdown:
                 pass
+            finally:
+                feeding[0] = False
     finally:
         for signum, original in previous:
             signal.signal(signum, original)
     _emit(out, "final", aggregator.summary())
     return aggregator
-
-
-def open_input(path: str) -> IO[str]:
-    """The request source for a path argument (``-`` means stdin)."""
-    if path == "-":
-        return sys.stdin
-    return open(path, "r", encoding="utf-8")

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
 
+from .._files import open_output
 from ..errors import WorkloadError
 from .traces import TraceHeader
 
@@ -111,7 +112,7 @@ def import_requests(lines: Iterable[str] | IO[str],
         hashed_chunks += 1
         return stable_hash(str(value)) % space.size
 
-    with Path(out_path).open("w", encoding="utf-8") as out:
+    with open_output(out_path, "request trace") as out:
         header = TraceHeader(space.bits, n_nodes, overlay.config.seed)
         out.write(json.dumps(header.to_json()) + "\n")
         for lineno, line in enumerate(lines, start=1):

@@ -29,6 +29,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .._files import TextLines, open_output
 from ..errors import WorkloadError
 from ..kademlia.address import target_dtype
 from .generators import FileDownload
@@ -322,7 +323,7 @@ class WorkloadTrace:
                 f"cannot save trace {path}: it has no provenance; build "
                 f"it with bits=, n_nodes= and overlay_seed="
             )
-        with Path(path).open("w", encoding="utf-8") as handle:
+        with open_output(path, "request trace") as handle:
             handle.write(json.dumps(self.header.to_json()) + "\n")
             for event in self._events:
                 handle.write(json.dumps({
@@ -357,23 +358,17 @@ class TraceReader:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        try:
-            with self.path.open("r", encoding="utf-8") as handle:
-                first = handle.readline()
-        except (OSError, UnicodeDecodeError) as error:
-            raise WorkloadError(
-                f"cannot read request trace {path}: {error}"
-            ) from None
+        with TextLines(self.path, "request trace") as lines:
+            first = next(iter(lines), "")
         self.header = TraceHeader.parse(first, path=self.path)
 
     def events(self) -> Iterator[FileDownload]:
         """Decode the trace's events in order, straight off the file."""
         dtype = _chunk_dtype(self.header.bits)
-        with self.path.open("r", encoding="utf-8") as handle:
-            handle.readline()  # the header line, already parsed
-            for lineno, line in enumerate(handle, start=2):
-                if not line.strip():
-                    continue
+        with TextLines(self.path, "request trace") as lines:
+            for lineno, line in enumerate(lines, start=1):
+                if lineno == 1 or not line.strip():
+                    continue  # line 1 is the header, already parsed
                 try:
                     item = json.loads(line)
                 except (ValueError, RecursionError) as error:

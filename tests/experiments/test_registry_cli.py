@@ -99,9 +99,16 @@ class TestCli:
         (["serve", "--max-batch", "0", "--input", "-"],
          "batch_files must be >= 1"),
         (["sweep", "--workers", "0", *TINY], "workers must be >= 1"),
+        # Refused before the queue is contacted (nothing listens on
+        # port 9) and before the shard store is written.
+        (["sweep-work", "--queue", "http://127.0.0.1:9", "--store",
+          "shard.json", "--jobs", "0"], "jobs must be >= 1"),
     ])
-    def test_refused_option_values_exit_2(self, capsys, argv, message):
+    def test_refused_option_values_exit_2(self, capsys, tmp_path,
+                                          monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
         assert_refused(capsys, argv, message, command=argv[0])
+        assert list(tmp_path.iterdir()) == []
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

@@ -6,7 +6,8 @@ start must *not* load: a sweep worker never loads the HTTP queue, the
 distributed executor, the aggregation layer or the backends it does
 not run; building a fast simulation never loads the sweep engine; the
 benchmark gate never loads the sweep store or the kernel; the serve
-daemon never loads the plotting module.
+daemon never loads the plotting module; the ``bench`` command never
+loads numpy.
 """
 
 from __future__ import annotations
@@ -68,6 +69,15 @@ class TestImportGraph:
         watched = ["repro.sweeps", "repro.perf.shared",
                    "repro.perf.table_cache", "repro.backends.fast"]
         assert loaded_after("import repro.perf.bench", watched) == []
+
+    def test_bench_command_loads_no_numpy(self, tmp_path):
+        # The CLI parser declares the overlay/workload options without
+        # importing FastSimulationConfig for their defaults.
+        log = tmp_path / "perf.log"
+        log.write_text("")
+        code = ("from repro.cli import main\n"
+                f"assert main(['bench', {str(log)!r}]) == 1")
+        assert loaded_after(code, ["numpy", "repro.backends.config"]) == []
 
     def test_serve_loads_no_plots(self):
         assert loaded_after("import repro.serve",

@@ -104,15 +104,13 @@ class TestTableCache:
         assert first is second
         assert cache.stats.builds == 1
 
-    def test_install_and_discard(self):
+    def test_install(self):
         cache = TableCache()
         overlay = Overlay.build(CONFIG)
         table = NextHopTable(overlay)
         cache.install(overlay.fingerprint(), table)
         assert cache.get(overlay) is table
         assert cache.stats.builds == 0
-        cache.discard(overlay.fingerprint())
-        assert overlay.fingerprint() not in cache
 
     def test_clear_resets_stats(self):
         cache = TableCache()

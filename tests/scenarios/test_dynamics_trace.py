@@ -24,6 +24,7 @@ from repro.scenarios import (
     Churn,
     Compose,
     NodeJoin,
+    PathCaching,
     PolicyOverride,
     TopologyDelta,
     TraceReplay,
@@ -201,6 +202,22 @@ class TestDynamicsTraceContainer:
         path = tmp_path / "short.json"
         path.write_text(json.dumps(document))
         with pytest.raises(ConfigurationError, match="header says"):
+            DynamicsTrace.load(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("enabled", "false"), ("capacity", 12.9), ("capacity", "12"),
+        ("enabled", 0),
+    ])
+    def test_coerced_event_field_rejected(self, tmp_path, field, value):
+        trace = record_dynamics(PathCaching(size=12), CTX)
+        document = trace.to_json()
+        event = document["streams"][0][0][0]
+        assert event["kind"] == "cache"
+        event[field] = value
+        path = tmp_path / "coerced.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ConfigurationError,
+                           match=f"cannot read dynamics trace.*{field!r}"):
             DynamicsTrace.load(path)
 
 
