@@ -22,7 +22,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                 "latency_distribution"],
     "plots": ["ascii_bars", "ascii_histogram", "ascii_lorenz"],
     "reports": ["Table"],
-    "sensitivity": ["MetricEstimate", "compare_configs", "replicate"],
+    "sensitivity": ["compare_configs"],
     "stats": ["Summary", "bootstrap_gini_interval",
               "mean_confidence_interval", "summarize"],
     "streaming": ["QuantileSketch", "StreamingAggregator"],

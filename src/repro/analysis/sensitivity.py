@@ -1,25 +1,25 @@
 """Seed-sensitivity analysis: are the paper's deltas robust?
 
 The paper runs each configuration once with a fixed seed. This module
-replicates a configuration across independent workload seeds and
-reports the mean and confidence interval of any metric, so claims
-like "k=20 lowers the F2 Gini by 7 %" can be checked for seed
-robustness rather than read off a single run.
+compares two configurations across paired workload seeds and reports
+the mean and confidence interval of the relative change in a metric,
+so claims like "k=20 lowers the F2 Gini by 7 %" can be checked for
+seed robustness rather than read off a single run. (Seed replicas of
+one configuration are a sweep: ``SweepSpec(seeds=N)``.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
-from .._validation import require_int
 from ..errors import ConfigurationError
 from .stats import mean_confidence_interval
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..backends.fast import FastSimulationConfig, SimulationResult
 
-__all__ = ["MetricEstimate", "replicate", "compare_configs"]
+__all__ = ["compare_configs"]
 
 #: A metric maps a simulation result to one number.
 Metric = Callable[["SimulationResult"], float]
@@ -31,50 +31,6 @@ def _fast_simulation():
     from ..backends.fast import FastSimulation
 
     return FastSimulation
-
-
-@dataclass(frozen=True)
-class MetricEstimate:
-    """Mean and confidence interval of a metric across replications."""
-
-    name: str
-    mean: float
-    low: float
-    high: float
-    samples: tuple[float, ...]
-
-    def __str__(self) -> str:
-        return (
-            f"{self.name} = {self.mean:.4f} "
-            f"[{self.low:.4f}, {self.high:.4f}] "
-            f"(n={len(self.samples)})"
-        )
-
-
-def replicate(config: "FastSimulationConfig", metrics: dict[str, Metric],
-              n_replications: int = 5, *, base_seed: int = 1000,
-              confidence: float = 0.95) -> dict[str, MetricEstimate]:
-    """Run *config* under several workload seeds; estimate each metric."""
-    require_int(n_replications, "n_replications")
-    if n_replications < 2:
-        raise ConfigurationError(
-            "sensitivity analysis needs at least 2 replications"
-        )
-    simulation_cls = _fast_simulation()
-    samples: dict[str, list[float]] = {name: [] for name in metrics}
-    for replication in range(n_replications):
-        seeded = replace(config, workload_seed=base_seed + replication)
-        result = simulation_cls(seeded).run()
-        for name, metric in metrics.items():
-            samples[name].append(metric(result))
-    estimates = {}
-    for name, values in samples.items():
-        mean, low, high = mean_confidence_interval(values, confidence)
-        estimates[name] = MetricEstimate(
-            name=name, mean=mean, low=low, high=high,
-            samples=tuple(values),
-        )
-    return estimates
 
 
 def compare_configs(baseline: "FastSimulationConfig",

@@ -601,7 +601,8 @@ class FastSimulation:
 
     def flatten_events(self, events) -> tuple[np.ndarray, np.ndarray,
                                               np.ndarray]:
-        """Flatten a micro-batch of download events into kernel columns.
+        """Flatten download events (a micro-batch, or a whole workload's
+        event stream) into kernel columns.
 
         Returns ``(file_origins, sizes, targets)`` in the same dtypes
         and layout as ``_flatten_workload`` — per-file dense origin
@@ -745,24 +746,7 @@ class FastSimulation:
                 dtype=entry_dt, count=len(chosen),
             )
             return file_origins, sizes, targets
-        origin_list: list[int] = []
-        size_list: list[int] = []
-        target_parts: list[np.ndarray] = []
-        for event in workload.events(nodes, self.space):
-            origin_list.append(self.overlay.index_of(int(event.originator)))
-            size_list.append(event.n_chunks)
-            target_parts.append(
-                np.asarray(event.chunk_addresses).astype(target_dt)
-            )
-        if not target_parts:
-            return (np.empty(0, dtype=entry_dt),
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=target_dt))
-        return (
-            np.asarray(origin_list, dtype=entry_dt),
-            np.asarray(size_list, dtype=np.int64),
-            np.concatenate(target_parts),
-        )
+        return self.flatten_events(workload.events(nodes, self.space))
 
     def _route_batch(self, origins: np.ndarray, targets: np.ndarray,
                      result: SimulationResult, *,

@@ -2,7 +2,7 @@
 
 Wraps :class:`~repro.swarm.network.SwarmNetwork` behind the
 :class:`~repro.backends.base.SimulationBackend` protocol so the same
-experiment runners, benchmarks, and equivalence tests can drive the
+experiment runners, sweeps, and equivalence tests can drive the
 reference implementation and the vectorized engine interchangeably.
 Every chunk movement still updates the full SWAP ledger — use this for
 observability and cross-validation, not for paper-scale volume.

@@ -798,10 +798,15 @@ def _sweep_work_run(args: argparse.Namespace) -> int:
 def _bench_run(args: argparse.Namespace) -> int:
     import json
 
-    from .perf.bench import MAX_REGRESSION, compare, read_runs
+    from .perf.bench import MAX_REGRESSION, compare, read_json, read_runs
 
     try:
         runs = read_runs(args.logs)
+        records = (read_json(args.record, "benchmark record")
+                   if args.record.exists() else [])
+        spec = None if args.append else read_json(
+            args.record.resolve().parent / "BENCHMARK.json",
+            "benchmark spec")
     except ConfigurationError as error:
         print(f"repro-swarm bench: {error}", file=sys.stderr)
         return 1
@@ -809,8 +814,6 @@ def _bench_run(args: argparse.Namespace) -> int:
         print("repro-swarm bench: the logs hold no perfbench run",
               file=sys.stderr)
         return 1
-    records = (json.loads(args.record.read_text())
-               if args.record.exists() else [])
     if args.append:
         # A record must describe code that can be checked out again.
         refused = [
@@ -829,8 +832,6 @@ def _bench_run(args: argparse.Namespace) -> int:
             json.dumps(records + runs, indent=2, sort_keys=True) + "\n")
         print(f"appended {len(runs)} run(s) to {args.record}")
         return 0
-    spec = json.loads(
-        (args.record.resolve().parent / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"]
               for metric in spec["end_to_end"]}
     problems = compare(runs, records, better)

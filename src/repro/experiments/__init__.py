@@ -5,7 +5,7 @@ The vectorized simulation engine lives in :mod:`repro.backends`;
 :mod:`repro.experiments.ablations` covers the §V future-work
 extensions; :mod:`repro.experiments.scenarios` runs the composed
 network dynamics; :mod:`repro.experiments.registry` indexes
-everything for the CLI and benchmarks.
+everything for the CLI.
 """
 
 from .ablations import (

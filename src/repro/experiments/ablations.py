@@ -440,7 +440,6 @@ def run_baselines(n_files: int = 1000, n_nodes: int = 300) -> ExperimentReport:
     }
     filecoin = FilecoinMechanism(power, FilecoinConfig())
     router = Router(overlay)
-    replay_rng = np.random.default_rng(99)
     workload = config.workload()
     for event in workload.events(overlay.address_array(), overlay.space):
         for chunk in event.chunk_addresses:
@@ -448,7 +447,6 @@ def run_baselines(n_files: int = 1000, n_nodes: int = 300) -> ExperimentReport:
             per_chunk.process_route(route)
             equal_split.process_route(route)
             filecoin.process_route(route)
-    del replay_rng
 
     table = Table(
         title="mechanism vs fairness (same traffic where applicable)",

@@ -14,7 +14,7 @@ a 1000-node overlay. Each runner below reproduces one artifact:
 
 All runners share one :func:`run_grid` so a combined invocation
 simulates each cell exactly once. ``n_files``/``n_nodes`` scale the
-experiment down for benchmarks; paper scale is the default.
+experiment down for tests; paper scale is the default.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Experiment registry: names -> runners.
 
-The single source of truth the CLI and benchmarks use to find
+The single source of truth the CLI and tests use to find
 experiments. Every entry maps the DESIGN.md experiment id to its
 runner and a short description; runners accept ``n_files`` /
 ``n_nodes`` keyword arguments so callers can scale them.

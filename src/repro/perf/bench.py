@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import json
 import re
-from pathlib import Path
 
+from .._files import TextLines
 from ..errors import ConfigurationError
 
-__all__ = ["LATENCY_PROFILE", "MAX_REGRESSION", "read_runs", "compare"]
+__all__ = ["LATENCY_PROFILE", "MAX_REGRESSION", "read_json", "read_runs",
+           "compare"]
 
 #: The time-domain workload: contended fair-share bandwidth with
 #: Poisson arrivals and 10 ms completion slots — dense enough that
@@ -43,49 +44,49 @@ MAX_REGRESSION = 2.0
 _WORKLOAD_LINE = re.compile(r"workload (\S+) seed (-?\d+):")
 
 
-def _rss_kib() -> int:
-    """Current resident set size in KiB (Linux; ru_maxrss fallback)."""
-    try:
-        with open("/proc/self/status", "r", encoding="ascii") as handle:
-            for line in handle:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1])
-    except OSError:  # pragma: no cover - non-Linux
-        pass
-    import resource  # pragma: no cover - non-Linux
-
-    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-
-
 def read_runs(paths) -> list[dict]:
     """One record per ``workload`` line in the perfbench logs *paths*."""
     runs = []
     for path in paths:
         run = None
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            head = _WORKLOAD_LINE.match(line)
-            if head:
-                if run is not None:
-                    break  # the open run has no result line: refused below
-                run = {"workload": head[1], "seed": int(head[2]),
-                       "provenance": {}}
-            elif run is None:
-                continue
-            elif line.startswith("provenance: "):
-                run["provenance"] = json.loads(line[len("provenance: "):])
-            elif line.startswith('{"correct"'):
-                result = json.loads(line)
-                runs.append({**run, "correct": result["correct"],
-                             "attempted": result["attempted"],
-                             "failed": result["failed"],
-                             "metrics": {name: metric["value"] for name, metric
-                                         in result["metrics"].items()}})
-                run = None
+        with TextLines(path, "perfbench log") as lines:
+            for line in lines:
+                head = _WORKLOAD_LINE.match(line)
+                if head:
+                    if run is not None:
+                        break  # the open run has no result line
+                    run = {"workload": head[1], "seed": int(head[2]),
+                           "provenance": {}}
+                elif run is None:
+                    continue
+                elif line.startswith("provenance: "):
+                    run["provenance"] = json.loads(line[len("provenance: "):])
+                elif line.startswith('{"correct"'):
+                    result = json.loads(line)
+                    runs.append({**run, "correct": result["correct"],
+                                 "attempted": result["attempted"],
+                                 "failed": result["failed"],
+                                 "metrics": {name: metric["value"]
+                                             for name, metric
+                                             in result["metrics"].items()}})
+                    run = None
         if run is not None:
             raise ConfigurationError(
                 f"{path}: workload {run['workload']} has no JSON result "
                 f"line after its workload line")
     return runs
+
+
+def read_json(path, what: str):
+    """The JSON document in *path*; a file that cannot be read or
+    parsed is refused by name (:class:`ConfigurationError`)."""
+    with TextLines(path, what) as lines:
+        text = "".join(lines)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as error:
+        raise ConfigurationError(
+            f"cannot read {what} {path}: not JSON ({error})") from None
 
 
 def compare(runs, records, better) -> list[str]:

@@ -1,7 +1,7 @@
 """Sweep orchestration: expand, execute, persist, aggregate.
 
 :func:`run_sweep` is the one entry point the CLI, the registry-level
-replicated experiments, and the benchmarks share::
+replicated experiments, and perfbench's sweep-grid workload share::
 
     spec = SweepSpec(grid={"bucket_size": (4, 8, 16)}, seeds=10,
                      backends=("fast", "reference"))
@@ -13,8 +13,10 @@ Execution goes through :mod:`repro.sweeps.executors` (serial or a
 spawn-safe process pool); completed points stream into the
 :class:`~repro.sweeps.store.SweepStore` as they finish, so an
 interrupted sweep resumes where it stopped. ``points_per_second``
-counts only freshly executed points — the number
-``benchmarks/bench_sweep.py`` compares serial vs parallel.
+counts only freshly executed points. perfbench's sweep-grid workload
+measures the pool against the serial loop (``points_per_s`` vs
+``sweeps.serial_points_per_s``); ``tests/sweeps/test_determinism.py``
+pins their records identical.
 
 Runs are fault-tolerant end to end: failed points retry under a
 deterministic policy and quarantine into the store's ``failures``

@@ -4,50 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.sensitivity import compare_configs, replicate
-from repro.errors import ConfigurationError
+from repro.analysis.sensitivity import compare_configs
 from repro.backends.fast import FastSimulationConfig
 
 CONFIG = FastSimulationConfig(
     n_nodes=100, bits=12, bucket_size=4, originator_share=0.5,
     n_files=40, file_min=5, file_max=20, overlay_seed=6,
 )
-
-
-class TestReplicate:
-    def test_estimates_for_every_metric(self):
-        estimates = replicate(
-            CONFIG,
-            {"f2": lambda r: r.f2_gini(), "hops": lambda r: r.mean_hops},
-            n_replications=3,
-        )
-        assert set(estimates) == {"f2", "hops"}
-        for estimate in estimates.values():
-            assert estimate.low <= estimate.mean <= estimate.high
-            assert len(estimate.samples) == 3
-
-    def test_samples_vary_across_seeds(self):
-        estimates = replicate(
-            CONFIG, {"f2": lambda r: r.f2_gini()}, n_replications=3,
-        )
-        assert len(set(estimates["f2"].samples)) > 1
-
-    def test_deterministic(self):
-        a = replicate(CONFIG, {"f2": lambda r: r.f2_gini()},
-                      n_replications=3)
-        b = replicate(CONFIG, {"f2": lambda r: r.f2_gini()},
-                      n_replications=3)
-        assert a["f2"].samples == b["f2"].samples
-
-    def test_too_few_replications_rejected(self):
-        with pytest.raises(ConfigurationError):
-            replicate(CONFIG, {"f2": lambda r: r.f2_gini()},
-                      n_replications=1)
-
-    def test_str_format(self):
-        estimates = replicate(CONFIG, {"f2": lambda r: r.f2_gini()},
-                              n_replications=2)
-        assert "f2 = " in str(estimates["f2"])
 
 
 class TestCompareConfigs:

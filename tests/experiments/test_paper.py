@@ -69,6 +69,14 @@ class TestTable1:
         report = run_table1(N_FILES, N_NODES)
         assert any("1." in note for note in report.notes)
 
+    @pytest.mark.parametrize("share", ["0.2", "1.0"])
+    def test_k4_forwards_within_the_papers_band(self, share):
+        # Paper: k=4 forwards 1.52x (20 %) and 1.47x (100 %) what
+        # k=20 does.
+        grid = run_table1(N_FILES, N_NODES).data["grid"]
+        ratio = grid[f"k=4,share={share}"] / grid[f"k=20,share={share}"]
+        assert 1.1 < ratio < 2.5
+
 
 class TestFig4:
     def test_four_panels(self):
@@ -82,6 +90,12 @@ class TestFig4:
         report = run_fig4(N_FILES, N_NODES)
         assert report.data["area_ratio_0.2"] > 1.0
         assert report.data["area_ratio_1.0"] > 1.0
+
+    @pytest.mark.parametrize("share", ["0.2", "1.0"])
+    def test_area_ratio_within_the_papers_band(self, share):
+        # Paper: 1.6x at 20 % originators, 1.25x at 100 %.
+        report = run_fig4(N_FILES, N_NODES)
+        assert 1.0 < report.data[f"area_ratio_{share}"] < 2.5
 
 
 class TestFig5:
@@ -101,6 +115,13 @@ class TestFig6:
         report = run_fig6(N_FILES, N_NODES)
         gini = report.data["gini"]
         assert gini["k=20,share=1.0"] < gini["k=4,share=0.2"]
+
+    def test_extremes(self):
+        # k=20 with 100 % originators is closest to full equity, k=4
+        # with 20 % originators the most uneven of the four.
+        gini = run_fig6(N_FILES, N_NODES).data["gini"]
+        assert gini["k=20,share=1.0"] == min(gini.values())
+        assert gini["k=4,share=0.2"] == max(gini.values())
 
 
 class TestHeadline:

@@ -189,6 +189,64 @@ class TestRunServe:
         assert final["unavailable"] > 0  # the churn actually bit
 
 
+#: RSS growth allowed between an early micro-epoch and the end of a
+#: stream. The session's state is a few MiB at paper scale; the slack
+#: absorbs allocator noise on shared hosts.
+MAX_RSS_GROWTH_KIB = 64_000
+
+
+def rss_kib() -> int:
+    """This process's resident set size in KiB (Linux ``/proc``)."""
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+    raise AssertionError("no VmRSS line in /proc/self/status")
+
+
+class RssProbe:
+    """An output sink that drops each line and samples RSS once, after
+    the *early*-th."""
+
+    def __init__(self, early: int) -> None:
+        self.early = early
+        self.lines = 0
+        self.early_kib = None
+
+    def write(self, text: str) -> None:
+        self.lines += 1
+        if self.lines == self.early:
+            self.early_kib = rss_kib()
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmRSS from /proc")
+def test_memory_stays_bounded_over_a_long_stream():
+    """The session holds O(n_nodes) state plus one micro-batch.
+
+    2,000 micro-epochs of 16 requests on the paper's 1000-node
+    overlay: keeping as little as one epoch's result vectors (~35 KiB
+    here) per epoch would grow RSS past the bound.
+    """
+    config = FastSimulationConfig()
+    simulation = FastSimulation(config)
+    rng = np.random.default_rng(11)
+    sizes = rng.integers(2, 7, size=32_000)
+    origins = rng.choice(simulation.overlay.address_array(), sizes.size)
+    chunks = rng.integers(0, simulation.space.size, size=int(sizes.sum()))
+    parts = np.split(chunks, np.cumsum(sizes)[:-1])
+    lines = (json.dumps({"originator": int(origin),
+                         "chunks": part.tolist()}) + "\n"
+             for origin, part in zip(origins, parts))
+    probe = RssProbe(early=10)
+    run_serve(config, lines, probe, max_batch=16)
+    assert probe.lines == 2_001  # a snapshot per micro-epoch + final
+    assert rss_kib() - probe.early_kib < MAX_RSS_GROWTH_KIB
+
+
 class TestServeCli:
     def test_cli_serve_file_input(self, tmp_path, capsys):
         path = tmp_path / "requests.ndjson"

@@ -149,3 +149,24 @@ def test_committed_record_is_clean_correct_and_covers_every_workload():
     seeds = {record["seed"] for record in records}
     assert any({r["workload"] for r in records if r["seed"] == seed}
                == workloads for seed in seeds)
+
+
+@pytest.mark.parametrize("broken, damage", [
+    ("log", "missing"), ("log", "not UTF-8"),
+    ("record", "not UTF-8"), ("record", "not JSON"),
+    ("spec", "missing"), ("spec", "not UTF-8"),
+])
+def test_an_unreadable_input_is_refused_in_one_line_naming_it(
+        bench, tmp_path, capsys, broken, damage):
+    log = tmp_path / "perf.log"
+    log.write_text(perfbench_log())
+    path = {"log": log, "record": bench.record,
+            "spec": tmp_path / "BENCHMARK.json"}[broken]
+    if damage == "missing":
+        path.unlink()
+    else:
+        path.write_bytes(b"\xff\n" if damage == "not UTF-8" else b"{\n")
+    code = main(["bench", str(log), "--record", str(bench.record)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and str(path.resolve()) in err

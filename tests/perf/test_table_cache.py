@@ -280,3 +280,28 @@ class TestEpochTableCache:
         big = np.zeros(64, dtype=np.uint16)
         assert cache.get("big", lambda: big) is big
         assert "big" in cache and len(cache) == 1
+
+    def test_seed_replicas_resolve_every_epoch_table_from_cache(self):
+        # What each extra sweep seed does: replay the same scenario
+        # schedule under another workload seed.
+        import dataclasses
+
+        from repro.backends import run_simulation
+        from repro.backends.config import FastSimulationConfig
+        from repro.perf.table_cache import global_epoch_table_cache
+
+        base = FastSimulationConfig(
+            n_nodes=300, n_files=400, batch_files=64, catalog_size=200,
+            originator_share=0.5,
+            scenario="churn:rate=0.1,recompute=true+caching:size=256",
+        )
+        stats = global_epoch_table_cache().stats
+        run_simulation(base)
+        cold = stats.snapshot()
+        for seed in (8, 9):
+            run_simulation(dataclasses.replace(base, workload_seed=seed))
+        warm = stats.snapshot()
+        assert cold["patches"] + cold["rebuilds"] > 0
+        assert warm["patches"] == cold["patches"]
+        assert warm["rebuilds"] == cold["rebuilds"]
+        assert warm["hits"] > cold["hits"]
