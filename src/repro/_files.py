@@ -1,19 +1,21 @@
 """The one rule for opening the text files a command reads or writes.
 
-A file that cannot be opened, or a line that is not UTF-8, raises
-:class:`~repro.errors.InputError` naming the path (and the line),
-which the CLI refuses in one line with exit status 2.
+A file that cannot be opened, a line that is not UTF-8, or a JSON
+document that does not parse raises :class:`~repro.errors.InputError`
+naming the path (and the line), which the CLI refuses in one line
+with exit status 2.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 from typing import IO, Iterator
 
 from .errors import InputError
 
-__all__ = ["TextLines", "open_output"]
+__all__ = ["TextLines", "open_output", "read_json"]
 
 
 class TextLines:
@@ -57,3 +59,15 @@ def open_output(path: str | Path, what: str) -> IO[str]:
         raise InputError(
             f"cannot write {what} {path}: {error.strerror or error}"
         ) from None
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON document in *path*, refused by name when the file
+    cannot be read or does not parse."""
+    with TextLines(path, what) as lines:
+        text = "".join(lines)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as error:
+        raise InputError(
+            f"cannot read {what} {path}: not JSON ({error})") from None

@@ -25,6 +25,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "sensitivity": ["compare_configs"],
     "stats": ["Summary", "bootstrap_gini_interval",
               "mean_confidence_interval", "summarize"],
-    "streaming": ["QuantileSketch", "StreamingAggregator"],
+    "streaming": ["StreamingAggregator"],
     "table_viz": ["render_bucket_occupancy", "render_routing_table"],
 })

@@ -1,168 +1,26 @@
-"""Bounded-memory online aggregates for streaming runs.
+"""Bounded-memory online aggregates for the serve daemon.
 
 A batch run finishes with a full :class:`SimulationResult` and only
-then computes metrics; a streaming run never finishes — it needs
+then computes metrics; ``repro-swarm serve`` never finishes — it needs
 rolling metrics *while* micro-epochs flow through, in state that does
-not grow with the stream. This module provides that state:
-
-* :class:`StreamingAggregator` — O(n_nodes) per-node vectors plus
-  scalar counters, absorbed one micro-epoch result at a time.
-  Because the per-node vectors are held exactly (they are the same
-  fixed-size arrays the batch run fills), every emitted metric —
-  mean hops, availability, the paper's F1/F2 Gini — is *exactly* the
-  batch value over the events seen so far, not an approximation.
-  Aggregators merge associatively, so shards of a stream processed
-  on different workers combine to the same totals (the Hypothesis
-  property suite pins merge algebra and batch-size invariance).
-* :class:`QuantileSketch` — a DDSketch-style logarithmic-bucket
-  sketch for the one per-chunk (stream-length-proportional) output
-  the engine produces, measured latency. Relative-error quantiles
-  and a grouped-data Gini estimate in O(log range) buckets, exactly
-  mergeable (bucket counts add).
-
-``repro-swarm serve`` holds one aggregator per session and emits
-:meth:`StreamingAggregator.snapshot` lines as batches complete.
+not grow with the stream. :class:`StreamingAggregator` is that state:
+O(n_nodes) per-node vectors plus scalar counters, absorbed one
+micro-epoch result at a time. Because the per-node vectors are held
+exactly (they are the same fixed-size arrays the batch run fills),
+every emitted metric — mean hops, availability, the paper's F1/F2
+Gini — is *exactly* the batch value over the requests seen so far,
+not an approximation. The daemon holds one aggregator per session and
+emits :meth:`StreamingAggregator.snapshot` lines as batches complete.
 """
 
 from __future__ import annotations
-
-import math
-from typing import Iterable
 
 import numpy as np
 
 from ..core.fairness import evaluate_fairness, gini
 from ..errors import ConfigurationError
 
-__all__ = ["QuantileSketch", "StreamingAggregator"]
-
-
-class QuantileSketch:
-    """Mergeable log-bucket quantile sketch (DDSketch flavor).
-
-    Values are counted into geometric buckets ``gamma**k`` with
-    ``gamma = (1+alpha)/(1-alpha)``, which bounds every quantile
-    estimate's *relative* error by ``alpha``. Buckets are a sparse
-    ``dict`` — memory grows with the dynamic range's logarithm, not
-    the sample count — and two sketches with the same ``alpha`` merge
-    by adding bucket counts, exactly and associatively.
-    """
-
-    def __init__(self, alpha: float = 0.01) -> None:
-        if not 0.0 < alpha < 1.0:
-            raise ConfigurationError(
-                f"sketch relative accuracy must be in (0, 1), got {alpha}"
-            )
-        self.alpha = float(alpha)
-        self.gamma = (1.0 + self.alpha) / (1.0 - self.alpha)
-        self._log_gamma = math.log(self.gamma)
-        # Values at or below this count as "zero" (one shared bucket):
-        # far below any measured millisecond latency.
-        self.min_value = 1e-9
-        self.zero_count = 0
-        self.buckets: dict[int, int] = {}
-        self.count = 0
-
-    def add(self, values: Iterable[float] | np.ndarray) -> None:
-        """Count a batch of non-negative samples into the sketch."""
-        array = np.asarray(values, dtype=np.float64).ravel()
-        if array.size == 0:
-            return
-        if float(array.min()) < 0.0:
-            raise ConfigurationError(
-                "quantile sketch samples must be non-negative"
-            )
-        self.count += int(array.size)
-        small = array <= self.min_value
-        n_small = int(np.count_nonzero(small))
-        if n_small:
-            self.zero_count += n_small
-            array = array[~small]
-        if array.size == 0:
-            return
-        keys = np.ceil(
-            np.log(array) / self._log_gamma
-        ).astype(np.int64)
-        uniques, counts = np.unique(keys, return_counts=True)
-        for key, n in zip(uniques.tolist(), counts.tolist()):
-            self.buckets[key] = self.buckets.get(key, 0) + int(n)
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """A new sketch counting both inputs' samples."""
-        if other.alpha != self.alpha:
-            raise ConfigurationError(
-                f"cannot merge sketches with different accuracies "
-                f"({self.alpha} vs {other.alpha})"
-            )
-        merged = QuantileSketch(self.alpha)
-        merged.zero_count = self.zero_count + other.zero_count
-        merged.count = self.count + other.count
-        merged.buckets = dict(self.buckets)
-        for key, n in other.buckets.items():
-            merged.buckets[key] = merged.buckets.get(key, 0) + n
-        return merged
-
-    def _bucket_value(self, key: int) -> float:
-        """Representative value of bucket *key* (geometric midpoint)."""
-        return 2.0 * self.gamma ** key / (self.gamma + 1.0)
-
-    def quantile(self, q: float) -> float:
-        """The *q*-quantile estimate (relative error <= alpha)."""
-        if not 0.0 <= q <= 1.0:
-            raise ConfigurationError(
-                f"quantile must be in [0, 1], got {q}"
-            )
-        if self.count == 0:
-            raise ConfigurationError("empty sketch has no quantiles")
-        rank = q * (self.count - 1)
-        seen = self.zero_count
-        if rank < seen:
-            return 0.0
-        for key in sorted(self.buckets):
-            seen += self.buckets[key]
-            if rank < seen:
-                return self._bucket_value(key)
-        return self._bucket_value(max(self.buckets))
-
-    def gini(self) -> float:
-        """Grouped-data Gini estimate over the sketched samples.
-
-        Uses the Lorenz trapezoid formula with each bucket collapsed
-        to its representative value — the sketch analogue of the
-        exact :func:`~repro.core.fairness.gini`.
-        """
-        if self.count == 0:
-            return 0.0
-        values = [0.0] + [
-            self._bucket_value(key) for key in sorted(self.buckets)
-        ]
-        weights = [self.zero_count] + [
-            self.buckets[key] for key in sorted(self.buckets)
-        ]
-        total_weight = float(sum(weights))
-        total_mass = sum(v * w for v, w in zip(values, weights))
-        if total_mass <= 0.0:
-            return 0.0
-        area = 0.0
-        lorenz_prev = 0.0
-        mass = 0.0
-        for value, weight in zip(values, weights):
-            mass += value * weight
-            lorenz = mass / total_mass
-            area += (weight / total_weight) * (lorenz_prev + lorenz)
-            lorenz_prev = lorenz
-        return 1.0 - area
-
-    def summary(self) -> dict:
-        """Plain-data form for NDJSON snapshots."""
-        if self.count == 0:
-            return {"count": 0}
-        return {
-            "count": self.count,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
-        }
+__all__ = ["StreamingAggregator"]
 
 
 class StreamingAggregator:
@@ -174,11 +32,11 @@ class StreamingAggregator:
     :meth:`summary` over a fully absorbed stream equals the batch
     run's metrics — exactly, including the float income/expenditure
     totals, because chunk prices are dyadic rationals whose sums
-    never round (the streaming golden tests pin this bit-for-bit).
+    never round (``tests/integration/test_serve.py`` pins this
+    against ``run()`` on every golden configuration).
     """
 
-    def __init__(self, node_addresses: np.ndarray, *,
-                 latency_alpha: float = 0.01) -> None:
+    def __init__(self, node_addresses: np.ndarray) -> None:
         n = len(node_addresses)
         self.node_addresses = np.asarray(node_addresses, dtype=np.int64)
         self.forwarded = np.zeros(n, dtype=np.int64)
@@ -194,7 +52,6 @@ class StreamingAggregator:
         self.unavailable = 0
         self.hop_histogram: dict[int, int] = {}
         self.epochs = 0
-        self.latency = QuantileSketch(latency_alpha)
 
     @property
     def n_nodes(self) -> int:
@@ -225,46 +82,8 @@ class StreamingAggregator:
             self.hop_histogram[hops] = (
                 self.hop_histogram.get(hops, 0) + count
             )
-        if result.latency_ms is not None:
-            self.latency.add(result.latency_ms)
         self.epochs += epochs
         return self
-
-    def merge(self, other: "StreamingAggregator") -> "StreamingAggregator":
-        """A new aggregator over both inputs' streams.
-
-        Integer counters, histograms and sketch buckets add exactly,
-        so merge is associative and commutative; the float vectors
-        add in argument order (exact too under the engine's dyadic
-        prices).
-        """
-        if not np.array_equal(other.node_addresses, self.node_addresses):
-            raise ConfigurationError(
-                "cannot merge aggregators over different overlays "
-                "(node addresses differ)"
-            )
-        merged = StreamingAggregator(
-            self.node_addresses, latency_alpha=self.latency.alpha
-        )
-        merged.forwarded = self.forwarded + other.forwarded
-        merged.first_hop = self.first_hop + other.first_hop
-        merged.income = self.income + other.income
-        merged.expenditure = self.expenditure + other.expenditure
-        merged.files = self.files + other.files
-        merged.chunks = self.chunks + other.chunks
-        merged.total_hops = self.total_hops + other.total_hops
-        merged.local_hits = self.local_hits + other.local_hits
-        merged.fallbacks = self.fallbacks + other.fallbacks
-        merged.cache_hits = self.cache_hits + other.cache_hits
-        merged.unavailable = self.unavailable + other.unavailable
-        merged.hop_histogram = dict(self.hop_histogram)
-        for hops, count in other.hop_histogram.items():
-            merged.hop_histogram[hops] = (
-                merged.hop_histogram.get(hops, 0) + count
-            )
-        merged.epochs = self.epochs + other.epochs
-        merged.latency = self.latency.merge(other.latency)
-        return merged
 
     # ------------------------------------------------------------------
     # Metrics (each exact over the events absorbed so far)
@@ -301,7 +120,7 @@ class StreamingAggregator:
 
     def snapshot(self) -> dict:
         """Rolling aggregate line (the serve NDJSON output schema)."""
-        out = {
+        return {
             "epochs": self.epochs,
             "files": self.files,
             "chunks": self.chunks,
@@ -316,9 +135,6 @@ class StreamingAggregator:
             "total_income": float(self.income.sum()),
             "total_expenditure": float(self.expenditure.sum()),
         }
-        if self.latency.count:
-            out["latency_ms"] = self.latency.summary()
-        return out
 
     def summary(self) -> dict:
         """Final aggregate: the snapshot plus the full-stream extras.
@@ -337,20 +153,3 @@ class StreamingAggregator:
             for h in sorted(self.hop_histogram)
         }
         return out
-
-    def matches_result(self, result) -> bool:
-        """Exact equality against a batch result's totals (tests/CI)."""
-        return (
-            np.array_equal(self.forwarded, result.forwarded)
-            and np.array_equal(self.first_hop, result.first_hop)
-            and np.array_equal(self.income, result.income)
-            and np.array_equal(self.expenditure, result.expenditure)
-            and self.files == result.files
-            and self.chunks == result.chunks
-            and self.total_hops == result.total_hops
-            and self.local_hits == result.local_hits
-            and self.fallbacks == result.fallbacks
-            and self.cache_hits == result.cache_hits
-            and self.unavailable == result.unavailable
-            and dict(self.hop_histogram) == dict(result.hop_histogram)
-        )

@@ -601,8 +601,7 @@ class FastSimulation:
 
     def flatten_events(self, events) -> tuple[np.ndarray, np.ndarray,
                                               np.ndarray]:
-        """Flatten download events (a micro-batch, or a whole workload's
-        event stream) into kernel columns.
+        """Flatten a workload's download event stream into kernel columns.
 
         Returns ``(file_origins, sizes, targets)`` in the same dtypes
         and layout as ``_flatten_workload`` — per-file dense origin
@@ -627,42 +626,6 @@ class FastSimulation:
         targets = (np.concatenate(parts) if parts
                    else np.empty(0, dtype=target_dt))
         return file_origins, sizes, targets
-
-    def run_stream(self, batches, *, n_epochs: int | None = None,
-                   unpaid_origins: np.ndarray | None = None,
-                   on_epoch=None) -> SimulationResult:
-        """Consume an iterator of micro-batches of download events.
-
-        *batches* yields bounded sequences of
-        :class:`~repro.workloads.generators.FileDownload` events (a
-        :meth:`~repro.workloads.streams.WorkloadStream.batches`
-        iterator, or any iterable of event lists). Each micro-batch
-        routes as one micro-epoch against a persistent
-        :class:`StreamSession`, so memory stays bounded by the largest
-        single batch plus the O(n_nodes) result vectors — the whole
-        workload is never materialized.
-
-        Scenario configs must pass ``n_epochs`` (the schedule is sized
-        per epoch up front); feed ``batch_files``-file batches to make
-        the stream bit-identical to the one-shot batch run, which
-        segments epochs on exactly that boundary. ``on_epoch(epoch,
-        result)`` is called after each micro-epoch with the cumulative
-        result — the hook rolling aggregates hang off.
-        """
-        started = time.perf_counter()
-        result = self.new_result()
-        with StreamSession(self, result=result, n_epochs=n_epochs,
-                           unpaid_origins=unpaid_origins) as session:
-            for batch in batches:
-                file_origins, sizes, targets = self.flatten_events(batch)
-                if sizes.size == 0:
-                    continue
-                result.files += len(sizes)
-                session.feed(np.repeat(file_origins, sizes), targets)
-                if on_epoch is not None:
-                    on_epoch(session.epochs_fed, result)
-        result.elapsed_seconds = time.perf_counter() - started
-        return result
 
     # ------------------------------------------------------------------
     # Batched hot path
@@ -1135,13 +1098,16 @@ class StreamSession:
     delta-patched storer tables, cache state, coded patches) and the
     shared working coded matrix — and keeps them alive *across*
     micro-batches: :meth:`feed` routes one flattened batch of chunk
-    columns as the next epoch, executing exactly the loop body the
-    one-shot batch run executes per ``batch_files`` slab. That makes
-    a stream of slab-sized batches bit-identical to the batch run
-    (the streaming golden tests pin every counter), and it is what
-    lets ``repro-swarm serve`` run indefinitely in bounded memory:
-    session state is O(n_nodes) + the coded patches, independent of
-    how many batches flow through.
+    columns as the next epoch. It is the one epoch loop, with two
+    drivers: the one-shot run feeds one ``batch_files`` slab per
+    epoch (:meth:`FastSimulation._route_slabs`), and
+    ``repro-swarm serve`` feeds one decoded request micro-batch per
+    epoch (:func:`repro.serve.run_serve`). Serving in slab-sized
+    batches is therefore bit-identical to the batch run
+    (``tests/integration/test_serve.py`` pins every counter on each
+    golden configuration), and session state is O(n_nodes) + the
+    coded patches, however many batches flow through, so the daemon
+    runs indefinitely in bounded memory.
 
     A *recorder* (the time backend's path recorder) observes every
     wave the session routes; :meth:`feed` then takes the per-chunk
@@ -1223,7 +1189,7 @@ class StreamSession:
         produces. Counters accumulate into the session's cumulative
         result, or into *into* when given (the serve daemon routes
         each micro-epoch into a fresh scratch result and absorbs it
-        into a mergeable aggregator). *ids* is the per-chunk id
+        into its aggregator). *ids* is the per-chunk id
         column a recorder session reports paths under.
         """
         if self._closed:

@@ -585,77 +585,6 @@ class TimedSimulation:
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
-    def run_stream(self, batches, *, n_epochs: int | None = None,
-                   on_epoch=None) -> SimulationResult:
-        """Consume an iterator of micro-batches of download events.
-
-        The time-domain sibling of ``FastSimulation.run_stream``: the
-        path recorder rides the same persistent
-        :class:`~repro.backends.fast.StreamSession` (one plan, coded
-        patches reused across batches), and Poisson arrivals continue
-        the *same* RNG stream across batches — per-batch exponential
-        draws consume the generator exactly as the one-shot run's
-        single draw does, and the arrival cumsum is continued
-        sequentially from the previous batch's last arrival, so the
-        streamed arrival times are bit-identical to the batch run's.
-        Routing state is bounded; the fluid timeline is the one
-        whole-stream piece (latency is a per-chunk output), assembled
-        once after the stream ends.
-        """
-        from .fast import StreamSession
-
-        started = time.perf_counter()
-        config = self.config
-        fast = self._fast
-        result = fast.new_result()
-        recorder = _PathRecorder(0)
-        rng = np.random.default_rng(config.arrival_seed)
-        rate = config.arrival_rate
-        last_arrival = 0.0
-        release_parts: list[np.ndarray] = []
-        origin_parts: list[np.ndarray] = []
-        chunk_base = 0
-
-        with StreamSession(fast, result=result, n_epochs=n_epochs,
-                           recorder=recorder) as session:
-            for batch in batches:
-                file_origins, sizes, targets = fast.flatten_events(batch)
-                if sizes.size == 0:
-                    continue
-                if rate > 0:
-                    # Continue the global arrival cumsum: seeding the
-                    # fold with the previous batch's last arrival
-                    # reproduces np.cumsum's sequential left-fold over
-                    # the whole stream bit-for-bit.
-                    gaps = rng.exponential(1.0 / rate, size=len(sizes))
-                    arrivals = np.cumsum(
-                        np.concatenate(([last_arrival], gaps))
-                    )[1:]
-                    last_arrival = float(arrivals[-1])
-                else:
-                    arrivals = np.zeros(len(sizes))
-                result.files += len(sizes)
-                origins = np.repeat(file_origins, sizes)
-                ids = np.arange(chunk_base, chunk_base + targets.size,
-                                dtype=np.int64)
-                chunk_base += int(targets.size)
-                release_parts.append(np.repeat(arrivals, sizes))
-                origin_parts.append(origins)
-                session.feed(origins, targets, ids=ids)
-                if on_epoch is not None:
-                    on_epoch(session.epochs_fed, result)
-        recorder.n_chunks = chunk_base
-        if chunk_base:
-            result.latency_ms = self._timeline(
-                recorder.assemble(),
-                np.concatenate(release_parts),
-                np.concatenate(origin_parts),
-            )
-        else:
-            result.latency_ms = np.empty(0, dtype=np.float64)
-        result.elapsed_seconds = time.perf_counter() - started
-        return result
-
     # -- phase 2: the timeline -----------------------------------------
 
     def _timeline(self, paths: ChunkPaths, release: np.ndarray,

@@ -63,7 +63,7 @@ import sys
 import time
 from pathlib import Path
 
-from ._files import TextLines, open_output
+from ._files import TextLines, open_output, read_json
 from .errors import ConfigurationError, ExperimentError, ReproError
 
 __all__ = ["main", "build_parser", "config_from_args", "COMMAND_DEFAULTS"]
@@ -798,7 +798,7 @@ def _sweep_work_run(args: argparse.Namespace) -> int:
 def _bench_run(args: argparse.Namespace) -> int:
     import json
 
-    from .perf.bench import MAX_REGRESSION, compare, read_json, read_runs
+    from .perf.bench import MAX_REGRESSION, compare, read_runs
 
     try:
         runs = read_runs(args.logs)
@@ -828,8 +828,13 @@ def _bench_run(args: argparse.Namespace) -> int:
                   file=sys.stderr)
         if refused:
             return 1
-        args.record.write_text(
-            json.dumps(records + runs, indent=2, sort_keys=True) + "\n")
+        try:
+            with open_output(args.record, "benchmark record") as handle:
+                handle.write(json.dumps(records + runs, indent=2,
+                                        sort_keys=True) + "\n")
+        except ConfigurationError as error:
+            print(f"repro-swarm bench: {error}", file=sys.stderr)
+            return 1
         print(f"appended {len(runs)} run(s) to {args.record}")
         return 0
     better = {metric["name"]: metric["better"]

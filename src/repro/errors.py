@@ -95,4 +95,5 @@ class WorkloadError(ConfigurationError):
 
 
 class InputError(WorkloadError):
-    """A file cannot be opened, or a line of it is not UTF-8 text."""
+    """A file cannot be opened, a line of it is not UTF-8 text, or the
+    JSON document it should hold does not parse."""

@@ -24,7 +24,7 @@ import re
 from .._files import TextLines
 from ..errors import ConfigurationError
 
-__all__ = ["LATENCY_PROFILE", "MAX_REGRESSION", "read_json", "read_runs",
+__all__ = ["LATENCY_PROFILE", "MAX_REGRESSION", "read_runs",
            "compare"]
 
 #: The time-domain workload: contended fair-share bandwidth with
@@ -45,12 +45,17 @@ _WORKLOAD_LINE = re.compile(r"workload (\S+) seed (-?\d+):")
 
 
 def read_runs(paths) -> list[dict]:
-    """One record per ``workload`` line in the perfbench logs *paths*."""
+    """One record per ``workload`` line in the perfbench logs *paths*.
+
+    A ``provenance:`` or result line that does not hold what perfbench
+    writes there (a truncated or hand-edited log) is refused by path
+    and line (:class:`ConfigurationError`).
+    """
     runs = []
     for path in paths:
         run = None
         with TextLines(path, "perfbench log") as lines:
-            for line in lines:
+            for lineno, line in enumerate(lines, start=1):
                 head = _WORKLOAD_LINE.match(line)
                 if head:
                     if run is not None:
@@ -60,15 +65,23 @@ def read_runs(paths) -> list[dict]:
                 elif run is None:
                     continue
                 elif line.startswith("provenance: "):
-                    run["provenance"] = json.loads(line[len("provenance: "):])
+                    run["provenance"] = _log_json(
+                        line[len("provenance: "):], path, lineno)
                 elif line.startswith('{"correct"'):
-                    result = json.loads(line)
-                    runs.append({**run, "correct": result["correct"],
-                                 "attempted": result["attempted"],
-                                 "failed": result["failed"],
-                                 "metrics": {name: metric["value"]
-                                             for name, metric
-                                             in result["metrics"].items()}})
+                    result = _log_json(line, path, lineno)
+                    try:
+                        runs.append({
+                            **run, "correct": result["correct"],
+                            "attempted": result["attempted"],
+                            "failed": result["failed"],
+                            "metrics": {name: metric["value"]
+                                        for name, metric
+                                        in result["metrics"].items()}})
+                    except (KeyError, TypeError, AttributeError) as error:
+                        raise ConfigurationError(
+                            f"cannot read perfbench log {path}: line "
+                            f"{lineno} is not a perfbench result line "
+                            f"({error!r})") from None
                     run = None
         if run is not None:
             raise ConfigurationError(
@@ -77,16 +90,14 @@ def read_runs(paths) -> list[dict]:
     return runs
 
 
-def read_json(path, what: str):
-    """The JSON document in *path*; a file that cannot be read or
-    parsed is refused by name (:class:`ConfigurationError`)."""
-    with TextLines(path, what) as lines:
-        text = "".join(lines)
+def _log_json(text: str, path, lineno: int):
+    """The JSON value on line *lineno* of the perfbench log *path*."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as error:
+    except (ValueError, RecursionError) as error:
         raise ConfigurationError(
-            f"cannot read {what} {path}: not JSON ({error})") from None
+            f"cannot read perfbench log {path}: line {lineno} is not "
+            f"JSON ({error})") from None
 
 
 def compare(runs, records, better) -> list[str]:

@@ -59,7 +59,6 @@ other fatal kinds.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import signal
@@ -69,6 +68,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
+from .._files import read_json
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -135,6 +135,10 @@ class Fault:
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "Fault":
+        if not isinstance(payload, Mapping):
+            raise ConfigurationError(
+                f"a fault plan entry is an object, got {payload!r}"
+            )
         unknown = set(payload) - {"point_id", "attempt", "kind",
                                   "message", "seconds"}
         if unknown:
@@ -153,6 +157,10 @@ class Fault:
         except KeyError as error:
             raise ConfigurationError(
                 f"fault plan entry is missing required key {error}"
+            ) from None
+        except (TypeError, ValueError, OverflowError) as error:
+            raise ConfigurationError(
+                f"fault plan entry has a bad value ({error})"
             ) from None
         return fault
 
@@ -179,7 +187,8 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "FaultPlan":
-        if not isinstance(payload, Mapping) or "faults" not in payload:
+        if not (isinstance(payload, Mapping)
+                and isinstance(payload.get("faults"), list)):
             raise ConfigurationError(
                 "a fault plan is an object with a 'faults' array"
             )
@@ -189,14 +198,13 @@ class FaultPlan:
 
     @classmethod
     def load(cls, path: Path) -> "FaultPlan":
-        path = Path(path)
+        payload = read_json(path, "fault plan")
         try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as error:
+            return cls.from_json(payload)
+        except ConfigurationError as error:
             raise ConfigurationError(
                 f"cannot read fault plan {path}: {error}"
             ) from None
-        return cls.from_json(payload)
 
 
 #: Per-process plan cache: (path, mtime_ns) -> FaultPlan. Workers are

@@ -40,7 +40,7 @@ from pathlib import Path
 
 from ..errors import SweepInterrupted
 from .aggregate import CellSummary, aggregate_records
-from .chaos import FAULT_PLAN_ENV
+from .chaos import FAULT_PLAN_ENV, active_fault_plan
 from .executors import make_executor
 from .progress import ProgressReporter
 from .resilience import PointFailure, RetryPolicy
@@ -212,7 +212,8 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1,
     that exhausts its budget instead of quarantining it;
     ``max_pool_restarts`` bounds crash/hang pool rebuilds per run.
     ``fault_plan`` points workers at a :mod:`~repro.sweeps.chaos`
-    JSON plan (testing/CI). ``salvage`` lets a corrupt/truncated
+    JSON plan (testing/CI), read here first so a bad plan is refused
+    before any point runs. ``salvage`` lets a corrupt/truncated
     store at *store_path* be recovered (parseable records kept,
     the rest re-run) instead of refused.
 
@@ -285,6 +286,9 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1,
     interrupted: int | None = None
     started = time.perf_counter()
     with _fault_plan_env(fault_plan), _graceful_shutdown():
+        # Read the plan here, once, so a bad one is refused before any
+        # point runs (workers would quarantine every point on it).
+        active_fault_plan()
         try:
             executor.run(spec.base, pending, on_result, on_failure)
         except SweepInterrupted as signal_error:

@@ -40,7 +40,8 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError, StoreMergeError
+from .._files import TextLines, read_json
+from ..errors import ConfigurationError, InputError, StoreMergeError
 from .spec import SweepSpec
 
 __all__ = ["SweepStore", "git_provenance", "merge_provenance",
@@ -171,15 +172,15 @@ class SweepStore:
         """Read a store file back (inverse of :meth:`save`)."""
         path = Path(path)
         try:
-            document = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise ConfigurationError(
-                f"cannot read sweep store {path}: {error} (if the file "
-                f"is truncated or corrupt, SweepStore.salvage / "
-                f"repro-swarm sweep --salvage-store can recover the "
-                f"parseable records)"
+            document = read_json(path, "sweep store")
+        except InputError as error:
+            raise InputError(
+                f"{error} (if the file is truncated or corrupt, "
+                f"SweepStore.salvage / repro-swarm sweep --salvage-store "
+                f"can recover the parseable records)"
             ) from None
-        if document.get("format") != FORMAT:
+        if not isinstance(document, dict) or document.get(
+                "format") != FORMAT:
             raise ConfigurationError(
                 f"{path} is not a {FORMAT} sweep store"
             )
@@ -230,18 +231,20 @@ class SweepStore:
         """
         path = Path(path)
         try:
-            text = path.read_text(errors="replace")
-        except OSError as error:
-            raise ConfigurationError(
-                f"cannot read sweep store {path}: {error}"
-            ) from None
-        try:
             store = cls.load(path)
             return store, ["store parsed cleanly; nothing to salvage"]
         except ConfigurationError:
             pass
 
         notes: list[str] = []
+        lines: list[str] = []
+        with TextLines(path, "sweep store") as source:
+            try:
+                lines.extend(source)
+            except InputError as error:
+                # Salvage what precedes the first non-UTF-8 line.
+                notes.append(f"{error}; the text from there on is lost")
+        text = "".join(lines)
         spec_payload = _salvage_object(text, "spec")
         salvaged_spec: SweepSpec | None = None
         if spec_payload is not None:

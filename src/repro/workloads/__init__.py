@@ -14,8 +14,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "distributions": ["OriginatorPool", "PoissonArrivals", "UniformChunks",
                       "UniformFileSize", "ZipfCatalog"],
     "generators": ["DownloadWorkload", "FileDownload", "paper_workload"],
-    "streams": ["GeneratorStream", "RequestBatch", "RequestStream",
-                "TraceStream", "WorkloadStream", "parse_request_line"],
-    "traces": ["TRACE_NDJSON_FORMAT", "TraceHeader", "TraceReader",
-               "TraceSummary", "TraceWorkload", "WorkloadTrace"],
+    "streams": ["RequestBatch", "RequestStream", "parse_request_line"],
+    "traces": ["TRACE_NDJSON_FORMAT", "TraceHeader", "TraceSummary",
+               "TraceWorkload", "WorkloadTrace"],
 })

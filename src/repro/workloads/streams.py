@@ -1,31 +1,13 @@
-"""Workload streams: bounded micro-batches of download events.
+"""Request streams: the serve wire format, decoded in micro-batches.
 
-The batch pipeline materializes a whole workload before routing it;
-a :class:`WorkloadStream` instead yields *micro-batches* — bounded
-lists of :class:`~repro.workloads.generators.FileDownload`s — so the
-engine can route arbitrarily long request streams in memory bounded
-by the batch size, not the stream length. This is the workload-side
-half of the streaming contract (``FastSimulation.run_stream`` and
-``repro-swarm serve`` are the engine side).
-
-Two adapters cover the generated and recorded sources:
-
-- :class:`GeneratorStream` chunks any RNG workload generator's
-  ``events()`` iterator. Generators draw per-file chunk addresses
-  lazily (sizes are sampled up front in one call), so chunking their
-  event stream is *RNG-exact*: the batched draws are bit-identical
-  to the materialized path, and streaming results match batch
-  results exactly.
-- :class:`TraceStream` replays a recorded
-  :class:`~repro.workloads.traces.WorkloadTrace` file line by line
-  (one decoded batch in memory at a time).
-
-:class:`RequestStream` is the odd one out: it decodes live NDJSON
-request lines (one JSON object per line,
-``{"originator": <address>, "chunks": [...]}``, the wire format of
-``repro-swarm serve``) and yields each micro-batch as
-:class:`RequestBatch` kernel columns rather than a list of
-``FileDownload`` events, so it is not a :class:`WorkloadStream`.
+:class:`RequestStream` decodes live NDJSON request lines (one JSON
+object per line, ``{"originator": <address>, "chunks": [...]}``, the
+wire format of ``repro-swarm serve``) and yields each micro-batch of
+at most ``max_batch`` lines as :class:`RequestBatch` kernel columns,
+so the daemon routes an arbitrarily long stream in memory bounded by
+the batch size, not the stream length.
+:func:`parse_request_line` is the per-line reference decoder the
+batched one is checked against.
 """
 
 from __future__ import annotations
@@ -34,59 +16,18 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from pathlib import Path
-from typing import (
-    IO,
-    Iterable,
-    Iterator,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..errors import WorkloadError
 from .generators import FileDownload
-from .traces import (
-    TraceReader,
-    _chunk_dtype,
-    event_fields,
-    replay_events,
-)
+from .traces import _chunk_dtype, event_fields
 
-__all__ = [
-    "WorkloadStream",
-    "GeneratorStream",
-    "TraceStream",
-    "RequestBatch",
-    "RequestStream",
-    "parse_request_line",
-]
+__all__ = ["RequestBatch", "RequestStream", "parse_request_line"]
 
-#: Default micro-batch size (files per batch) for stream adapters.
+#: Default micro-batch size (requests per batch).
 DEFAULT_MAX_BATCH = 256
-
-
-@runtime_checkable
-class WorkloadStream(Protocol):
-    """An iterator of bounded micro-batches of download events.
-
-    ``batches(nodes, space)`` mirrors the workload ``events()``
-    signature: *nodes* is the overlay's address array, *space* its
-    :class:`~repro.kademlia.address.AddressSpace`. Every yielded
-    batch is a non-empty sequence of at most ``max_batch`` events;
-    adapters must never hold more than one batch's events at a time.
-    """
-
-    #: Upper bound on the number of files per yielded batch.
-    max_batch: int
-
-    def batches(
-        self, nodes, space
-    ) -> Iterator[Sequence[FileDownload]]:  # pragma: no cover
-        """Yield the stream's events in bounded micro-batches."""
-        ...
 
 
 def _check_max_batch(max_batch: int) -> int:
@@ -96,67 +37,6 @@ def _check_max_batch(max_batch: int) -> int:
             f"max_batch must be at least 1, got {max_batch}"
         )
     return max_batch
-
-
-def _chunk_iterator(
-    events: Iterator[FileDownload], max_batch: int
-) -> Iterator[list[FileDownload]]:
-    """Group an event iterator into lists of at most *max_batch*."""
-    batch: list[FileDownload] = []
-    for event in events:
-        batch.append(event)
-        if len(batch) >= max_batch:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
-
-
-class GeneratorStream:
-    """Chunk an RNG workload generator into micro-batches.
-
-    Wraps any object with ``events(nodes, space)`` (for example
-    :class:`~repro.workloads.generators.DownloadWorkload`). Because
-    generators sample file sizes up front and draw chunk addresses
-    per file, slicing the event iterator does not perturb the RNG
-    stream — the batches concatenate to exactly the materialized
-    workload, which the streaming golden tests pin bit-for-bit.
-    """
-
-    def __init__(self, workload, *,
-                 max_batch: int = DEFAULT_MAX_BATCH) -> None:
-        self.workload = workload
-        self.max_batch = _check_max_batch(max_batch)
-
-    def batches(self, nodes, space) -> Iterator[list[FileDownload]]:
-        yield from _chunk_iterator(
-            self.workload.events(nodes, space), self.max_batch
-        )
-
-
-class TraceStream:
-    """Replay a recorded trace file in micro-batches.
-
-    Validation matches :class:`~repro.workloads.traces.TraceWorkload`
-    replay (:func:`~repro.workloads.traces.replay_events`): the
-    provenance header is checked against the target overlay, every
-    originator must be a population member, and chunk addresses must
-    fit the space. Events decode one line at a time, so a day-long
-    imported trace streams in memory bounded by the batch size.
-    """
-
-    def __init__(self, path: str | Path, *,
-                 max_batch: int = DEFAULT_MAX_BATCH) -> None:
-        self.path = Path(path)
-        self.max_batch = _check_max_batch(max_batch)
-        self.reader = TraceReader(path)
-
-    def batches(self, nodes, space) -> Iterator[list[FileDownload]]:
-        yield from _chunk_iterator(
-            replay_events(self.reader.events(), self.reader.header,
-                          nodes, space),
-            self.max_batch,
-        )
 
 
 #: The keys a request object may carry on the wire.
@@ -373,9 +253,8 @@ class RequestStream:
     """Decode live NDJSON request lines (the serve wire format).
 
     *lines* is any iterable of text lines — ``sys.stdin``, a socket
-    file object, a list in tests. Unlike the :class:`WorkloadStream`
-    adapters, :meth:`batches` yields :class:`RequestBatch` columns,
-    not :class:`~repro.workloads.generators.FileDownload` lists: each
+    file object, a list in tests. :meth:`batches` yields
+    :class:`RequestBatch` columns, not per-request objects: each
     micro-batch of up to ``max_batch`` non-blank lines decodes with
     one ``json.loads`` straight into the kernel's origin/size/target
     columns. Blank lines are skipped but keep their line numbers. A

@@ -7,14 +7,15 @@ between machines alongside a shared overlay (the paper's multi-machine
 protocol).
 
 A trace file is headed NDJSON (:data:`TRACE_NDJSON_FORMAT`): a header
-line, then one event per line, written and read one line at a time so
-a day-long imported trace never needs the whole file in memory. The
-header (a :class:`TraceHeader`) records the address width, overlay
-size and seed the trace was captured on, so a replay against the
-wrong overlay fails on the *header*, with an actionable message,
-instead of depending on the incidental originator-membership check
-(which an originator-set coincidence slips past silently). A file
-whose first line is not such a header is refused. Dynamics traces
+line, then one event per line, which is also the serve wire format, so
+``repro-swarm serve`` streams a day-long imported trace without ever
+holding the whole file in memory. The header (a :class:`TraceHeader`)
+records the address width, overlay size and seed the trace was
+captured on, so a replay against the wrong overlay fails on the
+*header*, with an actionable message, instead of depending on the
+incidental originator-membership check (which an originator-set
+coincidence slips past silently). A file whose first line is not
+such a header is refused. Dynamics traces
 (:mod:`repro.scenarios.trace`) carry the same header fields under
 :data:`DYNAMICS_TRACE_FORMAT`.
 """
@@ -39,7 +40,6 @@ __all__ = [
     "TRACE_NDJSON_FORMAT",
     "TraceHeader",
     "TraceSummary",
-    "TraceReader",
     "WorkloadTrace",
     "TraceWorkload",
 ]
@@ -302,13 +302,6 @@ class WorkloadTrace:
             mean_file_chunks=float(sizes.mean()),
         )
 
-    def originator_counts(self) -> dict[int, int]:
-        """Downloads issued per originator."""
-        counts: dict[int, int] = {}
-        for event in self._events:
-            counts[event.originator] = counts.get(event.originator, 0) + 1
-        return counts
-
     # ------------------------------------------------------------------
     # Persistence
 
@@ -334,88 +327,42 @@ class WorkloadTrace:
 
     @classmethod
     def load(cls, path: str | Path) -> "WorkloadTrace":
-        """Read a trace written by :meth:`save` (see :class:`TraceReader`).
+        """Read a trace written by :meth:`save`.
 
-        Each raw event's parse tree is dropped as soon as its compact
+        A file whose first line is not a :data:`TRACE_NDJSON_FORMAT`
+        header, or whose later lines are not events, raises
+        :class:`~repro.errors.WorkloadError` naming the path. Each raw
+        event's parse tree is dropped as soon as its compact
         :class:`FileDownload` exists, so peak memory is the decoded
         trace plus one line.
         """
-        reader = TraceReader(path)
-        header = reader.header
-        return cls(list(reader.events()), bits=header.bits,
-                   n_nodes=header.n_nodes, overlay_seed=header.overlay_seed)
-
-
-class TraceReader:
-    """Lazy access to a trace file on disk.
-
-    The constructor reads only the header line; :meth:`events` then
-    decodes one line at a time, which is how ``repro-swarm serve``
-    replays day-long imported traces in bounded memory. A file whose
-    first line is not a :data:`TRACE_NDJSON_FORMAT` header raises
-    :class:`~repro.errors.WorkloadError` naming the path.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        with TextLines(self.path, "request trace") as lines:
-            first = next(iter(lines), "")
-        self.header = TraceHeader.parse(first, path=self.path)
-
-    def events(self) -> Iterator[FileDownload]:
-        """Decode the trace's events in order, straight off the file."""
-        dtype = _chunk_dtype(self.header.bits)
-        with TextLines(self.path, "request trace") as lines:
-            for lineno, line in enumerate(lines, start=1):
-                if lineno == 1 or not line.strip():
-                    continue  # line 1 is the header, already parsed
+        path = Path(path)
+        events = []
+        with TextLines(path, "request trace") as lines:
+            iterator = iter(lines)
+            header = TraceHeader.parse(next(iterator, ""), path=path)
+            dtype = _chunk_dtype(header.bits)
+            for lineno, line in enumerate(iterator, start=2):
+                if not line.strip():
+                    continue
                 try:
                     item = json.loads(line)
                 except (ValueError, RecursionError) as error:
                     raise WorkloadError(
-                        f"cannot read request trace {self.path}: line "
+                        f"cannot read request trace {path}: line "
                         f"{lineno} is not valid JSON ({error}); the "
                         f"file may be truncated or corrupt"
                     ) from None
-                yield _decode_event(item, dtype, self.path)
-
-
-def replay_events(events: Iterator[FileDownload],
-                  header: TraceHeader | None, nodes,
-                  space) -> Iterator[FileDownload]:
-    """Pass *events* through after checking they fit the overlay.
-
-    The header (when there is one) must name this overlay's bits and
-    size, every originator must be a node of *nodes*, and every chunk
-    address must fit *space*; a :class:`~repro.errors.WorkloadError`
-    is raised otherwise.
-    """
-    if header is not None:
-        header.check(space.bits, len(nodes), None)
-    population = set(int(n) for n in nodes)
-    for event in events:
-        if event.originator not in population:
-            raise WorkloadError(
-                f"trace originator {event.originator} is not a node "
-                "of this overlay; replay traces against the overlay "
-                "seed they were generated for"
-            )
-        # A FileDownload always has at least one chunk (enforced at
-        # construction), so the max is well-defined.
-        if int(event.chunk_addresses.max()) >= space.size:
-            raise WorkloadError(
-                f"trace chunk address {int(event.chunk_addresses.max())} "
-                f"outside the {space.bits}-bit space"
-            )
-        yield event
+                events.append(_decode_event(item, dtype, path))
+        return cls(events, bits=header.bits, n_nodes=header.n_nodes,
+                   overlay_seed=header.overlay_seed)
 
 
 class TraceWorkload:
     """Adapter replaying a frozen trace through the workload interface.
 
     Simulators consume workloads via ``events(nodes, space)``; this
-    wrapper satisfies that interface from a :class:`WorkloadTrace`,
-    validating each event through :func:`replay_events`.
+    wrapper satisfies that interface from a :class:`WorkloadTrace`.
     """
 
     def __init__(self, trace: WorkloadTrace) -> None:
@@ -423,10 +370,29 @@ class TraceWorkload:
         self.n_files = len(trace)
 
     def events(self, nodes, space) -> Iterator[FileDownload]:
-        """Yield the trace's events after validating the population."""
-        return replay_events(iter(self.trace), self.trace.header, nodes,
-                             space)
+        """Yield the trace's events after checking they fit the overlay.
 
-    def materialize(self, nodes, space) -> list[FileDownload]:
-        """The validated event list."""
-        return list(self.events(nodes, space))
+        The header (when there is one) must name this overlay's bits
+        and size, every originator must be a node of *nodes*, and
+        every chunk address must fit *space*; a
+        :class:`~repro.errors.WorkloadError` is raised otherwise.
+        """
+        if self.trace.header is not None:
+            self.trace.header.check(space.bits, len(nodes), None)
+        population = set(int(n) for n in nodes)
+        for event in self.trace:
+            if event.originator not in population:
+                raise WorkloadError(
+                    f"trace originator {event.originator} is not a node "
+                    "of this overlay; replay traces against the overlay "
+                    "seed they were generated for"
+                )
+            # A FileDownload always has at least one chunk (enforced at
+            # construction), so the max is well-defined.
+            if int(event.chunk_addresses.max()) >= space.size:
+                raise WorkloadError(
+                    f"trace chunk address "
+                    f"{int(event.chunk_addresses.max())} outside the "
+                    f"{space.bits}-bit space"
+                )
+            yield event

@@ -7,14 +7,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.analysis.streaming import QuantileSketch, StreamingAggregator
+from repro.analysis.streaming import StreamingAggregator
 from repro.errors import ConfigurationError
 
 
 def fake_result(addresses, *, forwarded=None, first_hop=None,
                 income=None, expenditure=None, files=0, chunks=0,
                 total_hops=0, local_hits=0, fallbacks=0, cache_hits=0,
-                unavailable=0, hop_histogram=None, latency_ms=None):
+                unavailable=0, hop_histogram=None):
     """A SimulationResult stand-in with just the absorbed fields."""
     n = len(addresses)
     return SimpleNamespace(
@@ -31,87 +31,10 @@ def fake_result(addresses, *, forwarded=None, first_hop=None,
         local_hits=local_hits, fallbacks=fallbacks,
         cache_hits=cache_hits, unavailable=unavailable,
         hop_histogram=dict(hop_histogram or {}),
-        latency_ms=latency_ms,
     )
 
 
 ADDRS = np.array([3, 17, 42, 99], dtype=np.int64)
-
-
-class TestQuantileSketch:
-    def test_quantiles_within_relative_error(self):
-        rng = np.random.default_rng(7)
-        samples = rng.exponential(25.0, size=20_000) + 0.5
-        sketch = QuantileSketch(alpha=0.01)
-        sketch.add(samples)
-        for q in (0.5, 0.95, 0.99):
-            exact = float(np.quantile(samples, q))
-            estimate = sketch.quantile(q)
-            assert abs(estimate - exact) <= 0.021 * exact
-
-    def test_merge_equals_single_sketch(self):
-        rng = np.random.default_rng(11)
-        a_samples = rng.exponential(10.0, size=5_000)
-        b_samples = rng.exponential(40.0, size=5_000)
-        whole = QuantileSketch()
-        whole.add(a_samples)
-        whole.add(b_samples)
-        a = QuantileSketch()
-        a.add(a_samples)
-        b = QuantileSketch()
-        b.add(b_samples)
-        merged = a.merge(b)
-        assert merged.count == whole.count
-        assert merged.zero_count == whole.zero_count
-        assert merged.buckets == whole.buckets
-        assert merged.quantile(0.95) == whole.quantile(0.95)
-
-    def test_zero_samples_share_a_bucket(self):
-        sketch = QuantileSketch()
-        sketch.add([0.0, 0.0, 5.0])
-        assert sketch.count == 3
-        assert sketch.zero_count == 2
-        assert sketch.quantile(0.0) == 0.0
-        assert sketch.quantile(1.0) > 0.0
-
-    def test_gini_tracks_exact_gini(self):
-        from repro.core.fairness import gini
-
-        rng = np.random.default_rng(3)
-        samples = rng.pareto(2.0, size=10_000) + 0.1
-        sketch = QuantileSketch(alpha=0.01)
-        sketch.add(samples)
-        assert abs(sketch.gini() - gini(samples)) < 0.02
-
-    def test_uniform_samples_have_near_zero_gini(self):
-        sketch = QuantileSketch()
-        sketch.add(np.full(1000, 12.5))
-        assert sketch.gini() < 0.01
-
-    def test_empty_sketch(self):
-        sketch = QuantileSketch()
-        assert sketch.gini() == 0.0
-        assert sketch.summary() == {"count": 0}
-        with pytest.raises(ConfigurationError, match="empty"):
-            sketch.quantile(0.5)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ConfigurationError, match="accuracy"):
-            QuantileSketch(alpha=1.5)
-        sketch = QuantileSketch()
-        with pytest.raises(ConfigurationError, match="non-negative"):
-            sketch.add([1.0, -2.0])
-        with pytest.raises(ConfigurationError, match="quantile"):
-            sketch.quantile(1.5)
-        with pytest.raises(ConfigurationError, match="accuracies"):
-            sketch.merge(QuantileSketch(alpha=0.05))
-
-    def test_summary_has_quantile_keys(self):
-        sketch = QuantileSketch()
-        sketch.add([1.0, 2.0, 3.0, 4.0])
-        summary = sketch.summary()
-        assert summary["count"] == 4
-        assert summary["p50"] <= summary["p95"] <= summary["p99"]
 
 
 class TestStreamingAggregator:
@@ -123,7 +46,6 @@ class TestStreamingAggregator:
             expenditure=[0.0, 0.5, 0.0, 0.25],
             files=2, chunks=6, total_hops=9, local_hits=1,
             fallbacks=1, hop_histogram={1: 3, 2: 3},
-            latency_ms=np.array([5.0, 7.5, 10.0]),
         ))
         agg.absorb(fake_result(
             ADDRS, forwarded=[0, 3, 0, 0], first_hop=[1, 0, 1, 0],
@@ -144,7 +66,6 @@ class TestStreamingAggregator:
         np.testing.assert_array_equal(agg.forwarded, [1, 3, 2, 0])
         np.testing.assert_array_equal(agg.first_hop, [1, 1, 1, 1])
         np.testing.assert_array_equal(agg.income, [0.5, 0.75, 0.25, 0.0])
-        assert agg.latency.count == 3
         assert agg.mean_hops == 14 / 9
         assert agg.availability == 0.9
 
@@ -154,32 +75,12 @@ class TestStreamingAggregator:
         with pytest.raises(ConfigurationError, match="overlay"):
             agg.absorb(other)
 
-    def test_merge_is_a_new_aggregator(self):
-        a = StreamingAggregator(ADDRS)
-        a.absorb(fake_result(ADDRS, chunks=5, income=[1, 0, 0, 0]))
-        b = StreamingAggregator(ADDRS)
-        b.absorb(fake_result(ADDRS, chunks=3, income=[0, 2, 0, 0]))
-        merged = a.merge(b)
-        assert merged is not a and merged is not b
-        assert merged.chunks == 8
-        assert merged.epochs == 2
-        np.testing.assert_array_equal(merged.income, [1, 2, 0, 0])
-        # inputs untouched
-        assert a.chunks == 5 and b.chunks == 3
-
-    def test_merge_rejects_foreign_overlay(self):
-        a = StreamingAggregator(ADDRS)
-        b = StreamingAggregator(np.array([9, 8, 7, 6], dtype=np.int64))
-        with pytest.raises(ConfigurationError, match="overlay"):
-            a.merge(b)
-
     def test_empty_metrics_are_defined(self):
         agg = StreamingAggregator(ADDRS)
         assert agg.mean_hops == 0.0
         assert agg.availability == 1.0
         snapshot = agg.snapshot()
         assert snapshot["epochs"] == 0
-        assert "latency_ms" not in snapshot
 
     def test_summary_drops_epochs_and_adds_extras(self):
         agg = StreamingAggregator(ADDRS)
@@ -193,21 +94,3 @@ class TestStreamingAggregator:
         assert summary["hop_histogram"] == {"1": 2, "2": 2}
         assert summary["mean_forwarded"] == 0.75
         assert "f1_gini" in summary
-
-    def test_snapshot_includes_latency_when_present(self):
-        agg = StreamingAggregator(ADDRS)
-        agg.absorb(fake_result(
-            ADDRS, chunks=2, latency_ms=np.array([4.0, 8.0])
-        ))
-        assert agg.snapshot()["latency_ms"]["count"] == 2
-
-    def test_matches_result(self):
-        result = fake_result(
-            ADDRS, forwarded=[1, 1, 0, 0], first_hop=[0, 0, 1, 1],
-            income=[0.5, 0.5, 0.0, 0.0], chunks=2, total_hops=4,
-            hop_histogram={2: 2},
-        )
-        agg = StreamingAggregator(ADDRS).absorb(result)
-        assert agg.matches_result(result)
-        agg.chunks += 1
-        assert not agg.matches_result(result)

@@ -1,17 +1,17 @@
-"""Streaming-vs-batch bit-identity over the golden configurations.
+"""The micro-epoch session (:class:`StreamSession`) the serve daemon drives.
 
-The streaming refactor's acceptance bar: feeding a workload through
-``run_stream`` in micro-batches must reproduce the one-shot batch
-run *exactly* — every scalar counter, every per-node vector (including
-the float income/expenditure, which stay exact because chunk prices
-are dyadic rationals), every hop-histogram bucket — on the static
-golden configuration and all four scenario goldens, for both the fast
-kernel and the time-domain recorder.
+Streamed == batch over the golden configurations is pinned end to end
+in ``tests/integration/test_serve.py``, through ``run_serve``; these
+tests pin the session itself: its refusals, that it restores the
+shared coded matrix so a second stream matches the first, and that
+per-epoch scratch results (the serve pattern) sum to the batch run
+exactly — every scalar counter, every per-node vector (including the
+float income/expenditure, which stay exact because chunk prices are
+dyadic rationals) and every hop-histogram bucket.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -19,9 +19,7 @@ import pytest
 
 from repro.backends.config import FastSimulationConfig
 from repro.backends.fast import FastSimulation, StreamSession
-from repro.backends.timed import TimedSimulation
 from repro.errors import ConfigurationError
-from repro.workloads.streams import GeneratorStream
 
 from .test_golden import GOLDEN_CONFIG
 from .test_golden_scenarios import SCENARIO_GOLDEN_CONFIGS
@@ -50,79 +48,42 @@ def assert_identical(batch, streamed) -> None:
                                   batch.expenditure)
 
 
-def stream_run(config: FastSimulationConfig, *, max_batch: int,
-               simulation_cls=FastSimulation):
-    """Run *config*'s workload through the streaming path."""
-    simulation = simulation_cls(config)
-    overlay = simulation.overlay
-    stream = GeneratorStream(config.workload(), max_batch=max_batch)
-    n_epochs = None
-    if config.scenario_stack() is not None:
-        n_epochs = math.ceil(config.n_files / config.batch_files)
-    return simulation.run_stream(
-        stream.batches(overlay.address_array(), simulation.space),
-        n_epochs=n_epochs,
+def column_batches(simulation: FastSimulation,
+                   config: FastSimulationConfig, max_batch: int):
+    """``(files, origins, targets)`` micro-batches of *config*'s workload.
+
+    The flattened columns the one-shot run routes, cut every
+    *max_batch* files.
+    """
+    file_origins, sizes, targets = simulation._flatten_workload(
+        config.workload()
     )
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    for start in range(0, len(sizes), max_batch):
+        stop = min(start + max_batch, len(sizes))
+        yield (stop - start,
+               np.repeat(file_origins[start:stop], sizes[start:stop]),
+               targets[offsets[start]:offsets[stop]])
 
 
-class TestFastStreaming:
-    @pytest.mark.parametrize("name", sorted(ALL_CONFIGS))
-    def test_bit_identical_to_batch(self, name):
-        """Slab-sized micro-batches reproduce the batch run exactly."""
-        config = ALL_CONFIGS[name]
-        batch = FastSimulation(config).run()
-        streamed = stream_run(config, max_batch=config.batch_files)
-        assert_identical(batch, streamed)
-
-    @pytest.mark.parametrize("max_batch", [1, 7, 1000])
-    def test_static_any_batch_size(self, max_batch):
-        """Static routing is per-chunk independent: any split is exact."""
-        batch = FastSimulation(GOLDEN_CONFIG).run()
-        streamed = stream_run(GOLDEN_CONFIG, max_batch=max_batch)
-        assert_identical(batch, streamed)
-
-    def test_repeated_streams_are_stable(self):
-        """Session state fully restores: a second stream matches."""
-        config = SCENARIO_GOLDEN_CONFIGS["scenario_churn_caching"]
-        first = stream_run(config, max_batch=config.batch_files)
-        second = stream_run(config, max_batch=config.batch_files)
-        assert_identical(first, second)
-
-
-class TestTimedStreaming:
-    @pytest.mark.parametrize("name", sorted(ALL_CONFIGS))
-    def test_bit_identical_to_batch(self, name):
-        """Counters AND per-chunk latency samples survive streaming."""
-        config = dataclasses.replace(
-            ALL_CONFIGS[name], arrival_rate=50.0
-        )
-        batch = TimedSimulation(config).run()
-        streamed = stream_run(
-            config, max_batch=config.batch_files,
-            simulation_cls=TimedSimulation,
-        )
-        assert_identical(batch, streamed)
-        # Samples come out in chunk order, so compare them unsorted.
-        np.testing.assert_array_equal(streamed.latency_ms,
-                                      batch.latency_ms)
-
-    def test_contended_wheel_bit_identical(self):
-        """Finite bandwidth + concurrency caps stream exactly too."""
-        config = dataclasses.replace(
-            GOLDEN_CONFIG, arrival_rate=50.0, node_up_mbps=10.0,
-            node_down_mbps=20.0, max_concurrent=4,
-        )
-        batch = TimedSimulation(config).run()
-        streamed = stream_run(
-            config, max_batch=7, simulation_cls=TimedSimulation,
-        )
-        assert_identical(batch, streamed)
-        np.testing.assert_array_equal(
-            np.sort(streamed.latency_ms), np.sort(batch.latency_ms)
-        )
+def session_run(config: FastSimulationConfig):
+    """Route *config*'s workload through one session, a slab per epoch."""
+    simulation = FastSimulation(config)
+    n_epochs = math.ceil(config.n_files / config.batch_files)
+    with StreamSession(simulation, n_epochs=n_epochs) as session:
+        for files, origins, targets in column_batches(
+                simulation, config, config.batch_files):
+            session.result.files += files
+            session.feed(origins, targets)
+    return session.result
 
 
 class TestStreamSession:
+    def test_repeated_streams_are_stable(self):
+        """Session state fully restores: a second stream matches."""
+        config = SCENARIO_GOLDEN_CONFIGS["scenario_churn_caching"]
+        assert_identical(session_run(config), session_run(config))
+
     def test_scenario_needs_epoch_count(self):
         config = SCENARIO_GOLDEN_CONFIGS["scenario_churn"]
         with pytest.raises(ConfigurationError, match="epoch count"):
@@ -159,19 +120,13 @@ class TestStreamSession:
         config = GOLDEN_CONFIG
         simulation = FastSimulation(config)
         batch = FastSimulation(config).run()
-        stream = GeneratorStream(config.workload(), max_batch=8)
         total = simulation.new_result()
         with StreamSession(simulation) as session:
-            for events in stream.batches(
-                simulation.overlay.address_array(), simulation.space
-            ):
+            for files, origins, targets in column_batches(
+                    simulation, config, 8):
                 scratch = simulation.new_result()
-                file_origins, sizes, targets = (
-                    simulation.flatten_events(events)
-                )
-                scratch.files += len(sizes)
-                session.feed(np.repeat(file_origins, sizes), targets,
-                             into=scratch)
+                scratch.files += files
+                session.feed(origins, targets, into=scratch)
                 total.files += scratch.files
                 total.chunks += scratch.chunks
                 total.total_hops += scratch.total_hops

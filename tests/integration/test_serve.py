@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -18,6 +19,7 @@ from repro.backends.fast import FastSimulation
 from repro.cli import main
 from repro.errors import WorkloadError
 from repro.serve import run_serve
+from tests.backends.test_streaming import ALL_CONFIGS, assert_identical
 
 CONFIG = FastSimulationConfig(
     n_nodes=60, bits=10, bucket_size=4, overlay_seed=5,
@@ -48,6 +50,40 @@ HEADER = json.dumps({
     "format": "repro-swarm-trace/ndjson-1", "bits": CONFIG.bits,
     "n_nodes": CONFIG.n_nodes, "overlay_seed": CONFIG.overlay_seed,
 }) + "\n"
+
+
+def workload_lines(config):
+    """*config*'s own workload, one request line per download event."""
+    simulation = FastSimulation(config)
+    events = config.workload().events(simulation.overlay.address_array(),
+                                      simulation.space)
+    return [json.dumps({"originator": int(event.originator),
+                        "chunks": event.chunk_addresses.tolist()}) + "\n"
+            for event in events]
+
+
+#: (golden config, max_batch): every golden at its slab size, and the
+#: static golden cut at sizes that straddle its slabs too.
+SERVE_CASES = [(name, ALL_CONFIGS[name].batch_files)
+               for name in sorted(ALL_CONFIGS)] + [
+    ("static", max_batch) for max_batch in (1, 7, 1000)]
+
+
+@pytest.mark.parametrize("name, max_batch", SERVE_CASES)
+def test_served_aggregate_equals_the_batch_run(name, max_batch):
+    """Streamed == batch, per-node vector by per-node vector.
+
+    Serve is the one streaming path: its aggregate over a golden
+    workload's requests must equal ``run()`` on that config in every
+    counter, per-node vector and hop-histogram bucket.
+    """
+    config = ALL_CONFIGS[name]
+    n_epochs = None
+    if config.scenario_stack() is not None:
+        n_epochs = math.ceil(config.n_files / config.batch_files)
+    aggregator = run_serve(config, workload_lines(config), io.StringIO(),
+                           max_batch=max_batch, n_epochs=n_epochs)
+    assert_identical(FastSimulation(config).run(), aggregator)
 
 
 def serve_lines(lines, **kwargs):

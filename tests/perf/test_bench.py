@@ -151,8 +151,21 @@ def test_committed_record_is_clean_correct_and_covers_every_workload():
                == workloads for seed in seeds)
 
 
+def truncated_log(cut: str) -> bytes:
+    """A perfbench log ending 30 characters into its *cut* line."""
+    lines = perfbench_log().splitlines(keepends=True)
+    index = next(i for i, line in enumerate(lines) if line.startswith(cut))
+    return ("".join(lines[:index]) + lines[index][:30] + "\n").encode()
+
+
+DAMAGE = {"not UTF-8": b"\xff\n", "not JSON": b"{\n",
+          "truncated provenance": truncated_log("provenance: "),
+          "truncated result": truncated_log('{"correct"')}
+
+
 @pytest.mark.parametrize("broken, damage", [
     ("log", "missing"), ("log", "not UTF-8"),
+    ("log", "truncated provenance"), ("log", "truncated result"),
     ("record", "not UTF-8"), ("record", "not JSON"),
     ("spec", "missing"), ("spec", "not UTF-8"),
 ])
@@ -165,8 +178,21 @@ def test_an_unreadable_input_is_refused_in_one_line_naming_it(
     if damage == "missing":
         path.unlink()
     else:
-        path.write_bytes(b"\xff\n" if damage == "not UTF-8" else b"{\n")
+        path.write_bytes(DAMAGE[damage])
     code = main(["bench", str(log), "--record", str(bench.record)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.count("\n") == 1 and str(path.resolve()) in err
+
+
+def test_appending_to_a_record_in_a_missing_directory_is_refused(
+        tmp_path, capsys):
+    log = tmp_path / "perf.log"
+    log.write_text(perfbench_log())
+    record = tmp_path / "missing" / "rec.json"
+    code = main(["bench", str(log), "--append", "--record", str(record)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1
+    assert f"cannot write benchmark record {record}" in err
+    assert not record.parent.exists()

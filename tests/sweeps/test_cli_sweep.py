@@ -156,6 +156,49 @@ class TestSweepCommand:
         assert code == 0
         assert store.read_bytes() == clean
 
+    def test_non_utf8_store_is_refused_in_one_line(self, tmp_path,
+                                                   capsys):
+        store = tmp_path / "sweep.json"
+        argv = ["sweep", "--grid", "bucket_size=4", *SMALL,
+                "--store", str(store)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        clean = store.read_bytes()
+        middle = len(clean) // 2
+        store.write_bytes(clean[:middle] + b"\xff" + clean[middle + 1:])
+
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"cannot read sweep store {store}: line " in err[0]
+        assert "is not UTF-8" in err[0]
+        assert "--salvage-store" in err[0]
+        # Salvage keeps what precedes the bad line and re-runs the rest.
+        with pytest.warns(RuntimeWarning) as caught:
+            assert main(argv + ["--salvage-store"]) == 0
+        assert any("is not UTF-8" in str(w.message) for w in caught)
+        assert store.read_bytes() == clean
+
+    @pytest.mark.parametrize("plan_bytes, message", [
+        (b'{"faults": []}\n\xff\n', "line 2 is not UTF-8"),
+        (b'{"faults": [', "not JSON"),
+        (b'{"faults": [5]}', "entry is an object"),
+    ])
+    def test_bad_fault_plan_is_refused_before_any_point_runs(
+            self, tmp_path, capsys, plan_bytes, message):
+        plan = tmp_path / "plan.json"
+        plan.write_bytes(plan_bytes)
+        store = tmp_path / "sweep.json"
+        code = main(["sweep", "--grid", "bucket_size=4", *SMALL,
+                     "--store", str(store), "--fault-plan", str(plan)])
+        captured = capsys.readouterr()
+        assert code == 2
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert f"cannot read fault plan {plan}: " in err[0]
+        assert message in err[0]
+        assert not store.exists()
+
     def test_markdown_and_out_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.md"
         code = main([

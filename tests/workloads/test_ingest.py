@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
 
-from repro.backends.fast import FastSimulation, FastSimulationConfig
+from repro.backends.fast import FastSimulationConfig
 from repro.cli import main
 from repro.errors import WorkloadError
 from repro.kademlia.buckets import BucketLimits
@@ -16,7 +17,7 @@ from repro.workloads.ingest import (
     import_requests,
     stable_hash,
 )
-from repro.workloads.streams import TraceStream
+from repro.serve import run_serve
 from repro.workloads.traces import WorkloadTrace
 
 
@@ -88,11 +89,8 @@ class TestImportRequests:
             n_nodes=60, bits=10, bucket_size=4, overlay_seed=5,
             n_files=20,
         )
-        simulation = FastSimulation(config)
-        stream = TraceStream(out, max_batch=8)
-        result = simulation.run_stream(stream.batches(
-            simulation.overlay.address_array(), simulation.space
-        ))
+        with open(out, encoding="utf-8") as lines:
+            result = run_serve(config, lines, io.StringIO(), max_batch=8)
         assert result.files == 20
         assert result.chunks == 80
 

@@ -1,4 +1,4 @@
-"""Tests for the workload stream adapters (micro-batch sources)."""
+"""Tests for the serve request decoder (:class:`RequestStream`)."""
 
 from __future__ import annotations
 
@@ -11,14 +11,7 @@ from repro.errors import WorkloadError
 from repro.kademlia.address import AddressSpace
 from repro.workloads.distributions import UniformFileSize
 from repro.workloads.generators import DownloadWorkload
-from repro.workloads.streams import (
-    GeneratorStream,
-    RequestStream,
-    TraceStream,
-    WorkloadStream,
-    parse_request_line,
-)
-from repro.workloads.traces import WorkloadTrace
+from repro.workloads.streams import RequestStream, parse_request_line
 
 SPACE = AddressSpace(10)
 NODES = np.arange(40, dtype=np.uint64)
@@ -28,78 +21,6 @@ def make_workload(n_files=20):
     return DownloadWorkload(
         n_files=n_files, file_size=UniformFileSize(3, 9), seed=2,
     )
-
-
-def flatten(stream, nodes=NODES, space=SPACE):
-    return [event for batch in stream.batches(nodes, space)
-            for event in batch]
-
-
-def assert_same_events(streamed, materialized):
-    assert len(streamed) == len(materialized)
-    for got, want in zip(streamed, materialized):
-        assert got.file_id == want.file_id
-        assert got.originator == want.originator
-        np.testing.assert_array_equal(
-            got.chunk_addresses, want.chunk_addresses
-        )
-
-
-class TestGeneratorStream:
-    @pytest.mark.parametrize("max_batch", [1, 7, 1000])
-    def test_rng_exact_vs_materialize(self, max_batch):
-        """Chunking the event iterator must not perturb the RNG."""
-        materialized = make_workload().materialize(NODES, SPACE)
-        stream = GeneratorStream(make_workload(), max_batch=max_batch)
-        assert_same_events(flatten(stream), materialized)
-
-    def test_batches_are_bounded(self):
-        stream = GeneratorStream(make_workload(), max_batch=7)
-        sizes = [len(b) for b in stream.batches(NODES, SPACE)]
-        assert all(size <= 7 for size in sizes)
-        assert sum(sizes) == 20
-
-    def test_satisfies_protocol(self):
-        assert isinstance(
-            GeneratorStream(make_workload()), WorkloadStream
-        )
-
-    def test_rejects_bad_max_batch(self):
-        with pytest.raises(WorkloadError, match="max_batch"):
-            GeneratorStream(make_workload(), max_batch=0)
-
-
-class TestTraceStream:
-    def make_trace_file(self, tmp_path):
-        events = make_workload().materialize(NODES, SPACE)
-        path = tmp_path / "trace.ndjson"
-        WorkloadTrace(
-            events, bits=SPACE.bits, n_nodes=len(NODES), overlay_seed=9
-        ).save(path)
-        return path, events
-
-    def test_replays_trace_exactly(self, tmp_path):
-        path, events = self.make_trace_file(tmp_path)
-        stream = TraceStream(path, max_batch=6)
-        assert_same_events(flatten(stream), events)
-
-    def test_bits_mismatch_rejected(self, tmp_path):
-        path, _ = self.make_trace_file(tmp_path)
-        stream = TraceStream(path)
-        with pytest.raises(WorkloadError, match="bit space"):
-            flatten(stream, space=AddressSpace(12))
-
-    def test_population_size_mismatch_rejected(self, tmp_path):
-        path, _ = self.make_trace_file(tmp_path)
-        stream = TraceStream(path)
-        with pytest.raises(WorkloadError, match="nodes"):
-            flatten(stream, nodes=np.arange(80, dtype=np.uint64))
-
-    def test_foreign_originator_rejected(self, tmp_path):
-        path, _ = self.make_trace_file(tmp_path)
-        stream = TraceStream(path)
-        with pytest.raises(WorkloadError, match="originator"):
-            flatten(stream, nodes=np.arange(100, 140, dtype=np.uint64))
 
 
 class TestParseRequestLine:

@@ -28,7 +28,7 @@ class TestTraceWorkload:
         space = AddressSpace(10)
         nodes = np.arange(40, dtype=np.uint64)
         trace = make_trace(nodes, space)
-        replayed = TraceWorkload(trace).materialize(nodes, space)
+        replayed = list(TraceWorkload(trace).events(nodes, space))
         for original, replay in zip(trace, replayed):
             assert original.originator == replay.originator
             assert np.array_equal(
@@ -41,7 +41,7 @@ class TestTraceWorkload:
         trace = make_trace(nodes, space)
         other_population = np.arange(100, 140, dtype=np.uint64)
         with pytest.raises(WorkloadError, match="originator"):
-            TraceWorkload(trace).materialize(other_population, space)
+            list(TraceWorkload(trace).events(other_population, space))
 
     def test_oversized_chunk_rejected(self):
         space = AddressSpace(10)
@@ -49,7 +49,7 @@ class TestTraceWorkload:
         trace = make_trace(nodes, space)
         small_space = AddressSpace(4)
         with pytest.raises(WorkloadError, match="space"):
-            TraceWorkload(trace).materialize(nodes, small_space)
+            list(TraceWorkload(trace).events(nodes, small_space))
 
     def test_replay_through_fast_simulation_is_deterministic(self):
         config = FastSimulationConfig(
@@ -73,7 +73,7 @@ class TestTraceWorkload:
             trace.events, bits=10, n_nodes=40, overlay_seed=1
         )
         with pytest.raises(WorkloadError, match="10-bit space"):
-            TraceWorkload(tagged).materialize(nodes, AddressSpace(12))
+            list(TraceWorkload(tagged).events(nodes, AddressSpace(12)))
 
     def test_header_population_mismatch_rejected(self):
         space = AddressSpace(10)
@@ -83,9 +83,9 @@ class TestTraceWorkload:
             trace.events, bits=10, n_nodes=40, overlay_seed=1
         )
         with pytest.raises(WorkloadError, match="40 nodes"):
-            TraceWorkload(tagged).materialize(
+            list(TraceWorkload(tagged).events(
                 np.arange(50, dtype=np.uint64), space
-            )
+            ))
 
     def test_saved_trace_replays_bit_identical_through_fast(self,
                                                             tmp_path):

@@ -56,11 +56,6 @@ class TestWorkloadTrace:
         )
         assert "12 files" in str(summary)
 
-    def test_originator_counts(self):
-        trace = make_trace()
-        counts = trace.originator_counts()
-        assert sum(counts.values()) == 12
-
     def test_roundtrip(self, tmp_path):
         trace = make_trace(bits=10, n_nodes=50, overlay_seed=42)
         path = tmp_path / "trace.ndjson"
