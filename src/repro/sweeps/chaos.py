@@ -59,6 +59,7 @@ other fatal kinds.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import signal
@@ -104,6 +105,16 @@ CRASH_EXIT_CODE = 70
 DEFAULT_HANG_SECONDS = 600.0
 
 
+def _is_finite_number(value) -> bool:
+    """Whether a decoded JSON value is a finite int or float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 class InjectedFault(RuntimeError):
     """The exception raised by ``exception``-kind faults (picklable)."""
 
@@ -128,7 +139,7 @@ class Fault:
             raise ConfigurationError(
                 f"fault attempt must be >= 0, got {self.attempt}"
             )
-        if self.seconds <= 0:
+        if not self.seconds > 0:
             raise ConfigurationError(
                 f"hang seconds must be > 0, got {self.seconds}"
             )
@@ -146,23 +157,31 @@ class Fault:
                 f"unknown fault plan key(s) {sorted(unknown)}"
             )
         try:
-            fault = cls(
-                point_id=str(payload["point_id"]),
-                attempt=int(payload.get("attempt", 0)),
-                kind=str(payload["kind"]),
-                message=str(payload.get("message", "injected fault")),
-                seconds=float(payload.get("seconds",
-                                          DEFAULT_HANG_SECONDS)),
-            )
+            point_id, kind = payload["point_id"], payload["kind"]
         except KeyError as error:
             raise ConfigurationError(
                 f"fault plan entry is missing required key {error}"
             ) from None
-        except (TypeError, ValueError, OverflowError) as error:
-            raise ConfigurationError(
-                f"fault plan entry has a bad value ({error})"
-            ) from None
-        return fault
+        attempt = payload.get("attempt", 0)
+        message = payload.get("message", "injected fault")
+        seconds = payload.get("seconds", DEFAULT_HANG_SECONDS)
+        # JSON types are taken as written, never coerced: a quoted
+        # attempt or a numeric point id is a plan that names the wrong
+        # thing, and NaN would slip past every range check.
+        for key, value, ok in (
+            ("point_id", point_id, isinstance(point_id, str)),
+            ("kind", kind, isinstance(kind, str)),
+            ("message", message, isinstance(message, str)),
+            ("attempt", attempt,
+             isinstance(attempt, int) and not isinstance(attempt, bool)),
+            ("seconds", seconds, _is_finite_number(seconds)),
+        ):
+            if not ok:
+                raise ConfigurationError(
+                    f"fault plan entry has a bad {key} {value!r}"
+                )
+        return cls(point_id=point_id, attempt=attempt, kind=kind,
+                   message=message, seconds=float(seconds))
 
 
 class FaultPlan:

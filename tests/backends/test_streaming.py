@@ -1,13 +1,17 @@
 """The micro-epoch session (:class:`StreamSession`) the serve daemon drives.
 
-Streamed == batch over the golden configurations is pinned end to end
-in ``tests/integration/test_serve.py``, through ``run_serve``; these
-tests pin the session itself: its refusals, that it restores the
-shared coded matrix so a second stream matches the first, and that
-per-epoch scratch results (the serve pattern) sum to the batch run
-exactly — every scalar counter, every per-node vector (including the
-float income/expenditure, which stay exact because chunk prices are
-dyadic rationals) and every hop-histogram bucket.
+Feeding a configuration's own flattened workload columns through one
+session, a slab per epoch (any cut for the static configuration),
+must reproduce the one-shot batch run *exactly* — every scalar
+counter, every per-node vector (including the float
+income/expenditure, which stay exact because chunk prices are dyadic
+rationals) and every hop-histogram bucket — on the static golden and
+all four scenario goldens. ``tests/integration/test_serve.py`` pins
+the same contract end to end, through request-line decoding and
+``run_serve``. These tests also pin the session's refusals, that it
+restores the shared coded matrix so a second stream matches the
+first, and that per-epoch scratch results (the serve pattern) sum to
+the batch run.
 """
 
 from __future__ import annotations
@@ -66,24 +70,41 @@ def column_batches(simulation: FastSimulation,
                targets[offsets[start]:offsets[stop]])
 
 
-def session_run(config: FastSimulationConfig):
-    """Route *config*'s workload through one session, a slab per epoch."""
+def session_run(config: FastSimulationConfig, max_batch: int | None = None):
+    """Route *config*'s workload through one session, *max_batch* files
+    (default: one slab) per epoch."""
     simulation = FastSimulation(config)
-    n_epochs = math.ceil(config.n_files / config.batch_files)
+    n_epochs = None
+    if config.scenario_stack() is not None:
+        n_epochs = math.ceil(config.n_files / config.batch_files)
     with StreamSession(simulation, n_epochs=n_epochs) as session:
         for files, origins, targets in column_batches(
-                simulation, config, config.batch_files):
+                simulation, config, max_batch or config.batch_files):
             session.result.files += files
             session.feed(origins, targets)
     return session.result
 
 
-class TestStreamSession:
+class TestFastStreaming:
+    @pytest.mark.parametrize("name", sorted(ALL_CONFIGS))
+    def test_bit_identical_to_batch(self, name):
+        """Slab-sized micro-batches reproduce the batch run exactly."""
+        config = ALL_CONFIGS[name]
+        assert_identical(FastSimulation(config).run(), session_run(config))
+
+    @pytest.mark.parametrize("max_batch", [1, 7, 1000])
+    def test_static_any_batch_size(self, max_batch):
+        """Static routing is per-chunk independent: any split is exact."""
+        batch = FastSimulation(GOLDEN_CONFIG).run()
+        assert_identical(batch, session_run(GOLDEN_CONFIG, max_batch))
+
     def test_repeated_streams_are_stable(self):
         """Session state fully restores: a second stream matches."""
         config = SCENARIO_GOLDEN_CONFIGS["scenario_churn_caching"]
         assert_identical(session_run(config), session_run(config))
 
+
+class TestStreamSession:
     def test_scenario_needs_epoch_count(self):
         config = SCENARIO_GOLDEN_CONFIGS["scenario_churn"]
         with pytest.raises(ConfigurationError, match="epoch count"):

@@ -1,11 +1,12 @@
-"""Merge algebra of the streaming aggregator, property-checked.
+"""Batch-size invariance of the streaming aggregator, property-checked.
 
-The two laws ``repro-swarm serve`` and the distributed sweep shards
-rely on: folding a stream of micro-epoch results is invariant to how
-the stream is cut into batches, and :meth:`StreamingAggregator.merge`
-is associative. Incomes are drawn as dyadic rationals (k / 65536) —
-the engine's actual price lattice — so float sums are exact and both
-laws hold with ``==``, not approximately.
+``repro-swarm serve`` cuts a request stream into micro-epochs of at
+most ``--max-batch`` requests and absorbs one result per epoch, so
+its aggregate must not depend on where the cuts fall: absorbing a
+stream of micro-epoch results one by one must equal absorbing the
+results summed over any grouping of them. Incomes are drawn as dyadic
+rationals (k / 65536) — the engine's actual price lattice — so float
+sums are exact and the law holds with ``==``, not approximately.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ from repro.analysis.streaming import StreamingAggregator
 
 N_NODES = 5
 ADDRS = np.arange(3, 3 + N_NODES, dtype=np.int64)
+
+#: The counters :meth:`StreamingAggregator.absorb` adds up.
+SCALARS = ("files", "chunks", "total_hops", "local_hits", "fallbacks",
+           "cache_hits", "unavailable")
+VECTORS = ("forwarded", "first_hop", "income", "expenditure")
 
 
 def dyadic_vector(draw, elements):
@@ -40,20 +46,6 @@ def micro_results(draw):
         min_size=N_NODES, max_size=N_NODES,
     )
     chunks = draw(st.integers(min_value=0, max_value=200))
-    unavailable = draw(st.integers(min_value=0, max_value=chunks))
-    histogram = draw(st.dictionaries(
-        st.integers(min_value=0, max_value=6),
-        st.integers(min_value=1, max_value=40),
-        max_size=4,
-    ))
-    latency = draw(st.one_of(
-        st.none(),
-        st.lists(
-            st.floats(min_value=0.0, max_value=1e4,
-                      allow_nan=False, allow_infinity=False),
-            max_size=20,
-        ).map(np.asarray),
-    ))
     return SimpleNamespace(
         node_addresses=ADDRS,
         forwarded=np.asarray(draw(counts), dtype=np.int64),
@@ -66,38 +58,33 @@ def micro_results(draw):
         local_hits=draw(st.integers(min_value=0, max_value=50)),
         fallbacks=draw(st.integers(min_value=0, max_value=50)),
         cache_hits=draw(st.integers(min_value=0, max_value=50)),
-        unavailable=unavailable,
-        hop_histogram=histogram,
-        latency_ms=latency,
+        unavailable=draw(st.integers(min_value=0, max_value=chunks)),
+        hop_histogram=draw(st.dictionaries(
+            st.integers(min_value=0, max_value=6),
+            st.integers(min_value=1, max_value=40),
+            max_size=4,
+        )),
     )
 
 
-def aggregate(results):
-    agg = StreamingAggregator(ADDRS)
+def summed(results):
+    """One result holding the sum of *results* (one coarser epoch)."""
+    total = SimpleNamespace(
+        node_addresses=ADDRS,
+        hop_histogram={},
+        **{name: 0 for name in SCALARS},
+        **{name: np.zeros(N_NODES, dtype=getattr(results[0], name).dtype)
+           for name in VECTORS},
+    )
     for result in results:
-        agg.absorb(result)
-    return agg
-
-
-def assert_equal_state(a: StreamingAggregator,
-                       b: StreamingAggregator) -> None:
-    """Full-state exact equality: vectors, counters, sketch buckets."""
-    np.testing.assert_array_equal(a.forwarded, b.forwarded)
-    np.testing.assert_array_equal(a.first_hop, b.first_hop)
-    np.testing.assert_array_equal(a.income, b.income)
-    np.testing.assert_array_equal(a.expenditure, b.expenditure)
-    assert a.files == b.files
-    assert a.chunks == b.chunks
-    assert a.total_hops == b.total_hops
-    assert a.local_hits == b.local_hits
-    assert a.fallbacks == b.fallbacks
-    assert a.cache_hits == b.cache_hits
-    assert a.unavailable == b.unavailable
-    assert a.hop_histogram == b.hop_histogram
-    assert a.epochs == b.epochs
-    assert a.latency.count == b.latency.count
-    assert a.latency.zero_count == b.latency.zero_count
-    assert a.latency.buckets == b.latency.buckets
+        for name in SCALARS + VECTORS:
+            setattr(total, name, getattr(total, name)
+                    + getattr(result, name))
+        for hops, count in result.hop_histogram.items():
+            total.hop_histogram[hops] = (
+                total.hop_histogram.get(hops, 0) + count
+            )
+    return total
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,31 +93,21 @@ def assert_equal_state(a: StreamingAggregator,
     data=st.data(),
 )
 def test_batch_size_invariance(results, data):
-    """Any split of the stream into shards folds to the same state."""
-    cut = data.draw(
-        st.integers(min_value=0, max_value=len(results)), label="cut"
-    )
-    whole = aggregate(results)
-    sharded = aggregate(results[:cut]).merge(aggregate(results[cut:]))
-    assert_equal_state(whole, sharded)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    first=st.lists(micro_results(), max_size=4),
-    second=st.lists(micro_results(), max_size=4),
-    third=st.lists(micro_results(), max_size=4),
-)
-def test_merge_is_associative(first, second, third):
-    a, b, c = (aggregate(shard) for shard in (first, second, third))
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    assert_equal_state(left, right)
-
-
-@settings(max_examples=40, deadline=None)
-@given(results=st.lists(micro_results(), min_size=1, max_size=6))
-def test_merge_with_empty_is_identity(results):
-    agg = aggregate(results)
-    merged = agg.merge(StreamingAggregator(ADDRS))
-    assert_equal_state(agg, merged)
+    """Any grouping of the stream into epochs folds to the same state."""
+    cuts = sorted(data.draw(st.sets(
+        st.integers(min_value=1, max_value=len(results) - 1)
+        if len(results) > 1 else st.nothing(),
+    ), label="cuts"))
+    fine = StreamingAggregator(ADDRS)
+    for result in results:
+        fine.absorb(result)
+    coarse = StreamingAggregator(ADDRS)
+    for start, stop in zip([0, *cuts], [*cuts, len(results)]):
+        coarse.absorb(summed(results[start:stop]), epochs=stop - start)
+    for name in VECTORS:
+        np.testing.assert_array_equal(getattr(coarse, name),
+                                      getattr(fine, name))
+    for name in SCALARS + ("epochs",):
+        assert getattr(coarse, name) == getattr(fine, name)
+    assert coarse.hop_histogram == fine.hop_histogram
+    assert coarse.snapshot() == fine.snapshot()

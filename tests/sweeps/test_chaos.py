@@ -48,6 +48,39 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError, match="missing"):
             Fault.from_json({"kind": "crash"})
 
+    @pytest.mark.parametrize("entry, key", [
+        ('{"point_id": 5, "kind": "crash"}', "point_id"),
+        ('{"point_id": "p", "kind": ["crash"]}', "kind"),
+        ('{"point_id": "p", "kind": "crash", "attempt": "3"}', "attempt"),
+        ('{"point_id": "p", "kind": "crash", "attempt": true}', "attempt"),
+        ('{"point_id": "p", "kind": "crash", "attempt": 1.0}', "attempt"),
+        ('{"point_id": "p", "kind": "hang", "seconds": NaN}', "seconds"),
+        ('{"point_id": "p", "kind": "hang", "seconds": Infinity}',
+         "seconds"),
+        ('{"point_id": "p", "kind": "hang", "seconds": "60"}', "seconds"),
+        ('{"point_id": "p", "kind": "hang", "seconds": 1' + "0" * 400
+         + "}", "seconds"),
+        ('{"point_id": "p", "kind": "exception", "message": null}',
+         "message"),
+    ], ids=["int-point", "list-kind", "quoted-attempt", "bool-attempt",
+            "float-attempt", "nan-seconds", "inf-seconds",
+            "quoted-seconds", "huge-seconds", "null-message"])
+    def test_mistyped_field_refused(self, entry, key):
+        """JSON types are taken as written, never coerced."""
+        with pytest.raises(ConfigurationError, match=f"bad {key}"):
+            Fault.from_json(json.loads(entry))
+
+    def test_integer_seconds_accepted(self):
+        fault = Fault.from_json({"point_id": "p", "kind": "hang",
+                                 "seconds": 120})
+        assert fault.seconds == 120.0
+        assert isinstance(fault.seconds, float)
+
+    def test_nan_hang_seconds_refused(self):
+        with pytest.raises(ConfigurationError, match="seconds"):
+            Fault(point_id="p", attempt=0, kind="hang",
+                  seconds=float("nan"))
+
     def test_duplicate_key_refused(self):
         with pytest.raises(ConfigurationError, match="duplicate"):
             FaultPlan((

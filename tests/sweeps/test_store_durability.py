@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.backends.config import FastSimulationConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InputError
 from repro.sweeps import SweepSpec, SweepStore, run_sweep
 
 TINY = FastSimulationConfig(
@@ -123,6 +123,31 @@ class TestSalvage:
         assert store.completed_ids() < {
             p.point_id for p in spec.points()
         }
+
+    def test_non_utf8_store_is_refused_with_the_salvage_hint(
+            self, tmp_path):
+        spec, path = self.complete_store(tmp_path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[3] = b"\xff" + lines[3]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(InputError, match=r"line 4 is not UTF-8.*"
+                           r"--salvage-store"):
+            SweepStore.load(path)
+
+    def test_non_utf8_line_salvages_what_precedes_it(self, tmp_path):
+        spec, path = self.complete_store(tmp_path)
+        text = path.read_bytes()
+        # Corrupt the line after the first points record: that record
+        # survives, the rest of the file is lost and will be re-run.
+        start = text.index(b'"points":')
+        first_end = text.index(b"\n    },\n", start) + len(b"\n    },\n")
+        path.write_bytes(text[:first_end] + b"\xff" + text[first_end:])
+        store, notes = SweepStore.salvage(path, spec=spec)
+        recovered = store.completed_ids()
+        assert len(recovered) == 1
+        assert recovered < {p.point_id for p in spec.points()}
+        assert any("is not UTF-8" in note and "lost" in note
+                   for note in notes)
 
     def test_salvage_drops_records_of_foreign_points(self, tmp_path):
         spec, path = self.complete_store(tmp_path)
