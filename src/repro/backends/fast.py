@@ -143,8 +143,9 @@ _OVERLAY_CACHE: dict[tuple, Overlay] = {}
 #: hand-off is only paid where a block's waves dwarf it.
 _MIN_BLOCK_CHUNKS = 1 << 15
 
-#: Runs blocks 1.. of a split slab (block 0 runs on the calling
-#: thread); created on first use, forgotten in forked children.
+#: Runs blocks 1.. of a split slab or lanes 1.. of a table build
+#: (block 0 runs on the calling thread); created on first use,
+#: forgotten in forked children.
 _BLOCK_POOL = None
 _BLOCK_POOL_WORKERS = 0
 
@@ -190,7 +191,8 @@ def _target_spans(targets: np.ndarray, bits: int) -> list[tuple[int, int]]:
 
 
 def _block_pool(workers: int):
-    """The thread pool for split slabs, with at least *workers* threads.
+    """The thread pool for split slabs and table-build lanes, with at
+    least *workers* threads.
 
     A pool that is too small is dropped, not shut down: a caller that
     still holds it can finish its submissions, and its idle threads
@@ -222,8 +224,9 @@ def _run_blocks(route, spans: list[tuple[int, int]]) -> list:
     """``route(lo, hi)`` for every span; block 0 on the calling thread.
 
     Every submitted block has finished before this returns *or*
-    raises: blocks write into the caller's slab arrays and read the
-    epoch's patched matrix, so none may outlive the call. The first
+    raises: blocks write into the caller's arrays (a slab's, or the
+    columns of a table being built) and may read the epoch's patched
+    matrix, so none may outlive the call. The first
     error in block order is re-raised.
     """
     futures = []
@@ -401,18 +404,30 @@ class NextHopTable:
     column comes from :func:`~repro.kademlia.xor_nearest_fill` over
     its sorted peers plus its own address: a target whose XOR-nearest
     key is a peer forwards there, and one nearest to the node itself
-    is a greedy terminal. Columns are filled 32 nodes at a time,
-    terminal-coded against ``storer`` and copied in, so the coded
-    matrix is the table's only representation. ``storer[t]`` is the
-    dense index of the globally closest node. Both use
-    :func:`table_entry_dtype`, whose maximum value, :attr:`sentinel`,
-    marks a greedy terminal during the build; capacity is validated
-    (never silently wrapped) at construction.
+    is a greedy terminal. The peers come from the overlay's edge list
+    (:meth:`~repro.kademlia.overlay.Overlay.edges`), fixed when the
+    overlay was built, never from routing-table objects: the build
+    makes none. Columns are filled 64 nodes at a time, terminal-coded
+    against ``storer`` and copied in, on one lane per CPU of the
+    process's affinity (at most one per group; one lane runs on the
+    calling thread alone), so the coded matrix is the table's
+    only representation and its bytes do not depend on the lane
+    count. ``storer[t]`` is the dense index of the globally closest
+    node. Both use :func:`table_entry_dtype`, whose maximum value,
+    :attr:`sentinel`, marks a greedy terminal during the build;
+    capacity is validated (never silently wrapped) at construction.
     """
 
     #: Node columns filled per ``[group, space]`` buffer before they
-    #: are terminal-coded and transposed into the coded matrix.
-    _BUILD_GROUP = 32
+    #: are terminal-coded and transposed into the coded matrix. The
+    #: transposed copy costs mostly per target row, so a wider group
+    #: is cheaper (on a 2-vCPU Xeon, 64 copies a paper-scale matrix in
+    #: about 3/4 of 32's time), at 8 MiB of buffer per lane at 16 bits.
+    _BUILD_GROUP = 64
+    #: Entries after each buffer row: rows exactly ``2**bits`` entries
+    #: apart map to the same cache sets, and the transposed copy reads
+    #: all of them at once.
+    _ROW_PAD = 32
 
     def __init__(self, overlay: Overlay) -> None:
         bits = overlay.space.bits
@@ -436,26 +451,53 @@ class NextHopTable:
         _log_table_build(overlay.fingerprint())
 
     def _build_coded(self) -> np.ndarray:
-        """The terminal-coded ``[target, node]`` matrix, filled per group."""
+        """The terminal-coded ``[target, node]`` matrix, filled per group.
+
+        One lexsort over the overlay's edge list, plus one self entry
+        per node, gives every node's sorted keys and their values as
+        slices of two lists. The groups are split into contiguous
+        runs of columns, one per lane (at most one per CPU), and each
+        lane fills its run through its own group buffer: block 0 on
+        the calling thread, the rest on the routing-block pool. Lanes
+        write disjoint columns, so any lane count builds the same
+        bytes.
+        """
         overlay = self.overlay
         n = self._n_nodes
+        size = overlay.space.size
         dtype = self.entry_dtype
         sentinel = dtype.type(self.sentinel)
-        coded = np.empty((overlay.space.size, n), dtype=dtype)
+        bounds, peers = overlay.edges()
+        nodes = np.arange(n)
+        owner = np.concatenate([np.repeat(nodes, np.diff(bounds)), nodes])
+        node = np.concatenate([peers, nodes])
+        key = self.addresses[node]
+        order = np.lexsort((key, owner))
+        keys = key[order].tolist()
+        values = np.where(node == owner, self.sentinel, node)[order].tolist()
+        starts = (bounds + np.arange(n + 1)).tolist()
+        coded = np.empty((size, n), dtype=dtype)
         stalled_code = self.storer + dtype.type(2 * n)
-        group = np.empty((self._BUILD_GROUP, overlay.space.size), dtype=dtype)
-        for start in range(0, n, self._BUILD_GROUP):
-            owners = overlay.addresses[start:start + self._BUILD_GROUP]
-            rows = group[:len(owners)]
-            for row, owner in zip(rows, owners):
-                keys = sorted(overlay.table(owner).peer_array().tolist()
-                              + [owner])
-                values = [self.sentinel if key == owner
-                          else overlay.index_of(key) for key in keys]
-                xor_nearest_fill(keys, values, row)
-            np.add(rows, dtype.type(n), out=rows, where=rows == self.storer)
-            np.copyto(rows, stalled_code, where=rows == sentinel)
-            coded[:, start:start + len(owners)] = rows.T
+
+        def fill(lo: int, hi: int) -> None:
+            group = np.empty((self._BUILD_GROUP, size + self._ROW_PAD),
+                             dtype=dtype)[:, :size]
+            for start in range(lo, hi, self._BUILD_GROUP):
+                stop = min(start + self._BUILD_GROUP, hi)
+                rows = group[:stop - start]
+                for row, first, last in zip(rows, starts[start:stop],
+                                            starts[start + 1:stop + 1]):
+                    xor_nearest_fill(keys[first:last], values[first:last],
+                                     row)
+                np.add(rows, dtype.type(n), out=rows, where=rows == self.storer)
+                np.copyto(rows, stalled_code, where=rows == sentinel)
+                coded[:, start:stop] = rows.T
+
+        groups = -(-n // self._BUILD_GROUP)
+        lanes = min(_cpu_budget(), groups)
+        edges = [min(n, groups * lane // lanes * self._BUILD_GROUP)
+                 for lane in range(lanes + 1)]
+        _run_blocks(fill, list(zip(edges[:-1], edges[1:])))
         return coded
 
     @classmethod

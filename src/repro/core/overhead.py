@@ -122,9 +122,7 @@ def overhead_report(overlay: Overlay, income: np.ndarray,
     """
     if model is None:
         model = OverheadModel()
-    degrees = np.array(
-        [len(overlay.table(a)) for a in overlay.addresses], dtype=np.float64
-    )
+    degrees = overlay.degrees().astype(np.float64)
     if income.shape != degrees.shape or paid_chunks.shape != degrees.shape:
         raise ValueError(
             "income and paid_chunks must align with the overlay's nodes"

@@ -71,11 +71,7 @@ def run_k_sweep(n_files: int = 2000, n_nodes: int = 1000,
         )
         engine = get_backend(backend).prepare(config)
         result = engine.run()
-        degrees = [
-            len(engine.overlay.table(a))
-            for a in engine.overlay.addresses
-        ]
-        mean_degree = float(np.mean(degrees))
+        mean_degree = float(np.mean(engine.overlay.degrees()))
         table.add_row(
             bucket_size, result.f2_gini(), result.f1_gini(),
             round(result.average_forwarded_chunks()),

@@ -25,7 +25,9 @@ Construction follows the paper:
 :meth:`Overlay.build` works in whole-array passes: one exact ``[n, n]``
 proximity matrix gives every bucket population and neighborhood depth,
 and one stable sort puts all edges in the order of the per-node loop
-in ``tests/kademlia/overlay_oracle.py``. The RNG contract is the address
+in ``tests/kademlia/overlay_oracle.py``. That deduplicated edge list,
+in bucket order, is the built overlay: routing-table objects are made
+from it only when a caller asks for one. The RNG contract is the address
 draw, then one ``rng.choice(candidates, size=k_i, replace=False)`` per
 bucket over capacity, node by node, bucket by bucket, candidates in
 node-index order (a draw depends only on how many there are).
@@ -112,16 +114,60 @@ class OverlayConfig:
 
 
 class Overlay:
-    """A built overlay: node addresses plus one routing table per node.
+    """A built overlay: node addresses plus every node's known peers.
 
     Instances are created through :meth:`build` (or :meth:`from_tables`
-    for hand-crafted topologies in tests). After construction the
-    overlay should be treated as read-only; the routing tables are
-    shared with routers and simulators.
+    for hand-crafted topologies in tests). The structure is one edge
+    list fixed at construction: per-owner bounds into an array of peer
+    indices, each owner's peers in bucket order (shallowest bucket
+    first, each bucket in insertion order). The fingerprint, the
+    degrees, :meth:`to_dict` and the next-hop table build all read
+    those arrays. :class:`~repro.kademlia.table.RoutingTable` objects
+    are made lazily, one per node on its first :meth:`table` call, for
+    the object-level callers (the reference simulator, the routers,
+    churn). Mutating such a table changes what those callers see but
+    not the edge list: an overlay whose tables are edited (as
+    :mod:`repro.swarm.churn` does to the private overlays it builds)
+    keeps its construction-time fingerprint, degrees and serialized
+    form.
     """
 
     def __init__(self, config: OverlayConfig, addresses: Sequence[int],
                  tables: Mapping[int, RoutingTable]) -> None:
+        self._set_nodes(config, addresses)
+        for address in self.addresses:
+            if address not in tables:
+                raise OverlayError(f"missing routing table for node {address}")
+        self._tables = {address: tables[address] for address in self.addresses}
+        self._set_edges(*self._edges_of(
+            [self._tables[address].peers() for address in self.addresses]))
+
+    @classmethod
+    def _without_edges(cls, config: OverlayConfig,
+                       addresses: Sequence[int]) -> "Overlay":
+        """An overlay of *addresses* whose caller sets its edges."""
+        overlay = cls.__new__(cls)
+        overlay._set_nodes(config, addresses)
+        overlay._tables = {}
+        return overlay
+
+    def _edges_of(self, rows: Sequence[Sequence[int]]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """``(bounds, peers)`` of one peer-address list per node, each
+        put in bucket order stably."""
+        degrees = [len(row) for row in rows]
+        try:
+            peer = np.array([self._index_of[peer] for row in rows
+                             for peer in row], dtype=np.int64)
+        except KeyError as error:
+            raise OverlayError(f"a routing table lists {error.args[0]}, "
+                               f"which is not a node of the overlay") from None
+        owner = np.repeat(np.arange(len(rows)), degrees)
+        return np.cumsum([0] + degrees), _bucket_order(
+            self._address_array, owner, peer, self.space.bits)
+
+    def _set_nodes(self, config: OverlayConfig,
+                   addresses: Sequence[int]) -> None:
         self.config = config
         self.space = config.space
         self.addresses: tuple[int, ...] = tuple(addresses)
@@ -129,15 +175,18 @@ class Overlay:
             raise OverlayError("overlay addresses must be unique")
         for address in self.addresses:
             self.space.validate(address)
-            if address not in tables:
-                raise OverlayError(f"missing routing table for node {address}")
-        self._tables = dict(tables)
         self._address_array = np.asarray(self.addresses, dtype=np.uint64)
         self._index_of = {
             address: index for index, address in enumerate(self.addresses)
         }
         self._storer_cache: np.ndarray | None = None
         self._fingerprint: str | None = None
+
+    def _set_edges(self, bounds: np.ndarray, peers: np.ndarray) -> None:
+        self._bounds = np.asarray(bounds, dtype=np.int64)
+        self._peers = np.asarray(peers, dtype=np.int64)
+        self._bounds.flags.writeable = False
+        self._peers.flags.writeable = False
 
     # ------------------------------------------------------------------
     # Construction
@@ -212,12 +261,11 @@ class Overlay:
         order = np.lexsort((key, owner))
         _, first = np.unique(owner[order] * n + peer[order], return_index=True)
         kept = order[np.sort(first)]
-        bounds = np.searchsorted(owner[kept], np.arange(n + 1)).tolist()
-        peers = address_array[peer[kept]].tolist()
-        tables = {address: RoutingTable.from_peers(
-            address, space, config.limits, peers[lo:hi])
-            for address, lo, hi in zip(addresses, bounds, bounds[1:])}
-        return cls(config, addresses, tables)
+        overlay = cls._without_edges(config, addresses)
+        overlay._set_edges(np.searchsorted(owner[kept], np.arange(n + 1)),
+                           _bucket_order(address_array, owner[kept],
+                                         peer[kept], bits))
+        return overlay
 
     @classmethod
     def from_tables(cls, config: OverlayConfig,
@@ -238,11 +286,34 @@ class Overlay:
         return address in self._index_of
 
     def table(self, address: int) -> RoutingTable:
-        """Routing table of the node at *address*."""
-        try:
-            return self._tables[address]
-        except KeyError:
-            raise OverlayError(f"no node at address {address}") from None
+        """Routing table of the node at *address*.
+
+        Made from the edge list on the first call for that node and
+        kept, so later calls return the same (possibly mutated) object.
+        The edge list itself never changes (see the class docstring).
+        """
+        table = self._tables.get(address)
+        if table is None:
+            index = self.index_of(address)
+            lo, hi = self._bounds[index:index + 2].tolist()
+            table = RoutingTable.from_peers(
+                address, self.space, self.config.limits,
+                self._address_array[self._peers[lo:hi]].tolist())
+            self._tables[address] = table
+        return table
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The overlay's structure as read-only ``(bounds, peers)``.
+
+        Node ``i`` (dense index) knows the peers at dense indices
+        ``peers[bounds[i]:bounds[i + 1]]``, in bucket order: the order
+        of ``table(addresses[i]).peers()`` at construction.
+        """
+        return self._bounds, self._peers
+
+    def degrees(self) -> np.ndarray:
+        """Number of known peers per node (dense-index order)."""
+        return np.diff(self._bounds)
 
     def index_of(self, address: int) -> int:
         """Dense index (0..n-1) of a node address."""
@@ -288,11 +359,10 @@ class Overlay:
             )
             digest.update(header.encode())
             digest.update(self._address_array.tobytes())
-            for address in self.addresses:
-                peers = np.asarray(
-                    sorted(self._tables[address].peers()), dtype=np.uint64
-                )
-                digest.update(peers.tobytes())
+            # Every node's peer addresses in ascending order, node by node.
+            owners = np.repeat(np.arange(len(self)), self.degrees())
+            peers = self._address_array[self._peers]
+            digest.update(peers[np.lexsort((peers, owners))].tobytes())
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
@@ -326,13 +396,19 @@ class Overlay:
 
     def degree_histogram(self) -> dict[int, int]:
         """Map node address -> number of known peers."""
-        return {address: len(self._tables[address]) for address in self.addresses}
+        return dict(zip(self.addresses, self.degrees().tolist()))
 
     # ------------------------------------------------------------------
     # Persistence (multi-machine result merging support)
 
     def to_dict(self) -> dict:
-        """Serialize the overlay structure to plain data."""
+        """Serialize the overlay structure to plain data.
+
+        Each node's peers are listed in bucket order, the order
+        :meth:`from_dict` re-adds them in.
+        """
+        bounds = self._bounds.tolist()
+        peers = self._address_array[self._peers].tolist()
         return {
             "config": {
                 "n_nodes": self.config.n_nodes,
@@ -349,8 +425,8 @@ class Overlay:
             },
             "addresses": list(self.addresses),
             "tables": {
-                str(address): self._tables[address].peers()
-                for address in self.addresses
+                str(address): peers[lo:hi]
+                for address, lo, hi in zip(self.addresses, bounds, bounds[1:])
             },
         }
 
@@ -363,8 +439,8 @@ class Overlay:
         of a node's address, and every peer must be another node of
         the overlay, listed once. Anything else raises
         :class:`~repro.errors.OverlayError` naming the offending key.
-        Peers are re-added in their serialized order, so every bucket
-        keeps its insertion order.
+        Peers are put in bucket order stably, so every bucket keeps
+        the serialized order of its peers.
         """
         if not isinstance(data, Mapping):
             raise OverlayError(
@@ -389,7 +465,7 @@ class Overlay:
             )
 
         raw_tables = _field(data, "tables", Mapping)
-        tables: dict[int, RoutingTable] = {}
+        tables: dict[int, list[int]] = {}
         for raw_owner, peers in raw_tables.items():
             owner = _owner(raw_owner, nodes)
             key = f"tables[{raw_owner!r}]"
@@ -415,16 +491,17 @@ class Overlay:
                 raise OverlayError(
                     f"overlay {peer_key!r} repeats peer {peers[index]}"
                 )
-            tables[owner] = RoutingTable.from_peers(
-                owner, space, config.limits, peers
-            )
+            tables[owner] = peers
         for address in addresses:
             if address not in tables:
                 raise OverlayError(
                     f"overlay 'tables' has no routing table for node "
                     f"{address}"
                 )
-        return cls(config, addresses, tables)
+        overlay = cls._without_edges(config, addresses)
+        overlay._set_edges(*overlay._edges_of(
+            [tables[address] for address in addresses]))
+        return overlay
 
     def save(self, path: str | Path) -> None:
         """Write the overlay to a JSON file."""
@@ -447,6 +524,14 @@ class Overlay:
             raise OverlayError(f"{path}: not an overlay JSON file "
                                f"({error})") from None
         return cls.from_dict(data)
+
+
+def _bucket_order(addresses: np.ndarray, owner: np.ndarray, peer: np.ndarray,
+                  bits: int) -> np.ndarray:
+    """*peer* (grouped by ascending *owner*) stably sorted into bucket
+    order within each owner: the order of ``RoutingTable.peers()``."""
+    bucket = bits - bit_length_array(addresses[owner] ^ addresses[peer])
+    return peer[np.lexsort((bucket, owner))]
 
 
 def _field(data: Mapping, key: str, kind: type, where: str = ""):

@@ -49,9 +49,7 @@ class DegreeStats:
 
 def degree_stats(overlay: Overlay) -> DegreeStats:
     """Compute degree statistics (open-connection cost, paper §V)."""
-    degrees = np.array(
-        [len(overlay.table(a)) for a in overlay.addresses], dtype=np.int64
-    )
+    degrees = overlay.degrees()
     return DegreeStats(
         n_nodes=len(overlay),
         min_degree=int(degrees.min()),

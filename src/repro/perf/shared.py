@@ -15,11 +15,12 @@ paper-scale table shared by every worker.
 
 The topology rides along in a third segment: the overlay's
 :meth:`~repro.kademlia.overlay.Overlay.to_dict` form as JSON bytes.
-A worker decodes it once (:func:`attach_overlay`: 23–46 ms for a
-300-node topology, fingerprint included, against ~0.2 s for
-``Overlay.build``), recomputes the fingerprint from the decoded
-structure and refuses a mismatch, so no worker rebuilds an overlay
-the parent already built.
+A worker decodes it once into the overlay's edge arrays, making no
+routing-table objects (:func:`attach_overlay`: ~5 ms for a 300-node
+topology, fingerprint included, against ~30 ms for ``Overlay.build``,
+best of 9 on a 2-vCPU host), recomputes the fingerprint from the
+decoded structure and refuses a mismatch, so no worker rebuilds an
+overlay the parent already built.
 
 Only these dense, per-topology arrays are published. A scenario's
 per-epoch storer tables and coded-matrix patches are derived in the

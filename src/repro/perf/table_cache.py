@@ -87,8 +87,11 @@ class CacheStats:
 class TableCache:
     """Memoizes :class:`NextHopTable` instances by overlay fingerprint.
 
-    Not thread-safe; the simulation stack is process-parallel, never
-    thread-parallel, and each process owns its cache.
+    Not thread-safe, and it need not be: each process owns its cache,
+    and only the thread that runs a simulation calls it. The threads
+    of :mod:`repro.backends.fast`'s block pool (routing blocks of a
+    slab, lanes of a table build) work inside one such call on arrays
+    they are handed, and never reach the cache.
     """
 
     def __init__(self) -> None:

@@ -12,10 +12,12 @@ through the unchanged ``trace:path=...`` scenario machinery.
 ``repro-swarm trace import-dynamics`` is the CLI wrapper.
 
 Accepted input: NDJSON, one membership event per line — an object
-with a timestamp (``ts`` or ``time``, seconds), an event kind
-(``event`` or ``action``: ``join``/``leave``, with ``arrive``/
+with a timestamp (``ts`` or ``time``: seconds as a finite JSON
+number, never a string or a bool), an event kind (``event`` or
+``action``: the string ``join``/``leave``, with ``arrive``/
 ``connect`` and ``depart``/``disconnect`` as aliases), and a peer
-identifier (``node`` or ``peer``). Example::
+identifier (``node`` or ``peer``). Anything else is refused with a
+:class:`~repro.errors.ConfigurationError` naming the line. Example::
 
     {"ts": 1696000000.0, "event": "leave", "node": "12D3KooWA..."}
     {"ts": 1696000007.5, "event": "join", "node": 40163}
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -61,6 +64,17 @@ class DynamicsImportSummary:
             f"{self.n_epochs} epoch(s); peer ids: {self.direct_nodes} "
             f"direct, {self.hashed_nodes} hashed"
         )
+
+
+def _finite_number(value) -> bool:
+    """Whether *value* is a JSON int or float with a finite float value
+    (``true``, ``"5"``, ``NaN`` and ints past the float range are not)."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def import_dynamics(lines: Iterable[str] | IO[str], *, overlay,
@@ -128,14 +142,18 @@ def import_dynamics(lines: Iterable[str] | IO[str], *, overlay,
                 f"bad membership log line {lineno}: need 'ts', "
                 f"'event' and 'node' fields"
             )
-        try:
-            ts = float(ts)
-        except (TypeError, ValueError):
+        if not _finite_number(ts):
             raise ConfigurationError(
                 f"bad membership log line {lineno}: timestamp "
-                f"{ts!r} is not a number"
-            ) from None
-        kind = str(kind).lower()
+                f"{reprlib.repr(ts)} is not a finite JSON number"
+            )
+        if type(kind) is not str:
+            raise ConfigurationError(
+                f"bad membership log line {lineno}: event kind "
+                f"{reprlib.repr(kind)} is not a string"
+            )
+        ts = float(ts)
+        kind = kind.lower()
         if kind in _JOIN_WORDS:
             is_join = True
         elif kind in _LEAVE_WORDS:
@@ -155,6 +173,11 @@ def import_dynamics(lines: Iterable[str] | IO[str], *, overlay,
     t0 = min(r[0] for r in records)
     t1 = max(r[0] for r in records)
     span = t1 - t0
+    if not math.isfinite(span):
+        raise ConfigurationError(
+            f"membership log timestamps run from {t0!r} to {t1!r}, a "
+            f"span too wide to bucket into epochs"
+        )
     if epoch_seconds is not None:
         n_epochs = max(1, math.ceil(span / epoch_seconds) or 1)
         width = epoch_seconds

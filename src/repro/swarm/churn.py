@@ -12,11 +12,15 @@ experiments are possible:
   its own table from the live population and announces itself to the
   peers that would have selected it (capacity permitting).
 
-The overlay object is mutated in place; the
+The overlay's routing-table objects are mutated in place; the
 :class:`~repro.kademlia.routing.Router` then routes over the live
-population only. Routes targeting addresses whose storer is offline
-surface as fallbacks/misses, which is exactly the availability signal
-churn experiments measure.
+population only. The overlay's edge list, and with it its
+fingerprint, degrees, serialized form and next-hop table, stays as
+built (see :class:`~repro.kademlia.overlay.Overlay`), so churn runs
+on an overlay of its own (``run_churn`` builds one per scenario),
+never on one a cache or a fast simulation shares. Routes targeting
+addresses whose storer is offline surface as fallbacks/misses, which
+is exactly the availability signal churn experiments measure.
 """
 
 from __future__ import annotations

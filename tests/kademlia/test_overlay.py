@@ -9,6 +9,9 @@ from repro.errors import ConfigurationError, OverlayError
 from repro.kademlia.address import common_prefix_length
 from repro.kademlia.buckets import BucketLimits
 from repro.kademlia.overlay import Overlay, OverlayConfig
+from repro.kademlia.table import RoutingTable
+
+from . import overlay_oracle
 
 
 class TestOverlayConfig:
@@ -162,6 +165,50 @@ class TestQueries:
         assert all(degree > 0 for degree in histogram.values())
 
 
+class TestLazyTables:
+    """Routing-table objects come from the edge list, on demand."""
+
+    def test_edge_readers_build_no_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a RoutingTable was built")
+
+        monkeypatch.setattr(RoutingTable, "__init__", refuse)
+        overlay = Overlay.build(OverlayConfig(n_nodes=80, bits=10, seed=4))
+        overlay.fingerprint()
+        overlay.degree_histogram()
+        Overlay.from_dict(overlay.to_dict()).fingerprint()
+
+    @pytest.mark.parametrize("config", [
+        OverlayConfig(n_nodes=300, bits=16),
+        OverlayConfig(n_nodes=120, bits=10, seed=7,
+                      limits=BucketLimits.with_bucket_zero(2, 9)),
+        OverlayConfig(n_nodes=50, bits=8, seed=1, neighborhood_min=6,
+                      symmetric_neighborhood=False),
+    ], ids=["300-node", "bucket-0-override", "one-way-neighbourhood"])
+    def test_lazy_tables_equal_the_eager_build(self, config):
+        overlay = Overlay.build(config)
+        eager = overlay_oracle.build(config)
+        for address in eager.addresses:
+            ours = [bucket.peers for bucket in overlay.table(address).buckets]
+            theirs = [bucket.peers for bucket in eager.table(address).buckets]
+            assert ours == theirs, address
+        assert overlay.degree_histogram() == {
+            address: len(eager.table(address)) for address in eager.addresses}
+        assert overlay.to_dict() == eager.to_dict()
+        assert overlay.fingerprint() == eager.fingerprint()
+
+    def test_a_table_is_made_once_and_the_edges_stay_fixed(self):
+        overlay = Overlay.build(OverlayConfig(n_nodes=40, bits=8, seed=9))
+        owner = overlay.addresses[0]
+        before = (overlay.to_dict(), overlay.degree_histogram())
+        table = overlay.table(owner)
+        assert overlay.table(owner) is table
+        table.remove(table.peers()[0])
+        assert overlay.table(owner) is table
+        assert len(table) == before[1][owner] - 1
+        assert (overlay.to_dict(), overlay.degree_histogram()) == before
+
+
 class TestPersistence:
     def test_dict_roundtrip(self, small_overlay):
         clone = Overlay.from_dict(small_overlay.to_dict())
@@ -199,6 +246,17 @@ class TestValidationOnConstruction:
         addresses = list(small_overlay.addresses)
         tables = {a: small_overlay.table(a) for a in addresses[:-1]}
         with pytest.raises(OverlayError, match="missing routing table"):
+            Overlay(small_overlay.config, addresses, tables)
+
+    def test_peer_outside_the_overlay_rejected(self, small_overlay):
+        addresses = list(small_overlay.addresses)
+        stranger = next(a for a in range(small_overlay.space.size)
+                        if a not in small_overlay)
+        table = RoutingTable(addresses[0], small_overlay.space)
+        table.add_unbounded(stranger)
+        tables = {a: small_overlay.table(a) for a in addresses[1:]}
+        tables[addresses[0]] = table
+        with pytest.raises(OverlayError, match="not a node of the overlay"):
             Overlay(small_overlay.config, addresses, tables)
 
 

@@ -121,6 +121,26 @@ class TestImportDynamics:
             import_dynamics(
                 ['{"ts": 0.0}\n'], overlay=overlay, n_epochs=1
             )
+        # A timestamp must be a finite JSON number as written: no
+        # quoted number, bool, NaN or infinity (json.loads takes the
+        # bare NaN/Infinity literals), nor an int past the float range.
+        for ts in ('"5"', '"nan"', '"inf"', "true", "NaN", "Infinity",
+                   "-Infinity", "1" + "0" * 400):
+            line = f'{{"ts": {ts}, "event": "join", "node": "p"}}\n'
+            with pytest.raises(ConfigurationError,
+                               match="line 1: timestamp.*finite"):
+                import_dynamics([line], overlay=overlay, n_epochs=1)
+        for kind in (5, True, ["join"], {"join": 1}):
+            with pytest.raises(ConfigurationError,
+                               match="line 1: event kind.*not a string"):
+                import_dynamics([log_line(0.0, kind, "p")],
+                                overlay=overlay, n_epochs=1)
+        # Finite timestamps whose span overflows a float.
+        with pytest.raises(ConfigurationError, match="too wide"):
+            import_dynamics(
+                [log_line(-1e308, "join", "p"), log_line(1e308, "leave", "p")],
+                overlay=overlay, n_epochs=1,
+            )
 
     def test_empty_log_rejected(self, overlay):
         with pytest.raises(ConfigurationError, match="no events"):
