@@ -41,9 +41,8 @@ class ReferenceBackend(SimulationBackend):
         if config.has_scenarios:
             raise ConfigurationError(
                 "the caching/churn scenario fields are vectorized-backend "
-                "only; the reference network models real caches via "
-                "ReferenceBackend(cache='lru'|'lfu') and churn via "
-                "repro.swarm.churn"
+                "only; the reference network models per-node caches via "
+                "ReferenceBackend(cache='lru'|'lfu') and has no churn"
             )
         self.config = config
         self.network = SwarmNetwork(SwarmNetworkConfig(

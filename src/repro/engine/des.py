@@ -1,8 +1,7 @@
 """Discrete-event scheduler.
 
 The paper's time-based behaviours need wall-clock time: the ``time``
-backend's transfers, the churn model's sessions and downtimes (§V),
-and periodic SWAP amortization ticks (:meth:`SwarmNetwork.amortize
+backend's transfers and periodic SWAP amortization ticks (:meth:`SwarmNetwork.amortize
 <repro.swarm.network.SwarmNetwork.amortize>`). :class:`EventScheduler`
 is a classic priority-queue DES kernel: events fire in timestamp order
 (FIFO among equal timestamps), handlers may schedule further events,

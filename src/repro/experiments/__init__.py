@@ -1,11 +1,13 @@
-"""Experiment runners: one per paper table/figure, plus ablations.
+"""Experiment runners: one per paper artifact, one per extension.
 
-The vectorized simulation engine lives in :mod:`repro.backends`;
-:mod:`repro.experiments.paper` reproduces Table I and Figures 4-6;
-:mod:`repro.experiments.ablations` covers the §V future-work
-extensions; :mod:`repro.experiments.scenarios` runs the composed
-network dynamics; :mod:`repro.experiments.registry` indexes
-everything for the CLI.
+The simulation engines live in :mod:`repro.backends`;
+:mod:`repro.experiments.paper` reproduces Table I and Figures 4-6
+from one seed, and :mod:`repro.experiments.sweeps` replicates the same
+grid over seeds (``sensitivity``); :mod:`repro.experiments.ablations`
+and :mod:`repro.experiments.extensions` cover the §V future-work
+directions and the §II/§III design checks;
+:mod:`repro.experiments.scenarios` runs the composed network dynamics;
+:mod:`repro.experiments.registry` indexes everything for the CLI.
 """
 
 from .ablations import (
@@ -22,7 +24,6 @@ from .extensions import (
     run_latency,
     run_overhead,
     run_privacy,
-    run_sensitivity,
 )
 from ..backends.fast import (
     FastSimulation,
@@ -52,6 +53,7 @@ from .registry import (
 )
 from .report import ExperimentReport
 from .storage import run_storage
+from .sweeps import run_sensitivity
 
 __all__ = [
     "ExperimentReport",

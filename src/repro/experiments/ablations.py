@@ -1,4 +1,4 @@
-"""Ablation and extension experiments (paper §V + DESIGN.md §3).
+"""Ablation and extension experiments (paper §V).
 
 These go beyond the paper's published grid, covering the future-work
 directions §V sketches and the design choices this reproduction makes:
@@ -7,14 +7,16 @@ directions §V sketches and the design choices this reproduction makes:
 * :func:`run_bucket0` — increase k only for bucket zero (§V idea);
 * :func:`run_pricing` — pricing-strategy ablation;
 * :func:`run_popularity` — Zipf content popularity vs uniform;
-* :func:`run_caching` — forwarding caches under popular content
-  (reference simulator — caches need real stores);
+* :func:`run_caching` — forwarding caches under popular content, as
+  per-node LRU/LFU stores (reference) and a path-cache mask (fast);
 * :func:`run_freeriders` — misbehaving peers that never pay;
 * :func:`run_baselines` — SWAP vs tit-for-tat / Filecoin-style /
   idealized reference mechanisms on the fairness properties.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from ..baselines.filecoin import FilecoinConfig, FilecoinMechanism
 from ..baselines.flat import EqualSplitMechanism, PerChunkRewardMechanism
 from ..baselines.freerider import FreeRiderPlan, apply_free_riders
 from ..baselines.tit_for_tat import TitForTatConfig, TitForTatSwarm
-from ..core.fairness import evaluate_fairness, gini
+from ..core.fairness import evaluate_fairness
 from ..kademlia.overlay import OverlayConfig
 from ..kademlia.routing import Router
 from ..swarm.chunk import FileManifest
@@ -38,7 +40,6 @@ __all__ = [
     "run_pricing",
     "run_popularity",
     "run_caching",
-    "run_caching_fast",
     "run_freeriders",
     "run_baselines",
 ]
@@ -216,130 +217,72 @@ def run_popularity(n_files: int = 2000, n_nodes: int = 1000,
     return report
 
 
-def run_caching(n_files: int = 150, n_nodes: int = 200,
-                catalog_size: int = 40,
+def run_caching(n_files: int = 2000, n_nodes: int = 1000,
+                catalog_size: int = 200,
                 cache_capacity: int = 64) -> ExperimentReport:
-    """Forwarding caches under popular content (reference simulator).
+    """Forwarding caches under Zipf popularity, on both cache models.
 
-    Caches change which node serves a chunk, so this runs on the
-    reference :class:`SwarmNetwork` where stores and caches are real.
-    Popularity is required for caches to matter; the workload uses a
-    small Zipf catalog.
+    The reference simulator gives every node an LRU or LFU store of
+    ``cache_capacity`` forwarded chunks; the vectorized backend's
+    ``caching`` scenario is a path-cache mask (a retrieved chunk is
+    served by the originator's first hop in one hop). Both replay one
+    workload: a Zipf catalog of fixed 30-chunk files, so repeats
+    exist. The no-cache row is one run shared by both tables, because
+    the two engines are equal on a static configuration.
     """
+    config = FastSimulationConfig(
+        n_nodes=n_nodes, bucket_size=4, originator_share=0.2,
+        n_files=n_files, file_min=30, file_max=30,
+        catalog_size=catalog_size, batch_files=256,
+    )
     report = ExperimentReport(
         name="caching",
         title=(
-            f"Forwarding-cache extension ({n_files} downloads, "
-            f"{n_nodes} nodes, zipf catalog of {catalog_size})"
+            f"Forwarding caches ({n_files} downloads, {n_nodes} nodes, "
+            f"zipf catalog of {catalog_size})"
         ),
     )
-    table = Table(
-        title="cache policy vs traffic and fairness (k=4)",
-        headers=["cache", "mean forwarded", "cache hits", "hops saved",
-                 "F2 Gini"],
-    )
-    overlay = OverlayConfig.paper(bucket_size=4)
-    overlay = OverlayConfig(
-        n_nodes=n_nodes, bits=overlay.bits, limits=overlay.limits,
-        seed=overlay.seed,
-    )
-    series: dict[str, dict[str, float]] = {}
-    for cache in ("none", "lru", "lfu"):
-        network = SwarmNetwork(SwarmNetworkConfig(
-            overlay=overlay, cache=cache, cache_capacity=cache_capacity,
-        ))
-        rng = np.random.default_rng(123)
-        catalog = [
-            tuple(int(a) for a in
-                  rng.integers(0, network.overlay.space.size, size=30))
-            for _ in range(catalog_size)
-        ]
-        ranks = np.arange(1, catalog_size + 1, dtype=np.float64)
-        weights = ranks ** -1.0
-        weights /= weights.sum()
-        nodes = network.overlay.address_array()
-        for file_id in range(n_files):
-            originator = int(rng.choice(nodes))
-            addresses = catalog[int(rng.choice(catalog_size, p=weights))]
-            manifest = FileManifest(
-                file_id=file_id, chunk_addresses=addresses
-            )
-            network.download_file(originator, manifest)
-        stats = network.retrieval.stats
-        f2 = gini(network.income_per_node())
-        table.add_row(
-            cache, round(network.average_forwarded_chunks(), 1),
-            stats.cache_hits, stats.hops_saved_by_cache, f2,
+    runs = {
+        "none": run_simulation(config),
+        "lru": run_simulation(config, backend="reference", cache="lru",
+                              cache_capacity=cache_capacity),
+        "lfu": run_simulation(config, backend="reference", cache="lfu",
+                              cache_capacity=cache_capacity),
+        "path": run_simulation(replace(config, scenario="caching")),
+    }
+    for title, labels in (
+        (f"per-node caches of {cache_capacity} chunks (reference "
+         "simulator, k=4)", ("none", "lru", "lfu")),
+        ("path-cache mask (vectorized backend, k=4)", ("none", "path")),
+    ):
+        table = Table(
+            title=title,
+            headers=["cache", "mean forwarded", "cache hits", "mean hops",
+                     "F2 Gini"],
         )
-        series[cache] = {
-            "forwarded": network.average_forwarded_chunks(),
-            "cache_hits": float(stats.cache_hits),
-            "hops_saved": float(stats.hops_saved_by_cache),
-            "f2": f2,
-        }
-    report.add_table(table)
+        for label in labels:
+            result = runs[label]
+            table.add_row(
+                label, round(result.average_forwarded_chunks(), 1),
+                result.cache_hits, round(result.mean_hops, 2),
+                result.f2_gini(),
+            )
+        report.add_table(table)
     report.add_note(
         "caches shorten repeat routes, reducing total forwarded chunks "
         "- the 'reduced number of forwarded requests' the paper expects"
     )
-    report.data["series"] = series
-    return report
-
-
-def run_caching_fast(n_files: int = 2000, n_nodes: int = 1000,
-                     catalog_size: int = 200,
-                     catalog_exponent: float = 1.0,
-                     batch_files: int = 256) -> ExperimentReport:
-    """Path caching at paper scale on the vectorized backend.
-
-    The fast engine models forwarding caches as a cached-chunk mask:
-    once retrieved, a chunk is served by the originator's first hop in
-    one hop. Under a Zipf catalog this reproduces the §V effect — a
-    reduced number of forwarded requests — at volumes the reference
-    simulator cannot reach.
-    """
-    report = ExperimentReport(
-        name="caching_fast",
-        title=(
-            f"Path caching, vectorized backend ({n_files} downloads, "
-            f"{n_nodes} nodes, zipf catalog of {catalog_size})"
-        ),
-    )
-    table = Table(
-        title="caching vs traffic (k=4, zipf popularity)",
-        headers=["caching", "mean forwarded", "cache hits", "mean hops",
-                 "F2 Gini"],
-    )
-    series: dict[str, dict[str, float]] = {}
-    for label, caching in (("off", False), ("on", True)):
-        # A thin scenario config — "caching" in the composition
-        # grammar is bit-identical to the legacy caching=True field
-        # (pinned by the golden fixtures).
-        result = run_simulation(FastSimulationConfig(
-            n_nodes=n_nodes, bucket_size=4, originator_share=0.2,
-            n_files=n_files, catalog_size=catalog_size,
-            catalog_exponent=catalog_exponent,
-            scenario="caching" if caching else "",
-            batch_files=batch_files,
-        ))
-        table.add_row(
-            label, round(result.average_forwarded_chunks(), 1),
-            result.cache_hits, round(result.mean_hops, 2),
-            result.f2_gini(),
-        )
-        series[label] = {
+    report.data["series"] = {
+        label: {
             "forwarded": result.average_forwarded_chunks(),
             "cache_hits": float(result.cache_hits),
+            "total_hops": float(result.total_hops),
             "hops": result.mean_hops,
             "f2": result.f2_gini(),
         }
-    report.add_table(table)
-    report.add_note(
-        "cache hits short-circuit repeat retrievals at the first hop, "
-        "cutting total forwarded chunks (paper §V expectation) at "
-        "paper scale"
-    )
-    report.data["series"] = series
+        for label, result in runs.items()
+    }
+    report.data["config"] = config
     return report
 
 

@@ -5,13 +5,12 @@ directions and this reproduction's own design checks:
 
 * :func:`run_overhead` — §V thread 1: net earnings after connection,
   transaction, and channel-state overhead, k=4 vs k=20;
-* :func:`run_churn` — §II motivation: availability and fairness when
-  nodes leave and rejoin;
+* :func:`run_churn` — §II motivation: availability when a fresh
+  random offline set is drawn every epoch, with and without storers
+  re-homed to the closest live node;
 * :func:`run_privacy` — §III-A claim: identity exposure of iterative
   Kademlia lookups versus forwarding Kademlia;
-* :func:`run_sensitivity` — §VI robustness: the headline Gini
-  reductions replicated across workload seeds with confidence
-  intervals.
+* :func:`run_latency` — retrieval latency across bucket sizes.
 """
 
 from __future__ import annotations
@@ -21,23 +20,18 @@ import dataclasses
 import numpy as np
 
 from ..analysis.reports import Table
-from ..analysis.sensitivity import compare_configs
 from ..backends import get_backend, run_simulation
 from ..core.overhead import OverheadModel, overhead_report
-from ..engine.des import EventScheduler
 from ..kademlia.iterative import IterativeLookup
 from ..kademlia.overlay import OverlayConfig
 from ..kademlia.routing import Router
-from ..swarm.churn import ChurnModel
 from ..backends.fast import FastSimulationConfig
 from .report import ExperimentReport
 
 __all__ = [
     "run_overhead",
     "run_churn",
-    "run_churn_fast",
     "run_privacy",
-    "run_sensitivity",
     "run_latency",
 ]
 
@@ -175,85 +169,10 @@ def run_overhead(n_files: int = 2000, n_nodes: int = 1000,
     return report
 
 
-def run_churn(n_files: int = 400, n_nodes: int = 300,
-              mean_session: float = 60.0,
-              mean_downtime: float = 20.0) -> ExperimentReport:
-    """§II churn motivation: availability and fairness under churn.
-
-    Nodes alternate exponential online/offline periods while a
-    download workload runs; a retrieval fails when the chunk's single
-    storer is offline (the paper's closest-node placement has no
-    redundancy — exactly why real Swarm replicates in neighborhoods).
-    """
-    report = ExperimentReport(
-        name="churn",
-        title=(
-            f"Churn extension ({n_files} downloads, {n_nodes} nodes, "
-            f"session {mean_session}, downtime {mean_downtime})"
-        ),
-    )
-    table = Table(
-        title="churn vs availability (k=4, uniform originators)",
-        headers=["scenario", "live fraction", "available", "unavailable",
-                 "availability"],
-    )
-    series: dict[str, dict[str, float]] = {}
-    for label, churning in (("static", False), ("churning", True)):
-        overlay_config = OverlayConfig(n_nodes=n_nodes, bits=14, seed=17)
-        from ..kademlia.overlay import Overlay
-
-        overlay = Overlay.build(overlay_config)
-        scheduler = EventScheduler()
-        churn = ChurnModel(
-            overlay,
-            mean_session=mean_session,
-            mean_downtime=mean_downtime,
-            seed=23,
-        )
-        if churning:
-            churn.install(scheduler)
-        router = Router(overlay)
-        rng = np.random.default_rng(31)
-        available = 0
-        unavailable = 0
-        for step in range(n_files):
-            scheduler.run_until(float(step))
-            live = churn.live_array()
-            originator = int(rng.choice(live))
-            for chunk in rng.integers(0, overlay.space.size, size=20):
-                storer = overlay.closest_node(int(chunk))
-                if not churn.is_live(storer):
-                    unavailable += 1
-                    continue
-                route = router.route(originator, int(chunk))
-                # The greedy path only traverses live tables; dead
-                # peers were evicted on departure.
-                assert all(churn.is_live(n) for n in route.path)
-                available += 1
-        availability = available / (available + unavailable)
-        table.add_row(
-            label, round(churn.live_fraction, 3), available, unavailable,
-            f"{availability:.1%}",
-        )
-        series[label] = {
-            "availability": availability,
-            "live_fraction": churn.live_fraction,
-            "departures": float(churn.stats.departures),
-        }
-    report.add_table(table)
-    report.add_note(
-        "single-storer placement loses availability exactly in "
-        "proportion to offline storers; Swarm's neighborhood "
-        "replication (NeighborhoodPlacement) exists to close this gap"
-    )
-    report.data["series"] = series
-    return report
-
-
-def run_churn_fast(n_files: int = 2000, n_nodes: int = 1000,
-                   offline_fractions: tuple[float, ...] = (0.0, 0.1, 0.3),
-                   batch_files: int = 256) -> ExperimentReport:
-    """Churn at paper scale on the vectorized backend.
+def run_churn(n_files: int = 2000, n_nodes: int = 1000,
+              offline_fractions: tuple[float, ...] = (0.0, 0.1, 0.3),
+              batch_files: int = 256) -> ExperimentReport:
+    """§II churn motivation: availability under per-epoch churn.
 
     Each batch of files sees a fresh node-alive mask; a chunk whose
     single storer is offline is unavailable (the paper's closest-node
@@ -262,11 +181,8 @@ def run_churn_fast(n_files: int = 2000, n_nodes: int = 1000,
     and recovers most of the lost availability.
     """
     report = ExperimentReport(
-        name="churn_fast",
-        title=(
-            f"Churn, vectorized backend ({n_files} downloads, "
-            f"{n_nodes} nodes)"
-        ),
+        name="churn",
+        title=f"Churn extension ({n_files} downloads, {n_nodes} nodes)",
     )
     table = Table(
         title="offline fraction vs availability (k=4)",
@@ -359,52 +275,4 @@ def run_privacy(n_files: int = 300, n_nodes: int = 500,
     report.data["mean_exposure"] = float(np.mean(exposures))
     report.data["mean_rounds"] = float(np.mean(round_trips))
     report.data["mean_hops"] = float(np.mean(forwarding_hops))
-    return report
-
-
-def run_sensitivity(n_files: int = 1000, n_nodes: int = 500,
-                    n_replications: int = 5) -> ExperimentReport:
-    """§VI robustness: headline Gini reductions across seeds."""
-    report = ExperimentReport(
-        name="sensitivity",
-        title=(
-            f"Seed sensitivity of the headline reductions "
-            f"({n_replications} replications, {n_files} downloads each)"
-        ),
-    )
-    baseline = FastSimulationConfig(
-        n_nodes=n_nodes, bucket_size=4, originator_share=0.2,
-        n_files=n_files,
-    )
-    treatment = FastSimulationConfig(
-        n_nodes=n_nodes, bucket_size=20, originator_share=0.2,
-        n_files=n_files,
-    )
-    table = Table(
-        title="relative Gini reduction k=4 -> k=20 (paired seeds)",
-        headers=["property", "mean reduction", "95% CI", "robust"],
-    )
-    outcomes = {}
-    for name, metric in (
-        ("F2", lambda r: r.f2_gini()),
-        ("F1", lambda r: r.f1_gini()),
-    ):
-        outcome = compare_configs(
-            baseline, treatment, metric, metric_name=name,
-            n_replications=n_replications,
-        )
-        low, high = outcome["ci"]
-        table.add_row(
-            name,
-            f"{outcome['mean_reduction']:.1%}",
-            f"[{low:.1%}, {high:.1%}]",
-            "yes" if outcome["robust"] else "no",
-        )
-        outcomes[name] = outcome
-    report.add_table(table)
-    report.add_note(
-        "paper reports single-seed reductions (F2 -7%, F1 -6%); the "
-        "paired-seed CIs show whether the direction survives seed noise"
-    )
-    report.data["outcomes"] = outcomes
     return report

@@ -1,8 +1,10 @@
 """Experiment registry: names -> runners.
 
 The single source of truth the CLI and tests use to find
-experiments. Every entry maps the DESIGN.md experiment id to its
-runner and a short description; runners accept ``n_files`` /
+experiments. Every entry maps an experiment name to its runner and a
+short description, one entry per question: the paper's artifacts
+keep their names (``table1``, ``fig3``-``fig6``, ``headline``), and
+each extension has one runner. Runners accept ``n_files`` /
 ``n_nodes`` keyword arguments so callers can scale them.
 """
 
@@ -104,13 +106,8 @@ REGISTRY: dict[str, ExperimentSpec] = {
         ),
         ExperimentSpec(
             name="caching",
-            description="Forwarding-cache extension (reference simulator)",
+            description="Forwarding caches: per-node LRU/LFU and path cache",
             runner=ablations.run_caching,
-        ),
-        ExperimentSpec(
-            name="caching_fast",
-            description="Path caching at paper scale (vectorized backend)",
-            runner=ablations.run_caching_fast,
         ),
         ExperimentSpec(
             name="freeriders",
@@ -130,13 +127,8 @@ REGISTRY: dict[str, ExperimentSpec] = {
         ),
         ExperimentSpec(
             name="churn",
-            description="Availability under node churn (§II motivation)",
+            description="Availability under churn, with re-homing (§II)",
             runner=extensions.run_churn,
-        ),
-        ExperimentSpec(
-            name="churn_fast",
-            description="Churn at paper scale (vectorized backend)",
-            runner=extensions.run_churn_fast,
         ),
         ExperimentSpec(
             name="churn_under_caching",
@@ -160,8 +152,9 @@ REGISTRY: dict[str, ExperimentSpec] = {
         ),
         ExperimentSpec(
             name="sensitivity",
-            description="Seed robustness of the headline Gini reductions",
-            runner=extensions.run_sensitivity,
+            description="Paper grid over seeds: CIs and paired k=4 -> k=20",
+            runner=sweeps.run_sensitivity,
+            supports_backend=True,
         ),
         ExperimentSpec(
             name="storage",
@@ -172,24 +165,6 @@ REGISTRY: dict[str, ExperimentSpec] = {
             name="latency",
             description="Retrieval latency vs bucket size (hop model)",
             runner=extensions.run_latency,
-            supports_backend=True,
-        ),
-        ExperimentSpec(
-            name="table1_sweep",
-            description="Table I with 95% CIs across workload-seed replicas",
-            runner=sweeps.run_table1_sweep,
-            supports_backend=True,
-        ),
-        ExperimentSpec(
-            name="fig5_sweep",
-            description="Fig. 5 F2 Gini with 95% CIs across seed replicas",
-            runner=sweeps.run_fig5_sweep,
-            supports_backend=True,
-        ),
-        ExperimentSpec(
-            name="k_sweep_ci",
-            description="Bucket-size ablation with per-k error bars",
-            runner=sweeps.run_k_sweep_ci,
             supports_backend=True,
         ),
     )

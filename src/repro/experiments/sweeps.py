@@ -1,40 +1,28 @@
-"""Replicated paper experiments: thin sweep definitions with error bars.
+"""Replicated paper experiments: the sweep report and the one runner.
 
-The paper's Table I / Fig. 5 numbers are single-seed point estimates.
-These runners re-express them as :class:`~repro.sweeps.SweepSpec`
-definitions over the same grids, executed by
-:func:`~repro.sweeps.run_sweep` across workload-seed replicas, so
-every reported quantity carries a mean, sample std, and 95%
-confidence interval. Each definition stays declarative — a base
-config, a grid, a seed count — and all mechanics (seed derivation,
-parallel execution, aggregation) live in :mod:`repro.sweeps`.
-
-* :func:`run_table1_sweep` — Table I's 2x2 grid, forwarded chunks
-  with CIs;
-* :func:`run_fig5_sweep` — Fig. 5's F2 income Gini with CIs, plus the
-  replicated headline k=4 -> k=20 reduction;
-* :func:`run_k_sweep_ci` — the bucket-size ablation
-  (:func:`~repro.experiments.ablations.run_k_sweep`) with error bars.
+The paper's Table I and Figs. 4-6 numbers are single-seed point
+estimates. :func:`sweep_report` renders any
+:class:`~repro.sweeps.SweepResult` as one row per cell, mean [95%
+CI] across workload-seed replicas (the ``repro-swarm sweep`` output).
+:func:`run_sensitivity` is the registry's replicated experiment: the
+paper's 2x2 grid as a :class:`~repro.sweeps.SweepSpec` run by
+:func:`~repro.sweeps.run_sweep`, plus the paired k=4 -> k=20
+reductions. Seed derivation, execution and aggregation all live in
+:mod:`repro.sweeps`; other grids are ``repro-swarm sweep --grid ...
+--seeds N``.
 """
 
 from __future__ import annotations
 
 from ..analysis.reports import Table
 from ..backends.config import FastSimulationConfig
+from ..errors import ConfigurationError
 from ..sweeps import SweepResult, SweepSpec, run_sweep
+from ..sweeps.aggregate import MetricSummary, summarize_metric
 from .paper import GRID_BUCKET_SIZES, GRID_ORIGINATOR_SHARES
 from .report import ExperimentReport
 
-__all__ = [
-    "DEFAULT_SEEDS",
-    "sweep_report",
-    "run_table1_sweep",
-    "run_fig5_sweep",
-    "run_k_sweep_ci",
-]
-
-#: Replicas per cell for the registry-level replicated experiments.
-DEFAULT_SEEDS = 5
+__all__ = ["sweep_report", "run_sensitivity"]
 
 #: Metrics shown, in order, by the generic sweep report table.
 REPORT_METRICS = (
@@ -49,8 +37,8 @@ def sweep_report(sweep: SweepResult, *, name: str,
                  title: str) -> ExperimentReport:
     """Generic report for any sweep: one row per cell, mean [95% CI].
 
-    Shared by the ``repro-swarm sweep`` CLI and the replicated
-    experiment runners below; ``report.data`` keeps the summaries and
+    Shared by the ``repro-swarm sweep`` CLI and
+    :func:`run_sensitivity`; ``report.data`` keeps the summaries and
     the full :class:`~repro.sweeps.SweepResult` for tests and
     downstream analysis.
     """
@@ -85,19 +73,30 @@ def sweep_report(sweep: SweepResult, *, name: str,
     return report
 
 
-_PAPER_SWEEP_CACHE: dict[SweepSpec, SweepResult] = {}
+#: Metrics whose paired k=4 -> k=20 reduction the sensitivity runner
+#: reports, in order.
+PAIRED_METRICS = REPORT_METRICS[:3]
 
 
-def _run_paper_grid(n_files: int, n_nodes: int, seeds: int,
-                    backend: str, jobs: int) -> SweepResult:
-    """The paper's 2x2 grid swept over seed replicas (cached).
+def _percent(summary: MetricSummary) -> str:
+    if summary.n < 2:
+        return f"{summary.mean:+.1%}"
+    return f"{summary.mean:+.1%} [{summary.low:+.1%}, {summary.high:+.1%}]"
 
-    ``table1_sweep`` and ``fig5_sweep`` read different metrics off the
-    *same* sweep; caching per spec (the :mod:`repro.experiments.paper`
-    ``run_grid`` idiom) means a combined ``run all`` simulates each
-    point once.
+
+def run_sensitivity(n_files: int = 1000, n_nodes: int = 500, *,
+                    seeds: int = 5,
+                    backend: str = "fast") -> ExperimentReport:
+    """The paper's 2x2 grid replicated over workload seeds.
+
+    Table I and Figs. 4-6 come from one seed. This sweeps the same
+    grid over *seeds* replicas with :func:`~repro.sweeps.run_sweep`,
+    reports each cell's mean [95% CI], and then the §VI headline: the
+    relative k=4 -> k=20 reduction of forwarded chunks, F2 and F1 at
+    each originator share. Every cell replays the same workload seeds,
+    so each replica's reduction is a paired difference.
     """
-    spec = SweepSpec(
+    sweep = run_sweep(SweepSpec(
         base=FastSimulationConfig(n_nodes=n_nodes, n_files=n_files),
         grid={
             "bucket_size": GRID_BUCKET_SIZES,
@@ -105,102 +104,52 @@ def _run_paper_grid(n_files: int, n_nodes: int, seeds: int,
         },
         backends=(backend,),
         seeds=seeds,
-    )
-    cached = _PAPER_SWEEP_CACHE.get(spec)
-    if cached is None:
-        cached = run_sweep(spec, jobs=jobs)
-        _PAPER_SWEEP_CACHE[spec] = cached
-    return cached
-
-
-def run_table1_sweep(n_files: int = 2000, n_nodes: int = 1000, *,
-                     seeds: int = DEFAULT_SEEDS, backend: str = "fast",
-                     jobs: int = 1) -> ExperimentReport:
-    """Table I with error bars: forwarded chunks across seed replicas."""
-    sweep = _run_paper_grid(n_files, n_nodes, seeds, backend, jobs)
+    ))
     report = sweep_report(
-        sweep, name="table1_sweep",
+        sweep, name="sensitivity",
         title=(
-            f"Table I replicated over {seeds} seeds "
-            f"({n_files} downloads/seed)"
+            f"Paper grid replicated over {seeds} seeds "
+            f"({n_files} downloads/seed, {n_nodes} nodes)"
         ),
     )
-    forwarded = {
-        (dict(cell.overrides)["bucket_size"],
-         dict(cell.overrides)["originator_share"]):
-        cell.metrics["mean_forwarded"]
-        for cell in sweep.summaries
+    metrics = {
+        (record["overrides"]["bucket_size"],
+         record["overrides"]["originator_share"], record["replica"]):
+        record["metrics"]
+        for record in sweep.records
     }
-    for share in GRID_ORIGINATOR_SHARES:
-        small = forwarded[(GRID_BUCKET_SIZES[0], share)]
-        large = forwarded[(GRID_BUCKET_SIZES[-1], share)]
-        report.add_note(
-            f"{share:.0%} originators: k={GRID_BUCKET_SIZES[0]} forwards "
-            f"{small.mean / large.mean:.2f}x the chunks of "
-            f"k={GRID_BUCKET_SIZES[-1]} (mean over {seeds} seeds; paper: "
-            "larger k uses less bandwidth)"
-        )
-    report.data["forwarded"] = forwarded
-    return report
-
-
-def run_fig5_sweep(n_files: int = 2000, n_nodes: int = 1000, *,
-                   seeds: int = DEFAULT_SEEDS, backend: str = "fast",
-                   jobs: int = 1) -> ExperimentReport:
-    """Fig. 5's F2 Gini with error bars, plus the replicated headline."""
-    sweep = _run_paper_grid(n_files, n_nodes, seeds, backend, jobs)
-    report = sweep_report(
-        sweep, name="fig5_sweep",
+    small, large = GRID_BUCKET_SIZES[0], GRID_BUCKET_SIZES[-1]
+    table = Table(
         title=(
-            f"Figure 5 F2 Gini replicated over {seeds} seeds "
-            f"({n_files} downloads/seed)"
+            f"paired reduction k={small} -> k={large}, mean [95% CI] "
+            f"over {seeds} seed(s)"
         ),
+        headers=["originators", *(label for _, label in PAIRED_METRICS)],
     )
-    gini = {
-        (dict(cell.overrides)["bucket_size"],
-         dict(cell.overrides)["originator_share"]):
-        cell.metrics["f2_gini"]
-        for cell in sweep.summaries
-    }
+    reductions: dict[float, dict[str, MetricSummary]] = {}
     for share in GRID_ORIGINATOR_SHARES:
-        g4 = gini[(GRID_BUCKET_SIZES[0], share)]
-        g20 = gini[(GRID_BUCKET_SIZES[-1], share)]
-        report.add_note(
-            f"{share:.0%} originators: mean F2 Gini reduction k=4 -> "
-            f"k={GRID_BUCKET_SIZES[-1]} is "
-            f"{(g4.mean - g20.mean) / g4.mean:+.1%} "
-            f"(paper reports ~7% from one seed)"
-        )
-    report.data["gini"] = gini
-    return report
-
-
-def run_k_sweep_ci(n_files: int = 1000, n_nodes: int = 1000, *,
-                   bucket_sizes: tuple[int, ...] = (2, 4, 8, 16, 20, 32),
-                   originator_share: float = 0.2,
-                   seeds: int = DEFAULT_SEEDS, backend: str = "fast",
-                   jobs: int = 1) -> ExperimentReport:
-    """The bucket-size ablation with per-k confidence intervals."""
-    base = FastSimulationConfig(
-        n_nodes=n_nodes, n_files=n_files,
-        originator_share=originator_share,
-    )
-    sweep = run_sweep(SweepSpec(
-        base=base,
-        grid={"bucket_size": bucket_sizes},
-        backends=(backend,),
-        seeds=seeds,
-    ), jobs=jobs)
-    report = sweep_report(
-        sweep, name="k_sweep_ci",
-        title=(
-            f"Bucket-size sweep with error bars ({seeds} seeds, "
-            f"{n_files} downloads/seed, {originator_share:.0%} "
-            f"originators)"
-        ),
-    )
+        row = {}
+        for key, _ in PAIRED_METRICS:
+            deltas = []
+            for replica in range(seeds):
+                before = metrics[(small, share, replica)][key]
+                if before == 0:
+                    raise ConfigurationError(
+                        f"{key} is 0 at k={small}, {share:.0%} "
+                        f"originators; its relative reduction is "
+                        f"undefined"
+                    )
+                after = metrics[(large, share, replica)][key]
+                deltas.append((before - after) / before)
+            row[key] = summarize_metric(deltas)
+        table.add_row(f"{share:.0%}",
+                      *(_percent(row[key]) for key, _ in PAIRED_METRICS))
+        reductions[share] = row
+    report.add_table(table)
     report.add_note(
-        "single-seed k_sweep rankings that fall inside these intervals "
-        "are not seed-robust"
+        "the paper reports single-seed Gini reductions of 7% (F2) and 6% "
+        "(F1); an interval that excludes 0 shows the direction survives "
+        "seed noise"
     )
+    report.data["reductions"] = reductions
     return report

@@ -124,12 +124,10 @@ class Overlay:
     degrees, :meth:`to_dict` and the next-hop table build all read
     those arrays. :class:`~repro.kademlia.table.RoutingTable` objects
     are made lazily, one per node on its first :meth:`table` call, for
-    the object-level callers (the reference simulator, the routers,
-    churn). Mutating such a table changes what those callers see but
-    not the edge list: an overlay whose tables are edited (as
-    :mod:`repro.swarm.churn` does to the private overlays it builds)
-    keeps its construction-time fingerprint, degrees and serialized
-    form.
+    the object-level callers (the reference simulator and the
+    routers). Mutating such a table changes what those callers see but
+    not the edge list: an overlay whose tables are edited keeps its
+    construction-time fingerprint, degrees and serialized form.
     """
 
     def __init__(self, config: OverlayConfig, addresses: Sequence[int],

@@ -41,6 +41,12 @@ from .trace import DynamicsTrace
 
 __all__ = ["DynamicsImportSummary", "import_dynamics"]
 
+#: The most epochs an import may build. Every epoch is one list in the
+#: trace, so an unbounded grid (a long log at a fine ``epoch_seconds``)
+#: would exhaust memory before anything replays; this is 10x a
+#: paper-scale run at ``batch_files=1``.
+MAX_EPOCHS = 100_000
+
 _JOIN_WORDS = frozenset({"join", "arrive", "connect", "up"})
 _LEAVE_WORDS = frozenset({"leave", "depart", "disconnect", "down"})
 
@@ -94,11 +100,11 @@ def import_dynamics(lines: Iterable[str] | IO[str], *, overlay,
             "give exactly one of n_epochs or epoch_seconds to define "
             "the epoch grid"
         )
-    if n_epochs is not None and n_epochs < 1:
+    if n_epochs is not None and not 1 <= n_epochs <= MAX_EPOCHS:
         raise ConfigurationError(
-            f"n_epochs must be >= 1, got {n_epochs}"
+            f"n_epochs must be in [1, {MAX_EPOCHS}], got {n_epochs}"
         )
-    if epoch_seconds is not None and epoch_seconds <= 0:
+    if epoch_seconds is not None and not epoch_seconds > 0:
         raise ConfigurationError(
             f"epoch_seconds must be > 0, got {epoch_seconds}"
         )
@@ -179,7 +185,13 @@ def import_dynamics(lines: Iterable[str] | IO[str], *, overlay,
             f"span too wide to bucket into epochs"
         )
     if epoch_seconds is not None:
-        n_epochs = max(1, math.ceil(span / epoch_seconds) or 1)
+        if span / epoch_seconds > MAX_EPOCHS:
+            raise ConfigurationError(
+                f"a {span:g}s membership log at epoch_seconds="
+                f"{epoch_seconds:g} needs more than {MAX_EPOCHS} epochs; "
+                f"use wider epochs"
+            )
+        n_epochs = max(1, math.ceil(span / epoch_seconds))
         width = epoch_seconds
     else:
         assert n_epochs is not None

@@ -8,7 +8,6 @@ overlay substrate with the SWAP incentive mechanism.
 
 from .caching import CachePolicy, LFUCache, LRUCache, NoCache, make_cache
 from .chunk import CHUNK_SIZE, Chunk, FileManifest, random_file, split_content
-from .churn import ChurnModel, ChurnStats, depart, rejoin
 from .postage import PostageBatch, PostageError, PostageOffice, PostageStamp
 from .redistribution import RedistributionGame, RoundOutcome, StakeRegistry
 from .network import DownloadReceipt, SwarmNetwork, SwarmNetworkConfig
@@ -26,8 +25,6 @@ __all__ = [
     "CachePolicy",
     "Chunk",
     "ChunkStore",
-    "ChurnModel",
-    "ChurnStats",
     "ClosestNodePlacement",
     "DownloadReceipt",
     "FileManifest",
@@ -49,9 +46,7 @@ __all__ = [
     "SwarmNetwork",
     "SwarmNetworkConfig",
     "SwarmNode",
-    "depart",
     "make_cache",
     "random_file",
-    "rejoin",
     "split_content",
 ]

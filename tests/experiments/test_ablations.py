@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backends import run_simulation
 from repro.experiments.ablations import (
     run_baselines,
     run_bucket0,
     run_caching,
-    run_caching_fast,
     run_freeriders,
     run_k_sweep,
     run_popularity,
@@ -70,31 +70,43 @@ class TestPopularity:
 
 
 class TestCaching:
-    def test_caches_reduce_traffic(self):
-        report = run_caching(n_files=80, n_nodes=100, catalog_size=20)
-        series = report.data["series"]
+    """The §V cache dividend on both cache models, one workload."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return run_caching(n_files=400, n_nodes=300, catalog_size=40)
+
+    @pytest.fixture(scope="class")
+    def series(self, report):
+        return report.data["series"]
+
+    def test_per_node_caches_reduce_traffic(self, series):
         assert series["lru"]["forwarded"] < series["none"]["forwarded"]
         assert series["lfu"]["forwarded"] < series["none"]["forwarded"]
         assert series["lru"]["cache_hits"] > 0
         assert series["none"]["cache_hits"] == 0
 
+    def test_path_cache_serves_hits(self, series):
+        assert series["path"]["cache_hits"] > 0
 
-class TestCachingFast:
-    """The §V cache dividend on the vectorized backend."""
+    def test_path_cache_cuts_forwarding_and_route_length(self, series):
+        assert series["path"]["forwarded"] < series["none"]["forwarded"]
+        assert series["path"]["hops"] < series["none"]["hops"]
 
-    @pytest.fixture(scope="class")
-    def series(self):
-        return run_caching_fast(
-            n_files=400, n_nodes=300, catalog_size=40
-        ).data["series"]
+    def test_no_cache_row_is_shared_by_both_engines(self, report, series):
+        # A Zipf catalog of fixed-size files: reference and fast must
+        # route it identically without caches.
+        config = report.data["config"]
+        assert config.file_min == config.file_max == 30
+        assert config.catalog_size == 40
+        reference = run_simulation(config, backend="reference")
+        assert reference.average_forwarded_chunks() == \
+            series["none"]["forwarded"]
+        assert reference.total_hops == series["none"]["total_hops"]
+        assert reference.f2_gini() == series["none"]["f2"]
 
-    def test_cache_serves_hits(self, series):
-        assert series["on"]["cache_hits"] > 0
-        assert series["off"]["cache_hits"] == 0
-
-    def test_cache_cuts_forwarding_and_route_length(self, series):
-        assert series["on"]["forwarded"] < series["off"]["forwarded"]
-        assert series["on"]["hops"] < series["off"]["hops"]
+    def test_both_tables_reported(self, report):
+        assert [len(table.rows) for table in report.tables] == [3, 2]
 
 
 class TestFreeriders:

@@ -6,11 +6,9 @@ import pytest
 
 from repro.experiments.extensions import (
     run_churn,
-    run_churn_fast,
     run_latency,
     run_overhead,
     run_privacy,
-    run_sensitivity,
 )
 
 
@@ -34,27 +32,8 @@ class TestOverhead:
 
 class TestChurn:
     @pytest.fixture(scope="class")
-    def report(self):
-        return run_churn(n_files=40, n_nodes=100)
-
-    def test_static_scenario_fully_available(self, report):
-        assert report.data["series"]["static"]["availability"] == 1.0
-
-    def test_churn_costs_availability(self, report):
-        series = report.data["series"]
-        assert series["churning"]["availability"] < 1.0
-        assert series["churning"]["departures"] > 0
-
-    def test_availability_tracks_the_live_fraction(self, report):
-        # Single-storer placement: little better than the live share.
-        churning = report.data["series"]["churning"]
-        assert churning["availability"] < churning["live_fraction"] + 0.25
-
-
-class TestChurnFast:
-    @pytest.fixture(scope="class")
     def series(self):
-        return run_churn_fast(n_files=400, n_nodes=300).data["series"]
+        return run_churn(n_files=400, n_nodes=300).data["series"]
 
     def test_static_fully_available(self, series):
         assert series[0.0]["availability"] == 1.0
@@ -92,22 +71,3 @@ class TestPrivacy:
 
     def test_table_has_both_schemes(self, report):
         assert len(report.tables[0].rows) == 2
-
-
-class TestSensitivity:
-    @pytest.fixture(scope="class")
-    def outcomes(self):
-        return run_sensitivity(
-            n_files=150, n_nodes=150, n_replications=3
-        ).data["outcomes"]
-
-    def test_reductions_with_ci(self, outcomes):
-        assert set(outcomes) == {"F1", "F2"}
-        for outcome in outcomes.values():
-            low, high = outcome["ci"]
-            assert low <= outcome["mean_reduction"] <= high
-
-    @pytest.mark.parametrize("prop", ["F1", "F2"])
-    def test_k20_gain_is_seed_robust(self, outcomes, prop):
-        assert outcomes[prop]["mean_reduction"] > 0.0
-        assert outcomes[prop]["ci"][0] > 0.0

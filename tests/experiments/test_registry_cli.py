@@ -36,8 +36,18 @@ class TestRegistry:
 
     def test_ablations_registered(self):
         for name in ("k_sweep", "bucket0", "pricing", "popularity",
-                     "caching", "freeriders", "baselines"):
+                     "caching", "freeriders", "baselines", "churn",
+                     "sensitivity"):
             assert get_experiment(name).paper_artifact is None
+
+    def test_one_runner_per_question(self):
+        # Each of these was folded into the runner that answers the
+        # same question (caching, churn, sensitivity).
+        assert len(REGISTRY) == 22
+        for name in ("caching_fast", "churn_fast", "table1_sweep",
+                     "fig5_sweep", "k_sweep_ci"):
+            with pytest.raises(ExperimentError, match="unknown"):
+                get_experiment(name)
 
     def test_unknown_name_raises_with_list(self):
         with pytest.raises(ExperimentError, match="table1"):

@@ -1,69 +1,96 @@
-"""Tests for the replicated (error-bar) registry experiments."""
+"""Tests for the replicated registry experiment (``sensitivity``)."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.experiments.registry import get_experiment
-from repro.experiments.sweeps import (
-    run_fig5_sweep,
-    run_k_sweep_ci,
-    run_table1_sweep,
-)
-from repro.sweeps import MetricSummary, SweepResult
+from repro.experiments.sweeps import run_sensitivity
+from repro.sweeps import MetricSummary
 
-SMALL = dict(n_files=40, n_nodes=60)
+GRID = {(4, 0.2), (4, 1.0), (20, 0.2), (20, 1.0)}
 
 
-class TestTable1Sweep:
-    def test_error_bars_per_cell(self):
-        report = run_table1_sweep(**SMALL, seeds=3)
-        forwarded = report.data["forwarded"]
-        assert set(forwarded) == {
-            (4, 0.2), (4, 1.0), (20, 0.2), (20, 1.0)
-        }
-        for summary in forwarded.values():
-            assert isinstance(summary, MetricSummary)
-            assert summary.n == 3
-            assert summary.low <= summary.mean <= summary.high
-            assert summary.std > 0.0  # replicas genuinely vary
+def cells(report) -> dict:
+    """(bucket_size, originator_share) -> CellSummary."""
+    return {
+        (dict(cell.overrides)["bucket_size"],
+         dict(cell.overrides)["originator_share"]): cell
+        for cell in report.data["summaries"]
+    }
 
-    def test_bandwidth_ordering_survives_replication(self):
-        report = run_table1_sweep(**SMALL, seeds=3)
-        forwarded = report.data["forwarded"]
+
+class TestSensitivityGrid:
+    """The paper's 2x2 grid with per-cell error bars."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return run_sensitivity(n_files=40, n_nodes=60, seeds=3)
+
+    def test_error_bars_per_cell(self, report):
+        by_cell = cells(report)
+        assert set(by_cell) == GRID
+        for cell in by_cell.values():
+            forwarded = cell.metrics["mean_forwarded"]
+            assert isinstance(forwarded, MetricSummary)
+            assert forwarded.n == 3
+            assert forwarded.low <= forwarded.mean <= forwarded.high
+            assert forwarded.std > 0.0  # replicas genuinely vary
+        assert len(report.tables[0].rows) == 4
+
+    def test_bandwidth_ordering_survives_replication(self, report):
+        by_cell = cells(report)
         for share in (0.2, 1.0):
-            assert forwarded[(20, share)].mean < forwarded[(4, share)].mean
+            assert (by_cell[(20, share)].metrics["mean_forwarded"].mean
+                    < by_cell[(4, share)].metrics["mean_forwarded"].mean)
+
+    def test_cells_replay_the_same_workload_seeds(self, report):
+        seeds = {}
+        for record in report.data["sweep"].records:
+            seeds.setdefault(record["replica"], set()).add(
+                record["workload_seed"])
+        assert len(seeds) == 3
+        assert all(len(cell_seeds) == 1 for cell_seeds in seeds.values())
 
     def test_registered_with_backend_support(self):
-        spec = get_experiment("table1_sweep")
+        spec = get_experiment("sensitivity")
         assert spec.supports_backend
-        assert spec.runner is run_table1_sweep
-
-
-class TestFig5Sweep:
-    def test_gini_intervals_and_headline_note(self):
-        report = run_fig5_sweep(**SMALL, seeds=3)
-        gini = report.data["gini"]
-        assert set(gini) == {(4, 0.2), (4, 1.0), (20, 0.2), (20, 1.0)}
-        for summary in gini.values():
-            assert 0.0 <= summary.mean <= 1.0
-        assert any("Gini reduction" in note for note in report.notes)
-
-
-class TestKSweepCi:
-    def test_one_row_per_bucket_size(self):
-        report = run_k_sweep_ci(
-            **SMALL, bucket_sizes=(4, 8), seeds=2
-        )
-        sweep = report.data["sweep"]
-        assert isinstance(sweep, SweepResult)
-        assert [dict(c.overrides)["bucket_size"]
-                for c in sweep.summaries] == [4, 8]
-        table = report.tables[0]
-        assert len(table.rows) == 2
+        assert spec.runner is run_sensitivity
 
     def test_single_seed_collapses_to_point_estimates(self):
-        report = run_k_sweep_ci(**SMALL, bucket_sizes=(4,), seeds=1)
-        cell = report.data["sweep"].summaries[0]
-        forwarded = cell.metrics["mean_forwarded"]
-        assert forwarded.n == 1
-        assert forwarded.std == 0.0
-        assert forwarded.low == forwarded.mean == forwarded.high
+        report = run_sensitivity(n_files=40, n_nodes=60, seeds=1)
+        summaries = [
+            *(cell.metrics["mean_forwarded"]
+              for cell in report.data["summaries"]),
+            *(summary for row in report.data["reductions"].values()
+              for summary in row.values()),
+        ]
+        for summary in summaries:
+            assert summary.n == 1
+            assert summary.std == 0.0
+            assert summary.low == summary.mean == summary.high
+
+
+class TestSensitivityHeadline:
+    """§VI: the paired k=4 -> k=20 reductions across seeds."""
+
+    @pytest.fixture(scope="class")
+    def reductions(self):
+        return run_sensitivity(
+            n_files=150, n_nodes=150, seeds=3
+        ).data["reductions"]
+
+    def test_reductions_with_ci(self, reductions):
+        assert set(reductions) == {0.2, 1.0}
+        for row in reductions.values():
+            assert set(row) == {"mean_forwarded", "f2_gini", "f1_gini"}
+            for summary in row.values():
+                assert summary.n == 3
+                assert summary.low <= summary.mean <= summary.high
+
+    @pytest.mark.parametrize("metric", ["f1_gini", "f2_gini",
+                                        "mean_forwarded"])
+    def test_k20_gain_is_seed_robust(self, reductions, metric):
+        summary = reductions[0.2][metric]
+        assert summary.mean > 0.0
+        assert summary.low > 0.0

@@ -12,7 +12,7 @@ from repro.errors import ConfigurationError
 from repro.kademlia.buckets import BucketLimits
 from repro.kademlia.overlay import Overlay, OverlayConfig
 from repro.scenarios.events import TopologyDelta
-from repro.scenarios.ingest import import_dynamics
+from repro.scenarios.ingest import MAX_EPOCHS, import_dynamics
 from repro.scenarios.trace import DynamicsTrace
 
 
@@ -101,8 +101,9 @@ class TestImportDynamics:
             )
         with pytest.raises(ConfigurationError, match="n_epochs"):
             import_dynamics([], overlay=overlay, n_epochs=0)
-        with pytest.raises(ConfigurationError, match="epoch_seconds"):
-            import_dynamics([], overlay=overlay, epoch_seconds=0.0)
+        for width in (0.0, float("nan")):
+            with pytest.raises(ConfigurationError, match="epoch_seconds"):
+                import_dynamics([], overlay=overlay, epoch_seconds=width)
 
     def test_bad_lines_name_the_line(self, overlay):
         with pytest.raises(ConfigurationError, match="line 1"):
@@ -141,6 +142,25 @@ class TestImportDynamics:
                 [log_line(-1e308, "join", "p"), log_line(1e308, "leave", "p")],
                 overlay=overlay, n_epochs=1,
             )
+
+    @pytest.mark.parametrize("grid", [
+        {"n_epochs": MAX_EPOCHS + 1},
+        {"epoch_seconds": 1.0},
+        {"epoch_seconds": 1e-300},
+    ], ids=["n_epochs", "epoch_seconds", "epoch_seconds_overflow"])
+    def test_epoch_grid_is_bounded(self, overlay, grid):
+        # A two-line log spanning 1e6 s: one-second epochs would be a
+        # million lists, refused before any is allocated.
+        log = [log_line(0.0, "leave", "p"), log_line(1e6, "join", "p")]
+        with pytest.raises(ConfigurationError, match=str(MAX_EPOCHS)):
+            import_dynamics(log, overlay=overlay, **grid)
+
+    def test_epoch_grid_bound_is_inclusive(self, overlay):
+        log = [log_line(0.0, "leave", "p"),
+               log_line(float(MAX_EPOCHS), "join", "p")]
+        _, summary = import_dynamics(log, overlay=overlay,
+                                     epoch_seconds=1.0)
+        assert summary.n_epochs == MAX_EPOCHS
 
     def test_empty_log_rejected(self, overlay):
         with pytest.raises(ConfigurationError, match="no events"):
@@ -188,6 +208,20 @@ class TestImportDynamicsCli:
         assert trace.n_epochs == 2
         assert trace.source == "import:membership.log"
         assert trace.n_nodes == 60
+
+    def test_cli_refuses_an_unbounded_grid(self, tmp_path, capsys):
+        log = tmp_path / "membership.log"
+        log.write_text(log_line(0.0, "leave", "p")
+                       + log_line(1e6, "join", "p"))
+        code = main([
+            "trace", "import-dynamics", str(log),
+            str(tmp_path / "out.json"), "--nodes", "60", "--bits", "10",
+            "--epoch-seconds", "1",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(MAX_EPOCHS) in err and "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
 
     def test_cli_requires_a_grid_flag(self, tmp_path, capsys):
         log = tmp_path / "membership.log"

@@ -254,10 +254,10 @@ class TestReferenceMatchesFast:
 class TestRegistrySmoke:
     def test_run_all_scaled_down_passes_through_registry(self, capsys):
         """Every registered experiment — including the replicated
-        sweep runners — still executes end to end at smoke scale."""
+        sweep runner — still executes end to end at smoke scale."""
         code = main(["run", "all", "--files", "50", "--nodes", "120"])
         assert code == 0
         output = capsys.readouterr().out
-        for name in ("table1", "table1_sweep", "fig5_sweep",
-                     "k_sweep_ci", "baselines", "storage"):
+        for name in ("table1", "sensitivity", "caching", "churn",
+                     "baselines", "storage"):
             assert f"[{name} completed in" in output
