@@ -86,6 +86,9 @@ class TestCaching:
         assert series["lru"]["cache_hits"] > 0
         assert series["none"]["cache_hits"] == 0
 
+    def test_lfu_serves_hits(self, series):
+        assert series["lfu"]["cache_hits"] > 0
+
     def test_path_cache_serves_hits(self, series):
         assert series["path"]["cache_hits"] > 0
 

@@ -51,6 +51,14 @@ class TestChurn:
         row = series[fraction]
         assert row["rereplicated_availability"] > row["availability"]
 
+    @pytest.mark.parametrize("fraction", [0.1, 0.3])
+    def test_rereplicated_loss_is_bounded_by_the_offline_fraction(
+            self, series, fraction):
+        # With storers re-homed to live nodes, only downloads whose
+        # originator is offline can fail.
+        row = series[fraction]
+        assert 0.0 < 1.0 - row["rereplicated_availability"] < fraction
+
 
 class TestLatency:
     def test_mean_latency_falls_with_k(self):

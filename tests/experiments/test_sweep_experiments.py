@@ -44,6 +44,21 @@ class TestSensitivityGrid:
             assert (by_cell[(20, share)].metrics["mean_forwarded"].mean
                     < by_cell[(4, share)].metrics["mean_forwarded"].mean)
 
+    def test_gini_intervals_and_headline_note(self, report):
+        for cell in report.data["summaries"]:
+            for key in ("f2_gini", "f1_gini"):
+                gini = cell.metrics[key]
+                assert gini.n == 3
+                assert 0.0 <= gini.mean <= 1.0
+                assert gini.low <= gini.mean <= gini.high
+        assert any("7% (F2)" in note for note in report.notes)
+
+    def test_one_reduction_row_per_originator_share(self, report):
+        assert len(report.tables) == 2
+        reductions = report.tables[1]
+        assert [row[0] for row in reductions.rows] == ["20%", "100%"]
+        assert set(report.data["reductions"]) == {0.2, 1.0}
+
     def test_cells_replay_the_same_workload_seeds(self, report):
         seeds = {}
         for record in report.data["sweep"].records:

@@ -33,9 +33,23 @@ CONFIGS = [
         originator_share=0.5, n_files=30, file_min=5, file_max=15,
         overlay_seed=8, workload_seed=3, pricing="proximity",
     ),
+    # Zipf catalogs repeat files, so the same chunk addresses are
+    # routed many times: the ``caching`` experiment's workload (fixed
+    # 30-chunk files) and a variable-size one.
+    FastSimulationConfig(
+        n_nodes=120, bits=12, bucket_size=4, originator_share=0.2,
+        n_files=60, file_min=30, file_max=30, catalog_size=12,
+        overlay_seed=1, workload_seed=2,
+    ),
+    FastSimulationConfig(
+        n_nodes=120, bits=12, bucket_size=20, originator_share=1.0,
+        n_files=60, file_min=5, file_max=25, catalog_size=10,
+        overlay_seed=3, workload_seed=4,
+    ),
 ]
 
-CONFIG_IDS = ["k4-skew", "k20-uniform", "bucket0-proximity"]
+CONFIG_IDS = ["k4-skew", "k20-uniform", "bucket0-proximity",
+              "catalog-fixed-size", "catalog-k20"]
 
 FAST_BACKENDS = ["fast", "time"]
 

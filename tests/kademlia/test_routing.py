@@ -94,6 +94,27 @@ class TestRouterCorrectness:
         assert all(route.originator == origin for route in routes)
 
 
+class TestEditedTables:
+    """The router reads the overlay's (mutable) routing-table objects."""
+
+    def test_evicted_node_is_never_an_intermediate_hop(self):
+        overlay = Overlay.build(OverlayConfig(n_nodes=60, bits=10, seed=2))
+        victim = overlay.addresses[0]
+        holders = 0
+        for owner in overlay.addresses:
+            table = overlay.table(owner)
+            if owner != victim and victim in table:
+                table.remove(victim)
+                holders += 1
+        assert holders > 0
+        router = Router(overlay)
+        live = [a for a in overlay.addresses if a != victim]
+        for origin in live[:10]:
+            for target in live[:10]:
+                route = router.route(origin, target)
+                assert victim not in route.path[1:-1]
+
+
 class TestFallback:
     def test_no_fallback_on_paper_style_overlays(self, medium_overlay, rng):
         router = Router(medium_overlay)

@@ -67,6 +67,31 @@ class TestLibrary:
         with pytest.raises(ConfigurationError):
             Churn(rate=1.5)
 
+    @pytest.mark.parametrize("rate", [-0.1, float("nan")])
+    def test_churn_rejects_rates_outside_the_unit_interval(self, rate):
+        with pytest.raises(ConfigurationError):
+            Churn(rate=rate)
+
+    def test_churn_at_rate_zero_never_flips_a_node(self):
+        for (delta,) in Churn(rate=0.0, seed=5).schedule(CTX):
+            assert delta.leaves == delta.joins == ()
+
+    def test_churn_at_rate_one_takes_everyone_offline_once(self):
+        schedule = Churn(rate=1.0, seed=5).schedule(CTX)
+        (first,) = schedule[0]
+        assert first.leaves == tuple(range(CTX.n_nodes))
+        assert first.joins == ()
+        for (delta,) in schedule[1:]:
+            assert delta.leaves == delta.joins == ()
+
+    def test_churn_offline_share_tracks_the_rate(self):
+        ctx = ScenarioContext(n_nodes=2000, n_epochs=5, space_size=4096)
+        alive = np.ones(ctx.n_nodes, dtype=bool)
+        for (delta,) in Churn(rate=0.3, seed=5).schedule(ctx):
+            alive[list(delta.leaves)] = False
+            alive[list(delta.joins)] = True
+            assert 0.25 < 1.0 - alive.mean() < 0.35
+
     def test_caching_emits_single_head_event(self):
         schedule = PathCaching(size=16).schedule(CTX)
         assert schedule[0] == (CacheState(enabled=True, capacity=16),)
