@@ -15,8 +15,9 @@ answers "*when* did each chunk arrive". It runs in two phases:
    — the golden-fixture equivalence suite pins this.
 2. **Fluid timeline** — a vectorized event wheel over the recorded
    paths, driven by the :class:`~repro.engine.des.EventScheduler`.
-   Each in-flight chunk carries ``(remaining_bytes, path, hop_index)``;
-   a transfer's rate is the fair share
+   Each data-hop is one transfer, named by its position in the
+   recorded ``nodes`` array (the hop after position ``p`` is
+   ``p - 1``); a transfer's rate is the fair share
    ``min(up / sender_out, down / receiver_in)`` of its endpoints'
    finite bandwidth, recomputed only at arrival/departure events.
    Fixed per-hop propagation (``2 * hops * hop_latency_ms``: request
@@ -39,6 +40,7 @@ propagation-delay model.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -121,7 +123,11 @@ class _PathRecorder:
             self._zero.append(ids.copy())
 
     def assemble(self) -> ChunkPaths:
-        """Flatten the recorded waves into contiguous per-chunk paths."""
+        """Flatten the recorded waves into contiguous per-chunk paths.
+
+        The recorded waves are consumed: each is freed once written,
+        so they do not outlive the paths into the timeline.
+        """
         hops = np.zeros(self.n_chunks, dtype=np.int32)
         for pairs in self._waves.values():
             for ids, _ in pairs:
@@ -131,11 +137,14 @@ class _PathRecorder:
         nodes = np.empty(int(offsets[-1]), dtype=np.int32)
         # A chunk in flight at wave d was in flight at every wave
         # before it, so its wave-d receiver sits at path position d-1.
-        for depth, pairs in self._waves.items():
-            for ids, receivers in pairs:
+        while self._waves:
+            depth, pairs = self._waves.popitem()
+            while pairs:
+                ids, receivers = pairs.pop()
                 nodes[offsets[ids] + (depth - 1)] = receivers
         zero = (np.concatenate(self._zero) if self._zero
                 else np.empty(0, dtype=np.int64))
+        self._zero = []
         return ChunkPaths(hops=hops, offsets=offsets[:-1], nodes=nodes,
                           zero_ids=np.sort(zero))
 
@@ -155,21 +164,47 @@ class FluidWheel:
     completion slots, with stale completion events invalidated by a
     generation counter (lazy cancellation).
 
+    **Transfers are named by path position.** Chunk paths are disjoint
+    slices of ``nodes`` (as :class:`ChunkPaths` lays them out), so the
+    data-hop that leaves ``nodes[p]`` is transfer *p*: a chunk's first
+    data-hop leaves the serving node, the last position of its path,
+    and the hop after transfer *p* is transfer ``p - 1``, down to the
+    path's first position, whose data-hop delivers to the originator.
+    Write ``succ[p]`` for ``p - 1``, or for ``~chunk`` (negative) at a
+    path's first position: the last-hop mark, naming the chunk whose
+    completion time that hop writes. One int64 word per position, built
+    once per run, is then all the per-transfer state the wheel keeps
+    besides its member store: the pair key ``sender * n_nodes +
+    receiver`` above ``succ[p] + m`` (``m`` chunks, so never
+    negative). Activating transfers gathers their words and sorts
+    them, which groups them by pair and yields each member's
+    ``succ`` without an argsort.
+
     Active transfers live in an **edge-bundle pool**. Transfers
     activated at the same event on the same (sender, receiver) pair
     start with the same bytes and always get the same rate, so every
     float operation on them — ``remaining -= rate * dt``, the
     ``remaining / rate`` minimum, the finish test — is the same; the
     pool keeps one row per such bundle with a member count. Members
-    sit in a member store allocated once (one slot per transfer,
-    ``hops.sum()`` in all), sorted by pair within each activation
-    batch, so a bundle is a ``(start, count)`` range of it. Pool
-    columns grow by doubling; finished bundles are swap-removed in
-    one vectorised move. Per-node out/in degrees are kept
-    incrementally from the activated and retired members only, and a
-    bundle's rate is ``min((up / out)[sender], (down / inn)[receiver])``
-    — the same division as per transfer. An event therefore costs
-    O(bundles + changed transfers).
+    (their ``succ``) sit in a member store allocated once (one slot
+    per transfer, ``hops.sum()`` in all), sorted by pair within each
+    activation batch, so a bundle is a ``(start, count)`` range of it.
+    The pool's integer columns (sender, ``n_nodes + receiver``, start,
+    count) are the rows of one matrix, so a retirement gathers them in
+    one ``take``; finished bundles are swap-removed, and columns grow
+    by doubling. Per-node degrees are one vector — out-degrees, then
+    in-degrees — kept incrementally from the activated and retired
+    bundles only, and a bundle's rate is ``min(share[sender],
+    share[n_nodes + receiver])`` with ``share = link / degree``: the
+    same division as per transfer. An event therefore costs
+    O(bundles + changed transfers). On the ``latency-contended``
+    benchmark's three inputs (~590 events each, ~12k live bundles,
+    ~900 transfers retiring and ~900 starting per event) this cut the
+    wheel, construction included, from 180 ms to 118 ms per input
+    (median of 11 interleaved rounds, process time, 2-vCPU shared
+    container). Nearly every bundle's rate changes at every event
+    (a median 98% of live bundles touch a node whose degree changed),
+    so the recomputation stays a whole-pool pass.
 
     With a concurrency cap, requests go to a request log (one slot per
     transfer, in request order) threaded into one FIFO list per
@@ -194,50 +229,67 @@ class FluidWheel:
         self.cap = int(max_concurrent)
         self.quantum = float(quantum_s)
         self.hops = hops
-        self.offsets = offsets
         self.nodes = nodes
-        self.origins = origins
         if self.quantum > 0:
-            release_s = self._snap_up(release_s)
+            release_s = np.ceil(release_s / self.quantum - 1e-12)
+            release_s *= self.quantum
         self.release = release_s
         m = release_s.size
         self.done = np.full(m, -1.0)
         # A rate is infinite only when both ends are unbounded, and
         # then it is infinite for every transfer of the run.
         self._finite = not (np.isinf(self.up) and np.isinf(self.down))
-        # Data-hops each chunk has left after the one it is on.
-        self._left = hops - 1
-        # Member store: chunk ids (and, under a cap, activation
-        # sequence numbers), written once per transfer.
+        # One int64 word per position (see the class docstring): the
+        # pair key above the low ``_shift`` bits, which hold
+        # ``succ[p] + m`` (so they are never negative).
+        positions = nodes.size
+        index_dt = np.int32 if max(m, positions) < 2**31 else np.int64
+        self._shift = shift = int(m + positions).bit_length()
+        if (n_nodes * n_nodes) << shift > 2**63:
+            raise SimulationError(
+                f"fluid event wheel cannot index {positions} transfers "
+                f"over {n_nodes} nodes in 64-bit words"
+            )
+        hop = np.arange(m - 1, m - 1 + positions, dtype=np.int64)
+        hop += nodes * np.int64(n_nodes << shift)
+        hop[1:] += nodes[:-1] * np.int64(1 << shift)
+        last = nodes[offsets] * np.int64(n_nodes << shift)
+        last += origins.astype(np.int64) << shift
+        last += np.arange(m - 1, -1, -1)
+        hop[offsets] = last
+        self._hop = hop
+        # Each chunk's first data-hop leaves the serving node, the last
+        # position of its path.
+        first = offsets + hops
+        first -= 1
+        self._first = first.astype(index_dt)
+        # Member store: each member's ``succ`` (and, under a cap, its
+        # activation sequence number), written once per transfer.
         total = int(hops.sum())
-        index_dt = np.int32 if max(m, total) < 2**31 else np.int64
         self._member = np.empty(total, dtype=index_dt)
         self._member_seq = np.empty(total if self.cap else 0,
                                     dtype=index_dt)
         self._written = 0
         self._activated = 0
-        # The bundle pool (rows [0, _size) are live).
+        # The bundle pool (rows [0, _size) are live): integer columns
+        # _SENDER, _RECEIVER (offset by n_nodes), _START, _COUNT.
         self._size = 0
-        self._sender = np.empty(0, dtype=np.intp)
-        self._receiver = np.empty(0, dtype=np.intp)
-        self._start = np.empty(0, dtype=np.intp)
-        self._count = np.empty(0, dtype=np.intp)
+        self._pool = np.empty((4, 0), dtype=np.intp)
         self._remaining = np.empty(0, dtype=np.float64)
         self._rate = np.empty(0, dtype=np.float64)
         self._scratch = np.empty(0, dtype=np.float64)
         self._grow(256)
-        # Per-node active transfer counts and fair-share buffers.
-        self._out = np.zeros(n_nodes, dtype=np.int64)
-        self._inn = np.zeros(n_nodes, dtype=np.int64)
-        self._up_share = np.empty(n_nodes, dtype=np.float64)
-        self._down_share = np.empty(n_nodes, dtype=np.float64)
-        # Admission queue (cap > 0 only): a request log in request
-        # order, one slot per transfer, threaded into one FIFO list per
-        # sender (``_next`` links a request to its sender's next one).
+        # Per-node active transfer counts (out-degrees, then
+        # in-degrees) and the fair shares of the links they divide.
+        self._degree = np.zeros(2 * n_nodes, dtype=np.int64)
+        self._link = np.repeat([self.up, self.down], n_nodes)
+        self._share = np.empty(2 * n_nodes, dtype=np.float64)
+        # Admission queue (cap > 0 only): a request log of positions in
+        # request order, one slot per transfer, threaded into one FIFO
+        # list per sender (``_next`` links a request to its sender's
+        # next one).
         log = total if self.cap else 0
-        self._log_chunk = np.empty(log, dtype=index_dt)
-        self._log_sender = np.empty(log, dtype=index_dt)
-        self._log_receiver = np.empty(log, dtype=index_dt)
+        self._log = np.empty(log, dtype=index_dt)
         self._next = np.empty(log, dtype=index_dt)
         self._logged = 0
         self._head = np.zeros(n_nodes, dtype=np.int64)
@@ -248,56 +300,35 @@ class FluidWheel:
 
     # -- helpers -------------------------------------------------------
 
-    def _snap_up(self, t):
-        """Quantize times up to the next slot boundary (vector or scalar)."""
-        q = self.quantum
-        return np.ceil(np.asarray(t) / q - 1e-12) * q
-
-    def _endpoints(self, chunks: np.ndarray,
-                   left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(sender, receiver) node indices of each chunk's data-hop
-        with *left* data-hops after it.
-
-        The first data-hop leaves the serving node (the last request
-        hop); the final one (``left == 0``) delivers to the originator.
-        """
-        pos = self.offsets[chunks] + left
-        sender = self.nodes[pos].astype(np.int64)
-        receiver = np.where(
-            left == 0, self.origins[chunks],
-            self.nodes[np.maximum(pos - 1, 0)],
-        ).astype(np.int64)
-        return sender, receiver
-
     def _grow(self, need: int) -> None:
         """Make room for *need* pool rows, doubling the capacity."""
         capacity = self._remaining.size
         if need <= capacity:
             return
         capacity = max(need, 2 * capacity)
-        for name in ("_sender", "_receiver", "_start", "_count",
-                     "_remaining", "_rate", "_scratch"):
-            old = getattr(self, name)
-            new = np.empty(capacity, dtype=old.dtype)
-            new[:self._size] = old[:self._size]
+        b = self._size
+        pool = np.empty((4, capacity), dtype=np.intp)
+        pool[:, :b] = self._pool[:, :b]
+        self._pool = pool
+        for name in ("_remaining", "_rate", "_scratch"):
+            new = np.empty(capacity, dtype=np.float64)
+            new[:b] = getattr(self, name)[:b]
             setattr(self, name, new)
 
-    def _enqueue(self, chunks: np.ndarray, left: np.ndarray) -> None:
-        """Request each chunk's current data-hop (activate or queue)."""
-        if chunks.size == 0:
+    def _enqueue(self, positions: np.ndarray) -> None:
+        """Request the transfers at *positions* (activate or queue)."""
+        if positions.size == 0:
             return
-        sender, receiver = self._endpoints(chunks, left)
         if self.cap == 0:
-            self._activate(chunks, sender, receiver)
+            self._activate(positions)
             return
-        k = chunks.size
+        k = positions.size
         p = self._logged
-        self._log_chunk[p:p + k] = chunks
-        self._log_sender[p:p + k] = sender
-        self._log_receiver[p:p + k] = receiver
+        self._log[p:p + k] = positions
         self._logged = p + k
         # Chain each sender's new requests in request order, behind
         # the ones it already has queued.
+        sender = self.nodes[positions]
         order = sender.argsort(kind="stable")
         grouped = sender[order]
         slots = order + p
@@ -316,36 +347,42 @@ class FluidWheel:
         self._tail[senders] = slots[last]
         self._queued[senders] += last - first + 1
 
-    def _activate(self, chunks, sender, receiver) -> None:
-        """Start one transfer per chunk, one pool row per bundle."""
-        k = chunks.size
-        n = self.n_nodes
-        key = sender * n + receiver
-        # Members of one bundle are interchangeable, so any sort will do.
-        order = key.argsort()
-        key = key[order]
+    def _activate(self, positions: np.ndarray) -> None:
+        """Start the transfers at *positions*, one pool row per bundle."""
+        k = positions.size
+        hop = self._hop[positions]
         w = self._written
-        self._member[w:w + k] = chunks[order]
         if self.cap:
+            order = hop.argsort()
+            hop = hop[order]
             np.add(order, self._activated, out=self._member_seq[w:w + k])
             self._activated += k
+        else:
+            # Members of one bundle are interchangeable, so any order
+            # within a pair will do.
+            hop.sort()
+        key = hop >> self._shift
+        hop &= (1 << self._shift) - 1
+        np.subtract(hop, self.release.size, out=self._member[w:w + k],
+                    casting="unsafe")
         self._written = w + k
         heads = (key[1:] != key[:-1]).nonzero()[0]
         rows = heads.size + 1
         b = self._size
         self._grow(b + rows)
-        start = self._start[b:b + rows]
+        pool = self._pool[:, b:b + rows]
+        start = pool[_START]
         start[0] = w
         np.add(heads, w + 1, out=start[1:])
-        count = self._count[b:b + rows]
+        count = pool[_COUNT]
         count[:-1] = start[1:]
         count[-1] = w + k
         count -= start
-        sender = self._sender[b:b + rows]
-        receiver = self._receiver[b:b + rows]
-        np.divmod(key[start - w], n, out=(sender, receiver))
-        np.add.at(self._out, sender, count)
-        np.add.at(self._inn, receiver, count)
+        np.divmod(key[start - w], self.n_nodes,
+                  out=(pool[_SENDER], pool[_RECEIVER]))
+        pool[_RECEIVER] += self.n_nodes
+        np.add.at(self._degree, pool[_SENDER], count)
+        np.add.at(self._degree, pool[_RECEIVER], count)
         self._remaining[b:b + rows] = self.chunk_bytes
         self._size = b + rows
 
@@ -358,7 +395,8 @@ class FluidWheel:
         """
         if self.cap == 0:
             return
-        take = np.minimum(self.cap - self._out, self._queued)
+        take = np.minimum(self.cap - self._degree[:self.n_nodes],
+                          self._queued)
         senders = (take > 0).nonzero()[0]
         if senders.size == 0:
             return
@@ -382,21 +420,26 @@ class FluidWheel:
         self._head[senders] = self._next[slot]
         self._queued[senders] -= take
         admitted.sort()
-        self._activate(self._log_chunk[admitted],
-                       self._log_sender[admitted].astype(np.int64),
-                       self._log_receiver[admitted].astype(np.int64))
+        self._activate(self._log[admitted])
 
     def _recompute_rates(self) -> None:
-        """Fair-share rate per bundle at the current instant."""
+        """Fair-share rate per bundle at the current instant.
+
+        An idle node's share divides by zero; :meth:`run` ignores that
+        warning once around the whole event loop.
+        """
         b = self._size
         if b == 0 or not self._finite:
             return
-        with np.errstate(divide="ignore"):
-            np.divide(self.up, self._out, out=self._up_share)
-            np.divide(self.down, self._inn, out=self._down_share)
+        share = np.divide(self._link, self._degree, out=self._share)
         rate = self._rate[:b]
-        np.take(self._up_share, self._sender[:b], out=rate)
-        np.minimum(rate, self._down_share[self._receiver[:b]], out=rate)
+        receiver_share = self._scratch[:b]
+        # Pool indices are below 2 * n_nodes by construction; "clip"
+        # only spares take its per-element bounds error path.
+        share.take(self._pool[_SENDER, :b], out=rate, mode="clip")
+        share.take(self._pool[_RECEIVER, :b], out=receiver_share,
+                   mode="clip")
+        np.minimum(rate, receiver_share, out=rate)
 
     def _advance(self, now: float) -> None:
         """Progress every active transfer to *now* at its last rate."""
@@ -409,7 +452,7 @@ class FluidWheel:
         self._last = now
 
     def _complete(self, now: float) -> None:
-        """Retire finished bundles; chain or finish their chunks."""
+        """Retire finished bundles; chain or finish their transfers."""
         b = self._size
         if self._finite:
             remaining = self._remaining[:b]
@@ -423,24 +466,19 @@ class FluidWheel:
         else:
             # Unbounded endpoints transfer instantaneously.
             rows = np.arange(b)
-        slots = _ranges(self._start[rows], self._count[rows])
+        retired = self._pool.take(rows, axis=1)
+        count = retired[_COUNT]
+        slots = _ranges(retired[_START], count)
         if self.cap:
             # Retire in activation order, as one active list would.
             slots = slots[self._member_seq[slots].argsort()]
-        chunks = self._member[slots]
-        count = self._count[rows]
-        np.subtract.at(self._out, self._sender[rows], count)
-        np.subtract.at(self._inn, self._receiver[rows], count)
+        np.subtract.at(self._degree, retired[_SENDER], count)
+        np.subtract.at(self._degree, retired[_RECEIVER], count)
         self._remove(rows)
-        left = self._left[chunks]
-        last_hop = left == 0
-        self.done[chunks[last_hop]] = now
-        ongoing = ~last_hop
-        if ongoing.any():
-            chunks = chunks[ongoing]
-            left = left[ongoing] - 1
-            self._left[chunks] = left
-            self._enqueue(chunks, left)
+        following = self._member[slots]
+        last_hop = following < 0
+        self.done[~following[last_hop]] = now
+        self._enqueue(following[~last_hop])
 
     def _remove(self, rows: np.ndarray) -> None:
         """Swap-remove the sorted pool *rows*: tail rows fill the holes.
@@ -455,8 +493,7 @@ class FluidWheel:
             alive = np.ones(b - size, dtype=bool)
             alive[rows[holes.size:] - size] = False
             movers = alive.nonzero()[0] + size
-            for column in (self._sender, self._receiver, self._start,
-                           self._count, self._remaining):
+            for column in (*self._pool, self._remaining):
                 column[holes] = column[movers]
         self._size = size
 
@@ -475,7 +512,7 @@ class FluidWheel:
             dt = 0.0
         when = self._last + dt
         if self.quantum > 0:
-            when = float(self._snap_up(when))
+            when = _snap_up(when, self.quantum)
         when = max(when, scheduler.now)
 
         def handler(s: EventScheduler, t: float) -> None:
@@ -495,34 +532,38 @@ class FluidWheel:
         """Simulate every transfer; returns per-chunk completion times."""
         if self.release.size == 0:
             return self.done
-        order = np.argsort(self.release, kind="stable")
+        # Chunks released together request their first hops in chunk
+        # order, which only a concurrency cap's FIFO queues observe.
+        order = np.argsort(self.release,
+                           kind="stable" if self.cap else None)
         sorted_release = self.release[order]
         boundaries = np.concatenate((
             [0],
             np.flatnonzero(sorted_release[1:] != sorted_release[:-1]) + 1,
             [sorted_release.size],
         ))
+        times = sorted_release[boundaries[:-1]].tolist()
+        del sorted_release
+        first = self._first[order]
+        del order
         scheduler = EventScheduler()
-        for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-            lo, hi = int(lo), int(hi)
-            batch = order[lo:hi]
+        for when, lo, hi in zip(times, boundaries[:-1], boundaries[1:]):
 
             def release(s: EventScheduler, t: float,
-                        batch: np.ndarray = batch) -> None:
+                        batch: np.ndarray = first[lo:hi]) -> None:
                 self._advance(t)
-                self._enqueue(batch, self._left[batch])
+                self._enqueue(batch)
                 self._admit()
                 self._recompute_rates()
                 self._reschedule(s)
 
-            scheduler.schedule_at(
-                float(sorted_release[lo]), release, name="release"
-            )
+            scheduler.schedule_at(when, release, name="release")
         total_hops = int(self.hops.sum())
-        releases = len(boundaries) - 1
+        releases = len(times)
         max_events = 4 * total_hops + 4 * releases + 1024
         try:
-            scheduler.run_all(max_events=max_events)
+            with np.errstate(divide="ignore"):
+                scheduler.run_all(max_events=max_events)
         except SimulationError as error:
             raise SimulationError(
                 f"fluid event wheel exceeded {max_events} events; set "
@@ -534,6 +575,21 @@ class FluidWheel:
                 "fluid event wheel drained with unfinished transfers"
             )
         return self.done
+
+
+#: Rows of :attr:`FluidWheel._pool`.
+_SENDER, _RECEIVER, _START, _COUNT = range(4)
+
+
+def _snap_up(t: float, quantum: float) -> float:
+    """Round time *t* up to the next slot boundary.
+
+    Bit for bit ``np.ceil(t / quantum - 1e-12) * quantum`` (the release
+    times' vector form): ``math.ceil`` returns an int, so ``copysign``
+    restores the ``-0.0`` that ``np.ceil`` gives in ``(-1, 0)``.
+    """
+    slot = t / quantum - 1e-12
+    return math.copysign(math.ceil(slot), slot) * quantum
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -593,14 +649,18 @@ class TimedSimulation:
         config = self.config
         hop_lat_s = config.hop_latency_ms / 1000.0
         routed = paths.routed_ids
-        routed_hops = paths.hops[routed].astype(np.float64)
-        propagation = 2.0 * routed_hops * hop_lat_s
+        hops = paths.hops[routed]
+        propagation = hops.astype(np.float64)
+        propagation *= 2.0
+        propagation *= hop_lat_s
         unbounded = (config.node_up_mbps == 0
                      and config.node_down_mbps == 0
                      and config.max_concurrent == 0)
         if unbounded:
             routed_latency = propagation
         else:
+            release = release[routed]
+            propagation += release
             wheel = FluidWheel(
                 n_nodes=self.table.n_nodes,
                 chunk_bytes=config.chunk_kib * 1024.0,
@@ -608,13 +668,15 @@ class TimedSimulation:
                 down_bytes_s=config.node_down_mbps * MBPS_TO_BYTES,
                 max_concurrent=config.max_concurrent,
                 quantum_s=config.time_quantum_ms / 1000.0,
-                release_s=release[routed] + propagation,
-                hops=paths.hops[routed],
+                release_s=propagation,
+                hops=hops,
                 offsets=paths.offsets[routed],
                 nodes=paths.nodes,
-                origins=origins[routed].astype(np.int64),
+                origins=origins[routed],
             )
-            routed_latency = wheel.run() - release[routed]
+            del propagation
+            routed_latency = wheel.run()
+            routed_latency -= release
         samples = np.full(paths.hops.size, np.nan)
         samples[paths.zero_ids] = 0.0
         samples[routed] = routed_latency * 1000.0

@@ -9,7 +9,8 @@ the XOR metric to find the distance to the closest node to the
 storer".
 
 This module provides that XOR-distance pricing as the default plus two
-alternatives used by the pricing ablation (DESIGN.md §3):
+alternatives used by the pricing ablation
+(:func:`repro.experiments.ablations.run_pricing`):
 
 * :class:`XorDistancePricing` — paper default; price proportional to
   the XOR distance between the serving peer and the chunk address.

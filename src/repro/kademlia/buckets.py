@@ -6,7 +6,8 @@ bits with the owner (paper §III-A and Fig. 3). Ordinary buckets are
 capped at the *bucket size* ``k`` (Swarm default 4, Kademlia paper
 default 20); the *neighborhood* — every peer at proximity order at
 least the owner's neighborhood depth — is kept uncapped so that
-routing can always complete the last hops (see DESIGN.md).
+routing can always complete the last hops (the argument is in the
+:mod:`repro.kademlia.overlay` docstring).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class KBucket:
     candidates"); membership checks are O(1). The bucket never holds
     duplicates. A full bucket rejects further peers rather than
     evicting — the paper's overlays are static, so no LRU churn
-    handling is needed; :meth:`replace` exists for churn experiments.
+    handling is needed.
     """
 
     __slots__ = ("index", "capacity", "_order", "_members")
@@ -156,21 +157,6 @@ class KBucket:
             )
         self._members.remove(address)
         self._order.remove(address)
-
-    def replace(self, old: int, new: int) -> None:
-        """Swap *old* for *new* in place, preserving position.
-
-        Used by churn experiments where a departed peer is replaced by
-        a fresh candidate without disturbing the rest of the bucket.
-        """
-        if old not in self._members:
-            raise OverlayError(f"address {old} not in bucket {self.index}")
-        if new in self._members:
-            raise OverlayError(f"address {new} already in bucket {self.index}")
-        position = self._order.index(old)
-        self._order[position] = new
-        self._members.remove(old)
-        self._members.add(new)
 
     def extend(self, addresses: Sequence[int]) -> int:
         """Add each address until the bucket fills; return count added."""

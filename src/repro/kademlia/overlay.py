@@ -20,7 +20,20 @@ Construction follows the paper:
   at proximity order at least its neighborhood depth — uncapped, and
   neighborhood edges are symmetrized. This is Swarm's connectivity
   rule and is what lets greedy routing terminate at the true closest
-  node (see DESIGN.md §2 for the convergence argument).
+  node.
+
+Why greedy routing ends at the node ``c`` closest to a target ``t``:
+take any other node ``v`` on the route, and let ``i`` be the first bit
+where ``v`` and ``c`` differ. They agree above ``i`` and ``c`` is
+closer to ``t``, so at bit ``i`` ``c`` agrees with ``t`` and ``v`` does
+not. If ``i`` is at or beyond ``v``'s neighborhood depth, ``v`` knows
+``c`` itself (the neighborhood is uncapped). Otherwise ``v``'s bucket
+``i`` holds at least one peer (``c`` is a candidate, and a capped
+bucket keeps ``min(k, candidates)``), and any peer there agrees with
+``v`` above bit ``i`` and with ``t`` at it, so it is closer to ``t``
+than ``v``. Either way ``v`` knows a strictly closer peer: greedy
+forwarding never stops short of ``c``, and since every hop gets
+strictly closer, it never revisits a node.
 
 :meth:`Overlay.build` works in whole-array passes: one exact ``[n, n]``
 proximity matrix gives every bucket population and neighborhood depth,

@@ -11,8 +11,9 @@ property.
 :class:`~repro.kademlia.overlay.Overlay` and records per-route
 telemetry in :class:`Route` / aggregate telemetry in
 :class:`RoutingStats`. Greedy forwarding makes strict progress (every
-hop is strictly XOR-closer to the target — see DESIGN.md §2), so a
-route has at most ``bits`` hops. If greedy stalls before reaching the
+hop is strictly XOR-closer to the target; the
+:mod:`repro.kademlia.overlay` docstring argues why it ends at the
+closest node), so a route has at most ``bits`` hops. If greedy stalls before reaching the
 global closest node — possible only in pathological capped-bucket
 topologies without a symmetric neighborhood — the router performs an
 explicit *neighborhood hand-off* to the storer and counts it, or

@@ -10,7 +10,8 @@ shallowest proximity order ``d`` such that the node knows at least
 :data:`~repro.kademlia.buckets.NEIGHBORHOOD_MIN` peers at proximity
 ``>= d``. Peers at or beyond the depth form the neighborhood; overlay
 builders keep the neighborhood uncapped and symmetric so greedy
-routing converges to the globally closest node (DESIGN.md §2).
+routing converges to the globally closest node (the argument is in
+the :mod:`repro.kademlia.overlay` docstring).
 
 Besides the per-node object model, this module owns the vectorized
 **incremental storer-table maintenance** the epoch-driven scenario
@@ -431,7 +432,11 @@ class RoutingTable:
         return added
 
     def remove(self, address: int) -> None:
-        """Forget a peer; raise :class:`OverlayError` if unknown."""
+        """Forget a peer; raise :class:`OverlayError` if unknown.
+
+        Built overlays never drop peers: this is the test seam for
+        hand-edited tables.
+        """
         self.bucket_of(address).remove(address)
         self._peer_cache = None
 

@@ -21,9 +21,10 @@ import pytest
 from repro.backends import get_backend, run_simulation
 from repro.backends.config import FastSimulationConfig
 from repro.backends.timed import FluidWheel, TimedSimulation
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 
 from . import table_oracle
+from .wheel_oracle import FluidWheel as OracleWheel
 from .test_golden import GOLDEN_CONFIG, GOLDEN_DIR, golden_payload
 from .test_golden_scenarios import (
     SCENARIO_GOLDEN_CONFIGS,
@@ -231,6 +232,52 @@ class TestFluidWheel:
         wheel = self._single_chain(n_chunks=0, releases=())
         assert wheel.run().size == 0
 
+    @pytest.mark.parametrize("cap", [0, 2])
+    def test_pair_keys_wider_than_int32_match_the_oracle(self, cap):
+        # 46_341 ** 2 >= 2 ** 31: pair keys of the highest nodes do not
+        # fit in int32. Shared endpoints make every rate depend on the
+        # right (sender, receiver) pair.
+        n = 46_341
+        top = n - 1
+        paths = [[top - 1, top], [top], [top - 2, top, top - 1],
+                 [top - 1], [7, top]]
+        hops = np.array([len(path) for path in paths], dtype=np.int32)
+        offsets = np.zeros(hops.size, dtype=np.int64)
+        np.cumsum(hops[:-1], out=offsets[1:])
+        kwargs = dict(
+            n_nodes=n, chunk_bytes=4096.0, up_bytes_s=2.5e4,
+            down_bytes_s=1e5, max_concurrent=cap, quantum_s=0.0,
+            release_s=np.array([0.05, 0.05, 0.05, 0.06, 0.05]),
+            hops=hops, offsets=offsets,
+            nodes=np.array([x for path in paths for x in path],
+                           dtype=np.int32),
+            origins=np.array([top - 2, top, top - 2, 7, top - 1]),
+        )
+        expected = OracleWheel(**kwargs).run()
+        assert np.array_equal(FluidWheel(**kwargs).run(), expected)
+
+    def test_refuses_runs_too_wide_for_its_words(self):
+        with pytest.raises(SimulationError, match="64-bit words"):
+            FluidWheel(
+                n_nodes=2**31, chunk_bytes=1000.0, up_bytes_s=1e5,
+                down_bytes_s=1e5, max_concurrent=0, quantum_s=0.0,
+                release_s=np.zeros(1), hops=np.ones(1, dtype=np.int32),
+                offsets=np.zeros(1, dtype=np.int64),
+                nodes=np.zeros(1, dtype=np.int32),
+                origins=np.ones(1, dtype=np.int64),
+            )
+
+    @pytest.mark.parametrize("t", [0.0, 1e-16, 0.3, 0.6000000000000001,
+                                   2.4, 7.77, 3.3e5])
+    @pytest.mark.parametrize("quantum", [0.3, 0.01])
+    def test_slot_snap_matches_the_release_snap(self, t, quantum):
+        # Completion slots snap one float at a time, release times as a
+        # vector; both must round to the same bits, sign of zero too.
+        from repro.backends.timed import _snap_up
+
+        vector = np.ceil(np.array([t]) / quantum - 1e-12) * quantum
+        assert np.array([_snap_up(t, quantum)]).tobytes() == vector.tobytes()
+
 
 class TestContendedLatencyPins:
     """Exact contended latencies, pinned before the bundle-pool wheel.
@@ -256,6 +303,25 @@ class TestContendedLatencyPins:
         latency = TimedSimulation(config).run().latency_ms
         assert latency.size == samples
         assert hashlib.sha256(latency.tobytes()).hexdigest() == digest
+
+    def test_latency_digest_with_unroutable_chunks(self):
+        # Churn leaves unavailable chunks (hop 0, no path) between
+        # routed ones, so a chunk's transfers are not at its chunk
+        # index. Recorded before the wheel named transfers by path
+        # position.
+        from repro.perf.bench import LATENCY_PROFILE
+
+        config = FastSimulationConfig(
+            n_nodes=60, n_files=64, batch_files=16,
+            scenario="churn:rate=0.2,seed=3", workload_seed=11,
+            arrival_seed=12, **LATENCY_PROFILE,
+        )
+        result = TimedSimulation(config).run()
+        assert result.unavailable == 11866
+        assert result.latency_ms.size == 18965
+        assert hashlib.sha256(result.latency_ms.tobytes()).hexdigest() == (
+            "002023d2048a69b08567013e48b21793"
+            "3de62918e8a88553dabef8270c16c5d0")
 
 
 class TestPaths:

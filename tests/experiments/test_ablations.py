@@ -111,6 +111,13 @@ class TestCaching:
     def test_both_tables_reported(self, report):
         assert [len(table.rows) for table in report.tables] == [3, 2]
 
+    def test_path_cache_serves_hits_below_one_slab(self):
+        # 80 files would fit in one 256-file slab, and the path cache
+        # learns a slab's chunks only after the slab has routed.
+        series = run_caching(n_files=80, n_nodes=100).data["series"]
+        assert series["path"]["cache_hits"] > 0
+        assert series["path"]["forwarded"] < series["none"]["forwarded"]
+
 
 class TestFreeriders:
     def test_defaults_grow_with_fraction(self):

@@ -1,6 +1,6 @@
 """Integration: every vectorized backend agrees with the reference.
 
-This is the central cross-validation promised in DESIGN.md §4, now
+This is the central cross-validation of the vectorized engines,
 expressed through the backend protocol: on a shared overlay and
 workload, the batched fast engine, the time-domain event wheel (run
 with unbounded bandwidth) and the object-oriented SwarmNetwork adapter

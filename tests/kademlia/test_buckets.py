@@ -110,26 +110,6 @@ class TestKBucketMutation:
         with pytest.raises(OverlayError, match="not in bucket"):
             KBucket(index=0, capacity=4).remove(1)
 
-    def test_replace_preserves_position(self):
-        bucket = KBucket(index=0, capacity=4)
-        for address in (1, 2, 3):
-            bucket.add(address)
-        bucket.replace(2, 9)
-        assert bucket.peers == (1, 9, 3)
-
-    def test_replace_missing_old_raises(self):
-        bucket = KBucket(index=0, capacity=4)
-        bucket.add(1)
-        with pytest.raises(OverlayError):
-            bucket.replace(2, 9)
-
-    def test_replace_duplicate_new_raises(self):
-        bucket = KBucket(index=0, capacity=4)
-        bucket.add(1)
-        bucket.add(2)
-        with pytest.raises(OverlayError, match="already"):
-            bucket.replace(1, 2)
-
     def test_extend_stops_at_capacity(self):
         bucket = KBucket(index=0, capacity=3)
         added = bucket.extend([1, 2, 3, 4, 5])
