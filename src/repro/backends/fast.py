@@ -43,7 +43,8 @@ int64-state kernel this roughly halves the bytes moved per hop.
 The waves only count integers, so a large slab routes on every CPU:
 before anything is sorted it is cut into target ranges of about equal
 chunk counts (:func:`_target_spans`), one per CPU of the process's
-affinity (:func:`_cpu_budget`) and none under
+affinity (:func:`_cpu_budget`; a sweep pool worker caps it at its
+share of the machine) and none under
 :data:`_MIN_BLOCK_CHUNKS` chunks. Each block selects its chunks in
 input order, drops the dead ones, stable-sorts its targets and runs
 its waves — so the blocks laid end to end are the slab's stable sort.
@@ -115,6 +116,7 @@ __all__ = [
     "FastBackend",
     "clear_caches",
     "cached_overlay",
+    "cap_cpu_budget",
     "install_overlay",
     "cached_next_hop_table",
     "overlay_key",
@@ -150,12 +152,33 @@ _BLOCK_POOL = None
 _BLOCK_POOL_WORKERS = 0
 
 
+#: A ceiling on :func:`_cpu_budget` for this whole process (``None``:
+#: the affinity alone). A sweep pool worker sets its CPU share here.
+_CPU_CAP: int | None = None
+
+
 def _cpu_budget() -> int:
-    """How many CPUs this process may run on."""
+    """How many CPUs this process may run on: its affinity, capped by
+    :func:`cap_cpu_budget`."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - no affinity API
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return cpus if _CPU_CAP is None else min(cpus, _CPU_CAP)
+
+
+def cap_cpu_budget(cpus: int) -> None:
+    """Route and build tables on at most *cpus* CPUs in this process.
+
+    Process-wide and permanent: a spawned sweep worker, one of N
+    sharing the machine, calls it once before its first point so that
+    it splits slabs into its own share of blocks rather than every
+    CPU's. The outputs do not depend on the block count.
+    """
+    global _CPU_CAP
+    if cpus < 1:
+        raise ConfigurationError(f"CPU cap must be >= 1, got {cpus}")
+    _CPU_CAP = cpus
 
 
 #: log2 of the bins of the target histogram that places block edges.

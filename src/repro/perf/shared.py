@@ -5,7 +5,9 @@ topology's :class:`~repro.backends.fast.NextHopTable` once, copies its
 two dense arrays — the terminal-coded ``[target, node]`` matrix and
 the per-address storer vector, both already in the compact entry
 dtype —
-into :class:`multiprocessing.shared_memory.SharedMemory` segments, and
+into :class:`multiprocessing.shared_memory.SharedMemory` segments (by
+``pwrite`` through the segment's descriptor, so the publisher never
+maps what it publishes), and
 ships a small plain-data :class:`SharedTableHandle` to every worker.
 Workers attach the segments **read-only** and wrap them in a
 :class:`~repro.backends.fast.NextHopTable` via
@@ -205,6 +207,11 @@ def _create_segment(array: np.ndarray
     Segments are named ``repro_<pid>_<hex>`` (see
     :data:`SEGMENT_PREFIX`) so that a later publisher can attribute —
     and reclaim — anything a killed publisher left behind.
+
+    Where the segment has a file descriptor (POSIX) the bytes go in
+    by ``pwrite``: one kernel copy, and the publisher never maps the
+    pages it publishes, so they neither fault in here nor count in its
+    resident set. Elsewhere they are copied through the mapping.
     """
     array = np.ascontiguousarray(array)
     while True:
@@ -215,8 +222,21 @@ def _create_segment(array: np.ndarray
             break
         except FileExistsError:  # pragma: no cover - 32-bit collision
             continue
-    view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-    view[:] = array
+    try:
+        fd = getattr(segment, "_fd", -1)
+        if fd >= 0:
+            data = memoryview(array).cast("B")
+            written = 0
+            while written < len(data):
+                written += os.pwrite(fd, data[written:], written)
+        else:  # pragma: no cover - no descriptor (Windows)
+            view = np.ndarray(array.shape, dtype=array.dtype,
+                              buffer=segment.buf)
+            view[:] = array
+    except BaseException:
+        segment.close()
+        segment.unlink()
+        raise
     spec = SharedArraySpec(
         name=segment.name, shape=tuple(array.shape), dtype=array.dtype.str
     )

@@ -30,15 +30,16 @@ them: the parent resolves each unique topology's
 :class:`~repro.backends.fast.NextHopTable` once through the global
 :class:`~repro.perf.table_cache.TableCache`, publishes it to shared
 memory via the :class:`~repro.perf.shared.SharedTableRegistry`
-(refcounted; unlinked when the run ends), and ships the handles with
-every work item — the fix for PR 2's finding that ``--jobs 4`` lost
-to serial because each worker rebuilt every table. The overlay rides
-with its table (as JSON bytes in one more segment), so a worker
-decodes each topology once instead of rebuilding it. Where shared
-memory is unavailable the parent warns and each worker rebuilds the
-tables and overlays it touches. A scenario point's per-epoch storer
-tables and coded-matrix patches are not published: each worker
-derives them through its own
+(written through each segment's descriptor, so the parent maps none
+of it; refcounted; unlinked when the run ends), and ships the
+handles with every work item — the fix for PR 2's finding that
+``--jobs 4`` lost to serial because each worker rebuilt every table.
+The overlay rides with its table (as JSON bytes in one more segment),
+so a worker decodes each topology once instead of rebuilding it.
+Where shared memory is unavailable the parent warns and each worker
+rebuilds the tables and overlays it touches. A scenario point's
+per-epoch storer tables and coded-matrix patches are not published:
+each worker derives them through its own
 :class:`~repro.perf.table_cache.EpochTableCache` on its first replica
 of a schedule and serves its later replicas from that cache, exactly
 as the serial executor does in-process.
@@ -50,12 +51,19 @@ after each completed point it submits the next one *before* handing
 the outcome to ``on_result`` (the store save), so no worker idles
 through a save.
 
-Every executor's points split their large slabs across every CPU
-(:meth:`~repro.backends.fast.FastSimulation._route_batch`),
-pool workers included: with the workers already filling the CPUs
-that oversubscribes threads, but a one-thread share per worker read
-no faster on the sweep benchmark, and stores are byte-identical
-either way.
+A point splits its large slabs into routing blocks, one per CPU its
+process may use (:meth:`~repro.backends.fast.FastSimulation.
+_route_batch`). The serial executor's process may use every CPU. A
+pool worker uses its share, ``max(1, cpus // workers)``, set once by
+the pool's initializer (:func:`~repro.sweeps.worker.set_up_worker`),
+so N workers no longer run N times as many block threads as there
+are CPUs. The initializer also fixes the worker's allocator
+thresholds: a worker attaches its tables and never frees a large
+block, so glibc never raises its dynamic mmap threshold there, and
+left alone it maps, faults in and unmaps every point's slab
+temporaries afresh (~4k minor page faults a point on the sweep
+benchmark, none in the parent). Stores are byte-identical whatever
+the block count.
 
 Requesting more workers than the machine has CPUs is allowed but
 warned about (PR 2 also measured oversubscribed sweeps running
@@ -84,7 +92,7 @@ from ..errors import ConfigurationError, SweepExecutionError
 from ..kademlia.overlay import OverlayConfig
 from .resilience import PointFailure, QueueState, RetryPolicy
 from .spec import SweepPoint, SweepSpec
-from .worker import PointOutcome, execute_point, warm_up
+from .worker import PointOutcome, execute_point, set_up_worker, warm_up
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .distributed import DistributedExecutor  # noqa: F401
@@ -399,8 +407,11 @@ class ProcessExecutor(SweepExecutor):
     # Pool lifecycle
 
     def _new_pool(self, workers: int) -> ProcessPoolExecutor:
+        """A spawn pool of *workers*, each set up for its share of the
+        host (:func:`~repro.sweeps.worker.set_up_worker`)."""
         return ProcessPoolExecutor(
-            max_workers=workers, mp_context=get_context("spawn")
+            max_workers=workers, mp_context=get_context("spawn"),
+            initializer=set_up_worker, initargs=(workers,),
         )
 
     def _launch_pool(self, workers: int) -> ProcessPoolExecutor:
@@ -410,10 +421,10 @@ class ProcessExecutor(SweepExecutor):
         :func:`~repro.sweeps.worker.warm_up` per worker makes every
         worker spawn and import :mod:`repro.sweeps.worker` now, while
         the parent publishes tables, instead of after. Nothing large
-        rides on the spawn itself (no initializer arguments): a child
-        reads its spawn data only as it imports, so a large blob would
-        hold the parent's next spawn until the previous child had
-        imported.
+        rides on the spawn itself (the initializer takes one int): a
+        child reads its spawn data only as it imports, so a large blob
+        would hold the parent's next spawn until the previous child
+        had imported.
         """
         pool = self._new_pool(workers)
         try:

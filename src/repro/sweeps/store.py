@@ -114,8 +114,12 @@ class SweepStore:
         self.points: dict[str, dict] = dict(points or {})
         self.failures: dict[str, dict] = dict(failures or {})
         self._provenance = provenance
-        # Encoded records from the last save (see render_document).
+        # Encoded records and sections from the last save (see
+        # render_document), and the sections that stay constant while
+        # self.spec and self._provenance do (see to_json).
         self._fragments: dict[tuple[str, str], tuple[dict, str]] = {}
+        self._rendered: dict[str, tuple[Any, str]] = {}
+        self._constants: tuple[SweepSpec, dict, dict] | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -397,7 +401,8 @@ class SweepStore:
         point — and a crash *during* save leaves the previous blessed
         file untouched (the stale ``.tmp`` is swept by :meth:`open`).
         """
-        text = render_document(self.to_json(), self._fragments)
+        text = render_document(self.to_json(), self._fragments,
+                               self._rendered)
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         with open(tmp, "w") as handle:
             handle.write(text + "\n")
@@ -413,6 +418,12 @@ class SweepStore:
         runs — and from faulted runs whose every failure was recovered
         within the retry budget — stay byte-identical with stores
         written before the section existed.
+
+        The ``format``, ``spec`` and ``provenance`` sections are built
+        once per spec and provenance object and shared by every
+        document returned until either is replaced (a resume with a
+        raised seed count assigns a new spec), so a save re-encodes
+        only what changed. Treat them as read-only.
         """
         if self._provenance is None:
             # Computed once per store: incremental per-point saves
@@ -422,21 +433,25 @@ class SweepStore:
                 "python": platform.python_version(),
                 "numpy": np.__version__,
             }
-        document = {
-            "format": FORMAT,
-            "spec": self.spec.to_json(),
-            "provenance": {
-                **self._provenance,
-                # Always derived from the *current* spec: prefix-stable
-                # under a raised seed count, byte-stable otherwise.
-                "seed_table": {
-                    str(replica): seed
-                    for replica, seed in
-                    enumerate(self.spec.workload_seeds())
+        constants = self._constants
+        if (constants is None or constants[0] is not self.spec
+                or constants[1] is not self._provenance):
+            constants = self._constants = (self.spec, self._provenance, {
+                "format": FORMAT,
+                "spec": self.spec.to_json(),
+                "provenance": {
+                    **self._provenance,
+                    # Always derived from the *current* spec:
+                    # prefix-stable under a raised seed count,
+                    # byte-stable otherwise.
+                    "seed_table": {
+                        str(replica): seed
+                        for replica, seed in
+                        enumerate(self.spec.workload_seeds())
+                    },
                 },
-            },
-            "points": self.points,
-        }
+            })
+        document = {**constants[2], "points": self.points}
         if self.failures:
             document["failures"] = self.failures
         return document
@@ -471,7 +486,8 @@ class SweepStore:
 
 
 def render_document(document: Mapping,
-                    fragments: dict[tuple[str, str], tuple[dict, str]]
+                    fragments: dict[tuple[str, str], tuple[dict, str]],
+                    sections: dict[str, tuple[Any, str]] | None = None
                     ) -> str:
     """``json.dumps(document, indent=2, sort_keys=True)``, built per record.
 
@@ -481,13 +497,23 @@ def render_document(document: Mapping,
     *fragments* maps ``(section, point_id)`` to ``(record, text)``, and
     a text is reused while that very record object is stored (records
     are replaced, never mutated in place). On return *fragments* holds
-    exactly the records of *document*.
+    exactly the records of *document*. *sections*, when given, does
+    the same for every other top-level section, keyed by its name (a
+    text is reused while that very value is the section).
     """
     fresh = {}
     parts = []
     for key in sorted(document):
         value = document[key]
-        if key in ("points", "failures") and value:
+        if key not in ("points", "failures"):
+            cached = None if sections is None else sections.get(key)
+            if cached is None or cached[0] is not value:
+                text = json.dumps(value, indent=2, sort_keys=True)
+                cached = (value, text.replace("\n", "\n  "))
+                if sections is not None:
+                    sections[key] = cached
+            text = cached[1]
+        elif value:
             entries = []
             for point_id in sorted(value):
                 record = value[point_id]
@@ -500,8 +526,7 @@ def render_document(document: Mapping,
                 entries.append(f"    {json.dumps(point_id)}: {cached[1]}")
             text = "{\n" + ",\n".join(entries) + "\n  }"
         else:
-            text = json.dumps(value, indent=2, sort_keys=True)
-            text = text.replace("\n", "\n  ")
+            text = "{}"
         parts.append(f"  {json.dumps(key)}: {text}")
     fragments.clear()
     fragments.update(fresh)

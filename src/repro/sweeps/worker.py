@@ -42,6 +42,7 @@ __all__ = [
     "register_table_handles",
     "result_metrics",
     "execute_point",
+    "set_up_worker",
     "warm_up",
     "METRIC_NAMES",
     "LATENCY_METRIC_NAMES",
@@ -212,6 +213,53 @@ def register_table_handles(table_handles: Mapping | None) -> None:
             continue
         install_overlay(attach_overlay(handle))
         cache.register_handle(handle)
+
+
+#: glibc ``mallopt`` parameter numbers (``malloc.h``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: A pool worker's allocator thresholds. Below 32 MiB (glibc's own
+#: ceiling for its dynamic mmap threshold on 64-bit hosts) a block
+#: comes from the heap rather than a fresh mapping, and up to 64 MiB
+#: of free heap top is kept rather than handed back to the kernel.
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+def _mallopt():
+    """The C library's ``mallopt``, or ``None`` where it has none."""
+    try:
+        import ctypes
+
+        return ctypes.CDLL(None).mallopt
+    except (ImportError, OSError, AttributeError, TypeError):
+        return None
+
+
+def set_up_worker(workers: int) -> None:
+    """Process-pool initializer: fit a worker to its share of the host.
+
+    *workers* is the size of the pool. A worker routes on
+    ``max(1, cpus // workers)`` CPUs
+    (:func:`~repro.backends.fast.cap_cpu_budget`), so N workers split
+    their slabs into about one block per CPU between them instead of
+    N times that many threads.
+
+    It also fixes the allocator's thresholds. glibc raises its mmap and
+    trim thresholds only when a large block is freed; the parent frees
+    the tables it builds, but a worker attaches its tables and never
+    frees a large block, so left alone it would map, fault in and
+    unmap every point's slab temporaries afresh. Where the C library
+    has no ``mallopt`` this part does nothing. Neither part changes a
+    result.
+    """
+    from ..backends import fast
+
+    fast.cap_cpu_budget(max(1, fast._cpu_budget() // workers))
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def warm_up() -> None:

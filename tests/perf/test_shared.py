@@ -90,6 +90,40 @@ class TestPublishAttach:
             registry.release(handle.fingerprint)
 
 
+def _rss_shmem_kib() -> int | None:
+    """This process's resident shared-memory pages, in KiB."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("RssShmem:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
+class TestPublicationWrite:
+    @pytest.mark.skipif(_rss_shmem_kib() is None,
+                        reason="no RssShmem in /proc/self/status")
+    def test_publisher_maps_none_of_a_table_it_publishes(self, registry):
+        # 65,536 targets x 300 nodes x 2 bytes: a 37.5 MiB coded matrix.
+        overlay = Overlay.build(OverlayConfig(
+            n_nodes=300, bits=16, limits=BucketLimits.uniform(4), seed=5
+        ))
+        table = NextHopTable(overlay)
+        before = _rss_shmem_kib()
+        handle = registry.acquire(table)
+        try:
+            grown = _rss_shmem_kib() - before
+            assert grown < 4 * 1024, f"RssShmem grew by {grown} KiB"
+            attached = attach_table(handle, overlay)
+            assert (attached.coded_transposed.tobytes()
+                    == table.coded_transposed.tobytes())
+            assert attached.storer.tobytes() == table.storer.tobytes()
+        finally:
+            registry.release(handle.fingerprint)
+
+
 class TestRefcounting:
     def test_acquire_is_idempotent_per_topology(self, registry):
         overlay = Overlay.build(CONFIG)

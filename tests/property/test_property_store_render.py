@@ -8,6 +8,7 @@ and on later saves that reuse some fragments and replace others.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from hypothesis import given, settings
@@ -80,3 +81,24 @@ def test_saved_store_is_the_whole_document_dump(tmp_path):
     store.add_failure({"point_id": "q", "error": "E: boom"})
     store.save()
     assert store.path.read_text() == reference(store.to_json()) + "\n"
+
+
+def test_raised_seed_count_renders_the_new_seed_table(tmp_path):
+    # The constant sections are rendered once per spec object; a resume
+    # with more seeds (SweepStore.open) assigns a new one.
+    store = SweepStore(tmp_path / "s.json", tiny_spec(seeds=2),
+                       provenance={"git_commit": None})
+    store.add({"point_id": "p0", "metrics": {"chunks": 1}})
+    store.save()
+    store.spec = dataclasses.replace(store.spec, seeds=3)
+    store.add({"point_id": "p1", "metrics": {"chunks": 2}})
+    store.save()
+    text = store.path.read_text()
+    assert text == reference(store.to_json()) + "\n"
+    document = json.loads(text)
+    assert document["spec"]["seeds"] == 3
+    assert document["provenance"]["seed_table"] == {
+        str(replica): seed
+        for replica, seed in enumerate(store.spec.workload_seeds())
+    }
+    assert len(document["provenance"]["seed_table"]) == 3

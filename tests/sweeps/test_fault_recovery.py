@@ -218,7 +218,9 @@ class TestProcessRecovery:
 
 
 SIGTERM_DRIVER = """
-import sys
+import faulthandler, signal, sys
+# SIGUSR1 dumps every thread's stack: the test's view into a stuck run.
+faulthandler.register(signal.SIGUSR1, all_threads=True)
 from repro.cli import main
 sys.exit(main([
     "sweep", "--grid", "bucket_size=4", "--seeds", "12",
@@ -271,7 +273,14 @@ class TestGracefulShutdown:
             else:
                 pytest.fail("no point completed within 120s")
             child.send_signal(signal.SIGTERM)
-            output, _ = child.communicate(timeout=60)
+            try:
+                output, _ = child.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                child.send_signal(signal.SIGUSR1)
+                time.sleep(2.0)
+                child.kill()
+                pytest.fail("sweep still running 60s after SIGTERM; its "
+                            "threads:\n" + child.communicate()[0])
         finally:
             if child.poll() is None:
                 child.kill()
