@@ -5,8 +5,12 @@ Each input line is one download request in the wire format of
 :func:`~repro.workloads.streams.parse_request_line`; the daemon
 batches arrivals into micro-epochs of at most ``--max-batch`` files,
 which :class:`~repro.workloads.streams.RequestStream` decodes straight
-into kernel columns (no per-request objects), routes each micro-epoch
-through a persistent
+into kernel columns (no per-request objects): from the batch's bytes
+in one vectorized pass when every line has one of the two layouts
+``json.dumps`` writes (``{"originator": N, "chunks": [N, ...]}``, or
+``{"file_id": N, "originator": N, "chunks": [N, ...]}`` as in request
+traces), else with one ``json.loads`` for the whole batch. It routes
+each micro-epoch through a persistent
 :class:`~repro.backends.fast.StreamSession` (tables built once,
 scenario coded patches reused across batches), and absorbs each
 micro-epoch's result into a

@@ -155,7 +155,8 @@ def sweep_work(queue_url: str, *, store_path: Path,
     Fetches the spec from the daemon, opens (resuming) the durable
     shard store at *store_path*, then leases batches of ``jobs``
     points and runs each batch through the ordinary local executor
-    stack until the queue reports done. Exports
+    stack until the queue reports done; with ``jobs > 1`` one process
+    pool serves every batch of the session. Exports
     :data:`~repro.sweeps.chaos.HOST_PID_ENV` first, so ``kill-host``
     chaos faults fired in this host's pool children can find it.
 
@@ -245,6 +246,8 @@ def sweep_work(queue_url: str, *, store_path: Path,
                 # whole host session; per-batch executor publication
                 # then only bumps refcounts on the pinned segments.
                 stack.enter_context(pinned_tables(spec.base, base_points))
+                # One worker pool for every lease batch of the session.
+                stack.enter_context(executor)
             while True:
                 if queue_done.is_set():
                     return 0

@@ -315,6 +315,13 @@ class ProcessExecutor(SweepExecutor):
       is charged a ``timeout`` attempt, the pool is killed and
       rebuilt, and the innocent leases in flight go back to the
       queue *without* losing budget.
+
+    Each :meth:`run` starts a pool and kills it before it returns.
+    Inside ``with executor:`` the runs share one pool of ``jobs``
+    workers instead, killed when the block ends; a ``sweep-work``
+    host runs every lease batch of its session that way rather than
+    spawning a pool per batch. A run that raises still kills its pool,
+    and the next run starts a new one.
     """
 
     def __init__(self, jobs: int, *, cap_jobs: bool = False,
@@ -336,6 +343,19 @@ class ProcessExecutor(SweepExecutor):
                 f"max_pool_restarts must be >= 0, got {max_pool_restarts}"
             )
         self.max_pool_restarts = max_pool_restarts
+        #: Inside ``with``: the pool the next run reuses, if any.
+        self._session_pool: ProcessPoolExecutor | None = None
+        self._in_session = False
+
+    def __enter__(self) -> "ProcessExecutor":
+        self._in_session = True
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._in_session = False
+        pool, self._session_pool = self._session_pool, None
+        if pool is not None:
+            self._terminate_pool(pool)
 
     # ------------------------------------------------------------------
     # Shared-memory publication
@@ -479,13 +499,18 @@ class ProcessExecutor(SweepExecutor):
                points: Sequence[SweepPoint], state: QueueState,
                settle: Callable[..., bool]) -> None:
         base_payload = dataclasses.asdict(base)
-        workers = min(self.jobs, len(points))
+        # A session's pool serves every run, whatever its size.
+        workers = self.jobs if self._in_session else min(self.jobs,
+                                                         len(points))
         handles: dict[str, dict] = {}
         acquired: list[str] = []
         inflight: dict[Future, str] = {}
         restarts = 0
         # Workers spawn and import while the tables are published.
-        pool = self._launch_pool(workers)
+        pool, self._session_pool = self._session_pool, None
+        if pool is None:
+            pool = self._launch_pool(workers)
+        keep = False
         try:
             handles, acquired = self._publish_tables(base, points)
             while not state.finished:
@@ -541,9 +566,13 @@ class ProcessExecutor(SweepExecutor):
                     # Bystanders and unsubmitted leases: no charge.
                     state.release(_LOCAL)
                     inflight.clear()
+            keep = self._in_session
         finally:
             try:
-                self._terminate_pool(pool)
+                if keep:
+                    self._session_pool = pool
+                else:
+                    self._terminate_pool(pool)
             finally:
                 self._release_handles(acquired)
 

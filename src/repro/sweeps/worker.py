@@ -24,6 +24,7 @@ overlay and table it touches once.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -252,6 +253,9 @@ def set_up_worker(workers: int) -> None:
     unmap every point's slab temporaries afresh. Where the C library
     has no ``mallopt`` this part does nothing. Neither part changes a
     result.
+
+    Last, the worker ends itself once its parent is gone
+    (:func:`_exit_with_parent`).
     """
     from ..backends import fast
 
@@ -260,6 +264,33 @@ def set_up_worker(workers: int) -> None:
     if mallopt is not None:
         mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    _exit_with_parent()
+
+
+def _exit_with_parent() -> None:
+    """End this spawned process as soon as its parent dies.
+
+    A pool worker waits on its call queue, whose pipe it holds both
+    ends of, so it never reads EOF there: a killed parent (a SIGKILLed
+    ``sweep-work`` host) would leave it running, and with it the
+    resource tracker whose descriptor it holds. The parent sentinel
+    that :mod:`multiprocessing` gives every spawned child is a pipe
+    only the parent writes to; a daemon thread waits for its EOF and
+    exits the process.
+    """
+    import multiprocessing
+    import threading
+    from multiprocessing.connection import wait
+
+    parent = multiprocessing.parent_process()
+    if parent is None or parent.sentinel is None:
+        return
+
+    def watch() -> None:
+        wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
 def warm_up() -> None:

@@ -6,8 +6,17 @@ wire format of ``repro-swarm serve``) and yields each micro-batch of
 at most ``max_batch`` lines as :class:`RequestBatch` kernel columns,
 so the daemon routes an arbitrarily long stream in memory bounded by
 the batch size, not the stream length.
-:func:`parse_request_line` is the per-line reference decoder the
-batched one is checked against.
+
+A micro-batch is decoded by the first of three decoders that accepts
+it. :func:`_decode_dumped` reads the two layouts ``json.dumps`` writes
+(``{"originator": N, "chunks": [N, N]}``, and ``{"file_id": N,
+"originator": N, "chunks": [N]}`` as ``trace generate`` and ``trace
+import-requests`` write it) straight from the batch's bytes in one
+vectorized pass. :func:`_decode_batch` takes every other valid layout
+(other separators or key order, the ``chunk`` alias, extra keys,
+CRLF) with one ``json.loads``. :func:`parse_request_line`, line by
+line, is the reference both are checked against, and the path that
+names a bad line.
 """
 
 from __future__ import annotations
@@ -182,6 +191,111 @@ def _decode_batch(lines: Sequence[str], ranked: np.ndarray,
     return order[rank], sizes, targets
 
 
+#: The two request layouts that ``json.dumps`` writes and repro's own
+#: writers emit, as ``(prefix, line, head)``: *line* is the layout of a
+#: one-chunk request with every integer collapsed to one ``0``, and
+#: *head* counts the integers before the first chunk address. The
+#: second (with ``file_id``) is what ``trace generate`` and ``trace
+#: import-requests`` write.
+_DUMPED_LAYOUTS = (
+    ('{"originator": ', b'{"originator": 0, "chunks": [0]}\n', 1),
+    ('{"file_id": ',
+     b'{"file_id": 0, "originator": 0, "chunks": [0]}\n', 2),
+)
+
+#: The widest integer the byte decoder reads: any 18 digits fit int64.
+_MAX_DIGITS = 18
+_POWERS = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
+_PLACES = np.arange(_MAX_DIGITS)[:, None]
+_ZERO, _NEWLINE = ord("0"), ord("\n")
+#: A later chunk address, collapsed, and the three bytes before it.
+_CHAINED = np.frombuffer(b"0, ", dtype=np.uint8)[:, None]
+_BEFORE = np.arange(3, 0, -1)[:, None]
+
+
+def _decode_dumped(lines: Sequence[str], ranked: np.ndarray,
+                   order: np.ndarray, space):
+    """Decode a micro-batch straight from its bytes, or return ``None``.
+
+    Accepts a batch only when every line is, byte for byte, the one of
+    :data:`_DUMPED_LAYOUTS` its first line opens with, ends in its only
+    ``\\n``, holds only unsigned integers of at most
+    :data:`_MAX_DIGITS` digits without a leading zero, names addresses
+    inside *space* and an originator that is a node. Such a line
+    decodes to exactly what :func:`parse_request_line` makes of it.
+    Anything else gives ``None`` and goes to :func:`_decode_batch`; a
+    batch whose first line opens with neither prefix does so before any
+    array is built.
+
+    One pass over the joined bytes. The digit runs are the transitions
+    of a digit mask. Each run collapses to one ``0``; every chunk
+    address after a line's first must follow the previous run by
+    exactly ``", "``, and once all ``", 0"`` are cut the rest must be
+    the layout repeated once per line. The integers are summed by
+    place value from each run's right end, and each line's run count
+    is a ``searchsorted`` of the run starts over the newline offsets.
+    Returns the columns of :func:`_decode_batch`.
+    """
+    first = lines[0]
+    for prefix, layout, head in _DUMPED_LAYOUTS:
+        if first.startswith(prefix):
+            break
+    else:
+        return None
+    text = "".join(lines)
+    if not text.isascii():
+        return None
+    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    n = len(lines)
+    newlines = np.fromiter(map(len, lines), np.int64, n).cumsum() - 1
+    if text.count("\n") != n or (data[newlines] != _NEWLINE).any():
+        return None
+    digit = (data - _ZERO) < 10
+    # The text opens with "{" and closes with "\n", so the transitions
+    # alternate: run start, run end.
+    edges = (digit[1:] != digit[:-1]).nonzero()[0] + 1
+    starts, ends = edges[0::2], edges[1::2]
+    widths = ends - starts
+    width = int(widths.max()) if widths.size else 0
+    if (not 0 < width <= _MAX_DIGITS
+            or ((data[starts] == _ZERO) & (widths > 1)).any()):
+        return None
+    keep = ~digit
+    keep[starts] = True
+    residual = data[keep]
+    # Where each run's kept byte lands in the residual.
+    runs = np.arange(starts.size)
+    marks = starts - widths.cumsum() + widths + runs
+    residual[marks] = _ZERO
+    # Each run's position within its line.
+    closed = starts.searchsorted(newlines)
+    counts = closed.copy()
+    counts[1:] -= closed[:-1]
+    firsts = closed - counts
+    position = runs - firsts.repeat(counts)
+    # Every later chunk's "0" must directly follow "0, ". Each ", 0"
+    # the cut removes holds one run, so a rest equal to the layout
+    # means the cut removed exactly the later chunks, and each sat
+    # straight after its line's previous chunk.
+    if ((residual[marks[position > head] - _BEFORE] != _CHAINED).any()
+            or residual.tobytes().replace(b", 0", b"") != layout * n):
+        return None
+    # Row p holds each run's digit p places from its right end.
+    places = _PLACES[:width]
+    digits = data[ends - 1 - places] - _ZERO
+    digits[places >= widths] = 0
+    values = _POWERS[:width] @ digits.astype(np.int64)
+    targets = values[position >= head]
+    if int(targets.max()) >= space.size:
+        return None
+    wanted = values[firsts + (head - 1)]
+    rank = ranked.searchsorted(wanted)
+    np.minimum(rank, len(ranked) - 1, out=rank)
+    if (ranked[rank] != wanted).any():
+        return None
+    return order[rank], counts - head, targets
+
+
 def _wire_fields(items: list[dict]):
     """``(originators, chunk lists)`` of decoded requests, or ``None``.
 
@@ -255,11 +369,14 @@ class RequestStream:
     *lines* is any iterable of text lines — ``sys.stdin``, a socket
     file object, a list in tests. :meth:`batches` yields
     :class:`RequestBatch` columns, not per-request objects: each
-    micro-batch of up to ``max_batch`` non-blank lines decodes with
-    one ``json.loads`` straight into the kernel's origin/size/target
-    columns. Blank lines are skipped but keep their line numbers. A
-    batch the batched decoder does not fully accept is decoded again
-    line by line through :func:`parse_request_line`, which raises
+    micro-batch of up to ``max_batch`` non-blank lines decodes straight
+    into the kernel's origin/size/target columns, from its bytes when
+    every line has one of the two ``json.dumps`` layouts of
+    :func:`_decode_dumped`, else with one ``json.loads``
+    (:func:`_decode_batch`). Blank lines are skipped but keep their
+    line numbers. A batch neither batched decoder fully accepts is
+    decoded again line by line through :func:`parse_request_line`,
+    which raises
     :class:`~repro.errors.WorkloadError` naming the first bad line
     (invalid JSON, a wrong wire type, an originator that is not a node
     of the overlay, or an address outside the space); that batch is
@@ -281,7 +398,9 @@ class RequestStream:
                                                 self.max_batch):
             columns = None
             if len(ranked):
-                columns = _decode_batch(lines, ranked, order, space)
+                columns = _decode_dumped(lines, ranked, order, space)
+                if columns is None:
+                    columns = _decode_batch(lines, ranked, order, space)
             if columns is None:
                 columns = _decode_lines(lines, linenos, index, space)
             origins, sizes, targets = columns

@@ -1,17 +1,19 @@
-"""Differential fuzzing of the batched ``serve`` request decoder.
+"""Differential fuzzing of the batched ``serve`` request decoders.
 
 :class:`repro.workloads.streams.RequestStream` decodes a whole
-micro-batch of NDJSON lines with one ``json.loads`` over the lines
-wrapped as ``[[L1],\\n[L2],...]``. That is only sound if no accepted
-batch could decode differently from its lines taken one by one. The
-oracle here is the per-line reference: :func:`parse_request_line`
-plus the overlay membership check, applied line by line. On arbitrary
-JSON-ish input — ints, floats, bools, strings, nested lists, unknown
-keys, blank lines, two objects on a line, objects split across lines —
-the stream must yield exactly the reference's columns, or both must
-raise :class:`~repro.errors.WorkloadError` naming the same line.
-Nothing else may escape.
-"""
+micro-batch of NDJSON lines at once: first straight from its bytes
+when every line has the ``json.dumps`` layout of repro's own writers
+(:func:`_decode_dumped`), else with one ``json.loads`` over the lines
+wrapped as ``[[L1],\\n[L2],...]`` (:func:`_decode_batch`). That is only
+sound if no accepted batch could decode differently from its lines
+taken one by one. The oracle here is the per-line reference:
+:func:`parse_request_line` plus the overlay membership check, applied
+line by line. On arbitrary JSON-ish input — ints, floats, bools,
+strings, nested lists, unknown keys, blank lines, two objects on a
+line, objects split across lines — the stream must yield exactly the
+reference's columns, or both must raise
+:class:`~repro.errors.WorkloadError` naming the same line. Nothing
+else may escape."""
 
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from repro.kademlia.address import AddressSpace
 from repro.workloads.streams import (
     RequestStream,
     _decode_batch,
+    _decode_dumped,
     _decode_lines,
     parse_request_line,
 )
@@ -281,3 +284,98 @@ def test_join_hazards_are_refused_at_their_first_line(lines):
                                             r"\(line 1\)$"):
         list(RequestStream(lines).batches(NODES, SPACE))
     check_against_reference(lines, 256)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines())
+def test_byte_decoder_accepts_only_what_the_reference_accepts(lines):
+    lines = [line for line in lines if line.strip()]
+    if not lines:
+        return
+    decoded = _decode_dumped(lines, RANKED, ORDER, SPACE)
+    if decoded is None:
+        return
+    linenos = list(range(1, len(lines) + 1))
+    for got, want in zip(decoded, _decode_lines(lines, linenos, INDEX,
+                                                SPACE)):
+        np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.lists(st.tuples(
+    st.integers(0, 10**18 - 1),
+    st.sampled_from([int(n) for n in NODES]),
+    st.lists(st.integers(0, SPACE.size - 1), min_size=1, max_size=6),
+), min_size=1, max_size=20))
+def test_dumped_layouts_take_the_byte_decoder(with_file_id, requests):
+    """Both layouts repro's writers emit decode straight from bytes."""
+    lines = [json.dumps({"file_id": file_id, "originator": origin,
+                         "chunks": chunks} if with_file_id else
+                        {"originator": origin, "chunks": chunks}) + "\n"
+             for file_id, origin, chunks in requests]
+    decoded = _decode_dumped(lines, RANKED, ORDER, SPACE)
+    assert decoded is not None
+    linenos = list(range(1, len(lines) + 1))
+    for got, want in zip(decoded, _decode_lines(lines, linenos, INDEX,
+                                                SPACE)):
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == np.int64
+    check_against_reference(lines, 256)
+
+
+def dumped_batch(bad, at=2):
+    """Valid ``json.dumps`` request lines with *bad* as line *at* + 1."""
+    lines = [json.dumps({"originator": int(n), "chunks": [int(n) % 1000,
+                                                          7]}) + "\n"
+             for n in NODES]
+    lines[at] = bad
+    return lines
+
+
+# Each hazard of the byte decoder, in an otherwise byte-decodable
+# batch: it must refuse the batch, which then decodes exactly as the
+# reference does (naming the line when the reference refuses it).
+BYTE_HAZARDS = {
+    # Two lines that join into two valid ones: line boundaries. The
+    # second splits a number, so its run still counts to line 1.
+    "join": ['{"originator": 5, "chunks": [1',
+             '2]}\n{"originator": 6, "chunks": [3]}\n'],
+    "join inside a number": ['{"originator": 5, "chunks": [10',
+                             '2]}\n{"originator": 6, "chunks": [3]}\n'],
+    "leading zero": dumped_batch('{"originator": 5, "chunks": [05]}\n'),
+    "leading zero originator": dumped_batch(
+        '{"originator": 05, "chunks": [1]}\n'),
+    # Its last 18 digits are an address inside the space.
+    "19 digits": dumped_batch(
+        '{"originator": 5, "chunks": [1000000000000000005]}\n'),
+    "20 digits": dumped_batch(
+        '{"originator": 5, "chunks": [18446744073709551617, 2]}\n'),
+    "address == space size": dumped_batch(
+        f'{{"originator": 5, "chunks": [1, {SPACE.size}]}}\n'),
+    "empty chunks": dumped_batch('{"originator": 5, "chunks": []}\n'),
+    "negative": dumped_batch('{"originator": 5, "chunks": [-1]}\n'),
+    "float": dumped_batch('{"originator": 5, "chunks": [1.0]}\n'),
+    "crlf": dumped_batch('{"originator": 5, "chunks": [1]}\r\n'),
+    "no final newline": dumped_batch(
+        '{"originator": 5, "chunks": [1]}', at=-1),
+    "non-ascii digit": dumped_batch(
+        '{"originator": 5, "chunks": [1\u0663]}\n'),
+    "missing separator": dumped_batch(
+        '{"originator": 5, "chunks": [1,2]}\n'),
+    "chunk after the list": dumped_batch(
+        '{"originator": 5, "chunks": [1], 2}\n'),
+    "second originator": dumped_batch(
+        '{"originator": 5, 6, "chunks": [1]}\n'),
+    "unknown originator": dumped_batch(
+        '{"originator": 4, "chunks": [1]}\n'),
+    "mixed layouts": dumped_batch(
+        '{"file_id": 1, "originator": 5, "chunks": [1]}\n'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BYTE_HAZARDS))
+def test_byte_decoder_refuses_each_hazard(name):
+    lines = BYTE_HAZARDS[name]
+    assert _decode_dumped(lines, RANKED, ORDER, SPACE) is None
+    check_against_reference(lines, 256)
+    check_against_reference(lines, 3)

@@ -3,10 +3,12 @@
 A :class:`ProcessExecutor` publishes each topology's overlay next to
 its next-hop table, so a worker decodes the overlay instead of
 rebuilding it; the pool is launched before publication so worker
-start-up overlaps it; and completed points are followed by the next
-submissions *before* the (slow) store save. These tests pin each part
+start-up overlaps it; completed points are followed by the next
+submissions *before* the (slow) store save; and a ``sweep-work`` host
+runs all its lease batches on one pool. These tests pin each part
 without timing anything, plus the cleanup every exit path owes: no
-shared-memory segment and no worker process outlives a run.
+shared-memory segment and no worker process outlives a run (or, in a
+session, the session).
 """
 
 from __future__ import annotations
@@ -33,9 +35,14 @@ from repro.sweeps import (
     ProcessExecutor,
     SerialExecutor,
     SweepSpec,
+    SweepStore,
     executors,
     table_topologies,
 )
+from repro.sweeps.chaos import HOST_PID_ENV
+from repro.sweeps.distributed import sweep_work
+from repro.sweeps.queue_daemon import SweepQueueDaemon
+from repro.sweeps.resilience import QueueState
 from repro.sweeps.worker import (
     execute_point,
     point_payload,
@@ -264,3 +271,68 @@ class TestNothingOutlivesARun:
             )
         # ...and both were torn down when it raised.
         self._check_clean(segments, children)
+
+
+class CountingExecutor(ProcessExecutor):
+    """Counts the pools it starts and the runs it is given."""
+
+    def __init__(self, jobs: int, **kwargs) -> None:
+        super().__init__(jobs, **kwargs)
+        self.pools: list[int] = []
+        self.runs = 0
+
+    def _new_pool(self, workers):
+        self.pools.append(workers)
+        return super()._new_pool(workers)
+
+    def run(self, *args, **kwargs):
+        self.runs += 1
+        return super().run(*args, **kwargs)
+
+
+class TestSessionPool:
+    def test_a_run_that_raises_kills_the_session_pool(self):
+        children = _children()
+        executor = CountingExecutor(2)
+
+        def interrupt(outcome):
+            raise SweepInterrupted(signal.SIGINT)
+
+        with executor:
+            with pytest.raises(SweepInterrupted):
+                _quiet(executor, SPEC.base, SPEC.points(), interrupt)
+            assert _children() <= children
+            assert len(_quiet(executor, SPEC.base, SPEC.points())) == 8
+        assert executor.pools == [2, 2]
+        assert _children() <= children
+
+    def test_host_runs_every_lease_batch_on_one_pool(
+            self, tmp_path, monkeypatch):
+        """A ``jobs=2`` host leases 8 points in batches on one pool."""
+        made = []
+
+        def counting_executor(jobs, **kwargs):
+            made.append(CountingExecutor(jobs, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr("repro.sweeps.distributed.make_executor",
+                            counting_executor)
+        # sweep_work exports its pid here; restored after the test.
+        monkeypatch.setenv(HOST_PID_ENV, "")
+        segments, children = _segments(), _children()
+        daemon = SweepQueueDaemon(QueueState(SPEC, SPEC.points())).start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code = sweep_work(daemon.url, jobs=2, poll_interval=0.05,
+                                  store_path=tmp_path / "shard.json")
+        finally:
+            daemon.close()
+        assert code == 0
+        (executor,) = made
+        assert executor.runs >= 2
+        assert executor.pools == [2]
+        assert _segments() <= segments
+        assert _children() <= children
+        store = SweepStore.open(tmp_path / "shard.json", SPEC)
+        assert store.completed_ids() == {p.point_id for p in SPEC.points()}

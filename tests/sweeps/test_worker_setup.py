@@ -4,8 +4,8 @@ Every pool a :class:`ProcessExecutor` starts, a rebuilt one included,
 runs :func:`~repro.sweeps.worker.set_up_worker` in each worker: the
 worker routes on ``max(1, cpus // workers)`` CPUs and keeps slab
 temporaries on its heap instead of mapping them afresh for every
-point. The parent process and the serial executor keep the full
-budget.
+point, and it exits once its parent is gone. The parent process and
+the serial executor keep the full budget.
 """
 
 from __future__ import annotations
@@ -13,7 +13,12 @@ from __future__ import annotations
 import dataclasses
 import os
 import resource
+import signal
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -147,3 +152,62 @@ def test_worker_points_take_almost_no_page_faults():
         for fingerprint in handles:
             registry.release(fingerprint)
     assert faults < 100
+
+
+#: A host that starts a two-worker pool, prints the worker pids and
+#: waits to be killed.
+_HOST = """
+import os, time
+from repro.sweeps.executors import ProcessExecutor
+
+pool = ProcessExecutor(2)._new_pool(2)
+for future in [pool.submit(os.getpid) for _ in range(2)]:
+    future.result()
+print(*pool._processes, flush=True)
+time.sleep(120)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether *pid* runs; an unreaped zombie counts as gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    except OSError:  # pragma: no cover - no procfs
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+def test_pool_workers_exit_when_their_parent_is_killed():
+    env = dict(os.environ)
+    package_root = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([env["PYTHONPATH"]]
+                          if env.get("PYTHONPATH") else [])
+    )
+    host = subprocess.Popen([sys.executable, "-c", _HOST], env=env,
+                            stdout=subprocess.PIPE, text=True)
+    pids: list[int] = []
+    try:
+        pids = [int(pid) for pid in host.stdout.readline().split()]
+        assert pids
+        host.kill()
+        host.wait()
+        deadline = time.monotonic() + 20.0
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _alive(pid)]
+    finally:
+        host.kill()
+        host.wait()
+        host.stdout.close()
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
