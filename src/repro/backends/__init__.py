@@ -21,9 +21,11 @@ time        time-domain event wheel over the same routing matrices:
 reference   object-oriented SwarmNetwork, full SWAP observability
 flat        per-chunk flat reward on routed traffic (F1-ideal)
 filecoin    storage-power block rewards + retrieval payments
-freerider   SWAP pricing with never-paying originators (§V)
 tit_for_tat standalone BitTorrent choke-algorithm swarm
 ========== ========================================================
+
+§V free riders are the ``freeriding`` scenario on any routing
+backend (``scenario="freeriding:fraction=0.3"``), not a backend.
 
 The protocol, registry, config and result types are imported with the
 package; the implementation modules load on first use — when one of
@@ -55,6 +57,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
              "paper_result"],
     "timed": ["FluidWheel", "TimeBackend", "TimedSimulation"],
     "reference": ["ReferenceBackend"],
-    "baselines": ["FilecoinBackend", "FlatRewardBackend", "FreeRiderBackend",
+    "baselines": ["FilecoinBackend", "FlatRewardBackend",
                   "TitForTatBackend"],
 })

@@ -95,7 +95,6 @@ _BACKEND_MODULES = {
     "reference": "reference",
     "flat": "baselines",
     "filecoin": "baselines",
-    "freerider": "baselines",
     "tit_for_tat": "baselines",
 }
 
@@ -127,7 +126,7 @@ def get_backend(name: str, **kwargs) -> SimulationBackend:
     """A fresh backend instance for *name*; raises with the known names.
 
     Keyword arguments are forwarded to the backend constructor (e.g.
-    ``get_backend("freerider", fraction=0.5)``).
+    ``get_backend("filecoin", block_reward=0.0)``).
     """
     return get_backend_class(name)(**kwargs)
 

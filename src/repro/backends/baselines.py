@@ -1,8 +1,8 @@
 """Comparison-mechanism backends behind the simulation protocol.
 
 The paper contrasts SWAP with BitTorrent tit-for-tat, Filecoin-style
-storage rewards, idealized flat-rate rewards, and §V free-riders.
-These backends make those comparisons runnable through the same
+storage rewards and idealized flat-rate rewards. These backends make
+those comparisons runnable through the same
 ``prepare(config).run(workload)`` interface as the fast and reference
 engines, each returning a :class:`SimulationResult` so the F1/F2
 fairness metrics read out uniformly:
@@ -11,20 +11,23 @@ fairness metrics read out uniformly:
   F1-ideal: income exactly proportional to forwarded chunks);
 * ``filecoin`` — retrieval-market payments to the serving storer plus
   epoch block rewards proportional to storage power;
-* ``freerider`` — SWAP pricing, but a fraction of nodes never pay:
-  their downloads are routed and counted yet earn the first hop
-  nothing;
 * ``tit_for_tat`` — Cohen's choking algorithm in a standalone swarm
   (BitTorrent has no overlay routing; income is service received).
+
+§V free riders are a scenario, not a backend: ``fast`` with
+``scenario="freeriding:fraction=F"`` routes and counts their
+downloads but pays their first hops nothing.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 
 import numpy as np
 
-from .._validation import require_fraction, require_non_negative
+from .._validation import require, require_int, require_positive
 from ..baselines.tit_for_tat import TitForTatConfig, TitForTatSwarm
 from ..errors import ConfigurationError
 from .base import SimulationBackend, register_backend
@@ -35,17 +38,21 @@ from .result import SimulationResult
 __all__ = [
     "FlatRewardBackend",
     "FilecoinBackend",
-    "FreeRiderBackend",
     "TitForTatBackend",
 ]
 
 
-class _RoutedBaselineBackend(SimulationBoundBackend):
-    """Shared plumbing: route the workload with the batched engine."""
+def _require_amount(value, name: str) -> None:
+    """Refuse a reward or price that is not a finite number >= 0."""
+    require(
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+        and math.isfinite(value) and value >= 0,
+        f"{name} must be a finite non-negative number, got {value!r}",
+    )
 
 
 @register_backend
-class FlatRewardBackend(_RoutedBaselineBackend):
+class FlatRewardBackend(SimulationBoundBackend):
     """Per-chunk reward: every forwarded chunk earns the same amount.
 
     F1 is zero by construction; F2 equals the inequality of the
@@ -57,7 +64,7 @@ class FlatRewardBackend(_RoutedBaselineBackend):
     description = "per-chunk flat reward on routed traffic (F1-ideal)"
 
     def __init__(self, reward_per_chunk: float = 1.0) -> None:
-        require_non_negative(reward_per_chunk, "reward_per_chunk")
+        _require_amount(reward_per_chunk, "reward_per_chunk")
         self.reward_per_chunk = reward_per_chunk
 
     def run(self, workload=None) -> SimulationResult:
@@ -70,7 +77,7 @@ class FlatRewardBackend(_RoutedBaselineBackend):
 
 
 @register_backend
-class FilecoinBackend(_RoutedBaselineBackend):
+class FilecoinBackend(SimulationBoundBackend):
     """Filecoin-style rewards: retrieval deals plus storage-power blocks.
 
     Retrieval payments go to the node that *served* each chunk (the
@@ -85,8 +92,11 @@ class FilecoinBackend(_RoutedBaselineBackend):
 
     def __init__(self, block_reward: float = 10.0, epoch_length: int = 100,
                  retrieval_price: float = 1.0, seed: int = 42) -> None:
-        require_non_negative(block_reward, "block_reward")
-        require_non_negative(retrieval_price, "retrieval_price")
+        _require_amount(block_reward, "block_reward")
+        _require_amount(retrieval_price, "retrieval_price")
+        require_positive(require_int(epoch_length, "epoch_length"),
+                         "epoch_length")
+        require_int(seed, "seed")
         self.block_reward = block_reward
         self.epoch_length = epoch_length
         self.retrieval_price = retrieval_price
@@ -113,8 +123,8 @@ class FilecoinBackend(_RoutedBaselineBackend):
             workload = config.workload()
         result = simulation.run(workload)
 
-        # Served counts: terminal arrivals per node (local hits pay
-        # nobody, matching FilecoinMechanism's hops > 0 rule).
+        # Served counts: terminal arrivals per node (a local hit pays
+        # nobody).
         n = simulation.table.n_nodes
         file_origins, sizes, targets = simulation._flatten_workload(workload)
         origins = np.repeat(file_origins, sizes).astype(np.intp)
@@ -126,7 +136,7 @@ class FilecoinBackend(_RoutedBaselineBackend):
             simulation.table.storer, minlength=n
         ).astype(np.float64)
         epochs = result.chunks // self.epoch_length
-        if epochs > 0 and self.block_reward > 0 and power.sum() > 0:
+        if epochs > 0 and self.block_reward > 0:
             rng = np.random.default_rng(self.seed)
             winners = rng.choice(n, size=epochs, p=power / power.sum())
             income += np.bincount(
@@ -135,42 +145,6 @@ class FilecoinBackend(_RoutedBaselineBackend):
         result.income = income
         result.expenditure = np.zeros_like(income)
         return result
-
-
-@register_backend
-class FreeRiderBackend(_RoutedBaselineBackend):
-    """SWAP traffic where a fraction of nodes never pay (paper §V).
-
-    Free riders are sampled once per prepared overlay; chunks they
-    originate are routed and counted as usual but the paid first hop
-    earns nothing, pushing income inequality (F2) up with the
-    free-riding fraction.
-    """
-
-    name = "freerider"
-    description = "SWAP pricing with a fraction of never-paying originators"
-
-    def __init__(self, fraction: float = 0.3, selection_seed: int = 13) -> None:
-        require_fraction(fraction, "fraction")
-        self.fraction = fraction
-        self.selection_seed = selection_seed
-        self.riders: np.ndarray | None = None
-
-    def prepare(self, config: FastSimulationConfig) -> "FreeRiderBackend":
-        super().prepare(config)
-        n = len(self.overlay)
-        mask = np.zeros(n, dtype=bool)
-        n_riders = round(self.fraction * n)
-        if n_riders:
-            rng = np.random.default_rng(self.selection_seed)
-            mask[rng.choice(n, size=n_riders, replace=False)] = True
-        self.riders = mask
-        return self
-
-    def run(self, workload=None) -> SimulationResult:
-        self._require_prepared()
-        assert self.simulation is not None and self.riders is not None
-        return self.simulation.run(workload, unpaid_origins=self.riders)
 
 
 @register_backend

@@ -632,15 +632,9 @@ class FastSimulation:
     # ------------------------------------------------------------------
     # Execution
 
-    def run(self, workload: DownloadWorkload | None = None, *,
-            unpaid_origins: np.ndarray | None = None) -> SimulationResult:
-        """Run the configured (or given) workload; returns the result.
-
-        ``unpaid_origins`` is a boolean mask over dense node indices
-        whose downloads are never paid for (the free-rider model):
-        traffic is routed and counted, but the first hop earns nothing
-        and the originator spends nothing.
-        """
+    def run(self, workload: DownloadWorkload | None = None
+            ) -> SimulationResult:
+        """Run the configured (or given) workload; returns the result."""
         started = time.perf_counter()
         if workload is None:
             workload = self.config.workload()
@@ -648,7 +642,7 @@ class FastSimulation:
         file_origins, sizes, targets = self._flatten_workload(workload)
         result.files += len(sizes)
         self._route_slabs(np.repeat(file_origins, sizes), sizes,
-                          targets, result, unpaid_origins=unpaid_origins)
+                          targets, result)
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -697,7 +691,6 @@ class FastSimulation:
 
     def _route_slabs(self, origins: np.ndarray, sizes: np.ndarray,
                      targets: np.ndarray, result: SimulationResult, *,
-                     unpaid_origins: np.ndarray | None = None,
                      recorder=None) -> None:
         """Route flattened chunk columns through one stream session.
 
@@ -720,7 +713,6 @@ class FastSimulation:
                else np.arange(targets.size, dtype=np.int64))
         with StreamSession(self, result=result,
                            n_epochs=len(starts) if scenario else None,
-                           unpaid_origins=unpaid_origins,
                            recorder=recorder) as session:
             for start in starts:
                 stop = min(start + step, len(sizes))
@@ -1187,14 +1179,12 @@ class StreamSession:
     def __init__(self, simulation: "FastSimulation", *,
                  result: SimulationResult | None = None,
                  n_epochs: int | None = None,
-                 unpaid_origins: np.ndarray | None = None,
                  recorder=None) -> None:
         self.simulation = simulation
         config = simulation.config
         self.result = (simulation.new_result() if result is None
                        else result)
         self.n_epochs = None if n_epochs is None else int(n_epochs)
-        self._unpaid = unpaid_origins
         self._recorder = recorder
         self._entry_dt = simulation.table.entry_dtype
         self._epoch = 0
@@ -1272,7 +1262,7 @@ class StreamSession:
         if self.plan is None:
             self.simulation._route_batch(
                 origins, targets, result, ids=ids,
-                recorder=self._recorder, unpaid_origins=self._unpaid,
+                recorder=self._recorder,
             )
         else:
             self._route_epoch(self.plan.epoch(self._epoch), origins,
@@ -1287,10 +1277,6 @@ class StreamSession:
         simulation = self.simulation
         if state.origin_map is not None:
             origins = state.origin_map[origins].astype(self._entry_dt)
-        unpaid = self._unpaid
-        if state.unpaid is not None:
-            unpaid = (state.unpaid if unpaid is None
-                      else state.unpaid | unpaid)
         alive = state.alive
         storer_table = None
         if alive is not None:
@@ -1307,7 +1293,7 @@ class StreamSession:
         dead = simulation._route_batch(
             origins, targets, result, ids=ids, recorder=self._recorder,
             cached=None if cache is None else cache.mask,
-            unpaid_origins=unpaid,
+            unpaid_origins=state.unpaid,
             alive=alive,
             dead_lut=state.dead_lut,
             storer_table=storer_table,

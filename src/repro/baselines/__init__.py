@@ -1,29 +1,19 @@
-"""Comparison mechanisms and misbehaviour models.
+"""Standalone comparison and misbehaviour models.
 
-BitTorrent tit-for-tat (service-for-service), Filecoin-style storage
-rewards, idealized per-chunk / equal-split references, and the §V
-free-rider models — all speaking the same
-:class:`~repro.core.incentives.IncentiveMechanism` interface (or, for
-the standalone BitTorrent swarm, exposing the same income /
-contribution vectors) so the fairness metrics compare like for like.
+BitTorrent tit-for-tat (a swarm with no overlay routing, behind the
+``tit_for_tat`` backend) and the §V chequebook free-rider model
+(zero-deposit payers that default, used by the ``freeriders``
+experiment). The flat and Filecoin-style mechanisms are simulation
+backends (:mod:`repro.backends.baselines`) on the routed traffic, and
+never-paying originators on that traffic are the ``freeriding``
+scenario.
 """
 
-from .filecoin import FilecoinConfig, FilecoinMechanism
-from .flat import (
-    EqualSplitMechanism,
-    NoRewardMechanism,
-    PerChunkRewardMechanism,
-)
 from .freerider import FreeRiderPlan, apply_free_riders, select_free_riders
 from .tit_for_tat import TitForTatConfig, TitForTatPeer, TitForTatSwarm
 
 __all__ = [
-    "EqualSplitMechanism",
-    "FilecoinConfig",
-    "FilecoinMechanism",
     "FreeRiderPlan",
-    "NoRewardMechanism",
-    "PerChunkRewardMechanism",
     "TitForTatConfig",
     "TitForTatPeer",
     "TitForTatSwarm",

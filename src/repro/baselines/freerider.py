@@ -14,8 +14,8 @@ This module implements that thread for the behaviours the paper names:
   modelled with a probabilistic deposit top-up.
 
 :func:`apply_free_riders` mutates a :class:`SwapIncentives` instance
-before a run; :func:`freerider_impact` is the convenience harness the
-freerider benchmark uses to compare fairness with and without them.
+before a run; the ``freeriders`` experiment compares fairness with and
+without them.
 """
 
 from __future__ import annotations

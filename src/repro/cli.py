@@ -662,14 +662,11 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
 
 def _spec_from_args(args: argparse.Namespace):
     """Build the SweepSpec shared by sweep / sweep-serve / --dry-run."""
-    from .backends import get_backend
     from .sweeps import SweepSpec, parse_grid_arguments
 
     backends = tuple(
         name.strip() for name in args.backend.split(",") if name.strip()
     )
-    for name in backends:
-        get_backend(name)  # fail early with the known-backend list
     return SweepSpec(
         base=config_from_args(args), grid=parse_grid_arguments(args.grid),
         backends=backends, seeds=args.seeds, seed_entropy=args.entropy,

@@ -16,7 +16,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "fairness": ["FairnessReport", "LorenzCurve", "evaluate_fairness",
                  "f1_values", "f2_values", "gini", "gini_pairwise",
                  "lorenz_curve"],
-    "incentives": ["IncentiveMechanism", "SwapIncentives"],
+    "incentives": ["SwapIncentives"],
     "overhead": ["OverheadModel", "OverheadReport", "overhead_report"],
     "policies": ["AllHopsPolicy", "NoPaymentPolicy", "Payment",
                  "PaymentPolicy", "ZeroProximityPolicy", "make_policy"],

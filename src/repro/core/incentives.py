@@ -13,11 +13,15 @@ A payer whose chequebook cannot cover an obligation *defaults*: the
 debt stays on the SWAP channel (to amortize or trigger disconnection)
 and the default is counted. Free-rider experiments are expressed by
 giving selected nodes a zero-deposit chequebook.
+
+The comparison mechanisms (flat, Filecoin-style, tit-for-tat) are
+simulation backends (:mod:`repro.backends.baselines`) scored on the
+same per-node vectors; this class is the reference network's
+route-by-route SWAP accounting.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections import defaultdict
 from typing import Sequence
 
@@ -29,35 +33,10 @@ from .pricing import PricingStrategy
 from .settlement import SettlementService
 from .swap import SwapLedger, SwapThresholds
 
-__all__ = ["IncentiveMechanism", "SwapIncentives"]
+__all__ = ["SwapIncentives"]
 
 
-class IncentiveMechanism(ABC):
-    """Anything that turns observed traffic into per-node rewards.
-
-    Implemented by :class:`SwapIncentives` and by the comparison
-    mechanisms in :mod:`repro.baselines`; the experiments only speak
-    this interface, so mechanisms are interchangeable.
-    """
-
-    @abstractmethod
-    def process_route(self, route: Route) -> None:
-        """Account (and possibly pay) for one chunk retrieval."""
-
-    @abstractmethod
-    def incomes(self, nodes: Sequence[int]) -> list[float]:
-        """Reward received per node, aligned with *nodes* (F2 input)."""
-
-    @abstractmethod
-    def contributions(self, nodes: Sequence[int]) -> list[float]:
-        """Resources contributed per node, aligned with *nodes*."""
-
-    def fairness(self, nodes: Sequence[int]) -> FairnessReport:
-        """Evaluate the paper's F1/F2 properties for this mechanism."""
-        return evaluate_fairness(self.contributions(nodes), self.incomes(nodes))
-
-
-class SwapIncentives(IncentiveMechanism):
+class SwapIncentives:
     """Swarm's SWAP-based bandwidth incentives.
 
     Parameters
@@ -127,10 +106,16 @@ class SwapIncentives(IncentiveMechanism):
         return self.ledger.amortize_all(units)
 
     def incomes(self, nodes: Sequence[int]) -> list[float]:
+        """Income in accounting units per node (the F2 reward)."""
         return self.ledger.income_vector(list(nodes))
 
     def contributions(self, nodes: Sequence[int]) -> list[float]:
+        """Chunks forwarded per node (the contributed bandwidth)."""
         return [float(c) for c in self.ledger.forwarded_vector(list(nodes))]
+
+    def fairness(self, nodes: Sequence[int]) -> FairnessReport:
+        """Evaluate the paper's F1/F2 properties with income as reward."""
+        return evaluate_fairness(self.contributions(nodes), self.incomes(nodes))
 
     def first_hop_counts(self, nodes: Sequence[int]) -> list[int]:
         """Chunks served as the paid zero-proximity hop, per node."""

@@ -1,11 +1,10 @@
 """Discrete-event scheduler.
 
-The paper's time-based behaviours need wall-clock time: the ``time``
-backend's transfers and periodic SWAP amortization ticks (:meth:`SwarmNetwork.amortize
-<repro.swarm.network.SwarmNetwork.amortize>`). :class:`EventScheduler`
-is a classic priority-queue DES kernel: events fire in timestamp order
-(FIFO among equal timestamps), handlers may schedule further events,
-and periodic events are first-class.
+The ``time`` backend's transfers need wall-clock time: its fluid
+wheel's release batches and completion slots are sequenced here.
+:class:`EventScheduler` is a classic priority-queue DES kernel: events
+fire in timestamp order (FIFO among equal timestamps), handlers may
+schedule further events, and periodic events are first-class.
 """
 
 from __future__ import annotations

@@ -22,16 +22,13 @@ import numpy as np
 
 from ..analysis.reports import Table
 from ..backends import get_backend, run_simulation
-from ..baselines.filecoin import FilecoinConfig, FilecoinMechanism
-from ..baselines.flat import EqualSplitMechanism, PerChunkRewardMechanism
+from ..backends.config import FastSimulationConfig
 from ..baselines.freerider import FreeRiderPlan, apply_free_riders
-from ..baselines.tit_for_tat import TitForTatConfig, TitForTatSwarm
+from ..baselines.tit_for_tat import TitForTatConfig
 from ..core.fairness import evaluate_fairness
 from ..kademlia.overlay import OverlayConfig
-from ..kademlia.routing import Router
 from ..swarm.chunk import FileManifest
 from ..swarm.network import SwarmNetwork, SwarmNetworkConfig
-from ..backends.fast import FastSimulation, FastSimulationConfig
 from .report import ExperimentReport
 
 __all__ = [
@@ -354,10 +351,13 @@ def run_freeriders(n_files: int = 150, n_nodes: int = 200,
 def run_baselines(n_files: int = 1000, n_nodes: int = 300) -> ExperimentReport:
     """Mechanism comparison on identical routed traffic.
 
-    SWAP-style first-hop payment, a perfectly proportional per-chunk
-    reward, an equal-split pool, and Filecoin-style storage rewards
-    all process the same routes; BitTorrent tit-for-tat runs its own
-    swarm (it has no routing) and is reported on its native traffic.
+    SWAP-style first-hop payment (``fast``), a perfectly proportional
+    per-chunk reward (``flat``), an equal-split pool and
+    Filecoin-style storage rewards (``filecoin``) all score the same
+    workload on the same overlay; BitTorrent tit-for-tat
+    (``tit_for_tat``) runs its own swarm (it has no routing) and is
+    reported on its native traffic. The equal split pays every node
+    ``chunks / n`` against the traffic it forwarded.
     """
     report = ExperimentReport(
         name="baselines",
@@ -367,63 +367,38 @@ def run_baselines(n_files: int = 1000, n_nodes: int = 300) -> ExperimentReport:
         n_nodes=n_nodes, bucket_size=4, originator_share=0.2,
         n_files=n_files, file_min=20, file_max=60,
     )
-    simulation = FastSimulation(config)
-    swap_result = simulation.run()
-    overlay = simulation.overlay
-    nodes = list(overlay.addresses)
-
-    per_chunk = PerChunkRewardMechanism()
-    equal_split = EqualSplitMechanism()
-    power = {
-        address: float(count)
-        for address, count in zip(
-            nodes, np.bincount(
-                simulation.table.storer, minlength=len(nodes)
-            )
-        )
-    }
-    filecoin = FilecoinMechanism(power, FilecoinConfig())
-    router = Router(overlay)
-    workload = config.workload()
-    for event in workload.events(overlay.address_array(), overlay.space):
-        for chunk in event.chunk_addresses:
-            route = router.route(int(event.originator), int(chunk))
-            per_chunk.process_route(route)
-            equal_split.process_route(route)
-            filecoin.process_route(route)
-
+    swap = run_simulation(config)
     table = Table(
         title="mechanism vs fairness (same traffic where applicable)",
         headers=["mechanism", "F2 Gini", "F1 Gini"],
     )
-    swap_f2 = swap_result.f2_gini()
-    swap_f1 = swap_result.f1_gini()
-    table.add_row("SWAP zero-proximity (paper)", swap_f2, swap_f1)
-    rows = {"swap": (swap_f2, swap_f1)}
-    for label, mechanism in (
-        ("per-chunk reward (F1-ideal)", per_chunk),
-        ("equal split (F2-ideal)", equal_split),
-        ("Filecoin-style", filecoin),
+    rows = {"swap": (swap.f2_gini(), swap.f1_gini())}
+    table.add_row("SWAP zero-proximity (paper)", *rows["swap"])
+    for label, fairness in (
+        ("per-chunk reward (F1-ideal)",
+         run_simulation(config, backend="flat").income_report()),
+        ("equal split (F2-ideal)", evaluate_fairness(
+            swap.forwarded.astype(np.float64),
+            np.full(swap.n_nodes, swap.chunks / swap.n_nodes),
+        )),
+        ("Filecoin-style",
+         run_simulation(config, backend="filecoin").income_report()),
     ):
-        incomes = mechanism.incomes(nodes)
-        contributions = mechanism.contributions(nodes)
-        fairness = evaluate_fairness(contributions, incomes)
-        table.add_row(label, fairness.f2_gini, fairness.f1_gini)
         rows[label] = (fairness.f2_gini, fairness.f1_gini)
+        table.add_row(label, *rows[label])
 
-    tft = TitForTatSwarm(TitForTatConfig(n_peers=60, n_pieces=120))
-    tft.run()
-    tft_fairness = evaluate_fairness(tft.contributions(), tft.incomes())
-    table.add_row(
-        "BitTorrent tit-for-tat (own swarm)",
-        tft_fairness.f2_gini, tft_fairness.f1_gini,
-    )
+    tft = get_backend(
+        "tit_for_tat",
+        swarm_config=TitForTatConfig(n_peers=60, n_pieces=120),
+    ).prepare(config)
+    tft_fairness = tft.run().income_report()
     rows["tit-for-tat"] = (tft_fairness.f2_gini, tft_fairness.f1_gini)
+    table.add_row("BitTorrent tit-for-tat (own swarm)", *rows["tit-for-tat"])
     report.add_table(table)
     report.add_note(
         "per-chunk reward bounds F1 at 0; equal split bounds F2 at 0; "
         "real mechanisms trade between the two"
     )
     report.data["rows"] = rows
-    report.data["tft_completion"] = tft.completion_fraction()
+    report.data["tft_completion"] = tft.swarm.completion_fraction()
     return report

@@ -10,9 +10,9 @@ and rates (so schedules are pure functions of the parameters):
   scenario fixtures pin bit-identically.
 * :class:`PathCaching` — the path-cache model, optionally bounded to
   a FIFO ``size``. ``size=0`` is the legacy unbounded ``caching=True``.
-* :class:`FreeRiding` — a fixed set of originators that never pay,
-  drawn exactly like the ``freerider`` baseline backend draws its
-  riders.
+* :class:`FreeRiding` — a fixed set of originators that never pay:
+  their downloads are routed and counted, their first hops earn
+  nothing.
 * :class:`NodeJoin` — a join storm: a fraction of the overlay starts
   offline and rejoins in equal waves, with content re-homed to the
   closest live node (``recompute_storers``), exercising the
@@ -124,9 +124,9 @@ class PathCaching(Scenario):
 class FreeRiding(Scenario):
     """A fixed fraction of originators whose downloads are never paid.
 
-    Riders are sampled once (same draw as the ``freerider`` backend:
-    ``round(fraction * n)`` choices without replacement) and installed
-    as a :class:`PolicyOverride` at epoch 0.
+    Riders are sampled once (``round(fraction * n)`` dense node
+    indices drawn without replacement) and installed as a
+    :class:`PolicyOverride` at epoch 0.
     """
 
     fraction: float = 0.3

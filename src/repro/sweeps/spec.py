@@ -30,6 +30,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from ..backends.base import get_backend_class
 from ..backends.config import FastSimulationConfig
 from ..errors import ConfigurationError
 
@@ -124,8 +125,9 @@ class SweepSpec:
     workers, the store, and aggregation treat it like any other cell
     dimension; ``seeds`` is the number of workload-seed replicas per
     cell, each derived from ``seed_entropy`` (see
-    :func:`replica_seed`). Validation constructs every grid cell's
-    configuration once, so bad fields, values, or scenario specs fail
+    :func:`replica_seed`). Validation looks every backend name up in
+    the registry and constructs every grid cell's configuration once,
+    so unknown backends and bad fields, values, or scenario specs fail
     at spec-build time, not inside a worker process.
     """
 
@@ -145,6 +147,8 @@ class SweepSpec:
         )
         if not self.backends:
             raise ConfigurationError("a sweep needs at least one backend")
+        for name in self.backends:
+            get_backend_class(name)  # refuses with the known-backend list
         if self.seeds < 1:
             raise ConfigurationError(
                 f"seeds must be >= 1, got {self.seeds}"

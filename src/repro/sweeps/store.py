@@ -65,6 +65,28 @@ def _resumable(stored: SweepSpec, current: SweepSpec) -> bool:
             and dataclasses.replace(stored, seeds=current.seeds) == current)
 
 
+def _record_problem(point_id: str, record: Any, valid_ids: set[str],
+                    wants_metrics: bool) -> str | None:
+    """Why a stored point (or failure) record is unusable, or ``None``.
+
+    A record must belong to the store's spec, be an object, carry
+    ``replica`` and ``workload_seed`` as JSON ints, and — a point
+    record — a ``metrics`` object. :meth:`SweepStore.load` refuses a
+    store holding such a record; :meth:`SweepStore.salvage` drops it.
+    """
+    if point_id not in valid_ids:
+        return "does not belong to the spec"
+    if not isinstance(record, dict):
+        return "is not an object"
+    if wants_metrics and not isinstance(record.get("metrics"), dict):
+        return "has no metrics object"
+    for key in ("replica", "workload_seed"):
+        value = record.get(key)
+        if isinstance(value, bool) or not isinstance(value, int):
+            return f"has {key}={value!r}, not an int"
+    return None
+
+
 def git_provenance(repo_dir: Path | None = None) -> dict:
     """Best-effort git commit/dirty state of the code that ran.
 
@@ -173,15 +195,20 @@ class SweepStore:
 
     @classmethod
     def load(cls, path: Path) -> "SweepStore":
-        """Read a store file back (inverse of :meth:`save`)."""
+        """Read a store file back (inverse of :meth:`save`).
+
+        Every point and failure record is checked
+        (:func:`_record_problem`); one unusable record refuses the
+        whole store, naming its point id.
+        """
         path = Path(path)
+        hint = ("SweepStore.salvage / repro-swarm sweep --salvage-store "
+                "can recover the usable records")
         try:
             document = read_json(path, "sweep store")
         except InputError as error:
             raise InputError(
-                f"{error} (if the file is truncated or corrupt, "
-                f"SweepStore.salvage / repro-swarm sweep --salvage-store "
-                f"can recover the parseable records)"
+                f"{error} (if the file is truncated or corrupt, {hint})"
             ) from None
         if not isinstance(document, dict) or document.get(
                 "format") != FORMAT:
@@ -195,7 +222,7 @@ class SweepStore:
                 for key, value in document.get("provenance", {}).items()
                 if key != "seed_table"
             }
-            return cls(
+            store = cls(
                 path,
                 spec,
                 points=document.get("points", {}),
@@ -209,6 +236,18 @@ class SweepStore:
             raise ConfigurationError(
                 f"sweep store {path} is malformed: {error!r}"
             ) from None
+        valid_ids = {point.point_id for point in spec.points()}
+        for section, records in (("points", store.points),
+                                 ("failures", store.failures)):
+            for point_id, record in records.items():
+                problem = _record_problem(point_id, record, valid_ids,
+                                          wants_metrics=section == "points")
+                if problem is not None:
+                    raise ConfigurationError(
+                        f"sweep store {path}: {section} record "
+                        f"{point_id!r} {problem} ({hint})"
+                    )
+        return store
 
     # ------------------------------------------------------------------
     # Salvage
@@ -223,9 +262,10 @@ class SweepStore:
         ``provenance`` sections and decodes each record independently
         (:meth:`json.JSONDecoder.raw_decode`), stopping a section at
         the first undecodable byte — so every record written before
-        the corruption survives. Records whose ``point_id`` does not
-        belong to the recovered (or provided fallback) spec are
-        dropped rather than resurrected into the wrong sweep.
+        the corruption survives. Records that :meth:`load` would refuse
+        (:func:`_record_problem`: a ``point_id`` outside the recovered,
+        or provided fallback, spec, or a malformed record) are dropped
+        rather than resurrected into the wrong sweep.
 
         Returns the salvaged store plus human-readable notes on what
         was recovered and what was lost. Raises
@@ -276,10 +316,8 @@ class SweepStore:
             kept: dict[str, dict] = {}
             dropped = 0
             for point_id, record in records.items():
-                if point_id not in valid_ids or not isinstance(
-                    record, dict
-                ) or (wants_metrics
-                      and not isinstance(record.get("metrics"), dict)):
+                if _record_problem(point_id, record, valid_ids,
+                                   wants_metrics) is not None:
                     dropped += 1
                     continue
                 kept[point_id] = record

@@ -241,16 +241,6 @@ class TestBitIdentity:
             assert (counts.total_hops, counts.fallbacks, counts.local_hits,
                     counts.cache_hits, counts.unavailable) == (0,) * 5
 
-    def test_unpaid_origins_match(self, split):
-        simulation = FastSimulation(BASE)
-        unpaid = np.zeros(BASE.n_nodes, dtype=bool)
-        unpaid[::3] = True
-        split(1)
-        expected = simulation.run(unpaid_origins=unpaid)
-        split(4)
-        actual = simulation.run(unpaid_origins=unpaid)
-        assert_same_result(expected, actual)
-
     def test_time_backend_paths_and_latency_match(self, split):
         config = dataclasses.replace(BASE, **LATENCY_PROFILE)
 

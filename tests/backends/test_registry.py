@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,7 @@ SMALL = FastSimulationConfig(
 class TestRegistry:
     def test_core_backends_registered(self):
         assert sorted(available_backends()) == [
-            "fast", "filecoin", "flat", "freerider", "reference", "time",
-            "tit_for_tat",
+            "fast", "filecoin", "flat", "reference", "time", "tit_for_tat",
         ]
 
     @pytest.mark.parametrize("name", ["bogus", "fast-perfile"])
@@ -63,8 +64,8 @@ class TestRegistry:
             register_backend(Nameless)
 
     def test_constructor_kwargs_forwarded(self):
-        backend = get_backend("freerider", fraction=0.5)
-        assert backend.fraction == 0.5
+        backend = get_backend("filecoin", block_reward=0.5)
+        assert backend.block_reward == 0.5
 
 
 class TestProtocol:
@@ -74,7 +75,7 @@ class TestProtocol:
             get_backend(name).run()
 
     @pytest.mark.parametrize("name", ["fast", "reference", "flat",
-                                      "filecoin", "freerider"])
+                                      "filecoin"])
     def test_prepare_chains_and_exposes_overlay(self, name):
         backend = get_backend(name)
         assert backend.prepare(SMALL) is backend
@@ -91,9 +92,23 @@ class TestProtocol:
         assert 0.0 <= result.f2_gini() <= 1.0
 
     def test_run_simulation_accepts_backend_kwargs(self):
-        none = run_simulation(SMALL, backend="freerider", fraction=0.0)
-        all_riders = run_simulation(SMALL, backend="freerider", fraction=1.0)
-        assert none.income.sum() > 0
-        assert all_riders.income.sum() == 0
+        unpriced = run_simulation(SMALL, backend="flat",
+                                  reward_per_chunk=0.0)
+        priced = run_simulation(SMALL, backend="flat", reward_per_chunk=3.0)
+        assert unpriced.income.sum() == 0
+        assert np.array_equal(priced.income, 3.0 * priced.forwarded)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
+    def test_freeriding_withholds_payment_only(self, fraction):
+        paying = run_simulation(SMALL)
+        riding = run_simulation(dataclasses.replace(
+            SMALL, scenario=f"freeriding:fraction={fraction}"))
         # Traffic itself is unchanged — only payment is withheld.
-        assert np.array_equal(none.forwarded, all_riders.forwarded)
+        assert np.array_equal(paying.forwarded, riding.forwarded)
+        assert np.array_equal(paying.first_hop, riding.first_hop)
+        if fraction == 0.0:
+            assert np.array_equal(paying.income, riding.income)
+        elif fraction == 1.0:
+            assert riding.income.sum() == 0
+        else:
+            assert 0 < riding.income.sum() < paying.income.sum()

@@ -7,6 +7,7 @@ import pytest
 
 from repro.backends import FastSimulationConfig, get_backend, run_simulation
 from repro.errors import ConfigurationError
+from repro.kademlia.routing import Router
 
 
 BASE = dict(
@@ -94,12 +95,70 @@ class TestChurnScenario:
 
 class TestBaselineBackends:
     def test_flat_reward_is_proportional(self):
-        result = run_simulation(FastSimulationConfig(**BASE), backend="flat")
-        assert np.allclose(
+        config = FastSimulationConfig(**BASE)
+        result = run_simulation(config, backend="flat")
+        assert np.array_equal(result.forwarded,
+                              run_simulation(config).forwarded)
+        assert np.array_equal(
             result.income, result.forwarded.astype(np.float64)
         )
         # Proportional reward: F1 on (contribution, income) is zero.
         assert result.income_report().f1_gini == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("reward", [-1.0, float("nan"), float("inf"),
+                                        "2", None])
+    def test_flat_refuses_a_bad_reward(self, reward):
+        with pytest.raises(ConfigurationError, match="reward_per_chunk"):
+            get_backend("flat", reward_per_chunk=reward)
+
+    def test_filecoin_pays_each_storer_per_served_chunk(self):
+        # Oracle: route every chunk with the reference router; a route
+        # of one hop or more serves its storer, a local hit nobody.
+        config = FastSimulationConfig(**BASE)
+        backend = get_backend("filecoin", block_reward=0.0,
+                              retrieval_price=2.0).prepare(config)
+        result = backend.run()
+        overlay = backend.overlay
+        router = Router(overlay)
+        served = np.zeros(len(overlay))
+        for event in config.workload().events(overlay.address_array(),
+                                              overlay.space):
+            for chunk in event.chunk_addresses:
+                route = router.route(int(event.originator), int(chunk))
+                if route.hops:
+                    served[overlay.index_of(route.storer)] += 1
+        assert served.sum() == result.chunks - result.local_hits
+        assert np.array_equal(result.income, 2.0 * served)
+        assert np.array_equal(result.forwarded,
+                              run_simulation(config).forwarded)
+
+    @pytest.mark.parametrize("epoch_length", [1, 7, 100])
+    def test_filecoin_pays_one_block_per_epoch(self, epoch_length):
+        result = run_simulation(
+            FastSimulationConfig(**BASE), backend="filecoin",
+            block_reward=3.0, retrieval_price=0.0, epoch_length=epoch_length,
+        )
+        assert result.income.sum() == 3.0 * (result.chunks // epoch_length)
+
+    def test_filecoin_blocks_follow_storage_power(self):
+        backend = get_backend("filecoin", block_reward=1.0,
+                              retrieval_price=0.0, epoch_length=1)
+        wins = backend.prepare(FastSimulationConfig(**BASE)).run().income
+        power = np.bincount(backend.simulation.table.storer,
+                            minlength=wins.size)
+        # One draw per chunk (~2.5k): win counts track storage power.
+        assert np.corrcoef(wins, power)[0, 1] > 0.8
+
+    @pytest.mark.parametrize("name, value", [
+        ("epoch_length", 0), ("epoch_length", -1), ("epoch_length", 2.5),
+        ("epoch_length", True), ("block_reward", -1.0),
+        ("block_reward", float("nan")), ("block_reward", float("inf")),
+        ("retrieval_price", -0.5), ("retrieval_price", float("inf")),
+        ("retrieval_price", "1"), ("seed", 4.0), ("seed", "42"),
+    ])
+    def test_filecoin_refuses_bad_parameters(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            get_backend("filecoin", **{name: value})
 
     def test_filecoin_rewards_storers_and_power(self):
         config = FastSimulationConfig(**BASE)
@@ -116,9 +175,11 @@ class TestBaselineBackends:
         assert with_blocks.income.sum() > retrieval_only.income.sum()
 
     def test_freerider_fraction_raises_inequality(self):
-        config = FastSimulationConfig(**BASE)
-        fair = run_simulation(config, backend="freerider", fraction=0.0)
-        unfair = run_simulation(config, backend="freerider", fraction=0.5)
+        fair, unfair = (
+            run_simulation(FastSimulationConfig(
+                **BASE, scenario=f"freeriding:fraction={fraction}"))
+            for fraction in (0.0, 0.5)
+        )
         assert unfair.income.sum() < fair.income.sum()
         assert unfair.f2_gini() > fair.f2_gini()
 

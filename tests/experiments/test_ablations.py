@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backends import run_simulation
+from repro.backends import FastSimulationConfig, run_simulation
+from repro.core.fairness import gini
 from repro.experiments.ablations import (
     run_baselines,
     run_bucket0,
@@ -166,3 +167,18 @@ class TestBaselines:
 
     def test_all_mechanisms_reported(self, report):
         assert len(report.tables[0].rows) == 5
+
+    def test_ideal_rows_score_the_fast_traffic(self, report):
+        # Rows are (F2, F1): the per-chunk reward pays exactly the
+        # forwarded chunks, the equal split pays everyone alike.
+        swap = run_simulation(FastSimulationConfig(
+            n_nodes=120, bucket_size=4, originator_share=0.2,
+            n_files=120, file_min=20, file_max=60,
+        ))
+        traffic = gini(swap.forwarded)
+        rows = report.data["rows"]
+        assert rows["per-chunk reward (F1-ideal)"] == pytest.approx(
+            (traffic, 0.0), abs=1e-12)
+        assert rows["equal split (F2-ideal)"] == pytest.approx(
+            (0.0, traffic), abs=1e-12)
+        assert rows["swap"] == (swap.f2_gini(), swap.f1_gini())

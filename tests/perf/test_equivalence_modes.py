@@ -28,7 +28,7 @@ from tests.backends.test_golden import (
 ALL_BACKENDS = tuple(available_backends())
 
 #: Backends that resolve a NextHopTable during prepare().
-TABLE_BACKENDS = ("fast", "flat", "filecoin", "freerider", "time")
+TABLE_BACKENDS = ("fast", "flat", "filecoin", "time")
 
 
 @pytest.fixture(autouse=True)
@@ -89,10 +89,9 @@ def assert_identical(a, b, context: str) -> None:
     assert a.hop_histogram == b.hop_histogram, context
 
 
-def test_registry_is_the_expected_seven():
+def test_registry_is_the_expected_six():
     assert ALL_BACKENDS == (
-        "fast", "filecoin", "flat", "freerider", "reference", "time",
-        "tit_for_tat",
+        "fast", "filecoin", "flat", "reference", "time", "tit_for_tat",
     )
 
 

@@ -119,7 +119,7 @@ SPEC = "churn:rate=0.2,recompute=true+caching:size=32"
 
 #: Backends that route the workload through the scenario-capable
 #: batched engine; the rest reject or ignore dynamics (pinned below).
-SCENARIO_BACKENDS = ("fast", "flat", "freerider", "time")
+SCENARIO_BACKENDS = ("fast", "flat", "time")
 
 
 @pytest.mark.parametrize("backend", SCENARIO_BACKENDS)
@@ -148,7 +148,7 @@ def test_wrapping_the_stack_in_compose_is_invisible(backend, monkeypatch):
 
 
 def test_registry_covers_every_backend_posture():
-    """Each of the 7 backends either runs scenarios or refuses loudly."""
+    """Each of the 6 backends either runs scenarios or refuses loudly."""
     config = FastSimulationConfig(**BASE, scenario=SPEC)
     seen = set()
     for name in available_backends():
@@ -163,4 +163,4 @@ def test_registry_covers_every_backend_posture():
         else:  # reference, filecoin
             with pytest.raises(ConfigurationError):
                 get_backend(name).prepare(config)
-    assert len(seen) == 7, "registry grew: classify the new backend here"
+    assert len(seen) == 6, "registry grew: classify the new backend here"

@@ -108,6 +108,18 @@ class TestSweepSpec:
         with pytest.raises(ConfigurationError, match="pricing"):
             SweepSpec(base=TINY, grid={"pricing": ("bogus",)})
 
+    @pytest.mark.parametrize("name", ["nope", "freerider", ""])
+    def test_unknown_backend_fails_at_spec_time(self, name):
+        with pytest.raises(ConfigurationError,
+                           match="unknown backend.*'tit_for_tat'"):
+            SweepSpec(base=TINY, backends=("fast", name))
+
+    def test_stored_spec_naming_an_unknown_backend_refused(self):
+        payload = SweepSpec(base=TINY).to_json()
+        payload["backends"] = ["freerider"]
+        with pytest.raises(ConfigurationError, match="unknown backend"):
+            SweepSpec.from_json(payload)
+
     def test_needs_backend_and_seeds(self):
         with pytest.raises(ConfigurationError, match="backend"):
             SweepSpec(base=TINY, backends=())

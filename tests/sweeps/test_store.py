@@ -161,3 +161,79 @@ class TestStore:
         path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(ConfigurationError, match="sweep store"):
             SweepStore.load(path)
+
+
+def rewrite(path, document) -> None:
+    """Write *document* in the store's own layout (salvage scans it)."""
+    path.write_text(json.dumps(document, indent=2, sort_keys=True))
+
+
+class TestRecordChecks:
+    """load() refuses an unusable record; salvage() drops the same one."""
+
+    @pytest.fixture
+    def stored(self, tmp_path):
+        spec = tiny_spec()
+        path = tmp_path / "sweep.json"
+        run_sweep(spec, store_path=path)
+        return path, spec.points()[0].point_id
+
+    @pytest.mark.parametrize("section, change", [
+        ("points", {"metrics": "oops"}),
+        ("points", {"metrics": None}),
+        ("points", {"replica": "1"}),
+        ("points", {"replica": True}),
+        ("points", {"workload_seed": 1.5}),
+        ("points", None),
+        ("points", "not-an-object"),
+        ("failures", {"replica": "0"}),
+        ("failures", ["a", "list"]),
+    ], ids=["metrics-string", "metrics-null", "replica-string",
+            "replica-bool", "seed-float", "null-record", "string-record",
+            "failure-replica-string", "failure-list"])
+    def test_bad_record_refused_and_dropped(self, stored, section, change):
+        path, point_id = stored
+        document = json.loads(path.read_text())
+        record = document["points"].pop(point_id)
+        if isinstance(change, dict):
+            record = {**record, **change}
+        else:
+            record = change
+        document.setdefault(section, {})[point_id] = record
+        rewrite(path, document)
+        with pytest.raises(ConfigurationError,
+                           match=f"{point_id!r}.*--salvage-store"):
+            SweepStore.load(path)
+        salvaged, notes = SweepStore.salvage(path)
+        assert point_id not in salvaged.points
+        assert point_id not in salvaged.failures
+        assert any("dropped 1 unusable" in note for note in notes)
+
+    def test_record_outside_the_spec_refused(self, stored):
+        path, point_id = stored
+        document = json.loads(path.read_text())
+        document["points"]["fast|bucket_size=99|r0"] = (
+            document["points"][point_id])
+        rewrite(path, document)
+        with pytest.raises(ConfigurationError, match="bucket_size=99"):
+            SweepStore.load(path)
+
+    @pytest.mark.parametrize("change", [{"metrics": "oops"},
+                                        {"replica": "1"}])
+    def test_cli_refuses_a_bad_record_with_exit_2(self, tmp_path, capsys,
+                                                  change):
+        from repro.cli import main
+
+        path = tmp_path / "sweep.json"
+        argv = ["sweep", "--grid", "bucket_size=4,8", "--nodes", "40",
+                "--files", "4", "--store", str(path)]
+        assert main(argv) == 0
+        document = json.loads(path.read_text())
+        point_id = min(document["points"])
+        document["points"][point_id].update(change)
+        rewrite(path, document)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-swarm sweep: error: ")
+        assert point_id in err and len(err.splitlines()) == 1
