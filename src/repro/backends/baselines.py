@@ -119,17 +119,21 @@ class FilecoinBackend(SimulationBoundBackend):
         config = self._require_prepared()
         assert self.simulation is not None
         simulation = self.simulation
+        started = time.perf_counter()
         if workload is None:
             workload = config.workload()
-        result = simulation.run(workload)
+        # One flatten feeds both the routing and the served counts.
+        result = simulation.new_result()
+        file_origins, sizes, targets = simulation._flatten_workload(workload)
+        result.files += len(sizes)
+        simulation._route_slabs(file_origins, sizes, targets, result)
 
         # Served counts: terminal arrivals per node (a local hit pays
         # nobody).
         n = simulation.table.n_nodes
-        file_origins, sizes, targets = simulation._flatten_workload(workload)
-        origins = np.repeat(file_origins, sizes).astype(np.intp)
         storers = simulation.table.storer[targets]
-        served = np.bincount(storers[storers != origins], minlength=n)
+        served = np.bincount(
+            storers[storers != np.repeat(file_origins, sizes)], minlength=n)
 
         income = served.astype(np.float64) * self.retrieval_price
         power = np.bincount(
@@ -144,6 +148,7 @@ class FilecoinBackend(SimulationBoundBackend):
             ).astype(np.float64) * self.block_reward
         result.income = income
         result.expenditure = np.zeros_like(income)
+        result.elapsed_seconds = time.perf_counter() - started
         return result
 
 

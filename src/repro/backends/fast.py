@@ -10,11 +10,11 @@ the production backend:
 * :class:`NextHopTable` precomputes, for every (node, target address)
   pair, the greedy forwarding decision as one dense numpy matrix —
   routing a chunk becomes a table lookup;
-* :class:`FastSimulation` flattens the *whole workload* into per-chunk
-  origin/target/storer columns and routes every in-flight chunk in
-  lockstep hop waves, accumulating exactly the per-node quantities
-  the paper's figures need (chunks forwarded, chunks served as paid
-  first hop, income in accounting units).
+* :class:`FastSimulation` feeds the workload as per-chunk
+  origin/target columns, slab by slab, and routes every in-flight
+  chunk in lockstep hop waves, accumulating exactly the per-node
+  quantities the paper's figures need (chunks forwarded, chunks
+  served as paid first hop, income in accounting units).
 
 The hop-wave loop is memory-bandwidth-bound (tens of millions of
 random table gathers), so the kernel is built around a compact
@@ -71,6 +71,13 @@ point at dead nodes are sparsely rewritten to the fallback band of
 the epoch's (live) storer, exactly the greedy-stall semantics of the
 decoded three-column mode kept as the test oracle
 ``tests/backends/decoded_oracle.py``.
+
+A generated workload's file-level draws (pool, originators, sizes) are
+made up front, but each slab's chunk targets are drawn, and its origins
+repeated per chunk, only when its epoch is about to route: numpy draws
+the same values piecewise as in one call, so every counter is the
+whole-workload flatten's, while a scenario run holds the table plus
+one slab rather than the whole workload's columns.
 
 The ``time`` backend records its per-chunk paths through this same
 kernel: a :class:`StreamSession` built with a ``recorder`` threads a
@@ -634,15 +641,19 @@ class FastSimulation:
 
     def run(self, workload: DownloadWorkload | None = None
             ) -> SimulationResult:
-        """Run the configured (or given) workload; returns the result."""
+        """Run the configured (or given) workload; returns the result.
+
+        The workload is fed slab by slab (:meth:`_route_slabs`): a
+        static run is one slab, and a scenario run of a generated
+        workload draws each epoch's chunks just before routing them.
+        """
         started = time.perf_counter()
         if workload is None:
             workload = self.config.workload()
         result = self.new_result()
-        file_origins, sizes, targets = self._flatten_workload(workload)
+        file_origins, sizes, targets = self._workload_columns(workload)
         result.files += len(sizes)
-        self._route_slabs(np.repeat(file_origins, sizes), sizes,
-                          targets, result)
+        self._route_slabs(file_origins, sizes, targets, result)
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -689,19 +700,24 @@ class FastSimulation:
     # ------------------------------------------------------------------
     # Batched hot path
 
-    def _route_slabs(self, origins: np.ndarray, sizes: np.ndarray,
-                     targets: np.ndarray, result: SimulationResult, *,
+    def _route_slabs(self, file_origins: np.ndarray, sizes: np.ndarray,
+                     targets, result: SimulationResult, *,
                      recorder=None) -> None:
-        """Route flattened chunk columns through one stream session.
+        """Route a workload's columns through one stream session.
 
-        The one-shot run is the streaming core fed from one flatten:
+        The one-shot run is the streaming core fed slab by slab:
         static configs feed a single micro-epoch holding the entire
         workload (one kernel invocation), scenario configs feed one
         ``batch_files``-file slab per epoch — the same loop a live
-        stream drives incrementally. *sizes* are the per-file chunk
-        counts the slabs are cut on. With a *recorder* (the time
-        backend's path recorder), a chunk's position in *targets* is
-        the id its path is recorded under.
+        stream drives incrementally. *file_origins* and *sizes* are
+        the per-file origin indices and chunk counts the slabs are cut
+        on; each slab's per-chunk origin column is repeated just before
+        it is fed. *targets* is either the flat chunk-address column or
+        a function that draws the next *k* of them (see
+        :meth:`_workload_columns`), called once per slab in slab order,
+        so a scenario run holds one slab's chunks at a time. With a
+        *recorder* (the time backend's path recorder), a chunk's
+        position in the workload is the id its path is recorded under.
         """
         if not len(sizes):
             return
@@ -710,32 +726,47 @@ class FastSimulation:
         starts = range(0, len(sizes), step)
         offsets = np.concatenate(([0], np.cumsum(sizes)))
         ids = (None if recorder is None
-               else np.arange(targets.size, dtype=np.int64))
+               else np.arange(offsets[-1], dtype=np.int64))
         with StreamSession(self, result=result,
                            n_epochs=len(starts) if scenario else None,
                            recorder=recorder) as session:
             for start in starts:
                 stop = min(start + step, len(sizes))
                 lo, hi = int(offsets[start]), int(offsets[stop])
-                session.feed(origins[lo:hi], targets[lo:hi],
-                             ids=None if ids is None else ids[lo:hi])
+                session.feed(
+                    np.repeat(file_origins[start:stop], sizes[start:stop]),
+                    targets(hi - lo) if callable(targets)
+                    else targets[lo:hi],
+                    ids=None if ids is None else ids[lo:hi],
+                )
 
     def _flatten_workload(self, workload):
         """(per-file origin indices, file sizes, flat targets) columns.
 
+        The whole-workload form of :meth:`_workload_columns`: a
+        generated workload's targets are drawn in one call.
+        """
+        file_origins, sizes, targets = self._workload_columns(workload)
+        if callable(targets):
+            targets = targets(int(sizes.sum()))
+        return file_origins, sizes, targets
+
+    def _workload_columns(self, workload):
+        """(per-file origin indices, file sizes, targets) of a workload.
+
         For a plain :class:`DownloadWorkload` (uniform chunks, no
-        catalog) the whole workload is sampled in three RNG calls that
-        reproduce the streaming generator's draw stream bit-for-bit —
-        numpy generators yield identical values whether ``integers``
-        is called once for N draws or file-by-file. Anything else
-        (traces, Zipf catalogs, custom workloads) falls back to
-        draining the event stream. Origins come out in the table's
-        compact entry dtype and targets in the space's compact target
-        dtype, so the routing kernel never widens them.
+        catalog) the file-level columns are sampled in three RNG calls
+        that reproduce the streaming generator's draw stream
+        bit-for-bit, and *targets* is a function that draws the next
+        *k* chunk addresses from the same generator: numpy generators
+        yield identical values whether ``integers`` is called once for
+        N draws, file-by-file, or slab by slab. Anything else (traces,
+        Zipf catalogs, custom workloads) drains the event stream into
+        a flat target column. Origins come out in the table's compact
+        entry dtype and targets in the space's compact target dtype,
+        so the routing kernel never widens them.
         """
         nodes = self.overlay.address_array()
-        entry_dt = self.table.entry_dtype
-        target_dt = target_dtype(self.space.bits)
         if (type(workload) is DownloadWorkload
                 and workload.catalog_size == 0
                 and type(workload.originators) is OriginatorPool
@@ -754,18 +785,22 @@ class FastSimulation:
             sizes = workload.file_size.sample(
                 workload.n_files, rng
             ).astype(np.int64)
-            # For ranges up to 2**32 numpy draws the same values in
-            # uint32 as in the per-event generator's uint64, into a
-            # temporary half the size.
-            targets = rng.integers(
-                0, self.space.size, size=int(sizes.sum()), dtype=np.uint32
-            ).astype(target_dt, copy=False)
-            index_of = self.overlay.index_of
-            file_origins = np.fromiter(
-                (index_of(int(address)) for address in chosen),
-                dtype=entry_dt, count=len(chosen),
-            )
-            return file_origins, sizes, targets
+            order = np.argsort(nodes)
+            file_origins = order[
+                np.searchsorted(nodes, chosen, sorter=order)
+            ].astype(self.table.entry_dtype)
+            target_dt = target_dtype(self.space.bits)
+            space_size = self.space.size
+
+            def draw(count: int) -> np.ndarray:
+                # For ranges up to 2**32 numpy draws the same values in
+                # uint32 as in the per-event generator's uint64, into
+                # a temporary half the size.
+                return rng.integers(
+                    0, space_size, size=count, dtype=np.uint32
+                ).astype(target_dt, copy=False)
+
+            return file_origins, sizes, draw
         return self.flatten_events(workload.events(nodes, self.space))
 
     def _route_batch(self, origins: np.ndarray, targets: np.ndarray,

@@ -625,16 +625,16 @@ class TimedSimulation:
         result = fast.new_result()
         file_origins, sizes, targets = fast._flatten_workload(workload)
         result.files += len(sizes)
-        origins = np.repeat(file_origins, sizes)
         recorder = _PathRecorder(int(targets.size))
-        fast._route_slabs(origins, sizes, targets, result,
+        fast._route_slabs(file_origins, sizes, targets, result,
                           recorder=recorder)
         if targets.size:
             arrivals = PoissonArrivals(config.arrival_rate).sample(
                 len(sizes), np.random.default_rng(config.arrival_seed)
             )
             result.latency_ms = self._timeline(
-                recorder.assemble(), np.repeat(arrivals, sizes), origins
+                recorder.assemble(), np.repeat(arrivals, sizes),
+                np.repeat(file_origins, sizes),
             )
         else:
             result.latency_ms = np.empty(0, dtype=np.float64)

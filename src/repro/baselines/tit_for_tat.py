@@ -20,7 +20,9 @@ uploaded, which slots directly into the paper's F1/F2 metrics.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -113,6 +115,8 @@ class TitForTatSwarm:
         self._received_last_round: list[dict[int, int]] = [
             {} for _ in range(n)
         ]
+        # downloader id -> neighbourhood piece counts for this round.
+        self._round_availability: dict[int, Counter[int]] = {}
         self.rounds_run = 0
 
     # ------------------------------------------------------------------
@@ -153,16 +157,26 @@ class TitForTatSwarm:
         candidates = uploader.pieces - downloader.pieces
         if not candidates:
             return None
-        counts = {
-            piece: sum(
-                1 for nb in downloader.neighbors
-                if piece in self.peers[nb].pieces
-            )
-            for piece in candidates
-        }
-        rarest = min(counts.values())
-        rarest_pieces = sorted(p for p, c in counts.items() if c == rarest)
+        counts = self._availability(downloader)
+        rarest = min(counts[piece] for piece in candidates)
+        rarest_pieces = sorted(p for p in candidates if counts[p] == rarest)
         return int(self._rng.choice(rarest_pieces))
+
+    def _availability(self, downloader: TitForTatPeer) -> Counter[int]:
+        """How many of *downloader*'s neighbours hold each piece.
+
+        No peer's pieces change while a round picks (transfers land
+        after every pick), so each downloader's counts are taken once
+        per round.
+        """
+        counts = self._round_availability.get(downloader.peer_id)
+        if counts is None:
+            counts = Counter(chain.from_iterable(
+                self.peers[neighbor].pieces
+                for neighbor in downloader.neighbors
+            ))
+            self._round_availability[downloader.peer_id] = counts
+        return counts
 
     # ------------------------------------------------------------------
     # Simulation
@@ -170,6 +184,7 @@ class TitForTatSwarm:
     def step(self, round_index: int) -> int:
         """Run one round; returns pieces transferred."""
         transfers: list[tuple[int, int, int]] = []  # (uploader, downloader, piece)
+        self._round_availability = {}
         for peer in self.peers:
             if not peer.pieces:
                 continue

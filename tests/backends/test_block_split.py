@@ -251,8 +251,8 @@ class TestBitIdentity:
             file_origins, sizes, targets = simulation._flatten_workload(
                 config.workload())
             recorder = _PathRecorder(int(targets.size))
-            simulation._route_slabs(np.repeat(file_origins, sizes), sizes,
-                                    targets, result, recorder=recorder)
+            simulation._route_slabs(file_origins, sizes, targets, result,
+                                    recorder=recorder)
             paths = recorder.assemble()
             return paths, TimedSimulation(config).run()
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.backends import FastSimulationConfig, get_backend, run_simulation
+from repro.backends.fast import FastSimulation
 from repro.errors import ConfigurationError
 from repro.kademlia.routing import Router
 
@@ -131,6 +132,21 @@ class TestBaselineBackends:
         assert np.array_equal(result.income, 2.0 * served)
         assert np.array_equal(result.forwarded,
                               run_simulation(config).forwarded)
+
+    def test_filecoin_flattens_the_workload_once(self, monkeypatch):
+        flatten = FastSimulation._flatten_workload
+        calls = []
+
+        def counted(simulation, workload):
+            calls.append(workload)
+            return flatten(simulation, workload)
+
+        monkeypatch.setattr(FastSimulation, "_flatten_workload", counted)
+        backend = get_backend("filecoin").prepare(FastSimulationConfig(**BASE))
+        backend.run()
+        assert len(calls) == 1
+        backend.run()
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("epoch_length", [1, 7, 100])
     def test_filecoin_pays_one_block_per_epoch(self, epoch_length):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.baselines.tit_for_tat import TitForTatConfig, TitForTatSwarm
@@ -64,6 +67,28 @@ class TestSwarmDynamics:
         b.run()
         assert a.incomes() == b.incomes()
         assert a.contributions() == b.contributions()
+
+    def test_pinned_small_swarm(self):
+        # Values of the per-pick recount that per-round availability
+        # counting replaced: the picks and RNG draws must not move.
+        swarm = TitForTatSwarm(TitForTatConfig(
+            n_peers=20, n_pieces=30, seed=9, uploads_per_round=2,
+        ))
+        assert swarm.run() == 11
+        assert swarm.contributions() == [
+            70.0, 56.0, 38.0, 23.0, 25.0, 29.0, 29.0, 22.0, 29.0, 17.0,
+            23.0, 24.0, 19.0, 26.0, 23.0, 13.0, 13.0, 23.0, 17.0, 21.0,
+        ]
+        assert swarm.incomes() == [0.0, 0.0] + [30.0] * 18
+
+    def test_pinned_baselines_swarm(self):
+        # The swarm run_baselines reports (60 peers, 120 pieces).
+        swarm = TitForTatSwarm(TitForTatConfig(n_peers=60, n_pieces=120))
+        assert swarm.run() == 47
+        digest = hashlib.sha256(json.dumps(
+            [swarm.contributions(), swarm.incomes()]).encode()).hexdigest()
+        assert digest == ("678568f4899423a5d3c15063afbaf6b7"
+                          "acef88fdb2a468f91eab11e7b7ceb55f")
 
     def test_round_cap_respected(self):
         swarm = TitForTatSwarm(TitForTatConfig(

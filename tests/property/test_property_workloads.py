@@ -68,3 +68,23 @@ class TestWorkloadProperties:
         # within a single pool-sized subset.
         pool_size = workload.originators.pool_size(len(NODES))
         assert len(pool_a | pool_b) <= pool_size
+
+
+class TestPiecewiseDraws:
+    """The generator behaviour a slab-by-slab scenario run rests on."""
+
+    @given(st.integers(min_value=0, max_value=2**63),
+           st.integers(min_value=1, max_value=2**32),
+           st.lists(st.integers(min_value=0, max_value=400), max_size=8))
+    @settings(max_examples=80)
+    def test_split_uint32_draws_equal_one_call(self, seed, high, parts):
+        # Bounded uint32 draws (any range up to 2**32) yield the same
+        # values whether taken in one call or cut at arbitrary points.
+        whole = np.random.default_rng(seed).integers(
+            0, high, size=sum(parts), dtype=np.uint32)
+        rng = np.random.default_rng(seed)
+        pieces = [rng.integers(0, high, size=part, dtype=np.uint32)
+                  for part in parts]
+        joined = (np.concatenate(pieces) if pieces
+                  else np.empty(0, dtype=np.uint32))
+        assert np.array_equal(joined, whole)
