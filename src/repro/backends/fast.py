@@ -50,10 +50,10 @@ input order, drops the dead ones, stable-sorts its targets and runs
 its waves — so the blocks laid end to end are the slab's stable sort.
 Block 0 runs on the calling thread, the rest on a module-level thread
 pool (numpy releases the GIL inside each gather, sort and pass). Each
-block keeps private counters, merged after the join, and prices its
-own wave-1 hops (element-wise); the only floating-point sums, income
-and expenditure, are booked once per slab in sorted slab order, so
-every output is bit-identical to the one-block loop.
+block keeps private counters, merged after the join, and prices and
+books its own wave-1 hops: the only floating-point sums, income and
+expenditure, go into a slab ledger in block order, so every output is
+bit-identical to the one-block loop.
 
 Network dynamics run through the same kernel, epoch by epoch: the
 workload is segmented into ``batch_files`` slabs, and a composed
@@ -73,11 +73,11 @@ decoded three-column mode kept as the test oracle
 ``tests/backends/decoded_oracle.py``.
 
 A generated workload's file-level draws (pool, originators, sizes) are
-made up front, but each slab's chunk targets are drawn, and its origins
-repeated per chunk, only when its epoch is about to route: numpy draws
-the same values piecewise as in one call, so every counter is the
-whole-workload flatten's, while a scenario run holds the table plus
-one slab rather than the whole workload's columns.
+made up front, but each later slab's chunk targets are drawn, and its
+origins repeated per chunk, on a helper thread while the slab before
+it routes: numpy draws the same values piecewise as in one call, so
+every counter is the whole-workload flatten's, while a scenario run
+holds the table plus two slabs rather than the whole workload's columns.
 
 The ``time`` backend records its per-chunk paths through this same
 kernel: a :class:`StreamSession` built with a ``recorder`` threads a
@@ -97,7 +97,10 @@ sweep-worker path).
 from __future__ import annotations
 
 import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
+from functools import partial
 
 import numpy as np
 
@@ -230,8 +233,6 @@ def _block_pool(workers: int):
     """
     global _BLOCK_POOL, _BLOCK_POOL_WORKERS
     if _BLOCK_POOL is None or _BLOCK_POOL_WORKERS < workers:
-        from concurrent.futures import ThreadPoolExecutor
-
         _BLOCK_POOL = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-waves"
         )
@@ -250,26 +251,24 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_block_pool)
 
 
-def _run_blocks(route, spans: list[tuple[int, int]]) -> list:
-    """``route(lo, hi)`` for every span; block 0 on the calling thread.
+def _run_blocks(route, spans: list[tuple]) -> list:
+    """``route(*span)`` for every span; block 0 on the calling thread.
 
     Every submitted block has finished before this returns *or*
     raises: blocks write into the caller's arrays (a slab's, or the
     columns of a table being built) and may read the epoch's patched
-    matrix, so none may outlive the call. The first
-    error in block order is re-raised.
+    matrix, so none may outlive the call. Blocks start in order (one
+    may wait on those before it); the first error in order is raised.
     """
     futures = []
     try:
         if len(spans) > 1:
             pool = _block_pool(len(spans) - 1)
-            for lo, hi in spans[1:]:
-                futures.append(pool.submit(route, lo, hi))
+            for span in spans[1:]:
+                futures.append(pool.submit(route, *span))
         head = route(*spans[0])
     finally:
         if futures:
-            from concurrent.futures import wait
-
             wait(futures)
     return [head] + [future.result() for future in futures]
 
@@ -278,7 +277,7 @@ class _BlockCounts:
     """One block's private integer counters, merged after the join."""
 
     __slots__ = ("forwarded", "first_hop", "fallbacks", "total_hops",
-                 "local_hits", "cache_hits", "unavailable", "hops", "paid")
+                 "local_hits", "cache_hits", "unavailable", "hops")
 
     def __init__(self) -> None:
         self.forwarded = None
@@ -289,8 +288,38 @@ class _BlockCounts:
         self.cache_hits = 0
         self.unavailable = 0
         self.hops: dict[int, int] = {}
-        #: A split block's wave-1 ``(servers, origins, prices)``.
-        self.paid = None
+
+
+class _SlabLedger:
+    """A split slab's first-hop income and expenditure for one phase.
+
+    The first block to book opens each sum with a weighted bincount,
+    later ones go on with ``np.add.at``: the bits of one bincount over
+    the blocks laid end to end.
+    """
+
+    def __init__(self, blocks: int, n_nodes: int) -> None:
+        self.n_nodes = n_nodes
+        self.sums = None  # [income, expenditure] once a block books
+        self._turns = [threading.Event() for _ in range(blocks)]
+
+    def book(self, block: int, servers=None, origins=None, prices=None) -> None:
+        """Add block *block*'s payments once every block before it has
+        passed its turn, then pass. With none, only pass: a block that
+        books nothing, or fails, must still pass."""
+        try:
+            if servers is None:
+                return
+            for turn in self._turns[:block]:
+                turn.wait()
+            if self.sums is None:
+                self.sums = [np.bincount(column, weights=prices, minlength=self.n_nodes)
+                             for column in (servers, origins)]
+            else:
+                for total, column in zip(self.sums, (servers, origins)):
+                    np.add.at(total, column, prices)
+        finally:
+            self._turns[block].set()
 
 
 def _merge_counts(result: SimulationResult,
@@ -711,11 +740,11 @@ class FastSimulation:
         ``batch_files``-file slab per epoch — the same loop a live
         stream drives incrementally. *file_origins* and *sizes* are
         the per-file origin indices and chunk counts the slabs are cut
-        on; each slab's per-chunk origin column is repeated just before
-        it is fed. *targets* is either the flat chunk-address column or
-        a function that draws the next *k* of them (see
-        :meth:`_workload_columns`), called once per slab in slab order,
-        so a scenario run holds one slab's chunks at a time. With a
+        on. *targets* is the flat chunk-address column or a function
+        that draws the next *k* of them (:meth:`_workload_columns`).
+        After the first slab, which is drawn before any routes, a
+        helper thread repeats each slab's origins and draws its targets
+        while the slab before it routes, in slab order. With a
         *recorder* (the time backend's path recorder), a chunk's
         position in the workload is the id its path is recorded under.
         """
@@ -727,18 +756,23 @@ class FastSimulation:
         offsets = np.concatenate(([0], np.cumsum(sizes)))
         ids = (None if recorder is None
                else np.arange(offsets[-1], dtype=np.int64))
-        with StreamSession(self, result=result,
-                           n_epochs=len(starts) if scenario else None,
-                           recorder=recorder) as session:
+
+        def slab(start: int) -> tuple:
+            stop = min(start + step, len(sizes))
+            lo, hi = int(offsets[start]), int(offsets[stop])
+            return (np.repeat(file_origins[start:stop], sizes[start:stop]),
+                    targets(hi - lo) if callable(targets) else targets[lo:hi],
+                    None if ids is None else ids[lo:hi])
+
+        with (ThreadPoolExecutor(1, thread_name_prefix="repro-draw") as ahead,
+              StreamSession(self, result=result, recorder=recorder,
+                            n_epochs=len(starts) if scenario else None) as session):
             for start in starts:
-                stop = min(start + step, len(sizes))
-                lo, hi = int(offsets[start]), int(offsets[stop])
-                session.feed(
-                    np.repeat(file_origins[start:stop], sizes[start:stop]),
-                    targets(hi - lo) if callable(targets)
-                    else targets[lo:hi],
-                    ids=None if ids is None else ids[lo:hi],
-                )
+                origins, slab_targets, slab_ids = (
+                    pending.result() if start else slab(start))
+                if start + step < len(sizes):
+                    pending = ahead.submit(slab, start + step)
+                session.feed(origins, slab_targets, ids=slab_ids)
 
     def _flatten_workload(self, workload):
         """(per-file origin indices, file sizes, flat targets) columns.
@@ -833,8 +867,8 @@ class FastSimulation:
         price their wave-1 hops element-wise. Income and expenditure,
         the only floating-point sums, are booked once per slab (once
         for cache hits, then once for the rest) in sorted slab order:
-        a lone block books at wave 1, split blocks hand their wave-1
-        servers, origins and prices back to be booked after the join.
+        a lone block books into *result* at wave 1, split blocks into
+        a :class:`_SlabLedger`, in block order, added after the join.
         So every output is bit-identical however the slab split. A
         single CPU, or a slab under two blocks, runs the same code as
         one block with no histogram and no selection pass.
@@ -866,8 +900,9 @@ class FastSimulation:
         offline = None if alive is None else ~alive
         dead = (np.zeros(origins.size, bool)
                 if alive is not None and cached is not None else None)
+        ledgers = ([_SlabLedger(len(spans), n) for _ in range(1 if cached is None else 2)]
+                   if split else [])
         waves = dict(
-            book_into=None if split else result,
             unpaid_origins=unpaid_origins, recorder=recorder,
             dead_lut=dead_lut, fallback_storers=storer_table,
             flat_table=table.flat_coded if flat_coded is None
@@ -918,55 +953,63 @@ class FastSimulation:
                 chunk_ids = np.take(chunk_ids, order)
             return tg, cur, row, chunk_ids, unavailable
 
-        def route(lo: int, hi: int) -> list[_BlockCounts]:
-            tg, cur, row, chunk_ids, unavailable = sorted_columns(lo, hi)
-            if cached is None:
-                # Headline path (and patched-static dynamics): no
-                # storer column, no local-hit prefilter — wave 1
-                # detects local hits in-band.
-                counts = self._route_block(cur, row, tg, chunk_ids, **waves)
-                counts.unavailable = unavailable
-                return [counts]
-            # Locals are prefiltered here (the cache split needs the
-            # storer comparison anyway), so the in-band check finds
-            # none.
-            head = _BlockCounts()
-            head.unavailable = unavailable
-            local = cur == np.take(storers, tg)
-            head.local_hits = int(np.count_nonzero(local))
-            if head.local_hits:
-                head.hops[0] = head.local_hits
-                if recorder is not None:
-                    recorder.record_zero_hop(chunk_ids[local])
-            hits = np.take(cached, tg) & ~local
-            # Cache hits are the same kernel asked to stop after the
-            # (serving) first hop; the rest route in full.
-            phases = [head]
-            for mask, serves in ((hits, True), (~local & ~hits, False)):
-                index = np.flatnonzero(mask)
-                phases.append(self._route_block(
-                    np.take(cur, index), np.take(row, index),
-                    np.take(tg, index),
-                    None if chunk_ids is None
-                    else np.take(chunk_ids, index),
-                    first_hop_serves=serves, **waves,
-                ))
-            return phases
+        def route(block: int, lo: int, hi: int) -> list[_BlockCounts]:
+            try:
+                tg, cur, row, chunk_ids, unavailable = sorted_columns(lo, hi)
+                books = ([partial(ledger.book, block) for ledger in ledgers]
+                         or [partial(self._pay_first_hop, result)] * 2)
+                if cached is None:
+                    # Headline path (and patched-static dynamics): no
+                    # storer column, no local-hit prefilter — wave 1
+                    # detects local hits in-band.
+                    counts = self._route_block(cur, row, tg, chunk_ids,
+                                               book=books[0], **waves)
+                    counts.unavailable = unavailable
+                    return [counts]
+                # Locals are prefiltered here (the cache split needs the
+                # storer comparison anyway), so the in-band check finds
+                # none.
+                head = _BlockCounts()
+                head.unavailable = unavailable
+                local = cur == np.take(storers, tg)
+                head.local_hits = int(np.count_nonzero(local))
+                if head.local_hits:
+                    head.hops[0] = head.local_hits
+                    if recorder is not None:
+                        recorder.record_zero_hop(chunk_ids[local])
+                hits = np.take(cached, tg) & ~local
+                # Cache hits are the same kernel asked to stop after the
+                # (serving) first hop; the rest route in full.
+                phases = [head]
+                for phase, (mask, serves) in enumerate(((hits, True), (~local & ~hits, False))):
+                    index = np.flatnonzero(mask)
+                    phases.append(self._route_block(
+                        np.take(cur, index), np.take(row, index),
+                        np.take(tg, index),
+                        None if chunk_ids is None
+                        else np.take(chunk_ids, index),
+                        book=books[phase], first_hop_serves=serves, **waves,
+                    ))
+                    if split:  # booked or not, pass before the next phase
+                        ledgers[phase].book(block)
+                return phases
+            finally:
+                for ledger in ledgers:
+                    ledger.book(block)
 
-        # Phase by phase (with a cache: locals, hits, the rest), in
-        # block order, as one unsplit block would count and book them.
-        for phase in zip(*_run_blocks(route, spans)):
+        # Phase by phase (with a cache: locals, hits, the rest), in block
+        # order; blocks are numbered by position (spans may repeat).
+        for phase in zip(*_run_blocks(route, [
+                (block, *span) for block, span in enumerate(spans)])):
             _merge_counts(result, phase)
-            paid = [counts.paid for counts in phase
-                    if counts.paid is not None]
-            if paid:
-                self._pay_first_hop(result,
-                                    *map(np.concatenate, zip(*paid)))
+        for income, expenditure in filter(None, (ledger.sums for ledger in ledgers)):
+            result.income += income
+            result.expenditure += expenditure
         return dead
 
     def _route_block(self, cur: np.ndarray, row: np.ndarray,
                      tg: np.ndarray, ids: np.ndarray | None, *,
-                     book_into: SimulationResult | None,
+                     book,
                      unpaid_origins: np.ndarray | None, recorder,
                      dead_lut: np.ndarray | None,
                      fallback_storers: np.ndarray | None,
@@ -974,10 +1017,10 @@ class FastSimulation:
                      first_hop_serves: bool = False) -> _BlockCounts:
         """Route one block's target-sorted columns in hop waves.
 
-        Books its wave-1 hops into *book_into* (a lone block) or keeps
-        them in the returned counters' ``paid`` (a split block's, booked
-        after the join) and returns its counters; it touches nothing
-        else shared, so blocks run concurrently.
+        Books its wave-1 hops through ``book(servers, origins, prices)``
+        (into the result, or a split slab's ledger) and returns its
+        counters; it touches nothing else shared, so blocks run
+        concurrently.
 
         * All wave state lives in the table's compact entry dtype and
           ping-pongs between two buffer sets, seeded by taking
@@ -1044,16 +1087,19 @@ class FastSimulation:
             # mode="clip" skips the bounds check; row + cur is in
             # range by construction (row <= (space-1)*n, cur < n).
             np.take(flat_table, flat, out=nxt, mode="clip")
+            # The indices are spent: gather and count through an intp
+            # copy (np.take widens other index dtypes into new arrays).
+            np.copyto(flat, nxt)
             if dead_lut is not None:
                 # Patched-static dynamics: coded values pointing at
                 # dead nodes (forward, arrive, or stale stall entries
                 # alike — the LUT tiles ~alive over all three bands)
                 # greedy-stall to the epoch's live storer, sparsely.
                 dead = dead_buf[:size]
-                np.take(dead_lut, nxt, out=dead, mode="clip")
+                np.take(dead_lut, flat, out=dead, mode="clip")
                 dead_idx = np.flatnonzero(dead)
                 if dead_idx.size:
-                    nxt[dead_idx] = dtype.type(2 * n) + (
+                    nxt[dead_idx] = flat[dead_idx] = dtype.type(2 * n) + (
                         fallback_storers[row_w[dead_idx] // n]
                     )
             local_count = 0
@@ -1063,14 +1109,11 @@ class FastSimulation:
                 local_count = int(np.count_nonzero(local_mask))
                 if local_count:
                     nxt[local_mask] += dtype.type(n)
+                    flat[local_mask] += n
                     counts.local_hits = local_count
                     counts.hops[0] = local_count
                 else:
                     local_mask = None
-            # The gather indices are spent: recycle the intp buffer as
-            # bincount input so bincount sees contiguous intp and skips
-            # an internal widening copy of a fresh allocation.
-            np.copyto(flat, nxt)
             bands = np.bincount(flat, minlength=4 * n)
             if band_total is None:
                 counts.first_hop = (bands[:n] + bands[n:2 * n]
@@ -1080,7 +1123,7 @@ class FastSimulation:
                 band_total += bands
             counts.total_hops += size - local_count
             if hop == 1 or recorder is not None:
-                servers = np.take(self._servers_of, nxt, mode="clip")
+                servers = np.take(self._servers_of, flat, mode="clip")
                 if recorder is not None:
                     ids_w = src[2][:size]
                     if local_mask is None:
@@ -1098,10 +1141,7 @@ class FastSimulation:
                 prices = self._first_hop_prices(flat, tg, cur_w,
                                                 unpaid_origins,
                                                 suppressed=local_mask)
-                if book_into is None:
-                    counts.paid = (flat.copy(), cur_w.copy(), prices)
-                else:
-                    self._pay_first_hop(book_into, flat, cur_w, prices)
+                book(flat, cur_w, prices)
                 # Held through the later waves, a slab-sized array makes
                 # the allocator fault in fresh pages for their buffers.
                 del prices
@@ -1167,10 +1207,10 @@ class FastSimulation:
         """Book first-hop *prices* as income and expenditure.
 
         The two weighted sums are the kernel's only floating-point
-        reductions, so they run once per call over the whole slab in
-        slab order. *servers* are the first hops' node indices;
-        contiguous intp (what the hop kernel hands in) lets the
-        weighted bincount skip an internal conversion copy.
+        reductions: a lone block books its whole slab in one call, in
+        sorted order (split blocks book into a :class:`_SlabLedger`).
+        *servers* are the first hops' node indices; contiguous intp
+        lets the weighted bincount skip an internal conversion copy.
         """
         n = len(result.node_addresses)
         result.income += np.bincount(servers, weights=prices, minlength=n)

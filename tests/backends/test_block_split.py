@@ -3,10 +3,12 @@
 ``FastSimulation._route_batch`` cuts a large slab into target ranges
 (``fast._target_spans``); each block selects, filters, sorts and
 routes its own chunks on the block pool, the integer counters merge
-after the join and the first hop is paid once over the whole slab.
-These tests force many blocks on small configurations (a tiny block
-minimum and a CPU budget above the real one) and compare every
-output, byte for byte, with the one-block run.
+after the join, and each block books its wave-1 payments into the
+slab's ledger (``fast._SlabLedger``) in block order, each continuing
+the sums the block before it left. These tests force many blocks on
+small configurations (a tiny block minimum and a CPU budget above the
+real one) and compare every output, byte for byte, with the one-block
+run.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+import sys
 import threading
 import time
 import warnings
@@ -115,6 +118,33 @@ def uniform_targets(size: int, bits: int = 16) -> np.ndarray:
         0, 1 << bits, size=size).astype(np.uint16)
 
 
+def route_slab(simulation: FastSimulation, origins: np.ndarray,
+               targets: np.ndarray):
+    """One slab fed as the only epoch of a fresh result."""
+    result = simulation.new_result()
+    with StreamSession(simulation, result=result, n_epochs=1) as session:
+        session.feed(origins, targets)
+    return result
+
+
+@pytest.fixture
+def bookings(monkeypatch):
+    """Every ``_SlabLedger.book`` call that pays, as ``(ledger, block,
+    opened)`` in call order; *opened* is whether the ledger was still
+    unopened when the call began (race-free only while one block
+    books)."""
+    calls = []
+    book = fast._SlabLedger.book
+
+    def recording(ledger, block, *payments):
+        if payments:
+            calls.append((ledger, block, ledger.sums is None))
+        book(ledger, block, *payments)
+
+    monkeypatch.setattr(fast._SlabLedger, "book", recording)
+    return calls
+
+
 class TestSpans:
     def test_small_slab_is_one_block(self, monkeypatch):
         def no_budget():
@@ -200,14 +230,15 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("name", ["static", "churn_freeriding_caching"])
     def test_clustered_slab_matches_one_block(self, split, monkeypatch,
-                                              name):
+                                              bookings, name):
         # Every target in one histogram bin: one block routes the whole
-        # slab and the other three select nothing.
+        # slab and the other three select nothing. (The bin's storer is
+        # alive under the churn config, so its chunks do route.)
         config = CONFIGS[name]
         simulation = FastSimulation(config)
         rng = np.random.default_rng(3)
         origins = rng.integers(0, config.n_nodes, 5000).astype(np.uint16)
-        targets = (4608 + rng.integers(0, 64, 5000)).astype(np.uint16)
+        targets = (8192 + rng.integers(0, 64, 5000)).astype(np.uint16)
         outputs = []
         run_blocks = fast._run_blocks
 
@@ -217,29 +248,30 @@ class TestBitIdentity:
             return blocks
 
         monkeypatch.setattr(fast, "_run_blocks", recording)
-
-        def route_slab():
-            result = simulation.new_result()
-            with StreamSession(simulation, result=result,
-                               n_epochs=1) as session:
-                session.feed(origins, targets)
-            return result
-
         split(1)
-        expected = route_slab()
+        expected = route_slab(simulation, origins, targets)
+        assert not bookings  # a lone block books into the result
         most = split(4)
-        actual = route_slab()
+        actual = route_slab(simulation, origins, targets)
         assert most == [4]
         assert_same_result(expected, actual)
         spans, blocks = outputs[-1]
-        empty = [phases for (lo, hi), phases in zip(spans, blocks)
-                 if not np.any((targets >= lo) & (targets < hi))]
-        assert len(empty) == 3
-        for counts in (counts for phases in empty for counts in phases):
-            assert counts.forwarded is None and counts.paid is None
+        assert [block for block, _, _ in spans] == [0, 1, 2, 3]
+        full = [block for block, lo, hi in spans
+                if np.any((targets >= lo) & (targets < hi))]
+        assert full == [0]
+        for counts in (counts for phases in blocks[1:] for counts in phases):
+            assert counts.forwarded is None
             assert not counts.hops
             assert (counts.total_hops, counts.fallbacks, counts.local_hits,
                     counts.cache_hits, counts.unavailable) == (0,) * 5
+        # The empty blocks book nothing; the full one opens each sum
+        # it books (the cache's hits ledger stays unopened: an empty
+        # cache has no hits).
+        assert bookings
+        assert all(block == 0 and opened for _, block, opened in bookings)
+        ledgers = [ledger for ledger, _, _ in bookings]
+        assert len(set(map(id, ledgers))) == len(ledgers)
 
     def test_time_backend_paths_and_latency_match(self, split):
         config = dataclasses.replace(BASE, **LATENCY_PROFILE)
@@ -268,6 +300,99 @@ class TestBitIdentity:
             assert left.tobytes() == right.tobytes(), name
         assert expected.latency_ms.tobytes() == actual.latency_ms.tobytes()
         assert_same_result(expected, actual)
+
+
+class TestBookingChain:
+    def test_failed_block_cannot_hang_the_chain(self, split, monkeypatch,
+                                                bookings):
+        config = CONFIGS["inexact_prices"]
+        simulation = FastSimulation(config)
+        split(1)
+        expected = simulation.run()
+        original = FastSimulation._route_block
+        failing_threads = []
+
+        def failing(self, *args, **kwargs):
+            if threading.current_thread() in failing_threads:
+                raise RuntimeError("block 0 failed")
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FastSimulation, "_route_block", failing)
+        most = split(4)
+        errors = []
+
+        def run():
+            try:
+                simulation.run()
+            except RuntimeError as error:
+                errors.append(error)
+
+        # Block 0 runs on the calling thread: here, one the test can
+        # time out on, so a block left waiting for its turn fails the
+        # test instead of hanging it.
+        caller = threading.Thread(target=run, daemon=True)
+        failing_threads.append(caller)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "a block is still waiting for its turn"
+        assert most == [4]
+        assert [str(error) for error in errors] == ["block 0 failed"]
+        # Block 0 failed before booking; its turn passed all the same.
+        assert sorted(block for _, block, _ in bookings) == [1, 2, 3]
+
+        # Repeated span edges: block 1 is empty, and block 0, held back
+        # until blocks 2 and 3 are waiting to book, is the last to
+        # arrive but the first in the sums.
+        rng = np.random.default_rng(5)
+        origins = rng.integers(0, config.n_nodes, 6000).astype(np.uint16)
+        targets = np.concatenate([8192 + rng.integers(0, 64, 3600),
+                                  40000 + rng.integers(0, 4096, 2400)]
+                                 ).astype(np.uint16)
+        split(1)
+        clustered = route_slab(simulation, origins, targets)
+        arrived = threading.Semaphore(0)
+        book = fast._SlabLedger.book
+
+        def announcing(ledger, block, *payments):
+            if payments:
+                arrived.release()
+            book(ledger, block, *payments)
+
+        def late_block_0(self, *args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                assert arrived.acquire(timeout=60)
+                assert arrived.acquire(timeout=60)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(fast._SlabLedger, "book", announcing)
+        monkeypatch.setattr(FastSimulation, "_route_block", late_block_0)
+        split(4)
+        spans = fast._target_spans(targets, simulation.space.bits)
+        assert spans[:2] == [(0, 8256), (8256, 8256)]
+        del bookings[:]
+        assert_same_result(clustered, route_slab(simulation, origins, targets))
+        assert sorted(block for _, block, _ in bookings[:2]) == [2, 3]
+        assert bookings[2][1] == 0 and len(bookings) == 3
+
+        # Nothing is left over for the next run.
+        monkeypatch.setattr(FastSimulation, "_route_block", original)
+        assert_same_result(expected, simulation.run())
+
+    def test_eight_blocks_under_fast_thread_switching(self, split):
+        # More blocks than CPUs, switching threads every microsecond:
+        # a block booking out of turn changes the inexact sums' bits.
+        config = CONFIGS["inexact_prices_caching"]
+        split(1)
+        expected = FastSimulation(config).run()
+        most = split(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert_same_result(expected, FastSimulation(config).run())
+        finally:
+            sys.setswitchinterval(interval)
+        assert max(most) == 8
 
 
 class TestJoin:

@@ -1,19 +1,24 @@
-"""A scenario run draws each epoch's chunks just before it routes them.
+"""A scenario run draws each epoch's chunks one slab ahead of routing.
 
-The one-shot run feeds a scenario workload slab by slab, so it holds the
-file-level columns plus one ``batch_files`` slab, never the whole
+The one-shot run feeds a scenario workload slab by slab, drawing the
+next slab on a helper thread while one routes, so it holds the
+file-level columns plus two ``batch_files`` slabs, never the whole
 workload's per-chunk columns; and the slab-by-slab draws route exactly
 the chunks a whole-workload flatten would.
 """
 
 from __future__ import annotations
 
+import threading
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from repro.backends import FastSimulationConfig
-from repro.backends.fast import FastSimulation
+from repro.backends.fast import FastSimulation, NextHopTable
+
+from .test_block_split import assert_same_result
 
 
 def _column_bytes(simulation: FastSimulation) -> int:
@@ -55,8 +60,50 @@ def test_slab_draws_route_what_the_whole_columns_route():
     whole.files += len(sizes)
     simulation._route_slabs(file_origins, sizes, targets, whole)
     assert streamed.chunks == whole.chunks == targets.size
-    for name in ("forwarded", "first_hop", "income", "expenditure"):
-        assert np.array_equal(getattr(streamed, name), getattr(whole, name))
-    assert streamed.hop_histogram == whole.hop_histogram
-    assert (streamed.unavailable, streamed.cache_hits, streamed.local_hits
-            ) == (whole.unavailable, whole.cache_hits, whole.local_hits)
+    assert_same_result(whole, streamed)
+
+
+def test_failing_draw_ahead_raises_and_leaves_the_table_pristine(
+        monkeypatch):
+    config = FastSimulationConfig(
+        n_nodes=120, n_files=60, batch_files=10,
+        scenario="churn:rate=0.3,seed=5,recompute=true",
+    )
+    simulation = FastSimulation(config)
+    pristine = NextHopTable(simulation.overlay).coded_transposed
+    columns = FastSimulation._workload_columns
+    draws = []
+
+    def failing_columns(self, workload):
+        file_origins, sizes, draw = columns(self, workload)
+
+        def failing(count):
+            draws.append(threading.current_thread().name)
+            if len(draws) == 3:
+                raise RuntimeError("third slab's draw failed")
+            return draw(count)
+
+        return file_origins, sizes, failing
+
+    route_batch = FastSimulation._route_batch
+    patched = []
+
+    def watching(self, *args, flat_coded=None, **kwargs):
+        patched.append(not np.array_equal(flat_coded, pristine.reshape(-1)))
+        return route_batch(self, *args, flat_coded=flat_coded, **kwargs)
+
+    monkeypatch.setattr(FastSimulation, "_workload_columns",
+                        failing_columns)
+    monkeypatch.setattr(FastSimulation, "_route_batch", watching)
+    with pytest.raises(RuntimeError, match="third slab's draw failed"):
+        simulation.run()
+    # Slabs 0 and 1 routed under a patched matrix. Slab 0 was drawn
+    # before any routed, the others on the helper, which is shut down.
+    assert patched == [True, True]
+    assert draws[0] == threading.current_thread().name
+    assert [name.startswith("repro-draw") for name in draws[1:]] == [
+        True, True]
+    assert not [thread for thread in threading.enumerate()
+                if thread.name.startswith("repro-draw")]
+    working = simulation.table.coded_transposed
+    assert working.tobytes() == pristine.tobytes()
