@@ -19,7 +19,9 @@ answers "*when* did each chunk arrive". It runs in two phases:
    recorded ``nodes`` array (the hop after position ``p`` is
    ``p - 1``); a transfer's rate is the fair share
    ``min(up / sender_out, down / receiver_in)`` of its endpoints'
-   finite bandwidth, recomputed only at arrival/departure events.
+   finite bandwidth, recomputed only at arrival/departure events;
+   a release and the completion due at the same instant settle in
+   one step.
    Fixed per-hop propagation (``2 * hops * hop_latency_ms``: request
    out, data back) is folded into the chunk's release time, so the
    wheel only simulates the bandwidth-bound data hops. A positive
@@ -28,9 +30,10 @@ answers "*when* did each chunk arrive". It runs in two phases:
    that start at one event on one (sender, receiver) pair share every
    float operation, so the wheel holds them as one *bundle* in a
    preallocated pool with incremental per-node degrees, and a
-   concurrency cap queues requests in one FIFO per sender; an event
+   concurrency cap queues requests in one FIFO per sender; a step
    costs O(bundles + changed transfers), and every completion time is
-   bit-identical to simulating each transfer on its own.
+   bit-identical to simulating each transfer on its own, one event at
+   a time.
 
 With unbounded bandwidth and no concurrency cap the wheel collapses
 to closed form (latency = ``2 * hops * hop_latency``), which is both
@@ -40,6 +43,7 @@ propagation-delay model.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -162,7 +166,8 @@ class FluidWheel:
     the recorded path in reverse, one bandwidth-bound transfer per
     hop. The :class:`EventScheduler` sequences release batches and
     completion slots, with stale completion events invalidated by a
-    generation counter (lazy cancellation).
+    generation counter (lazy cancellation); each live event is one
+    :meth:`_step` (see "One step per instant" below).
 
     **Transfers are named by path position.** Chunk paths are disjoint
     slices of ``nodes`` (as :class:`ChunkPaths` lays them out), so the
@@ -196,15 +201,35 @@ class FluidWheel:
     in-degrees — kept incrementally from the activated and retired
     bundles only, and a bundle's rate is ``min(share[sender],
     share[n_nodes + receiver])`` with ``share = link / degree``: the
-    same division as per transfer. An event therefore costs
+    same division as per transfer. A step therefore costs
     O(bundles + changed transfers). On the ``latency-contended``
-    benchmark's three inputs (~590 events each, ~12k live bundles,
-    ~900 transfers retiring and ~900 starting per event) this cut the
-    wheel, construction included, from 180 ms to 118 ms per input
-    (median of 11 interleaved rounds, process time, 2-vCPU shared
-    container). Nearly every bundle's rate changes at every event
-    (a median 98% of live bundles touch a node whose degree changed),
-    so the recomputation stays a whole-pool pass.
+    benchmark's three inputs (~12k live bundles, ~900 transfers
+    retiring and ~900 starting per completion) this cut the wheel,
+    construction included, from 180 ms to 118 ms per input (median of
+    11 interleaved rounds, process time, 2-vCPU shared container).
+    Nearly every bundle's rate changes at every step (a median 98% of
+    live bundles touch a node whose degree changed), so the
+    recomputation stays a whole-pool pass.
+
+    **One step per instant.** :meth:`_reschedule` puts the next
+    completion slot at the earliest finish ``last + min(remaining /
+    rate)``, snapped up to a slot boundary. With 10 ms slots a release
+    nearly always lands on a slot where a completion is due, and the
+    release's own reschedule would then put a new completion at that
+    very instant, making the pending one stale. Instead, a release
+    step that finds a bundle with no bytes left (``remaining <= 0``,
+    so its ratio is at most 0; with both links unbounded, any bundle)
+    completes and admits in place after it enqueues and admits, then
+    recomputes rates and reschedules once. That is exact: the
+    separate reschedule would land on this instant (when it snaps to
+    itself), and the rates it computed would be overwritten before
+    any time passed. A bundle left within ``(0, _EPS_BYTES]`` keeps
+    the separate events, as its ratio can move the slot. On the
+    benchmark's three inputs the scheduler fired 800/794/807 events
+    (578/574/609 of them live) before, and fires 579/576/612
+    (357/356/414 steps) now; the wheel, construction included, went
+    from 96/101/108 ms to 86/89/98 ms (median of 11 interleaved rounds
+    in one process, process time, 2-vCPU shared container).
 
     With a concurrency cap, requests go to a request log (one slot per
     transfer, in request order) threaded into one FIFO list per
@@ -516,15 +541,43 @@ class FluidWheel:
         when = max(when, scheduler.now)
 
         def handler(s: EventScheduler, t: float) -> None:
-            if generation != self._gen:
-                return
-            self._advance(t)
-            self._complete(t)
-            self._admit()
-            self._recompute_rates()
-            self._reschedule(s)
+            if generation == self._gen:
+                self._step(s, t)
 
         scheduler.schedule_at(when, handler, name="complete")
+
+    def _due_now(self, now: float) -> bool:
+        """Whether :meth:`_reschedule` would put the next slot at *now*.
+
+        It would when *now* snaps to itself and a bundle has no bytes
+        left (its ``remaining / rate`` is at most 0) or, with both
+        links unbounded, any bundle is active. Rates are not read, so
+        they need not be current. A zero *now* answers False: there
+        the slot could come back as the other zero.
+        """
+        b = self._size
+        if b == 0 or now == 0:
+            return False
+        if self.quantum > 0 and _snap_up(now, self.quantum) > now:
+            return False
+        return not self._finite or self._remaining[:b].min() <= 0
+
+    def _step(self, scheduler: EventScheduler, now: float,
+              batch: np.ndarray | None = None) -> None:
+        """One event: a release *batch*, or a completion slot if None.
+
+        A release settles a completion due at *now* in the same step
+        (see "One step per instant" in the class docstring).
+        """
+        self._advance(now)
+        if batch is not None:
+            self._enqueue(batch)
+            self._admit()
+        if batch is None or self._due_now(now):
+            self._complete(now)
+            self._admit()
+        self._recompute_rates()
+        self._reschedule(scheduler)
 
     # -- driver --------------------------------------------------------
 
@@ -548,16 +601,9 @@ class FluidWheel:
         del order
         scheduler = EventScheduler()
         for when, lo, hi in zip(times, boundaries[:-1], boundaries[1:]):
-
-            def release(s: EventScheduler, t: float,
-                        batch: np.ndarray = first[lo:hi]) -> None:
-                self._advance(t)
-                self._enqueue(batch)
-                self._admit()
-                self._recompute_rates()
-                self._reschedule(s)
-
-            scheduler.schedule_at(when, release, name="release")
+            scheduler.schedule_at(
+                when, functools.partial(self._step, batch=first[lo:hi]),
+                name="release")
         total_hops = int(self.hops.sum())
         releases = len(times)
         max_events = 4 * total_hops + 4 * releases + 1024

@@ -69,6 +69,17 @@ def _json_int(body: Mapping, key: str, default: int | None = None) -> int:
     return value
 
 
+def _json_str(body: Mapping, key: str) -> str:
+    """*key* of a request body, which must be a JSON string.
+
+    Nothing is coerced: ``7``, ``null`` and ``["w"]`` are refused.
+    """
+    value = body[key]
+    if type(value) is not str:
+        raise ValueError(f"{key} must be a JSON string, got {value!r}")
+    return value
+
+
 def _json_number(body: Mapping, key: str) -> float:
     """*key* of a request body, which must be a JSON number (not bool)."""
     value = body[key]
@@ -125,21 +136,21 @@ class _QueueHandler(BaseHTTPRequestHandler):
             if self.path == "/lease":
                 self.state.expire_overdue()
                 self._reply(self.state.lease(
-                    str(body["worker"]), _json_int(body, "count", 1)
+                    _json_str(body, "worker"), _json_int(body, "count", 1)
                 ))
             elif self.path == "/complete":
                 self._reply(self.state.complete(
-                    str(body["worker"]), body["record"],
+                    _json_str(body, "worker"), body["record"],
                     _json_int(body, "index"), _json_number(body, "elapsed"),
                 ))
             elif self.path == "/fail":
                 self._reply(self.state.fail(
-                    str(body["worker"]), str(body["point_id"]),
-                    str(body["kind"]), str(body["error"]),
-                    str(body["digest"]),
+                    _json_str(body, "worker"), _json_str(body, "point_id"),
+                    _json_str(body, "kind"), _json_str(body, "error"),
+                    _json_str(body, "digest"),
                 ))
             elif self.path == "/heartbeat":
-                self._reply(self.state.heartbeat(str(body["worker"])))
+                self._reply(self.state.heartbeat(_json_str(body, "worker")))
             else:
                 self._reply({"error": f"unknown path {self.path}"}, 404)
         except (KeyError, TypeError, ValueError, OverflowError,

@@ -35,6 +35,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from ..errors import ConfigurationError
 from .spec import SweepPoint, SweepSpec
+from .store import _record_problem
 from .worker import PointOutcome, point_payload
 
 __all__ = [
@@ -345,13 +346,21 @@ class QueueState:
             raise ValueError(f"elapsed must be finite, got {elapsed!r}")
         if record["point_id"] not in self.points:
             raise KeyError(f"unknown point {record['point_id']!r}")
+        # The checks a stored record passes; nothing is coerced.
+        problem = _record_problem(record["point_id"], record,
+                                  set(self.points), True)
+        if problem is not None:
+            raise ValueError(f"record {problem}")
+        if not isinstance(record["overrides"], dict):
+            raise ValueError(f"record overrides must be a JSON object, "
+                             f"got {record['overrides']!r}")
         return self.record_outcome(worker, PointOutcome(
             point_id=record["point_id"],
             index=int(index),
             backend=record["backend"],
             overrides=dict(record["overrides"]),
-            replica=int(record["replica"]),
-            workload_seed=int(record["workload_seed"]),
+            replica=record["replica"],
+            workload_seed=record["workload_seed"],
             metrics=dict(record["metrics"]),
             vectors={},  # per-node arrays stay on the executing host
             elapsed=elapsed,

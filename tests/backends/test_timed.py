@@ -20,7 +20,13 @@ import pytest
 
 from repro.backends import get_backend, run_simulation
 from repro.backends.config import FastSimulationConfig
-from repro.backends.timed import FluidWheel, TimedSimulation
+from repro.backends.timed import (
+    _EPS_BYTES,
+    FluidWheel,
+    TimedSimulation,
+    _snap_up,
+)
+from repro.engine.des import EventScheduler
 from repro.errors import ConfigurationError, SimulationError
 
 from . import table_oracle
@@ -267,14 +273,105 @@ class TestFluidWheel:
                 origins=np.ones(1, dtype=np.int64),
             )
 
+    @staticmethod
+    def _against_oracle(monkeypatch, paths, origins, releases, *,
+                        chunk_bytes=1000.0, up=0.0, cap=0, quantum=0.0):
+        """Run both wheels on explicit request paths over 4 nodes.
+
+        Asserts bit-identical completion times and returns them with
+        the scheduler events each wheel fired (wheel, then oracle).
+        """
+        fired = []
+        run_all = EventScheduler.run_all
+
+        def counting(self, **options):
+            fired.append(run_all(self, **options))
+            return fired[-1]
+
+        monkeypatch.setattr(EventScheduler, "run_all", counting)
+        hops = np.array([len(path) for path in paths], dtype=np.int32)
+        offsets = np.zeros(hops.size, dtype=np.int64)
+        np.cumsum(hops[:-1], out=offsets[1:])
+
+        def run(wheel_class):
+            return wheel_class(
+                n_nodes=4, chunk_bytes=chunk_bytes, up_bytes_s=up,
+                down_bytes_s=0.0, max_concurrent=cap, quantum_s=quantum,
+                release_s=np.array(releases, dtype=np.float64),
+                hops=hops, offsets=offsets,
+                nodes=np.array([x for path in paths for x in path],
+                               dtype=np.int32),
+                origins=np.array(origins, dtype=np.int64),
+            ).run()
+
+        done = run(FluidWheel)
+        assert done.tobytes() == run(OracleWheel).tobytes()
+        return done, fired
+
+    @pytest.mark.parametrize("cap, chunk_bytes, expected", [
+        (0, 1000.0, [0.02, 0.03]),
+        (2, 1000.0, [0.02, 0.03]),
+        # A chunk within the finish tolerance is done on the slot it
+        # starts on, so it must be active before that slot completes.
+        (0, 5e-7, [0.02, 0.02]),
+    ])
+    def test_release_settles_the_overshot_completion_due_with_it(
+            self, monkeypatch, cap, chunk_bytes, expected):
+        # Chunk 0's one hop takes 5 ms from its 10 ms release, so at
+        # the 20 ms slot it has overshot (remaining < 0), and chunk 1
+        # is released on that slot. One step settles both: neither the
+        # stale slot nor a second completion at 20 ms is left to fire.
+        done, (fired, oracle_fired) = self._against_oracle(
+            monkeypatch, [[1], [2]], [0, 0], [0.01, 0.02],
+            chunk_bytes=chunk_bytes, up=2e5, cap=cap, quantum=0.01)
+        assert done.tolist() == expected
+        assert fired < oracle_fired
+
+    @pytest.mark.parametrize("cap", [0, 2])
+    def test_release_leaves_a_bundle_within_tolerance_to_its_slot(
+            self, monkeypatch, cap):
+        # At chunk 1's release chunk 0 has a few bytes left, within
+        # the finish tolerance but above 0: its ratio is positive, so
+        # the slot the release schedules is the next one, 30 ms, and
+        # chunk 0 completes there, not on the release's instant.
+        chunk_bytes = 1000.0000005
+        assert 0 < chunk_bytes - 1e5 * (0.02 - 0.01) <= _EPS_BYTES
+        done, _ = self._against_oracle(
+            monkeypatch, [[1], [2]], [0, 0], [0.01, 0.02],
+            chunk_bytes=chunk_bytes, up=1e5, cap=cap, quantum=0.01)
+        assert done.tolist() == [0.03, 0.03]
+
+    @pytest.mark.parametrize("releases, quantum, expected", [
+        ((0.05, 0.05, 0.06, 0.05, 0.05), 0.0,
+         [0.05, 0.05, 0.06, 0.05, 0.05]),
+        # 330000.1 snaps up to 330000.11 (float rounding), so its first
+        # completion round waits for that slot.
+        ((330000.1, 330000.1, 330000.1, 330000.5, 330000.1), 0.01,
+         [330000.11, 330000.11, 330000.11, 330000.5, 330000.11]),
+        # At a zero instant the next slot comes back as +0.0.
+        ((-0.0, -0.0, 0.01, 0.02, -0.0), 0.0, [0.0, 0.0, 0.01, 0.02, 0.0]),
+    ], ids=["plain", "unsnapped-slot", "negative-zero"])
+    def test_capped_wheel_on_unbounded_links(self, monkeypatch, releases,
+                                             quantum, expected):
+        # Shared senders under cap 1: every transfer is due the
+        # instant it starts, and the cap admits one per sender at a
+        # time, so one instant takes several completion rounds. The
+        # last chunk's one hop has a sender of its own, so it finishes
+        # in the first round, which a release settles in its own step
+        # only on an instant that is a nonzero slot boundary.
+        paths = [[1, 2], [2], [1, 3, 2], [2, 1], [3]]
+        done, (fired, oracle_fired) = self._against_oracle(
+            monkeypatch, paths, [0, 0, 3, 3, 0], releases, cap=1,
+            quantum=quantum)
+        assert done.tolist() == expected
+        assert fired < oracle_fired
+
     @pytest.mark.parametrize("t", [0.0, 1e-16, 0.3, 0.6000000000000001,
                                    2.4, 7.77, 3.3e5])
     @pytest.mark.parametrize("quantum", [0.3, 0.01])
     def test_slot_snap_matches_the_release_snap(self, t, quantum):
         # Completion slots snap one float at a time, release times as a
         # vector; both must round to the same bits, sign of zero too.
-        from repro.backends.timed import _snap_up
-
         vector = np.ceil(np.array([t]) / quantum - 1e-12) * quantum
         assert np.array([_snap_up(t, quantum)]).tobytes() == vector.tobytes()
 

@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ from repro.cli import main
 from repro.errors import WorkloadError
 from repro.serve import run_serve
 from tests.backends.test_streaming import ALL_CONFIGS, assert_identical
+
+#: The checkout these tests belong to (``src/`` is its package root).
+REPO = Path(__file__).resolve().parents[2]
 
 CONFIG = FastSimulationConfig(
     n_nodes=60, bits=10, bucket_size=4, overlay_seed=5,
@@ -352,7 +356,7 @@ class TestServeCli:
              "--max-batch", "2"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True, env=env,
-            cwd="/root/repo",
+            cwd=REPO,
         )
         try:
             for line in request_lines(CONFIG, n_files=6):

@@ -383,6 +383,38 @@ class TestDaemonHTTP:
         finally:
             daemon.close()
 
+    @staticmethod
+    def _refused_then_served(body_for, literal):
+        """POST the body with ``"@"`` replaced by *literal*: a 400.
+
+        *body_for* maps a leased point id to ``(path, body)``. The
+        point stays leased and unsettled, and a well-formed completion
+        still settles it.
+        """
+        state, _ = make_state()
+        daemon = SweepQueueDaemon(state).start()
+        try:
+            leased = http_json(f"{daemon.url}/lease", {"worker": "w"})
+            point_id = leased["points"][0]["point"]["point_id"]
+            path, body = body_for(point_id)
+            raw = json.dumps(body).replace('"@"', literal).encode()
+            with pytest.raises(urllib.error.HTTPError) as bad:
+                urllib.request.urlopen(urllib.request.Request(
+                    f"{daemon.url}{path}", data=raw,
+                ), timeout=10.0)
+            assert bad.value.code == 400
+            bad.value.close()
+            status = http_json(f"{daemon.url}/status")
+            assert (status["completed"], status["leased"]) == (0, 1)
+            assert state.tracker.attempts == {}
+            done = http_json(f"{daemon.url}/complete", {
+                "worker": "w", "record": fake_record(point_id),
+                "index": 0, "elapsed": 0.1,
+            })
+            assert done["ok"] is True
+        finally:
+            daemon.close()
+
     @pytest.mark.parametrize("path, field, literal", [
         ("/lease", "count", "true"),
         ("/lease", "count", "2.7"),
@@ -398,30 +430,61 @@ class TestDaemonHTTP:
     def test_coerced_number_is_a_bad_request(self, path, field, literal):
         # Ints only for count (>= 1) and index, numbers only for
         # elapsed; the daemon refuses the request and keeps serving.
-        state, _ = make_state()
-        daemon = SweepQueueDaemon(state).start()
-        try:
-            leased = http_json(f"{daemon.url}/lease", {"worker": "w"})
-            point_id = leased["points"][0]["point"]["point_id"]
-            body = {"worker": "w", "count": 1, "index": 0,
-                    "record": fake_record(point_id), "elapsed": 0.1,
-                    field: "@"}
-            raw = json.dumps(body).replace('"@"', literal).encode()
-            with pytest.raises(urllib.error.HTTPError) as bad:
-                urllib.request.urlopen(urllib.request.Request(
-                    f"{daemon.url}{path}", data=raw,
-                ), timeout=10.0)
-            assert bad.value.code == 400
-            bad.value.close()
-            status = http_json(f"{daemon.url}/status")
-            assert (status["completed"], status["leased"]) == (0, 1)
-            done = http_json(f"{daemon.url}/complete", {
-                "worker": "w", "record": fake_record(point_id),
-                "index": 0, "elapsed": 0.1,
-            })
-            assert done["ok"] is True
-        finally:
-            daemon.close()
+        def body_for(point_id):
+            return path, {"worker": "w", "count": 1, "index": 0,
+                          "record": fake_record(point_id), "elapsed": 0.1,
+                          field: "@"}
+
+        self._refused_then_served(body_for, literal)
+
+    @pytest.mark.parametrize("path, field, literal", [
+        ("/lease", "worker", "7"),
+        ("/lease", "worker", "null"),
+        ("/complete", "worker", '["w"]'),
+        ("/fail", "worker", "true"),
+        ("/fail", "point_id", "7"),
+        ("/fail", "kind", "[]"),
+        ("/fail", "error", "{}"),
+        ("/fail", "digest", "null"),
+        ("/heartbeat", "worker", "1.5"),
+    ])
+    def test_non_string_field_is_a_bad_request(self, path, field,
+                                               literal):
+        # Worker names, point ids and failure fields are JSON strings;
+        # nothing is stringified on the way in.
+        def body_for(point_id):
+            body = {"worker": "w", "record": fake_record(point_id),
+                    "index": 0, "elapsed": 0.1, "point_id": point_id,
+                    "kind": "exception", "error": "E: boom",
+                    "digest": "d" * 16}
+            body[field] = "@"
+            return path, body
+
+        self._refused_then_served(body_for, literal)
+
+    @pytest.mark.parametrize("field, literal", [
+        ("replica", "true"),
+        ("replica", "0.0"),
+        ("replica", '"0"'),
+        ("workload_seed", "false"),
+        ("workload_seed", "1.5"),
+        ("workload_seed", '"1"'),
+        ("overrides", "[]"),
+        ("overrides", '[["bucket_size", 4]]'),
+        ("metrics", "[]"),
+        ("metrics", '[["chunks", 1]]'),
+    ])
+    def test_coerced_record_field_is_a_bad_request(self, field, literal):
+        # A completed record's replica and workload seed are JSON ints
+        # and its overrides and metrics JSON objects, as the store
+        # writes them.
+        def body_for(point_id):
+            record = fake_record(point_id)
+            record[field] = "@"
+            return "/complete", {"worker": "w", "record": record,
+                                 "index": 0, "elapsed": 0.1}
+
+        self._refused_then_served(body_for, literal)
 
     def test_lease_count_below_one_is_refused(self):
         state, _ = make_state()
