@@ -71,8 +71,8 @@ def quick_simulation(bucket_size: int = 4, originator_share: float = 1.0,
                      seed: int = 42):
     """Run a small end-to-end Swarm bandwidth-incentive simulation.
 
-    Convenience wrapper over :mod:`repro.backends` used by the
-    README quickstart; returns a
+    Convenience wrapper over :mod:`repro.backends`, kept because the
+    README quickstart is written against it; returns a
     :class:`~repro.backends.result.SimulationResult`.
     """
     # Imported lazily so `import repro` stays cheap.

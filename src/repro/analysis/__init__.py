@@ -20,10 +20,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "histogram": ["Histogram", "area_ratio", "histogram"],
     "latency": ["LatencyDistribution", "LatencyModel",
                 "latency_distribution"],
-    "plots": ["ascii_bars", "ascii_histogram", "ascii_lorenz"],
+    "plots": ["ascii_histogram", "ascii_lorenz"],
     "reports": ["Table"],
-    "stats": ["Summary", "bootstrap_gini_interval",
-              "mean_confidence_interval", "summarize"],
+    "stats": ["mean_confidence_interval"],
     "streaming": ["StreamingAggregator"],
     "table_viz": ["render_bucket_occupancy", "render_routing_table"],
 })

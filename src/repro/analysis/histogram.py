@@ -44,21 +44,6 @@ class Histogram:
         """Total observations."""
         return int(self.counts.sum())
 
-    def bin_centers(self) -> np.ndarray:
-        """Midpoint of each bin."""
-        return (self.bin_edges[:-1] + self.bin_edges[1:]) / 2.0
-
-    def mode_bin(self) -> tuple[float, float]:
-        """(low, high) edges of the most populated bin."""
-        index = int(np.argmax(self.counts))
-        return (float(self.bin_edges[index]), float(self.bin_edges[index + 1]))
-
-    def frequencies(self) -> np.ndarray:
-        """Counts normalized to fractions of the total."""
-        if self.total == 0:
-            return np.zeros_like(self.counts, dtype=np.float64)
-        return self.counts / self.total
-
     def rows(self) -> list[tuple[float, float, int]]:
         """(low, high, count) per bin, for tabular rendering."""
         return [

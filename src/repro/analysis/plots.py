@@ -17,7 +17,7 @@ from ..core.fairness import LorenzCurve
 from ..errors import ConfigurationError
 from .histogram import Histogram
 
-__all__ = ["ascii_lorenz", "ascii_histogram", "ascii_bars"]
+__all__ = ["ascii_lorenz", "ascii_histogram"]
 
 _SERIES_GLYPHS = "*o+x#@%&"
 
@@ -67,23 +67,5 @@ def ascii_histogram(hist: Histogram, *, width: int = 50,
         lines.append(
             f"[{low:>10.0f}, {high:>10.0f}) "
             f"{'#' * bar_length}{' ' * (width - bar_length)} {count}"
-        )
-    return "\n".join(lines)
-
-
-def ascii_bars(series: Mapping[str, float], *, width: int = 40,
-               fmt: str = "{:.4f}") -> str:
-    """Render labelled scalar values as comparable horizontal bars."""
-    require_int(width, "width")
-    if not series:
-        raise ConfigurationError("ascii_bars needs at least one value")
-    peak = max(abs(value) for value in series.values())
-    label_width = max(len(label) for label in series)
-    lines = []
-    for label, value in series.items():
-        bar_length = 0 if peak == 0 else round(width * abs(value) / peak)
-        rendered = fmt.format(value)
-        lines.append(
-            f"{label:<{label_width}} {'#' * bar_length} {rendered}"
         )
     return "\n".join(lines)

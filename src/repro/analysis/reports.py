@@ -1,17 +1,15 @@
 """Tabular report rendering (Table I and friends).
 
 Experiments produce :class:`Table` objects — ordered headers plus
-rows — that render to aligned plain text (for the terminal), Markdown
-(for EXPERIMENTS.md) and CSV (for downstream tooling). Keeping the
-renderer dumb and the data structured means every benchmark prints
-the same rows the paper reports, in a diff-able form.
+rows — that render to aligned plain text (for the terminal) and
+Markdown (for EXPERIMENTS.md). Keeping the renderer dumb and the data
+structured means every benchmark prints the same rows the paper
+reports, in a diff-able form.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Sequence
 
 from ..errors import ConfigurationError
@@ -74,22 +72,3 @@ class Table:
         parts.append("|" + "|".join("---" for _ in self.headers) + "|")
         parts.extend("| " + " | ".join(row) + " |" for row in body)
         return "\n".join(parts)
-
-    def to_csv(self) -> str:
-        """CSV rendering (RFC-4180-ish, minimal quoting)."""
-        buffer = io.StringIO()
-
-        def cell(value: str) -> str:
-            if any(ch in value for ch in ",\"\n"):
-                escaped = value.replace('"', '""')
-                return f'"{escaped}"'
-            return value
-
-        buffer.write(",".join(cell(str(h)) for h in self.headers) + "\n")
-        for row in self._formatted():
-            buffer.write(",".join(cell(v) for v in row) + "\n")
-        return buffer.getvalue()
-
-    def save_csv(self, path: str | Path) -> None:
-        """Write the CSV rendering to *path*."""
-        Path(path).write_text(self.to_csv())

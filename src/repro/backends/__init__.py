@@ -53,8 +53,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "config": ["FastSimulationConfig"],
     "result": ["SimulationResult"],
     "fast": ["FastBackend", "FastSimulation", "NextHopTable",
-             "cached_next_hop_table", "cached_overlay", "clear_caches",
-             "paper_result"],
+             "cached_next_hop_table", "cached_overlay", "clear_caches"],
     "timed": ["FluidWheel", "TimeBackend", "TimedSimulation"],
     "reference": ["ReferenceBackend"],
     "baselines": ["FilecoinBackend", "FlatRewardBackend",

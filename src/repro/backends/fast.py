@@ -130,7 +130,6 @@ __all__ = [
     "install_overlay",
     "cached_next_hop_table",
     "overlay_key",
-    "paper_result",
     "table_entry_dtype",
     "target_dtype",
     "MAX_FAST_BITS",
@@ -291,17 +290,19 @@ class _BlockCounts:
 
 
 class _SlabLedger:
-    """A split slab's first-hop income and expenditure for one phase.
+    """A slab's first-hop income and expenditure for one phase.
 
     The first block to book opens each sum with a weighted bincount,
     later ones go on with ``np.add.at``: the bits of one bincount over
-    the blocks laid end to end.
+    the blocks laid end to end, and for a lone block that bincount.
     """
 
     def __init__(self, blocks: int, n_nodes: int) -> None:
         self.n_nodes = n_nodes
         self.sums = None  # [income, expenditure] once a block books
-        self._turns = [threading.Event() for _ in range(blocks)]
+        # Only later blocks wait on a turn, so the last block (a lone
+        # one included) has none to pass.
+        self._turns = [threading.Event() for _ in range(blocks - 1)]
 
     def book(self, block: int, servers=None, origins=None, prices=None) -> None:
         """Add block *block*'s payments once every block before it has
@@ -319,7 +320,8 @@ class _SlabLedger:
                 for total, column in zip(self.sums, (servers, origins)):
                     np.add.at(total, column, prices)
         finally:
-            self._turns[block].set()
+            if block < len(self._turns):
+                self._turns[block].set()
 
 
 def _merge_counts(result: SimulationResult,
@@ -378,7 +380,8 @@ def clear_caches() -> None:
     plus the writable coded-matrix working copies handed to epoch
     plans), and the delta-fingerprinted epoch cache of storer tables
     and sparse coded patches — so tests cannot leak state across
-    modules through any of them.
+    modules through any of them. Kept as that test seam: the package
+    never needs to forget its caches.
     """
     from ..perf.table_cache import (
         global_epoch_table_cache,
@@ -867,11 +870,12 @@ class FastSimulation:
         price their wave-1 hops element-wise. Income and expenditure,
         the only floating-point sums, are booked once per slab (once
         for cache hits, then once for the rest) in sorted slab order:
-        a lone block books into *result* at wave 1, split blocks into
-        a :class:`_SlabLedger`, in block order, added after the join.
-        So every output is bit-identical however the slab split. A
-        single CPU, or a slab under two blocks, runs the same code as
-        one block with no histogram and no selection pass.
+        each block books its wave 1 into the phase's
+        :class:`_SlabLedger` in block order, and the ledgers are added
+        to *result* after the join, in phase order. So every output is
+        bit-identical however the slab split. A single CPU, or a slab
+        under two blocks, runs the same code as one block with no
+        histogram and no selection pass.
 
         ``alive`` (churn) makes each block drop the chunks whose origin
         or storer (in ``storer_table``) is offline, counted as
@@ -900,8 +904,7 @@ class FastSimulation:
         offline = None if alive is None else ~alive
         dead = (np.zeros(origins.size, bool)
                 if alive is not None and cached is not None else None)
-        ledgers = ([_SlabLedger(len(spans), n) for _ in range(1 if cached is None else 2)]
-                   if split else [])
+        ledgers = [_SlabLedger(len(spans), n) for _ in range(1 if cached is None else 2)]
         waves = dict(
             unpaid_origins=unpaid_origins, recorder=recorder,
             dead_lut=dead_lut, fallback_storers=storer_table,
@@ -956,8 +959,7 @@ class FastSimulation:
         def route(block: int, lo: int, hi: int) -> list[_BlockCounts]:
             try:
                 tg, cur, row, chunk_ids, unavailable = sorted_columns(lo, hi)
-                books = ([partial(ledger.book, block) for ledger in ledgers]
-                         or [partial(self._pay_first_hop, result)] * 2)
+                books = [partial(ledger.book, block) for ledger in ledgers]
                 if cached is None:
                     # Headline path (and patched-static dynamics): no
                     # storer column, no local-hit prefilter — wave 1
@@ -990,8 +992,7 @@ class FastSimulation:
                         else np.take(chunk_ids, index),
                         book=books[phase], first_hop_serves=serves, **waves,
                     ))
-                    if split:  # booked or not, pass before the next phase
-                        ledgers[phase].book(block)
+                    ledgers[phase].book(block)  # booked or not, pass
                 return phases
             finally:
                 for ledger in ledgers:
@@ -1018,7 +1019,7 @@ class FastSimulation:
         """Route one block's target-sorted columns in hop waves.
 
         Books its wave-1 hops through ``book(servers, origins, prices)``
-        (into the result, or a split slab's ledger) and returns its
+        (into its slab's :class:`_SlabLedger`) and returns its
         counters; it touches nothing else shared, so blocks run
         concurrently.
 
@@ -1201,21 +1202,6 @@ class FastSimulation:
         if suppressed is not None:
             prices[suppressed] = 0.0
         return prices
-
-    def _pay_first_hop(self, result: SimulationResult, servers: np.ndarray,
-                       origins: np.ndarray, prices: np.ndarray) -> None:
-        """Book first-hop *prices* as income and expenditure.
-
-        The two weighted sums are the kernel's only floating-point
-        reductions: a lone block books its whole slab in one call, in
-        sorted order (split blocks book into a :class:`_SlabLedger`).
-        *servers* are the first hops' node indices; contiguous intp
-        lets the weighted bincount skip an internal conversion copy.
-        """
-        n = len(result.node_addresses)
-        result.income += np.bincount(servers, weights=prices, minlength=n)
-        result.expenditure += np.bincount(origins, weights=prices,
-                                          minlength=n)
 
 
 # ----------------------------------------------------------------------
@@ -1418,19 +1404,3 @@ class FastBackend(SimulationBoundBackend):
     def run(self, workload=None) -> SimulationResult:
         self._require_prepared()
         return self.simulation.run(workload)
-
-
-def paper_result(bucket_size: int, originator_share: float,
-                 n_files: int = 10_000, *, n_nodes: int = 1000,
-                 overlay_seed: int = 42,
-                 workload_seed: int = 7) -> SimulationResult:
-    """Run one cell of the paper's 2x2 experiment grid."""
-    config = FastSimulationConfig(
-        n_nodes=n_nodes,
-        bucket_size=bucket_size,
-        originator_share=originator_share,
-        n_files=n_files,
-        overlay_seed=overlay_seed,
-        workload_seed=workload_seed,
-    )
-    return FastSimulation(config).run()

@@ -14,8 +14,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "fairness": ["FairnessReport", "LorenzCurve", "evaluate_fairness",
-                 "f1_values", "f2_values", "gini", "gini_pairwise",
-                 "lorenz_curve"],
+                 "f1_values", "f2_values", "gini", "lorenz_curve"],
     "incentives": ["SwapIncentives"],
     "overhead": ["OverheadModel", "OverheadReport", "overhead_report"],
     "policies": ["AllHopsPolicy", "NoPaymentPolicy", "Payment",

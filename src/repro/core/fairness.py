@@ -32,7 +32,6 @@ from ..errors import ConfigurationError
 
 __all__ = [
     "gini",
-    "gini_pairwise",
     "lorenz_curve",
     "LorenzCurve",
     "FairnessReport",
@@ -81,21 +80,6 @@ def gini(values: Sequence[float] | np.ndarray) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
-def gini_pairwise(values: Sequence[float] | np.ndarray) -> float:
-    """Direct O(n^2) evaluation of the paper's Eq. 1.
-
-    Kept as an executable specification: tests assert that
-    :func:`gini` equals this on random inputs. Do not use on large
-    populations.
-    """
-    array = _as_valid_array(values, "values")
-    total = array.sum()
-    if total == 0:
-        return 0.0
-    differences = np.abs(array[:, None] - array[None, :]).sum()
-    return float(differences / (2.0 * array.size * total))
-
-
 @dataclass(frozen=True)
 class LorenzCurve:
     """A Lorenz curve: cumulative population share vs cumulative value share.
@@ -117,14 +101,6 @@ class LorenzCurve:
         """Gini coefficient implied by the curve (trapezoid rule)."""
         area_under = float(np.trapezoid(self.cumulative, self.population))
         return 1.0 - 2.0 * area_under
-
-    def share_of_poorest(self, fraction: float) -> float:
-        """Value share held by the poorest *fraction* of the population."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ConfigurationError(
-                f"fraction must be in [0, 1], got {fraction}"
-            )
-        return float(np.interp(fraction, self.population, self.cumulative))
 
     def points(self) -> list[tuple[float, float]]:
         """The curve as a list of (population, cumulative) pairs."""

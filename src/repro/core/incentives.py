@@ -117,10 +117,6 @@ class SwapIncentives:
         """Evaluate the paper's F1/F2 properties with income as reward."""
         return evaluate_fairness(self.contributions(nodes), self.incomes(nodes))
 
-    def first_hop_counts(self, nodes: Sequence[int]) -> list[int]:
-        """Chunks served as the paid zero-proximity hop, per node."""
-        return self.ledger.first_hop_vector(list(nodes))
-
     def paper_f1_report(self, nodes: Sequence[int]) -> FairnessReport:
         """F1 exactly as Fig. 6 computes it.
 

@@ -19,7 +19,7 @@ module models that layer:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .._validation import require_non_negative, require_positive
 from ..errors import InsufficientFundsError, SettlementError
@@ -146,12 +146,6 @@ class SettlementStats:
     cheques_cashed: int = 0
     value_settled: float = 0.0
     fees_paid: float = 0.0
-
-    def mean_cheque_value(self) -> float:
-        """Average settled value per cashed cheque."""
-        if self.cheques_cashed == 0:
-            return 0.0
-        return self.value_settled / self.cheques_cashed
 
 
 class SettlementService:

@@ -23,7 +23,7 @@ positive balance means **b owes a**.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .._validation import require_non_negative, require_positive
 from ..errors import AccountingError
@@ -73,10 +73,6 @@ class SwapChannel:
                 f"channel endpoints must satisfy low < high, got "
                 f"({self.low}, {self.high})"
             )
-
-    def endpoints(self) -> tuple[int, int]:
-        """The channel's two peer addresses, (low, high)."""
-        return (self.low, self.high)
 
     def _check_member(self, peer: int) -> None:
         if peer not in (self.low, self.high):
@@ -211,13 +207,6 @@ class SwapLedger:
         """Whether serving *units* more would breach the disconnect limit."""
         debt = self.balance(provider, consumer)
         return debt + units > self.thresholds.disconnect
-
-    def settlement_due(self, provider: int, consumer: int) -> float:
-        """Debt *consumer* owes above the payment threshold (0 if none)."""
-        debt = self.balance(provider, consumer)
-        if debt >= self.thresholds.payment:
-            return debt
-        return 0.0
 
     def pay(self, payer: int, payee: int, amount: float) -> None:
         """Settle *amount* of the payer's debt with a BZZ transfer.

@@ -47,7 +47,10 @@ class PeriodicEvent:
     cancelled: bool = False
 
     def cancel(self) -> None:
-        """Stop future firings (the current one completes)."""
+        """Stop future firings (the current one completes).
+
+        Only tests call this; it goes when :mod:`repro.engine` does.
+        """
         self.cancelled = True
 
 
@@ -78,7 +81,10 @@ class EventScheduler:
 
     def schedule_in(self, delay: float, handler: Handler,
                     name: str = "event") -> Event:
-        """Schedule *handler* after *delay* time units."""
+        """Schedule *handler* after *delay* time units.
+
+        Only tests call this; it goes when :mod:`repro.engine` does.
+        """
         require_non_negative(delay, "delay")
         return self.schedule_at(self.now + delay, handler, name)
 

@@ -33,7 +33,6 @@ from ..backends.fast import (
     cached_next_hop_table,
     cached_overlay,
     clear_caches,
-    paper_result,
 )
 from .paper import (
     GRID_BUCKET_SIZES,
@@ -70,7 +69,6 @@ __all__ = [
     "clear_caches",
     "get_experiment",
     "list_experiments",
-    "paper_result",
     "run_baselines",
     "run_bucket0",
     "run_caching",

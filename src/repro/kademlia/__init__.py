@@ -14,7 +14,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "address": ["AddressSpace", "bit_length_array", "common_prefix_length",
-                "proximity", "xor_distance", "xor_nearest_fill"],
+                "proximity", "xor_nearest_fill"],
     "buckets": ["BucketLimits", "KBucket", "KADEMLIA_BUCKET_SIZE",
                 "NEIGHBORHOOD_MIN", "SWARM_BUCKET_SIZE"],
     "iterative": ["IterativeLookup", "LookupResult"],

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from ..errors import AddressError, ConfigurationError
 
 __all__ = [
     "AddressSpace",
-    "xor_distance",
     "proximity",
     "common_prefix_length",
     "bit_length_array",
@@ -43,11 +42,6 @@ __all__ = [
 #: Maximum supported address width in bits. 64 keeps every address a
 #: machine int; the paper only needs 16.
 MAX_BITS = 64
-
-
-def xor_distance(a: int, b: int) -> int:
-    """Return the Kademlia XOR distance between two addresses."""
-    return a ^ b
 
 
 def common_prefix_length(a: int, b: int, bits: int) -> int:
@@ -143,11 +137,6 @@ class AddressSpace:
             )
         return address
 
-    def validate_many(self, addresses: Iterable[int],
-                      *, name: str = "address") -> list[int]:
-        """Validate every address in *addresses*; return them as a list."""
-        return [self.validate(a, name=name) for a in addresses]
-
     def distance(self, a: int, b: int) -> int:
         """XOR distance between two validated addresses."""
         self.validate(a, name="a")
@@ -193,16 +182,6 @@ class AddressSpace:
         assert best is not None
         return best
 
-    def closest_index(self, target: int, candidates: np.ndarray) -> int:
-        """Vectorized :meth:`closest` over a numpy array of addresses.
-
-        Returns the *index* of the closest candidate rather than the
-        address, which is what the vectorized router needs.
-        """
-        if candidates.size == 0:
-            raise AddressError("closest_index() requires at least one candidate")
-        return int(np.argmin(candidates ^ np.uint64(target)))
-
     def sort_by_distance(self, target: int,
                          candidates: Iterable[int]) -> list[int]:
         """Return *candidates* sorted by increasing XOR distance to *target*."""
@@ -227,25 +206,6 @@ class AddressSpace:
             chosen = rng.choice(self.size, size=count, replace=False)
             return [int(a) for a in chosen]
         return [int(a) for a in rng.integers(0, self.size, size=count)]
-
-    def iter_prefix_group(self, prefix: int, prefix_len: int) -> Iterator[int]:
-        """Yield all addresses whose top *prefix_len* bits equal *prefix*.
-
-        Useful in tests to enumerate a bucket's candidate set
-        exhaustively in small spaces.
-        """
-        if not 0 <= prefix_len <= self.bits:
-            raise ConfigurationError(
-                f"prefix_len must be in [0, {self.bits}], got {prefix_len}"
-            )
-        if prefix >= (1 << prefix_len) and prefix_len > 0:
-            raise AddressError(
-                f"prefix {prefix} does not fit in {prefix_len} bits"
-            )
-        suffix_bits = self.bits - prefix_len
-        base = prefix << suffix_bits
-        for suffix in range(1 << suffix_bits):
-            yield base | suffix
 
     def format_address(self, address: int) -> str:
         """Render an address as a zero-padded binary string."""

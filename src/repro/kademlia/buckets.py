@@ -68,11 +68,6 @@ class BucketLimits:
         """All buckets share one capacity (the common case)."""
         return cls(default=size)
 
-    @classmethod
-    def with_bucket_zero(cls, default: int, bucket_zero: int) -> "BucketLimits":
-        """Paper §V ablation: a different capacity for bucket 0 only."""
-        return cls(default=default, overrides={0: bucket_zero})
-
 
 class KBucket:
     """An ordered, capacity-limited set of peer addresses.

@@ -281,7 +281,11 @@ class Overlay:
     @classmethod
     def from_tables(cls, config: OverlayConfig,
                     tables: Mapping[int, RoutingTable]) -> "Overlay":
-        """Wrap externally built tables (used by tests)."""
+        """Wrap externally built tables.
+
+        Kept as the test seam for hand-made overlays; nothing in the
+        package builds tables outside :meth:`build`.
+        """
         return cls(config, sorted(tables), tables)
 
     # ------------------------------------------------------------------
@@ -404,10 +408,6 @@ class Overlay:
                              order.tolist(), storers)
             self._storer_cache = storers
         return self._storer_cache
-
-    def degree_histogram(self) -> dict[int, int]:
-        """Map node address -> number of known peers."""
-        return dict(zip(self.addresses, self.degrees().tolist()))
 
     # ------------------------------------------------------------------
     # Persistence (multi-machine result merging support)

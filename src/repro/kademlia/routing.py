@@ -72,16 +72,6 @@ class Route:
         """The zero-proximity node, or ``None`` for a local hit."""
         return self.path[1] if len(self.path) > 1 else None
 
-    @property
-    def forwarders(self) -> tuple[int, ...]:
-        """Every node that transmitted the chunk downstream.
-
-        This is the paper's "forwarded chunks" unit: every node on the
-        path except the originator transmits the chunk once (the storer
-        serves it, intermediate nodes relay it).
-        """
-        return self.path[1:]
-
 
 @dataclass
 class RoutingStats:
@@ -190,7 +180,3 @@ class Router:
         route = Route(target=target, path=tuple(path), fallback=fallback)
         self.stats.record(route)
         return route
-
-    def route_many(self, origin: int, targets: list[int]) -> list[Route]:
-        """Route every chunk address in *targets* from one originator."""
-        return [self.route(origin, target) for target in targets]

@@ -421,9 +421,11 @@ class RoutingTable:
     def add_unbounded(self, address: int) -> bool:
         """Learn about a peer ignoring its bucket's capacity.
 
-        Overlay builders use this for neighborhood peers, which Swarm
-        keeps uncapped (paper §III-A: the last bucket "includes all
-        nodes" beyond the depth).
+        This is how a neighborhood peer is added, which Swarm keeps
+        uncapped (paper §III-A: the last bucket "includes all nodes"
+        beyond the depth). Kept as the test seam for hand-made tables
+        and the per-node overlay oracle; production overlays come from
+        the edge list.
         """
         self.space.validate(address)
         added = self.bucket_of(address).add_uncapped(address)

@@ -135,8 +135,11 @@ class TableCache:
         return self._handles.get(handle.fingerprint) == handle
 
     def install(self, fingerprint: str, table: "NextHopTable") -> None:
-        """Memoize an externally built table under *fingerprint*: the
-        seam tests use to plant one (a read-only table, say)."""
+        """Memoize an externally built table under *fingerprint*.
+
+        Kept as the test seam that plants a table (a read-only one,
+        say); the package itself only memoizes what it builds.
+        """
         self._tables[fingerprint] = table
 
     def writable_coded(self, table: "NextHopTable") -> np.ndarray:
@@ -183,7 +186,10 @@ class EpochCacheStats:
 
     @property
     def resolutions(self) -> int:
-        """Total epoch-table requests served."""
+        """Total epoch-table requests served.
+
+        Kept for the tests that check every request was counted once.
+        """
         return self.patches + self.rebuilds + self.hits
 
     def snapshot(self) -> dict[str, int]:

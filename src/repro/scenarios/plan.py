@@ -67,7 +67,10 @@ class CacheRuntime:
 
     @property
     def cached_count(self) -> int:
-        """Number of distinct addresses currently cached."""
+        """Number of distinct addresses currently cached.
+
+        Kept for the caching tests, which check the FIFO bound with it.
+        """
         return int(np.count_nonzero(self.mask))
 
     def set_capacity(self, capacity: int) -> None:

@@ -7,7 +7,7 @@ overlay substrate with the SWAP incentive mechanism.
 """
 
 from .caching import CachePolicy, LFUCache, LRUCache, NoCache, make_cache
-from .chunk import CHUNK_SIZE, Chunk, FileManifest, random_file, split_content
+from .chunk import CHUNK_SIZE, Chunk, FileManifest, split_content
 from .postage import PostageBatch, PostageError, PostageOffice, PostageStamp
 from .redistribution import RedistributionGame, RoundOutcome, StakeRegistry
 from .network import DownloadReceipt, SwarmNetwork, SwarmNetworkConfig
@@ -47,6 +47,5 @@ __all__ = [
     "SwarmNetworkConfig",
     "SwarmNode",
     "make_cache",
-    "random_file",
     "split_content",
 ]

@@ -3,10 +3,10 @@
 All content in Swarm is split into fixed-size 4KB chunks addressed on
 the same space as nodes, which is what makes "the node closest to the
 chunk" meaningful. The paper's simulation abstracts chunk payloads
-away and draws chunk addresses uniformly at random; this module
-supports both that abstraction (:func:`random_file`) and real
-content addressing (:meth:`Chunk.from_data`, address = truncated
-SHA-256 of the payload) so examples can store and verify actual bytes.
+away and draws chunk addresses uniformly at random (a manifest of bare
+addresses); this module also supports real content addressing
+(:meth:`Chunk.from_data`, address = truncated SHA-256 of the payload)
+so examples can store and verify actual bytes.
 """
 
 from __future__ import annotations
@@ -14,13 +14,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .._validation import require_int, require_positive
 from ..errors import ConfigurationError
 from ..kademlia.address import AddressSpace
 
-__all__ = ["CHUNK_SIZE", "Chunk", "FileManifest", "split_content", "random_file"]
+__all__ = ["CHUNK_SIZE", "Chunk", "FileManifest", "split_content"]
 
 #: Swarm's fixed chunk payload size in bytes (paper §III-A).
 CHUNK_SIZE = 4096
@@ -90,11 +87,6 @@ class FileManifest:
     def __len__(self) -> int:
         return len(self.chunk_addresses)
 
-    @property
-    def total_bytes(self) -> int:
-        """Nominal file size (chunk count times the 4KB chunk size)."""
-        return len(self.chunk_addresses) * CHUNK_SIZE
-
 
 def split_content(file_id: int, content: bytes,
                   space: AddressSpace) -> FileManifest:
@@ -110,19 +102,3 @@ def split_content(file_id: int, content: bytes,
         chunk_addresses=tuple(chunk.address for chunk in chunks),
         chunks=chunks,
     )
-
-
-def random_file(file_id: int, n_chunks: int, space: AddressSpace,
-                rng: np.random.Generator) -> FileManifest:
-    """The paper's abstract file: *n_chunks* uniform chunk addresses.
-
-    Addresses are drawn with replacement from the full space, exactly
-    as §IV-B describes ("addresses of chunks are chosen uniformly at
-    random from the complete address space").
-    """
-    require_int(n_chunks, "n_chunks")
-    require_positive(n_chunks, "n_chunks")
-    addresses = tuple(
-        int(a) for a in rng.integers(0, space.size, size=n_chunks)
-    )
-    return FileManifest(file_id=file_id, chunk_addresses=addresses)

@@ -172,19 +172,6 @@ class SwarmNetwork:
     # ------------------------------------------------------------------
     # Content operations
 
-    def seed_manifest(self, manifest: FileManifest) -> None:
-        """Place a file's chunks at their storers without bandwidth.
-
-        Bootstrap helper for experiments that study downloads only —
-        matches the paper, where storage placement is assumed.
-        """
-        payloads = manifest.chunks or (None,) * len(manifest)
-        for address, chunk in zip(manifest.chunk_addresses, payloads):
-            for storer in self.placement.storers(address, self.overlay):
-                self.node(storer).store.put(
-                    address, chunk.data if chunk is not None else None
-                )
-
     def upload_file(self, originator: int,
                     manifest: FileManifest) -> DownloadReceipt:
         """Push a file from *originator* to its storers, with accounting.

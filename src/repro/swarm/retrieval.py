@@ -15,7 +15,7 @@ a path can terminate early at any node holding the chunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from ..errors import RoutingError
@@ -44,12 +44,6 @@ class Retrieval:
 
     route: Route
     source: str
-
-    @property
-    def served_by(self) -> int:
-        """The node that produced the chunk payload."""
-        return self.route.storer
-
 
 @dataclass
 class RetrievalStats:

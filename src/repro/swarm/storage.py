@@ -77,10 +77,6 @@ class ChunkStore:
         """Payload of a stored chunk; raises KeyError when absent."""
         return self._chunks[address]
 
-    def delete(self, address: int) -> None:
-        """Unpin a chunk; raises KeyError when absent."""
-        del self._chunks[address]
-
     def addresses(self) -> list[int]:
         """All pinned chunk addresses."""
         return list(self._chunks)
@@ -92,10 +88,6 @@ class PlacementPolicy(ABC):
     @abstractmethod
     def storers(self, chunk_address: int, overlay: Overlay) -> list[int]:
         """Node addresses that must pin *chunk_address*, primary first."""
-
-    def primary(self, chunk_address: int, overlay: Overlay) -> int:
-        """The single node a retrieval must reach (the XOR-closest)."""
-        return self.storers(chunk_address, overlay)[0]
 
 
 @dataclass(frozen=True)

@@ -55,8 +55,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "resilience": ["PointFailure", "QueueState", "RetryPolicy",
                    "failure_digest"],
     "spec": ["SweepPoint", "SweepSpec", "parse_grid_arguments",
-             "parse_grid_value", "replica_seed", "replica_seeds",
-             "sweepable_fields"],
+             "parse_grid_value", "replica_seeds", "sweepable_fields"],
     "store": ["SweepStore", "merge_provenance"],
     "worker": ["PointOutcome", "execute_point", "point_from_payload",
                "result_metrics"],

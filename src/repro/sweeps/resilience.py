@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
+import json
 import math
 import queue
 import threading
@@ -334,6 +335,9 @@ class QueueState:
         Idempotent: a point re-leased after a false-positive expiry is
         eventually completed twice with byte-identical records (the
         sweep is deterministic); only the first settles and emits. A
+        record whose backend, overrides, replica or workload seed is
+        not its point's is refused (:class:`ValueError`), lease or no
+        lease. A
         success also supersedes a quarantine recorded meanwhile —
         matching :meth:`SweepStore.add`, which drops the failure entry.
 
@@ -354,6 +358,16 @@ class QueueState:
         if not isinstance(record["overrides"], dict):
             raise ValueError(f"record overrides must be a JSON object, "
                              f"got {record['overrides']!r}")
+        point = self.points[record["point_id"]]
+        for key, value in (("backend", point.backend),
+                           ("overrides", dict(point.overrides)),
+                           ("replica", point.replica),
+                           ("workload_seed", point.workload_seed)):
+            # Compared as the JSON the record travels in.
+            if (json.dumps(record[key], sort_keys=True)
+                    != json.dumps(value, sort_keys=True)):
+                raise ValueError(f"record {key} {record[key]!r} is not "
+                                 f"point {point.point_id!r}'s {value!r}")
         return self.record_outcome(worker, PointOutcome(
             point_id=record["point_id"],
             index=int(index),

@@ -37,7 +37,6 @@ from ..errors import ConfigurationError
 __all__ = [
     "SweepSpec",
     "SweepPoint",
-    "replica_seed",
     "replica_seeds",
     "sweepable_fields",
     "parse_grid_value",
@@ -59,21 +58,14 @@ def sweepable_fields() -> dict[str, Any]:
     }
 
 
-def replica_seed(seed_entropy: int, replica: int) -> int:
-    """The 64-bit workload seed for one replica index.
+def replica_seeds(seed_entropy: int, n: int) -> tuple[int, ...]:
+    """Workload seeds for replicas ``0..n-1``.
 
     Uses :meth:`numpy.random.SeedSequence.spawn`: child ``r`` of
     ``SeedSequence(seed_entropy)`` is fully determined by the entropy
-    and ``r``, so the mapping is stable no matter which points run,
-    where, or in what order.
+    and ``r``, so the seeds are prefix-stable and each one is the same
+    no matter which points run, where, or in what order.
     """
-    if replica < 0:
-        raise ConfigurationError(f"replica must be >= 0, got {replica}")
-    return replica_seeds(seed_entropy, replica + 1)[replica]
-
-
-def replica_seeds(seed_entropy: int, n: int) -> tuple[int, ...]:
-    """Workload seeds for replicas ``0..n-1``."""
     children = np.random.SeedSequence(seed_entropy).spawn(n)
     seeds = []
     for child in children:
@@ -125,7 +117,7 @@ class SweepSpec:
     workers, the store, and aggregation treat it like any other cell
     dimension; ``seeds`` is the number of workload-seed replicas per
     cell, each derived from ``seed_entropy`` (see
-    :func:`replica_seed`). Validation looks every backend name up in
+    :func:`replica_seeds`). Validation looks every backend name up in
     the registry and constructs every grid cell's configuration once,
     so unknown backends and bad fields, values, or scenario specs fail
     at spec-build time, not inside a worker process.

@@ -187,7 +187,7 @@ class SweepStore:
                     f"it or pass resume=False to overwrite"
                 )
             # A raised seed count is a valid extension: replica seeds
-            # are prefix-stable (see repro.sweeps.spec.replica_seed),
+            # are prefix-stable (see repro.sweeps.spec.replica_seeds),
             # so every recorded point stays valid under the new spec.
             loaded.spec = spec
             return loaded

@@ -21,22 +21,19 @@ class TestHistogram:
         b = histogram([7, 8], bins=4, value_range=(0, 8))
         assert np.array_equal(a.bin_edges, b.bin_edges)
 
-    def test_bin_centers(self):
-        hist = histogram([0, 10], bins=2, value_range=(0, 10))
-        assert hist.bin_centers().tolist() == [2.5, 7.5]
-
-    def test_mode_bin(self):
-        hist = histogram([1, 1, 1, 9], bins=2, value_range=(0, 10))
-        low, high = hist.mode_bin()
-        assert low == 0.0 and high == 5.0
-
-    def test_frequencies_sum_to_one(self):
-        hist = histogram([1, 2, 3, 4], bins=2)
-        assert hist.frequencies().sum() == pytest.approx(1.0)
-
     def test_rows(self):
         hist = histogram([1, 9], bins=2, value_range=(0, 10))
         assert hist.rows() == [(0.0, 5.0, 1), (5.0, 10.0, 1)]
+
+    def test_rows_tile_the_value_range(self):
+        hist = histogram([2.0, 3.5, 4.0, 11.0], bins=3)
+        rows = hist.rows()
+        assert rows[0][0] == 2.0 and rows[-1][1] == 11.0
+        assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
+
+    def test_maximum_lands_in_the_last_bin(self):
+        hist = histogram([0, 10], bins=2, value_range=(0, 10))
+        assert hist.counts.tolist() == [1, 1]
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -55,6 +52,9 @@ class TestHistogram:
 class TestAreaRatio:
     def test_equals_total_ratio(self):
         assert area_ratio([2, 2], [1, 1]) == pytest.approx(2.0)
+
+    def test_ratio_of_sums_whatever_the_lengths(self):
+        assert area_ratio([10.0], [1.0, 1.0, 2.0]) == pytest.approx(2.5)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ConfigurationError):

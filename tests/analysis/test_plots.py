@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.histogram import histogram
-from repro.analysis.plots import ascii_bars, ascii_histogram, ascii_lorenz
+from repro.analysis.plots import ascii_histogram, ascii_lorenz
 from repro.core.fairness import lorenz_curve
 from repro.errors import ConfigurationError
 
@@ -57,23 +57,3 @@ class TestAsciiHistogram:
     def test_bad_width_rejected(self):
         with pytest.raises(ConfigurationError):
             ascii_histogram(histogram([1.0], bins=1), width=0)
-
-
-class TestAsciiBars:
-    def test_labels_and_values_rendered(self):
-        rendered = ascii_bars({"k=4": 0.5, "k=20": 0.25})
-        assert "k=4" in rendered
-        assert "0.5000" in rendered
-
-    def test_longest_bar_for_largest_value(self):
-        rendered = ascii_bars({"small": 1.0, "big": 2.0}, width=10)
-        lines = dict(
-            (line.split()[0], line.count("#"))
-            for line in rendered.splitlines()
-        )
-        assert lines["big"] == 10
-        assert lines["small"] == 5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ascii_bars({})

@@ -43,20 +43,20 @@ class TestTable:
         assert "| name | value |" in markdown
         assert "| alpha | 1.2346 |" in markdown
 
-    def test_csv_rendering(self, table):
-        csv = table.to_csv()
-        assert csv.splitlines()[0] == "name,value"
-        assert "alpha,1.2346" in csv
+    def test_text_columns_line_up(self, table):
+        # The first column is as wide as "alpha", plus a two-space gap.
+        lines = table.to_text().splitlines()
+        assert [line[7:] for line in lines[1:]] == [
+            "value", "------", "1.2346", "7"]
 
-    def test_csv_quoting(self):
-        table = Table(title="q", headers=["a"])
-        table.add_row('with,comma "and quotes"')
-        assert '"with,comma ""and quotes"""' in table.to_csv()
+    def test_integers_keep_their_form(self, table):
+        assert "| beta | 7 |" in table.to_markdown()
+        assert "7.0000" not in table.to_text()
 
-    def test_save_csv(self, table, tmp_path):
-        path = tmp_path / "table.csv"
-        table.save_csv(path)
-        assert path.read_text().startswith("name,value")
+    def test_markdown_has_a_separator_per_column(self, table):
+        lines = table.to_markdown().splitlines()
+        assert lines[3] == "|---|---|"
+        assert len(lines) == 4 + len(table.rows)
 
     def test_empty_table_renders(self):
         table = Table(title="empty", headers=["a", "b"])

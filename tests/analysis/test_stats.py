@@ -5,32 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.stats import (
-    _t_quantile,
-    mean_confidence_interval,
-    summarize,
-)
+from repro.analysis.stats import _t_quantile, mean_confidence_interval
 from repro.errors import ConfigurationError
-
-
-class TestSummarize:
-    def test_known_values(self):
-        summary = summarize([1.0, 2.0, 3.0, 4.0])
-        assert summary.count == 4
-        assert summary.mean == 2.5
-        assert summary.minimum == 1.0
-        assert summary.maximum == 4.0
-        assert summary.median == 2.5
-
-    def test_single_value_std_zero(self):
-        assert summarize([5.0]).std == 0.0
-
-    def test_str_contains_fields(self):
-        assert "median" in str(summarize([1.0, 2.0]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            summarize([])
 
 
 class TestConfidenceInterval:
@@ -47,6 +23,23 @@ class TestConfidenceInterval:
         _, low_s, high_s = mean_confidence_interval(small)
         _, low_l, high_l = mean_confidence_interval(large)
         assert (high_l - low_l) < (high_s - low_s)
+
+    def test_known_values(self):
+        # mean 2, sample std 1, t(0.975, dof=2) = 4.302652729911275.
+        mean, low, high = mean_confidence_interval([1.0, 2.0, 3.0])
+        margin = 4.302652729911275 / np.sqrt(3)
+        assert mean == 2.0
+        assert low == pytest.approx(2.0 - margin)
+        assert high == pytest.approx(2.0 + margin)
+
+    def test_constant_values_give_zero_width(self):
+        assert mean_confidence_interval([3.0] * 5) == (3.0, 3.0, 3.0)
+
+    def test_higher_confidence_is_wider(self):
+        values = np.random.default_rng(3).normal(0, 1, size=30)
+        _, low_90, high_90 = mean_confidence_interval(values, 0.90)
+        _, low_99, high_99 = mean_confidence_interval(values, 0.99)
+        assert low_99 < low_90 and high_90 < high_99
 
     def test_single_observation_rejected(self):
         with pytest.raises(ConfigurationError):

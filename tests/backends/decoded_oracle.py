@@ -165,7 +165,10 @@ def _route_waves(simulation: FastSimulation, cur: np.ndarray,
             result.first_hop += wave_counts
             prices = simulation._first_hop_prices(servers, first_tg, cur,
                                                   unpaid_origins)
-            simulation._pay_first_hop(result, servers, cur, prices)
+            result.income += np.bincount(servers, weights=prices,
+                                         minlength=n)
+            result.expenditure += np.bincount(cur, weights=prices,
+                                              minlength=n)
             if first_hop_serves:
                 result.cache_hits += int(cur.size)
                 result.hop_histogram[1] = (

@@ -5,10 +5,10 @@
 routes its own chunks on the block pool, the integer counters merge
 after the join, and each block books its wave-1 payments into the
 slab's ledger (``fast._SlabLedger``) in block order, each continuing
-the sums the block before it left. These tests force many blocks on
-small configurations (a tiny block minimum and a CPU budget above the
-real one) and compare every output, byte for byte, with the one-block
-run.
+the sums the block before it left (a lone block opens them). These
+tests force many blocks on small configurations (a tiny block minimum
+and a CPU budget above the real one) and compare every output, byte
+for byte, with the one-block run.
 """
 
 from __future__ import annotations
@@ -250,7 +250,10 @@ class TestBitIdentity:
         monkeypatch.setattr(fast, "_run_blocks", recording)
         split(1)
         expected = route_slab(simulation, origins, targets)
-        assert not bookings  # a lone block books into the result
+        # A lone block books through the ledgers too, opening each sum.
+        assert bookings
+        assert all(block == 0 and opened for _, block, opened in bookings)
+        del bookings[:]
         most = split(4)
         actual = route_slab(simulation, origins, targets)
         assert most == [4]
@@ -309,6 +312,7 @@ class TestBookingChain:
         simulation = FastSimulation(config)
         split(1)
         expected = simulation.run()
+        del bookings[:]  # the one-block run booked through ledgers too
         original = FastSimulation._route_block
         failing_threads = []
 

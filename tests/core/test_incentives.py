@@ -26,7 +26,7 @@ class TestProcessRoute:
         incentives.process_route(Route(target=5, path=(1, 2, 3, 4)))
         nodes = [1, 2, 3, 4]
         assert incentives.contributions(nodes) == [0.0, 1.0, 1.0, 1.0]
-        assert incentives.first_hop_counts(nodes) == [0, 1, 0, 0]
+        assert incentives.ledger.first_hop_vector(nodes) == [0, 1, 0, 0]
 
     def test_first_hop_paid_directly(self, incentives):
         incentives.process_route(Route(target=5, path=(1, 2, 3)))

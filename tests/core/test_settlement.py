@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.settlement import Cheque, Chequebook, SettlementService
+from repro.core.settlement import (
+    Cheque,
+    Chequebook,
+    SettlementService,
+    SettlementStats,
+)
 from repro.core.swap import SwapLedger
 from repro.errors import (
     InsufficientFundsError,
@@ -81,6 +86,18 @@ class TestChequebookCash:
         with pytest.raises(SettlementError, match="chequebook of"):
             Chequebook(owner=9).cash(cheque)
 
+    def test_outstanding_is_promised_less_cashed(self):
+        book = Chequebook(owner=1)
+        first = book.issue(2, 3.0)
+        book.issue(5, 4.0)
+        book.cash(first)
+        assert book.promised_to(2) == 3.0
+        assert book.promised_to(5) == 4.0
+        assert book.promised_to(9) == 0.0
+        assert book.total_promised == 7.0
+        assert book.total_cashed == 3.0
+        assert book.outstanding == 4.0
+
     def test_forged_amount_rejected(self):
         book = Chequebook(owner=1)
         book.issue(2, 5.0)
@@ -115,7 +132,8 @@ class TestSettlementService:
         service.settle_direct(2, 1, 4.0)
         service.settle_direct(3, 1, 4.0)
         assert service.stats.fees_paid == 1.0
-        assert service.stats.mean_cheque_value() == 4.0
+        assert service.stats.value_settled == 8.0
+        assert service.stats.cheques_cashed == 2
 
     def test_default_deposit_applied(self):
         ledger = SwapLedger()
@@ -131,6 +149,15 @@ class TestSettlementService:
         with pytest.raises(InsufficientFundsError):
             service.settle_direct(2, 1, 1.0)
 
-    def test_mean_cheque_value_empty(self):
+    def test_stats_start_at_zero(self):
         service = SettlementService(SwapLedger())
-        assert service.stats.mean_cheque_value() == 0.0
+        assert service.stats == SettlementStats()
+
+    def test_bounced_cheque_counts_nothing(self):
+        ledger = SwapLedger()
+        service = SettlementService(ledger, default_deposit=1.0)
+        with pytest.raises(InsufficientFundsError):
+            service.settle_direct(2, 1, 4.0)
+        assert service.stats == SettlementStats()
+        assert ledger.income[1] == 0.0
+        assert service.chequebook(2).total_promised == 0.0

@@ -100,7 +100,7 @@ class TestSwapLedgerChannels:
     def test_channel_created_on_first_use(self):
         ledger = SwapLedger()
         channel = ledger.channel(7, 3)
-        assert channel.endpoints() == (3, 7)
+        assert (channel.low, channel.high) == (3, 7)
         assert ledger.channel(3, 7) is channel
 
     def test_self_channel_rejected(self):
@@ -125,13 +125,6 @@ class TestSwapLedgerRecording:
         assert not ledger.would_disconnect(1, 2, 1.0)
         assert ledger.would_disconnect(1, 2, 2.0)
 
-    def test_settlement_due(self):
-        ledger = SwapLedger(SwapThresholds(payment=10, disconnect=15))
-        ledger.record_service(1, 2, 9.0)
-        assert ledger.settlement_due(1, 2) == 0.0
-        ledger.record_service(1, 2, 2.0)
-        assert ledger.settlement_due(1, 2) == pytest.approx(11.0)
-
     def test_pay_settles_and_tracks_income(self):
         ledger = SwapLedger()
         ledger.record_service(1, 2, 10.0)
@@ -139,6 +132,29 @@ class TestSwapLedgerRecording:
         assert ledger.balance(1, 2) == pytest.approx(0.0)
         assert ledger.income[1] == 10.0
         assert ledger.expenditure[2] == 10.0
+
+    def test_balance_is_antisymmetric(self):
+        ledger = SwapLedger()
+        ledger.record_service(provider=1, consumer=2, units=3.0)
+        assert ledger.balance(2, 1) == -3.0
+
+    def test_service_both_ways_nets_on_the_channel(self):
+        ledger = SwapLedger()
+        ledger.record_service(provider=1, consumer=2, units=5.0)
+        ledger.record_service(provider=2, consumer=1, units=2.0)
+        assert ledger.balance(1, 2) == 3.0
+        assert len(ledger.channels()) == 1
+        assert ledger.service_provided[1] == 5.0
+        assert ledger.service_provided[2] == 2.0
+
+    def test_pay_beyond_debt_leaves_aggregates_alone(self):
+        ledger = SwapLedger()
+        ledger.record_service(provider=1, consumer=2, units=2.0)
+        with pytest.raises(AccountingError):
+            ledger.pay(payer=2, payee=1, amount=3.0)
+        assert ledger.balance(1, 2) == 2.0
+        assert ledger.income[1] == 0.0
+        assert ledger.expenditure[2] == 0.0
 
     def test_pay_direct_bypasses_channel(self):
         ledger = SwapLedger()
@@ -236,9 +252,9 @@ class TestAmortizeAll:
     def test_clears_a_due_settlement(self):
         ledger = SwapLedger(SwapThresholds(payment=10.0, disconnect=20.0))
         ledger.record_service(1, 2, 12.0)
-        assert ledger.settlement_due(1, 2) == pytest.approx(12.0)
+        assert ledger.balance(1, 2) == pytest.approx(12.0)
         ledger.amortize_all(3.0)
-        assert ledger.settlement_due(1, 2) == 0.0
+        assert ledger.balance(1, 2) < ledger.thresholds.payment
 
     def test_restores_headroom_below_disconnect(self):
         ledger = SwapLedger(SwapThresholds(payment=10.0, disconnect=20.0))

@@ -42,7 +42,7 @@ class TestContentRoundTrip:
         for retrieval, address in zip(
             receipt.retrievals, manifest.chunk_addresses
         ):
-            server = network.node(retrieval.served_by)
+            server = network.node(retrieval.route.storer)
             assert server.has_chunk(address) or retrieval.source == "local"
 
 

@@ -1,6 +1,6 @@
-"""Every ``src/repro`` module is reached from an entry point.
+"""Every ``src/repro`` module and public name is reached.
 
-The walk reads source with :mod:`ast` and imports nothing. Starting
+Both walks read source with :mod:`ast` and import nothing. Starting
 from the entry points below it follows:
 
 * ``import`` and ``from`` statements, relative ones resolved;
@@ -14,12 +14,26 @@ then. Its re-exports of its own submodules are followed only when
 something imports the package itself, so a module that nothing but
 its package's re-export list names is not reached, and the test
 names it.
+
+The second walk is a ratchet on public names: every public top-level
+function and class of ``src/repro``, and every public method of a
+top-level class, must be named by code under ``src/``, ``perfbench/``
+or ``examples/``, or sit on :data:`KEPT_NAMES` with the reason it
+stays. Names match as identifiers, attributes, imported names or
+identifier-like string literals, so a method counts as reached when
+any code names an attribute of that name. A package's ``__all__``,
+its ``lazy_exports`` map and its ``__init__`` re-exports do not count,
+and neither do tests: a name only tests reach is dead code or a test
+helper that belongs in ``tests/``.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -148,6 +162,147 @@ def test_every_module_is_reached_from_an_entry_point():
     entry_points = [*ENTRY_POINTS, *backend_modules(graph)]
     unreached = graph.unreached(entry_points)
     assert unreached == [], f"no entry point reaches {unreached}"
+
+
+#: Public names no package code names, each kept on purpose; the
+#: ratchet fails on a new one and on an entry that has become stale.
+KEPT_NAMES = {
+    # The README quickstart is written against it.
+    "repro.quick_simulation",
+    # Registered backends: the registry reaches them by their name.
+    "repro.backends.baselines.FlatRewardBackend",
+    "repro.backends.fast.FastBackend",
+    # Test seams: hand-made tables and overlays, planted tables, cache
+    # resets and counters only tests read.
+    "repro.backends.fast.clear_caches",
+    "repro.kademlia.overlay.Overlay.from_tables",
+    "repro.kademlia.table.RoutingTable.add_unbounded",
+    "repro.perf.table_cache.EpochCacheStats.resolutions",
+    "repro.perf.table_cache.TableCache.install",
+    "repro.scenarios.plan.CacheRuntime.cached_count",
+    # They go with the rest of repro.engine.
+    "repro.engine.des.EventScheduler.schedule_in",
+    "repro.engine.des.PeriodicEvent.cancel",
+    # http.server calls these by name.
+    "repro.sweeps.queue_daemon._QueueHandler.do_GET",
+    "repro.sweeps.queue_daemon._QueueHandler.do_POST",
+    "repro.sweeps.queue_daemon._QueueHandler.log_message",
+}
+
+
+def public_definitions(tree: ast.Module) -> dict[str, str]:
+    """Qualified name -> bare name, for the public names *tree* defines.
+
+    Public top-level functions and classes, and the public methods of
+    every top-level class (a private class's included).
+    """
+    found: dict[str, str] = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            found[node.name] = node.name
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if (isinstance(method, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef))
+                        and not method.name.startswith("_")):
+                    found[f"{node.name}.{method.name}"] = method.name
+    return found
+
+
+def names_used(tree: ast.Module, is_package: bool) -> set[str]:
+    """Every name *tree* uses, less its export lists and re-exports."""
+    skipped: set[int] = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == "__all__"
+                        for target in node.targets)):
+            skipped.update(map(id, ast.walk(node.value)))
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "lazy_exports"):
+            for argument in node.args:
+                skipped.update(map(id, ast.walk(argument)))
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias) and not is_package:
+            used.add(node.name.rpartition(".")[2])
+        elif (isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and node.value.isidentifier()):
+            used.add(node.value)
+    return used
+
+
+def unnamed_public_names(graph: ImportGraph,
+                         naming_dirs: list[Path]) -> set[str]:
+    """Qualified public names of *graph* that no file under
+    *naming_dirs* names."""
+    used: set[str] = set()
+    for directory in naming_dirs:
+        for path in sorted(directory.rglob("*.py")):
+            used |= names_used(ast.parse(path.read_text()),
+                               path.name == "__init__.py")
+    return {f"{module}.{qualified}"
+            for module in graph.files
+            for qualified, name in public_definitions(
+                graph.tree(module)).items()
+            if name not in used}
+
+
+@functools.cache
+def package_unnamed_names() -> frozenset[str]:
+    """Public names of ``src/repro`` that no package code names."""
+    root = SRC.parent
+    return frozenset(unnamed_public_names(ImportGraph(SRC, "repro"), [
+        SRC, root / "perfbench", root / "examples"]))
+
+
+def test_every_public_name_is_named_by_package_code():
+    assert sorted(package_unnamed_names() - KEPT_NAMES) == [], (
+        "public names only tests (or nothing) reach: delete them, move "
+        "them into tests/, or keep them on KEPT_NAMES with a reason")
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_NAMES))
+def test_kept_name_is_defined_and_named_by_no_package_code(name):
+    assert name in package_unnamed_names(), (
+        f"{name} is gone, or package code now names it: drop it from "
+        "KEPT_NAMES")
+
+
+def test_export_lists_re_exports_and_tests_do_not_name(tmp_path):
+    graph = write_tree(tmp_path, {
+        "pkg/__init__.py": "from .mod import Exported\n"
+                           "__all__ = ['Exported', 'Listed']\n",
+        "pkg/_lazy.py": "def lazy_exports(name, table): ...\n",
+        "pkg/lazy/__init__.py": "from .._lazy import lazy_exports\n"
+                                "x = lazy_exports(__name__, "
+                                "{'impl': ['Lazy']})\n",
+        "pkg/lazy/impl.py": "class Lazy: ...\n",
+        "pkg/mod.py": "class Exported:\n"
+                      "    def method(self): ...\n"
+                      "    def called(self): ...\n"
+                      "def Listed(): ...\n"
+                      "def helper(): ...\n"
+                      "def uses_helper(): return helper()\n"
+                      "class _Private:\n"
+                      "    def hook(self): ...\n",
+        "pkg/main.py": "from pkg.mod import uses_helper\n"
+                       "getattr(object(), 'called')\n",
+        "tests/test_mod.py": "from pkg.mod import Exported\n"
+                             "Exported().method()\n",
+    })
+    # Its own module's call reaches `helper`, and a string `called`.
+    assert unnamed_public_names(graph, [tmp_path / "pkg"]) == {
+        "pkg.mod.Exported", "pkg.mod.Exported.method", "pkg.mod.Listed",
+        "pkg.mod._Private.hook", "pkg.lazy.impl.Lazy"}
 
 
 def write_tree(root: Path, files: dict[str, str]) -> ImportGraph:

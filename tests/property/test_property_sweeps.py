@@ -22,9 +22,10 @@ from repro.backends.config import FastSimulationConfig
 from repro.sweeps import (
     SweepSpec,
     aggregate_records,
-    replica_seed,
     replica_seeds,
 )
+
+from ..sweeps.seed_oracle import replica_seed
 
 entropies = st.integers(min_value=0, max_value=2**64 - 1)
 

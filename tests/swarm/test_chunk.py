@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -11,7 +10,6 @@ from repro.swarm.chunk import (
     CHUNK_SIZE,
     Chunk,
     FileManifest,
-    random_file,
     split_content,
 )
 
@@ -57,10 +55,9 @@ class TestFileManifest:
         with pytest.raises(ConfigurationError):
             FileManifest(file_id=1, chunk_addresses=())
 
-    def test_len_and_bytes(self):
+    def test_len(self):
         manifest = FileManifest(file_id=1, chunk_addresses=(1, 2, 3))
         assert len(manifest) == 3
-        assert manifest.total_bytes == 3 * CHUNK_SIZE
 
     def test_chunks_alignment_enforced(self):
         with pytest.raises(ConfigurationError, match="align"):
@@ -86,19 +83,3 @@ class TestSplitContent:
     def test_empty_content_rejected(self, space):
         with pytest.raises(ConfigurationError):
             split_content(1, b"", space)
-
-
-class TestRandomFile:
-    def test_size_and_range(self, space, rng):
-        manifest = random_file(3, 50, space, rng)
-        assert len(manifest) == 50
-        assert all(a in space for a in manifest.chunk_addresses)
-
-    def test_deterministic(self, space):
-        a = random_file(3, 50, space, np.random.default_rng(1))
-        b = random_file(3, 50, space, np.random.default_rng(1))
-        assert a.chunk_addresses == b.chunk_addresses
-
-    def test_zero_chunks_rejected(self, space, rng):
-        with pytest.raises(ConfigurationError):
-            random_file(3, 0, space, rng)

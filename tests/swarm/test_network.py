@@ -92,17 +92,6 @@ class TestDownload:
 
 
 class TestUploadAndSeed:
-    def test_seed_manifest_places_at_storer(self):
-        network = SwarmNetwork(SwarmNetworkConfig(
-            overlay=OverlayConfig(n_nodes=40, bits=10, seed=3),
-            implicit_storage=False,
-        ))
-        manifest = FileManifest(file_id=1, chunk_addresses=(5, 900, 333))
-        network.seed_manifest(manifest)
-        for address in manifest.chunk_addresses:
-            storer = network.overlay.closest_node(address)
-            assert address in network.node(storer).store
-
     def test_upload_then_download_roundtrip(self):
         network = SwarmNetwork(SwarmNetworkConfig(
             overlay=OverlayConfig(n_nodes=40, bits=10, seed=3),
@@ -140,7 +129,7 @@ class TestUploadAndSeed:
         ))
         content = b"decentralized storage" * 600  # > 3 chunks
         manifest = split_content(9, content, network.overlay.space)
-        network.seed_manifest(manifest)
+        network.upload_file(network.addresses[0], manifest)
         rebuilt = []
         for address in manifest.chunk_addresses:
             storer = network.overlay.closest_node(address)
@@ -232,7 +221,7 @@ class TestLookupsAndReceipts:
             placement="neighborhood", replicas=3, implicit_storage=False,
         ))
         manifest = FileManifest(file_id=1, chunk_addresses=(5, 900))
-        network.seed_manifest(manifest)
+        network.upload_file(network.addresses[0], manifest)
         for address in manifest.chunk_addresses:
             holders = [a for a in network.addresses
                        if address in network.node(a).store]

@@ -32,7 +32,7 @@ class TestBasicRetrieval:
             originator = int(rng.choice(medium_overlay.address_array()))
             target = int(rng.integers(0, medium_overlay.space.size))
             retrieval = protocol.retrieve(originator, target)
-            assert retrieval.served_by == medium_overlay.closest_node(target)
+            assert retrieval.route.storer == medium_overlay.closest_node(target)
 
     def test_matches_router_paths_without_caches(self, medium_overlay, rng):
         nodes = build_nodes(medium_overlay)
@@ -76,7 +76,7 @@ class TestBasicRetrieval:
         )
         retrieval = protocol.retrieve(originator, target)
         assert retrieval.source == "store"
-        assert retrieval.served_by == storer
+        assert retrieval.route.storer == storer
 
     def test_unknown_originator_raises(self, medium_overlay):
         nodes = build_nodes(medium_overlay)

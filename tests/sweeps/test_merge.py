@@ -10,7 +10,6 @@ CLI paths.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest

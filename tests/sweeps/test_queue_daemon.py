@@ -31,6 +31,7 @@ from repro.backends.config import FastSimulationConfig
 from repro.errors import ConfigurationError
 from repro.sweeps import RetryPolicy, SweepSpec, failure_digest
 from repro.sweeps.queue_daemon import SweepQueueDaemon
+from repro.sweeps.spec import SweepPoint
 from repro.sweeps.resilience import (
     LEASE_CRASH_DIGEST,
     LEASE_CRASH_ERROR,
@@ -69,9 +70,18 @@ def make_state(spec=None, **kwargs) -> tuple[QueueState, FakeClock]:
     return state, clock
 
 
+#: The points of ``tiny_spec()``, every queue's spec here, by id.
+POINTS = {point.point_id: point for point in tiny_spec().points()}
+
+
 def fake_record(point_id: str) -> dict:
-    return {"point_id": point_id, "backend": "fast", "overrides": {},
-            "replica": 0, "workload_seed": 1, "metrics": {"chunks": 1}}
+    """A host's record of *point_id*: its point's identity (a made-up
+    one for an id no spec holds) and made-up metrics."""
+    point = POINTS.get(point_id, SweepPoint(0, "fast", (), 0, 1))
+    return {"point_id": point_id, "backend": point.backend,
+            "overrides": dict(point.overrides), "replica": point.replica,
+            "workload_seed": point.workload_seed,
+            "metrics": {"chunks": 1}}
 
 
 class TestLease:
@@ -142,6 +152,33 @@ class TestComplete:
         state, _ = make_state()
         with pytest.raises(KeyError):
             state.complete("w", fake_record("no|such|point"), 0, 0.1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("backend", "reference"),
+        ("overrides", {"bucket_size": 99}),
+        ("replica", 7),
+        ("workload_seed", 2),
+    ], ids=["backend", "overrides", "replica", "workload_seed"])
+    def test_record_that_is_not_its_point_is_refused(self, field, value):
+        state, _ = make_state()
+        point_id = state.lease("w", 1)["points"][0]["point"]["point_id"]
+        record = fake_record(point_id)
+        record[field] = value
+        with pytest.raises(ValueError, match=f"record {field} "):
+            state.complete("w", record, 0, 0.1)
+        assert state.events.empty()
+        assert state.status()["completed"] == 0
+
+    def test_late_identical_completion_after_expiry_is_accepted(self):
+        state, clock = make_state(lease_timeout=5.0)
+        point_id = state.lease("w", 1)["points"][0]["point"]["point_id"]
+        clock.tick(6.0)
+        assert state.expire_overdue() == [point_id]
+        response = state.complete("w", fake_record(point_id), 0, 0.1)
+        assert response["ok"] and not response["duplicate"]
+        state.lease("other", 1)
+        again = state.complete("other", fake_record(point_id), 0, 0.2)
+        assert again["duplicate"] is True
 
     def test_final_completion_reports_done(self):
         state, _ = make_state()
@@ -478,6 +515,22 @@ class TestDaemonHTTP:
         # A completed record's replica and workload seed are JSON ints
         # and its overrides and metrics JSON objects, as the store
         # writes them.
+        def body_for(point_id):
+            record = fake_record(point_id)
+            record[field] = "@"
+            return "/complete", {"worker": "w", "record": record,
+                                 "index": 0, "elapsed": 0.1}
+
+        self._refused_then_served(body_for, literal)
+
+    @pytest.mark.parametrize("field, literal", [
+        ("backend", '"reference"'),
+        ("overrides", '{"bucket_size": 99}'),
+        ("replica", "7"),
+        ("workload_seed", "2"),
+    ], ids=["backend", "overrides", "replica", "workload_seed"])
+    def test_record_that_is_not_its_point_is_a_bad_request(self, field,
+                                                           literal):
         def body_for(point_id):
             record = fake_record(point_id)
             record[field] = "@"

@@ -10,10 +10,11 @@ from repro.sweeps import (
     SweepSpec,
     parse_grid_arguments,
     parse_grid_value,
-    replica_seed,
     replica_seeds,
     sweepable_fields,
 )
+
+from .seed_oracle import replica_seed
 
 TINY = FastSimulationConfig(
     n_nodes=40, bits=10, n_files=4, file_min=2, file_max=4
@@ -34,10 +35,6 @@ class TestSeedDerivation:
 
     def test_different_entropy_different_seeds(self):
         assert replica_seeds(1, 4) != replica_seeds(2, 4)
-
-    def test_negative_replica_rejected(self):
-        with pytest.raises(ConfigurationError, match="replica"):
-            replica_seed(2022, -1)
 
 
 class TestSweepSpec:
