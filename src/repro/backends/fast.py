@@ -741,15 +741,28 @@ class FastSimulation:
         static configs feed a single micro-epoch holding the entire
         workload (one kernel invocation), scenario configs feed one
         ``batch_files``-file slab per epoch — the same loop a live
-        stream drives incrementally. *file_origins* and *sizes* are
-        the per-file origin indices and chunk counts the slabs are cut
-        on. *targets* is the flat chunk-address column or a function
-        that draws the next *k* of them (:meth:`_workload_columns`).
-        After the first slab, which is drawn before any routes, a
-        helper thread repeats each slab's origins and draws its targets
-        while the slab before it routes, in slab order. With a
-        *recorder* (the time backend's path recorder), a chunk's
-        position in the workload is the id its path is recorded under.
+        stream drives incrementally (:meth:`_slabs`).
+        """
+        for _ in self._slabs(file_origins, sizes, targets, result,
+                             recorder=recorder):
+            pass
+
+    def _slabs(self, file_origins: np.ndarray, sizes: np.ndarray,
+               targets, result: SimulationResult, *, recorder=None):
+        """Route the workload slab by slab, yielding after each slab.
+
+        *file_origins* and *sizes* are the per-file origin indices and
+        chunk counts the slabs are cut on. *targets* is the flat
+        chunk-address column or a function that draws the next *k* of
+        them (:meth:`_workload_columns`). After the first slab, which
+        is drawn before any routes, a helper thread repeats each
+        slab's origins and draws its targets while the slab before it
+        routes, in slab order. Each routed slab yields its file range
+        ``(start, stop)``; the time backend drains its path recorder
+        there, so a scenario run's paths never outlive their slab.
+        With a *recorder* (the time backend's path recorder), a
+        chunk's position in the workload is the id its path is
+        recorded under.
         """
         if not len(sizes):
             return
@@ -757,15 +770,15 @@ class FastSimulation:
         step = self.config.batch_files if scenario else len(sizes)
         starts = range(0, len(sizes), step)
         offsets = np.concatenate(([0], np.cumsum(sizes)))
-        ids = (None if recorder is None
-               else np.arange(offsets[-1], dtype=np.int64))
+        id_dt = np.int32 if offsets[-1] < 2**31 else np.int64
 
         def slab(start: int) -> tuple:
             stop = min(start + step, len(sizes))
             lo, hi = int(offsets[start]), int(offsets[stop])
             return (np.repeat(file_origins[start:stop], sizes[start:stop]),
                     targets(hi - lo) if callable(targets) else targets[lo:hi],
-                    None if ids is None else ids[lo:hi])
+                    None if recorder is None
+                    else np.arange(lo, hi, dtype=id_dt))
 
         with (ThreadPoolExecutor(1, thread_name_prefix="repro-draw") as ahead,
               StreamSession(self, result=result, recorder=recorder,
@@ -776,6 +789,8 @@ class FastSimulation:
                 if start + step < len(sizes):
                     pending = ahead.submit(slab, start + step)
                 session.feed(origins, slab_targets, ids=slab_ids)
+                del origins, slab_targets, slab_ids
+                yield start, min(start + step, len(sizes))
 
     def _flatten_workload(self, workload):
         """(per-file origin indices, file sizes, flat targets) columns.

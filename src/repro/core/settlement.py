@@ -93,15 +93,7 @@ class Chequebook:
         Raises :class:`InsufficientFundsError` when the new total of
         promises would exceed the deposit.
         """
-        require_positive(amount, "amount")
-        if beneficiary == self.owner:
-            raise SettlementError("cannot issue a cheque to oneself")
-        new_total = self.total_promised + amount
-        if new_total > self.deposit:
-            raise InsufficientFundsError(
-                f"node {self.owner} cannot promise {amount}: deposit "
-                f"{self.deposit} < outstanding promises {new_total}"
-            )
+        self._check_issue(beneficiary, amount)
         cumulative = self.promised_to(beneficiary) + amount
         serial = self._serials.get(beneficiary, 0) + 1
         self._promised[beneficiary] = cumulative
@@ -112,6 +104,23 @@ class Chequebook:
             cumulative_amount=cumulative,
             serial=serial,
         )
+
+    def _check_issue(self, beneficiary: int, amount: float) -> float:
+        """Raise what :meth:`issue` would raise, changing nothing.
+
+        Returns the increment that cashing the cheque would pay out.
+        """
+        require_positive(amount, "amount")
+        if beneficiary == self.owner:
+            raise SettlementError("cannot issue a cheque to oneself")
+        new_total = self.total_promised + amount
+        if new_total > self.deposit:
+            raise InsufficientFundsError(
+                f"node {self.owner} cannot promise {amount}: deposit "
+                f"{self.deposit} < outstanding promises {new_total}"
+            )
+        cumulative = self.promised_to(beneficiary) + amount
+        return max(0.0, cumulative - self._cashed.get(beneficiary, 0.0))
 
     def cash(self, cheque: Cheque) -> float:
         """Cash *cheque*; return the increment actually paid out.
@@ -187,7 +196,8 @@ class SettlementService:
         ledger income, so fairness metrics stay on gross income as in
         the paper).
         """
-        return self._transfer(payer, payee, amount, self.ledger.pay)
+        return self._transfer(payer, payee, amount, self.ledger.pay,
+                              self.ledger.check_pay)
 
     def settle_direct(self, payer: int, payee: int, amount: float) -> Cheque:
         """Issue and cash a cheque for a per-request purchase.
@@ -196,10 +206,20 @@ class SettlementService:
         pays for service that was never added to the channel (the
         paper's paid zero-proximity requests).
         """
-        return self._transfer(payer, payee, amount, self.ledger.pay_direct)
+        return self._transfer(payer, payee, amount, self.ledger.pay_direct,
+                              self.ledger.check_pay_direct)
 
     def _transfer(self, payer: int, payee: int, amount: float,
-                  ledger_op) -> Cheque:
+                  ledger_op, ledger_check) -> Cheque:
+        """Issue, cash and book a cheque, or refuse it changing nothing.
+
+        The chequebook and the ledger both check before anything is
+        written, so a refused transfer leaves the chequebook, the
+        stats and the ledger as they were.
+        """
+        increment = self.chequebook(payer)._check_issue(payee, amount)
+        if increment > 0:
+            ledger_check(payer, payee, increment)
         cheque = self.chequebook(payer).issue(payee, amount)
         self.stats.cheques_issued += 1
         increment = self.chequebook(payer).cash(cheque)

@@ -217,6 +217,7 @@ class SwapLedger:
         raises; use :meth:`pay_direct` for per-request purchases that
         bypass the channel.
         """
+        self.check_pay(payer, payee, amount)
         self.channel(payer, payee).settle(payee, amount)
         self.income[payee] += amount
         self.expenditure[payer] += amount
@@ -229,13 +230,28 @@ class SwapLedger:
         accumulated as SWAP debt, so the channel balance is untouched
         while service and income aggregates are updated.
         """
-        require_positive(amount, "amount")
-        if payer == payee:
-            raise AccountingError(f"no payment from {payer} to itself")
+        self.check_pay_direct(payer, payee, amount)
         self.service_provided[payee] += amount
         self.service_consumed[payer] += amount
         self.income[payee] += amount
         self.expenditure[payer] += amount
+
+    def check_pay(self, payer: int, payee: int, amount: float) -> None:
+        """Raise what :meth:`pay` would raise, booking nothing."""
+        require_positive(amount, "amount")
+        owed = self.balance(payee, payer)
+        if amount > owed + 1e-9:
+            raise AccountingError(
+                f"cannot settle {amount} from {payer} to {payee}; only "
+                f"{owed} is owed to {payee}"
+            )
+
+    def check_pay_direct(self, payer: int, payee: int,
+                         amount: float) -> None:
+        """Raise what :meth:`pay_direct` would raise, booking nothing."""
+        require_positive(amount, "amount")
+        if payer == payee:
+            raise AccountingError(f"no payment from {payer} to itself")
 
     def record_forwarded_chunk(self, node: int, *,
                                as_first_hop: bool = False) -> None:

@@ -161,27 +161,6 @@ class AddressSpace:
             raise AddressError("a node has no bucket for its own address")
         return self.proximity(owner, other)
 
-    def closest(self, target: int, candidates: Sequence[int]) -> int:
-        """Return the candidate address XOR-closest to *target*.
-
-        Ties are impossible in the XOR metric (distinct candidates have
-        distinct distances to any target), so the result is unique.
-        Raises :class:`AddressError` if *candidates* is empty.
-        """
-        self.validate(target, name="target")
-        if len(candidates) == 0:
-            raise AddressError("closest() requires at least one candidate")
-        best = None
-        best_distance = self.size
-        for candidate in candidates:
-            self.validate(candidate, name="candidate")
-            distance = candidate ^ target
-            if distance < best_distance:
-                best = candidate
-                best_distance = distance
-        assert best is not None
-        return best
-
     def sort_by_distance(self, target: int,
                          candidates: Iterable[int]) -> list[int]:
         """Return *candidates* sorted by increasing XOR distance to *target*."""

@@ -419,11 +419,6 @@ class SharedTableRegistry:
                 except OSError:  # pragma: no cover - cleanup best effort
                     pass
 
-    def references(self, fingerprint: str) -> int:
-        """Current reference count for a published topology (0 if none)."""
-        entry = self._entries.get(fingerprint)
-        return 0 if entry is None else int(entry["references"])
-
     def __len__(self) -> int:
         return len(self._entries)
 

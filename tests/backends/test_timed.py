@@ -452,7 +452,7 @@ class TestPaths:
         assert paths.nodes.min() >= 0
         assert paths.nodes.max() < GOLDEN_CONFIG.n_nodes
         # Routed + local = retrieved.
-        assert (paths.routed_ids.size + paths.zero_ids.size
+        assert (np.count_nonzero(paths.hops) + paths.zero_ids.size
                 == result.chunks - result.unavailable)
 
     def test_recorded_paths_are_walks_the_table_allows(self):
@@ -464,7 +464,7 @@ class TestPaths:
         stops exactly when it reaches ``storer[target]``.
         """
         table, origins, targets, _, paths = self._record(GOLDEN_CONFIG)
-        routed = paths.routed_ids
+        routed = np.flatnonzero(paths.hops)
         assert routed.size
         # The raw matrix of the independent builder, not a decode of
         # the coded matrix the kernel routed through.

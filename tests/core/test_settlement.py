@@ -12,6 +12,7 @@ from repro.core.settlement import (
 )
 from repro.core.swap import SwapLedger
 from repro.errors import (
+    AccountingError,
     InsufficientFundsError,
     SettlementError,
 )
@@ -161,3 +162,22 @@ class TestSettlementService:
         assert service.stats == SettlementStats()
         assert ledger.income[1] == 0.0
         assert service.chequebook(2).total_promised == 0.0
+
+    def test_refused_settle_changes_nothing(self):
+        # 2.0 units of service are owed, so settling 3.0 overshoots the
+        # channel debt: the ledger refuses before the cheque is issued
+        # or cashed.
+        ledger = SwapLedger()
+        service = SettlementService(ledger)
+        ledger.record_service(provider=2, consumer=1, units=2.0)
+        with pytest.raises(AccountingError, match="only 2.0 is owed"):
+            service.settle(1, 2, 3.0)
+        book = service.chequebook(1)
+        assert (book.total_promised, book.total_cashed) == (0.0, 0.0)
+        assert service.stats == SettlementStats()
+        assert ledger.income[2] == ledger.expenditure[1] == 0.0
+        assert ledger.balance(2, 1) == 2.0
+        # The channel still settles what it owes.
+        service.settle(1, 2, 2.0)
+        assert ledger.balance(2, 1) == 0.0
+        assert book.total_cashed == 2.0

@@ -170,8 +170,12 @@ KEPT_NAMES = {
     # The README quickstart is written against it.
     "repro.quick_simulation",
     # Registered backends: the registry reaches them by their name.
+    "repro.backends.baselines.FilecoinBackend",
     "repro.backends.baselines.FlatRewardBackend",
+    "repro.backends.baselines.TitForTatBackend",
     "repro.backends.fast.FastBackend",
+    "repro.backends.reference.ReferenceBackend",
+    "repro.backends.timed.TimeBackend",
     # Test seams: hand-made tables and overlays, planted tables, cache
     # resets and counters only tests read.
     "repro.backends.fast.clear_caches",
@@ -234,10 +238,31 @@ def names_used(tree: ast.Module, is_package: bool) -> set[str]:
             used.add(node.attr)
         elif isinstance(node, ast.alias) and not is_package:
             used.add(node.name.rpartition(".")[2])
-        elif (isinstance(node, ast.Constant)
-              and isinstance(node.value, str) and node.value.isidentifier()):
-            used.add(node.value)
+        elif isinstance(node, ast.Call):
+            used |= attribute_names(node)
     return used
+
+
+#: Calls whose second argument names an attribute: the builtins, and
+#: perfbench's ``patches.method(owner, "name", wrap)``.
+ATTRIBUTE_CALLS = {"getattr", "hasattr", "setattr", "delattr", "method"}
+
+
+def attribute_names(call: ast.Call) -> set[str]:
+    """The attribute name *call* passes as a string literal, if any.
+
+    Other string literals (dict keys, option values, messages) name
+    nothing, however much they look like an identifier.
+    """
+    func = call.func
+    callee = func.id if isinstance(func, ast.Name) else getattr(
+        func, "attr", None)
+    if callee not in ATTRIBUTE_CALLS or len(call.args) < 2:
+        return set()
+    name = call.args[1]
+    if isinstance(name, ast.Constant) and isinstance(name.value, str):
+        return {name.value}
+    return set()
 
 
 def unnamed_public_names(graph: ImportGraph,

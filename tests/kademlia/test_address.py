@@ -128,36 +128,19 @@ class TestAddressSpaceMetrics:
             AddressSpace(8).bucket_index(7, 7)
 
 
-class TestClosest:
-    def test_picks_xor_minimum(self):
+class TestSortByDistance:
+    def test_first_is_xor_minimum(self):
         space = AddressSpace(8)
-        assert space.closest(0b1100, [0b1000, 0b1110, 0b0100]) == 0b1110
+        assert space.sort_by_distance(
+            0b1100, [0b1000, 0b1110, 0b0100])[0] == 0b1110
 
-    def test_unique_winner(self):
+    def test_distances_strictly_increase(self):
         # XOR distances from distinct candidates are distinct.
         space = AddressSpace(8)
-        candidates = list(range(20))
-        target = 13
-        winner = space.closest(target, candidates)
-        distances = sorted(c ^ target for c in candidates)
-        assert winner ^ target == distances[0]
+        ordered = space.sort_by_distance(13, range(20))
+        distances = [c ^ 13 for c in ordered]
+        assert distances == sorted(set(distances))
 
-    def test_empty_candidates_raise(self):
-        with pytest.raises(AddressError, match="at least one"):
-            AddressSpace(8).closest(1, [])
-
-    def test_is_first_of_sort_by_distance(self):
-        space = AddressSpace(8)
-        candidates = [3, 200, 77, 130]
-        assert space.closest(150, candidates) == space.sort_by_distance(
-            150, candidates)[0]
-
-    def test_candidate_outside_space_rejected(self):
-        with pytest.raises(AddressError, match="candidate"):
-            AddressSpace(4).closest(1, [2, 16])
-
-
-class TestSortByDistance:
     def test_sorted_order(self):
         space = AddressSpace(8)
         result = space.sort_by_distance(0, [5, 1, 9, 2])

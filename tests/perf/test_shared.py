@@ -124,6 +124,12 @@ class TestPublicationWrite:
             registry.release(handle.fingerprint)
 
 
+def references(registry: SharedTableRegistry, fingerprint: str) -> int:
+    """The registry's reference count for a published topology (0 if none)."""
+    entry = registry._entries.get(fingerprint)
+    return 0 if entry is None else int(entry["references"])
+
+
 class TestRefcounting:
     def test_acquire_is_idempotent_per_topology(self, registry):
         overlay = Overlay.build(CONFIG)
@@ -131,14 +137,14 @@ class TestRefcounting:
         first = registry.acquire(table)
         second = registry.acquire(table)
         assert first == second
-        assert registry.references(first.fingerprint) == 2
+        assert references(registry, first.fingerprint) == 2
         assert len(registry) == 1
         registry.release(first.fingerprint)
         # Still published: one holder left.
-        assert registry.references(first.fingerprint) == 1
+        assert references(registry, first.fingerprint) == 1
         attach_table(first, overlay)
         registry.release(first.fingerprint)
-        assert registry.references(first.fingerprint) == 0
+        assert references(registry, first.fingerprint) == 0
         assert len(registry) == 0
 
     def test_last_release_unlinks_segments(self, registry):
