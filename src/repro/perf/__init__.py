@@ -10,7 +10,8 @@ redundancy and tracks the repository's performance trajectory:
   :class:`TableCache` keyed by
   :meth:`~repro.kademlia.overlay.Overlay.fingerprint`; every consumer
   of :func:`repro.backends.fast.cached_next_hop_table` goes through
-  it, so one topology is built at most once per process;
+  it, so one topology is built at most once per process, and a sweep
+  worker holds only the one shared-memory table it routes;
 * :mod:`~repro.perf.shared` — publishes built tables into
   :mod:`multiprocessing.shared_memory` (refcounted, unlinked when the
   last sweep releases them) and attaches them read-only in worker

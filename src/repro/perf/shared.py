@@ -7,7 +7,7 @@ the per-address storer vector, both already in the compact entry
 dtype —
 into :class:`multiprocessing.shared_memory.SharedMemory` segments (by
 ``pwrite`` through the segment's descriptor, so the publisher never
-maps what it publishes), and
+touches the pages it publishes), and
 ships a small plain-data :class:`SharedTableHandle` to every worker.
 Workers attach the segments **read-only** and wrap them in a
 :class:`~repro.backends.fast.NextHopTable` via
@@ -209,9 +209,9 @@ def _create_segment(array: np.ndarray
     and reclaim — anything a killed publisher left behind.
 
     Where the segment has a file descriptor (POSIX) the bytes go in
-    by ``pwrite``: one kernel copy, and the publisher never maps the
-    pages it publishes, so they neither fault in here nor count in its
-    resident set. Elsewhere they are copied through the mapping.
+    by ``pwrite``: one kernel copy, and the publisher never touches
+    the pages it publishes (the segment's own mapping stays unused),
+    so they neither fault in here nor count in its resident set. Elsewhere they are copied through the mapping.
     """
     array = np.ascontiguousarray(array)
     while True:

@@ -16,10 +16,16 @@ The cache has three sources, tried in order:
 
 :attr:`TableCache.stats` counts each source, which is how the
 instrumented sweep tests assert "exactly one build per topology"
-without depending on machine speed. The cache is intentionally
-unbounded: a process touches at most a handful of topologies, and the
-paper-scale table is ~131 MB — far below the cost of rebuilding it
-per sweep point.
+without depending on machine speed. Built tables are kept for the
+life of the process: the ~131 MB paper-scale table costs far more to
+rebuild than to hold, and a process that builds (a sweep's parent,
+the serial executor, ``run``, ``serve``) touches a handful of
+topologies. Attached tables are held **one at a time**: attaching a
+topology drops the previous attachment (its segments are unmapped
+once no simulation routes on it) and the writable working copy made
+from it. So a sweep worker holds the one table it routes, not one per
+topology it has touched; it leases points grid-major, so it still
+attaches each topology about once per run.
 
 The epoch-driven scenario layer adds a second, lighter cache:
 :class:`EpochTableCache` memoizes the per-epoch *storer* tables that
@@ -98,10 +104,16 @@ class TableCache:
         self._tables: dict[str, "NextHopTable"] = {}
         self._handles: dict[str, "SharedTableHandle"] = {}
         self._working: dict[str, np.ndarray] = {}
+        #: Fingerprint of the one memoized attachment, if any.
+        self._attached: str | None = None
         self.stats = CacheStats()
 
     def get(self, overlay: "Overlay") -> "NextHopTable":
-        """The table for *overlay*: memoized, attached, or built."""
+        """The table for *overlay*: memoized, attached, or built.
+
+        Attaching first drops the previous attachment and its working
+        copy, so the two are never held at once.
+        """
         fingerprint = overlay.fingerprint()
         table = self._tables.get(fingerprint)
         if table is not None:
@@ -111,7 +123,11 @@ class TableCache:
         if handle is not None:
             from .shared import attach_table
 
+            self._tables.pop(self._attached, None)
+            self._working.pop(self._attached, None)
+            self._attached = None
             table = attach_table(handle, overlay)
+            self._attached = fingerprint
             self.stats.attaches += 1
         else:
             from ..backends.fast import NextHopTable
@@ -147,10 +163,11 @@ class TableCache:
 
         Built tables own their coded matrix, so epoch plans patch (and
         revert) it directly — zero copies. Shared-memory attachments
-        are read-only by design; for those, one writable copy per
-        topology is made here and reused by every later run in this
-        process (each run reverts its patches on exit, so the copy is
-        pristine again whenever it is handed out).
+        are read-only by design; for those, one writable copy is made
+        here and reused by every later run on that attachment (each
+        run reverts its patches on exit, so the copy is pristine again
+        whenever it is handed out). The copy is dropped with its
+        attachment when another topology attaches.
         """
         coded = table.coded_transposed
         if coded.flags.writeable:
@@ -167,6 +184,7 @@ class TableCache:
         self._tables.clear()
         self._handles.clear()
         self._working.clear()
+        self._attached = None
         self.stats = CacheStats()
 
     def __len__(self) -> int:

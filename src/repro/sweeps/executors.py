@@ -30,12 +30,16 @@ them: the parent resolves each unique topology's
 :class:`~repro.backends.fast.NextHopTable` once through the global
 :class:`~repro.perf.table_cache.TableCache`, publishes it to shared
 memory via the :class:`~repro.perf.shared.SharedTableRegistry`
-(written through each segment's descriptor, so the parent maps none
-of it; refcounted; unlinked when the run ends), and ships the
+(written through each segment's descriptor, so the parent faults in
+none of it; refcounted; unlinked when the run ends), and ships the
 handles with every work item — the fix for PR 2's finding that
 ``--jobs 4`` lost to serial because each worker rebuilt every table.
 The overlay rides with its table (as JSON bytes in one more segment),
-so a worker decodes each topology once instead of rebuilding it.
+so a worker decodes each topology once instead of rebuilding it. A
+worker maps one table at a time: attaching the next topology unmaps
+the previous one, and points are leased grid-major (every replica of
+one topology, then the next), so a worker attaches each topology
+about once while its resident set stays one table deep.
 Where shared memory is unavailable the parent warns and each worker
 rebuilds the tables and overlays it touches. A scenario point's
 per-epoch storer tables and coded-matrix patches are not published:

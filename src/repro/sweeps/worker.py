@@ -15,11 +15,14 @@ published by :class:`~repro.sweeps.executors.ProcessExecutor` and
 registers them *before* running: each handle's overlay is decoded
 from its segment once per worker and installed in the overlay cache,
 and the dense next-hop table is attached from the parent's segments
-when first needed. A worker given handles therefore builds neither
+when a point needs it. A worker given handles therefore builds neither
 overlays nor tables — the cross-process half of the "build each
-topology exactly once" guarantee. Without handles (the serial
-executor, or a platform without shared memory) a worker builds each
-overlay and table it touches once.
+topology exactly once" guarantee. It holds one attached table at a
+time: attaching the next topology drops the previous one (and the
+writable copy a scenario point patches), so a worker's resident set
+stays one table however many topologies the sweep spans. Without
+handles (the serial executor, or a platform without shared memory) a
+worker builds each overlay and table it touches once and keeps them.
 """
 
 from __future__ import annotations

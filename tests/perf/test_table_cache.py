@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -120,6 +121,37 @@ class TestTableCache:
         assert cache.stats.snapshot() == {
             "builds": 0, "attaches": 0, "hits": 0,
         }
+
+    def test_attach_drops_only_the_previous_attachment(self):
+        """One attachment at a time; a built table is never dropped."""
+        from repro.perf.shared import SharedTableRegistry
+
+        cache = TableCache()
+        built_overlay = Overlay.build(CONFIG)
+        built = cache.get(built_overlay)
+        overlays = [Overlay.build(dataclasses.replace(CONFIG, seed=seed))
+                    for seed in (6, 7)]
+        registry = SharedTableRegistry()
+        handles = [registry.acquire(NextHopTable(o)) for o in overlays]
+        try:
+            for handle in handles:
+                cache.register_handle(handle)
+            first = cache.get(overlays[0])
+            assert cache.get(overlays[0]) is first
+            cache.get(overlays[1])
+            assert overlays[0].fingerprint() not in cache
+            assert overlays[1].fingerprint() in cache
+            assert cache.get(built_overlay) is built
+            assert len(cache) == 2
+            assert cache.get(overlays[0]) is not first
+            assert overlays[1].fingerprint() not in cache
+            assert cache.stats.snapshot() == {
+                "builds": 1, "attaches": 3, "hits": 2,
+            }
+        finally:
+            cache.clear()
+            for handle in handles:
+                registry.release(handle.fingerprint)
 
     def test_cached_next_hop_table_goes_through_global_cache(self):
         overlay = cached_overlay(CONFIG)

@@ -2,7 +2,7 @@
 
 A :class:`ProcessExecutor` publishes each topology's overlay next to
 its next-hop table, so a worker decodes the overlay instead of
-rebuilding it; the pool is launched before publication so worker
+rebuilding it, and maps one attached table at a time; the pool is launched before publication so worker
 start-up overlaps it; completed points are followed by the next
 submissions *before* the (slow) store save; and a ``sweep-work`` host
 runs all its lease batches on one pool. These tests pin each part
@@ -19,6 +19,8 @@ import multiprocessing
 import os
 import signal
 import warnings
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -64,12 +66,20 @@ def _isolated_caches():
     clear_caches()
 
 
-@pytest.fixture()
-def published():
-    """Every topology of SPEC published; yields handles by fingerprint."""
+#: Three topologies, two seeds each, static and under churn.
+WIDE = SweepSpec(base=BASE, grid={"bucket_size": (2, 4, 8)},
+                 backends=("fast",), seeds=2)
+WIDE_CHURN = dataclasses.replace(WIDE, base=dataclasses.replace(
+    BASE, batch_files=4, scenario="churn:rate=0.2,recompute=true",
+))
+
+
+@contextmanager
+def _published(spec):
+    """Every topology of *spec* published; yields handles by fingerprint."""
     registry = SharedTableRegistry()
     handles = {}
-    for config in table_topologies(SPEC.base, SPEC.points()):
+    for config in table_topologies(spec.base, spec.points()):
         handle = registry.acquire(
             global_table_cache().get(cached_overlay(config))
         )
@@ -79,6 +89,13 @@ def published():
     finally:
         for fingerprint in handles:
             registry.release(fingerprint)
+
+
+@pytest.fixture()
+def published():
+    """Every topology of SPEC published; yields handles by fingerprint."""
+    with _published(SPEC) as handles:
+        yield handles
 
 
 def _segments() -> set[str]:
@@ -101,10 +118,31 @@ def _quiet(executor, *args, **kwargs):
         return executor.run(*args, **kwargs)
 
 
+def _assert_same_outcome(outcome, expected) -> None:
+    assert outcome.point_id == expected.point_id
+    assert outcome.metrics == expected.metrics
+    for name, vector in expected.vectors.items():
+        assert np.array_equal(outcome.vectors[name], vector), name
+
+
+def _maps(names) -> Counter:
+    """How many mappings of each segment in *names* this process holds
+    (Linux)."""
+    lines = Path("/proc/self/maps").read_text().splitlines()
+    return Counter(name for line in lines for name in names if name in line)
+
+
 class TestPublishedOverlay:
+    @pytest.mark.parametrize("order", ["grid-major", "interleaved"])
     def test_worker_runs_points_without_building_an_overlay(
-            self, published, monkeypatch):
-        serial = SerialExecutor().run(SPEC.base, SPEC.points())
+            self, published, monkeypatch, order):
+        serial = {o.point_id: o
+                  for o in SerialExecutor().run(SPEC.base, SPEC.points())}
+        points = list(SPEC.points())
+        if order == "interleaved":
+            points.sort(key=lambda p: (p.replica, p.index))
+        topologies = [p.overrides for p in points]
+        switches = 1 + sum(a != b for a, b in zip(topologies, topologies[1:]))
         payloads = {fp: h.to_payload() for fp, h in published.items()}
         clear_caches()
         register_table_handles(payloads)
@@ -114,15 +152,45 @@ class TestPublishedOverlay:
 
         monkeypatch.setattr(Overlay, "build", classmethod(refuse))
         base = dataclasses.asdict(SPEC.base)
-        for point, expected in zip(SPEC.points(), serial):
+        for point in points:
             outcome = execute_point(base, point_payload(point), payloads)
-            assert outcome.point_id == expected.point_id
-            assert outcome.metrics == expected.metrics
-            for name, vector in expected.vectors.items():
-                assert np.array_equal(outcome.vectors[name], vector), name
+            _assert_same_outcome(outcome, serial[point.point_id])
         stats = global_table_cache().stats
         assert stats.builds == 0
-        assert stats.attaches == len(published)
+        assert stats.attaches == switches
+        assert switches == (len(published) if order == "grid-major"
+                            else len(points))
+
+    @pytest.mark.parametrize("spec", [WIDE, WIDE_CHURN],
+                             ids=["static", "churn"])
+    def test_worker_holds_one_attached_table(self, spec):
+        points = spec.points()
+        serial = SerialExecutor().run(spec.base, points)
+        with _published(spec) as handles:
+            assert len(handles) == 3
+            payloads = {fp: h.to_payload() for fp, h in handles.items()}
+            clear_caches()
+            cache = global_table_cache()
+            base = dataclasses.asdict(spec.base)
+            maps = Path("/proc/self/maps").exists()
+            names = [name for h in handles.values()
+                     for name in (h.coded.name, h.storer.name)]
+            # The publisher (this process, here) maps what it creates.
+            published_maps = _maps(names) if maps else None
+            for point, expected in zip(points, serial):
+                outcome = execute_point(base, point_payload(point), payloads)
+                _assert_same_outcome(outcome, expected)
+                (fingerprint,) = cache._tables
+                assert cache.stats.builds == 0
+                assert set(cache._working) == (
+                    {fingerprint} if spec.base.scenario else set()
+                )
+                if maps:
+                    current = handles[fingerprint]
+                    assert set(_maps(names) - published_maps) == {
+                        current.coded.name, current.storer.name,
+                    }
+            assert cache.stats.attaches == len(handles)
 
     def test_decoded_overlay_keeps_bucket_order(self, published):
         originals = {h.fingerprint: cached_overlay(c) for h, c in zip(
