@@ -109,8 +109,8 @@ class FilecoinBackend(SimulationBoundBackend):
             # at the first hop, so the retrieval-market model would
             # pay for deliveries that never happened.
             raise ConfigurationError(
-                "the filecoin baseline does not support the "
-                "caching/churn scenario fields"
+                f"the filecoin baseline does not support scenario "
+                f"{config.scenario!r}"
             )
         super().prepare(config)
         return self

@@ -3,18 +3,12 @@
 :class:`FastSimulationConfig` (the name predates the backend split and
 is kept for compatibility) describes one paper-style experiment:
 overlay shape, pricing, workload, and the network dynamics it runs
-under. Dynamics come in two forms that compose freely:
-
-* the legacy convenience fields ``caching`` / ``churn_*`` (kept so
-  every pre-scenario experiment and sweep spec keeps meaning exactly
-  what it did), and
-* the ``scenario`` composition string — the grammar of
-  :func:`repro.scenarios.parse.parse_scenario`, e.g.
-  ``"churn:rate=0.1,recompute=true+caching:size=64"``.
-
-:meth:`FastSimulationConfig.scenario_stack` folds both into one
-composed :class:`~repro.scenarios.base.Scenario` the vectorized
-engine's epoch loop consumes.
+under. Dynamics are one ``scenario`` composition string, in the
+grammar of :func:`repro.scenarios.parse.parse_scenario`, e.g.
+``"churn:rate=0.1,recompute=true+caching:size=64"``;
+:meth:`FastSimulationConfig.scenario_stack` parses it into the
+:class:`~repro.scenarios.base.Scenario` the vectorized engine's epoch
+loop consumes.
 """
 
 from __future__ import annotations
@@ -43,22 +37,13 @@ class FastSimulationConfig:
     ``originator_share`` are the two swept parameters, ``bucket_zero``
     expresses the §V per-bucket ablation.
 
-    Scenario extensions (vectorized backend only):
-
-    * ``caching`` — forwarding caches modelled as a cached-chunk mask:
-      once a chunk has been retrieved, later retrievals are served by
-      the originator's first hop in one hop (paper §V's "reduced
-      number of forwarded requests"); pair with a Zipf ``catalog_size``
-      so repeats exist.
-    * ``churn_offline_fraction`` — per-epoch node-alive masks: each
-      batch of ``batch_files`` files sees a fresh random offline set.
-      Chunks whose single storer is offline count as ``unavailable``
-      (the paper's closest-node placement has no redundancy) unless
-      ``churn_recompute_storers`` re-homes them to the closest *live*
-      node, modelling neighborhood re-replication.
-    * ``scenario`` — a composition string over the full scenario
-      library (churn, caching, freeriding, join, demand), combined
-      with ``+``; composes on top of the two legacy fields above.
+    ``scenario`` is the network dynamics (vectorized backend only): a
+    composition string over the scenario library (churn, caching,
+    freeriding, join, demand, trace), combined with ``+``. Path
+    caching serves a retrieved chunk's later retrievals from the
+    originator's first hop (paper §V's "reduced number of forwarded
+    requests"), so pair it with a Zipf ``catalog_size`` for repeats;
+    churn draws a fresh offline set per ``batch_files`` epoch.
 
     Time-domain extensions (the ``time`` backend; ignored by the
     timeless hop backends):
@@ -96,10 +81,6 @@ class FastSimulationConfig:
     pricing_base: float = 1.0
     catalog_size: int = 0
     catalog_exponent: float = 1.0
-    caching: bool = False
-    churn_offline_fraction: float = 0.0
-    churn_seed: int = 99
-    churn_recompute_storers: bool = False
     scenario: str = ""
     batch_files: int = 512
     arrival_rate: float = 0.0
@@ -114,8 +95,6 @@ class FastSimulationConfig:
     def __post_init__(self) -> None:
         require_int(self.n_files, "n_files")
         require_fraction(self.originator_share, "originator_share")
-        require_fraction(self.churn_offline_fraction,
-                         "churn_offline_fraction")
         require_int(self.batch_files, "batch_files")
         if self.n_files < 1:
             raise ConfigurationError(f"n_files must be >= 1, got {self.n_files}")
@@ -158,37 +137,13 @@ class FastSimulationConfig:
     @property
     def has_scenarios(self) -> bool:
         """Whether any network dynamics (scenarios) are active."""
-        return (self.caching or self.churn_offline_fraction > 0.0
-                or bool(self.scenario.strip()))
+        return bool(self.scenario.strip())
 
     def scenario_stack(self) -> "Scenario | None":
-        """The composed scenario this configuration runs under.
-
-        Folds the legacy convenience fields and the ``scenario``
-        composition string into one scenario — legacy churn first,
-        then legacy caching, then the parsed string components, in
-        written order. Returns ``None`` when the run is fully static.
-        """
-        from ..scenarios.compose import Compose
-        from ..scenarios.library import Churn, PathCaching
+        """The parsed ``scenario``, or ``None`` for a static run."""
         from ..scenarios.parse import parse_scenario
 
-        parts: list = []
-        if self.churn_offline_fraction > 0.0:
-            parts.append(Churn(
-                rate=self.churn_offline_fraction,
-                seed=self.churn_seed,
-                recompute=self.churn_recompute_storers,
-            ))
-        if self.caching:
-            parts.append(PathCaching())
-        if self.scenario.strip():
-            parts.append(parse_scenario(self.scenario))
-        if not parts:
-            return None
-        if len(parts) == 1:
-            return parts[0]
-        return Compose(*parts)
+        return parse_scenario(self.scenario) if self.has_scenarios else None
 
     def n_epochs(self) -> int:
         """Epochs the batched engine segments this workload into.

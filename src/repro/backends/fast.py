@@ -766,7 +766,7 @@ class FastSimulation:
         """
         if not len(sizes):
             return
-        scenario = self.config.scenario_stack() is not None
+        scenario = self.config.has_scenarios
         step = self.config.batch_files if scenario else len(sizes)
         starts = range(0, len(sizes), step)
         offsets = np.concatenate(([0], np.cumsum(sizes)))

@@ -40,9 +40,9 @@ class ReferenceBackend(SimulationBackend):
     def prepare(self, config: FastSimulationConfig) -> "ReferenceBackend":
         if config.has_scenarios:
             raise ConfigurationError(
-                "the caching/churn scenario fields are vectorized-backend "
-                "only; the reference network models per-node caches via "
-                "ReferenceBackend(cache='lru'|'lfu') and has no churn"
+                f"scenario {config.scenario!r} needs the vectorized "
+                "backend; the reference network models per-node caches "
+                "via ReferenceBackend(cache='lru'|'lfu') and has no churn"
             )
         self.config = config
         self.network = SwarmNetwork(SwarmNetworkConfig(

@@ -203,13 +203,11 @@ class ReleaseWindow:
     window's own ``nodes``. ``release_s`` is each chunk's release
     time before slot snapping, ``origins`` its originator. ``ids`` say
     where the wheel writes each chunk's completion time in its
-    ``done`` array: increasing, and above every earlier window's
-    (None: the next ``hops.size`` ids after them); a ``done`` slot
-    between two of them that is not the wheel's must not hold a
-    negative value. ``floor`` is at
-    most the release time of every chunk in this window and in every
-    later one, so the wheel need not load the window before its clock
-    reaches ``floor``.
+    ``done`` array: increasing, and above every earlier window's; a
+    ``done`` slot between two of them that is not the wheel's must not
+    hold a negative value. ``floor`` is at most the release time of
+    every chunk in this window and in every later one, so the wheel
+    need not load the window before its clock reaches ``floor``.
     """
 
     release_s: np.ndarray
@@ -217,7 +215,7 @@ class ReleaseWindow:
     offsets: np.ndarray
     nodes: np.ndarray
     origins: np.ndarray
-    ids: np.ndarray | None = None
+    ids: np.ndarray
     floor: float = -math.inf
 
 
@@ -233,10 +231,8 @@ class FluidWheel:
     generation counter (lazy cancellation); each live event is one
     :meth:`_step` (see "One step per instant" below).
 
-    The wheel takes its chunks as whole arrays (``release_s``,
-    ``hops``, ``offsets``, ``nodes``, ``origins``: one window, chunk
-    *j*'s completion time in ``done[j]``) or as an iterable of
-    :class:`ReleaseWindow` s with the ``done`` array their ids index.
+    The wheel takes its chunks as an iterable of :class:`ReleaseWindow`
+    s, with the ``done`` array their ids index.
 
     **Admission by release window.** The wheel holds state only for
     the windows in flight. It reads one window ahead, and loads it
@@ -255,11 +251,10 @@ class FluidWheel:
     the words of the windows in flight, the releases not yet due, the
     bundle pool, and the member store and request log, both compacted
     in place when full. O(run) are only ``done`` and the per-chunk
-    :attr:`hops`. From whole arrays, the wheel is one window loaded at
-    construction, and nothing is ever compacted. On the
-    ``latency-contended`` benchmark, whose chunks nearly all stay in
-    flight, this took ``peak_rss_mib`` from 135.2 to 121.2 MiB (medians
-    of 10 alternating runs, seed 9001, 2-vCPU shared container).
+    :attr:`hops`. On the ``latency-contended`` benchmark, whose chunks
+    nearly all stay in flight, this took ``peak_rss_mib`` from 135.2 to
+    121.2 MiB (medians of 10 alternating runs, seed 9001, 2-vCPU shared
+    container).
 
     **Transfers are named by path position.** Chunk paths are disjoint
     slices of a run-wide position space (each window's ``nodes`` takes
@@ -336,23 +331,14 @@ class FluidWheel:
     def __init__(self, *, n_nodes: int, chunk_bytes: float,
                  up_bytes_s: float, down_bytes_s: float,
                  max_concurrent: int, quantum_s: float,
-                 release_s: np.ndarray | None = None,
-                 hops: np.ndarray | None = None,
-                 offsets: np.ndarray | None = None,
-                 nodes: np.ndarray | None = None,
-                 origins: np.ndarray | None = None,
-                 windows: Iterable[ReleaseWindow] | None = None,
-                 done: np.ndarray | None = None) -> None:
+                 windows: Iterable[ReleaseWindow],
+                 done: np.ndarray) -> None:
         self.n_nodes = n_nodes
         self.chunk_bytes = float(chunk_bytes)
         self.up = up_bytes_s if up_bytes_s > 0 else np.inf
         self.down = down_bytes_s if down_bytes_s > 0 else np.inf
         self.cap = int(max_concurrent)
         self.quantum = float(quantum_s)
-        if windows is None:
-            windows = [ReleaseWindow(release_s, hops, offsets, nodes,
-                                     origins)]
-            done = np.full(release_s.size, -1.0)
         self.done = done
         # A rate is infinite only when both ends are unbounded, and
         # then it is infinite for every transfer of the run.
@@ -370,7 +356,6 @@ class FluidWheel:
         self._base = 0
         self._positions = 0
         self._transfers = 0
-        self._id_end = 0
         # Every loaded window's hop counts, in load order.
         self._hops: list[np.ndarray] = []
         # Windows in flight, oldest first: (first id, id end, first
@@ -458,8 +443,6 @@ class FluidWheel:
         """Build *window*'s words and merge its release batches."""
         hops = window.hops
         ids = window.ids
-        if ids is None:
-            ids = np.arange(self._id_end, self._id_end + hops.size)
         nodes = window.nodes
         start = self._positions
         end = start + nodes.size
@@ -493,7 +476,6 @@ class FluidWheel:
         words[offsets] = last
         self._positions = end
         self._transfers += nodes.size
-        self._id_end = id_end
         self.done[ids] = -1.0
         self._loaded.append((int(ids[0]), id_end, start))
         self._hops.append(hops)

@@ -191,9 +191,8 @@ def run_churn(n_files: int = 2000, n_nodes: int = 1000,
     )
     series: dict[float, dict[str, float]] = {}
     for fraction in offline_fractions:
-        # A thin scenario config — the same composition grammar any
-        # other dynamic uses (bit-identical to the legacy
-        # churn_offline_fraction field, per the golden fixtures).
+        # A thin scenario config: the same composition grammar any
+        # other dynamic uses.
         base = FastSimulationConfig(
             n_nodes=n_nodes, bucket_size=4, n_files=n_files,
             scenario=f"churn:rate={fraction}", batch_files=batch_files,

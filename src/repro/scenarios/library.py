@@ -5,11 +5,10 @@ and rates (so schedules are pure functions of the parameters):
 
 * :class:`Churn` — a fresh independent node-alive mask per epoch,
   expressed as :class:`~repro.scenarios.events.TopologyDelta` flips
-  against the previous epoch. Draw-for-draw compatible with the
-  legacy ``churn_offline_fraction`` engine fields, which the golden
-  scenario fixtures pin bit-identically.
+  against the previous epoch; the golden scenario fixtures pin its
+  runs bit-identically.
 * :class:`PathCaching` — the path-cache model, optionally bounded to
-  a FIFO ``size``. ``size=0`` is the legacy unbounded ``caching=True``.
+  a FIFO ``size``; ``size=0`` is unbounded.
 * :class:`FreeRiding` — a fixed set of originators that never pay:
   their downloads are routed and counted, their first hops earn
   nothing.
@@ -53,11 +52,9 @@ class Churn(Scenario):
     """Independent per-epoch offline sampling at a fixed rate.
 
     Epoch ``e`` draws ``rng.random(n) >= rate`` from a dedicated
-    generator — the exact draw stream of the legacy engine loop — and
-    emits the flips against epoch ``e - 1`` as a topology delta. The
-    delta event is emitted even when empty so the engine runs the
-    same (alive-mask) code path every epoch, like the legacy kernel
-    did.
+    generator and emits the flips against epoch ``e - 1`` as a
+    topology delta. The delta event is emitted even when empty so the
+    engine runs the same (alive-mask) code path every epoch.
 
     ``recompute`` selects neighborhood re-replication: storers are
     re-homed to the closest live node per epoch (via the incremental

@@ -55,8 +55,8 @@ class CacheRuntime:
 
     ``mask`` flags cached chunk addresses; a non-zero ``capacity``
     bounds the number of distinct cached addresses with FIFO eviction
-    in first-insertion order. ``capacity == 0`` reproduces the legacy
-    unbounded mask bit-for-bit (insertion is a plain mask write).
+    in first-insertion order. ``capacity == 0`` is the unbounded mask
+    (insertion is a plain mask write).
     """
 
     def __init__(self, space_size: int, capacity: int = 0) -> None:
@@ -164,7 +164,7 @@ class EpochPlan:
     keeps it alive. Folding all deltas into one shared mask instead
     would let one scenario's joins resurrect another's offline cohort.
     With a single topology-emitting child the AND is the identity, so
-    single-scenario runs (and the legacy churn fields) are unaffected.
+    single-scenario runs are unaffected.
 
     Parameters
     ----------

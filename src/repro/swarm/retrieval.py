@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 
 from ..errors import RoutingError
 from ..kademlia.overlay import Overlay
-from ..kademlia.routing import Route
+from ..kademlia.routing import Route, Router
 from .node import SwarmNode
 
 __all__ = ["Retrieval", "RetrievalStats", "RetrievalProtocol", "ServiceGate"]
@@ -226,29 +226,12 @@ class RetrievalProtocol:
             # originator, not the server) admits it.
             for node_address in path[1:-1]:
                 self.nodes[node_address].cache.admit(chunk_address)
-        full_hops = self._full_path_hops(originator, chunk_address, route)
+        full_hops = route.hops
+        if route.storer != storer:
+            # A cache hit truncated the path: count the hops the rest of
+            # the greedy walk to the storer would have taken.
+            full_hops += Router(self.overlay).route(
+                route.storer, chunk_address).hops
         retrieval = Retrieval(route=route, source=source)
         self.stats.record(retrieval, full_hops=full_hops)
         return retrieval
-
-    def _full_path_hops(self, originator: int, chunk_address: int,
-                        route: Route) -> int:
-        """Hops the retrieval would need without caches (for savings)."""
-        if route.storer == self.overlay.closest_node(chunk_address):
-            return route.hops
-        # Path was truncated by a cache hit; extend greedily to the
-        # storer to measure what was saved.
-        space = self.overlay.space
-        current = route.storer
-        storer = self.overlay.closest_node(chunk_address)
-        hops = route.hops
-        for _ in range(space.bits + 1):
-            if current == storer:
-                return hops
-            candidate = self.overlay.table(current).closest_peer(chunk_address)
-            if (candidate ^ chunk_address) < (current ^ chunk_address):
-                current = candidate
-                hops += 1
-                continue
-            return hops + 1  # neighborhood hand-off
-        return hops

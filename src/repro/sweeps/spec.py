@@ -289,13 +289,6 @@ def _parse_scalar(name: str, annotation: Any, text: str) -> Any:
         return None
     target = next(t for t in origin_types if t is not type(None))
     try:
-        if target is bool:
-            lowered = text.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(text)
         return target(text)
     except (TypeError, ValueError):
         raise ConfigurationError(

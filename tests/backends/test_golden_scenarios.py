@@ -44,16 +44,16 @@ _BASE = dict(
 
 SCENARIO_GOLDEN_CONFIGS: dict[str, FastSimulationConfig] = {
     "scenario_churn": FastSimulationConfig(
-        **_BASE, churn_offline_fraction=0.2,
+        **_BASE, scenario="churn:rate=0.2,seed=99",
     ),
     "scenario_churn_recompute": FastSimulationConfig(
-        **_BASE, churn_offline_fraction=0.3, churn_recompute_storers=True,
+        **_BASE, scenario="churn:rate=0.3,seed=99,recompute=true",
     ),
     "scenario_caching": FastSimulationConfig(
-        **_BASE, caching=True, catalog_size=20,
+        **_BASE, scenario="caching", catalog_size=20,
     ),
     "scenario_churn_caching": FastSimulationConfig(
-        **_BASE, churn_offline_fraction=0.2, caching=True, catalog_size=20,
+        **_BASE, scenario="churn:rate=0.2,seed=99+caching", catalog_size=20,
     ),
 }
 
@@ -62,10 +62,7 @@ def scenario_payload(result: SimulationResult) -> dict:
     """The JSON-able frozen form of one scenario simulation result."""
     return {
         "config": {
-            "churn_offline_fraction": result.config.churn_offline_fraction,
-            "churn_recompute_storers": result.config.churn_recompute_storers,
-            "churn_seed": result.config.churn_seed,
-            "caching": result.config.caching,
+            "scenario": result.config.scenario,
             "catalog_size": result.config.catalog_size,
             "batch_files": result.config.batch_files,
             "n_files": result.config.n_files,

@@ -23,7 +23,7 @@ class TestCachingScenario:
             **BASE, catalog_size=30, batch_files=25,
         ))
         cached = run_simulation(FastSimulationConfig(
-            **BASE, catalog_size=30, caching=True, batch_files=25,
+            **BASE, catalog_size=30, scenario="caching", batch_files=25,
         ))
         assert cached.cache_hits > 0
         assert cached.forwarded.sum() < plain.forwarded.sum()
@@ -31,7 +31,7 @@ class TestCachingScenario:
 
     def test_accounting_identities_hold_with_caching(self):
         result = run_simulation(FastSimulationConfig(
-            **BASE, catalog_size=30, caching=True, batch_files=25,
+            **BASE, catalog_size=30, scenario="caching", batch_files=25,
         ))
         assert sum(result.hop_histogram.values()) == result.chunks
         assert result.first_hop.sum() == result.chunks - result.local_hits
@@ -43,10 +43,10 @@ class TestCachingScenario:
         # Without popularity the 12-bit space still repeats addresses,
         # but hits must be far rarer than under a 30-file catalog.
         uniform = run_simulation(FastSimulationConfig(
-            **BASE, caching=True, batch_files=25,
+            **BASE, scenario="caching", batch_files=25,
         ))
         catalog = run_simulation(FastSimulationConfig(
-            **BASE, catalog_size=30, caching=True, batch_files=25,
+            **BASE, catalog_size=30, scenario="caching", batch_files=25,
         ))
         assert uniform.cache_hits < catalog.cache_hits
 
@@ -54,7 +54,7 @@ class TestCachingScenario:
 class TestChurnScenario:
     def test_offline_storers_cost_availability(self):
         result = run_simulation(FastSimulationConfig(
-            **BASE, churn_offline_fraction=0.2, batch_files=25,
+            **BASE, scenario="churn:rate=0.2", batch_files=25,
         ))
         assert 0 < result.unavailable < result.chunks
         assert 0.0 < result.availability < 1.0
@@ -65,24 +65,24 @@ class TestChurnScenario:
     def test_zero_fraction_matches_static_run(self):
         static = run_simulation(FastSimulationConfig(**BASE))
         churnless = run_simulation(FastSimulationConfig(
-            **BASE, churn_offline_fraction=0.0,
+            **BASE, scenario="churn:rate=0.0",
         ))
         assert np.array_equal(static.forwarded, churnless.forwarded)
         assert static.unavailable == churnless.unavailable == 0
 
     def test_storer_recomputation_recovers_availability(self):
         dropped = run_simulation(FastSimulationConfig(
-            **BASE, churn_offline_fraction=0.3, batch_files=25,
+            **BASE, scenario="churn:rate=0.3", batch_files=25,
         ))
         rereplicated = run_simulation(FastSimulationConfig(
-            **BASE, churn_offline_fraction=0.3, batch_files=25,
-            churn_recompute_storers=True,
+            **BASE, scenario="churn:rate=0.3,recompute=true",
+            batch_files=25,
         ))
         assert rereplicated.availability > dropped.availability
 
     def test_deterministic_under_churn(self):
         config = FastSimulationConfig(
-            **BASE, churn_offline_fraction=0.2, batch_files=25,
+            **BASE, scenario="churn:rate=0.2", batch_files=25,
         )
         first = run_simulation(config)
         second = run_simulation(config)
@@ -91,7 +91,7 @@ class TestChurnScenario:
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ConfigurationError):
-            FastSimulationConfig(**BASE, churn_offline_fraction=1.5)
+            FastSimulationConfig(**BASE, scenario="churn:rate=1.5")
 
 
 class TestBaselineBackends:
@@ -211,43 +211,6 @@ class TestBaselineBackends:
 class TestScenarioStrings:
     """The ``scenario`` composition field drives the same epoch kernel."""
 
-    def test_string_churn_is_bit_identical_to_legacy_fields(self):
-        legacy = run_simulation(FastSimulationConfig(
-            **BASE, churn_offline_fraction=0.2, batch_files=25,
-        ))
-        string = run_simulation(FastSimulationConfig(
-            **BASE, scenario="churn:rate=0.2", batch_files=25,
-        ))
-        assert np.array_equal(legacy.forwarded, string.forwarded)
-        assert np.array_equal(legacy.first_hop, string.first_hop)
-        assert legacy.unavailable == string.unavailable
-        assert legacy.hop_histogram == string.hop_histogram
-        assert np.array_equal(legacy.income, string.income)
-
-    def test_string_caching_is_bit_identical_to_legacy_fields(self):
-        legacy = run_simulation(FastSimulationConfig(
-            **BASE, catalog_size=30, caching=True, batch_files=25,
-        ))
-        string = run_simulation(FastSimulationConfig(
-            **BASE, catalog_size=30, scenario="caching", batch_files=25,
-        ))
-        assert np.array_equal(legacy.forwarded, string.forwarded)
-        assert legacy.cache_hits == string.cache_hits > 0
-
-    def test_legacy_fields_compose_with_string_scenarios(self):
-        # Both spellings of churn+caching must agree exactly.
-        fields = run_simulation(FastSimulationConfig(
-            **BASE, catalog_size=30, caching=True,
-            churn_offline_fraction=0.2, batch_files=25,
-        ))
-        string = run_simulation(FastSimulationConfig(
-            **BASE, catalog_size=30, scenario="churn:rate=0.2+caching",
-            batch_files=25,
-        ))
-        assert np.array_equal(fields.forwarded, string.forwarded)
-        assert fields.cache_hits == string.cache_hits
-        assert fields.unavailable == string.unavailable
-
     def test_bounded_cache_evicts_and_still_accounts(self):
         unbounded = run_simulation(FastSimulationConfig(
             **BASE, catalog_size=30, scenario="caching", batch_files=25,
@@ -288,10 +251,9 @@ class TestScenarioStrings:
 
 
 class TestScenarioGuards:
-    def test_reference_backend_rejects_scenario_fields(self):
-        for fields in ({"caching": True},
-                       {"churn_offline_fraction": 0.2}):
-            config = FastSimulationConfig(**BASE, **fields)
+    def test_reference_backend_rejects_scenarios(self):
+        for scenario in ("caching", "churn:rate=0.2"):
+            config = FastSimulationConfig(**BASE, scenario=scenario)
             with pytest.raises(ConfigurationError, match="vectorized"):
                 get_backend("reference").prepare(config)
 
@@ -301,14 +263,14 @@ class TestScenarioGuards:
         assert not TitForTatBackend.replays_workload
         assert get_backend("fast").replays_workload
 
-    def test_filecoin_rejects_scenario_fields(self):
-        config = FastSimulationConfig(**BASE, churn_offline_fraction=0.2)
+    def test_filecoin_rejects_scenarios(self):
+        config = FastSimulationConfig(**BASE, scenario="churn:rate=0.2")
         with pytest.raises(ConfigurationError, match="filecoin"):
             get_backend("filecoin").prepare(config)
 
     def test_merge_rejects_mixed_scenarios(self):
         churned = run_simulation(FastSimulationConfig(
-            **BASE, churn_offline_fraction=0.2, batch_files=25,
+            **BASE, scenario="churn:rate=0.2", batch_files=25,
         ))
         static = run_simulation(FastSimulationConfig(**BASE))
         with pytest.raises(ConfigurationError, match="workload seed"):

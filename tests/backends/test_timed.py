@@ -22,7 +22,6 @@ from repro.backends import get_backend, run_simulation
 from repro.backends.config import FastSimulationConfig
 from repro.backends.timed import (
     _EPS_BYTES,
-    FluidWheel,
     TimedSimulation,
     _snap_up,
 )
@@ -31,6 +30,7 @@ from repro.errors import ConfigurationError, SimulationError
 
 from . import table_oracle
 from .wheel_oracle import FluidWheel as OracleWheel
+from .wheel_oracle import one_window
 from .test_golden import GOLDEN_CONFIG, GOLDEN_DIR, golden_payload
 from .test_golden_scenarios import (
     SCENARIO_GOLDEN_CONFIGS,
@@ -189,7 +189,7 @@ class TestFluidWheel:
         hops = np.full(n_chunks, 2, dtype=np.int32)
         offsets = np.arange(n_chunks, dtype=np.int64) * 2
         nodes = np.tile(np.array([1, 2], dtype=np.int32), n_chunks)
-        return FluidWheel(
+        return one_window(
             n_nodes=3, chunk_bytes=1000.0, up_bytes_s=up,
             down_bytes_s=down, max_concurrent=cap, quantum_s=quantum,
             release_s=np.asarray(releases, dtype=np.float64),
@@ -260,11 +260,11 @@ class TestFluidWheel:
             origins=np.array([top - 2, top, top - 2, 7, top - 1]),
         )
         expected = OracleWheel(**kwargs).run()
-        assert np.array_equal(FluidWheel(**kwargs).run(), expected)
+        assert np.array_equal(one_window(**kwargs).run(), expected)
 
     def test_refuses_runs_too_wide_for_its_words(self):
         with pytest.raises(SimulationError, match="64-bit words"):
-            FluidWheel(
+            one_window(
                 n_nodes=2**31, chunk_bytes=1000.0, up_bytes_s=1e5,
                 down_bytes_s=1e5, max_concurrent=0, quantum_s=0.0,
                 release_s=np.zeros(1), hops=np.ones(1, dtype=np.int32),
@@ -304,7 +304,7 @@ class TestFluidWheel:
                 origins=np.array(origins, dtype=np.int64),
             ).run()
 
-        done = run(FluidWheel)
+        done = run(one_window)
         assert done.tobytes() == run(OracleWheel).tobytes()
         return done, fired
 

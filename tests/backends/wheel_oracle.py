@@ -13,11 +13,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.timed import _EPS_BYTES
+from repro.backends.timed import _EPS_BYTES, ReleaseWindow
+from repro.backends.timed import FluidWheel as WindowedWheel
 from repro.engine.des import EventScheduler
 from repro.errors import SimulationError
 
-__all__ = ["FluidWheel"]
+__all__ = ["FluidWheel", "one_window"]
+
+
+def one_window(*, release_s: np.ndarray, hops: np.ndarray,
+               offsets: np.ndarray, nodes: np.ndarray, origins: np.ndarray,
+               **links) -> WindowedWheel:
+    """The production wheel over this oracle's arrays, as one window.
+
+    Takes the oracle's keywords; chunk *j*'s completion time lands in
+    ``done[j]`` of the array :meth:`~WindowedWheel.run` returns, as
+    the oracle's does.
+    """
+    return WindowedWheel(
+        **links,
+        windows=[ReleaseWindow(release_s, hops, offsets, nodes, origins,
+                               ids=np.arange(release_s.size))],
+        done=np.full(release_s.size, -1.0))
 
 
 class FluidWheel:

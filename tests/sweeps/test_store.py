@@ -163,6 +163,22 @@ class TestStore:
             SweepStore.load(path)
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("caching", True), ("churn_offline_fraction", 0.2),
+        ("churn_seed", 99), ("churn_recompute_storers", False),
+    ])
+    def test_base_with_a_removed_dynamics_field_refused(self, tmp_path,
+                                                        field, value):
+        path = tmp_path / "sweep.json"
+        run_sweep(tiny_spec(), store_path=path)
+        document = json.loads(path.read_text())
+        document["spec"]["base"][field] = value
+        path.write_text(json.dumps(document))
+        with pytest.raises(ConfigurationError,
+                           match=f"sweep store {path}.*{field}"):
+            SweepStore.load(path)
+
+
 def rewrite(path, document) -> None:
     """Write *document* in the store's own layout (salvage scans it)."""
     path.write_text(json.dumps(document, indent=2, sort_keys=True))
