@@ -8,6 +8,8 @@ public API.
 
 from __future__ import annotations
 
+import math
+
 from .errors import ConfigurationError
 
 
@@ -27,6 +29,18 @@ def require_non_negative(value: float, name: str) -> None:
     """Validate that *value* is zero or positive."""
     if value < 0:
         raise ConfigurationError(f"{name} must be non-negative, got {value!r}")
+
+
+def is_finite_number(value: object) -> bool:
+    """Whether a decoded JSON value is an int or float with a finite
+    float value (``true``, ``"5"``, ``NaN`` and ints past the float
+    range are not)."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def require_int(value: object, name: str) -> int:

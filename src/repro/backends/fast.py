@@ -1318,10 +1318,12 @@ class StreamSession:
         *origins* are dense node indices (one per chunk), *targets*
         the chunk addresses — the same columns the flatten path
         produces. Counters accumulate into the session's cumulative
-        result, or into *into* when given (the serve daemon routes
-        each micro-epoch into a fresh scratch result and absorbs it
-        into its aggregator). *ids* is the per-chunk id
-        column a recorder session reports paths under.
+        result, or into *into* when given. The serve daemon routes
+        each micro-epoch into a fresh scratch result and only then
+        adds it into its running result: a signal can interrupt this
+        call midway, and the scratch keeps the running result at whole
+        micro-epochs. *ids* is the per-chunk id column a recorder
+        session reports paths under.
         """
         if self._closed:
             raise ConfigurationError(

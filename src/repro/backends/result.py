@@ -87,7 +87,15 @@ class SimulationResult:
         return lorenz_curve(self.income)
 
     def f1_gini(self) -> float:
-        """Fig. 6: Gini of forwarded/first-hop ratios, paid nodes only."""
+        """Fig. 6: Gini of forwarded/first-hop ratios, paid nodes only.
+
+        0.0 when no node has a paid first hop (an empty stream, or a
+        network with every node offline), as :meth:`f2_gini` reads 0.0
+        on zero income; :meth:`f1_report` and :meth:`f1_curve` raise
+        there instead, having no ratios to report.
+        """
+        if not self.first_hop.any():
+            return 0.0
         return self.f1_report().f1_gini
 
     def f1_curve(self) -> LorenzCurve:
@@ -145,12 +153,38 @@ class SimulationResult:
             f"fallback hops = {self.fallbacks}{extras}"
         )
 
+    def add(self, other: "SimulationResult") -> "SimulationResult":
+        """Add *other*'s counters, vectors and samples into this result.
+
+        In place; the caller checks that both results cover the same
+        overlay. Returns ``self``.
+        """
+        self.forwarded += other.forwarded
+        self.first_hop += other.first_hop
+        self.income += other.income
+        self.expenditure += other.expenditure
+        self.files += other.files
+        self.chunks += other.chunks
+        self.total_hops += other.total_hops
+        self.local_hits += other.local_hits
+        self.fallbacks += other.fallbacks
+        self.cache_hits += other.cache_hits
+        self.unavailable += other.unavailable
+        for hops, count in other.hop_histogram.items():
+            self.hop_histogram[hops] = self.hop_histogram.get(hops, 0) + count
+        self.elapsed_seconds += other.elapsed_seconds
+        parts = [samples for samples in (self.latency_ms, other.latency_ms)
+                 if samples is not None]
+        if parts:
+            self.latency_ms = np.concatenate(parts)
+        return self
+
     def merge(self, other: "SimulationResult") -> "SimulationResult":
         """Combine two runs over the same overlay (multi-machine story).
 
         Configurations must agree on everything except the workload
         seed and file count, mirroring the paper's split of one
-        simulation across machines.
+        simulation across machines. Neither input is modified.
         """
         ours, theirs = self.config, other.config
         normalize = lambda c: dataclasses.replace(  # noqa: E731
@@ -161,31 +195,10 @@ class SimulationResult:
                 "cannot merge results whose configurations differ in "
                 "anything but the workload seed and file count"
             )
-        merged_hist = dict(self.hop_histogram)
-        for hops, count in other.hop_histogram.items():
-            merged_hist[hops] = merged_hist.get(hops, 0) + count
-        if self.latency_ms is None and other.latency_ms is None:
-            merged_latency = None
-        else:
-            parts = [samples for samples in
-                     (self.latency_ms, other.latency_ms)
-                     if samples is not None]
-            merged_latency = np.concatenate(parts)
-        return SimulationResult(
-            config=self.config,
-            node_addresses=self.node_addresses,
-            forwarded=self.forwarded + other.forwarded,
-            first_hop=self.first_hop + other.first_hop,
-            income=self.income + other.income,
-            expenditure=self.expenditure + other.expenditure,
-            files=self.files + other.files,
-            chunks=self.chunks + other.chunks,
-            total_hops=self.total_hops + other.total_hops,
-            local_hits=self.local_hits + other.local_hits,
-            fallbacks=self.fallbacks + other.fallbacks,
-            cache_hits=self.cache_hits + other.cache_hits,
-            unavailable=self.unavailable + other.unavailable,
-            hop_histogram=merged_hist,
-            elapsed_seconds=self.elapsed_seconds + other.elapsed_seconds,
-            latency_ms=merged_latency,
+        merged = dataclasses.replace(
+            self, forwarded=self.forwarded.copy(),
+            first_hop=self.first_hop.copy(), income=self.income.copy(),
+            expenditure=self.expenditure.copy(),
+            hop_histogram=dict(self.hop_histogram),
         )
+        return merged.add(other)

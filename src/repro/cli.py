@@ -64,6 +64,7 @@ import time
 from pathlib import Path
 
 from ._files import TextLines, open_output, read_json
+from ._validation import require_non_negative, require_positive
 from .errors import ConfigurationError, ExperimentError, ReproError
 
 __all__ = ["main", "build_parser", "config_from_args", "COMMAND_DEFAULTS"]
@@ -221,7 +222,11 @@ def _add_store_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _store_options(args: argparse.Namespace) -> dict:
-    """The store and retry options as run_sweep/sweep_serve keywords."""
+    """The store and retry options as run_sweep/sweep_serve keywords; a
+    negative retry budget or a non-positive lease timeout is refused
+    before anything prints or the store is touched."""
+    require_non_negative(args.max_retries, "max_retries")
+    require_positive(args.lease_timeout, "lease_timeout")
     return {"store_path": args.store, "resume": not args.no_resume,
             "salvage": args.salvage_store,
             "lease_timeout": args.lease_timeout,
@@ -255,11 +260,14 @@ def _add_executor_options(parser: argparse.ArgumentParser) -> None:
 
 def _executor_options(args: argparse.Namespace) -> dict:
     """The executor options as run_sweep/sweep_work keywords; a worker
-    count below 1 is refused before anything prints or connects."""
+    count below 1 or a non-positive point timeout is refused before
+    anything prints or connects."""
     for flag in ("jobs", "workers"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise ConfigurationError(f"{flag} must be >= 1, got {value}")
+    if args.point_timeout is not None:
+        require_positive(args.point_timeout, "point_timeout")
     return {"jobs": args.jobs, "cap_jobs": args.cap_jobs,
             "point_timeout": args.point_timeout}
 
@@ -700,6 +708,7 @@ def _sweep_run(args: argparse.Namespace) -> int:
         return _merge_stores_run(args)
     spec = _spec_from_args(args)
     executor = _executor_options(args)
+    store_options = _store_options(args)
     if args.dry_run:
         status = sweep_status(spec, args.store,
                               salvage=args.salvage_store)
@@ -727,7 +736,7 @@ def _sweep_run(args: argparse.Namespace) -> int:
         f"backend(s) x {args.seeds} seed(s)), {layout}"
     )
     sweep = run_sweep(
-        spec, **executor, **_store_options(args),
+        spec, **executor, **store_options,
         keep_going=args.keep_going, fault_plan=args.fault_plan,
         workers=args.workers, shard_dir=args.shard_dir,
         progress=args.progress,

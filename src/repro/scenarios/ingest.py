@@ -34,6 +34,7 @@ import reprlib
 from dataclasses import dataclass
 from typing import IO, Iterable
 
+from .._validation import is_finite_number
 from ..errors import ConfigurationError
 from ..workloads.ingest import stable_hash
 from .events import TopologyDelta
@@ -70,17 +71,6 @@ class DynamicsImportSummary:
             f"{self.n_epochs} epoch(s); peer ids: {self.direct_nodes} "
             f"direct, {self.hashed_nodes} hashed"
         )
-
-
-def _finite_number(value) -> bool:
-    """Whether *value* is a JSON int or float with a finite float value
-    (``true``, ``"5"``, ``NaN`` and ints past the float range are not)."""
-    if type(value) not in (int, float):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def import_dynamics(lines: Iterable[str] | IO[str], *, overlay,
@@ -148,7 +138,7 @@ def import_dynamics(lines: Iterable[str] | IO[str], *, overlay,
                 f"bad membership log line {lineno}: need 'ts', "
                 f"'event' and 'node' fields"
             )
-        if not _finite_number(ts):
+        if not is_finite_number(ts):
             raise ConfigurationError(
                 f"bad membership log line {lineno}: timestamp "
                 f"{reprlib.repr(ts)} is not a finite JSON number"

@@ -12,18 +12,21 @@ in one vectorized pass when every line has one of the two layouts
 traces), else with one ``json.loads`` for the whole batch. It routes
 each micro-epoch through a persistent
 :class:`~repro.backends.fast.StreamSession` (tables built once,
-scenario coded patches reused across batches), and absorbs each
-micro-epoch's result into a
-:class:`~repro.analysis.streaming.StreamingAggregator`. Every
-``--flush-interval`` batches it emits a ``snapshot`` line; at end of
-input — or on SIGTERM/SIGINT, which flush gracefully — it emits one
-``final`` line.
+scenario coded patches reused across batches). The daemon's state is
+one running :class:`~repro.backends.result.SimulationResult`: each
+micro-epoch routes into a fresh scratch result, which
+:class:`~repro.analysis.streaming.StreamingAggregator` then adds into
+the running one, so a SIGTERM that interrupts routing leaves the
+running result at whole micro-epochs. Every ``--flush-interval``
+batches the daemon emits a ``snapshot`` line; at end of input — or on
+SIGTERM/SIGINT, which flush gracefully — it emits one ``final`` line.
+Both lines read the running result's own metrics.
 
 Memory is bounded independent of stream length: one micro-batch of
-decoded columns, the O(n_nodes) session/aggregator state, and (for
-scenario serving) the coded patches. The ``final`` line's metrics are
-exactly what a batch run over the same requests reports — the
-``--batch`` reference mode materializes the input and runs the
+decoded columns, the O(n_nodes) session state and running result, and
+(for scenario serving) the coded patches. The ``final`` line's
+metrics are exactly what a batch run over the same requests reports
+— the ``--batch`` reference mode materializes the input and runs the
 one-shot engine to let CI ``cmp`` the two byte-for-byte.
 
 A request line that does not decode to a valid request — bad JSON, a
@@ -52,6 +55,7 @@ import numpy as np
 from .analysis.streaming import StreamingAggregator
 from .backends.config import FastSimulationConfig
 from .backends.fast import FastSimulation, StreamSession
+from .backends.result import SimulationResult
 from .errors import WorkloadError
 from .workloads.generators import FileDownload
 from .workloads.streams import RequestStream
@@ -147,8 +151,8 @@ def run_serve(config: FastSimulationConfig,
               lines: Iterable[str] | IO[str], out: IO[str], *,
               max_batch: int = 256, flush_interval: int = 1,
               n_epochs: int | None = None,
-              batch_mode: bool = False) -> StreamingAggregator:
-    """Serve a request stream; returns the final aggregator.
+              batch_mode: bool = False) -> SimulationResult:
+    """Serve a request stream; returns the running result it served.
 
     *lines* is the NDJSON request source, *out* the NDJSON sink.
     ``n_epochs`` is required when *config* carries a scenario (epoch
@@ -162,7 +166,7 @@ def run_serve(config: FastSimulationConfig,
         )
     simulation = FastSimulation(config)
     addresses = simulation.overlay.address_array()
-    aggregator = StreamingAggregator(addresses.astype(np.int64))
+    aggregator = StreamingAggregator(simulation.new_result())
     stream = RequestStream(
         _skip_trace_header(lines, config), max_batch=max_batch
     )
@@ -173,7 +177,7 @@ def run_serve(config: FastSimulationConfig,
         if decoded:
             aggregator.absorb(simulation.run(_ColumnWorkload(decoded)))
         _emit(out, "final", aggregator.summary())
-        return aggregator
+        return aggregator.result
 
     entry_dt = simulation.table.entry_dtype
 
@@ -199,4 +203,4 @@ def run_serve(config: FastSimulationConfig,
         for signum, original in previous:
             signal.signal(signum, original)
     _emit(out, "final", aggregator.summary())
-    return aggregator
+    return aggregator.result

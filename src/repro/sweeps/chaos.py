@@ -59,7 +59,6 @@ other fatal kinds.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import signal
@@ -70,6 +69,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .._files import read_json
+from .._validation import is_finite_number
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -103,16 +103,6 @@ CRASH_EXIT_CODE = 70
 #: ``--point-timeout`` fires first, short enough that a watchdog-less
 #: test run eventually frees its worker.
 DEFAULT_HANG_SECONDS = 600.0
-
-
-def _is_finite_number(value) -> bool:
-    """Whether a decoded JSON value is a finite int or float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
 
 
 class InjectedFault(RuntimeError):
@@ -174,7 +164,7 @@ class Fault:
             ("message", message, isinstance(message, str)),
             ("attempt", attempt,
              isinstance(attempt, int) and not isinstance(attempt, bool)),
-            ("seconds", seconds, _is_finite_number(seconds)),
+            ("seconds", seconds, is_finite_number(seconds)),
         ):
             if not ok:
                 raise ConfigurationError(

@@ -61,6 +61,7 @@ from contextlib import ExitStack
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from .._validation import require_positive
 from ..backends.config import FastSimulationConfig
 from ..errors import ConfigurationError, SweepExecutionError
 from .chaos import HOST_PID_ENV
@@ -552,6 +553,9 @@ def sweep_serve(spec: SweepSpec, *, host: str = "127.0.0.1",
     """
     from .engine import outcome_record
 
+    retry_policy = RetryPolicy(max_retries=max_retries,
+                               backoff_base=retry_backoff)
+    require_positive(lease_timeout, "lease_timeout")
     points = spec.points()
     store = None
     completed: set[str] = set()
@@ -568,9 +572,7 @@ def sweep_serve(spec: SweepSpec, *, host: str = "127.0.0.1",
 
     state = QueueState(
         spec, pending,
-        retry_policy=RetryPolicy(max_retries=max_retries,
-                                 backoff_base=retry_backoff),
-        lease_timeout=lease_timeout,
+        retry_policy=retry_policy, lease_timeout=lease_timeout,
     )
     daemon = SweepQueueDaemon(state, host=host, port=port).start()
     print(f"sweep queue serving {len(pending)} pending point(s) "

@@ -34,6 +34,7 @@ from concurrent.futures.process import _RemoteTraceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
+from .._validation import require_positive
 from ..errors import ConfigurationError
 from .spec import SweepPoint, SweepSpec
 from .store import _record_problem
@@ -257,10 +258,7 @@ class QueueState:
                  lease_timeout: float = 300.0,
                  attempts: Mapping[str, int] | None = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if lease_timeout <= 0:
-            raise ConfigurationError(
-                f"lease_timeout must be > 0, got {lease_timeout}"
-            )
+        require_positive(lease_timeout, "lease_timeout")
         self.spec = spec
         self.lease_timeout = float(lease_timeout)
         self._clock = clock

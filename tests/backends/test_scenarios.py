@@ -93,6 +93,23 @@ class TestChurnScenario:
         with pytest.raises(ConfigurationError):
             FastSimulationConfig(**BASE, scenario="churn:rate=1.5")
 
+    def test_fully_offline_network_reads_f1_zero(self):
+        # No node has a paid first hop: F1's Gini reads 0.0, as F2's
+        # does on zero income, while the ratio report has nothing to
+        # report and still refuses.
+        result = run_simulation(FastSimulationConfig(
+            **BASE, scenario="churn:rate=1.0", batch_files=25,
+        ))
+        assert result.unavailable == result.chunks > 0
+        assert not result.first_hop.any()
+        assert result.f1_gini() == 0.0
+        assert result.f2_gini() == 0.0
+        assert "F1 Gini = 0.0000" in result.summary()
+        with pytest.raises(ConfigurationError, match="positive reward"):
+            result.f1_report()
+        with pytest.raises(ConfigurationError, match="positive reward"):
+            result.f1_curve()
+
 
 class TestBaselineBackends:
     def test_flat_reward_is_proportional(self):

@@ -120,6 +120,29 @@ class TestCli:
         assert_refused(capsys, argv, message, command=argv[0])
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, option", [
+        ("sweep", ["--max-retries", "-1"]),
+        ("sweep", ["--lease-timeout", "0"]),
+        ("sweep", ["--lease-timeout", "0", "--workers", "1"]),
+        ("sweep", ["--point-timeout", "-1"]),
+        ("sweep-serve", ["--max-retries", "-1"]),
+        ("sweep-serve", ["--lease-timeout", "0"]),
+    ])
+    def test_refused_option_leaves_the_store_untouched(
+            self, capsys, tmp_path, command, option):
+        # Refused before anything prints, and before --no-resume can
+        # overwrite the store with an empty one.
+        store = tmp_path / "sweep.json"
+        assert main(["sweep", *TINY, "--seeds", "2",
+                     "--store", str(store)]) == 0
+        capsys.readouterr()
+        before = store.read_bytes()
+        assert_refused(capsys, [command, *TINY, "--seeds", "2",
+                                "--store", str(store), "--no-resume",
+                                *option],
+                       option[0][2:].replace("-", "_"), command=command)
+        assert store.read_bytes() == before
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,35 @@ class TestMultiMachineStory:
         assert merged.forwarded.sum() == pytest.approx(
             whole.forwarded.sum(), rel=0.3
         )
+
+    def test_merge_adds_every_field_and_leaves_its_inputs(self):
+        config = FastSimulationConfig(
+            n_nodes=60, bits=10, n_files=10, file_min=3, file_max=6,
+        )
+        part_a = FastSimulation(config).run()
+        part_b = FastSimulation(
+            dataclasses.replace(config, workload_seed=9)).run()
+        part_a.latency_ms = np.array([1.0, 2.0])
+        part_b.latency_ms = np.array([3.0])
+        before = copy.deepcopy(part_a)
+        merged = part_a.merge(part_b)
+        for name in ("forwarded", "first_hop", "income", "expenditure"):
+            np.testing.assert_array_equal(
+                getattr(merged, name),
+                getattr(before, name) + getattr(part_b, name))
+            np.testing.assert_array_equal(getattr(part_a, name),
+                                          getattr(before, name))
+        for name in ("files", "chunks", "total_hops", "local_hits",
+                     "fallbacks", "cache_hits", "unavailable"):
+            assert getattr(merged, name) == (getattr(before, name)
+                                             + getattr(part_b, name))
+        for hops in set(before.hop_histogram) | set(part_b.hop_histogram):
+            assert merged.hop_histogram[hops] == (
+                before.hop_histogram.get(hops, 0)
+                + part_b.hop_histogram.get(hops, 0))
+        assert part_a.hop_histogram == before.hop_histogram
+        np.testing.assert_array_equal(merged.latency_ms, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(part_a.latency_ms, [1.0, 2.0])
 
 
 class TestSeedIsolation:

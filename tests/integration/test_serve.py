@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from repro.backends.config import FastSimulationConfig
-from repro.backends.fast import FastSimulation
+from repro.backends.fast import FastSimulation, StreamSession
 from repro.cli import main
 from repro.errors import WorkloadError
-from repro.serve import run_serve
+from repro.serve import _Shutdown, run_serve
 from tests.backends.test_streaming import ALL_CONFIGS, assert_identical
 
 #: The checkout these tests belong to (``src/`` is its package root).
@@ -210,6 +210,29 @@ class TestRunServe:
     def test_rejects_bad_flush_interval(self):
         with pytest.raises(WorkloadError, match="flush_interval"):
             serve_lines([], flush_interval=0)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_shutdown_inside_feed_keeps_whole_micro_epochs(
+            self, monkeypatch, n):
+        """A signal raised while the n-th micro-epoch is routing must
+        leave the final line at the n-1 micro-epochs before it."""
+        feed = StreamSession.feed
+
+        def interrupted_feed(self, origins, targets, *, into=None,
+                             ids=None):
+            routed = feed(self, origins, targets, into=into, ids=ids)
+            if self.epochs_fed == n:
+                raise _Shutdown()
+            return routed
+
+        lines = request_lines(CONFIG, n_files=40)
+        monkeypatch.setattr(StreamSession, "feed", interrupted_feed)
+        streamed = serve_lines(lines, max_batch=8)
+        monkeypatch.undo()
+        reference = serve_lines(lines[:8 * (n - 1)], batch_mode=True)
+        assert [line["type"] for line in streamed] == (
+            ["snapshot"] * (n - 1) + ["final"])
+        assert streamed[-1] == reference[-1]
 
     def test_scenario_serving_matches_batch(self):
         """Churn dynamics stream exactly (micro-epoch = engine epoch)."""

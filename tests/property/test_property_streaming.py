@@ -11,16 +11,18 @@ sums are exact and the law holds with ``==``, not approximately.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.streaming import StreamingAggregator
+from repro.backends.config import FastSimulationConfig
+from repro.backends.result import SimulationResult
 
 N_NODES = 5
 ADDRS = np.arange(3, 3 + N_NODES, dtype=np.int64)
+
+CONFIG = FastSimulationConfig(n_nodes=N_NODES)
 
 #: The counters :meth:`StreamingAggregator.absorb` adds up.
 SCALARS = ("files", "chunks", "total_hops", "local_hits", "fallbacks",
@@ -36,7 +38,7 @@ def dyadic_vector(draw, elements):
 
 @st.composite
 def micro_results(draw):
-    """One micro-epoch's worth of absorbed fields."""
+    """One micro-epoch's result."""
     counts = st.lists(
         st.integers(min_value=0, max_value=50),
         min_size=N_NODES, max_size=N_NODES,
@@ -46,7 +48,8 @@ def micro_results(draw):
         min_size=N_NODES, max_size=N_NODES,
     )
     chunks = draw(st.integers(min_value=0, max_value=200))
-    return SimpleNamespace(
+    return SimulationResult(
+        config=CONFIG,
         node_addresses=ADDRS,
         forwarded=np.asarray(draw(counts), dtype=np.int64),
         first_hop=np.asarray(draw(counts), dtype=np.int64),
@@ -67,15 +70,19 @@ def micro_results(draw):
     )
 
 
+def zero_result():
+    """An empty result over ADDRS (nothing absorbed yet)."""
+    return SimulationResult(
+        config=CONFIG, node_addresses=ADDRS,
+        forwarded=np.zeros(N_NODES, dtype=np.int64),
+        first_hop=np.zeros(N_NODES, dtype=np.int64),
+        income=np.zeros(N_NODES), expenditure=np.zeros(N_NODES),
+    )
+
+
 def summed(results):
     """One result holding the sum of *results* (one coarser epoch)."""
-    total = SimpleNamespace(
-        node_addresses=ADDRS,
-        hop_histogram={},
-        **{name: 0 for name in SCALARS},
-        **{name: np.zeros(N_NODES, dtype=getattr(results[0], name).dtype)
-           for name in VECTORS},
-    )
+    total = zero_result()
     for result in results:
         for name in SCALARS + VECTORS:
             setattr(total, name, getattr(total, name)
@@ -98,16 +105,17 @@ def test_batch_size_invariance(results, data):
         st.integers(min_value=1, max_value=len(results) - 1)
         if len(results) > 1 else st.nothing(),
     ), label="cuts"))
-    fine = StreamingAggregator(ADDRS)
+    fine = StreamingAggregator(zero_result())
     for result in results:
         fine.absorb(result)
-    coarse = StreamingAggregator(ADDRS)
+    coarse = StreamingAggregator(zero_result())
     for start, stop in zip([0, *cuts], [*cuts, len(results)]):
         coarse.absorb(summed(results[start:stop]), epochs=stop - start)
     for name in VECTORS:
-        np.testing.assert_array_equal(getattr(coarse, name),
-                                      getattr(fine, name))
-    for name in SCALARS + ("epochs",):
-        assert getattr(coarse, name) == getattr(fine, name)
-    assert coarse.hop_histogram == fine.hop_histogram
+        np.testing.assert_array_equal(getattr(coarse.result, name),
+                                      getattr(fine.result, name))
+    for name in SCALARS:
+        assert getattr(coarse.result, name) == getattr(fine.result, name)
+    assert coarse.epochs == fine.epochs
+    assert coarse.result.hop_histogram == fine.result.hop_histogram
     assert coarse.snapshot() == fine.snapshot()

@@ -97,6 +97,19 @@ class TestSweepCommand:
         assert code == 0
         assert "resumed from store" in capsys.readouterr().out
 
+    def test_fully_offline_point_is_stored_not_quarantined(self, tmp_path,
+                                                          capsys):
+        store = tmp_path / "sweep.json"
+        assert main(["sweep", "--scenario", "churn:rate=1.0",
+                     "--seeds", "1", "--files", "10", "--nodes", "30",
+                     "--store", str(store)]) == 0
+        assert "quarantined" not in capsys.readouterr().out
+        document = json.loads(store.read_text())
+        assert document.get("failures", {}) == {}
+        [point] = document["points"].values()
+        assert point["metrics"]["f1_gini"] == 0.0
+        assert point["metrics"]["availability"] == 0.0
+
     def test_jobs_flag_runs_multiprocess(self, capsys, monkeypatch):
         # Tiny but real: exercises the spawn pool end to end. The CPU
         # count is pinned to 1 so the oversubscription warning fires

@@ -204,6 +204,22 @@ class TestDistributedExecutorEdges:
         with pytest.raises(ConfigurationError, match="spec"):
             make_executor(1, workers=2)
 
+    @pytest.mark.parametrize("options, message", [
+        ({"max_retries": -1}, "max_retries"),
+        ({"lease_timeout": 0.0}, "lease_timeout"),
+    ])
+    def test_sweep_serve_refuses_before_opening_the_store(
+            self, tmp_path, options, message):
+        from repro.sweeps import sweep_serve
+
+        spec = tiny_spec()
+        store = tmp_path / "main.json"
+        run_quiet(spec, store_path=store)
+        before = store.read_bytes()
+        with pytest.raises(ConfigurationError, match=message):
+            sweep_serve(spec, store_path=store, resume=False, **options)
+        assert store.read_bytes() == before
+
 
 class TestServeWorkSubprocesses:
     def test_multi_machine_protocol_end_to_end(self, tmp_path):
